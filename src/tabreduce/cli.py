@@ -78,6 +78,14 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _load_model(path: str, target: str) -> policy.PolicyParams:
+    """Load a model, refusing one whose stored target is not ``target``."""
+    params, stored = policy.load_params(path)
+    if stored is not None and stored != target:
+        raise ConfigError(f"{path}: model was trained for target {stored!r}, not {target!r}")
+    return params
+
+
 def _load_json_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -156,9 +164,7 @@ def cmd_train_rl(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = training.PpoConfig(**overrides)
-    params, target = policy.load_params(args.init)
-    if target is not None and target != args.target:
-        raise ConfigError(f"model was trained for target {target!r}, not {args.target!r}")
+    params = _load_model(args.init, args.target)
     best, history = training.train_rl(
         params, train, valid, cfg, args.target, run_dir=args.out
     )
@@ -207,8 +213,8 @@ def cmd_eval_reduce(args) -> int:
 def cmd_reduce(args) -> int:
     manifest = Manifest("reduce", vars(args), args.out)
     instances = _load_instances(args.data)
-    col_params, _ = policy.load_params(args.col_model)
-    row_params, _ = policy.load_params(args.row_model)
+    col_params = _load_model(args.col_model, tasks.TARGET_COLUMNS)
+    row_params = _load_model(args.row_model, tasks.TARGET_ROWS)
     out = []
     for inst in instances:
         predicted_cols = tasks.greedy_reduction(col_params, inst, tasks.TARGET_COLUMNS)

@@ -12,6 +12,15 @@ means of token embeddings; ``h`` is the zero vector before anything is
 selected.  A linear value head ``q . vq + h . vh + vb`` shares the
 embeddings.
 
+Encodings are segment means computed for many instances at once
+(``embed``).  Sampling (``sample_episode``) walks one episode step by step
+over precomputed encodings.  Training never walks episodes: a fixed action
+sequence becomes an ``Episode`` (per step, the available candidates and the
+history-mean weights ``W``, so ``h = W @ v``), built once per example, and
+``forward`` replays a whole minibatch of them as padded ``(B, T, N + 1)``
+score tensors.  ``backward`` runs the chain rule back through the same
+tensors down to the token embeddings.
+
 Log-probabilities are exact and every gradient here is written by hand;
 ``finite_difference_error`` checks them against central differences, which
 the test suite runs for both the likelihood loss and the clipped-surrogate
@@ -21,9 +30,11 @@ seeds give identical episodes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -80,6 +91,15 @@ class EncodedInstance:
     @property
     def n_candidates(self) -> int:
         return len(self.candidate_ids)
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat token ids, and each segment's first-token offset and length;
+        segment 0 is the question and segment 1 + j candidate j."""
+        parts = (self.question_ids, *self.candidate_ids)
+        lengths = np.array([len(p) for p in parts], dtype=np.intp)
+        ids = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=int(lengths.sum()))
+        return ids, np.cumsum(lengths) - lengths, lengths
 
 
 def encode_instance(vocab: Vocabulary, question: str, candidate_texts: Sequence[str]) -> EncodedInstance:
@@ -202,13 +222,89 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
 
 
 # ---------------------------------------------------------------------------
+# Encodings
+
+# Segments per block of ``_segment_means`` and per ``forward`` chunk, and
+# tokens per block of ``_scatter_segment_grads``: they bound the (rows, dim)
+# arrays, so a minibatch of long tables needs little more memory than one of
+# short tables.
+_SEGMENT_BLOCK = 1024
+_TOKEN_BLOCK = 512
+
+
+def _token_layout(
+    encs: Sequence[EncodedInstance], bases: Sequence[int], n_segments: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat token ids plus each segment's first-token offset and length.
+
+    Instance b's question is segment ``bases[b]`` and its candidate j is
+    segment ``bases[b] + 1 + j``; segments no instance fills are empty.
+    Tokens are laid out in segment order.
+    """
+    starts = np.zeros(n_segments, dtype=np.intp)
+    lengths = np.zeros(n_segments, dtype=np.intp)
+    ids = []
+    offset = 0
+    for base, enc in zip(bases, encs):
+        tok_ids, tok_starts, tok_lengths = enc.segments
+        starts[base : base + tok_lengths.size] = offset + tok_starts
+        lengths[base : base + tok_lengths.size] = tok_lengths
+        ids.append(tok_ids)
+        offset += tok_ids.size
+    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
+    return flat, starts, lengths
+
+
+def _segment_means(emb: np.ndarray, layout) -> np.ndarray:
+    """(n_segments, dim) means of token embeddings; empty segments are zero.
+
+    Tokens are added in order, one position per pass, so each mean is
+    bit-identical to ``emb[ids].mean(axis=0)``.
+    """
+    ids, starts, lengths = layout
+    means = np.zeros((lengths.size, emb.shape[1]))
+    for lo in range(0, lengths.size, _SEGMENT_BLOCK):
+        block = means[lo : lo + _SEGMENT_BLOCK]
+        block_starts = starts[lo : lo + _SEGMENT_BLOCK]
+        block_lengths = lengths[lo : lo + _SEGMENT_BLOCK]
+        for k in range(int(block_lengths.max(initial=0))):
+            alive = np.flatnonzero(block_lengths > k)
+            block[alive] += emb[ids[block_starts[alive] + k]]
+        block /= np.maximum(block_lengths, 1)[:, None]
+    return means
+
+
+def _scatter_segment_grads(grad_emb: np.ndarray, layout, d_means: np.ndarray) -> None:
+    """Add the gradient of the segment means ``d_means`` to ``grad_emb``."""
+    ids, _, lengths = layout
+    segment_of = np.repeat(np.arange(lengths.size), lengths)
+    for lo in range(0, ids.size, _TOKEN_BLOCK):
+        segments = segment_of[lo : lo + _TOKEN_BLOCK]
+        per_token = d_means[segments] / lengths[segments, None]
+        np.add.at(grad_emb, ids[lo : lo + _TOKEN_BLOCK], per_token)
+
+
+@dataclass(frozen=True, eq=False)
+class Embedded:
+    """One instance's question and candidate encodings under one parameter set."""
+
+    params: PolicyParams
+    q: np.ndarray   # (dim,)
+    v: np.ndarray   # (n_candidates, dim)
+
+
+def embed(params: PolicyParams, encs: Sequence[EncodedInstance]) -> list[Embedded]:
+    """Encode many instances together: one segment-mean pass over all of them."""
+    bounds = np.cumsum([0] + [1 + enc.n_candidates for enc in encs])
+    means = _segment_means(params.emb, _token_layout(encs, bounds[:-1], int(bounds[-1])))
+    return [
+        Embedded(params, means[lo], means[lo + 1 : hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Step-level math
-
-def mean_embedding(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
-    if not ids:
-        return np.zeros(emb.shape[1])
-    return emb[list(ids)].mean(axis=0)
-
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
@@ -266,7 +362,7 @@ def apply_top_p_mask(probs: np.ndarray, p: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Episodes
+# Sampling
 
 @dataclass(frozen=True)
 class EpisodeTrace:
@@ -275,13 +371,12 @@ class EpisodeTrace:
     task reward filled in by the caller.
 
     ``logp_pi`` is the behavior log-probability (top-p masked when sampling
-    was masked); ``logp_pi_unmasked`` is the same action's log-probability
-    under the unmasked policy, which the KL penalty and its measurement use.
+    was masked), which the KL penalty and its measurement use; ``logp_ref``
+    is the unmasked reference log-probability of the same action.
     """
 
     actions: tuple[int, ...]
     logp_pi: tuple[float, ...]
-    logp_pi_unmasked: tuple[float, ...]
     logp_ref: tuple[float, ...]
     values: tuple[float, ...]
     selected: frozenset[int]
@@ -290,68 +385,39 @@ class EpisodeTrace:
     def with_task_reward(self, reward: float) -> "EpisodeTrace":
         return replace(self, task_reward=reward)
 
-    @property
-    def total_logp_pi(self) -> float:
-        return float(sum(self.logp_pi))
-
-    @property
-    def total_logp_ref(self) -> float:
-        return float(sum(self.logp_ref))
-
-
-class _Encoder:
-    """Per-episode cache of q, candidate encodings and the history mean."""
-
-    def __init__(self, params: PolicyParams, enc: EncodedInstance):
-        self.params = params
-        self.q = mean_embedding(params.emb, enc.question_ids)
-        self.v = np.stack(
-            [mean_embedding(params.emb, ids) for ids in enc.candidate_ids]
-        ) if enc.n_candidates else np.zeros((0, params.dim))
-        self._selected: list[int] = []
-        self.h = np.zeros(params.dim)
-
-    def select(self, candidate: int) -> None:
-        self._selected.append(candidate)
-        self.h = self.v[self._selected].mean(axis=0)
-
-    def distribution(self, remaining: Sequence[int]) -> np.ndarray:
-        return step_distribution(self.params, self.q, self.h, self.v[list(remaining)])
-
 
 def sample_episode(
-    params: PolicyParams,
-    reference_params: PolicyParams | None,
-    enc: EncodedInstance,
+    pi: Embedded,
+    ref: Embedded | None = None,
     mode: str = "sample",
     top_p: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> EpisodeTrace:
     """Roll out one episode; selected candidates leave the action set.
 
-    In sample mode the behavior distribution is the top-p-masked policy and
-    the recorded logp_pi is its (masked) log-probability.  Greedy mode takes
-    the unmasked argmax (masking never changes the argmax) with ties to the
-    lowest action index.  logp_ref replays the same actions under the
-    reference parameters without masking.
+    ``pi`` and ``ref`` are the instance encoded under the current and the
+    reference parameters (``ref`` None: the reference is the current
+    policy).  In sample mode the behavior distribution is the top-p-masked
+    policy and the recorded logp_pi is its (masked) log-probability.  Greedy
+    mode takes the unmasked argmax (masking never changes the argmax) with
+    ties to the lowest action index.  logp_ref scores the same actions under
+    the reference without masking.
     """
     if mode not in ("sample", "greedy"):
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "sample" and rng is None:
         raise ConfigError("sample mode needs a random generator")
-    ref = reference_params if reference_params is not None else params
-    pi = _Encoder(params, enc)
-    theta = _Encoder(ref, enc)
 
-    remaining = list(range(enc.n_candidates))
+    remaining = list(range(pi.v.shape[0]))
+    selected: list[int] = []
+    h = h_ref = np.zeros(pi.params.dim)
     actions: list[int] = []
     logp_pi: list[float] = []
-    logp_pi_unmasked: list[float] = []
     logp_ref: list[float] = []
     values: list[float] = []
 
     while True:
-        probs = pi.distribution(remaining)
+        probs = step_distribution(pi.params, pi.q, h, pi.v[remaining])
         if mode == "sample" and top_p is not None:
             behavior = apply_top_p_mask(probs, top_p)
         else:
@@ -361,11 +427,13 @@ def sample_episode(
         else:
             assert rng is not None
             pick = int(rng.choice(behavior.size, p=behavior))
-        ref_probs = theta.distribution(remaining)
+        if ref is None:
+            ref_probs = probs
+        else:
+            ref_probs = step_distribution(ref.params, ref.q, h_ref, ref.v[remaining])
 
-        values.append(value_estimate(params, pi.q, pi.h))
+        values.append(value_estimate(pi.params, pi.q, h))
         logp_pi.append(float(np.log(behavior[pick])))
-        logp_pi_unmasked.append(float(np.log(probs[pick])))
         logp_ref.append(float(np.log(ref_probs[pick])))
 
         if pick == len(remaining):  # STOP slot
@@ -373,161 +441,221 @@ def sample_episode(
             break
         chosen = remaining.pop(pick)
         actions.append(chosen)
-        pi.select(chosen)
-        theta.select(chosen)
+        selected.append(chosen)
+        h = pi.v[selected].mean(axis=0)
+        if ref is not None:
+            h_ref = ref.v[selected].mean(axis=0)
 
     return EpisodeTrace(
         actions=tuple(actions),
         logp_pi=tuple(logp_pi),
-        logp_pi_unmasked=tuple(logp_pi_unmasked),
         logp_ref=tuple(logp_ref),
         values=tuple(values),
         selected=frozenset(a for a in actions if a != STOP),
     )
 
 
-@dataclass
-class Replay:
-    """Teacher-forced forward pass over a fixed action sequence."""
+# ---------------------------------------------------------------------------
+# Teacher-forced minibatches
 
-    logps: np.ndarray       # (T,) log-probability of each taken action
-    entropies: np.ndarray   # (T,) step distribution entropies
-    values: np.ndarray      # (T,) value head outputs
-    probs: list[np.ndarray]
-    remaining: list[list[int]]
-    histories: list[np.ndarray]
-    selected_before: list[list[int]]
+@dataclass(frozen=True, eq=False)
+class Episode:
+    """A fixed action sequence over one instance, laid out for ``forward``.
+
+    Actions end at the first STOP.  Row t describes the state before action
+    t: which candidates are still available, and the weights (1/k on the k
+    candidates already selected) whose product with the candidate encodings
+    is the history mean.
+    """
+
+    enc: EncodedInstance
+    picks: np.ndarray       # (T,) candidate index of each action; STOP is -1
+    available: np.ndarray   # (T, n_candidates) bool
+    history: np.ndarray     # (T, n_candidates)
+
+    @property
+    def steps(self) -> int:
+        return self.picks.size
 
 
-def replay_episode(params: PolicyParams, enc: EncodedInstance, actions: Sequence[int]) -> Replay:
-    """Recompute per-step distributions for a given action sequence (no mask)."""
-    encod = _Encoder(params, enc)
-    remaining = list(range(enc.n_candidates))
-    logps, entropies, values = [], [], []
-    probs_seq: list[np.ndarray] = []
-    remaining_seq: list[list[int]] = []
-    histories: list[np.ndarray] = []
-    selected_seq: list[list[int]] = []
-    selected: list[int] = []
-
+def build_episode(enc: EncodedInstance, actions: Sequence[int]) -> Episode:
+    """Lay out ``actions``; raises ValueError for an unavailable action."""
+    n = enc.n_candidates
+    steps: list[int] = []
     for action in actions:
-        probs = encod.distribution(remaining)
-        if action == STOP:
-            pick = len(remaining)
-        else:
-            if action not in remaining:
-                raise ValueError(f"action {action} not available")
-            pick = remaining.index(action)
-        with np.errstate(divide="ignore"):
-            logs = np.log(probs)
-        logps.append(float(logs[pick]))
-        entropies.append(float(-(probs * np.where(probs > 0, logs, 0.0)).sum()))
-        values.append(value_estimate(params, encod.q, encod.h))
-        probs_seq.append(probs)
-        remaining_seq.append(list(remaining))
-        histories.append(encod.h.copy())
-        selected_seq.append(list(selected))
+        steps.append(action)
         if action == STOP:
             break
-        remaining.remove(action)
-        selected.append(action)
-        encod.select(action)
+    available = np.ones((len(steps), n), dtype=bool)
+    history = np.zeros((len(steps), n))
+    chosen: list[int] = []
+    for t, action in enumerate(steps):
+        if chosen:
+            available[t, chosen] = False
+            history[t, chosen] = 1.0 / len(chosen)
+        if action == STOP:
+            break
+        if not 0 <= action < n or action in chosen:
+            raise ValueError(f"action {action} not available")
+        chosen.append(action)
+    return Episode(enc, np.array(steps, dtype=np.intp), available, history)
 
-    return Replay(
-        logps=np.array(logps),
-        entropies=np.array(entropies),
-        values=np.array(values),
-        probs=probs_seq,
-        remaining=remaining_seq,
-        histories=histories,
-        selected_before=selected_seq,
+
+@dataclass
+class Forward:
+    """Teacher-forced pass over B episodes padded to T steps and N candidates.
+
+    Slot N of the last axis is STOP.  Padded steps allow only STOP, are
+    False in ``valid`` and read 0 in ``logps``, ``entropies`` and
+    ``values``.  Everything ``backward`` needs is kept.
+    """
+
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray]
+    steps: np.ndarray       # (B,) real steps per episode
+    valid: np.ndarray       # (B, T)
+    picks: np.ndarray       # (B, T) slot of each taken action
+    allowed: np.ndarray     # (B, T, N + 1)
+    weights: np.ndarray     # (B, T, N) history-mean weights
+    q: np.ndarray           # (B, dim)
+    v: np.ndarray           # (B, N, dim)
+    h: np.ndarray           # (B, T, dim) history means
+    u: np.ndarray           # (B, T, dim) q . Wq + h . Wh
+    probs: np.ndarray       # (B, T, N + 1), 0 outside allowed
+    logprobs: np.ndarray    # (B, T, N + 1), 0 outside allowed
+    logps: np.ndarray       # (B, T) log-probability of each taken action
+    entropies: np.ndarray   # (B, T)
+    values: np.ndarray      # (B, T)
+
+    def pad(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """Per-episode step vectors as one zero-padded (B, T) array."""
+        out = np.zeros(self.valid.shape)
+        for b, row in enumerate(rows):
+            if len(row) != self.steps[b]:
+                raise ValueError(f"episode {b} has {self.steps[b]} steps, got {len(row)} values")
+            out[b, : len(row)] = row
+        return out
+
+
+def forward(params: PolicyParams, episodes: Sequence[Episode]) -> Forward:
+    """Unmasked step distributions, log-probs, entropies and values of a minibatch."""
+    n_max = max(ep.enc.n_candidates for ep in episodes)
+    t_max = max(ep.steps for ep in episodes)
+    batch = len(episodes)
+    width = 1 + n_max
+    layout = _token_layout([ep.enc for ep in episodes], np.arange(batch) * width, batch * width)
+    encoded = _segment_means(params.emb, layout).reshape(batch, width, params.dim)
+    q, v = encoded[:, 0], encoded[:, 1:]
+
+    steps = np.array([ep.steps for ep in episodes])
+    valid = np.arange(t_max) < steps[:, None]
+    picks = np.full((batch, t_max), n_max)
+    allowed = np.zeros((batch, t_max, n_max + 1), dtype=bool)
+    allowed[..., n_max] = True
+    weights = np.zeros((batch, t_max, n_max))
+    for b, ep in enumerate(episodes):
+        t, n = ep.available.shape
+        picks[b, :t] = np.where(ep.picks == STOP, n_max, ep.picks)
+        allowed[b, :t, :n] = ep.available
+        weights[b, :t, :n] = ep.history
+
+    h = weights @ v
+    u = (q @ params.score_q)[:, None, :] + h @ params.score_h
+    scores = np.empty((batch, t_max, n_max + 1))
+    scores[..., :n_max] = u @ v.transpose(0, 2, 1)
+    scores[..., n_max] = (q @ params.stop_q)[:, None] + h @ params.stop_h + params.stop_b[0]
+    if not np.all(np.isfinite(scores[allowed])):
+        raise NumericalError("non-finite scores in step distribution")
+    scores[~allowed] = -np.inf
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    probs = exp / total
+    logprobs = np.where(allowed, shifted - np.log(total), 0.0)
+    logps = np.take_along_axis(logprobs, picks[..., None], axis=-1)[..., 0]
+    entropies = -(probs * logprobs).sum(axis=-1)
+    values = (q @ params.value_q)[:, None] + h @ params.value_h + params.value_b[0]
+
+    return Forward(
+        layout=layout, steps=steps, valid=valid, picks=picks, allowed=allowed,
+        weights=weights, q=q, v=v, h=h, u=u, probs=probs, logprobs=logprobs,
+        logps=np.where(valid, logps, 0.0),
+        entropies=np.where(valid, entropies, 0.0),
+        values=np.where(valid, values, 0.0),
     )
 
 
-def sequence_logprob(params: PolicyParams, enc: EncodedInstance, actions: Sequence[int]) -> float:
-    """Total unmasked log-probability of the action sequence."""
-    return float(replay_episode(params, enc, actions).logps.sum())
-
-
-def accumulate_episode_grads(
+def backward(
     params: PolicyParams,
-    enc: EncodedInstance,
-    actions: Sequence[int],
-    replay: Replay,
+    fw: Forward,
     grads: dict[str, np.ndarray],
     logp_coef: np.ndarray,
-    entropy_coef: np.ndarray,
-    value_coef: np.ndarray,
+    entropy_coef: np.ndarray | None = None,
+    value_coef: np.ndarray | None = None,
 ) -> None:
-    """Add d(sum_t logp_coef_t*logp_t + entropy_coef_t*H_t + value_coef_t*V_t)
-    to ``grads``.  Backpropagates through scores, encodings, the shared
-    history mean, and down to the token embeddings.
+    """Add the gradient of sum(logp_coef*logp + entropy_coef*H +
+    value_coef*V) over the (B, T) steps of ``fw`` to ``grads``;
+    coefficients must be 0 on padded steps.  Backpropagates through scores,
+    the history means and the segment means down to the token embeddings.
     """
-    q = mean_embedding(params.emb, enc.question_ids)
-    v = np.stack(
-        [mean_embedding(params.emb, ids) for ids in enc.candidate_ids]
-    ) if enc.n_candidates else np.zeros((0, params.dim))
+    batch, t_max, slots = fw.probs.shape
+    n_max = slots - 1
+    dim = params.dim
 
-    dq = np.zeros(params.dim)
-    dv = np.zeros_like(v)
+    dscores = -logp_coef[..., None] * fw.probs
+    rows, cols = np.indices((batch, t_max))
+    dscores[rows, cols, fw.picks] += logp_coef
+    if entropy_coef is not None and entropy_coef.any():
+        dscores -= entropy_coef[..., None] * fw.probs * (fw.logprobs + fw.entropies[..., None])
+    d_cand = dscores[..., :n_max]
+    d_stop = dscores[..., n_max]
 
-    for t, action in enumerate(actions[: len(replay.logps)]):
-        remaining = replay.remaining[t]
-        probs = replay.probs[t]
-        h = replay.histories[t]
-        pick = len(remaining) if action == STOP else remaining.index(action)
+    du = d_cand @ fw.v
+    du_sum = du.sum(axis=1)
+    grads["score_q"] += fw.q.T @ du_sum
+    grads["score_h"] += fw.h.reshape(-1, dim).T @ du.reshape(-1, dim)
+    dq = du_sum @ params.score_q.T
+    dh = du @ params.score_h.T
 
-        dscores = np.zeros(probs.size)
-        if logp_coef[t] != 0.0:
-            dscores -= logp_coef[t] * probs
-            dscores[pick] += logp_coef[t]
-        if entropy_coef[t] != 0.0:
-            with np.errstate(divide="ignore"):
-                logs = np.where(probs > 0, np.log(probs), 0.0)
-            dscores += entropy_coef[t] * (-probs * (logs + replay.entropies[t]))
+    heads = [("stop", d_stop)]
+    if value_coef is not None and value_coef.any():
+        heads.append(("value", value_coef))
+    for head, coef in heads:
+        per_episode = coef.sum(axis=1)
+        grads[f"{head}_q"] += per_episode @ fw.q
+        grads[f"{head}_h"] += coef.reshape(-1) @ fw.h.reshape(-1, dim)
+        grads[f"{head}_b"][0] += per_episode.sum()
+        dq += per_episode[:, None] * getattr(params, f"{head}_q")
+        dh += coef[..., None] * getattr(params, f"{head}_h")
 
-        dh = np.zeros(params.dim)
-        if remaining:
-            g_vec = dscores[: len(remaining)]
-            v_rem = v[remaining]
-            gv = v_rem.T @ g_vec  # sum_j g_j v_j
-            grads["score_q"] += np.outer(q, gv)
-            grads["score_h"] += np.outer(h, gv)
-            dq += params.score_q @ gv
-            dh += params.score_h @ gv
-            shared = params.score_q.T @ q + params.score_h.T @ h
-            dv[remaining] += np.outer(g_vec, shared)
-        g_stop = dscores[-1]
-        if g_stop != 0.0:
-            grads["stop_q"] += g_stop * q
-            grads["stop_h"] += g_stop * h
-            grads["stop_b"][0] += g_stop
-            dq += g_stop * params.stop_q
-            dh += g_stop * params.stop_h
+    # candidate j's encoding reaches its scores through u and the history
+    # means through the weights: dv = d_cand^T u + W^T dh, as one product
+    d_means = np.empty((batch, 1 + n_max, dim))
+    d_means[:, 0] = dq
+    np.matmul(
+        np.concatenate([d_cand, fw.weights], axis=1).transpose(0, 2, 1),
+        np.concatenate([fw.u, dh], axis=1),
+        out=d_means[:, 1:],
+    )
+    _scatter_segment_grads(grads["emb"], fw.layout, d_means.reshape(-1, dim))
 
-        if value_coef[t] != 0.0:
-            gv_t = value_coef[t]
-            grads["value_q"] += gv_t * q
-            grads["value_h"] += gv_t * h
-            grads["value_b"][0] += gv_t
-            dq += gv_t * params.value_q
-            dh += gv_t * params.value_h
 
-        selected = replay.selected_before[t]
-        if selected and dh.any():
-            share = dh / len(selected)
-            for cand in selected:
-                dv[cand] += share
+def chunks(episodes: Sequence[Episode]) -> list[slice]:
+    """Consecutive runs of a minibatch to pass to ``forward`` one at a time.
 
-    if enc.question_ids and dq.any():
-        per_token = dq / len(enc.question_ids)
-        for tok in enc.question_ids:
-            grads["emb"][tok] += per_token
-    for cand, ids in enumerate(enc.candidate_ids):
-        if ids and dv[cand].any():
-            per_token = dv[cand] / len(ids)
-            for tok in ids:
-                grads["emb"][tok] += per_token
+    Each run pads to at most ``_SEGMENT_BLOCK`` encodings (or holds a single
+    episode), which bounds the memory of ``forward``/``backward`` whatever
+    the table size; a minibatch of short tables is one run.
+    """
+    runs = []
+    start = width = 0
+    for i, ep in enumerate(episodes):
+        need = 1 + ep.enc.n_candidates
+        if i > start and (i + 1 - start) * max(width, need) > _SEGMENT_BLOCK:
+            runs.append(slice(start, i))
+            start, width = i, 0
+        width = max(width, need)
+    runs.append(slice(start, len(episodes)))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -535,24 +663,21 @@ def accumulate_episode_grads(
 
 def sft_loss_and_grad(
     params: PolicyParams,
-    batch: Sequence[tuple[EncodedInstance, Sequence[int]]],
+    batch: Sequence[Episode | tuple[EncodedInstance, Sequence[int]]],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean negative log-likelihood of gold action sequences, with gradients."""
+    """Mean negative log-likelihood of gold action sequences, with gradients.
+
+    Items are Episodes or (encoded instance, actions) pairs.
+    """
     if not batch:
         raise ConfigError("empty SFT batch")
+    episodes = [item if isinstance(item, Episode) else build_episode(*item) for item in batch]
     grads = zero_grads(params)
     total = 0.0
-    scale = -1.0 / len(batch)
-    for enc, actions in batch:
-        replay = replay_episode(params, enc, actions)
-        total += replay.logps.sum()
-        steps = len(replay.logps)
-        accumulate_episode_grads(
-            params, enc, actions, replay, grads,
-            logp_coef=np.full(steps, scale),
-            entropy_coef=np.zeros(steps),
-            value_coef=np.zeros(steps),
-        )
+    for run in chunks(episodes):
+        fw = forward(params, episodes[run])
+        total += float(fw.logps.sum())
+        backward(params, fw, grads, logp_coef=np.where(fw.valid, -1.0 / len(batch), 0.0))
     loss = -total / len(batch)
     if not np.isfinite(loss):
         raise NumericalError("non-finite SFT loss")
@@ -568,6 +693,10 @@ class PpoExample:
     old_logps: np.ndarray     # behavior (masked) log-probs at collection time
     advantages: np.ndarray    # normalized, frozen
     returns: np.ndarray       # Monte-Carlo returns, frozen
+    episode: Episode = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "episode", build_episode(self.enc, self.actions))
 
 
 @dataclass
@@ -599,38 +728,36 @@ def ppo_loss_and_grad(
     if not batch:
         raise ConfigError("empty PPO batch")
     grads = zero_grads(params)
-    n_steps = sum(len(ex.old_logps) for ex in batch)
-    pol_sum = 0.0
-    val_sum = 0.0
-    ent_sum = 0.0
+    n_steps = sum(ex.episode.steps for ex in batch)
+    pol_sum = val_sum = ent_sum = ratio_sum = 0.0
     clipped = 0
-    ratio_sum = 0.0
 
-    for ex in batch:
-        replay = replay_episode(params, ex.enc, ex.actions)
-        steps = len(replay.logps)
-        ratios = np.exp(replay.logps - ex.old_logps)
+    for run in chunks([ex.episode for ex in batch]):
+        part = batch[run]
+        fw = forward(params, [ex.episode for ex in part])
+        old_logps = fw.pad([ex.old_logps for ex in part])
+        advantages = fw.pad([ex.advantages for ex in part])
+        returns = fw.pad([ex.returns for ex in part])
+
+        # padded steps: ratio exp(0 - 0) = 1 with zero advantage and error
+        ratios = np.exp(fw.logps - old_logps)
         if not np.all(np.isfinite(ratios)):
             raise NumericalError("non-finite PPO ratio")
-        surr1 = ratios * ex.advantages
-        surr2 = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * ex.advantages
+        surr1 = ratios * advantages
+        surr2 = np.clip(ratios, 1.0 - clip_epsilon, 1.0 + clip_epsilon) * advantages
         take_unclipped = surr1 <= surr2
-        pol_sum += -np.minimum(surr1, surr2).sum()
-        clipped += int((~take_unclipped).sum())
-        ratio_sum += ratios.sum()
-
-        errors = replay.values - ex.returns
+        errors = fw.values - returns
+        pol_sum -= float(np.minimum(surr1, surr2).sum())
         val_sum += float((errors**2).sum())
-        ent_sum += float(replay.entropies.sum())
+        ent_sum += float(fw.entropies.sum())
+        clipped += int((~take_unclipped).sum())
+        ratio_sum += float(ratios[fw.valid].sum())
 
-        logp_coef = np.where(take_unclipped, -ratios * ex.advantages / n_steps, 0.0)
-        value_coef = value_loss_coef * 2.0 * errors / n_steps
-        ent_coef_vec = np.full(steps, -entropy_coef / n_steps)
-        accumulate_episode_grads(
-            params, ex.enc, ex.actions, replay, grads,
-            logp_coef=logp_coef,
-            entropy_coef=ent_coef_vec,
-            value_coef=value_coef,
+        backward(
+            params, fw, grads,
+            logp_coef=np.where(take_unclipped, -ratios * advantages / n_steps, 0.0),
+            entropy_coef=np.where(fw.valid, -entropy_coef / n_steps, 0.0),
+            value_coef=value_loss_coef * 2.0 * errors / n_steps,
         )
 
     policy_loss = pol_sum / n_steps
@@ -691,18 +818,19 @@ def grad_check(
     both branches away from the kink.
     """
     gold = tuple(gold_actions)
+    episode = build_episode(enc, gold)
 
     def sft_fn(p: PolicyParams) -> tuple[float, dict[str, np.ndarray]]:
-        return sft_loss_and_grad(p, [(enc, gold)])
+        return sft_loss_and_grad(p, [episode])
 
-    base = replay_episode(params, enc, gold)
-    steps = len(base.logps)
+    base_logps = forward(params, [episode]).logps[0]
+    steps = episode.steps
     offsets = np.where(np.arange(steps) % 2 == 0, 0.1, 0.4)
     signs = np.where(np.arange(steps) % 3 == 0, -1.0, 1.0)
     example = PpoExample(
         enc=enc,
         actions=gold,
-        old_logps=base.logps - offsets,
+        old_logps=base_logps - offsets,
         advantages=signs * (1.0 + 0.25 * np.arange(steps)),
         returns=np.linspace(-1.0, 1.0, steps),
     )

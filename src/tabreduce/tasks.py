@@ -95,7 +95,7 @@ def greedy_reduction(
 ) -> frozenset[int]:
     """Deterministic reduction: greedy decode of the policy."""
     enc = encode(params.vocab, instance, target, context_columns)
-    trace = policy.sample_episode(params, None, enc, mode="greedy")
+    trace = policy.sample_episode(policy.embed(params, [enc])[0], mode="greedy")
     return trace.selected
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -104,6 +105,20 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             arr -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
+    def snapshot(self) -> tuple:
+        """Copy of the step count and moments, for ``restore``."""
+        return (
+            self.t,
+            {n: a.copy() for n, a in self.m.items()},
+            {n: a.copy() for n, a in self.v.items()},
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        t, m, v = snapshot
+        self.t = t
+        self.m = {n: a.copy() for n, a in m.items()}
+        self.v = {n: a.copy() for n, a in v.items()}
+
 
 def _write_metrics_line(run_dir: str | None, record: dict) -> None:
     if run_dir is None:
@@ -113,9 +128,13 @@ def _write_metrics_line(run_dir: str | None, record: dict) -> None:
 
 
 def _prepare_run_dir(run_dir: str | None, config) -> None:
+    """Write the config; drop the metrics and checkpoints of an earlier run."""
     if run_dir is None:
         return
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
+    checkpoints = os.path.join(run_dir, "checkpoints")
+    if os.path.isdir(checkpoints):
+        shutil.rmtree(checkpoints)
+    os.makedirs(checkpoints)
     with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
         json.dump(asdict(config), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -146,7 +165,9 @@ def train_sft(
     for inst in train:
         gold = tasks.gold_items(inst, target)
         assert gold is not None
-        examples.append((tasks.encode(params.vocab, inst, target), tasks.gold_actions(gold)))
+        examples.append(
+            policy.build_episode(tasks.encode(params.vocab, inst, target), tasks.gold_actions(gold))
+        )
 
     rng = np.random.default_rng(cfg.seed)
     adam = Adam(params, cfg.learning_rate)
@@ -235,6 +256,7 @@ def warm_start_value_head(
     golds: Sequence[frozenset[int]],
     cfg: PpoConfig,
     reward_fn: RewardFn,
+    reference: Sequence[policy.Embedded] | None = None,
 ) -> None:
     """Least-squares fit of the value head on pre-loop rollout returns.
 
@@ -242,25 +264,26 @@ def warm_start_value_head(
     to raw returns, which (after batch normalization) shove the policy far
     past the KL-penalty equilibrium before the head catches up.  Fitting
     value_q/value_h/value_b on one rollout batch from the initial policy
-    removes that transient without touching the update rule.
+    removes that transient without touching the update rule.  The features
+    ``[q, h, 1]`` of every step come from the teacher-forced forward pass.
     """
     rollout = collect_rollouts(
-        state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn
+        state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn, reference
     )
-    features: list[np.ndarray] = []
-    targets: list[float] = []
-    for enc, trace, rewards in zip(rollout.encs, rollout.traces, rollout.step_rewards):
-        returns = np.flip(np.cumsum(np.flip(rewards)))
-        walker = policy._Encoder(state.current, enc)
-        for action, ret in zip(trace.actions, returns):
-            features.append(np.concatenate([walker.q, walker.h, [1.0]]))
-            targets.append(float(ret))
-            if action != policy.STOP:
-                walker.select(action)
-    if not features:
+    if not rollout.traces:
         return
-    design = np.stack(features)
-    solution, *_ = np.linalg.lstsq(design, np.array(targets), rcond=None)
+    episodes = [
+        policy.build_episode(enc, trace.actions)
+        for enc, trace in zip(rollout.encs, rollout.traces)
+    ]
+    features: list[np.ndarray] = []
+    for run in policy.chunks(episodes):
+        fw = policy.forward(state.current, episodes[run])
+        q = np.broadcast_to(fw.q[:, None, :], fw.h.shape)
+        ones = np.ones(fw.h.shape[:2] + (1,))
+        features.append(np.concatenate([q, fw.h, ones], axis=-1)[fw.valid])
+    targets = np.concatenate([np.flip(np.cumsum(np.flip(r))) for r in rollout.step_rewards])
+    solution, *_ = np.linalg.lstsq(np.concatenate(features), targets, rcond=None)
     if not np.all(np.isfinite(solution)):
         return
     d = state.current.dim
@@ -276,12 +299,14 @@ def collect_rollouts(
     n: int,
     cfg: PpoConfig,
     reward_fn: RewardFn,
+    reference: Sequence[policy.Embedded] | None = None,
 ) -> Rollout:
     """Sample n episodes under the masked current policy.
 
     Each step carries the penalty ``-beta * (logp_pi - logp_ref)`` over the
     behavior log-probabilities; the terminal step additionally carries the
-    task reward.
+    task reward.  ``reference`` is ``encs`` embedded under the reference
+    parameters (computed here when not given).
     """
     chosen_encs: list[policy.EncodedInstance] = []
     traces: list[policy.EpisodeTrace] = []
@@ -289,11 +314,13 @@ def collect_rollouts(
     if n == 0:
         return Rollout(chosen_encs, traces, step_rewards, state.beta)
     indices = state.rng.integers(0, len(encs), size=n)
+    current = policy.embed(state.current, encs)
+    if reference is None:
+        reference = policy.embed(state.reference, encs)
     for idx in indices:
         enc = encs[idx]
         trace = policy.sample_episode(
-            state.current, state.reference, enc,
-            mode="sample", top_p=cfg.top_p, rng=state.rng,
+            current[idx], reference[idx], mode="sample", top_p=cfg.top_p, rng=state.rng,
         )
         trace = trace.with_task_reward(reward_fn(trace.selected, golds[idx]))
         rewards = -state.beta * (np.array(trace.logp_pi) - np.array(trace.logp_ref))
@@ -391,7 +418,8 @@ def train_rl(
     The reference policy defaults to a frozen copy of the initial
     parameters.  Returns the best-on-validation checkpoint (final params if
     validation is empty).  A NumericalError inside an iteration rolls the
-    parameters back to the iteration start and moves on.
+    parameters and the optimizer state back to the iteration start and
+    moves on.
     """
     train = tasks.trainable(train, target)
     valid = tasks.trainable(valid, target)
@@ -416,7 +444,8 @@ def train_rl(
         beta=cfg.beta0,
         rng=np.random.default_rng(cfg.seed),
     )
-    warm_start_value_head(state, encs, golds, cfg, reward_fn)
+    reference_embedded = policy.embed(state.reference, encs)
+    warm_start_value_head(state, encs, golds, cfg, reward_fn, reference_embedded)
     adam = Adam(state.current, cfg.learning_rate)
     best = state.current.copy()
     best_recall = -1.0
@@ -424,10 +453,12 @@ def train_rl(
     for iteration in range(1, cfg.iterations + 1):
         state.iteration = iteration
         backup = state.current.copy()
+        adam_backup = adam.snapshot()
         record: dict = {"iteration": iteration, "beta": state.beta}
         try:
             rollout = collect_rollouts(
-                state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn
+                state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn,
+                reference_embedded,
             )
             examples = compute_advantages(rollout, cfg.discount)
             update_stats = ppo_update(state.current, examples, cfg, adam, state.rng)
@@ -440,6 +471,7 @@ def train_rl(
             state.beta = update_beta(state.beta, rollout.measured_kl, cfg)
         except NumericalError:
             state.current = backup
+            adam.restore(adam_backup)
             record["error"] = "numerical_rollback"
 
         if valid and (iteration % cfg.eval_every == 0 or iteration == cfg.iterations):

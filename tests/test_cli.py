@@ -146,6 +146,19 @@ class TestEvalAndReduce:
         assert all("predicted_columns" in i.extra for i in instances)
         assert all("predicted_rows" in i.extra for i in instances)
 
+    def test_reduce_rejects_swapped_models(self, pipeline, tmp_path):
+        root, data, sft_dir = pipeline
+        params, _ = policy.load_params(sft_dir / "model.json")
+        row_model = tmp_path / "rows.model.json"
+        policy.save_params(params, row_model, target="rows")
+        reduced = tmp_path / "reduced.jsonl"
+        code = run([
+            "reduce", "--data", str(data), "--col-model", str(row_model),
+            "--row-model", str(sft_dir / "model.json"), "--out", str(reduced),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert not reduced.exists()
+
     @staticmethod
     def _row_cfg(tmp_path):
         path = tmp_path / "row.json"

@@ -13,18 +13,18 @@ from tabreduce.policy import (
     PpoExample,
     Vocabulary,
     apply_top_p_mask,
+    build_episode,
     build_vocabulary,
+    embed,
     encode_instance,
     finite_difference_error,
+    forward,
     grad_check,
     init_params,
     load_params,
-    mean_embedding,
     ppo_loss_and_grad,
-    replay_episode,
     sample_episode,
     save_params,
-    sequence_logprob,
     sft_loss_and_grad,
     step_distribution,
     tokenize,
@@ -40,6 +40,21 @@ def tiny_enc(n_candidates=2):
     vocab = tiny_vocab()
     texts = ["alpha", "beta", "gamma", "delta"][:n_candidates]
     return vocab, encode_instance(vocab, "what is alpha", texts)
+
+
+def sample(params, enc, reference=None, **kwargs):
+    ref = embed(reference, [enc])[0] if reference is not None else None
+    return sample_episode(embed(params, [enc])[0], ref, **kwargs)
+
+
+def forward_logps(params, enc, actions):
+    """Unmasked per-step log-probabilities of ``actions`` from the batched forward."""
+    episode = build_episode(enc, actions)
+    return forward(params, [episode]).logps[0, : episode.steps]
+
+
+def forward_logprob(params, enc, actions):
+    return float(forward_logps(params, enc, actions).sum())
 
 
 class TestVocabulary:
@@ -167,14 +182,14 @@ class TestEpisodes:
     def test_greedy_tie_break_takes_candidate_then_stop(self):
         vocab, enc = tiny_enc(1)
         params = PolicyParams.zeros(vocab, 4)
-        trace = sample_episode(params, None, enc, mode="greedy")
+        trace = sample(params, enc, mode="greedy")
         assert trace.actions == (0, STOP)
 
     def test_seeded_sampling_reproducible(self):
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=0)
-        t1 = sample_episode(params, None, enc, rng=np.random.default_rng(5), top_p=0.9)
-        t2 = sample_episode(params, None, enc, rng=np.random.default_rng(5), top_p=0.9)
+        t1 = sample(params, enc, rng=np.random.default_rng(5), top_p=0.9)
+        t2 = sample(params, enc, rng=np.random.default_rng(5), top_p=0.9)
         assert t1 == t2
 
     def test_no_repeats_and_length_bound(self):
@@ -182,7 +197,7 @@ class TestEpisodes:
         params = init_params(vocab, 8, seed=2)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            trace = sample_episode(params, None, enc, rng=rng, top_p=0.9)
+            trace = sample(params, enc, rng=rng, top_p=0.9)
             chosen = [a for a in trace.actions if a != STOP]
             assert len(chosen) == len(set(chosen))
             assert trace.actions[-1] == STOP
@@ -191,26 +206,27 @@ class TestEpisodes:
     def test_trace_logp_matches_sequence_logprob_without_mask(self):
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=1)
-        trace = sample_episode(params, None, enc, rng=np.random.default_rng(1), top_p=None)
-        assert trace.total_logp_pi == pytest.approx(
-            sequence_logprob(params, enc, trace.actions)
+        trace = sample(params, enc, rng=np.random.default_rng(1), top_p=None)
+        assert sum(trace.logp_pi) == pytest.approx(
+            forward_logprob(params, enc, trace.actions)
         )
 
     def test_unmasked_trace_logp_matches_sequence_logprob_under_mask(self):
         vocab, enc = tiny_enc(4)
         params = init_params(vocab, 8, seed=6)
-        trace = sample_episode(params, None, enc, rng=np.random.default_rng(3), top_p=0.7)
-        assert sum(trace.logp_pi_unmasked) == pytest.approx(
-            sequence_logprob(params, enc, trace.actions)
+        trace = sample(params, enc, rng=np.random.default_rng(3), top_p=0.7)
+        # without a separate reference, logp_ref is the unmasked policy's
+        assert sum(trace.logp_ref) == pytest.approx(
+            forward_logprob(params, enc, trace.actions)
         )
 
     def test_reference_logp_uses_reference_params(self):
         vocab, enc = tiny_enc(3)
         pi = init_params(vocab, 8, seed=1)
         theta = init_params(vocab, 8, seed=9)
-        trace = sample_episode(pi, theta, enc, rng=np.random.default_rng(1), top_p=0.9)
-        assert trace.total_logp_ref == pytest.approx(
-            sequence_logprob(theta, enc, trace.actions)
+        trace = sample(pi, enc, theta, rng=np.random.default_rng(1), top_p=0.9)
+        assert sum(trace.logp_ref) == pytest.approx(
+            forward_logprob(theta, enc, trace.actions)
         )
 
     def test_masked_behavior_logp_at_least_unmasked(self):
@@ -218,31 +234,31 @@ class TestEpisodes:
         params = init_params(vocab, 8, seed=3)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            trace = sample_episode(params, params, enc, rng=rng, top_p=0.6)
+            trace = sample(params, enc, params, rng=rng, top_p=0.6)
             # same params: masked probability >= unmasked at every step
-            assert trace.total_logp_pi >= trace.total_logp_ref - 1e-12
+            assert sum(trace.logp_pi) >= sum(trace.logp_ref) - 1e-12
 
     def test_selection_is_order_insensitive_as_set(self):
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=4)
-        assert sequence_logprob(params, enc, (0, 2, STOP)) != pytest.approx(
-            sequence_logprob(params, enc, (2, 0, STOP))
+        assert forward_logprob(params, enc, (0, 2, STOP)) != pytest.approx(
+            forward_logprob(params, enc, (2, 0, STOP))
         )
-        r1 = replay_episode(params, enc, (0, 2, STOP))
-        r2 = replay_episode(params, enc, (2, 0, STOP))
-        assert len(r1.logps) == len(r2.logps)
+        r1 = forward_logps(params, enc, (0, 2, STOP))
+        r2 = forward_logps(params, enc, (2, 0, STOP))
+        assert len(r1) == len(r2)
 
 
 class TestSequenceLogprob:
     def test_uniform_fixture(self):
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
-        assert sequence_logprob(params, enc, (0, STOP)) == pytest.approx(math.log(1 / 6))
+        assert forward_logprob(params, enc, (0, STOP)) == pytest.approx(math.log(1 / 6))
 
     def test_stop_only(self):
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
-        assert sequence_logprob(params, enc, (STOP,)) == pytest.approx(math.log(1 / 3))
+        assert forward_logprob(params, enc, (STOP,)) == pytest.approx(math.log(1 / 3))
 
     def test_hand_computed_d2(self):
         vocab = Vocabulary(("a", "b"))
@@ -259,7 +275,7 @@ class TestSequenceLogprob:
         z = np.exp([s_cand, s_stop])
         expected = math.log(z[0] / z.sum())
         # after selecting, h = v; STOP competes with nothing
-        assert sequence_logprob(params, enc, (0, STOP)) == pytest.approx(expected)
+        assert forward_logprob(params, enc, (0, STOP)) == pytest.approx(expected)
 
 
 class TestSftLoss:
@@ -346,11 +362,10 @@ class TestPpoLoss:
     def build(self, advantage, ratio_shift):
         vocab, enc = tiny_enc(2)
         params = init_params(vocab, 4, seed=5)
-        replay = replay_episode(params, enc, (0, STOP))
         example = PpoExample(
             enc=enc,
             actions=(0, STOP),
-            old_logps=replay.logps - ratio_shift,
+            old_logps=forward_logps(params, enc, (0, STOP)) - ratio_shift,
             advantages=np.full(2, advantage),
             returns=np.zeros(2),
         )
@@ -394,5 +409,8 @@ class TestSerialization:
 
 
 def test_mean_embedding_empty_is_zero():
-    emb = np.ones((3, 4))
-    assert np.all(mean_embedding(emb, ()) == 0)
+    params = PolicyParams.zeros(tiny_vocab(), 4)
+    params.emb = np.ones_like(params.emb)
+    (encoded,) = embed(params, [EncodedInstance(question_ids=(), candidate_ids=((1,), ()))])
+    assert np.all(encoded.q == 0)
+    assert encoded.v.tolist() == [[1.0] * 4, [0.0] * 4]

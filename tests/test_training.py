@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tabreduce import dataio, policy, tasks, training
-from tabreduce.errors import ConfigError
+from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.training import (
     Adam,
     PpoConfig,
@@ -99,7 +99,6 @@ class TestAdvantages:
         return policy.EpisodeTrace(
             actions=tuple(actions),
             logp_pi=tuple(logps),
-            logp_pi_unmasked=tuple(logps),
             logp_ref=tuple(logps),
             values=tuple(values),
             selected=frozenset(a for a in actions if a != policy.STOP),
@@ -183,17 +182,12 @@ class TestRollouts:
         for enc, trace in zip(rollout.encs, rollout.traces):
             # with identical parameters the behavior/reference log-ratio is
             # exactly the mask's kept-mass renormalization at each step
-            walker = policy._Encoder(state.current, enc)
-            remaining = list(range(enc.n_candidates))
-            for action, lp_pi, lp_ref in zip(trace.actions, trace.logp_pi, trace.logp_ref):
-                probs = walker.distribution(remaining)
+            fw = policy.forward(state.current, [policy.build_episode(enc, trace.actions)])
+            for t, (lp_pi, lp_ref) in enumerate(zip(trace.logp_pi, trace.logp_ref)):
+                probs = fw.probs[0, t][fw.allowed[0, t]]  # remaining candidates, then STOP
                 masked = policy.apply_top_p_mask(probs, cfg.top_p)
                 kept_mass = probs[masked > 0].sum()
                 assert lp_pi - lp_ref == pytest.approx(-np.log(kept_mass))
-                if action == policy.STOP:
-                    break
-                remaining.remove(action)
-                walker.select(action)
 
     def test_task_reward_attached(self):
         insts = dataset(10)
@@ -262,6 +256,19 @@ class TestSft:
         best_recall = tasks.evaluate_recall(best, valid_usable, "columns")
         assert best_recall == pytest.approx(max(recalls))
 
+    def test_rerun_clears_old_checkpoints(self, tmp_path):
+        insts = dataset(40)
+        train, valid, _ = dataio.split(insts, (0.8, 0.1, 0.1), seed=0)
+        vocab = tasks.build_vocab(tasks.trainable(train, "columns"), "columns")
+        run_dir = tmp_path / "run"
+        for epochs in (3, 1):
+            train_sft(
+                policy.init_params(vocab, 16, 0), train, valid,
+                SftConfig(epochs=epochs, seed=0), "columns", run_dir=str(run_dir),
+            )
+        assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch-1.model.json"]
+        assert len((run_dir / "metrics.jsonl").read_text().strip().split("\n")) == 1
+
 
 class TestTrainRl:
     def small_cfg(self, **kw):
@@ -324,6 +331,39 @@ class TestTrainRl:
         lines = (run_dir / "metrics.jsonl").read_text().strip().split("\n")
         assert len(lines) == 4
         assert json.loads(lines[0])["iteration"] == 1
+
+    def test_numerical_error_rolls_back_params_and_optimizer(self, monkeypatch):
+        sft, train, valid = self.prepared()
+        starts = []  # (params, optimizer, optimizer snapshot) as each update begins
+        real_update = training.ppo_update
+
+        def spy_update(params, examples, cfg, adam, rng):
+            starts.append((params.copy(), adam, adam.snapshot()))
+            return real_update(params, examples, cfg, adam, rng)
+
+        real_loss = policy.ppo_loss_and_grad
+        calls_in_iteration_2 = []
+
+        def failing_loss(*args, **kwargs):
+            if len(starts) == 2:
+                calls_in_iteration_2.append(1)
+                if len(calls_in_iteration_2) == 2:
+                    raise NumericalError("injected on the second minibatch")
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(training, "ppo_update", spy_update)
+        monkeypatch.setattr(policy, "ppo_loss_and_grad", failing_loss)
+        # no validation set: train_rl returns the final parameters
+        final, history = train_rl(sft, train, [], self.small_cfg(iterations=2), "columns")
+
+        assert "error" not in history[0]
+        assert history[1]["error"] == "numerical_rollback"
+        params_at_start, adam, (t, m, v) = starts[1]
+        assert final.equals(params_at_start)
+        assert adam.t == t > 0
+        for name in m:
+            assert np.array_equal(adam.m[name], m[name])
+            assert np.array_equal(adam.v[name], v[name])
 
     def test_kl_penalty_pulls_policy_back_with_zero_task_reward(self):
         # start the policy well away from the reference; with no task signal
