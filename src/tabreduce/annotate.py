@@ -5,11 +5,30 @@ query reproduce the gold answers.  The pass is greedy and single-direction
 (columns left to right, then rows top to bottom on the column-projected
 table), which makes annotation deterministic; removals accumulate, so the
 result is 1-minimal: dropping any single kept item breaks the answers.
+
+The query is parsed once per instance.  Removal trials whose outcome is
+already known are skipped; three facts make the labels the same as those of
+trying every removal, given that the gold check has passed on the full table
+(columns) or on the column-projected table (rows):
+
+1. Execution reads only the projection, WHERE and ORDER BY columns, and a
+   name resolves to its first case-insensitive match, which is referenced
+   and never dropped.  Dropping any unreferenced column therefore leaves the
+   result unchanged, so the relevant columns are exactly the referenced ones.
+2. A row that fails the WHERE filter never reaches the result, whatever other
+   rows are present, so it is dropped without a trial.  The filter runs once
+   (``sql.filter_rows``) and each trial re-runs only ``sql.finish`` over the
+   passing rows still kept.
+3. No subset of the rows can raise an ``ExecutionError`` that the full set
+   did not: predicate errors are per row, and ORDER BY mixing and aggregate
+   type errors can only come from cells the full set already evaluated.  So
+   the one filter pass stands for every trial's filter, and a trial fails
+   only by a wrong result or by ``empty_aggregate``, which ``sql.finish``
+   still raises.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -20,13 +39,6 @@ STATUS_OK = "ok"
 SKIP_UNSUPPORTED = "skipped:unsupported_sql"
 SKIP_GOLD_MISMATCH = "skipped:gold_mismatch"
 SKIP_NO_SQL = "skipped:no_sql"
-
-
-@dataclass(frozen=True)
-class RelevanceAnnotation:
-    relevant_columns: frozenset[int]
-    relevant_rows: frozenset[int]
-    status: str
 
 
 @dataclass
@@ -50,66 +62,80 @@ def _reproduces_gold(ast: sql.SqlAst, table: Table, gold: list[str]) -> bool:
     return sql.answers_match(result, gold)
 
 
-def annotate_columns(instance: Instance) -> tuple[frozenset[int] | None, str]:
-    """Relevant column indices, or (None, skip reason).
+def _finishes_gold(ast: sql.SqlAst, table: Table, rows: list[int], gold: list[str]) -> bool:
+    """Whether the filtered ``rows`` of ``table`` still yield the gold answers."""
+    try:
+        result = sql.finish(ast, table, rows)
+    except sql.ExecutionError:
+        return False
+    return sql.answers_match(result, gold)
 
-    Columns the SQL references syntactically are kept without a removal
-    trial; every other column is tentatively dropped and stays dropped if
-    the query still reproduces the gold answers.
-    """
+
+def _parse(instance: Instance) -> tuple[sql.SqlAst | None, str]:
     if instance.sql is None:
         return None, SKIP_NO_SQL
     try:
-        ast = sql.parse_sql(instance.sql)
+        return sql.parse_sql(instance.sql), STATUS_OK
     except (sql.UnsupportedQuery, sql.SqlSyntaxError):
         return None, SKIP_UNSUPPORTED
 
-    table = instance.table
-    gold = list(instance.answers)
-    if not _reproduces_gold(ast, table, gold):
-        return None, SKIP_GOLD_MISMATCH
 
-    referenced = sql.referenced_columns(ast, table)
-    kept = set(range(table.n_columns))
-    all_rows = frozenset(range(table.n_rows))
-    for col in range(table.n_columns):
-        if col in referenced:
-            continue
-        trial = kept - {col}
-        projected = project(table, Reduction(columns=frozenset(trial), rows=all_rows))
-        if _reproduces_gold(ast, projected, gold):
+def _relevant_columns(ast: sql.SqlAst, instance: Instance) -> tuple[frozenset[int] | None, str]:
+    table = instance.table
+    if not _reproduces_gold(ast, table, list(instance.answers)):
+        return None, SKIP_GOLD_MISMATCH
+    return frozenset(sql.referenced_columns(ast, table)), STATUS_OK
+
+
+def _relevant_rows(
+    ast: sql.SqlAst, instance: Instance, relevant_columns: frozenset[int]
+) -> tuple[frozenset[int] | None, str]:
+    gold = list(instance.answers)
+    base = project(
+        instance.table,
+        Reduction(columns=relevant_columns, rows=frozenset(range(instance.table.n_rows))),
+    )
+    try:
+        kept = sql.filter_rows(ast, base)
+    except sql.ExecutionError:
+        return None, SKIP_GOLD_MISMATCH
+    if not _finishes_gold(ast, base, kept, gold):
+        return None, SKIP_GOLD_MISMATCH
+    for row in list(kept):
+        trial = [r for r in kept if r != row]
+        if _finishes_gold(ast, base, trial, gold):
             kept = trial
     return frozenset(kept), STATUS_OK
+
+
+def annotate_columns(instance: Instance) -> tuple[frozenset[int] | None, str]:
+    """Relevant column indices, or (None, skip reason).
+
+    Once the query reproduces the gold answers on the full table, the
+    relevant columns are exactly the ones it references: the removal pass
+    would drop every other column and keep every referenced one (fact 1 in
+    the module docstring), so it runs no trials.
+    """
+    ast, status = _parse(instance)
+    if ast is None:
+        return None, status
+    return _relevant_columns(ast, instance)
 
 
 def annotate_rows(instance: Instance, relevant_columns: frozenset[int]) -> tuple[frozenset[int] | None, str]:
     """Relevant row indices over the column-projected table, or a skip.
 
     A row is relevant iff removing it from the surviving set makes execution
-    fail or stops the result matching the gold answers.
+    fail or stops the result matching the gold answers.  The WHERE filter
+    runs once over the projected table; rows it rejects are dropped without
+    a trial, and the top-to-bottom trials re-run only ORDER BY / LIMIT and
+    the projection over the passing rows (facts 2 and 3 in the module
+    docstring).
     """
-    if instance.sql is None:
-        return None, SKIP_NO_SQL
-    try:
-        ast = sql.parse_sql(instance.sql)
-    except (sql.UnsupportedQuery, sql.SqlSyntaxError):
-        return None, SKIP_UNSUPPORTED
-
-    gold = list(instance.answers)
-    base = project(
-        instance.table,
-        Reduction(columns=relevant_columns, rows=frozenset(range(instance.table.n_rows))),
-    )
-    if not _reproduces_gold(ast, base, gold):
-        return None, SKIP_GOLD_MISMATCH
-
-    kept = set(range(base.n_rows))
-    for row in range(base.n_rows):
-        trial = kept - {row}
-        projected = project(base, Reduction(columns=frozenset(range(base.n_columns)), rows=frozenset(trial)))
-        if _reproduces_gold(ast, projected, gold):
-            kept = trial
-    return frozenset(kept), STATUS_OK
+    ast, status = _parse(instance)
+    if ast is None:
+        return None, status
+    return _relevant_rows(ast, instance, relevant_columns)
 
 
 def annotate_instance(instance: Instance, target: str = "both") -> Instance:
@@ -119,12 +145,13 @@ def annotate_instance(instance: Instance, target: str = "both") -> Instance:
 
     columns: frozenset[int] | None = None
     rows: frozenset[int] | None = None
-    status = STATUS_OK
 
-    columns, status = annotate_columns(instance)
+    ast, status = _parse(instance)
+    if ast is not None:
+        columns, status = _relevant_columns(ast, instance)
     if status == STATUS_OK and target in ("rows", "both"):
-        assert columns is not None
-        rows, status = annotate_rows(instance, columns)
+        assert ast is not None and columns is not None
+        rows, status = _relevant_rows(ast, instance, columns)
     if status != STATUS_OK:
         return replace(instance, annotation_status=status)
     if target == "columns":
@@ -137,19 +164,10 @@ def annotate_instance(instance: Instance, target: str = "both") -> Instance:
 
 
 def annotate_dataset(
-    instances: Iterable[Instance], target: str = "both", parallelism: int = 1
+    instances: Iterable[Instance], target: str = "both"
 ) -> tuple[list[Instance], SkipStats]:
-    """Order-preserving annotation over a dataset, optionally parallel.
-
-    Annotation is pure per instance, so the output is identical for any
-    worker count; results are assembled in input order.
-    """
-    items = list(instances)
-    if parallelism <= 1:
-        annotated = [annotate_instance(inst, target) for inst in items]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            annotated = list(pool.map(lambda inst: annotate_instance(inst, target), items))
+    """Annotate every instance, in input order, and count the skips."""
+    annotated = [annotate_instance(inst, target) for inst in instances]
     stats = SkipStats()
     for inst in annotated:
         stats.record(inst.annotation_status or STATUS_OK)

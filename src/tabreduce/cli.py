@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation/config error, 2 I/O failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__, annotate as annotate_mod, dataio, llm, metrics, policy, tasks, training
+from .atomicio import atomic_write
 from .errors import ConfigError
 from .tables import Reduction, linearize_rows, project
 
@@ -51,7 +53,7 @@ class Manifest:
 
     def _write(self) -> None:
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
+        with atomic_write(self.path) as fh:
             json.dump(self.doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
 
@@ -116,12 +118,11 @@ def cmd_synth(args) -> int:
 def cmd_annotate(args) -> int:
     manifest = Manifest("annotate", vars(args), args.out)
     instances = _load_instances(args.inp)
-    annotated, stats = annotate_mod.annotate_dataset(
-        instances, target=args.target, parallelism=args.jobs
-    )
+    annotated, stats = annotate_mod.annotate_dataset(instances, target=args.target)
     dataio.save_dataset(annotated, args.out)
-    manifest.finish()
     ok = len(annotated) - stats.total
+    manifest.doc["summary"] = {"instances": len(annotated), "ok": ok, "skipped": dict(stats.counts)}
+    manifest.finish()
     print(f"annotated {ok}/{len(annotated)} instances ({args.target})")
     for reason in sorted(stats.counts):
         print(f"  {reason}: {stats.counts[reason]}")
@@ -199,7 +200,7 @@ def cmd_eval_reduce(args) -> int:
     report = metrics.build_recall_report(entries, boundaries, include_micro=args.micro)
     doc = metrics.report_to_dict(report)
     doc["target"] = target
-    with open(args.report, "w", encoding="utf-8") as fh:
+    with atomic_write(args.report) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     manifest.finish()
@@ -231,14 +232,7 @@ def cmd_reduce(args) -> int:
         extra = dict(inst.extra)
         extra["predicted_columns"] = sorted(predicted_cols)
         extra["predicted_rows"] = sorted(predicted_rows)
-        out.append(
-            dataio.Instance(
-                id=inst.id, question=inst.question, table=inst.table, sql=inst.sql,
-                answers=inst.answers, relevant_columns=inst.relevant_columns,
-                relevant_rows=inst.relevant_rows, annotation_status=inst.annotation_status,
-                extra=extra,
-            )
-        )
+        out.append(dataclasses.replace(inst, extra=extra))
     dataio.save_dataset(out, args.out)
     manifest.finish()
     print(f"reduced {len(out)} instances -> {args.out}")
@@ -299,7 +293,7 @@ def cmd_qa(args) -> int:
                 "context_tokens": len(context.split()),
             }
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     manifest.finish()
@@ -342,11 +336,11 @@ def cmd_report(args) -> int:
         "overall_accuracy": overall,
         "per_bucket": buckets,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with atomic_write(args.csv) as fh:
             fh.write("bucket,min_tokens,count,accuracy\n")
             for b in buckets:
                 fh.write(f"{b['bucket']},{b['min_tokens']},{b['count']},{b['accuracy']}\n")
@@ -379,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--target", choices=["columns", "rows", "both"], default="both")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_annotate)
 
     for name, fn in (("sft", cmd_sft), ("train-rl", cmd_train_rl)):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import annotate as annotate_mod
 from . import sql as sql_mod
+from .atomicio import atomic_write
 from .errors import ConfigError
 from .tables import Instance, Table, make_table, table_fingerprint
 
@@ -101,7 +102,7 @@ def load_dataset(path) -> tuple[list[Instance], list[LoadError]]:
 
 
 def save_dataset(instances: Sequence[Instance], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for inst in instances:
             fh.write(json.dumps(instance_to_record(inst)) + "\n")
 

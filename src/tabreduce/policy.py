@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .atomicio import atomic_write
 from .errors import ConfigError, NumericalError
 
 STOP = -1
@@ -200,7 +201,7 @@ def save_params(params: PolicyParams, path, target: str | None = None) -> None:
     }
     if target is not None:
         doc["target"] = target
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

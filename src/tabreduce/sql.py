@@ -13,7 +13,10 @@ Anything beyond this (joins, OR, GROUP BY, expressions, ...) raises
 column names case-insensitively; a missing column is an ``ExecutionError``
 with kind ``missing_column`` — the failure signal relevance annotation
 relies on.  Null cells never satisfy a predicate; aggregates skip nulls
-except ``count``, which counts non-null cells.
+except ``count``, which counts non-null cells.  ``execute`` runs in two
+steps, ``filter_rows`` (WHERE) and ``finish`` (ORDER BY, LIMIT, projection,
+aggregation), so relevance annotation can filter once and finish many row
+subsets.
 """
 
 from __future__ import annotations
@@ -356,16 +359,39 @@ def _sort_key(cell: Cell):
 def execute(ast: SqlAst, table: Table) -> list[Cell]:
     """Run the query against a table, returning the projected values.
 
-    Filtering happens first, then ORDER BY / LIMIT, then projection or
-    aggregation.  ``count`` of an empty filter set is ``[0]``; the other
-    aggregates over an empty (or all-null) set raise ``empty_aggregate``.
+    This is ``finish(ast, table, filter_rows(ast, table))``: filtering
+    happens first, then ORDER BY / LIMIT, then projection or aggregation.
+    ``count`` of an empty filter set is ``[0]``; the other aggregates over an
+    empty (or all-null) set raise ``empty_aggregate``.
+    """
+    return finish(ast, table, filter_rows(ast, table))
+
+
+def filter_rows(ast: SqlAst, table: Table) -> list[int]:
+    """Indices of the rows that pass every WHERE predicate, in table order.
+
+    The projection column is resolved here as well, so a missing column is
+    reported before any predicate type error.  Each row is judged on its own
+    cells alone, so the rows of a subset pass, fail or raise exactly as they
+    do in the whole table.
     """
     pred_cols = [_resolve(table, p.column) for p in ast.predicates]
-    proj_col = _resolve(table, ast.projection_column)
-
-    rows = list(table.rows)
+    _resolve(table, ast.projection_column)
+    rows = table.rows
+    indices = list(range(len(rows)))
     for pred, col in zip(ast.predicates, pred_cols):
-        rows = [row for row in rows if _compare(row[col], pred.op, pred.literal)]
+        indices = [i for i in indices if _compare(rows[i][col], pred.op, pred.literal)]
+    return indices
+
+
+def finish(ast: SqlAst, table: Table, row_indices: list[int]) -> list[Cell]:
+    """ORDER BY / LIMIT, then projection or aggregation, over the given rows.
+
+    ``row_indices`` are rows of ``table`` that passed the filter, in table
+    order (ORDER BY is a stable sort, so ties keep that order).
+    """
+    proj_col = _resolve(table, ast.projection_column)
+    rows = [table.rows[i] for i in row_indices]
 
     if ast.order_by is not None:
         order_col = _resolve(table, ast.order_by[0])

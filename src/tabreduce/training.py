@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import policy, tasks
+from .atomicio import atomic_write
 from .errors import ConfigError, NumericalError
 from .rewards import RewardConfig, task_reward
 from .tables import Instance
@@ -135,7 +136,7 @@ def _prepare_run_dir(run_dir: str | None, config) -> None:
     if os.path.isdir(checkpoints):
         shutil.rmtree(checkpoints)
     os.makedirs(checkpoints)
-    with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(run_dir, "config.json")) as fh:
         json.dump(asdict(config), fh, sort_keys=True, indent=2)
         fh.write("\n")
     metrics_path = os.path.join(run_dir, "metrics.jsonl")

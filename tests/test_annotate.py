@@ -213,17 +213,6 @@ def test_annotate_dataset_empty():
     assert stats.total == 0
 
 
-def test_parallel_matches_sequential():
-    rng = random.Random(5)
-    batch = [random_instance(rng) for _ in range(20)]
-    seq, seq_stats = annotate.annotate_dataset(batch, target="both", parallelism=1)
-    par, par_stats = annotate.annotate_dataset(batch, target="both", parallelism=4)
-    assert [ (a.relevant_columns, a.relevant_rows, a.annotation_status) for a in seq ] == [
-        (a.relevant_columns, a.relevant_rows, a.annotation_status) for a in par
-    ]
-    assert seq_stats.counts == par_stats.counts
-
-
 def test_target_columns_leaves_rows_unset():
     out = annotate.annotate_instance(OLYMPICS, target="columns")
     assert out.relevant_columns == frozenset({0, 1})

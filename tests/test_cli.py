@@ -63,13 +63,34 @@ class TestSynthAndAnnotate:
         assert all(i.relevant_rows is None for i in instances)
         assert all(i.relevant_columns is not None for i in instances)
 
-    def test_annotate_jobs_deterministic(self, tmp_path):
+    def test_annotate_deterministic(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         run(synth_config_args(10, raw) + ["--no-annotate"])
-        out1, out4 = tmp_path / "j1.jsonl", tmp_path / "j4.jsonl"
-        run(["annotate", "--in", str(raw), "--out", str(out1), "--jobs", "1"])
-        run(["annotate", "--in", str(raw), "--out", str(out4), "--jobs", "4"])
-        assert out1.read_bytes() == out4.read_bytes()
+        out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
+        assert run(["annotate", "--in", str(raw), "--out", str(out1)]) == 0
+        assert run(["annotate", "--in", str(raw), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_annotate_manifest_summary(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        run(synth_config_args(5, raw) + ["--no-annotate"])
+        lines = raw.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["sql"] = "select a from t join u"
+        lines[0] = json.dumps(record)
+        record = json.loads(lines[1])
+        record["answers"] = ["no such answer"]
+        lines[1] = json.dumps(record)
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ann.jsonl"
+        assert run(["annotate", "--in", str(raw), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "ann.jsonl.manifest.json").read_text())
+        assert manifest["summary"] == {
+            "instances": 5,
+            "ok": 3,
+            "skipped": {"skipped:gold_mismatch": 1, "skipped:unsupported_sql": 1},
+        }
+        assert manifest["elapsed_seconds"] is not None
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = run(["annotate", "--in", str(tmp_path / "nope.jsonl"),
