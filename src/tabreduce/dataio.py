@@ -273,10 +273,8 @@ def split(
     """Disjoint, exhaustive, seed-stable split by table fingerprint."""
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("ratios must be three non-negative numbers summing to 1")
-    groups: dict[str, list[int]] = {}
-    for i, inst in enumerate(instances):
-        groups.setdefault(table_fingerprint(inst.table), []).append(i)
-    keys = sorted(groups)
+    fingerprints = [table_fingerprint(inst.table) for inst in instances]
+    keys = sorted(set(fingerprints))
     rng = np.random.default_rng(seed)
     rng.shuffle(keys)
     n = len(keys)
@@ -286,6 +284,6 @@ def split(
     for pos, key in enumerate(keys):
         assignment[key] = 0 if pos < cut1 else (1 if pos < cut2 else 2)
     parts: tuple[list[Instance], list[Instance], list[Instance]] = ([], [], [])
-    for inst in instances:
-        parts[assignment[table_fingerprint(inst.table)]].append(inst)
+    for inst, fingerprint in zip(instances, fingerprints):
+        parts[assignment[fingerprint]].append(inst)
     return parts

@@ -12,7 +12,10 @@ The mock reader rebuilds a table from the ``Row{i}: (header,value)`` pairs
 it can parse out of the prompt - truncating to its token budget first, the
 way a context-window-limited model effectively would - then executes the
 instance's gold SQL over whatever survived.  It answers correctly exactly
-when the visible rows still support the query.
+when the visible rows still support the query.  Pairs are read with the
+quoting rule of :mod:`tabreduce.tables`: a ``"`` opens a quoted run in which
+``,`` and ``)`` are literal and ``""`` stands for one ``"``.  The truncation
+here is the only token-budget truncation in the package.
 """
 
 from __future__ import annotations
@@ -272,46 +275,34 @@ def llm_reduce_baseline(
 
 _ROW_ANCHOR_RE = re.compile(r"Row\d+: ")
 
+_QUOTED = r'"(?:[^"]++|"")*+"'
+# One pair per match, scanning left to right from each ``(``: groups are the
+# header, the separating comma (empty when the pair closed without one) and
+# the value.  A ``(`` whose pair never closes - the text ends first, maybe
+# inside quotes - matches the last alternative, which takes the rest of the
+# text, so the scan stops there.  The quantifiers are possessive so that a
+# pair that fails to close is not retried with its runs split another way:
+# without them a long unclosed pair takes time exponential in its length.
+# Python's ``re`` accepts possessive quantifiers from 3.11 on.
+_PAIR_RE = re.compile(
+    rf'\(((?:[^",)]++|{_QUOTED})*+)(?:(,)((?:[^")]++|{_QUOTED})*+))?\)|\([\s\S]*'
+)
+_QUOTED_RUN_RE = re.compile(r'"((?:[^"]++|"")*+)"')
+
+
+def _unquote(field: str) -> str:
+    if '"' not in field:
+        return field
+    return _QUOTED_RUN_RE.sub(lambda m: m.group(1).replace('""', '"'), field)
+
 
 def _parse_pairs(segment: str) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    i = 0
-    while i < len(segment):
-        if segment[i] != "(":
-            i += 1
-            continue
-        i += 1
-        fields: list[str] = []
-        current: list[str] = []
-        in_quotes = False
-        closed = False
-        while i < len(segment):
-            ch = segment[i]
-            if in_quotes:
-                if ch == '"':
-                    if i + 1 < len(segment) and segment[i + 1] == '"':
-                        current.append('"')
-                        i += 2
-                        continue
-                    in_quotes = False
-                else:
-                    current.append(ch)
-            elif ch == '"':
-                in_quotes = True
-            elif ch == "," and len(fields) == 0:
-                fields.append("".join(current))
-                current = []
-            elif ch == ")":
-                fields.append("".join(current))
-                closed = True
-                i += 1
-                break
-            else:
-                current.append(ch)
-            i += 1
-        if closed and len(fields) == 2:
-            pairs.append((fields[0], fields[1]))
-    return pairs
+    """The closed ``(header,value)`` pairs of a segment, unquoted."""
+    return [
+        (_unquote(header), _unquote(value))
+        for header, comma, value in _PAIR_RE.findall(segment)
+        if comma
+    ]
 
 
 def _parse_cell(text: str):
@@ -330,41 +321,45 @@ def _parse_cell(text: str):
 def parse_prompt_table(prompt: str, budget_tokens: int | None = None) -> Table | None:
     """Rebuild the table linearized inside a prompt.
 
-    With a budget, trailing row segments are dropped first until the kept
-    prompt fits, mirroring a reader that never sees past its window.
+    The prompt is cut into segments at each ``Row{i}: ``.  With a budget,
+    segments are kept from the first on while the preamble and the kept
+    segments fit, mirroring a reader that never sees past its window; no
+    segment after the first that overflows is sliced.  A segment's pairs
+    must name the same headers as the first parsed segment's, or the row is
+    skipped.
     """
     anchors = [m.start() for m in _ROW_ANCHOR_RE.finditer(prompt)]
     if not anchors:
         return None
-    preamble = prompt[: anchors[0]]
-    segments = [
-        prompt[anchors[i] : anchors[i + 1] if i + 1 < len(anchors) else len(prompt)]
-        for i in range(len(anchors))
-    ]
-    if budget_tokens is not None:
-        used = count_tokens(preamble)
-        kept_segments: list[str] = []
-        for segment in segments:
+    ends = anchors[1:] + [len(prompt)]
+    used = count_tokens(prompt[: anchors[0]]) if budget_tokens is not None else 0
+    segments: list[str] = []
+    for start, end in zip(anchors, ends):
+        segment = prompt[start:end]
+        if budget_tokens is not None:
             used += count_tokens(segment)
             if used > budget_tokens:
                 break
-            kept_segments.append(segment)
-        segments = kept_segments
+        segments.append(segment)
 
-    rows: list[list] = []
-    headers: list[str] | None = None
+    cells: dict[str, object] = {}
+    rows: list[tuple] = []
+    headers: tuple[str, ...] | None = None
     for segment in segments:
         pairs = _parse_pairs(segment)
         if not pairs:
             continue
+        names, texts = zip(*pairs)
         if headers is None:
-            headers = [h for h, _ in pairs]
-        if [h for h, _ in pairs] != headers:
+            headers = names
+        elif names != headers:
             continue  # malformed row; ignore
-        rows.append([_parse_cell(v) for _, v in pairs])
+        for text in set(texts).difference(cells):
+            cells[text] = _parse_cell(text)
+        rows.append(tuple(map(cells.__getitem__, texts)))
     if headers is None:
         return None
-    return Table(tuple(headers), tuple(tuple(r) for r in rows))
+    return Table(headers, tuple(rows))
 
 
 def mock_complete(

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .errors import ConfigError
 from .sql import answers_match
-from .tables import Instance, count_tokens, linearize_rows, table_fingerprint
+from .tables import Instance, linearize_rows, table_fingerprint
 
 REPORT_FORMAT_VERSION = 1
 
@@ -143,6 +143,7 @@ class DatasetStats:
 
 
 def full_context_tokens(instance: Instance) -> int:
+    """Token count of the instance's whole table, linearized."""
     table = instance.table
     if table.n_columns == 0:
         return 0

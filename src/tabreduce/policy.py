@@ -194,15 +194,13 @@ def save_params(params: PolicyParams, path, target: str | None = None) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "dim": params.dim,
         "vocabulary": list(params.vocab.tokens),
-        "params": {
-            name: [float(x) for x in arr.reshape(-1)]
-            for name, arr in params.arrays().items()
-        },
+        "params": {name: arr.reshape(-1).tolist() for name, arr in params.arrays().items()},
     }
     if target is not None:
         doc["target"] = target
+    # json.dumps encodes in C; json.dump(doc, fh) always takes the Python encoder.
     with atomic_write(path) as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 

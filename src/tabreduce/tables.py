@@ -1,17 +1,26 @@
-"""Table data model, linearization, prompt assembly and token budgeting.
+"""Table data model, linearization, prompt assembly and token counting.
 
 Tables are rectangular grids of string / number / null cells under unique
 headers.  A reduction names the column and row indices worth keeping; the
 projected sub-table is rendered as ``Row0: (header,value), ...`` text that
-downstream prompts embed.  Token counts are whitespace word counts: cheap,
-deterministic, and sufficient for relative length comparisons.
+downstream prompts embed.  A header or value containing ``,``, ``(``, ``)``
+or ``"`` is double-quoted, with each ``"`` doubled, so the pairs parse back.
+Token counts are whitespace word counts: cheap, deterministic, and
+sufficient for relative length comparisons.
+
+All row text comes from one renderer, which quotes each selected header
+once per call and formats and quotes each distinct cell value once per
+call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import EmptySelectionError
 
@@ -132,7 +141,6 @@ def full_reduction(table: Table) -> Reduction:
 class LinearizedContext:
     text: str
     token_count: int
-    truncated: bool = False
 
 
 def project(table: Table, reduction: Reduction) -> Table:
@@ -168,11 +176,15 @@ def format_cell(cell: Cell) -> str:
     return str(cell)
 
 
+_NEEDS_QUOTES = re.compile(r'[,()"]')
+
+
 def quote_if_needed(text: str) -> str:
-    """Double-quote values whose commas/parens would break the pair format."""
-    if any(ch in text for ch in ',()'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    """Double-quote text whose ``,``, ``(``, ``)`` or ``"`` would break the
+    pair format; a ``"`` inside quotes is written as ``""``."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def count_tokens(text: str) -> int:
@@ -180,11 +192,31 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-def _row_pairs(table: Table, row: tuple[Cell, ...], columns: list[int]) -> str:
-    return ", ".join(
-        f"({quote_if_needed(table.columns[c])},{quote_if_needed(format_cell(row[c]))})"
-        for c in columns
-    )
+def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int]:
+    if not column_subset:
+        raise EmptySelectionError("column subset must be non-empty")
+    for c in column_subset:
+        if not 0 <= c < table.n_columns:
+            raise IndexError(f"column index {c} out of range")
+    return sorted(column_subset)
+
+
+def _row_texts(table: Table, columns: list[int], rows: Sequence[tuple[Cell, ...]]) -> list[str]:
+    """``(header,value), ...`` text of each row over ``columns``.
+
+    The memo is keyed on ``(type, value)``: ``1``, ``1.0`` and ``True`` are
+    equal dict keys but render as ``1``, ``1`` and ``true``.
+    """
+    memo: dict[tuple[type, Cell], str] = {}
+    per_column = []
+    for c in columns:
+        cells = list(map(itemgetter(c), rows))
+        keys = list(zip(map(type, cells), cells))
+        for key in set(keys).difference(memo):
+            memo[key] = quote_if_needed(format_cell(key[1])) + ")"
+        head = "(" + quote_if_needed(table.columns[c]) + ","
+        per_column.append(list(map(head.__add__, map(memo.__getitem__, keys))))
+    return list(map(", ".join, zip(*per_column)))
 
 
 def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> LinearizedContext:
@@ -193,25 +225,15 @@ def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> Li
     Rows keep table order and are joined by single spaces; a zero-row table
     linearizes to the empty string.
     """
-    if not column_subset:
-        raise EmptySelectionError("column subset must be non-empty")
-    for c in column_subset:
-        if not 0 <= c < table.n_columns:
-            raise IndexError(f"column index {c} out of range")
-    cols = sorted(column_subset)
-    segments = [
-        f"Row{i}: {_row_pairs(table, row, cols)}" for i, row in enumerate(table.rows)
-    ]
-    text = " ".join(segments)
+    texts = _row_texts(table, _columns(table, column_subset), table.rows)
+    text = " ".join([f"Row{i}: {t}" for i, t in enumerate(texts)])
     return LinearizedContext(text=text, token_count=count_tokens(text))
 
 
-def row_candidate_text(table: Table, row_index: int, column_subset: set[int] | frozenset[int]) -> str:
-    """Single-row linearization (no Row prefix), used as a policy candidate."""
-    if not column_subset:
-        raise EmptySelectionError("column subset must be non-empty")
-    cols = sorted(column_subset)
-    return _row_pairs(table, table.rows[row_index], cols)
+def row_candidate_texts(table: Table, column_subset: set[int] | frozenset[int]) -> list[str]:
+    """Each row's linearization without the Row prefix, used as the row
+    policy's candidates."""
+    return _row_texts(table, _columns(table, column_subset), table.rows)
 
 
 def build_column_prompt(question: str, table: Table) -> str:
@@ -224,27 +246,3 @@ def build_row_prompt(question: str, table: Table, relevant_columns: set[int] | f
         raise EmptySelectionError("relevant_columns must be non-empty")
     linearized = linearize_rows(table, relevant_columns)
     return ROW_PROMPT_TEMPLATE.format(question=question, rows=linearized.text)
-
-
-def truncate_to_budget(table: Table, budget_tokens: int) -> tuple[Table, bool]:
-    """Drop trailing rows until the full-column linearization fits the budget.
-
-    Headers are never dropped; kept rows are always a prefix of the input.
-    """
-    if budget_tokens < 0:
-        raise ValueError("budget must be non-negative")
-    if table.n_rows == 0:
-        return table, False
-    all_columns = frozenset(range(table.n_columns))
-    cols = sorted(all_columns)
-    total = 0
-    kept = 0
-    for row in table.rows:
-        segment = f"Row{kept}: {_row_pairs(table, row, cols)}"
-        total += count_tokens(segment)
-        if total > budget_tokens:
-            break
-        kept += 1
-    if kept == table.n_rows:
-        return table, False
-    return Table(table.columns, table.rows[:kept]), True

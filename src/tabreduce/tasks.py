@@ -13,7 +13,7 @@ import numpy as np
 
 from . import policy
 from .errors import ConfigError
-from .tables import Instance, row_candidate_text
+from .tables import Instance, row_candidate_texts
 
 TARGET_COLUMNS = "columns"
 TARGET_ROWS = "rows"
@@ -37,10 +37,7 @@ def candidate_texts(
     columns = context_columns if context_columns is not None else instance.relevant_columns
     if not columns:
         raise ConfigError("row candidates need a non-empty column context")
-    return [
-        row_candidate_text(instance.table, r, columns)
-        for r in range(instance.table.n_rows)
-    ]
+    return row_candidate_texts(instance.table, columns)
 
 
 def gold_items(instance: Instance, target: str) -> frozenset[int] | None:

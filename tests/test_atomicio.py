@@ -54,11 +54,11 @@ def test_failed_save_params_keeps_previous_model(tmp_path, monkeypatch):
     policy.save_params(params, path, target="columns")
     before = path.read_bytes()
 
-    def broken_dump(doc, fh, **kw):
-        fh.write('{"format_version": ')
+    # save_params encodes the whole document with json.dumps, then writes it
+    def broken_dumps(doc, **kw):
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", broken_dump)
+    monkeypatch.setattr(json, "dumps", broken_dumps)
     with pytest.raises(OSError):
         policy.save_params(params, path, target="columns")
     assert path.read_bytes() == before

@@ -286,6 +286,74 @@ class TestMock:
         assert parsed.rows[0] == (1, "x, y")
         assert parsed.rows[1] == (None, "z")
 
+    def test_awkward_values_round_trip(self):
+        table = make_table(
+            ["size", "name (full)", 'say "hi"', "a, b"],
+            [
+                ['5" screen', "tv", '""', "x"],
+                ["7", "radio, portable", '"quoted"', "(y)"],
+                [None, 'a"b', 'he said ""no"", twice', 2.5],
+                ["  spaced  ", "(", ")", '"'],
+            ],
+        )
+        text = linearize_rows(table, frozenset(range(4))).text
+        parsed = parse_prompt_table("Table: " + text)
+        assert parsed.columns == table.columns
+        assert parsed.rows == (
+            ('5" screen', "tv", '""', "x"),
+            (7, "radio, portable", '"quoted"', "(y)"),
+            (None, 'a"b', 'he said ""no"", twice', 2.5),
+            ("  spaced  ", "(", ")", '"'),
+        )
+
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
             MockLlmConfig(budget_tokens=0)
+
+
+class TestReaderTruncation:
+    """The mock reader's token-budget truncation of a QA prompt."""
+
+    def prompt(self, table):
+        text = linearize_rows(table, frozenset(range(table.n_columns))).text
+        return llm.QA_PROMPT_TEMPLATE.format(question="q?", context=text)
+
+    def preamble_tokens(self):
+        return count_tokens(llm.QA_PROMPT_TEMPLATE.format(question="q?", context=""))
+
+    def test_big_budget_keeps_every_row(self):
+        table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Beijing"]])
+        assert parse_prompt_table(self.prompt(table), budget_tokens=10_000) == table
+
+    def test_budget_zero_keeps_no_row(self):
+        table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Beijing"]])
+        assert parse_prompt_table(self.prompt(table), budget_tokens=0) is None
+
+    def test_uniform_rows_prefix_kept(self):
+        table = make_table(["a", "b"], [[i, i] for i in range(10)])
+        per_row = count_tokens("Row0: (a,0), (b,0)")
+        parsed = parse_prompt_table(
+            self.prompt(table), budget_tokens=self.preamble_tokens() + 4 * per_row
+        )
+        assert parsed.rows == table.rows[:4]
+
+    def test_budget_invariant_random(self):
+        import random
+
+        rng = random.Random(7)
+        for _ in range(50):
+            n_rows = rng.randint(0, 8)
+            table = make_table(
+                ["x", "longer header"],
+                [[rng.randint(0, 99), "word " * rng.randint(1, 3)] for _ in range(n_rows)],
+            )
+            budget = self.preamble_tokens() + rng.randint(0, 40)
+            parsed = parse_prompt_table(self.prompt(table), budget_tokens=budget)
+            kept = () if parsed is None else parsed.rows
+            assert kept == table.rows[: len(kept)]
+            if kept:
+                kept_prompt = self.prompt(make_table(table.columns, kept))
+                assert count_tokens(kept_prompt) <= budget
+            if len(kept) < n_rows:
+                kept_and_next = self.prompt(make_table(table.columns, table.rows[: len(kept) + 1]))
+                assert count_tokens(kept_and_next) > budget

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -400,6 +401,31 @@ class TestSerialization:
         assert loaded.equals(params)
         save_params(loaded, tmp_path / "m2.model.json", target="columns")
         assert (tmp_path / "m.model.json").read_bytes() == (tmp_path / "m2.model.json").read_bytes()
+
+    def test_bytes_match_python_encoder(self, tmp_path):
+        rng = np.random.default_rng(5)
+        params = init_params(tiny_vocab(), 8, seed=7)
+        specials = [np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, -0.0, 0.0, 1e308, 0.1]
+        for name, arr in params.arrays().items():
+            values = rng.standard_normal(arr.size) * 10.0 ** rng.integers(-320, 300, arr.size)
+            values[: len(specials)] = specials[: arr.size]
+            setattr(params, name, values.reshape(arr.shape))
+        path = tmp_path / "m.model.json"
+        save_params(params, path, target="rows")
+        doc = {
+            "format_version": policy.MODEL_FORMAT_VERSION,
+            "dim": params.dim,
+            "vocabulary": list(params.vocab.tokens),
+            "params": {
+                name: [float(x) for x in arr.reshape(-1)]
+                for name, arr in params.arrays().items()
+            },
+            "target": "rows",
+        }
+        expected = io.StringIO()
+        json.dump(doc, expected, sort_keys=True)  # the pure-Python encoder
+        expected.write("\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"

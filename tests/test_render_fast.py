@@ -1,0 +1,249 @@
+"""Differential tests: the one-pass table renderer and the regex pair parser
+against the per-row and per-character code they replaced.
+
+The oracles below are that code, kept as it was apart from the quoting rule:
+``"`` is quoted as well as ``,``, ``(`` and ``)``, which is the bug fix that
+went in with the renderer.
+"""
+
+import math
+import random
+import re
+import time
+
+import pytest
+
+from tabreduce import llm, metrics, tasks
+from tabreduce.tables import (
+    Instance,
+    Table,
+    count_tokens,
+    format_cell,
+    linearize_rows,
+    row_candidate_texts,
+)
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def oracle_quote(text):
+    if any(ch in text for ch in ',()"'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def oracle_row_pairs(table, row, columns):
+    return ", ".join(
+        f"({oracle_quote(table.columns[c])},{oracle_quote(format_cell(row[c]))})"
+        for c in columns
+    )
+
+
+def oracle_linearize(table, column_subset):
+    cols = sorted(column_subset)
+    segments = [f"Row{i}: {oracle_row_pairs(table, row, cols)}" for i, row in enumerate(table.rows)]
+    return " ".join(segments)
+
+
+def oracle_parse_pairs(segment):
+    pairs = []
+    i = 0
+    while i < len(segment):
+        if segment[i] != "(":
+            i += 1
+            continue
+        i += 1
+        fields = []
+        current = []
+        in_quotes = False
+        closed = False
+        while i < len(segment):
+            ch = segment[i]
+            if in_quotes:
+                if ch == '"':
+                    if i + 1 < len(segment) and segment[i + 1] == '"':
+                        current.append('"')
+                        i += 2
+                        continue
+                    in_quotes = False
+                else:
+                    current.append(ch)
+            elif ch == '"':
+                in_quotes = True
+            elif ch == "," and len(fields) == 0:
+                fields.append("".join(current))
+                current = []
+            elif ch == ")":
+                fields.append("".join(current))
+                closed = True
+                i += 1
+                break
+            else:
+                current.append(ch)
+            i += 1
+        if closed and len(fields) == 2:
+            pairs.append((fields[0], fields[1]))
+    return pairs
+
+
+def oracle_parse_prompt_table(prompt, budget_tokens=None):
+    anchors = [m.start() for m in re.finditer(r"Row\d+: ", prompt)]
+    if not anchors:
+        return None
+    preamble = prompt[: anchors[0]]
+    segments = [
+        prompt[anchors[i] : anchors[i + 1] if i + 1 < len(anchors) else len(prompt)]
+        for i in range(len(anchors))
+    ]
+    if budget_tokens is not None:
+        used = count_tokens(preamble)
+        kept = []
+        for segment in segments:
+            used += count_tokens(segment)
+            if used > budget_tokens:
+                break
+            kept.append(segment)
+        segments = kept
+    rows = []
+    headers = None
+    for segment in segments:
+        pairs = oracle_parse_pairs(segment)
+        if not pairs:
+            continue
+        if headers is None:
+            headers = [h for h, _ in pairs]
+        if [h for h, _ in pairs] != headers:
+            continue
+        rows.append([llm._parse_cell(v) for _, v in pairs])
+    if headers is None:
+        return None
+    return Table(tuple(headers), tuple(tuple(r) for r in rows))
+
+
+# ---------------------------------------------------------------------------
+# Random tables
+
+WORDS = ["a", "b c", " lead", "trail ", "x,y", "(p)", "q)", "(", ")", '"', 'say "hi"',
+         '5" screen', '""', "", "  ", "tab\there", "line\nbreak", "Row1: z", "1", "2.5", "nan"]
+NUMBERS = [0, 1, -1, 7, 10**20, 1.0, -0.0, 0.0, 2.0, 2.5, -3.25, 1e-7, 1e20, 1e300,
+           math.inf, -math.inf, math.nan, True, False, None]
+
+
+def random_cell(rng):
+    kind = rng.random()
+    if kind < 0.45:
+        return rng.choice(WORDS) if rng.random() < 0.7 else "".join(
+            rng.choice('ab ,()"') for _ in range(rng.randint(0, 6)))
+    return rng.choice(NUMBERS)
+
+
+def random_table(rng, max_rows=12, max_cols=5):
+    n_cols = rng.randint(1, max_cols)
+    headers = tuple(f"{rng.choice(WORDS)}{c}" for c in range(n_cols))
+    rows = []
+    for _ in range(rng.randint(0, max_rows)):
+        row = [random_cell(rng) for _ in range(n_cols)]
+        if rng.random() < 0.3:
+            # equal-but-differently-rendered values side by side in one column
+            row[0] = rng.choice([1, 1.0, True, 0, 0.0, False, -0.0])
+        rows.append(tuple(row))
+    return Table(headers, tuple(rows))
+
+
+def random_subset(rng, n_cols):
+    return frozenset(rng.sample(range(n_cols), rng.randint(1, n_cols)))
+
+
+SEEDS = range(6)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_renderings_match_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        table = random_table(rng)
+        cols = random_subset(rng, table.n_columns)
+        text = oracle_linearize(table, cols)
+        out = linearize_rows(table, cols)
+        assert out.text == text
+        assert out.token_count == count_tokens(text)
+        expected_rows = [oracle_row_pairs(table, row, sorted(cols)) for row in table.rows]
+        assert row_candidate_texts(table, cols) == expected_rows
+        inst = Instance(id="i", question="q", table=table, relevant_columns=cols)
+        assert tasks.candidate_texts(inst, "rows") == expected_rows
+        assert metrics.full_context_tokens(inst) == count_tokens(
+            oracle_linearize(table, range(table.n_columns))
+        )
+
+
+def test_equal_keys_of_other_types_render_apart():
+    table = Table(("v",), ((1,), (1.0,), (True,), (0,), (False,), (-0.0,), (1.5,), (None,)))
+    assert row_candidate_texts(table, {0}) == [
+        "(v,1)", "(v,1)", "(v,true)", "(v,0)", "(v,false)", "(v,0)", "(v,1.5)", "(v,)"
+    ]
+    assert linearize_rows(table, {0}).text == oracle_linearize(table, {0})
+
+
+def test_zero_rows_and_zero_columns():
+    table = Table(("a", "b"), ())
+    assert linearize_rows(table, {0, 1}).text == ""
+    assert linearize_rows(table, {0, 1}).token_count == 0
+    assert row_candidate_texts(table, {1}) == []
+    assert metrics.full_context_tokens(Instance(id="i", question="q", table=table)) == 0
+    empty = Instance(id="e", question="q", table=Table((), ((), ())))
+    assert metrics.full_context_tokens(empty) == 0
+
+
+def random_pair_text(rng):
+    return "".join(rng.choice('(),"ab ') for _ in range(rng.randint(0, 24)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_parse_pairs_matches_oracle_on_random_text(seed):
+    rng = random.Random(1000 + seed)
+    for _ in range(8000):
+        text = random_pair_text(rng)
+        assert llm._parse_pairs(text) == oracle_parse_pairs(text), repr(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['("a""b,c)', '(a,"b"""c)', '(a,"b""', '(",",")") (x,y)', '(a)(b,c)', '((a,b)',
+     '(a,b', '"(a,b)"', '(a,"")"(c,d)', '(a,b)) (c,"d))', '(a,"x""y""")', '(""""""",b)'],
+)
+def test_parse_pairs_matches_oracle_on_edge_cases(text):
+    assert llm._parse_pairs(text) == oracle_parse_pairs(text)
+
+
+def test_unclosed_pairs_parse_in_linear_time():
+    # each would backtrack through ~2**24 splits if the runs were not possessive
+    texts = ["(" + "a" * 24, "(a," + "b" * 24, '(a,"' + '""' * 24, "(" + 'a"b"' * 24,
+             "(a," + 'b"c"' * 24]
+    started = time.perf_counter()
+    for text in texts:
+        assert llm._parse_pairs(text) == oracle_parse_pairs(text) == []
+    assert time.perf_counter() - started < 0.5
+
+
+def same_table(a, b):
+    # repr, because nan != nan and the reader shares one parsed value per text
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_parse_prompt_table_matches_oracle(seed):
+    rng = random.Random(2000 + seed)
+    for _ in range(120):
+        table = random_table(rng, max_rows=20)
+        text = oracle_linearize(table, range(table.n_columns))
+        prompt = llm.QA_PROMPT_TEMPLATE.format(question="q?", context=text)
+        if rng.random() < 0.3:
+            # splice random pair text into a row so some rows are malformed
+            cut = rng.randint(0, len(prompt))
+            prompt = prompt[:cut] + random_pair_text(rng) + prompt[cut:]
+        total = count_tokens(prompt)
+        for budget in (None, 0, rng.randint(0, total + 1), total, total + 5):
+            assert same_table(
+                llm.parse_prompt_table(prompt, budget), oracle_parse_prompt_table(prompt, budget)
+            ), (prompt, budget)

@@ -13,7 +13,6 @@ from tabreduce.tables import (
     make_table,
     project,
     table_fingerprint,
-    truncate_to_budget,
     validate_table,
 )
 
@@ -109,6 +108,11 @@ class TestLinearize:
         out = linearize_rows(table, {0})
         assert '"a, b (c)"' in out.text
 
+    def test_double_quotes_are_quoted_and_doubled(self):
+        table = make_table(['say "hi"', "size"], [['5" screen', 'plain']])
+        out = linearize_rows(table, {0, 1})
+        assert out.text == 'Row0: ("say ""hi""","5"" screen"), (size,plain)'
+
 
 class TestPrompts:
     def test_column_prompt_template(self):
@@ -147,42 +151,6 @@ class TestTokensAndBudget:
     @pytest.mark.parametrize("text,count", [("", 0), ("a b  c", 3), ("  x ", 1)])
     def test_count_tokens(self, text, count):
         assert count_tokens(text) == count
-
-    def test_fits_unchanged(self):
-        table = olympics()
-        out, truncated = truncate_to_budget(table, 10_000)
-        assert out == table
-        assert truncated is False
-
-    def test_budget_zero_drops_all_rows(self):
-        out, truncated = truncate_to_budget(olympics(), 0)
-        assert out.n_rows == 0
-        assert truncated is True
-
-    def test_uniform_rows_prefix_kept(self):
-        table = make_table(["a", "b"], [[i, i] for i in range(10)])
-        per_row = count_tokens("Row0: (a,0), (b,0)")
-        out, truncated = truncate_to_budget(table, 4 * per_row)
-        assert out.rows == table.rows[:4]
-        assert truncated is True
-
-    def test_budget_invariant_random(self):
-        import random
-
-        rng = random.Random(7)
-        for _ in range(50):
-            n_rows = rng.randint(0, 8)
-            table = make_table(
-                ["x", "longer header"],
-                [[rng.randint(0, 99), "word " * rng.randint(1, 3)] for _ in range(n_rows)],
-            )
-            budget = rng.randint(0, 40)
-            out, truncated = truncate_to_budget(table, budget)
-            if out.n_rows:
-                text = linearize_rows(out, {0, 1}).text
-                assert count_tokens(text) <= budget
-            assert out.rows == table.rows[: out.n_rows]
-            assert truncated == (out.n_rows < table.n_rows)
 
 
 def test_fingerprint_distinguishes_content():
