@@ -80,19 +80,37 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
-def _load_model(path: str, target: str) -> policy.PolicyParams:
-    """Load a model, refusing one whose stored target is not ``target``."""
+def _load_model(path: str, target: str | None) -> tuple[policy.PolicyParams, str]:
+    """Load a model and its target, refusing one whose stored target is not
+    ``target``.  ``target`` stands in for a model file that stores none."""
     params, stored = policy.load_params(path)
-    if stored is not None and stored != target:
+    if stored is not None and target is not None and stored != target:
         raise ConfigError(f"{path}: model was trained for target {stored!r}, not {target!r}")
-    return params
+    resolved = stored or target
+    if resolved is None:
+        raise ConfigError(f"{path}: model file carries no target; pass --target")
+    return params, resolved
 
 
-def _load_json_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_config(path: str | None, config_cls, seed: int | None):
+    """``config_cls`` built from the JSON object in ``path``, with ``seed``
+    (when given) overriding the file's."""
+    overrides = {}
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                overrides = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        known = {f.name for f in dataclasses.fields(config_cls)}
+        for key in overrides:
+            if key not in known:
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+    if seed is not None:
+        overrides["seed"] = seed
+    return config_cls(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +152,10 @@ def _split_from_args(instances, args):
 
 
 def cmd_sft(args) -> int:
+    cfg = _load_config(args.config, training.SftConfig, args.seed)
     manifest = Manifest("sft", vars(args), args.out)
     instances = _load_instances(args.data)
     train, valid, _ = _split_from_args(instances, args)
-    overrides = _load_json_config(args.config)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = training.SftConfig(**overrides)
     usable = tasks.trainable(train, args.target)
     if not usable:
         raise ConfigError("no annotated training instances; run annotate first")
@@ -158,14 +173,11 @@ def cmd_sft(args) -> int:
 
 
 def cmd_train_rl(args) -> int:
+    cfg = _load_config(args.config, training.PpoConfig, args.seed)
     manifest = Manifest("train-rl", vars(args), args.out)
     instances = _load_instances(args.data)
     train, valid, _ = _split_from_args(instances, args)
-    overrides = _load_json_config(args.config)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = training.PpoConfig(**overrides)
-    params = _load_model(args.init, args.target)
+    params, _ = _load_model(args.init, args.target)
     best, history = training.train_rl(
         params, train, valid, cfg, args.target, run_dir=args.out
     )
@@ -179,10 +191,7 @@ def cmd_train_rl(args) -> int:
 def cmd_eval_reduce(args) -> int:
     manifest = Manifest("eval-reduce", vars(args), args.report)
     instances = _load_instances(args.data)
-    params, target = policy.load_params(args.model)
-    target = target or args.target
-    if target is None:
-        raise ConfigError("model file carries no target; pass --target")
+    params, target = _load_model(args.model, args.target)
     entries = []
     for inst in tasks.trainable(instances, target):
         gold = tasks.gold_items(inst, target)
@@ -214,18 +223,14 @@ def cmd_eval_reduce(args) -> int:
 def cmd_reduce(args) -> int:
     manifest = Manifest("reduce", vars(args), args.out)
     instances = _load_instances(args.data)
-    col_params = _load_model(args.col_model, tasks.TARGET_COLUMNS)
-    row_params = _load_model(args.row_model, tasks.TARGET_ROWS)
+    col_params, _ = _load_model(args.col_model, tasks.TARGET_COLUMNS)
+    row_params, _ = _load_model(args.row_model, tasks.TARGET_ROWS)
     out = []
     for inst in instances:
         predicted_cols = tasks.greedy_reduction(col_params, inst, tasks.TARGET_COLUMNS)
-        if args.gold_columns:
-            context = inst.relevant_columns
-        else:
-            context = predicted_cols
-        if context:
+        if predicted_cols:
             predicted_rows = tasks.greedy_reduction(
-                row_params, inst, tasks.TARGET_ROWS, context_columns=frozenset(context)
+                row_params, inst, tasks.TARGET_ROWS, context_columns=predicted_cols
             )
         else:
             predicted_rows = frozenset()
@@ -310,32 +315,8 @@ def cmd_report(args) -> int:
             if line.strip():
                 record = json.loads(line)
                 answers[record["id"]] = record["answer"]
-    boundaries = _parse_int_list(args.buckets)
-    scored = [inst for inst in instances if inst.id in answers]
-    assignments = metrics.bucket_by_length(scored, boundaries)
-    buckets = []
-    for k in range(len(boundaries)):
-        members = [inst for inst, a in zip(scored, assignments) if a == k]
-        accuracy = metrics.downstream_accuracy(
-            [answers[m.id] for m in members], [list(m.answers) for m in members]
-        ) if members else 0.0
-        buckets.append(
-            {
-                "bucket": k,
-                "min_tokens": boundaries[k],
-                "count": len(members),
-                "accuracy": accuracy,
-            }
-        )
-    overall = metrics.downstream_accuracy(
-        [answers[inst.id] for inst in scored], [list(inst.answers) for inst in scored]
-    ) if scored else 0.0
-    doc = {
-        "format_version": metrics.REPORT_FORMAT_VERSION,
-        "count": len(scored),
-        "overall_accuracy": overall,
-        "per_bucket": buckets,
-    }
+    doc = metrics.build_accuracy_report(instances, answers, _parse_int_list(args.buckets))
+    buckets = doc["per_bucket"]
     with atomic_write(args.out) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -345,7 +326,7 @@ def cmd_report(args) -> int:
             for b in buckets:
                 fh.write(f"{b['bucket']},{b['min_tokens']},{b['count']},{b['accuracy']}\n")
     manifest.finish()
-    print(f"report over {len(scored)} instances -> {args.out}")
+    print(f"report over {doc['count']} instances -> {args.out}")
     for b in buckets:
         print(f"  bucket {b['bucket']} (>= {b['min_tokens']} tokens, n={b['count']}): {b['accuracy']:.3f}")
     return EXIT_OK
@@ -404,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--col-model", required=True)
     p.add_argument("--row-model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--gold-columns", action="store_true",
-                   help="condition the row model on gold columns instead of predictions")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("qa", help="downstream question answering")

@@ -9,7 +9,6 @@ split boundary.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,7 @@ from . import annotate as annotate_mod
 from . import sql as sql_mod
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Instance, Table, make_table, table_fingerprint
+from .tables import Instance, make_table, table_fingerprint
 
 _CANONICAL_KEYS = (
     "id", "question", "table", "sql", "answers",
@@ -105,15 +104,6 @@ def save_dataset(instances: Sequence[Instance], path) -> None:
     with atomic_write(path) as fh:
         for inst in instances:
             fh.write(json.dumps(instance_to_record(inst)) + "\n")
-
-
-def table_from_csv(path) -> Table:
-    """Minimal CSV ingestion: first row is the header, cells stay strings."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError("empty CSV file")
-    return make_table(rows[0], rows[1:])
 
 
 # ---------------------------------------------------------------------------

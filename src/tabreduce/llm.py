@@ -189,17 +189,6 @@ def complete_many(
         return list(pool.map(lambda m: complete(m, cfg, transport, sleep), message_lists))
 
 
-def qa_with_context(
-    question: str,
-    context: str,
-    cfg: LlmConfig,
-    transport: Transport | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> str:
-    prompt = QA_PROMPT_TEMPLATE.format(question=question, context=context)
-    return complete([("user", prompt)], cfg, transport, sleep).strip()
-
-
 # ---------------------------------------------------------------------------
 # Zero-shot reduction baseline
 

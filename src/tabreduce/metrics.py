@@ -1,17 +1,15 @@
-"""Reduction quality metrics, dataset statistics and length bucketing."""
+"""Reduction quality metrics, length bucketing and length-bucketed reports."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
 from .sql import answers_match
-from .tables import Instance, linearize_rows, table_fingerprint
+from .tables import Instance, linearize_rows
 
 REPORT_FORMAT_VERSION = 1
-
-TOKEN_THRESHOLDS = (4096, 8192)
 
 
 def item_recall(predicted: frozenset[int] | set[int], gold: frozenset[int] | set[int]) -> tuple[float, float, float]:
@@ -69,22 +67,12 @@ def build_recall_report(
 
     per_bucket = None
     if bucket_boundaries is not None:
-        assignments = assign_buckets([e.context_tokens for e in entries], bucket_boundaries)
-        buckets = []
-        for k in range(len(bucket_boundaries)):
-            members = [e for e, a in zip(entries, assignments) if a == k]
-            b_recall, b_precision, b_f1 = _macro(members)
-            buckets.append(
-                {
-                    "bucket": k,
-                    "min_tokens": int(bucket_boundaries[k]),
-                    "count": len(members),
-                    "recall": b_recall,
-                    "precision": b_precision,
-                    "f1": b_f1,
-                }
-            )
-        per_bucket = tuple(buckets)
+        per_bucket = _per_bucket(
+            entries,
+            assign_buckets([e.context_tokens for e in entries], bucket_boundaries),
+            bucket_boundaries,
+            lambda members: dict(zip(("recall", "precision", "f1"), _macro(members))),
+        )
 
     micro_r = micro_p = None
     if include_micro:
@@ -124,23 +112,7 @@ def report_to_dict(report: RecallReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Dataset statistics
-
-@dataclass(frozen=True)
-class DatasetStats:
-    n_instances: int
-    n_tables: int
-    avg_columns: float
-    max_columns: int
-    avg_rows: float
-    max_rows: int
-    avg_cells: float
-    max_cells: int
-    avg_context_tokens: float
-    max_context_tokens: int
-    n_over_4096: int
-    n_over_8192: int
-
+# Length buckets and downstream accuracy
 
 def full_context_tokens(instance: Instance) -> int:
     """Token count of the instance's whole table, linearized."""
@@ -149,34 +121,6 @@ def full_context_tokens(instance: Instance) -> int:
         return 0
     return linearize_rows(table, frozenset(range(table.n_columns))).token_count
 
-
-def dataset_stats(instances: Sequence[Instance]) -> DatasetStats:
-    if not instances:
-        return DatasetStats(0, 0, 0.0, 0, 0.0, 0, 0.0, 0, 0.0, 0, 0, 0)
-    cols = [inst.table.n_columns for inst in instances]
-    rows = [inst.table.n_rows for inst in instances]
-    cells = [c * r for c, r in zip(cols, rows)]
-    tokens = [full_context_tokens(inst) for inst in instances]
-    tables = {table_fingerprint(inst.table) for inst in instances}
-    n = len(instances)
-    return DatasetStats(
-        n_instances=n,
-        n_tables=len(tables),
-        avg_columns=sum(cols) / n,
-        max_columns=max(cols),
-        avg_rows=sum(rows) / n,
-        max_rows=max(rows),
-        avg_cells=sum(cells) / n,
-        max_cells=max(cells),
-        avg_context_tokens=sum(tokens) / n,
-        max_context_tokens=max(tokens),
-        n_over_4096=sum(1 for t in tokens if t > TOKEN_THRESHOLDS[0]),
-        n_over_8192=sum(1 for t in tokens if t > TOKEN_THRESHOLDS[1]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Length buckets and downstream accuracy
 
 def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> list[int]:
     """Bucket k holds counts in [boundaries[k], boundaries[k+1]); the last
@@ -203,6 +147,23 @@ def bucket_by_length(instances: Sequence[Instance], boundaries: Sequence[int]) -
     return assign_buckets([full_context_tokens(inst) for inst in instances], boundaries)
 
 
+def _per_bucket(
+    items: Sequence,
+    assignments: Sequence[int],
+    boundaries: Sequence[int],
+    summarize: Callable[[list], dict],
+) -> tuple[dict, ...]:
+    """One record per bucket: its index, lower bound, size and the
+    ``summarize`` fields of its members (empty buckets included)."""
+    buckets = []
+    for k in range(len(boundaries)):
+        members = [item for item, a in zip(items, assignments) if a == k]
+        buckets.append(
+            {"bucket": k, "min_tokens": int(boundaries[k]), "count": len(members), **summarize(members)}
+        )
+    return tuple(buckets)
+
+
 def parse_answer_text(text: str) -> list[str]:
     """Inverse of the ', '-joined answer rendering; empty text is no answer."""
     text = text.strip()
@@ -224,3 +185,29 @@ def downstream_accuracy(
         if answers_match(parse_answer_text(text), list(gold)):
             hits += 1
     return hits / len(model_answers)
+
+
+def build_accuracy_report(
+    instances: Sequence[Instance],
+    answers: Mapping[str, str],
+    boundaries: Sequence[int],
+) -> dict:
+    """Downstream accuracy overall and per length bucket, over the instances
+    that have an answer (keyed by instance id)."""
+    scored = [inst for inst in instances if inst.id in answers]
+
+    def accuracy(members: Sequence[Instance]) -> float:
+        return downstream_accuracy(
+            [answers[m.id] for m in members], [list(m.answers) for m in members]
+        )
+
+    per_bucket = _per_bucket(
+        scored, bucket_by_length(scored, boundaries), boundaries,
+        lambda members: {"accuracy": accuracy(members)},
+    )
+    return {
+        "format_version": REPORT_FORMAT_VERSION,
+        "count": len(scored),
+        "overall_accuracy": accuracy(scored),
+        "per_bucket": list(per_bucket),
+    }

@@ -205,17 +205,28 @@ def save_params(params: PolicyParams, path, target: str | None = None) -> None:
 
 
 def load_params(path) -> tuple[PolicyParams, str | None]:
+    """The parameters and stored target of a model file; ``ConfigError``
+    when the file is not a complete model of the current format."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format: {doc.get('format_version')!r}")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON model file: {exc}") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise ConfigError(f"{path}: unsupported model format: {version!r}")
+    for key in ("dim", "vocabulary", "params"):
+        if key not in doc:
+            raise ConfigError(f"{path}: model file lacks {key!r}")
     vocab = Vocabulary(tuple(doc["vocabulary"]))
     dim = int(doc["dim"])
     params = PolicyParams.zeros(vocab, dim)
     for name, arr in params.arrays().items():
+        if name not in doc["params"]:
+            raise ConfigError(f"{path}: model file lacks parameter {name!r}")
         flat = np.asarray(doc["params"][name], dtype=float)
         if flat.size != arr.size:
-            raise ConfigError(f"parameter {name!r} has wrong size {flat.size}")
+            raise ConfigError(f"{path}: parameter {name!r} has wrong size {flat.size}")
         setattr(params, name, flat.reshape(arr.shape))
     return params, doc.get("target")
 

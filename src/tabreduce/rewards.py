@@ -1,4 +1,4 @@
-"""Set-level task reward and its KL-shaped variant.
+"""Set-level task reward and the per-step KL-shaped reward.
 
 Missing a relevant item is the critical error: it costs far more than
 picking up an irrelevant one, so the defaults satisfy
@@ -7,10 +7,12 @@ picking up an irrelevant one, so the defaults satisfy
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .errors import ConfigError, NumericalError
+import numpy as np
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -34,11 +36,6 @@ class RewardBreakdown:
     n_irrelevant: int
     n_missing: int
     task_reward: float
-    kl_term: float = 0.0
-
-    @property
-    def shaped(self) -> float:
-        return self.task_reward - self.kl_term
 
 
 def task_reward(
@@ -62,9 +59,15 @@ def task_reward(
     )
 
 
-def shaped_reward(task: float, logp_pi: float, logp_ref: float, beta: float) -> float:
-    """task - beta * (logp_pi - logp_ref)"""
-    for value in (task, logp_pi, logp_ref, beta):
-        if not math.isfinite(value):
-            raise NumericalError(f"non-finite reward input: {value!r}")
-    return task - beta * (logp_pi - logp_ref)
+def shaped_reward(
+    task: float, logp_pi: Sequence[float], logp_ref: Sequence[float], beta: float
+) -> np.ndarray:
+    """Per-step reward of one episode: ``-beta * (logp_pi - logp_ref)`` at
+    every step, plus the task reward on the last step.
+
+    Non-finite inputs pass through: the value-head warm start skips on
+    them, and the PPO loss raises ``NumericalError``.
+    """
+    rewards = -beta * (np.array(logp_pi) - np.array(logp_ref))
+    rewards[-1] += task
+    return rewards

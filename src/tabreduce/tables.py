@@ -130,13 +130,6 @@ class Reduction:
     rows: frozenset[int]
 
 
-def full_reduction(table: Table) -> Reduction:
-    return Reduction(
-        columns=frozenset(range(table.n_columns)),
-        rows=frozenset(range(table.n_rows)),
-    )
-
-
 @dataclass(frozen=True)
 class LinearizedContext:
     text: str

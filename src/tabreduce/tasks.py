@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import policy
+from . import metrics, policy
 from .errors import ConfigError
 from .tables import Instance, row_candidate_texts
 
@@ -107,6 +107,7 @@ def evaluate_recall(
         gold = gold_items(inst, target)
         if gold is None:
             continue
-        predicted = greedy_reduction(params, inst, target)
-        recalls.append(1.0 if not gold else len(predicted & gold) / len(gold))
+        recalls.append(metrics.item_recall(greedy_reduction(params, inst, target), gold)[0])
+    # np.mean, not the sum/n of metrics' reports: the two can differ in the
+    # last bit, and this value is recorded in metrics.jsonl
     return float(np.mean(recalls)) if recalls else 0.0

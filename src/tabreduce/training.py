@@ -3,8 +3,9 @@ penalty-coefficient controller.
 
 The RL loop freezes the post-SFT parameters as the reference policy, rolls
 out episodes under the top-p-masked current policy, attaches the per-step
-penalty ``-beta * (logp_pi - logp_ref)`` plus the terminal task reward,
-and optimizes the clipped surrogate.  The stored behavior log-probs are the
+KL-shaped reward of :func:`tabreduce.rewards.shaped_reward` (a penalty on
+the behavior/reference log-ratio plus the terminal task reward), and
+optimizes the clipped surrogate.  The stored behavior log-probs are the
 masked ones (the behavior policy IS the masked policy); the update's fresh
 log-probs come from the unmasked policy.  After each iteration the penalty
 coefficient moves by
@@ -30,7 +31,7 @@ import numpy as np
 from . import policy, tasks
 from .atomicio import atomic_write
 from .errors import ConfigError, NumericalError
-from .rewards import RewardConfig, task_reward
+from .rewards import RewardConfig, shaped_reward, task_reward
 from .tables import Instance
 
 
@@ -304,10 +305,10 @@ def collect_rollouts(
 ) -> Rollout:
     """Sample n episodes under the masked current policy.
 
-    Each step carries the penalty ``-beta * (logp_pi - logp_ref)`` over the
-    behavior log-probabilities; the terminal step additionally carries the
-    task reward.  ``reference`` is ``encs`` embedded under the reference
-    parameters (computed here when not given).
+    Each episode's step rewards are :func:`tabreduce.rewards.shaped_reward`
+    of its task reward and its behavior and reference log-probabilities.
+    ``reference`` is ``encs`` embedded under the reference parameters
+    (computed here when not given).
     """
     chosen_encs: list[policy.EncodedInstance] = []
     traces: list[policy.EpisodeTrace] = []
@@ -324,11 +325,11 @@ def collect_rollouts(
             current[idx], reference[idx], mode="sample", top_p=cfg.top_p, rng=state.rng,
         )
         trace = trace.with_task_reward(reward_fn(trace.selected, golds[idx]))
-        rewards = -state.beta * (np.array(trace.logp_pi) - np.array(trace.logp_ref))
-        rewards[-1] += trace.task_reward
         chosen_encs.append(enc)
         traces.append(trace)
-        step_rewards.append(rewards)
+        step_rewards.append(
+            shaped_reward(trace.task_reward, trace.logp_pi, trace.logp_ref, state.beta)
+        )
     return Rollout(chosen_encs, traces, step_rewards, state.beta)
 
 
@@ -409,7 +410,6 @@ def train_rl(
     valid: Sequence[Instance],
     cfg: PpoConfig,
     target: str,
-    reward_cfg: RewardConfig | None = None,
     reward_fn: RewardFn | None = None,
     reference: policy.PolicyParams | None = None,
     run_dir: str | None = None,
@@ -429,7 +429,7 @@ def train_rl(
     _prepare_run_dir(run_dir, cfg)
 
     if reward_fn is None:
-        rcfg = reward_cfg if reward_cfg is not None else RewardConfig()
+        rcfg = RewardConfig()
         reward_fn = lambda selected, gold: task_reward(selected, gold, rcfg).task_reward
 
     encs = [tasks.encode(initial.vocab, inst, target) for inst in train]

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from tabreduce import cli, dataio, metrics, policy, tasks
+from tabreduce import cli, dataio, llm, metrics, policy, tasks
+from tabreduce.tables import linearize_rows
 
 
 def run(args):
@@ -134,6 +135,45 @@ class TestTraining:
         ])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("stage", ["sft", "train-rl"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"epoch": 2}', "unknown config key 'epoch'"),
+            ('{"epochs": 2', "invalid JSON config"),
+            ("[2]", "config must be a JSON object"),
+        ],
+        ids=["unknown-key", "invalid-json", "not-an-object"],
+    )
+    def test_bad_config_is_one_error_line(self, pipeline, tmp_path, capsys, stage, text, message):
+        root, data, sft_dir = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        extra = ["--init", str(sft_dir / "model.json")] if stage == "train-rl" else []
+        code = run([
+            stage, "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+            "--config", str(cfg), *extra,
+        ])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["eval-reduce", "reduce", "train-rl"])
+    def test_truncated_model_rejected(self, pipeline, tmp_path, capsys, stage):
+        root, data, sft_dir = pipeline
+        text = (sft_dir / "model.json").read_text()
+        model = tmp_path / "truncated.model.json"
+        model.write_text(text[: len(text) // 2])
+        out = str(tmp_path / "out")
+        argv = {
+            "eval-reduce": ["--model", str(model), "--report", out + ".json"],
+            "reduce": ["--col-model", str(model), "--row-model", str(model), "--out", out + ".jsonl"],
+            "train-rl": ["--init", str(model), "--target", "columns", "--out", out],
+        }[stage]
+        assert run([stage, "--data", str(data), *argv]) == cli.EXIT_CONFIG
+        assert "not a JSON model file" in capsys.readouterr().err
+
 
 class TestEvalAndReduce:
     def test_eval_reduce_agrees_with_library(self, pipeline, tmp_path):
@@ -150,6 +190,27 @@ class TestEvalAndReduce:
         assert report["recall"] == pytest.approx(expected)
         assert report["format_version"] == metrics.REPORT_FORMAT_VERSION
         assert "micro_recall" in report
+
+    def test_eval_reduce_rejects_target_mismatch(self, pipeline, tmp_path):
+        root, data, sft_dir = pipeline
+        report_path = tmp_path / "report.json"
+        code = run([
+            "eval-reduce", "--data", str(data), "--model", str(sft_dir / "model.json"),
+            "--report", str(report_path), "--target", "rows",
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert not report_path.exists()
+
+    def test_eval_reduce_target_flag_covers_untargeted_model(self, pipeline, tmp_path):
+        root, data, sft_dir = pipeline
+        params, _ = policy.load_params(sft_dir / "model.json")
+        model = tmp_path / "untargeted.model.json"
+        policy.save_params(params, model)
+        report_path = tmp_path / "report.json"
+        argv = ["eval-reduce", "--data", str(data), "--model", str(model), "--report", str(report_path)]
+        assert run(argv) == cli.EXIT_CONFIG
+        assert run(argv + ["--target", "columns"]) == 0
+        assert json.loads(report_path.read_text())["target"] == "columns"
 
     def test_reduce_chains_predictions(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline
@@ -240,15 +301,15 @@ class TestQaAndReport:
 
     def test_qa_endpoint_mode_wiring(self, pipeline, tmp_path, monkeypatch):
         root, data, _ = pipeline
+        seen = []
 
         def fake_complete_many(prompts, cfg, max_in_flight=4, **kw):
             assert cfg.endpoint == "https://fake.test"
             assert max_in_flight == 2
+            seen.extend(prompts)
             return [" stub answer "] * len(prompts)
 
-        from tabreduce import llm as llm_mod
-
-        monkeypatch.setattr(llm_mod, "complete_many", fake_complete_many)
+        monkeypatch.setattr(llm, "complete_many", fake_complete_many)
         out = tmp_path / "endpoint_answers.jsonl"
         assert run([
             "qa", "--data", str(data), "--out", str(out),
@@ -256,6 +317,15 @@ class TestQaAndReport:
         ]) == 0
         records = [json.loads(l) for l in out.read_text().strip().split("\n")]
         assert all(r["answer"] == "stub answer" for r in records)
+        # one user message per instance: the QA template over the whole table
+        instances, _ = dataio.load_dataset(data)
+        assert seen == [
+            [("user", llm.QA_PROMPT_TEMPLATE.format(
+                question=inst.question,
+                context=linearize_rows(inst.table, frozenset(range(inst.table.n_columns))).text,
+            ))]
+            for inst in instances
+        ]
 
     def test_qa_mock_requires_sql(self, tmp_path):
         bad = tmp_path / "nosql.jsonl"

@@ -12,7 +12,6 @@ from tabreduce.dataio import (
     record_to_instance,
     save_dataset,
     split,
-    table_from_csv,
 )
 from tabreduce.errors import ConfigError
 from tabreduce.tables import Instance, make_table, table_fingerprint
@@ -172,14 +171,6 @@ def test_format_answer():
     assert format_answer(2.0) == "2"
     assert format_answer(2.5) == "2.5"
     assert format_answer("x") == "x"
-
-
-def test_csv_converter(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n1,x\n2,y\n")
-    table = table_from_csv(path)
-    assert table.columns == ("a", "b")
-    assert table.rows == (("1", "x"), ("2", "y"))
 
 
 def test_gold_actions_ordering():

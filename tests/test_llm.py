@@ -19,7 +19,6 @@ from tabreduce.llm import (
     llm_reduce_baseline,
     mock_complete,
     parse_prompt_table,
-    qa_with_context,
     split_selection,
 )
 from tabreduce.tables import build_row_prompt, count_tokens, linearize_rows, make_table
@@ -159,16 +158,19 @@ def test_complete_many_order_preserved():
 
 class TestQaPrompt:
     def test_prompt_byte_stable_and_called_on_empty_context(self):
+        # The QA prompt as `qa --endpoint` sends it: the template filled
+        # with the question and the (here empty) reduced context.
         seen = []
 
         def transport(url, headers, body):
             seen.append(json.loads(body)["messages"][0]["content"])
             return 200, ok_body(" answer ")
 
-        out = qa_with_context("q?", "", config(), transport=transport, sleep=lambda s: None)
-        assert out == "answer"
+        prompt = [("user", llm.QA_PROMPT_TEMPLATE.format(question="q?", context=""))]
+        outs = complete_many([prompt, prompt], config(), max_in_flight=1,
+                             transport=transport, sleep=lambda s: None)
+        assert [o.strip() for o in outs] == ["answer", "answer"]
         assert seen[0] == llm.QA_PROMPT_TEMPLATE.format(question="q?", context="")
-        qa_with_context("q?", "", config(), transport=transport, sleep=lambda s: None)
         assert seen[0] == seen[1]
 
 

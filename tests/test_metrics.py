@@ -6,8 +6,8 @@ from tabreduce.metrics import (
     EvalEntry,
     assign_buckets,
     bucket_by_length,
+    build_accuracy_report,
     build_recall_report,
-    dataset_stats,
     downstream_accuracy,
     item_recall,
     parse_answer_text,
@@ -92,12 +92,14 @@ class TestRecallReport:
         report = build_recall_report([])
         assert report.count == 0
 
+    def test_empty_bucket_reported_as_zero(self):
+        report = build_recall_report(self.entries(), bucket_boundaries=[0, 1000, 5000])
+        assert report.per_bucket[2] == {
+            "bucket": 2, "min_tokens": 5000, "count": 0, "recall": 0.0, "precision": 0.0, "f1": 0.0,
+        }
 
-class TestDatasetStats:
-    def test_empty(self):
-        stats = dataset_stats([])
-        assert stats.n_instances == 0
 
+class TestFullContextTokens:
     def test_single_table_hand_counted(self):
         instance = Instance(
             id="a",
@@ -105,22 +107,8 @@ class TestDatasetStats:
             table=make_table(["x", "y"], [[1, "u"], [2, "v"]]),
             answers=("1",),
         )
-        stats = dataset_stats([instance])
-        assert stats.n_instances == 1
-        assert stats.n_tables == 1
-        assert stats.avg_columns == 2
-        assert stats.avg_rows == 2
-        assert stats.avg_cells == 4
         # "Row0: (x,1), (y,u) Row1: (x,2), (y,v)" -> 6 words
-        assert stats.avg_context_tokens == 6
-        assert stats.max_context_tokens == 6
-        assert stats.n_over_4096 == 0
-
-    def test_max_ge_avg(self):
-        stats = dataset_stats([inst(2, 2), inst(5, 10)])
-        assert stats.max_columns >= stats.avg_columns
-        assert stats.max_rows >= stats.avg_rows
-        assert stats.n_tables == 2
+        assert metrics.full_context_tokens(instance) == 6
 
 
 class TestBuckets:
@@ -177,3 +165,26 @@ class TestDownstreamAccuracy:
     def test_misaligned_rejected(self):
         with pytest.raises(ConfigError):
             downstream_accuracy(["a"], [])
+
+
+class TestAccuracyReport:
+    def test_hand_counted(self):
+        # inst(2, 1) has 3 context tokens and inst(2, 50) 150; "c" has no answer
+        instances = [inst(2, 1, "a"), inst(2, 50, "b"), inst(2, 1, "c"), inst(2, 50, "d")]
+        answers = {"a": "1", "b": "2", "d": "1.0"}
+        doc = build_accuracy_report(instances, answers, [0, 20, 1000])
+        assert doc == {
+            "format_version": metrics.REPORT_FORMAT_VERSION,
+            "count": 3,
+            "overall_accuracy": pytest.approx(2 / 3),
+            "per_bucket": [
+                {"bucket": 0, "min_tokens": 0, "count": 1, "accuracy": 1.0},
+                {"bucket": 1, "min_tokens": 20, "count": 2, "accuracy": 0.5},
+                {"bucket": 2, "min_tokens": 1000, "count": 0, "accuracy": 0.0},
+            ],
+        }
+
+    def test_no_answers(self):
+        doc = build_accuracy_report([inst(2, 1)], {}, [0])
+        assert doc["count"] == 0 and doc["overall_accuracy"] == 0.0
+        assert doc["per_bucket"] == [{"bucket": 0, "min_tokens": 0, "count": 0, "accuracy": 0.0}]

@@ -433,6 +433,23 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             load_params(path)
 
+    @pytest.mark.parametrize("drop", ["dim", "vocabulary", "params", "emb"])
+    def test_incomplete_model_rejected(self, tmp_path, drop):
+        path = tmp_path / "m.model.json"
+        save_params(init_params(tiny_vocab(), 4, seed=0), path)
+        doc = json.loads(path.read_text())
+        del (doc if drop in doc else doc["params"])[drop]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=repr(drop)):
+            load_params(path)
+
+    @pytest.mark.parametrize("text", ['{"format_version": 1, "dim"', "[1]"])
+    def test_non_model_json_rejected(self, tmp_path, text):
+        path = tmp_path / "m.model.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_params(path)
+
 
 def test_mean_embedding_empty_is_zero():
     params = PolicyParams.zeros(tiny_vocab(), 4)

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from tabreduce import policy, training
 from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.rewards import RewardConfig, shaped_reward, task_reward
 
@@ -82,22 +84,40 @@ class TestTaskReward:
 
 class TestShapedReward:
     def test_equal_logps_passthrough(self):
-        assert shaped_reward(2.0, -1.3, -1.3, 0.2) == pytest.approx(2.0)
+        rewards = shaped_reward(2.0, [-0.4, -1.3], [-0.4, -1.3], 0.2)
+        assert rewards == pytest.approx([0.0, 2.0])
 
     def test_formula(self):
-        assert shaped_reward(0.0, -0.5, -1.5, 0.2) == pytest.approx(-0.2)
+        rewards = shaped_reward(0.0, [-0.5, -0.1], [-1.5, -0.6], 0.2)
+        assert rewards == pytest.approx([-0.2, -0.1])
 
     def test_beta_zero(self):
-        assert shaped_reward(1.7, -0.1, -9.0, 0.0) == pytest.approx(1.7)
+        assert shaped_reward(1.7, [-0.1, -2.0], [-9.0, -0.5], 0.0) == pytest.approx([0.0, 1.7])
 
     def test_linear_in_beta_and_logratio(self):
-        base = shaped_reward(1.0, -1.0, -2.0, 0.3)
-        double_beta = shaped_reward(1.0, -1.0, -2.0, 0.6)
-        assert double_beta - 1.0 == pytest.approx(2 * (base - 1.0))
+        base = shaped_reward(1.0, [-1.0, -0.3], [-2.0, -0.1], 0.3)
+        double_beta = shaped_reward(1.0, [-1.0, -0.3], [-2.0, -0.1], 0.6)
+        doubled_ratio = shaped_reward(1.0, [-2.0, -0.5], [-4.0, -0.1], 0.3)
+        base[-1] -= 1.0
+        double_beta[-1] -= 1.0
+        doubled_ratio[-1] -= 1.0
+        assert double_beta == pytest.approx(2 * base)
+        assert doubled_ratio == pytest.approx(2 * base)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
+        # shaped_reward passes a non-finite reward through; the PPO loss over
+        # the episode's advantages is where it is rejected
+        vocab = policy.build_vocabulary(["q", "a", "b"])
+        params = policy.init_params(vocab, 4, seed=0)
+        enc = policy.encode_instance(vocab, "q", ["a", "b"])
+        trace = policy.sample_episode(policy.embed(params, [enc])[0], mode="greedy")
+        rewards = shaped_reward(bad, trace.logp_pi, trace.logp_ref, 0.1)
+        assert not np.all(np.isfinite(rewards))
+        rollout = training.Rollout([enc], [trace], [rewards], beta=0.1)
+        examples = training.compute_advantages(rollout)
         with pytest.raises(NumericalError):
-            shaped_reward(bad, 0.0, 0.0, 0.1)
-        with pytest.raises(NumericalError):
-            shaped_reward(0.0, bad, 0.0, 0.1)
+            policy.ppo_loss_and_grad(
+                params, examples, clip_epsilon=0.2, value_loss_coef=0.5, entropy_coef=0.01
+            )

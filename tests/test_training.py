@@ -365,6 +365,18 @@ class TestTrainRl:
             assert np.array_equal(adam.m[name], m[name])
             assert np.array_equal(adam.v[name], v[name])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_reward_rolls_back_every_iteration(self):
+        # the warm start sees non-finite returns and leaves the value head
+        # alone; every update then fails in the PPO loss and is rolled back
+        sft, train, valid = self.prepared()
+        final, history = train_rl(
+            sft, train, [], self.small_cfg(iterations=3), "columns",
+            reward_fn=lambda selected, gold: math.nan,
+        )
+        assert [h.get("error") for h in history] == ["numerical_rollback"] * 3
+        assert final.equals(sft)
+
     def test_kl_penalty_pulls_policy_back_with_zero_task_reward(self):
         # start the policy well away from the reference; with no task signal
         # the per-step penalty should shrink measured KL in most seeded runs
