@@ -192,15 +192,16 @@ def cmd_eval_reduce(args) -> int:
     manifest = Manifest("eval-reduce", vars(args), args.report)
     instances = _load_instances(args.data)
     params, target = _load_model(args.model, args.target)
+    usable = tasks.trainable(instances, target)
+    encs, golds = tasks.labeled_encodings(params.vocab, usable, target)
+    decoded = policy.greedy_decode(params, encs)
     entries = []
-    for inst in tasks.trainable(instances, target):
-        gold = tasks.gold_items(inst, target)
-        predicted = tasks.greedy_reduction(params, inst, target)
+    for inst, gold, predicted in zip(usable, golds, decoded.selected):
         n_items = inst.table.n_columns if target == tasks.TARGET_COLUMNS else inst.table.n_rows
         entries.append(
             metrics.EvalEntry(
                 predicted=predicted,
-                gold=gold if gold is not None else frozenset(),
+                gold=gold,
                 kept_fraction=len(predicted) / n_items if n_items else 0.0,
                 context_tokens=metrics.full_context_tokens(inst),
             )
@@ -212,6 +213,12 @@ def cmd_eval_reduce(args) -> int:
     with atomic_write(args.report) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    manifest.doc["summary"] = {
+        "instances": len(entries),
+        f"{target}_kept": sum(len(e.predicted) for e in entries),
+        "decode_steps": decoded.steps,
+        "exact_steps": decoded.exact_steps,
+    }
     manifest.finish()
     print(
         f"eval-reduce ({target}): recall {report.recall:.4f} precision {report.precision:.4f} "
@@ -220,25 +227,54 @@ def cmd_eval_reduce(args) -> int:
     return EXIT_OK
 
 
+# Table rows per group of ``reduce``: a group's encodings are what the
+# decode holds at once, so memory does not grow with the dataset.
+_REDUCE_GROUP_ROWS = 4096
+
+
+def _groups(instances):
+    """Consecutive runs of instances with about ``_REDUCE_GROUP_ROWS`` table
+    rows in all (a longer table makes a run of its own)."""
+    start = rows = 0
+    for i, inst in enumerate(instances):
+        if i > start and rows + inst.table.n_rows > _REDUCE_GROUP_ROWS:
+            yield instances[start:i]
+            start, rows = i, 0
+        rows += inst.table.n_rows
+    if start < len(instances):
+        yield instances[start:]
+
+
 def cmd_reduce(args) -> int:
     manifest = Manifest("reduce", vars(args), args.out)
     instances = _load_instances(args.data)
     col_params, _ = _load_model(args.col_model, tasks.TARGET_COLUMNS)
     row_params, _ = _load_model(args.row_model, tasks.TARGET_ROWS)
     out = []
-    for inst in instances:
-        predicted_cols = tasks.greedy_reduction(col_params, inst, tasks.TARGET_COLUMNS)
-        if predicted_cols:
-            predicted_rows = tasks.greedy_reduction(
-                row_params, inst, tasks.TARGET_ROWS, context_columns=predicted_cols
-            )
-        else:
-            predicted_rows = frozenset()
-        extra = dict(inst.extra)
-        extra["predicted_columns"] = sorted(predicted_cols)
-        extra["predicted_rows"] = sorted(predicted_rows)
-        out.append(dataclasses.replace(inst, extra=extra))
+    summary = dict.fromkeys(("columns_kept", "rows_kept", "decode_steps", "exact_steps"), 0)
+    for group in _groups(instances):
+        # columns for every instance, then rows for those with a column prediction
+        col_decode = policy.greedy_decode(
+            col_params, [tasks.encode(col_params.vocab, inst, tasks.TARGET_COLUMNS) for inst in group]
+        )
+        with_columns = [i for i, cols in enumerate(col_decode.selected) if cols]
+        row_decode = policy.greedy_decode(row_params, [
+            tasks.encode(row_params.vocab, group[i], tasks.TARGET_ROWS, col_decode.selected[i])
+            for i in with_columns
+        ])
+        predicted_rows = dict(zip(with_columns, row_decode.selected))
+        for i, (inst, cols) in enumerate(zip(group, col_decode.selected)):
+            rows = predicted_rows.get(i, frozenset())
+            extra = dict(inst.extra)
+            extra["predicted_columns"] = sorted(cols)
+            extra["predicted_rows"] = sorted(rows)
+            out.append(dataclasses.replace(inst, extra=extra))
+            summary["columns_kept"] += len(cols)
+            summary["rows_kept"] += len(rows)
+        summary["decode_steps"] += col_decode.steps + row_decode.steps
+        summary["exact_steps"] += col_decode.exact_steps + row_decode.exact_steps
     dataio.save_dataset(out, args.out)
+    manifest.doc["summary"] = {"instances": len(out), **summary}
     manifest.finish()
     print(f"reduced {len(out)} instances -> {args.out}")
     return EXIT_OK

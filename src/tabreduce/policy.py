@@ -14,7 +14,10 @@ embeddings.
 
 Encodings are segment means computed for many instances at once
 (``embed``).  Sampling (``sample_episode``) walks one episode step by step
-over precomputed encodings.  Training never walks episodes: a fixed action
+over precomputed encodings.  Greedy decoding (``greedy_decode``) steps many
+instances together as padded score arrays, and settles near-ties with the
+per-instance ``step_distribution`` so that its selections are exactly those
+of a per-instance greedy walk.  Training never walks episodes: a fixed action
 sequence becomes an ``Episode`` (per step, the available candidates and the
 history-mean weights ``W``, so ``h = W @ v``), built once per example, and
 ``forward`` replays a whole minibatch of them as padded ``(B, T, N + 1)``
@@ -72,7 +75,7 @@ class Vocabulary:
         return len(self.tokens) + 1
 
     def encode(self, text: str) -> tuple[int, ...]:
-        return tuple(self._index.get(tok, 0) for tok in tokenize(text))
+        return tuple(map(self._index.get, tokenize(text), itertools.repeat(0)))
 
 
 def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
@@ -234,10 +237,10 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
 # ---------------------------------------------------------------------------
 # Encodings
 
-# Segments per block of ``_segment_means`` and per ``forward`` chunk, and
-# tokens per block of ``_scatter_segment_grads``: they bound the (rows, dim)
-# arrays, so a minibatch of long tables needs little more memory than one of
-# short tables.
+# Segments per block of ``_segment_means`` and per ``forward`` or
+# ``greedy_decode`` chunk, and tokens per block of ``_scatter_segment_grads``:
+# they bound the (rows, dim) arrays, so a minibatch of long tables needs
+# little more memory than one of short tables.
 _SEGMENT_BLOCK = 1024
 _TOKEN_BLOCK = 512
 
@@ -301,6 +304,15 @@ class Embedded:
     params: PolicyParams
     q: np.ndarray   # (dim,)
     v: np.ndarray   # (n_candidates, dim)
+
+
+def _embed_padded(params: PolicyParams, encs: Sequence[EncodedInstance]):
+    """Token layout, (B, dim) question and (B, N, dim) candidate encodings of
+    ``encs`` padded to the most candidates; padded candidates are zero."""
+    width = 1 + max(enc.n_candidates for enc in encs)
+    layout = _token_layout(encs, np.arange(len(encs)) * width, len(encs) * width)
+    encoded = _segment_means(params.emb, layout).reshape(len(encs), width, params.dim)
+    return layout, encoded[:, 0], encoded[:, 1:]
 
 
 def embed(params: PolicyParams, encs: Sequence[EncodedInstance]) -> list[Embedded]:
@@ -399,25 +411,19 @@ class EpisodeTrace:
 def sample_episode(
     pi: Embedded,
     ref: Embedded | None = None,
-    mode: str = "sample",
+    *,
+    rng: np.random.Generator,
     top_p: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> EpisodeTrace:
-    """Roll out one episode; selected candidates leave the action set.
+    """Sample one episode; selected candidates leave the action set.
 
     ``pi`` and ``ref`` are the instance encoded under the current and the
     reference parameters (``ref`` None: the reference is the current
-    policy).  In sample mode the behavior distribution is the top-p-masked
-    policy and the recorded logp_pi is its (masked) log-probability.  Greedy
-    mode takes the unmasked argmax (masking never changes the argmax) with
-    ties to the lowest action index.  logp_ref scores the same actions under
-    the reference without masking.
+    policy).  The behavior distribution is the policy, top-p masked when
+    ``top_p`` is given, and the recorded logp_pi is its (masked)
+    log-probability; logp_ref scores the same actions under the reference
+    without masking.  Greedy decoding is ``greedy_decode``.
     """
-    if mode not in ("sample", "greedy"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "sample" and rng is None:
-        raise ConfigError("sample mode needs a random generator")
-
     remaining = list(range(pi.v.shape[0]))
     selected: list[int] = []
     h = h_ref = np.zeros(pi.params.dim)
@@ -428,15 +434,8 @@ def sample_episode(
 
     while True:
         probs = step_distribution(pi.params, pi.q, h, pi.v[remaining])
-        if mode == "sample" and top_p is not None:
-            behavior = apply_top_p_mask(probs, top_p)
-        else:
-            behavior = probs
-        if mode == "greedy":
-            pick = int(np.argmax(probs))
-        else:
-            assert rng is not None
-            pick = int(rng.choice(behavior.size, p=behavior))
+        behavior = probs if top_p is None else apply_top_p_mask(probs, top_p)
+        pick = int(rng.choice(behavior.size, p=behavior))
         if ref is None:
             ref_probs = probs
         else:
@@ -463,6 +462,133 @@ def sample_episode(
         values=tuple(values),
         selected=frozenset(a for a in actions if a != STOP),
     )
+
+
+# ---------------------------------------------------------------------------
+# Greedy decoding
+
+@dataclass(frozen=True)
+class GreedyDecode:
+    """Greedy selections, in input order, and how they were reached:
+    ``steps`` decode steps over all instances (each STOP included), of which
+    ``exact_steps`` were settled by the per-instance arithmetic."""
+
+    selected: list[frozenset[int]]
+    steps: int
+    exact_steps: int
+
+
+def _gamma(n: int) -> float:
+    """The standard bound n·u / (1 - n·u), u = 2**-53, on the relative
+    rounding error of an n-term dot product, in any summation order."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
+
+
+# The step distribution's exp and division can give two probabilities the
+# same value when their scores differ by less than about 2**-50; a lead of
+# more than this keeps the top slot the distribution's unique argmax.
+_TIE_MARGIN = 2.0**-48
+
+
+def _exact_pick(params: PolicyParams, q: np.ndarray, v: np.ndarray,
+                allowed: np.ndarray, rank: np.ndarray) -> int:
+    """The slot a per-instance walk picks: the argmax of ``step_distribution``
+    over the remaining candidates in ascending order, with the history mean
+    taken over the selected candidates in selection order."""
+    n = v.shape[0]
+    remaining = np.flatnonzero(allowed[:n])
+    chosen = np.flatnonzero(rank >= 0)
+    chosen = chosen[np.argsort(rank[chosen])]
+    history = v[chosen].mean(axis=0) if chosen.size else np.zeros(params.dim)
+    # q copied into its own array, as the walk's is, in case BLAS rounds by alignment
+    pick = int(np.argmax(step_distribution(params, q.copy(), history, v[remaining])))
+    return n if pick == remaining.size else int(remaining[pick])
+
+
+def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> GreedyDecode:
+    """Greedy decode of many instances, stepped together.
+
+    The result is what walking each instance on its own gives when every
+    step takes the argmax of ``step_distribution`` (ties to the lowest
+    action index) and STOP ends the episode.  Instances are sorted by
+    candidate count and cut into ``chunks``; each chunk is embedded once and
+    stepped as one masked ``(B, N + 1)`` score array with STOP in the last
+    slot, and instances that stop leave the working arrays.
+
+    The batched products round differently from that walk's (BLAS rounds a
+    column differently depending on the shape of the call).  So the batched
+    argmax stands only when it leads every other allowed slot by more than
+    both paths' rounding error plus ``_TIE_MARGIN``.  The error of a score
+    x . y is bounded by γₙ·|x|·|y|, here taken through ‖|x|‖·‖y‖ for the
+    candidates, with the history mean's own rounding covered by the mean of
+    the selected candidates' magnitudes.  Otherwise, as on a real tie, that
+    instance's step is settled by ``step_distribution`` itself
+    (``_exact_pick``), which also raises ``NumericalError`` for non-finite
+    scores.
+    """
+    if not encs:
+        return GreedyDecode([], 0, 0)
+    order = sorted(range(len(encs)), key=lambda i: encs[i].n_candidates)
+    ordered = [encs[i] for i in order]
+    selected: list[frozenset[int]] = [frozenset()] * len(encs)
+    steps = exact_steps = 0
+    abs_score_h = np.abs(params.score_h)
+    abs_stop_h = np.abs(params.stop_h)
+    for run in chunks(ordered):
+        _, q, v = _embed_padded(params, ordered[run])
+        batch, n, dim = v.shape
+        live = np.arange(run.start, run.stop)  # positions in ``order``
+        # both paths' error: 2·dim + 2 terms per score, n for the history
+        # mean, and 2 for the norms and the comparison below
+        slack = 2.0 * _gamma(2 * dim + 4 + n)
+        allowed = np.zeros((batch, n + 1), dtype=bool)
+        allowed[:, :n] = np.arange(n) < np.array([enc.n_candidates for enc in ordered[run]])[:, None]
+        allowed[:, n] = True
+        rank = np.full((batch, n), -1)  # selection order of each picked candidate
+        picked = np.zeros(batch, dtype=np.intp)
+        h_sum = np.zeros((batch, dim))
+        h_abs = np.zeros((batch, dim))  # sum of the selected candidates' magnitudes
+        v_norm = np.sqrt(np.einsum("bnd,bnd->bn", v, v))
+        qw = q @ params.score_q
+        qw_abs = np.abs(q) @ np.abs(params.score_q)
+        q_stop = q @ params.stop_q
+        q_stop_abs = np.abs(q) @ np.abs(params.stop_q) + abs(params.stop_b[0])
+        while live.size:
+            rows = np.arange(live.size)
+            denom = np.maximum(picked, 1)[:, None]
+            h, h_bound = h_sum / denom, h_abs / denom
+            raw = np.empty((live.size, n + 1))
+            raw[:, :n] = (v @ (qw + h @ params.score_h)[:, :, None])[..., 0]
+            raw[:, n] = q_stop + h @ params.stop_h + params.stop_b[0]
+            bound = np.empty((live.size, n + 1))
+            bound[:, :n] = v_norm * np.linalg.norm(qw_abs + h_bound @ abs_score_h, axis=1)[:, None]
+            bound[:, n] = q_stop_abs + h_bound @ abs_stop_h
+            bound *= slack
+            top = np.where(allowed, raw, -np.inf).argmax(axis=1)
+            rivals = np.where(allowed, raw + bound, -np.inf)
+            rivals[rows, top] = -np.inf
+            clear = raw[rows, top] - bound[rows, top] - rivals.max(axis=1) > _TIE_MARGIN
+            clear &= np.isfinite(raw).all(axis=1)  # else the exact step raises
+            for i in np.flatnonzero(~clear):
+                top[i] = _exact_pick(params, q[i], v[i], allowed[i], rank[i])
+            steps += live.size
+            exact_steps += live.size - int(clear.sum())
+
+            go = top < n
+            rows, cols = rows[go], top[go]
+            allowed[rows, cols] = False
+            rank[rows, cols] = picked[rows]
+            picked[rows] += 1
+            h_sum[rows] += v[rows, cols]
+            h_abs[rows] += np.abs(v[rows, cols])
+            if not go.all():
+                for i in np.flatnonzero(~go):
+                    selected[order[live[i]]] = frozenset(np.flatnonzero(rank[i] >= 0).tolist())
+                (live, q, v, v_norm, qw, qw_abs, q_stop, q_stop_abs, allowed, rank, picked,
+                 h_sum, h_abs) = (a[go] for a in (live, q, v, v_norm, qw, qw_abs, q_stop,
+                                                  q_stop_abs, allowed, rank, picked, h_sum, h_abs))
+    return GreedyDecode(selected, steps, exact_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +674,10 @@ class Forward:
 
 def forward(params: PolicyParams, episodes: Sequence[Episode]) -> Forward:
     """Unmasked step distributions, log-probs, entropies and values of a minibatch."""
-    n_max = max(ep.enc.n_candidates for ep in episodes)
+    layout, q, v = _embed_padded(params, [ep.enc for ep in episodes])
+    n_max = v.shape[1]
     t_max = max(ep.steps for ep in episodes)
     batch = len(episodes)
-    width = 1 + n_max
-    layout = _token_layout([ep.enc for ep in episodes], np.arange(batch) * width, batch * width)
-    encoded = _segment_means(params.emb, layout).reshape(batch, width, params.dim)
-    q, v = encoded[:, 0], encoded[:, 1:]
 
     steps = np.array([ep.steps for ep in episodes])
     valid = np.arange(t_max) < steps[:, None]
@@ -649,22 +772,24 @@ def backward(
     _scatter_segment_grads(grads["emb"], fw.layout, d_means.reshape(-1, dim))
 
 
-def chunks(episodes: Sequence[Episode]) -> list[slice]:
-    """Consecutive runs of a minibatch to pass to ``forward`` one at a time.
+def chunks(encs: Sequence[EncodedInstance]) -> list[slice]:
+    """Consecutive runs of instances to pass to ``forward`` (or to step in
+    ``greedy_decode``) one at a time.
 
     Each run pads to at most ``_SEGMENT_BLOCK`` encodings (or holds a single
-    episode), which bounds the memory of ``forward``/``backward`` whatever
-    the table size; a minibatch of short tables is one run.
+    instance), which bounds the memory of ``forward``/``backward`` and of
+    the greedy stepper whatever the table size; a minibatch of short tables
+    is one run.
     """
     runs = []
     start = width = 0
-    for i, ep in enumerate(episodes):
-        need = 1 + ep.enc.n_candidates
+    for i, enc in enumerate(encs):
+        need = 1 + enc.n_candidates
         if i > start and (i + 1 - start) * max(width, need) > _SEGMENT_BLOCK:
             runs.append(slice(start, i))
             start, width = i, 0
         width = max(width, need)
-    runs.append(slice(start, len(episodes)))
+    runs.append(slice(start, len(encs)))
     return runs
 
 
@@ -684,7 +809,7 @@ def sft_loss_and_grad(
     episodes = [item if isinstance(item, Episode) else build_episode(*item) for item in batch]
     grads = zero_grads(params)
     total = 0.0
-    for run in chunks(episodes):
+    for run in chunks([ep.enc for ep in episodes]):
         fw = forward(params, episodes[run])
         total += float(fw.logps.sum())
         backward(params, fw, grads, logp_coef=np.where(fw.valid, -1.0 / len(batch), 0.0))
@@ -742,7 +867,7 @@ def ppo_loss_and_grad(
     pol_sum = val_sum = ent_sum = ratio_sum = 0.0
     clipped = 0
 
-    for run in chunks([ex.episode for ex in batch]):
+    for run in chunks([ex.enc for ex in batch]):
         part = batch[run]
         fw = forward(params, [ex.episode for ex in part])
         old_logps = fw.pad([ex.old_logps for ex in part])

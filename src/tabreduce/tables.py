@@ -170,14 +170,18 @@ def format_cell(cell: Cell) -> str:
 
 
 _NEEDS_QUOTES = re.compile(r'[,()"]')
+_ROW_ANCHOR = re.compile(r"(Row\d+:) ")
 
 
 def quote_if_needed(text: str) -> str:
     """Double-quote text whose ``,``, ``(``, ``)`` or ``"`` would break the
-    pair format; a ``"`` inside quotes is written as ``""``."""
-    if _NEEDS_QUOTES.search(text) is None:
+    pair format, or that holds a row anchor ``Row{i}: ``; a ``"`` inside
+    quotes is written as ``""``.  An anchor's space is written between two
+    quoted runs (``"see Row3:" "x"``), so no cell or header text contains
+    an anchor at which a reader would cut the rows."""
+    if _NEEDS_QUOTES.search(text) is None and ("Row" not in text or _ROW_ANCHOR.search(text) is None):
         return text
-    return '"' + text.replace('"', '""') + '"'
+    return _ROW_ANCHOR.sub(r'\1" "', '"' + text.replace('"', '""') + '"')
 
 
 def count_tokens(text: str) -> int:

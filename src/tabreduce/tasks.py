@@ -2,7 +2,10 @@
 
 The column policy points at headers; the row policy points at rows rendered
 over an already-reduced column set (gold columns by default, predicted ones
-when chaining stages).
+when chaining stages).  Greedy reductions and recall go through
+``policy.greedy_decode``, which steps many encoded instances together;
+training encodes its validation instances once (``labeled_encodings``) and
+scores them with ``greedy_recall`` at every evaluation.
 """
 
 from __future__ import annotations
@@ -84,6 +87,22 @@ def encode(
     )
 
 
+def labeled_encodings(
+    vocab: policy.Vocabulary,
+    instances: Sequence[Instance],
+    target: str,
+) -> tuple[list[policy.EncodedInstance], list[frozenset[int]]]:
+    """Encodings and gold items of the instances with gold labels for the target."""
+    encs: list[policy.EncodedInstance] = []
+    golds: list[frozenset[int]] = []
+    for inst in instances:
+        gold = gold_items(inst, target)
+        if gold is not None:
+            encs.append(encode(vocab, inst, target))
+            golds.append(gold)
+    return encs, golds
+
+
 def greedy_reduction(
     params: policy.PolicyParams,
     instance: Instance,
@@ -92,8 +111,20 @@ def greedy_reduction(
 ) -> frozenset[int]:
     """Deterministic reduction: greedy decode of the policy."""
     enc = encode(params.vocab, instance, target, context_columns)
-    trace = policy.sample_episode(policy.embed(params, [enc])[0], mode="greedy")
-    return trace.selected
+    return policy.greedy_decode(params, [enc]).selected[0]
+
+
+def greedy_recall(
+    params: policy.PolicyParams,
+    encs: Sequence[policy.EncodedInstance],
+    golds: Sequence[frozenset[int]],
+) -> float:
+    """Macro-averaged recall of the greedy reductions of encoded instances."""
+    predicted = policy.greedy_decode(params, encs).selected
+    recalls = [metrics.item_recall(pred, gold)[0] for pred, gold in zip(predicted, golds)]
+    # np.mean, not the sum/n of metrics' reports: the two can differ in the
+    # last bit, and this value is recorded in metrics.jsonl
+    return float(np.mean(recalls)) if recalls else 0.0
 
 
 def evaluate_recall(
@@ -102,12 +133,4 @@ def evaluate_recall(
     target: str,
 ) -> float:
     """Macro-averaged recall of greedy reductions against gold labels."""
-    recalls = []
-    for inst in instances:
-        gold = gold_items(inst, target)
-        if gold is None:
-            continue
-        recalls.append(metrics.item_recall(greedy_reduction(params, inst, target), gold)[0])
-    # np.mean, not the sum/n of metrics' reports: the two can differ in the
-    # last bit, and this value is recorded in metrics.jsonl
-    return float(np.mean(recalls)) if recalls else 0.0
+    return greedy_recall(params, *labeled_encodings(params.vocab, instances, target))

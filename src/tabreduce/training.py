@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +36,21 @@ from .rewards import RewardConfig, shaped_reward, task_reward
 from .tables import Instance
 
 
+def _check_field_types(config) -> None:
+    """``ConfigError`` unless each ``int`` field holds an integer and each
+    ``float`` field a finite number (a bool is neither)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        else:
+            ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                  and math.isfinite(value))
+        if not ok:
+            kind = "an integer" if f.type == "int" else "a finite number"
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SftConfig:
     epochs: int = 15
@@ -43,6 +59,7 @@ class SftConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if self.epochs < 1 or self.minibatch < 1:
             raise ConfigError("epochs and minibatch must be >= 1")
         if self.learning_rate <= 0:
@@ -68,6 +85,7 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ConfigError("clip_epsilon must be in (0, 1)")
         if not 0.0 < self.top_p <= 1.0:
@@ -163,13 +181,9 @@ def train_sft(
         raise ConfigError("no trainable instances for SFT")
     _prepare_run_dir(run_dir, cfg)
 
-    examples = []
-    for inst in train:
-        gold = tasks.gold_items(inst, target)
-        assert gold is not None
-        examples.append(
-            policy.build_episode(tasks.encode(params.vocab, inst, target), tasks.gold_actions(gold))
-        )
+    encs, golds = tasks.labeled_encodings(params.vocab, train, target)
+    examples = [policy.build_episode(enc, tasks.gold_actions(gold)) for enc, gold in zip(encs, golds)]
+    valid_encs, valid_golds = tasks.labeled_encodings(params.vocab, valid, target)
 
     rng = np.random.default_rng(cfg.seed)
     adam = Adam(params, cfg.learning_rate)
@@ -186,7 +200,7 @@ def train_sft(
             loss, grads = policy.sft_loss_and_grad(params, batch)
             adam.step(params, grads)
             losses.append(loss)
-        recall = tasks.evaluate_recall(params, valid, target) if valid else float("nan")
+        recall = tasks.greedy_recall(params, valid_encs, valid_golds) if valid else float("nan")
         record = {
             "epoch": epoch,
             "loss": float(np.mean(losses)),
@@ -279,7 +293,7 @@ def warm_start_value_head(
         for enc, trace in zip(rollout.encs, rollout.traces)
     ]
     features: list[np.ndarray] = []
-    for run in policy.chunks(episodes):
+    for run in policy.chunks(rollout.encs):
         fw = policy.forward(state.current, episodes[run])
         q = np.broadcast_to(fw.q[:, None, :], fw.h.shape)
         ones = np.ones(fw.h.shape[:2] + (1,))
@@ -321,9 +335,7 @@ def collect_rollouts(
         reference = policy.embed(state.reference, encs)
     for idx in indices:
         enc = encs[idx]
-        trace = policy.sample_episode(
-            current[idx], reference[idx], mode="sample", top_p=cfg.top_p, rng=state.rng,
-        )
+        trace = policy.sample_episode(current[idx], reference[idx], top_p=cfg.top_p, rng=state.rng)
         trace = trace.with_task_reward(reward_fn(trace.selected, golds[idx]))
         chosen_encs.append(enc)
         traces.append(trace)
@@ -432,12 +444,8 @@ def train_rl(
         rcfg = RewardConfig()
         reward_fn = lambda selected, gold: task_reward(selected, gold, rcfg).task_reward
 
-    encs = [tasks.encode(initial.vocab, inst, target) for inst in train]
-    golds = []
-    for inst in train:
-        gold = tasks.gold_items(inst, target)
-        assert gold is not None
-        golds.append(gold)
+    encs, golds = tasks.labeled_encodings(initial.vocab, train, target)
+    valid_encs, valid_golds = tasks.labeled_encodings(initial.vocab, valid, target)
 
     state = TrainState(
         current=initial.copy(),
@@ -476,7 +484,7 @@ def train_rl(
             record["error"] = "numerical_rollback"
 
         if valid and (iteration % cfg.eval_every == 0 or iteration == cfg.iterations):
-            recall = tasks.evaluate_recall(state.current, valid, target)
+            recall = tasks.greedy_recall(state.current, valid_encs, valid_golds)
             record["valid_recall"] = recall
             if recall >= best_recall:
                 best_recall = recall

@@ -14,6 +14,11 @@ ALLOWED = {
     "annotate.annotate_columns",  # single-target labelers that the annotator
     "annotate.annotate_rows",  # acceptance tests (test_01, test_02) call
     "policy.grad_check",  # finite-difference check of the hand-written gradients
+    # greedy decoding on instances that are not yet encoded; the pipeline
+    # encodes once and calls policy.greedy_decode, acceptance tests test_07,
+    # test_08 and test_10 call these
+    "tasks.evaluate_recall",
+    "tasks.greedy_reduction",
 }
 
 

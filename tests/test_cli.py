@@ -142,8 +142,10 @@ class TestTraining:
             ('{"epoch": 2}', "unknown config key 'epoch'"),
             ('{"epochs": 2', "invalid JSON config"),
             ("[2]", "config must be a JSON object"),
+            ('{"learning_rate": null}', "learning_rate must be a finite number, got None"),
+            ('{"seed": "0"}', "seed must be an integer, got '0'"),
         ],
-        ids=["unknown-key", "invalid-json", "not-an-object"],
+        ids=["unknown-key", "invalid-json", "not-an-object", "null-value", "string-seed"],
     )
     def test_bad_config_is_one_error_line(self, pipeline, tmp_path, capsys, stage, text, message):
         root, data, sft_dir = pipeline
@@ -190,6 +192,13 @@ class TestEvalAndReduce:
         assert report["recall"] == pytest.approx(expected)
         assert report["format_version"] == metrics.REPORT_FORMAT_VERSION
         assert "micro_recall" in report
+        usable = tasks.trainable(instances, "columns")
+        predicted = [tasks.greedy_reduction(params, inst, "columns") for inst in usable]
+        summary = json.loads((tmp_path / "report.json.manifest.json").read_text())["summary"]
+        assert summary["instances"] == len(usable) == report["count"]
+        assert summary["columns_kept"] == sum(map(len, predicted))
+        assert summary["decode_steps"] == sum(len(p) + 1 for p in predicted)
+        assert 0 <= summary["exact_steps"] <= summary["decode_steps"]
 
     def test_eval_reduce_rejects_target_mismatch(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline
@@ -212,7 +221,7 @@ class TestEvalAndReduce:
         assert run(argv + ["--target", "columns"]) == 0
         assert json.loads(report_path.read_text())["target"] == "columns"
 
-    def test_reduce_chains_predictions(self, pipeline, tmp_path):
+    def test_reduce_chains_predictions(self, pipeline, tmp_path, monkeypatch):
         root, data, sft_dir = pipeline
         row_dir = tmp_path / "sft-rows"
         assert run([
@@ -227,6 +236,33 @@ class TestEvalAndReduce:
         instances, _ = dataio.load_dataset(reduced)
         assert all("predicted_columns" in i.extra for i in instances)
         assert all("predicted_rows" in i.extra for i in instances)
+
+        # the same predictions as one instance at a time, whatever the grouping
+        col_params, _ = policy.load_params(sft_dir / "model.json")
+        row_params, _ = policy.load_params(row_dir / "model.json")
+        steps = 0
+        for inst in instances:
+            cols = tasks.greedy_reduction(col_params, inst, "columns")
+            rows = tasks.greedy_reduction(row_params, inst, "rows", cols) if cols else frozenset()
+            assert inst.extra["predicted_columns"] == sorted(cols)
+            assert inst.extra["predicted_rows"] == sorted(rows)
+            steps += len(cols) + 1 + (len(rows) + 1 if cols else 0)
+        summary = json.loads((tmp_path / "reduced.jsonl.manifest.json").read_text())["summary"]
+        assert summary["instances"] == len(instances)
+        assert summary["columns_kept"] == sum(len(i.extra["predicted_columns"]) for i in instances)
+        assert summary["rows_kept"] == sum(len(i.extra["predicted_rows"]) for i in instances)
+        assert summary["decode_steps"] == steps
+        monkeypatch.setattr(cli, "_REDUCE_GROUP_ROWS", 7)
+        regrouped = tmp_path / "regrouped.jsonl"
+        assert run([
+            "reduce", "--data", str(data), "--col-model", str(sft_dir / "model.json"),
+            "--row-model", str(row_dir / "model.json"), "--out", str(regrouped),
+        ]) == 0
+        assert regrouped.read_bytes() == reduced.read_bytes()
+        regrouped_summary = json.loads((tmp_path / "regrouped.jsonl.manifest.json").read_text())
+        # which steps need the exact path depends on the chunk a step ran in
+        for key in ("instances", "columns_kept", "rows_kept", "decode_steps"):
+            assert regrouped_summary["summary"][key] == summary[key]
 
     def test_reduce_rejects_swapped_models(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline

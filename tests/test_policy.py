@@ -21,6 +21,7 @@ from tabreduce.policy import (
     finite_difference_error,
     forward,
     grad_check,
+    greedy_decode,
     init_params,
     load_params,
     ppo_loss_and_grad,
@@ -183,8 +184,11 @@ class TestEpisodes:
     def test_greedy_tie_break_takes_candidate_then_stop(self):
         vocab, enc = tiny_enc(1)
         params = PolicyParams.zeros(vocab, 4)
-        trace = sample(params, enc, mode="greedy")
-        assert trace.actions == (0, STOP)
+        decoded = greedy_decode(params, [enc])
+        # candidate and STOP tie, so the candidate's lower slot wins; then
+        # only STOP is left
+        assert decoded.selected == [frozenset({0})]
+        assert (decoded.steps, decoded.exact_steps) == (2, 1)
 
     def test_seeded_sampling_reproducible(self):
         vocab, enc = tiny_enc(3)

@@ -8,7 +8,8 @@ step, and the two losses looped over episodes.  The batched forward/backward
 sums in another order, so losses, gradients and per-step quantities must
 agree to 1e-10 relative (to the largest magnitude of each array).  Sampling
 still walks episodes step by step over the same encodings, so its traces must
-be bit-identical.
+be bit-identical.  The greedy stepper decodes many instances together and
+must select exactly what the oracle's greedy walk selects, ties included.
 """
 
 from __future__ import annotations
@@ -508,9 +509,8 @@ def test_sample_episode_bit_identical(seed):
                 assert got == oracle_sample_episode(params, reference, enc, top_p=top_p, rng=rng_old)
             # the generators made the same calls
             assert rng_new.random() == rng_old.random()
-        trace = policy.sample_episode(current[k], mode="greedy")
-        got = (trace.actions, trace.logp_pi, trace.logp_ref, trace.values, trace.selected)
-        assert got == oracle_sample_episode(params, None, enc, mode="greedy")
+    greedy = policy.greedy_decode(params, encs).selected
+    assert greedy == [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
 
 
 @pytest.mark.parametrize("target", [tasks.TARGET_COLUMNS, tasks.TARGET_ROWS])
@@ -527,3 +527,48 @@ def test_greedy_reduction_bit_identical(target):
         enc = tasks.encode(vocab, inst, target, context)
         expected = oracle_sample_episode(params, None, enc, mode="greedy")[-1]
         assert tasks.greedy_reduction(params, inst, target, context) == expected
+
+
+def tie_prone_instances(rng, count: int) -> list[EncodedInstance]:
+    """Mixed sizes, from zero candidates to 160, rich in ties: some
+    candidates are exact copies of another and some hold the same tokens in
+    another order, so their encodings are equal or differ in the last bits."""
+    tokens = lambda k: tuple(int(t) for t in rng.integers(0, VOCAB.size, size=k))
+    sizes = rng.choice([0, 1, 2, 5, 12, 30, 160], p=[0.08, 0.1, 0.12, 0.3, 0.25, 0.13, 0.02],
+                       size=count)
+    instances = []
+    for n in sizes:
+        candidates = [tokens(int(rng.integers(0, 9))) for _ in range(n)]
+        for _ in range(int(rng.integers(0, 6)) if n >= 2 else 0):
+            a, b = rng.choice(n, 2, replace=False)
+            copy = candidates[a] if rng.random() < 0.4 else rng.permutation(candidates[a])
+            candidates[b] = tuple(int(t) for t in copy)
+        instances.append(EncodedInstance(tokens(int(rng.integers(0, 7))), tuple(candidates)))
+    return instances
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 16, 64])
+def test_greedy_decode_matches_per_step_walk(dim):
+    rng = np.random.default_rng(dim)
+    params = random_params(dim, dim)
+    exact_steps = stop_first = 0
+    for _ in range(5):
+        encs = tie_prone_instances(rng, 80)
+        decoded = policy.greedy_decode(params, encs)
+        expected = [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
+        assert decoded.selected == expected
+        assert decoded.steps == sum(len(sel) + 1 for sel in expected)
+        exact_steps += decoded.exact_steps
+        stop_first += sum(1 for enc, sel in zip(encs, expected) if enc.n_candidates and not sel)
+    # the ties reached the per-instance arithmetic, and some instances with
+    # candidates stopped at once
+    assert exact_steps > 0
+    assert stop_first > 0
+
+
+def test_greedy_decode_non_finite_scores_raise():
+    params = random_params(2)
+    params.score_q[0, 0] = np.inf
+    encs = [enc for enc, _ in mixed_batch(2)]
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        policy.greedy_decode(params, encs)

@@ -3,7 +3,9 @@ against the per-row and per-character code they replaced.
 
 The oracles below are that code, kept as it was apart from the quoting rule:
 ``"`` is quoted as well as ``,``, ``(`` and ``)``, which is the bug fix that
-went in with the renderer.
+went in with the renderer, and text holding a row anchor ``Row{i}: `` is
+quoted with the anchor's space between two quoted runs, so that a reader
+cutting the prompt at anchors never cuts inside a cell.
 """
 
 import math
@@ -28,8 +30,9 @@ from tabreduce.tables import (
 
 
 def oracle_quote(text):
-    if any(ch in text for ch in ',()"'):
-        return '"' + text.replace('"', '""') + '"'
+    if any(ch in text for ch in ',()"') or re.search(r"Row\d+: ", text):
+        quoted = '"' + text.replace('"', '""') + '"'
+        return re.sub(r"(Row\d+:) ", r'\1" "', quoted)
     return text
 
 
@@ -247,3 +250,33 @@ def test_parse_prompt_table_matches_oracle(seed):
             assert same_table(
                 llm.parse_prompt_table(prompt, budget), oracle_parse_prompt_table(prompt, budget)
             ), (prompt, budget)
+
+
+ANCHOR_TEXTS = ["see Row3: x", "Row12: ", "a, Row1: (b)", 'Row2: "q"', "xRow0: y", "Row4: Row5: z",
+                'Row6: ""', "Row7:x"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cells_holding_row_anchors_read_back(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(100):
+        table = random_table(rng)
+        headers = tuple(rng.choice(ANCHOR_TEXTS) + str(c) if rng.random() < 0.3 else h
+                        for c, h in enumerate(table.columns))
+        rows = tuple(tuple(rng.choice(ANCHOR_TEXTS) if rng.random() < 0.3 else cell for cell in row)
+                     for row in table.rows)
+        table = Table(headers, rows)
+        prompt = llm.QA_PROMPT_TEMPLATE.format(
+            question="q?", context=linearize_rows(table, range(table.n_columns)).text
+        )
+        expected = Table(headers, tuple(
+            tuple(llm._parse_cell(format_cell(cell)) for cell in row) for row in rows
+        )) if rows else None
+        assert same_table(llm.parse_prompt_table(prompt), expected), prompt
+
+
+def test_cell_holding_row_anchor_keeps_both_rows():
+    table = Table(("note", "n"), (("see Row3: x", 1), ("plain", 2)))
+    text = linearize_rows(table, {0, 1}).text
+    assert text == 'Row0: (note,"see Row3:" "x"), (n,1) Row1: (note,plain), (n,2)'
+    assert llm.parse_prompt_table(text) == table

@@ -112,7 +112,7 @@ class TestShapedReward:
         vocab = policy.build_vocabulary(["q", "a", "b"])
         params = policy.init_params(vocab, 4, seed=0)
         enc = policy.encode_instance(vocab, "q", ["a", "b"])
-        trace = policy.sample_episode(policy.embed(params, [enc])[0], mode="greedy")
+        trace = policy.sample_episode(policy.embed(params, [enc])[0], rng=np.random.default_rng(0))
         rewards = shaped_reward(bad, trace.logp_pi, trace.logp_ref, 0.1)
         assert not np.all(np.isfinite(rewards))
         rollout = training.Rollout([enc], [trace], [rewards], beta=0.1)

@@ -58,6 +58,26 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             PpoConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "config_cls, kwargs, message",
+        [
+            (SftConfig, {"epochs": "2"}, "epochs must be an integer"),
+            (SftConfig, {"learning_rate": None}, "learning_rate must be a finite number"),
+            (SftConfig, {"seed": "0"}, "seed must be an integer"),
+            (SftConfig, {"minibatch": 2.0}, "minibatch must be an integer"),
+            (PpoConfig, {"iterations": True}, "iterations must be an integer"),
+            (PpoConfig, {"top_p": "0.9"}, "top_p must be a finite number"),
+            (PpoConfig, {"learning_rate": float("nan")}, "learning_rate must be a finite number"),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, config_cls, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            config_cls(**kwargs)
+
+    def test_numeric_kinds_accepted(self):
+        assert SftConfig(epochs=np.int64(2), learning_rate=1).epochs == 2
+        assert PpoConfig(top_p=np.float64(0.5), seed=np.int32(3)).top_p == 0.5
+
 
 class TestUpdateBeta:
     def test_on_target_unchanged(self):
