@@ -12,12 +12,17 @@ means of token embeddings; ``h`` is the zero vector before anything is
 selected.  A linear value head ``q . vq + h . vh + vb`` shares the
 embeddings.
 
-Encodings are segment means computed for many instances at once
-(``embed``).  Sampling (``sample_episode``) walks one episode step by step
-over precomputed encodings.  Greedy decoding (``greedy_decode``) steps many
-instances together as padded score arrays, and settles near-ties with the
-per-instance ``step_distribution`` so that its selections are exactly those
-of a per-instance greedy walk.  Training never walks episodes: a fixed action
+Encodings are segment means: each instance gets a matrix of its segments'
+token counts over its distinct tokens, divided by the segment lengths, and
+its encodings are that matrix times the rows of those tokens in the
+embedding table (``embed``); the gradient goes back through the transposed
+product.  The matrices are built per instance, so an instance encodes the
+same whatever it is batched with.  Sampling (``sample_episode``) walks one
+episode step by step over precomputed encodings.  Greedy decoding
+(``greedy_decode``) steps many instances together as padded score arrays,
+and settles near-ties with the per-instance ``step_distribution`` so that
+its selections are exactly those of a per-instance greedy walk over the
+same encodings.  Training never walks episodes: a fixed action
 sequence becomes an ``Episode`` (per step, the available candidates and the
 history-mean weights ``W``, so ``h = W @ v``), built once per example, and
 ``forward`` replays a whole minibatch of them as padded ``(B, T, N + 1)``
@@ -87,7 +92,12 @@ def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
 
 @dataclass(frozen=True)
 class EncodedInstance:
-    """Tokenized question and candidate texts, ready for the policy."""
+    """Tokenized question and candidate texts, ready for the policy.
+
+    The policy reads them as ``segments``, from which each batch builds the
+    instance's count matrix (``_count_matrices``); nothing of the batch
+    enters it.
+    """
 
     question_ids: tuple[int, ...]
     candidate_ids: tuple[tuple[int, ...], ...]
@@ -97,13 +107,13 @@ class EncodedInstance:
         return len(self.candidate_ids)
 
     @cached_property
-    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat token ids, and each segment's first-token offset and length;
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat token ids in segment order and each segment's length;
         segment 0 is the question and segment 1 + j candidate j."""
         parts = (self.question_ids, *self.candidate_ids)
         lengths = np.array([len(p) for p in parts], dtype=np.intp)
         ids = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=int(lengths.sum()))
-        return ids, np.cumsum(lengths) - lengths, lengths
+        return ids, lengths
 
 
 def encode_instance(vocab: Vocabulary, question: str, candidate_texts: Sequence[str]) -> EncodedInstance:
@@ -237,64 +247,56 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
 # ---------------------------------------------------------------------------
 # Encodings
 
-# Segments per block of ``_segment_means`` and per ``forward`` or
-# ``greedy_decode`` chunk, and tokens per block of ``_scatter_segment_grads``:
-# they bound the (rows, dim) arrays, so a minibatch of long tables needs
-# little more memory than one of short tables.
+# Segments per ``forward``, ``greedy_decode`` or ``embed`` chunk: they bound
+# the padded (segments, dim) arrays and the chunk's count matrices, so a
+# minibatch of long tables needs little more memory than one of short tables.
 _SEGMENT_BLOCK = 1024
-_TOKEN_BLOCK = 512
 
 
-def _token_layout(
-    encs: Sequence[EncodedInstance], bases: Sequence[int], n_segments: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat token ids plus each segment's first-token offset and length.
+def _count_matrices(encs: Sequence[EncodedInstance]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per instance, its distinct token ids ``u`` (ascending) and the
+    ``(1 + n_candidates, len(u))`` matrix ``C`` whose entry ``C[s, k]`` is
+    the count of token ``u[k]`` in segment s divided by that segment's
+    length.  The segment means are ``C @ emb[u]`` (an empty segment's is
+    zero), and ``C.T @ d_means`` is their gradient with respect to
+    ``emb[u]``.
 
-    Instance b's question is segment ``bases[b]`` and its candidate j is
-    segment ``bases[b] + 1 + j``; segments no instance fills are empty.
-    Tokens are laid out in segment order.
+    One sort and one count serve all of ``encs``, but each ``C`` comes from
+    its own instance alone, so an instance encodes bit for bit the same in
+    any batch: a ``u`` shared across the batch would change the products'
+    inner dimension, and with it their rounding.  ``C`` is dense, so its
+    size grows with the distinct tokens of the instance, which the
+    vocabulary bounds (at most about 130 tokens for every model the
+    benchmark builds).
     """
-    starts = np.zeros(n_segments, dtype=np.intp)
-    lengths = np.zeros(n_segments, dtype=np.intp)
-    ids = []
-    offset = 0
-    for base, enc in zip(bases, encs):
-        tok_ids, tok_starts, tok_lengths = enc.segments
-        starts[base : base + tok_lengths.size] = offset + tok_starts
-        lengths[base : base + tok_lengths.size] = tok_lengths
-        ids.append(tok_ids)
-        offset += tok_ids.size
-    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.intp)
-    return flat, starts, lengths
-
-
-def _segment_means(emb: np.ndarray, layout) -> np.ndarray:
-    """(n_segments, dim) means of token embeddings; empty segments are zero.
-
-    Tokens are added in order, one position per pass, so each mean is
-    bit-identical to ``emb[ids].mean(axis=0)``.
-    """
-    ids, starts, lengths = layout
-    means = np.zeros((lengths.size, emb.shape[1]))
-    for lo in range(0, lengths.size, _SEGMENT_BLOCK):
-        block = means[lo : lo + _SEGMENT_BLOCK]
-        block_starts = starts[lo : lo + _SEGMENT_BLOCK]
-        block_lengths = lengths[lo : lo + _SEGMENT_BLOCK]
-        for k in range(int(block_lengths.max(initial=0))):
-            alive = np.flatnonzero(block_lengths > k)
-            block[alive] += emb[ids[block_starts[alive] + k]]
-        block /= np.maximum(block_lengths, 1)[:, None]
-    return means
-
-
-def _scatter_segment_grads(grad_emb: np.ndarray, layout, d_means: np.ndarray) -> None:
-    """Add the gradient of the segment means ``d_means`` to ``grad_emb``."""
-    ids, _, lengths = layout
-    segment_of = np.repeat(np.arange(lengths.size), lengths)
-    for lo in range(0, ids.size, _TOKEN_BLOCK):
-        segments = segment_of[lo : lo + _TOKEN_BLOCK]
-        per_token = d_means[segments] / lengths[segments, None]
-        np.add.at(grad_emb, ids[lo : lo + _TOKEN_BLOCK], per_token)
+    if not encs:
+        return []
+    segments = [enc.segments for enc in encs]
+    ids = np.concatenate([tok_ids for tok_ids, _ in segments])
+    seg_lengths = np.concatenate([lengths for _, lengths in segments])
+    n_segs = np.array([lengths.size for _, lengths in segments])
+    inst_of = np.repeat(np.arange(len(encs)), [tok_ids.size for tok_ids, _ in segments])
+    base = int(ids.max(initial=0)) + 1
+    # distinct (instance, token id) pairs, instance-major; ``column`` places
+    # each token among them
+    keys, column = np.unique(inst_of * base + ids, return_inverse=True)
+    owner, u = np.divmod(keys, base)
+    n_u = np.bincount(owner, minlength=len(encs))
+    u_start = np.cumsum(n_u) - n_u
+    seg_start = np.cumsum(n_segs) - n_segs
+    size = n_segs * n_u
+    offset = np.cumsum(size) - size
+    # instance b's counts fill ``counts[offset[b] : offset[b] + size[b]]`` row-major
+    seg_of = np.repeat(np.arange(seg_lengths.size), seg_lengths) - seg_start[inst_of]
+    counts = np.bincount(
+        offset[inst_of] + seg_of * n_u[inst_of] + column - u_start[inst_of],
+        minlength=int(size.sum()),
+    )
+    divisor = np.maximum(seg_lengths, 1)[:, None]
+    return [
+        (u[k0 : k0 + k], counts[o : o + s * k].reshape(s, k) / divisor[s0 : s0 + s])
+        for k0, k, s0, s, o in zip(*(a.tolist() for a in (u_start, n_u, seg_start, n_segs, offset)))
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,22 +309,23 @@ class Embedded:
 
 
 def _embed_padded(params: PolicyParams, encs: Sequence[EncodedInstance]):
-    """Token layout, (B, dim) question and (B, N, dim) candidate encodings of
-    ``encs`` padded to the most candidates; padded candidates are zero."""
-    width = 1 + max(enc.n_candidates for enc in encs)
-    layout = _token_layout(encs, np.arange(len(encs)) * width, len(encs) * width)
-    encoded = _segment_means(params.emb, layout).reshape(len(encs), width, params.dim)
-    return layout, encoded[:, 0], encoded[:, 1:]
+    """Count matrices, (B, dim) question and (B, N, dim) candidate encodings
+    of ``encs`` padded to the most candidates; padded candidates are zero."""
+    matrices = _count_matrices(encs)
+    encoded = np.zeros((len(encs), 1 + max(enc.n_candidates for enc in encs), params.dim))
+    for b, (u, c) in enumerate(matrices):
+        encoded[b, : c.shape[0]] = c @ params.emb[u]
+    return matrices, encoded[:, 0], encoded[:, 1:]
 
 
 def embed(params: PolicyParams, encs: Sequence[EncodedInstance]) -> list[Embedded]:
-    """Encode many instances together: one segment-mean pass over all of them."""
-    bounds = np.cumsum([0] + [1 + enc.n_candidates for enc in encs])
-    means = _segment_means(params.emb, _token_layout(encs, bounds[:-1], int(bounds[-1])))
-    return [
-        Embedded(params, means[lo], means[lo + 1 : hi])
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    """Encode many instances, one ``chunks`` run of count matrices at a time."""
+    embedded = []
+    for run in chunks(encs):
+        for u, c in _count_matrices(encs[run]):
+            means = c @ params.emb[u]
+            embedded.append(Embedded(params, means[0], means[1:]))
+    return embedded
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +512,13 @@ def _exact_pick(params: PolicyParams, q: np.ndarray, v: np.ndarray,
 def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> GreedyDecode:
     """Greedy decode of many instances, stepped together.
 
-    The result is what walking each instance on its own gives when every
-    step takes the argmax of ``step_distribution`` (ties to the lowest
-    action index) and STOP ends the episode.  Instances are sorted by
-    candidate count and cut into ``chunks``; each chunk is embedded once and
-    stepped as one masked ``(B, N + 1)`` score array with STOP in the last
-    slot, and instances that stop leave the working arrays.
+    The result is what walking each instance on its own, over its ``embed``
+    encodings, gives when every step takes the argmax of
+    ``step_distribution`` (ties to the lowest action index) and STOP ends
+    the episode.  Instances are sorted by candidate count and cut into
+    ``chunks``; each chunk is embedded once and stepped as one masked
+    ``(B, N + 1)`` score array with STOP in the last slot, and instances
+    that stop leave the working arrays.
 
     The batched products round differently from that walk's (BLAS rounds a
     column differently depending on the shape of the call).  So the batched
@@ -536,7 +540,7 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
     abs_score_h = np.abs(params.score_h)
     abs_stop_h = np.abs(params.stop_h)
     for run in chunks(ordered):
-        _, q, v = _embed_padded(params, ordered[run])
+        q, v = _embed_padded(params, ordered[run])[1:]  # the count matrices are not kept
         batch, n, dim = v.shape
         live = np.arange(run.start, run.stop)  # positions in ``order``
         # both paths' error: 2·dim + 2 terms per score, n for the history
@@ -646,7 +650,7 @@ class Forward:
     ``values``.  Everything ``backward`` needs is kept.
     """
 
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray]
+    matrices: list[tuple[np.ndarray, np.ndarray]]  # per episode, (u, C) of _count_matrices
     steps: np.ndarray       # (B,) real steps per episode
     valid: np.ndarray       # (B, T)
     picks: np.ndarray       # (B, T) slot of each taken action
@@ -674,7 +678,7 @@ class Forward:
 
 def forward(params: PolicyParams, episodes: Sequence[Episode]) -> Forward:
     """Unmasked step distributions, log-probs, entropies and values of a minibatch."""
-    layout, q, v = _embed_padded(params, [ep.enc for ep in episodes])
+    matrices, q, v = _embed_padded(params, [ep.enc for ep in episodes])
     n_max = v.shape[1]
     t_max = max(ep.steps for ep in episodes)
     batch = len(episodes)
@@ -709,7 +713,7 @@ def forward(params: PolicyParams, episodes: Sequence[Episode]) -> Forward:
     values = (q @ params.value_q)[:, None] + h @ params.value_h + params.value_b[0]
 
     return Forward(
-        layout=layout, steps=steps, valid=valid, picks=picks, allowed=allowed,
+        matrices=matrices, steps=steps, valid=valid, picks=picks, allowed=allowed,
         weights=weights, q=q, v=v, h=h, u=u, probs=probs, logprobs=logprobs,
         logps=np.where(valid, logps, 0.0),
         entropies=np.where(valid, entropies, 0.0),
@@ -769,17 +773,18 @@ def backward(
         np.concatenate([fw.u, dh], axis=1),
         out=d_means[:, 1:],
     )
-    _scatter_segment_grads(grads["emb"], fw.layout, d_means.reshape(-1, dim))
+    for b, (u, c) in enumerate(fw.matrices):
+        grads["emb"][u] += c.T @ d_means[b, : c.shape[0]]
 
 
 def chunks(encs: Sequence[EncodedInstance]) -> list[slice]:
     """Consecutive runs of instances to pass to ``forward`` (or to step in
-    ``greedy_decode``) one at a time.
+    ``greedy_decode``, or to encode in ``embed``) one at a time.
 
     Each run pads to at most ``_SEGMENT_BLOCK`` encodings (or holds a single
-    instance), which bounds the memory of ``forward``/``backward`` and of
-    the greedy stepper whatever the table size; a minibatch of short tables
-    is one run.
+    instance), which bounds the memory of ``forward``/``backward``, of the
+    greedy stepper and of a run's count matrices whatever the table size; a
+    minibatch of short tables is one run.
     """
     runs = []
     start = width = 0

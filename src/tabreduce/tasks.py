@@ -2,10 +2,10 @@
 
 The column policy points at headers; the row policy points at rows rendered
 over an already-reduced column set (gold columns by default, predicted ones
-when chaining stages).  Greedy reductions and recall go through
+when chaining stages).  Greedy reductions go through
 ``policy.greedy_decode``, which steps many encoded instances together;
-training encodes its validation instances once (``labeled_encodings``) and
-scores them with ``greedy_recall`` at every evaluation.
+recall is ``greedy_recall`` over instances encoded once
+(``labeled_encodings``), as training does at every evaluation.
 """
 
 from __future__ import annotations
@@ -103,17 +103,6 @@ def labeled_encodings(
     return encs, golds
 
 
-def greedy_reduction(
-    params: policy.PolicyParams,
-    instance: Instance,
-    target: str,
-    context_columns: frozenset[int] | None = None,
-) -> frozenset[int]:
-    """Deterministic reduction: greedy decode of the policy."""
-    enc = encode(params.vocab, instance, target, context_columns)
-    return policy.greedy_decode(params, [enc]).selected[0]
-
-
 def greedy_recall(
     params: policy.PolicyParams,
     encs: Sequence[policy.EncodedInstance],
@@ -126,11 +115,3 @@ def greedy_recall(
     # last bit, and this value is recorded in metrics.jsonl
     return float(np.mean(recalls)) if recalls else 0.0
 
-
-def evaluate_recall(
-    params: policy.PolicyParams,
-    instances: Sequence[Instance],
-    target: str,
-) -> float:
-    """Macro-averaged recall of greedy reductions against gold labels."""
-    return greedy_recall(params, *labeled_encodings(params.vocab, instances, target))

@@ -206,7 +206,9 @@ def test_07_sft_learning(splits_2000):
         params, train, valid,
         training.SftConfig(epochs=15, learning_rate=2e-2, seed=0), "columns",
     )
-    recall = tasks.evaluate_recall(best, tasks.trainable(test, "columns"), "columns")
+    recall = tasks.greedy_recall(
+        best, *tasks.labeled_encodings(vocab, tasks.trainable(test, "columns"), "columns")
+    )
     elapsed = time.time() - start
     assert recall >= 0.95
     assert elapsed < 600
@@ -218,7 +220,7 @@ def test_08_rl_improvement(splits_2000):
     train, valid, test = splits_2000
     usable = tasks.trainable(train, "columns")
     vocab = tasks.build_vocab(usable, "columns")
-    test_cols = tasks.trainable(test, "columns")
+    test_cols = tasks.labeled_encodings(vocab, tasks.trainable(test, "columns"), "columns")
     deltas = []
     for seed in range(5):
         rng = np.random.default_rng(1000 + seed)
@@ -228,9 +230,9 @@ def test_08_rl_improvement(splits_2000):
             policy.init_params(vocab, dim=64, seed=seed), degraded, valid,
             training.SftConfig(epochs=12, learning_rate=2e-2, seed=seed), "columns",
         )
-        recall_sft = tasks.evaluate_recall(sft, test_cols, "columns")
+        recall_sft = tasks.greedy_recall(sft, *test_cols)
         rl, _ = training.train_rl(sft, train, valid, training.PpoConfig(seed=seed), "columns")
-        recall_rl = tasks.evaluate_recall(rl, test_cols, "columns")
+        recall_rl = tasks.greedy_recall(rl, *test_cols)
         deltas.append(recall_rl - recall_sft)
     elapsed = time.time() - start
     median = statistics.median(deltas)
@@ -296,26 +298,31 @@ def test_10_length_bucket_stability():
     boundaries = [0] + [int(q) for q in quartiles]
     assignments = metrics.bucket_by_length(test_ok, boundaries)
 
-    def bucket_accuracy(reducer):
+    def bucket_accuracy(reductions):
         per_bucket = {k: [] for k in range(len(boundaries))}
-        for inst, k in zip(test_ok, assignments):
-            context = _context_text(inst, reducer(inst))
+        for inst, k, reduction in zip(test_ok, assignments, reductions):
+            context = _context_text(inst, reduction)
             prompt = llm.QA_PROMPT_TEMPLATE.format(question=inst.question, context=context)
             answer = llm.mock_complete(inst.question, prompt, mock_cfg, inst.sql, inst.answers)
             per_bucket[k].append(metrics.downstream_accuracy([answer], [list(inst.answers)]))
         return [float(np.mean(v)) for v in per_bucket.values()]
 
-    def policy_reducer(inst):
-        cols = tasks.greedy_reduction(col_params, inst, "columns")
-        rows = (
-            tasks.greedy_reduction(row_params, inst, "rows", context_columns=cols)
-            if cols else frozenset()
-        )
-        return Reduction(cols, rows)
+    def policy_reductions():
+        cols = policy.greedy_decode(
+            col_params, [tasks.encode(vocab_c, inst, "columns") for inst in test_ok]
+        ).selected
+        with_cols = [k for k, c in enumerate(cols) if c]
+        rows = [frozenset()] * len(test_ok)
+        decoded = policy.greedy_decode(row_params, [
+            tasks.encode(vocab_r, test_ok[k], "rows", context_columns=cols[k]) for k in with_cols
+        ])
+        for k, r in zip(with_cols, decoded.selected):
+            rows[k] = r
+        return [Reduction(c, r) for c, r in zip(cols, rows)]
 
-    full = bucket_accuracy(lambda inst: None)
-    gold = bucket_accuracy(lambda inst: Reduction(inst.relevant_columns, inst.relevant_rows))
-    pred = bucket_accuracy(policy_reducer)
+    full = bucket_accuracy([None] * len(test_ok))
+    gold = bucket_accuracy([Reduction(inst.relevant_columns, inst.relevant_rows) for inst in test_ok])
+    pred = bucket_accuracy(policy_reductions())
     elapsed = time.time() - start
 
     full_drop = full[0] - full[-1]

@@ -188,12 +188,13 @@ class TestEvalAndReduce:
         report = json.loads(report_path.read_text())
         instances, _ = dataio.load_dataset(data)
         params, _ = policy.load_params(sft_dir / "model.json")
-        expected = tasks.evaluate_recall(params, tasks.trainable(instances, "columns"), "columns")
+        usable = tasks.trainable(instances, "columns")
+        encs, golds = tasks.labeled_encodings(params.vocab, usable, "columns")
+        expected = tasks.greedy_recall(params, encs, golds)
         assert report["recall"] == pytest.approx(expected)
         assert report["format_version"] == metrics.REPORT_FORMAT_VERSION
         assert "micro_recall" in report
-        usable = tasks.trainable(instances, "columns")
-        predicted = [tasks.greedy_reduction(params, inst, "columns") for inst in usable]
+        predicted = policy.greedy_decode(params, encs).selected
         summary = json.loads((tmp_path / "report.json.manifest.json").read_text())["summary"]
         assert summary["instances"] == len(usable) == report["count"]
         assert summary["columns_kept"] == sum(map(len, predicted))
@@ -237,13 +238,22 @@ class TestEvalAndReduce:
         assert all("predicted_columns" in i.extra for i in instances)
         assert all("predicted_rows" in i.extra for i in instances)
 
-        # the same predictions as one instance at a time, whatever the grouping
+        # the same predictions as decoding all instances at once, columns
+        # first and then rows over the predicted columns, whatever the grouping
         col_params, _ = policy.load_params(sft_dir / "model.json")
         row_params, _ = policy.load_params(row_dir / "model.json")
+        pred_cols = policy.greedy_decode(
+            col_params, [tasks.encode(col_params.vocab, inst, "columns") for inst in instances]
+        ).selected
+        with_cols = [k for k, cols in enumerate(pred_cols) if cols]
+        pred_rows = [frozenset()] * len(instances)
+        row_decode = policy.greedy_decode(row_params, [
+            tasks.encode(row_params.vocab, instances[k], "rows", pred_cols[k]) for k in with_cols
+        ])
+        for k, rows in zip(with_cols, row_decode.selected):
+            pred_rows[k] = rows
         steps = 0
-        for inst in instances:
-            cols = tasks.greedy_reduction(col_params, inst, "columns")
-            rows = tasks.greedy_reduction(row_params, inst, "rows", cols) if cols else frozenset()
+        for inst, cols, rows in zip(instances, pred_cols, pred_rows):
             assert inst.extra["predicted_columns"] == sorted(cols)
             assert inst.extra["predicted_rows"] == sorted(rows)
             steps += len(cols) + 1 + (len(rows) + 1 if cols else 0)

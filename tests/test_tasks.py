@@ -71,22 +71,23 @@ class TestGreedyEvaluate:
         inst = annotated_instance()
         vocab = tasks.build_vocab([inst], "columns")
         params = policy.init_params(vocab, 8, seed=0)
-        r1 = tasks.greedy_reduction(params, inst, "columns")
-        r2 = tasks.greedy_reduction(params, inst, "columns")
+        enc = tasks.encode(vocab, inst, "columns")
+        r1 = policy.greedy_decode(params, [enc]).selected
+        r2 = policy.greedy_decode(params, [enc]).selected
         assert r1 == r2
 
-    def test_evaluate_recall_bounds(self):
+    def test_greedy_recall_bounds(self):
         instances = dataio.generate_synthetic(dataio.SynthConfig(n_instances=10, seed=0))
         usable = tasks.trainable(instances, "columns")
         vocab = tasks.build_vocab(usable, "columns")
         params = policy.init_params(vocab, 8, seed=0)
-        recall = tasks.evaluate_recall(params, usable, "columns")
+        recall = tasks.greedy_recall(params, *tasks.labeled_encodings(vocab, usable, "columns"))
         assert 0.0 <= recall <= 1.0
 
-    def test_evaluate_recall_empty(self):
+    def test_greedy_recall_empty(self):
         vocab = policy.build_vocabulary(["x"])
         params = policy.init_params(vocab, 8, seed=0)
-        assert tasks.evaluate_recall(params, [], "columns") == 0.0
+        assert tasks.greedy_recall(params, *tasks.labeled_encodings(vocab, [], "columns")) == 0.0
 
 
 def test_vocab_covers_questions_and_candidates():

@@ -268,12 +268,12 @@ class TestSft:
             SftConfig(epochs=4, learning_rate=2e-2, seed=0), "columns", run_dir=str(run_dir),
         )
         # exhaustively score every saved checkpoint; best must match the max
-        valid_usable = tasks.trainable(valid, "columns")
+        valid_encs = tasks.labeled_encodings(vocab, tasks.trainable(valid, "columns"), "columns")
         recalls = []
         for epoch in range(1, 5):
             ck, _ = policy.load_params(run_dir / "checkpoints" / f"epoch-{epoch}.model.json")
-            recalls.append(tasks.evaluate_recall(ck, valid_usable, "columns"))
-        best_recall = tasks.evaluate_recall(best, valid_usable, "columns")
+            recalls.append(tasks.greedy_recall(ck, *valid_encs))
+        best_recall = tasks.greedy_recall(best, *valid_encs)
         assert best_recall == pytest.approx(max(recalls))
 
     def test_rerun_clears_old_checkpoints(self, tmp_path):
