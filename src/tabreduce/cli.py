@@ -178,10 +178,12 @@ def cmd_train_rl(args) -> int:
     instances = _load_instances(args.data)
     train, valid, _ = _split_from_args(instances, args)
     params, _ = _load_model(args.init, args.target)
+    summary: dict = {}
     best, history = training.train_rl(
-        params, train, valid, cfg, args.target, run_dir=args.out
+        params, train, valid, cfg, args.target, run_dir=args.out, summary=summary
     )
     policy.save_params(best, os.path.join(args.out, "model.json"), target=args.target)
+    manifest.doc["summary"] = {**summary, "config": dataclasses.asdict(cfg)}
     manifest.finish()
     evals = [h["valid_recall"] for h in history if "valid_recall" in h]
     print(f"train-rl done: {cfg.iterations} iterations, eval recalls {evals}")

@@ -17,23 +17,25 @@ token counts over its distinct tokens, divided by the segment lengths, and
 its encodings are that matrix times the rows of those tokens in the
 embedding table (``embed``); the gradient goes back through the transposed
 product.  The matrices are built per instance, so an instance encodes the
-same whatever it is batched with.  Sampling (``sample_episode``) walks one
-episode step by step over precomputed encodings.  Greedy decoding
-(``greedy_decode``) steps many instances together as padded score arrays,
-and settles near-ties with the per-instance ``step_distribution`` so that
-its selections are exactly those of a per-instance greedy walk over the
-same encodings.  Training never walks episodes: a fixed action
-sequence becomes an ``Episode`` (per step, the available candidates and the
-history-mean weights ``W``, so ``h = W @ v``), built once per example, and
-``forward`` replays a whole minibatch of them as padded ``(B, T, N + 1)``
-score tensors.  ``backward`` runs the chain rule back through the same
-tensors down to the token embeddings.
+same whatever it is batched with.  Sampling (``sample_episodes``) and greedy
+decoding (``greedy_decode``) step many instances together as masked
+``(B, N + 1)`` score arrays, STOP in the last slot, through one stepper
+(``_Stepper``).  Sampling draws each episode's picks from its own row of a
+caller-supplied block of uniforms.  Greedy decoding settles near-ties with
+the per-instance ``step_distribution``, so that its selections are exactly
+those of a per-instance greedy walk over the same encodings.  Training never
+walks episodes: a fixed action sequence becomes an ``Episode`` (per step,
+the available candidates and the history-mean weights ``W``, so
+``h = W @ v``), built once per example, and ``forward`` replays a whole
+minibatch of them as padded ``(B, T, N + 1)`` score tensors.  ``backward``
+runs the chain rule back through the same tensors down to the token
+embeddings.
 
 Log-probabilities are exact and every gradient here is written by hand;
 ``finite_difference_error`` checks them against central differences, which
 the test suite runs for both the likelihood loss and the clipped-surrogate
-loss.  All sampling goes through caller-supplied generators, so identical
-seeds give identical episodes.
+loss.  Sampling reads only the uniforms it is given, so identical uniforms
+give identical episodes.
 """
 
 from __future__ import annotations
@@ -247,9 +249,10 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
 # ---------------------------------------------------------------------------
 # Encodings
 
-# Segments per ``forward``, ``greedy_decode`` or ``embed`` chunk: they bound
-# the padded (segments, dim) arrays and the chunk's count matrices, so a
-# minibatch of long tables needs little more memory than one of short tables.
+# Segments per ``forward``, ``greedy_decode`` or ``embed`` chunk, and padded
+# slots per ``sample_episodes`` run: they bound the padded (segments, dim)
+# arrays and the chunk's count matrices, so a minibatch of long tables needs
+# little more memory than one of short tables.
 _SEGMENT_BLOCK = 1024
 
 
@@ -357,33 +360,116 @@ def step_distribution(
     return _softmax(scores)
 
 
-def value_estimate(params: PolicyParams, question_enc: np.ndarray, history_enc: np.ndarray) -> float:
-    return float(
-        question_enc @ params.value_q + history_enc @ params.value_h + params.value_b[0]
-    )
-
-
 def apply_top_p_mask(probs: np.ndarray, p: float) -> np.ndarray:
-    """Keep the smallest probability-descending prefix with cumulative >= p.
+    """Keep, in each distribution along the last axis, the smallest
+    probability-descending prefix with cumulative >= p.
 
-    Ties break toward the lower action index; surviving probabilities are
-    renormalized.  p = 1.0 keeps everything.
+    A slot is kept while the mass ranked before it is below p.  Ties break
+    toward the lower index; surviving probabilities are renormalized.
+    p = 1.0 keeps everything.
     """
     probs = np.asarray(probs, dtype=float)
     if not 0.0 < p <= 1.0:
         raise ConfigError(f"top-p must be in (0, 1], got {p}")
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("probabilities must sum to 1")
-    order = np.lexsort((np.arange(probs.size), -probs))
-    keep = np.zeros(probs.size, dtype=bool)
-    cum = 0.0
-    for idx in order:
-        keep[idx] = True
-        cum += probs[idx]
-        if cum >= p:
-            break
+    order = np.argsort(-probs, axis=-1, kind="stable")
+    ranked = np.take_along_axis(probs, order, axis=-1)
+    before = np.zeros(probs.shape)
+    np.cumsum(ranked[..., :-1], axis=-1, out=before[..., 1:])
+    keep = np.empty(probs.shape, dtype=bool)
+    np.put_along_axis(keep, order, before < p, axis=-1)
     masked = np.where(keep, probs, 0.0)
-    return masked / masked.sum()
+    return masked / masked.sum(axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# Stepping many instances together
+
+def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` times ``matrix``, one vector-matrix product per row,
+    so a row's result does not depend on how many rows there are (a
+    one-row matrix product takes another BLAS path than a many-row one)."""
+    return np.matmul(x[:, None, :], matrix)[:, 0]
+
+
+class _Stepper:
+    """Instances stepped together under one parameter set.
+
+    Rows are instances, padded to N candidates with STOP in slot N.  The
+    stepper holds what does not change between steps (the encodings and the
+    question's share of every score), the slots each row may still take, and
+    the sum of the encodings each row has selected.  Every quantity of a row
+    comes from that row alone, by products whose rounding depends on neither
+    the number of rows nor N (a vector-matrix product per row and ``einsum``
+    dot products), so a row steps bit for bit the same in any batch of the
+    same width.
+    """
+
+    def __init__(self, params: PolicyParams, q: np.ndarray, v: np.ndarray,
+                 n_candidates: np.ndarray):
+        self.params = params
+        self.q = q                      # (B, dim)
+        self.v = v                      # (B, N, dim), zero past each row's candidates
+        n = v.shape[1]
+        self.allowed = np.zeros((q.shape[0], n + 1), dtype=bool)
+        self.allowed[:, :n] = np.arange(n) < n_candidates[:, None]
+        self.allowed[:, n] = True
+        self.picked = np.zeros(q.shape[0], dtype=np.intp)
+        self.h_sum = np.zeros(q.shape)
+        self.q_scores = np.einsum("bnd,bd->bn", v, _rows_times(q, params.score_q))
+        self.q_stop = np.einsum("bd,d->b", q, params.stop_q)
+
+    @classmethod
+    def of(cls, embedded: Sequence[Embedded], n: int) -> "_Stepper":
+        """A stepper over ``embedded`` (all under one parameter set), padded
+        to ``n`` candidates."""
+        params = embedded[0].params
+        v = np.zeros((len(embedded), n, params.dim))
+        for b, e in enumerate(embedded):
+            v[b, : e.v.shape[0]] = e.v
+        counts = np.array([e.v.shape[0] for e in embedded])
+        return cls(params, np.stack([e.q for e in embedded]), v, counts)
+
+    def history(self) -> np.ndarray:
+        """(B, dim) mean encoding of each row's selected candidates."""
+        return self.h_sum / np.maximum(self.picked, 1)[:, None]
+
+    def scores(self) -> np.ndarray:
+        """(B, N + 1) step scores, -inf outside the allowed slots;
+        ``NumericalError`` when an allowed score is not finite."""
+        params = self.params
+        scores = np.empty(self.allowed.shape)
+        scores[:, :-1] = self.q_scores
+        scores[:, -1] = self.q_stop
+        if self.picked.any():  # else every history is zero and adds nothing
+            h = self.history()
+            scores[:, :-1] += np.einsum("bnd,bd->bn", self.v, _rows_times(h, params.score_h))
+            scores[:, -1] += np.einsum("bd,d->b", h, params.stop_h)
+        scores[:, -1] += params.stop_b[0]
+        if not np.isfinite(scores[self.allowed]).all():
+            raise NumericalError("non-finite scores in step distribution")
+        scores[~self.allowed] = -np.inf
+        return scores
+
+    def select(self, rows: np.ndarray, slots: np.ndarray) -> None:
+        """Row ``rows[i]`` takes candidate ``slots[i]``."""
+        self.allowed[rows, slots] = False
+        self.h_sum[rows] += self.v[rows, slots]
+        self.picked[rows] += 1
+
+    def keep(self, mask: np.ndarray, *extra: np.ndarray) -> list[np.ndarray]:
+        """Drop the rows outside ``mask``, here and in ``extra`` (arrays
+        the caller keeps per row), which are returned filtered."""
+        for name in ("q", "v", "allowed", "picked", "h_sum", "q_scores", "q_stop"):
+            setattr(self, name, getattr(self, name)[mask])
+        return [a[mask] for a in extra]
+
+
+def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of masked (-inf) scores."""
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -411,60 +497,99 @@ class EpisodeTrace:
         return replace(self, task_reward=reward)
 
 
-def sample_episode(
-    pi: Embedded,
-    ref: Embedded | None = None,
-    *,
-    rng: np.random.Generator,
+def sample_episodes(
+    current: Sequence[Embedded],
+    reference: Sequence[Embedded] | None,
+    uniforms: np.ndarray,
     top_p: float | None = None,
-) -> EpisodeTrace:
-    """Sample one episode; selected candidates leave the action set.
+) -> list[EpisodeTrace]:
+    """Sample one episode per row of ``uniforms``, stepping them together;
+    selected candidates leave the action set.
 
-    ``pi`` and ``ref`` are the instance encoded under the current and the
-    reference parameters (``ref`` None: the reference is the current
-    policy).  The behavior distribution is the policy, top-p masked when
-    ``top_p`` is given, and the recorded logp_pi is its (masked)
-    log-probability; logp_ref scores the same actions under the reference
-    without masking.  Greedy decoding is ``greedy_decode``.
+    Episode k walks ``current[k]``, an instance encoded under the current
+    parameters; ``reference[k]`` is the same instance under the reference
+    parameters (``reference`` None: the reference is the current policy).
+    At step t the behavior distribution b is the policy over the remaining
+    candidates and STOP, top-p masked when ``top_p`` is given, and the pick
+    is ``searchsorted(cumsum(b) / cumsum(b)[-1], uniforms[k, t],
+    side="right")``, the arithmetic of ``Generator.choice``.  The recorded
+    logp_pi is log b of the pick; logp_ref scores the same action under the
+    reference without masking.  Greedy decoding is ``greedy_decode``.
+
+    ``uniforms`` needs a column for every step an episode can take, so
+    ``1 + n_candidates`` of them.  Episodes are padded to
+    ``uniforms.shape[1] - 1`` candidates, cut into runs of at most
+    ``_SEGMENT_BLOCK`` slots and each run stepped as one masked array
+    (``_Stepper``); episodes that stop leave it.  As every run has the same
+    width, an episode's trace does not depend on the episodes it is run
+    with.  Non-finite scores raise ``NumericalError``.
     """
-    remaining = list(range(pi.v.shape[0]))
-    selected: list[int] = []
-    h = h_ref = np.zeros(pi.params.dim)
-    actions: list[int] = []
-    logp_pi: list[float] = []
-    logp_ref: list[float] = []
-    values: list[float] = []
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.ndim != 2 or uniforms.shape[0] != len(current):
+        raise ValueError("uniforms need one row per episode")
+    if reference is not None and len(reference) != len(current):
+        raise ValueError("reference needs one encoding per episode")
+    if any(e.v.shape[0] >= uniforms.shape[1] for e in current):
+        raise ValueError("uniforms need 1 + n_candidates columns for every episode")
+    per_run = max(1, _SEGMENT_BLOCK // uniforms.shape[1])
+    traces: list[EpisodeTrace] = []
+    for start in range(0, len(current), per_run):
+        run = slice(start, start + per_run)
+        traces += _sample_run(
+            current[run], None if reference is None else reference[run], uniforms[run], top_p
+        )
+    return traces
 
-    while True:
-        probs = step_distribution(pi.params, pi.q, h, pi.v[remaining])
+
+def _sample_run(current, reference, uniforms, top_p) -> list[EpisodeTrace]:
+    """``sample_episodes`` over one run of episodes."""
+    batch, width = uniforms.shape
+    n = width - 1
+    pi = _Stepper.of(current, n)
+    ref = None if reference is None else _Stepper.of(reference, n)
+    params = pi.params
+    q_value = np.einsum("bd,d->b", pi.q, params.value_q)
+    actions = np.full((batch, width), STOP)
+    logp_pi = np.zeros((batch, width))
+    logp_ref = np.zeros((batch, width))
+    values = np.zeros((batch, width))
+    steps = np.zeros(batch, dtype=np.intp)
+    live = np.arange(batch)
+    for t in range(width):
+        rows = np.arange(live.size)
+        probs = _softmax_rows(pi.scores())
         behavior = probs if top_p is None else apply_top_p_mask(probs, top_p)
-        pick = int(rng.choice(behavior.size, p=behavior))
-        if ref is None:
-            ref_probs = probs
-        else:
-            ref_probs = step_distribution(ref.params, ref.q, h_ref, ref.v[remaining])
+        cdf = np.cumsum(behavior, axis=1)
+        cdf /= cdf[:, -1:]
+        pick = (cdf <= uniforms[live, t][:, None]).sum(axis=1)
+        ref_probs = probs if ref is None else _softmax_rows(ref.scores())
+        values[live, t] = q_value + np.einsum("bd,d->b", pi.history(), params.value_h) + params.value_b[0]
+        logp_pi[live, t] = np.log(behavior[rows, pick])
+        logp_ref[live, t] = np.log(ref_probs[rows, pick])
 
-        values.append(value_estimate(pi.params, pi.q, h))
-        logp_pi.append(float(np.log(behavior[pick])))
-        logp_ref.append(float(np.log(ref_probs[pick])))
-
-        if pick == len(remaining):  # STOP slot
-            actions.append(STOP)
-            break
-        chosen = remaining.pop(pick)
-        actions.append(chosen)
-        selected.append(chosen)
-        h = pi.v[selected].mean(axis=0)
+        go = pick < n
+        actions[live[go], t] = pick[go]
+        steps[live[~go]] = t + 1
+        pi.select(rows[go], pick[go])
         if ref is not None:
-            h_ref = ref.v[selected].mean(axis=0)
-
-    return EpisodeTrace(
-        actions=tuple(actions),
-        logp_pi=tuple(logp_pi),
-        logp_ref=tuple(logp_ref),
-        values=tuple(values),
-        selected=frozenset(a for a in actions if a != STOP),
-    )
+            ref.select(rows[go], pick[go])
+        if not go.all():
+            live, q_value = pi.keep(go, live, q_value)
+            if ref is not None:
+                ref.keep(go)
+            if not live.size:
+                break
+    traces = []
+    for b, k in enumerate(steps.tolist()):
+        taken = actions[b, :k].tolist()
+        traces.append(EpisodeTrace(
+            actions=tuple(taken),
+            logp_pi=tuple(logp_pi[b, :k].tolist()),
+            logp_ref=tuple(logp_ref[b, :k].tolist()),
+            values=tuple(values[b, :k].tolist()),
+            selected=frozenset(taken[:-1]),
+        ))
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +642,8 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
     ``step_distribution`` (ties to the lowest action index) and STOP ends
     the episode.  Instances are sorted by candidate count and cut into
     ``chunks``; each chunk is embedded once and stepped as one masked
-    ``(B, N + 1)`` score array with STOP in the last slot, and instances
-    that stop leave the working arrays.
+    ``(B, N + 1)`` score array with STOP in the last slot (``_Stepper``),
+    and instances that stop leave the working arrays.
 
     The batched products round differently from that walk's (BLAS rounds a
     column differently depending on the shape of the call).  So the batched
@@ -528,8 +653,7 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
     candidates, with the history mean's own rounding covered by the mean of
     the selected candidates' magnitudes.  Otherwise, as on a real tie, that
     instance's step is settled by ``step_distribution`` itself
-    (``_exact_pick``), which also raises ``NumericalError`` for non-finite
-    scores.
+    (``_exact_pick``).  Non-finite scores raise ``NumericalError``.
     """
     if not encs:
         return GreedyDecode([], 0, 0)
@@ -542,56 +666,43 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
     for run in chunks(ordered):
         q, v = _embed_padded(params, ordered[run])[1:]  # the count matrices are not kept
         batch, n, dim = v.shape
+        st = _Stepper(params, q, v, np.array([enc.n_candidates for enc in ordered[run]]))
         live = np.arange(run.start, run.stop)  # positions in ``order``
         # both paths' error: 2·dim + 2 terms per score, n for the history
         # mean, and 2 for the norms and the comparison below
         slack = 2.0 * _gamma(2 * dim + 4 + n)
-        allowed = np.zeros((batch, n + 1), dtype=bool)
-        allowed[:, :n] = np.arange(n) < np.array([enc.n_candidates for enc in ordered[run]])[:, None]
-        allowed[:, n] = True
         rank = np.full((batch, n), -1)  # selection order of each picked candidate
-        picked = np.zeros(batch, dtype=np.intp)
-        h_sum = np.zeros((batch, dim))
         h_abs = np.zeros((batch, dim))  # sum of the selected candidates' magnitudes
         v_norm = np.sqrt(np.einsum("bnd,bnd->bn", v, v))
-        qw = q @ params.score_q
         qw_abs = np.abs(q) @ np.abs(params.score_q)
-        q_stop = q @ params.stop_q
         q_stop_abs = np.abs(q) @ np.abs(params.stop_q) + abs(params.stop_b[0])
         while live.size:
             rows = np.arange(live.size)
-            denom = np.maximum(picked, 1)[:, None]
-            h, h_bound = h_sum / denom, h_abs / denom
-            raw = np.empty((live.size, n + 1))
-            raw[:, :n] = (v @ (qw + h @ params.score_h)[:, :, None])[..., 0]
-            raw[:, n] = q_stop + h @ params.stop_h + params.stop_b[0]
-            bound = np.empty((live.size, n + 1))
+            scores = st.scores()
+            h_bound = h_abs / np.maximum(st.picked, 1)[:, None]
+            bound = np.empty(scores.shape)
             bound[:, :n] = v_norm * np.linalg.norm(qw_abs + h_bound @ abs_score_h, axis=1)[:, None]
             bound[:, n] = q_stop_abs + h_bound @ abs_stop_h
             bound *= slack
-            top = np.where(allowed, raw, -np.inf).argmax(axis=1)
-            rivals = np.where(allowed, raw + bound, -np.inf)
+            top = scores.argmax(axis=1)
+            rivals = scores + bound
             rivals[rows, top] = -np.inf
-            clear = raw[rows, top] - bound[rows, top] - rivals.max(axis=1) > _TIE_MARGIN
-            clear &= np.isfinite(raw).all(axis=1)  # else the exact step raises
+            clear = scores[rows, top] - bound[rows, top] - rivals.max(axis=1) > _TIE_MARGIN
             for i in np.flatnonzero(~clear):
-                top[i] = _exact_pick(params, q[i], v[i], allowed[i], rank[i])
+                top[i] = _exact_pick(params, st.q[i], st.v[i], st.allowed[i], rank[i])
             steps += live.size
             exact_steps += live.size - int(clear.sum())
 
             go = top < n
             rows, cols = rows[go], top[go]
-            allowed[rows, cols] = False
-            rank[rows, cols] = picked[rows]
-            picked[rows] += 1
-            h_sum[rows] += v[rows, cols]
-            h_abs[rows] += np.abs(v[rows, cols])
+            rank[rows, cols] = st.picked[rows]
+            h_abs[rows] += np.abs(st.v[rows, cols])
+            st.select(rows, cols)
             if not go.all():
                 for i in np.flatnonzero(~go):
                     selected[order[live[i]]] = frozenset(np.flatnonzero(rank[i] >= 0).tolist())
-                (live, q, v, v_norm, qw, qw_abs, q_stop, q_stop_abs, allowed, rank, picked,
-                 h_sum, h_abs) = (a[go] for a in (live, q, v, v_norm, qw, qw_abs, q_stop,
-                                                  q_stop_abs, allowed, rank, picked, h_sum, h_abs))
+                live, rank, h_abs, v_norm, qw_abs, q_stop_abs = st.keep(
+                    go, live, rank, h_abs, v_norm, qw_abs, q_stop_abs)
     return GreedyDecode(selected, steps, exact_steps)
 
 

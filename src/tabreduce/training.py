@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import shutil
+import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -253,7 +254,8 @@ class Rollout:
 
 @dataclass
 class TrainState:
-    """Mutable RL loop state; the reference parameters never change."""
+    """Mutable RL loop state; the reference parameters never change.
+    ``episodes`` and ``steps`` count what ``collect_rollouts`` sampled."""
 
     current: policy.PolicyParams
     reference: policy.PolicyParams
@@ -261,6 +263,8 @@ class TrainState:
     rng: np.random.Generator
     iteration: int = 0
     history: list[dict] = field(default_factory=list)
+    episodes: int = 0
+    steps: int = 0
 
 
 RewardFn = Callable[[frozenset[int], frozenset[int]], float]
@@ -281,7 +285,8 @@ def warm_start_value_head(
     past the KL-penalty equilibrium before the head catches up.  Fitting
     value_q/value_h/value_b on one rollout batch from the initial policy
     removes that transient without touching the update rule.  The features
-    ``[q, h, 1]`` of every step come from the teacher-forced forward pass.
+    ``[q, h, 1]`` of every step come from the teacher-forced forward pass,
+    and the targets are the returns-to-go that ``compute_advantages`` uses.
     """
     rollout = collect_rollouts(
         state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn, reference
@@ -298,7 +303,7 @@ def warm_start_value_head(
         q = np.broadcast_to(fw.q[:, None, :], fw.h.shape)
         ones = np.ones(fw.h.shape[:2] + (1,))
         features.append(np.concatenate([q, fw.h, ones], axis=-1)[fw.valid])
-    targets = np.concatenate([np.flip(np.cumsum(np.flip(r))) for r in rollout.step_rewards])
+    targets = np.concatenate([_returns_to_go(r, cfg.discount) for r in rollout.step_rewards])
     solution, *_ = np.linalg.lstsq(np.concatenate(features), targets, rcond=None)
     if not np.all(np.isfinite(solution)):
         return
@@ -317,46 +322,61 @@ def collect_rollouts(
     reward_fn: RewardFn,
     reference: Sequence[policy.Embedded] | None = None,
 ) -> Rollout:
-    """Sample n episodes under the masked current policy.
+    """Sample n episodes under the masked current policy, all together.
+
+    The random stream: ``state.rng`` draws the n instance indices, then one
+    ``(n, N_max + 1)`` block of uniforms, where N_max is the most candidates
+    among the drawn instances; episode k takes its step t from row k, column
+    t (``policy.sample_episodes``).  Only the distinct drawn instances are
+    encoded under the current parameters.  ``reference`` is ``encs``
+    embedded under the reference parameters (the drawn instances are
+    embedded here when it is not given).
 
     Each episode's step rewards are :func:`tabreduce.rewards.shaped_reward`
     of its task reward and its behavior and reference log-probabilities.
-    ``reference`` is ``encs`` embedded under the reference parameters
-    (computed here when not given).
     """
-    chosen_encs: list[policy.EncodedInstance] = []
-    traces: list[policy.EpisodeTrace] = []
-    step_rewards: list[np.ndarray] = []
     if n == 0:
-        return Rollout(chosen_encs, traces, step_rewards, state.beta)
+        return Rollout([], [], [], state.beta)
     indices = state.rng.integers(0, len(encs), size=n)
-    current = policy.embed(state.current, encs)
+    drawn, inverse = np.unique(indices, return_inverse=True)
+    drawn_encs = [encs[i] for i in drawn]
+    current = policy.embed(state.current, drawn_encs)
     if reference is None:
-        reference = policy.embed(state.reference, encs)
-    for idx in indices:
-        enc = encs[idx]
-        trace = policy.sample_episode(current[idx], reference[idx], top_p=cfg.top_p, rng=state.rng)
-        trace = trace.with_task_reward(reward_fn(trace.selected, golds[idx]))
-        chosen_encs.append(enc)
-        traces.append(trace)
-        step_rewards.append(
-            shaped_reward(trace.task_reward, trace.logp_pi, trace.logp_ref, state.beta)
-        )
-    return Rollout(chosen_encs, traces, step_rewards, state.beta)
+        drawn_ref = policy.embed(state.reference, drawn_encs)
+    else:
+        drawn_ref = [reference[i] for i in drawn]
+    n_max = max(enc.n_candidates for enc in drawn_encs)
+    uniforms = state.rng.random((n, n_max + 1))
+    traces = policy.sample_episodes(
+        [current[j] for j in inverse], [drawn_ref[j] for j in inverse], uniforms, cfg.top_p
+    )
+    state.episodes += n
+    state.steps += sum(len(trace.actions) for trace in traces)
+    traces = [
+        trace.with_task_reward(reward_fn(trace.selected, golds[idx]))
+        for trace, idx in zip(traces, indices)
+    ]
+    step_rewards = [
+        shaped_reward(trace.task_reward, trace.logp_pi, trace.logp_ref, state.beta)
+        for trace in traces
+    ]
+    return Rollout([encs[i] for i in indices], traces, step_rewards, state.beta)
+
+
+def _returns_to_go(rewards: Sequence[float], discount: float) -> np.ndarray:
+    """g[t] = rewards[t] + discount * g[t + 1], the last step's g its reward."""
+    g = np.zeros(len(rewards))
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + discount * acc
+        g[t] = acc
+    return g
 
 
 def compute_advantages(rollout: Rollout, discount: float = 1.0) -> list[policy.PpoExample]:
     """Monte-Carlo returns-to-go, baseline-subtracted, batch-normalized."""
-    raw: list[np.ndarray] = []
-    returns: list[np.ndarray] = []
-    for trace, rewards in zip(rollout.traces, rollout.step_rewards):
-        g = np.zeros(len(rewards))
-        acc = 0.0
-        for t in range(len(rewards) - 1, -1, -1):
-            acc = rewards[t] + discount * acc
-            g[t] = acc
-        returns.append(g)
-        raw.append(g - np.array(trace.values))
+    returns = [_returns_to_go(rewards, discount) for rewards in rollout.step_rewards]
+    raw = [g - np.array(trace.values) for g, trace in zip(returns, rollout.traces)]
     if not raw:
         return []
     flat = np.concatenate(raw)
@@ -425,6 +445,7 @@ def train_rl(
     reward_fn: RewardFn | None = None,
     reference: policy.PolicyParams | None = None,
     run_dir: str | None = None,
+    summary: dict | None = None,
 ) -> tuple[policy.PolicyParams, list[dict]]:
     """PPO iterations with periodic greedy evaluation.
 
@@ -432,7 +453,10 @@ def train_rl(
     parameters.  Returns the best-on-validation checkpoint (final params if
     validation is empty).  A NumericalError inside an iteration rolls the
     parameters and the optimizer state back to the iteration start and
-    moves on.
+    moves on.  ``summary``, when given, receives the episodes and steps
+    sampled (the value-head warm start's included), the number of
+    numerical rollbacks, and the wall seconds spent in rollouts and in
+    updates.
     """
     train = tasks.trainable(train, target)
     valid = tasks.trainable(valid, target)
@@ -458,6 +482,7 @@ def train_rl(
     adam = Adam(state.current, cfg.learning_rate)
     best = state.current.copy()
     best_recall = -1.0
+    rollout_s = update_s = 0.0
 
     for iteration in range(1, cfg.iterations + 1):
         state.iteration = iteration
@@ -465,12 +490,16 @@ def train_rl(
         adam_backup = adam.snapshot()
         record: dict = {"iteration": iteration, "beta": state.beta}
         try:
+            started = time.perf_counter()
             rollout = collect_rollouts(
                 state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn,
                 reference_embedded,
             )
+            rollout_s += time.perf_counter() - started
+            started = time.perf_counter()
             examples = compute_advantages(rollout, cfg.discount)
             update_stats = ppo_update(state.current, examples, cfg, adam, state.rng)
+            update_s += time.perf_counter() - started
             record.update(update_stats)
             record["mean_task_reward"] = rollout.mean_task_reward
             record["measured_kl"] = rollout.measured_kl
@@ -499,4 +528,12 @@ def train_rl(
                 target=target,
             )
 
+    if summary is not None:
+        summary.update(
+            episodes=state.episodes,
+            steps=state.steps,
+            numerical_rollbacks=sum("error" in record for record in state.history),
+            rollout_seconds=round(rollout_s, 3),
+            update_seconds=round(update_s, 3),
+        )
     return (best if best_recall >= 0 else state.current), state.history

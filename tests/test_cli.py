@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from tabreduce import cli, dataio, llm, metrics, policy, tasks
+from tabreduce import cli, dataio, llm, metrics, policy, tasks, training
 from tabreduce.tables import linearize_rows
 
 
@@ -126,6 +127,32 @@ class TestTraining:
         records = [json.loads(l) for l in (rl_dir / "metrics.jsonl").read_text().strip().split("\n")]
         assert [r["iteration"] for r in records] == [1, 2, 3]
         assert [("valid_recall" in r) for r in records] == [False, True, True]
+
+    def test_train_rl_manifest_summary(self, pipeline, tmp_path):
+        root, data, sft_dir = pipeline
+        rl_dir = tmp_path / "rl"
+        cfg = tmp_path / "ppo.json"
+        cfg.write_text(json.dumps({"iterations": 2, "rollout_episodes_per_iter": 8,
+                                   "minibatch_episodes": 4, "epochs_per_iter": 1, "seed": 5}))
+        assert run([
+            "train-rl", "--data", str(data), "--target", "columns",
+            "--init", str(sft_dir / "model.json"), "--out", str(rl_dir), "--config", str(cfg),
+        ]) == 0
+        manifest = json.loads((rl_dir / "manifest.json").read_text())
+        summary = manifest["summary"]
+        records = [json.loads(l) for l in (rl_dir / "metrics.jsonl").read_text().strip().split("\n")]
+        # the value-head warm start's rollout and one per iteration, each
+        # episode at least one step long
+        assert summary["episodes"] == 8 * 3
+        iteration_steps = round(sum(r["mean_episode_length"] * 8 for r in records))
+        assert summary["steps"] - iteration_steps >= 8
+        assert summary["numerical_rollbacks"] == 0
+        assert summary["rollout_seconds"] >= 0 and summary["update_seconds"] >= 0
+        # the resolved config records the seed that came from the file
+        assert manifest["args"]["seed"] is None
+        assert summary["config"] == dataclasses.asdict(
+            training.PpoConfig(iterations=2, rollout_episodes_per_iter=8,
+                               minibatch_episodes=4, epochs_per_iter=1, seed=5))
 
     def test_wrong_target_model_rejected(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline

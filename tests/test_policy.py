@@ -25,12 +25,11 @@ from tabreduce.policy import (
     init_params,
     load_params,
     ppo_loss_and_grad,
-    sample_episode,
+    sample_episodes,
     save_params,
     sft_loss_and_grad,
     step_distribution,
     tokenize,
-    value_estimate,
 )
 
 
@@ -44,9 +43,11 @@ def tiny_enc(n_candidates=2):
     return vocab, encode_instance(vocab, "what is alpha", texts)
 
 
-def sample(params, enc, reference=None, **kwargs):
-    ref = embed(reference, [enc])[0] if reference is not None else None
-    return sample_episode(embed(params, [enc])[0], ref, **kwargs)
+def sample(params, enc, reference=None, *, rng, top_p):
+    """One episode of ``enc``, its uniforms drawn from ``rng``."""
+    ref = embed(reference, [enc]) if reference is not None else None
+    uniforms = rng.random((1, enc.n_candidates + 1))
+    return sample_episodes(embed(params, [enc]), ref, uniforms, top_p)[0]
 
 
 def forward_logps(params, enc, actions):
@@ -321,19 +322,29 @@ class TestSftLoss:
 
 class TestValueHead:
     def test_zero_params_zero(self):
-        params = PolicyParams.zeros(tiny_vocab(), 4)
-        assert value_estimate(params, np.ones(4), np.ones(4)) == 0.0
+        vocab, enc = tiny_enc(2)
+        params = PolicyParams.zeros(vocab, 4)
+        assert np.all(forward(params, [build_episode(enc, (0, 1, STOP))]).values == 0.0)
+        trace = sample(params, enc, rng=np.random.default_rng(0), top_p=None)
+        assert all(value == 0.0 for value in trace.values)
 
     def test_linear_and_hand_computed(self):
-        params = PolicyParams.zeros(tiny_vocab(), 2)
+        # q = emb[1] = (2, 1) and the one candidate's v = emb[2] = (4, -1)
+        vocab = Vocabulary(("a", "b"))
+        enc = EncodedInstance(question_ids=(1,), candidate_ids=((2,),))
+        params = PolicyParams.zeros(vocab, 2)
+        params.emb = np.array([[0.0, 0.0], [2.0, 1.0], [4.0, -1.0]])
         params.value_q = np.array([1.0, -2.0])
         params.value_h = np.array([0.5, 0.0])
         params.value_b = np.array([0.25])
-        q = np.array([2.0, 1.0])
-        h = np.array([4.0, -1.0])
-        assert value_estimate(params, q, h) == pytest.approx(2 - 2 + 2 + 0.25)
-        params.value_q = 2 * params.value_q
-        assert value_estimate(params, q, np.zeros(2)) == pytest.approx(2 * (2 - 2) + 0.25)
+        # h is zero before the candidate is taken and v after it
+        expected = [2 - 2 + 0.25, 2 - 2 + 2 + 0.25]
+        values = forward(params, [build_episode(enc, (0, STOP))]).values[0]
+        assert values.tolist() == pytest.approx(expected)
+        # a zero uniform takes the candidate, then STOP is all that is left
+        trace = sample_episodes(embed(params, [enc]), None, np.zeros((1, 2)))[0]
+        assert trace.actions == (0, STOP)
+        assert list(trace.values) == pytest.approx(expected)
 
 
 class TestGradients:

@@ -11,9 +11,12 @@ array), and losses, gradients and per-step quantities to 1e-10.  An
 instance's encoding must not depend on the batch around it: alone and in any
 batch it is bit-identical.  Sampling and greedy decoding are checked against
 the oracle's walks fed the policy's own one-instance encodings
-(``policy.embed(params, [enc])``): given the same encodings, sampled traces
-must be bit-identical, and the greedy stepper, which decodes many instances
-together, must select exactly what the greedy walk selects, ties included.
+(``policy.embed(params, [enc])``).  Given the same encodings and uniforms,
+the batched sampler must take the walk's actions, with log-probabilities
+and values within 1e-12 (its products are shaped differently, so BLAS
+rounds them differently), and a trace must not depend on the episodes it is
+stepped with.  The greedy stepper, which decodes many instances together,
+must select exactly what the greedy walk selects, ties included.
 """
 
 from __future__ import annotations
@@ -32,18 +35,37 @@ from tabreduce.policy import (
     PolicyParams,
     PpoExample,
     PpoStats,
-    apply_top_p_mask,
     step_distribution,
-    value_estimate,
     zero_grads,
 )
 
 TOLERANCE = 1e-10
 ENCODING_TOLERANCE = 1e-13
+SAMPLING_TOLERANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-step implementation
+
+def oracle_top_p_mask(probs: np.ndarray, p: float) -> np.ndarray:
+    """The top-p mask as a loop over the probability-descending order."""
+    order = np.lexsort((np.arange(probs.size), -probs))
+    keep = np.zeros(probs.size, dtype=bool)
+    cum = 0.0
+    for idx in order:
+        keep[idx] = True
+        cum += probs[idx]
+        if cum >= p:
+            break
+    masked = np.where(keep, probs, 0.0)
+    return masked / masked.sum()
+
+
+def value_estimate(params: PolicyParams, question_enc: np.ndarray, history_enc: np.ndarray) -> float:
+    return float(
+        question_enc @ params.value_q + history_enc @ params.value_h + params.value_b[0]
+    )
+
 
 def mean_embedding(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
     if not ids:
@@ -77,9 +99,11 @@ class _Encoder:
         return step_distribution(self.params, self.q, self.h, self.v[list(remaining)])
 
 
-def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=None, rng=None):
-    """The per-episode sampler over the policy's one-instance encodings;
-    returns (actions, logp_pi, logp_ref, values, selected)."""
+def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=None, uniforms=None):
+    """The per-episode walk over the policy's one-instance encodings; step t
+    of a sampled episode picks where ``uniforms[t]`` falls in the behavior
+    distribution's normalized cumulative sum.  Returns (actions, logp_pi,
+    logp_ref, values, selected)."""
     ref = reference_params if reference_params is not None else params
     pi = _Encoder(params, enc, policy.embed(params, [enc])[0])
     theta = _Encoder(ref, enc, policy.embed(ref, [enc])[0])
@@ -93,13 +117,15 @@ def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=No
     while True:
         probs = pi.distribution(remaining)
         if mode == "sample" and top_p is not None:
-            behavior = apply_top_p_mask(probs, top_p)
+            behavior = oracle_top_p_mask(probs, top_p)
         else:
             behavior = probs
         if mode == "greedy":
             pick = int(np.argmax(probs))
         else:
-            pick = int(rng.choice(behavior.size, p=behavior))
+            cdf = np.cumsum(behavior)
+            cdf /= cdf[-1]
+            pick = int(np.searchsorted(cdf, uniforms[len(actions)], side="right"))
         ref_probs = theta.distribution(remaining)
 
         values.append(value_estimate(params, pi.q, pi.h))
@@ -504,27 +530,6 @@ def test_step_count_mismatch_rejected():
         policy.ppo_loss_and_grad(params, [], 0.2, 0.5, 0.01)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_sample_episode_bit_identical(seed):
-    params = random_params(seed)
-    reference = random_params(seed + 50)
-    encs = [enc for enc, _ in mixed_batch(seed)]
-    current = policy.embed(params, encs)
-    ref = policy.embed(reference, encs)
-    for k, enc in enumerate(encs):
-        for top_p in (None, 0.9):
-            rng_new = np.random.default_rng([seed, k])
-            rng_old = np.random.default_rng([seed, k])
-            for _ in range(3):
-                trace = policy.sample_episode(current[k], ref[k], top_p=top_p, rng=rng_new)
-                got = (trace.actions, trace.logp_pi, trace.logp_ref, trace.values, trace.selected)
-                assert got == oracle_sample_episode(params, reference, enc, top_p=top_p, rng=rng_old)
-            # the generators made the same calls
-            assert rng_new.random() == rng_old.random()
-    greedy = policy.greedy_decode(params, encs).selected
-    assert greedy == [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
-
-
 @pytest.mark.parametrize("target", [tasks.TARGET_COLUMNS, tasks.TARGET_ROWS])
 def test_greedy_reduction_bit_identical(target):
     cfg = dataio.SynthConfig(n_instances=8, rows_range=(150, 170), seed=5, annotate=False)
@@ -608,3 +613,142 @@ def test_encodings_batch_independent(seed):
     order = rng.permutation(len(encs))
     shuffled = policy.greedy_decode(params, [encs[i] for i in order]).selected
     assert shuffled == [decoded[i] for i in order]
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+
+def sampling_batch(seed: int) -> list[EncodedInstance]:
+    """The mixed batch's edge cases and a tie-prone batch, in one list."""
+    return [enc for enc, _ in mixed_batch(seed)] + tie_prone_instances(np.random.default_rng(seed), 40)
+
+
+def block_of_uniforms(seed: int, encs) -> np.ndarray:
+    width = 1 + max(enc.n_candidates for enc in encs)
+    return np.random.default_rng([seed, 1]).random((len(encs), width))
+
+
+def assert_close_per_step(actual, expected) -> None:
+    actual, expected = np.array(actual), np.array(expected)
+    assert actual.shape == expected.shape
+    scale = np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(actual - expected) <= SAMPLING_TOLERANCE * scale)
+
+
+@pytest.mark.parametrize("top_p", [None, 0.9])
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_episodes_match_oracle(seed, top_p):
+    params = random_params(seed)
+    reference = random_params(seed + 50) if seed != 2 else None
+    encs = sampling_batch(seed)
+    uniforms = block_of_uniforms(seed, encs)
+    current = policy.embed(params, encs)
+    ref = None if reference is None else policy.embed(reference, encs)
+    traces = policy.sample_episodes(current, ref, uniforms, top_p)
+    stopped_at_once = 0
+    for k, (enc, trace) in enumerate(zip(encs, traces)):
+        actions, logp_pi, logp_ref, values, selected = oracle_sample_episode(
+            params, reference, enc, top_p=top_p, uniforms=uniforms[k]
+        )
+        assert trace.actions == actions and trace.selected == selected
+        assert_close_per_step(trace.logp_pi, logp_pi)
+        assert_close_per_step(trace.logp_ref, logp_ref)
+        assert_close_per_step(trace.values, values)
+        stopped_at_once += enc.n_candidates > 0 and actions == (STOP,)
+    assert stopped_at_once > 0
+    assert max(len(t.actions) for t in traces) > 3
+    greedy = policy.greedy_decode(params, encs).selected
+    assert greedy == [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_episodes_independent_of_runs(seed, monkeypatch):
+    """A trace depends on its encodings and its row of uniforms only: not
+    on how the episodes are cut into runs, nor on their order."""
+    params = random_params(seed)
+    reference = random_params(seed + 50)
+    encs = sampling_batch(seed)
+    uniforms = block_of_uniforms(seed, encs)
+    current = policy.embed(params, encs)
+    ref = policy.embed(reference, encs)
+    whole = policy.sample_episodes(current, ref, uniforms, 0.9)
+    width = uniforms.shape[1]
+    for block in (width, 3 * width, 7 * width + 1):
+        monkeypatch.setattr(policy, "_SEGMENT_BLOCK", block)
+        assert policy.sample_episodes(current, ref, uniforms, 0.9) == whole
+    monkeypatch.undo()
+    order = np.random.default_rng(seed).permutation(len(encs))
+    shuffled = policy.sample_episodes(
+        [current[i] for i in order], [ref[i] for i in order], uniforms[order], 0.9
+    )
+    assert shuffled == [whole[i] for i in order]
+
+
+def test_pick_is_generator_choice_arithmetic():
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        behavior = rng.dirichlet(np.ones(n) * 0.5)
+        behavior[rng.random(n) < 0.2] = 0.0
+        if behavior.sum() == 0.0:
+            behavior[0] = 1.0
+        behavior /= behavior.sum()
+        seed = int(rng.integers(1 << 30))
+        cdf = np.cumsum(behavior)
+        cdf /= cdf[-1]
+        pick = np.searchsorted(cdf, np.random.default_rng(seed).random(), side="right")
+        assert pick == np.random.default_rng(seed).choice(n, p=behavior)
+
+
+def test_sample_episodes_non_finite_scores_raise():
+    params = random_params(2)
+    params.score_q[0, 0] = np.inf
+    encs = sampling_batch(2)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        policy.sample_episodes(policy.embed(params, encs), None, block_of_uniforms(2, encs), 0.9)
+
+
+def test_sample_episodes_needs_a_uniform_per_step():
+    params = random_params(0)
+    encs = sampling_batch(0)
+    uniforms = block_of_uniforms(0, encs)
+    with pytest.raises(ValueError):
+        policy.sample_episodes(policy.embed(params, encs), None, uniforms[:, :-1], None)
+    with pytest.raises(ValueError):
+        policy.sample_episodes(policy.embed(params, encs), None, uniforms[1:], None)
+
+
+# ---------------------------------------------------------------------------
+# Top-p mask
+
+def tie_prone_distributions(rng, count: int) -> list[np.ndarray]:
+    """Random distributions, many with repeated probabilities and zeros."""
+    rows = []
+    for _ in range(count):
+        n = int(rng.integers(1, 20))
+        if rng.random() < 0.5:
+            probs = rng.dirichlet(np.ones(n) * rng.choice([0.2, 1.0, 5.0]))
+        else:
+            levels = rng.dirichlet(np.ones(3))
+            probs = levels[rng.integers(0, 3, size=n)]
+            probs[rng.random(n) < 0.2] = 0.0
+            if probs.sum() == 0.0:
+                probs[:] = 1.0
+            probs = probs / probs.sum()
+        rows.append(probs)
+    return rows
+
+
+def test_top_p_mask_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    distributions = tie_prone_distributions(rng, 3000)
+    for probs in distributions:
+        for p in (float(rng.uniform(0.05, 1.0)), 0.9, 1.0):
+            expected = oracle_top_p_mask(probs, p)
+            assert np.array_equal(policy.apply_top_p_mask(probs, p), expected)
+    # rows of one array, each masked as it would be alone
+    for n in range(1, 20):
+        rows = [probs for probs in distributions if probs.size == n][:50]
+        if rows:
+            batch = policy.apply_top_p_mask(np.stack(rows), 0.9)
+            assert all(np.array_equal(got, oracle_top_p_mask(row, 0.9)) for got, row in zip(batch, rows))

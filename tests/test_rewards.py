@@ -112,7 +112,8 @@ class TestShapedReward:
         vocab = policy.build_vocabulary(["q", "a", "b"])
         params = policy.init_params(vocab, 4, seed=0)
         enc = policy.encode_instance(vocab, "q", ["a", "b"])
-        trace = policy.sample_episode(policy.embed(params, [enc])[0], rng=np.random.default_rng(0))
+        uniforms = np.random.default_rng(0).random((1, 3))
+        trace = policy.sample_episodes(policy.embed(params, [enc]), None, uniforms)[0]
         rewards = shaped_reward(bad, trace.logp_pi, trace.logp_ref, 0.1)
         assert not np.all(np.isfinite(rewards))
         rollout = training.Rollout([enc], [trace], [rewards], beta=0.1)

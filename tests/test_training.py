@@ -162,6 +162,26 @@ class TestAdvantages:
     def test_empty_batch(self):
         assert compute_advantages(self.rollout_from([], [], [])) == []
 
+    def test_warm_start_fits_the_discounted_returns(self, monkeypatch):
+        insts = dataset(20)
+        cfg = PpoConfig(discount=0.5, rollout_episodes_per_iter=16)
+        state, encs, golds = build_state(insts, seed=2)
+        replica, _, _ = build_state(insts, seed=2)
+        rollout = collect_rollouts(replica, encs, golds, 16, cfg, lambda s, g: 1.0)
+        returns = np.concatenate([ex.returns for ex in compute_advantages(rollout, cfg.discount)])
+        fitted = []
+        real_lstsq = np.linalg.lstsq
+
+        def spy_lstsq(features, targets, **kwargs):
+            fitted.append(targets)
+            return real_lstsq(features, targets, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+        training.warm_start_value_head(state, encs, golds, cfg, lambda s, g: 1.0)
+        assert len(fitted) == 1 and np.array_equal(fitted[0], returns)
+        undiscounted = np.concatenate([ex.returns for ex in compute_advantages(rollout, 1.0)])
+        assert not np.allclose(returns, undiscounted)
+
 
 def build_state(instances, target="columns", seed=0, beta=0.2):
     usable = tasks.trainable(instances, target)
@@ -218,6 +238,39 @@ class TestRollouts:
         )
         for trace in rollout.traces:
             assert trace.task_reward == float(len(trace.selected & golds_for(trace, encs, golds)))
+
+
+    def test_random_stream(self):
+        """n instance indices, then one (n, N_max + 1) block of uniforms,
+        and nothing else; episode k is sampled on row k."""
+        insts = dataset(20)
+        state, encs, golds = build_state(insts, seed=4)
+        cfg = PpoConfig(top_p=0.9)
+        rollout = collect_rollouts(state, encs, golds, 6, cfg, lambda s, g: 0.0)
+        replay = np.random.default_rng(4)
+        indices = replay.integers(0, len(encs), size=6)
+        n_max = max(encs[i].n_candidates for i in indices)
+        assert n_max < max(enc.n_candidates for enc in encs)  # N_max is the drawn instances'
+        uniforms = replay.random((6, n_max + 1))
+        assert state.rng.random() == replay.random()
+        assert rollout.encs == [encs[i] for i in indices]
+        drawn = [encs[i] for i in indices]
+        expected = policy.sample_episodes(
+            policy.embed(state.current, drawn), policy.embed(state.reference, drawn), uniforms, 0.9
+        )
+        assert [t.with_task_reward(0.0) for t in rollout.traces] == expected
+        assert (state.episodes, state.steps) == (6, sum(len(t.actions) for t in expected))
+
+    def test_given_reference_encodings_used(self):
+        insts = dataset(10)
+        state, encs, golds = build_state(insts)
+        other = policy.init_params(state.current.vocab, 16, seed=7)
+        state_b = TrainState(state.current.copy(), other, 0.2, np.random.default_rng(0))
+        state_c = TrainState(state.current.copy(), state.reference, 0.2, np.random.default_rng(0))
+        by_params = collect_rollouts(state_b, encs, golds, 8, PpoConfig(), lambda s, g: 0.0)
+        given = collect_rollouts(state_c, encs, golds, 8, PpoConfig(), lambda s, g: 0.0,
+                                 reference=policy.embed(other, encs))
+        assert given.traces == by_params.traces
 
 
 def golds_for(trace, encs, golds):
@@ -384,6 +437,28 @@ class TestTrainRl:
         for name in m:
             assert np.array_equal(adam.m[name], m[name])
             assert np.array_equal(adam.v[name], v[name])
+
+    def test_non_finite_score_in_rollout_rolls_back(self, monkeypatch):
+        sft, train, valid = self.prepared()
+        real_sample = policy.sample_episodes
+        calls = []
+
+        def corrupting_sample(current, reference, uniforms, top_p=None):
+            calls.append(1)
+            if len(calls) == 3:  # iteration 2: the warm start sampled first
+                params = current[0].params.copy()
+                params.score_q[0, 0] = np.inf
+                current = [policy.Embedded(params, e.q, e.v) for e in current]
+            return real_sample(current, reference, uniforms, top_p)
+
+        monkeypatch.setattr(policy, "sample_episodes", corrupting_sample)
+        summary = {}
+        with np.errstate(invalid="ignore"):
+            final, history = train_rl(sft, train, [], self.small_cfg(iterations=3), "columns",
+                                      summary=summary)
+        assert [h.get("error") for h in history] == [None, "numerical_rollback", None]
+        assert summary["numerical_rollbacks"] == 1
+        assert summary["episodes"] == 24 * 3  # the failed rollout sampled none
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_reward_rolls_back_every_iteration(self):
