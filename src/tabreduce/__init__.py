@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-from .tables import Instance, LinearizedContext, Reduction, Table  # noqa: F401
+from .tables import Instance, Reduction, Table  # noqa: F401

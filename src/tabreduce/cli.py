@@ -161,8 +161,8 @@ def cmd_sft(args) -> int:
         raise ConfigError("no annotated training instances; run annotate first")
     vocab = tasks.build_vocab(usable, args.target)
     params = policy.init_params(vocab, dim=args.dim, seed=cfg.seed)
-    best, history = training.train_sft(params, train, valid, cfg, args.target, run_dir=args.out)
-    policy.save_params(best, os.path.join(args.out, "model.json"), target=args.target)
+    _, history = training.train_sft(params, train, valid, cfg, args.target, run_dir=args.out)
+    manifest.doc["summary"] = {"config": dataclasses.asdict(cfg)}
     manifest.finish()
     final = history[-1]
     print(
@@ -179,10 +179,9 @@ def cmd_train_rl(args) -> int:
     train, valid, _ = _split_from_args(instances, args)
     params, _ = _load_model(args.init, args.target)
     summary: dict = {}
-    best, history = training.train_rl(
+    _, history = training.train_rl(
         params, train, valid, cfg, args.target, run_dir=args.out, summary=summary
     )
-    policy.save_params(best, os.path.join(args.out, "model.json"), target=args.target)
     manifest.doc["summary"] = {**summary, "config": dataclasses.asdict(cfg)}
     manifest.finish()
     evals = [h["valid_recall"] for h in history if "valid_recall" in h]
@@ -302,7 +301,7 @@ def _context_for(inst, source: str) -> str:
         table = project(table, reduction)
     if table.n_columns == 0:
         return ""
-    return linearize_rows(table, frozenset(range(table.n_columns))).text
+    return linearize_rows(table, frozenset(range(table.n_columns)))
 
 
 def cmd_qa(args) -> int:

@@ -1,4 +1,9 @@
-"""Reduction quality metrics, length bucketing and length-bucketed reports."""
+"""Reduction quality metrics, length bucketing and length-bucketed reports.
+
+An instance's length is the whitespace token count of its whole table
+linearized, counted from the table's headers and distinct cells without
+rendering the text (``tables.linearized_token_count``).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
 from .sql import answers_match
-from .tables import Instance, linearize_rows
+from .tables import Instance, linearized_token_count
 
 REPORT_FORMAT_VERSION = 1
 
@@ -115,11 +120,11 @@ def report_to_dict(report: RecallReport) -> dict:
 # Length buckets and downstream accuracy
 
 def full_context_tokens(instance: Instance) -> int:
-    """Token count of the instance's whole table, linearized."""
+    """Token count of the instance's whole table, linearized (0 without columns)."""
     table = instance.table
     if table.n_columns == 0:
         return 0
-    return linearize_rows(table, frozenset(range(table.n_columns))).token_count
+    return linearized_token_count(table, frozenset(range(table.n_columns)))
 
 
 def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> list[int]:

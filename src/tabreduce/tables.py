@@ -8,9 +8,12 @@ or ``"`` is double-quoted, with each ``"`` doubled, so the pairs parse back.
 Token counts are whitespace word counts: cheap, deterministic, and
 sufficient for relative length comparisons.
 
-All row text comes from one renderer, which quotes each selected header
-once per call and formats and quotes each distinct cell value once per
-call.
+Everything derived from a column subset's rows comes from one walk over
+its cells (``_walk``), which handles each distinct cell once per call: the
+rendered text (``linearize_rows``), its token count
+(``linearized_token_count``), each row's tokens (``row_tokens``) and the
+texts of the row vocabulary (``row_vocabulary_texts``).  Only the first
+renders rows; the others work from each header and distinct cell alone.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import EmptySelectionError
 
@@ -130,12 +134,6 @@ class Reduction:
     rows: frozenset[int]
 
 
-@dataclass(frozen=True)
-class LinearizedContext:
-    text: str
-    token_count: int
-
-
 def project(table: Table, reduction: Reduction) -> Table:
     """Keep the selected columns/rows, preserving original relative order.
 
@@ -198,39 +196,100 @@ def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int
     return sorted(column_subset)
 
 
-def _row_texts(table: Table, columns: list[int], rows: Sequence[tuple[Cell, ...]]) -> list[str]:
-    """``(header,value), ...`` text of each row over ``columns``.
+def _walk(table: Table, column_subset: set[int] | frozenset[int],
+          value_of: Callable[[Cell], object]) -> Iterator[tuple[str, list, set, dict]]:
+    """The one walk over a column subset's cells, columns in table order.
 
-    The memo is keyed on ``(type, value)``: ``1``, ``1.0`` and ``True`` are
-    equal dict keys but render as ``1``, ``1`` and ``true``.
+    Yields per column its header, each row's cell key, the column's
+    distinct keys, and ``values``: ``value_of(key)`` of each distinct key,
+    computed once over the whole walk (one dict, shared by all columns).
+    A key formats (``format_cell``) as its cells do.  A cell is its own key:
+    equal ints and floats format alike (``1`` and ``1.0`` as ``1``).  A bool
+    is not, because ``True == 1`` and ``False == 0`` are equal dict keys
+    but format as ``true`` and ``1``; its key is its formatted text.
     """
-    memo: dict[tuple[type, Cell], str] = {}
-    per_column = []
-    for c in columns:
-        cells = list(map(itemgetter(c), rows))
-        keys = list(zip(map(type, cells), cells))
-        for key in set(keys).difference(memo):
-            memo[key] = quote_if_needed(format_cell(key[1])) + ")"
-        head = "(" + quote_if_needed(table.columns[c]) + ","
-        per_column.append(list(map(head.__add__, map(memo.__getitem__, keys))))
-    return list(map(", ".join, zip(*per_column)))
+    values: dict[Cell, object] = {}
+    for c in _columns(table, column_subset):
+        keys = list(map(itemgetter(c), table.rows))
+        if bool in set(map(type, keys)):
+            keys = [format_cell(k) if type(k) is bool else k for k in keys]
+        distinct = set(keys)
+        for key in distinct.difference(values):
+            values[key] = value_of(key)
+        yield table.columns[c], keys, distinct, values
 
 
-def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> LinearizedContext:
+def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> str:
     """Render every row as ``Row{i}: (header,value), ...`` over a column subset.
 
     Rows keep table order and are joined by single spaces; a zero-row table
     linearizes to the empty string.
     """
-    texts = _row_texts(table, _columns(table, column_subset), table.rows)
-    text = " ".join([f"Row{i}: {t}" for i, t in enumerate(texts)])
-    return LinearizedContext(text=text, token_count=count_tokens(text))
+    per_column = []
+    for header, keys, _, values in _walk(
+        table, column_subset, lambda cell: quote_if_needed(format_cell(cell)) + ")"
+    ):
+        head = "(" + quote_if_needed(header) + ","
+        per_column.append(list(map(head.__add__, map(values.__getitem__, keys))))
+    return " ".join([f"Row{i}: {', '.join(pairs)}" for i, pairs in enumerate(zip(*per_column))])
 
 
-def row_candidate_texts(table: Table, column_subset: set[int] | frozenset[int]) -> list[str]:
-    """Each row's linearization without the Row prefix, used as the row
-    policy's candidates."""
-    return _row_texts(table, _columns(table, column_subset), table.rows)
+def _quoted_runs(cell: Cell) -> int:
+    """Maximal whitespace runs, as ``str.split`` sees them, in the cell's
+    quoted text; none outside a ``str`` (numbers, bools and null format
+    without whitespace or quotes)."""
+    if type(cell) is not str:
+        return 0
+    return len(("x" + quote_if_needed(cell) + "x").split()) - 1
+
+
+def linearized_token_count(table: Table, column_subset: set[int] | frozenset[int]) -> int:
+    """``count_tokens(linearize_rows(table, column_subset))``, without rendering.
+
+    A pair ``(qh,qv)`` begins and ends with a non-space character, so it is
+    one word plus one for each whitespace run inside its quoted header
+    ``qh`` or value ``qv``; each row adds one for its ``Row{i}:`` anchor.
+    Quoting can split a run (``"see Row3:" "x"``), so the runs counted are
+    those of the quoted texts.
+    """
+    total = len(table.rows)
+    for header, keys, _, runs in _walk(table, column_subset, _quoted_runs):
+        total += len(keys) * (1 + _quoted_runs(header)) + sum(map(runs.__getitem__, keys))
+    return total
+
+
+def row_tokens(
+    table: Table,
+    column_subset: set[int] | frozenset[int],
+    encode: Callable[[str], Sequence],
+) -> list[tuple]:
+    """``tuple(encode(text))`` of each row's linearization without its ``Row{i}:``
+    anchor, without rendering: the row policy's candidates.
+
+    ``encode`` must be a tokenizer (or token-id lookup) that splits at every
+    character outside ``[a-z0-9]``, like ``policy.tokenize``.  Quoting and
+    the ``(``, ``,``, ``)``, ``, `` separators then never join or split a
+    token, so a row's tokens are ``encode(header) + encode(value)`` over its
+    columns, and each header and distinct cell is encoded once.
+    """
+    per_column = []
+    for header, keys, distinct, values in _walk(
+        table, column_subset, lambda cell: encode(format_cell(cell))
+    ):
+        head = encode(header)
+        pairs = {key: head + values[key] for key in distinct}
+        per_column.append(list(map(pairs.__getitem__, keys)))
+    return [tuple(chain.from_iterable(row)) for row in zip(*per_column)]
+
+
+def row_vocabulary_texts(table: Table, column_subset: set[int] | frozenset[int]) -> list[str]:
+    """Texts whose tokens are those of the subset's rows (see ``row_tokens``):
+    each header and each distinct formatted cell; none without rows."""
+    headers: list[str] = []
+    values: dict = {}
+    for header, _, _, values in _walk(table, column_subset, format_cell):
+        headers.append(header)
+    return headers + list(values.values()) if table.rows else []
 
 
 def build_column_prompt(question: str, table: Table) -> str:
@@ -241,5 +300,4 @@ def build_column_prompt(question: str, table: Table) -> str:
 def build_row_prompt(question: str, table: Table, relevant_columns: set[int] | frozenset[int]) -> str:
     if not relevant_columns:
         raise EmptySelectionError("relevant_columns must be non-empty")
-    linearized = linearize_rows(table, relevant_columns)
-    return ROW_PROMPT_TEMPLATE.format(question=question, rows=linearized.text)
+    return ROW_PROMPT_TEMPLATE.format(question=question, rows=linearize_rows(table, relevant_columns))

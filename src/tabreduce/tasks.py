@@ -2,10 +2,13 @@
 
 The column policy points at headers; the row policy points at rows rendered
 over an already-reduced column set (gold columns by default, predicted ones
-when chaining stages).  Greedy reductions go through
-``policy.greedy_decode``, which steps many encoded instances together;
-recall is ``greedy_recall`` over instances encoded once
-(``labeled_encodings``), as training does at every evaluation.
+when chaining stages).  Rows are never rendered for the policy: their token
+ids and the row vocabulary come from each header and distinct cell
+(``tables.row_tokens``, ``tables.row_vocabulary_texts``) and equal those of
+the rendered rows.  Greedy reductions go through ``policy.greedy_decode``,
+which steps many encoded instances together; recall is ``greedy_recall``
+over instances encoded once (``labeled_encodings``), as training does at
+every evaluation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import metrics, policy
 from .errors import ConfigError
-from .tables import Instance, row_candidate_texts
+from .tables import Instance, row_tokens, row_vocabulary_texts
 
 TARGET_COLUMNS = "columns"
 TARGET_ROWS = "rows"
@@ -29,18 +32,12 @@ def check_target(target: str) -> str:
     return target
 
 
-def candidate_texts(
-    instance: Instance,
-    target: str,
-    context_columns: frozenset[int] | None = None,
-) -> list[str]:
-    check_target(target)
-    if target == TARGET_COLUMNS:
-        return list(instance.table.columns)
+def _row_context(instance: Instance, context_columns: frozenset[int] | None) -> frozenset[int]:
+    """The columns rows are rendered over: ``context_columns``, else the gold ones."""
     columns = context_columns if context_columns is not None else instance.relevant_columns
     if not columns:
         raise ConfigError("row candidates need a non-empty column context")
-    return row_candidate_texts(instance.table, columns)
+    return columns
 
 
 def gold_items(instance: Instance, target: str) -> frozenset[int] | None:
@@ -69,10 +66,15 @@ def trainable(instances: Sequence[Instance], target: str) -> list[Instance]:
 
 
 def build_vocab(instances: Sequence[Instance], target: str) -> policy.Vocabulary:
+    """Vocabulary of the questions and of the candidates' texts."""
+    check_target(target)
     texts: list[str] = []
     for inst in instances:
         texts.append(inst.question)
-        texts.extend(candidate_texts(inst, target))
+        if target == TARGET_COLUMNS:
+            texts.extend(inst.table.columns)
+        else:
+            texts.extend(row_vocabulary_texts(inst.table, _row_context(inst, None)))
     return policy.build_vocabulary(texts)
 
 
@@ -82,9 +84,12 @@ def encode(
     target: str,
     context_columns: frozenset[int] | None = None,
 ) -> policy.EncodedInstance:
-    return policy.encode_instance(
-        vocab, instance.question, candidate_texts(instance, target, context_columns)
-    )
+    """The instance as the policy sees it: its question and its candidates
+    (headers, or rows over ``context_columns``, else the gold columns)."""
+    if check_target(target) == TARGET_COLUMNS:
+        return policy.encode_instance(vocab, instance.question, instance.table.columns)
+    rows = row_tokens(instance.table, _row_context(instance, context_columns), vocab.encode)
+    return policy.EncodedInstance(vocab.encode(instance.question), tuple(rows))
 
 
 def labeled_encodings(

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import policy, tasks
-from .atomicio import atomic_write
+from .atomicio import atomic_copy, atomic_write
 from .errors import ConfigError, NumericalError
 from .rewards import RewardConfig, shaped_reward, task_reward
 from .tables import Instance
@@ -164,6 +164,23 @@ def _prepare_run_dir(run_dir: str | None, config) -> None:
         os.remove(metrics_path)
 
 
+def _checkpoint_path(run_dir: str, name: str) -> str:
+    return os.path.join(run_dir, "checkpoints", f"{name}.model.json")
+
+
+def _save_checkpoint(run_dir: str | None, name: str, params: policy.PolicyParams,
+                     target: str) -> None:
+    if run_dir is not None:
+        policy.save_params(params, _checkpoint_path(run_dir, name), target=target)
+
+
+def _publish_model(run_dir: str | None, name: str) -> None:
+    """``model.json``: a copy of checkpoint ``name``'s bytes, which are what
+    ``save_params`` would write for the parameters training returns."""
+    if run_dir is not None:
+        atomic_copy(_checkpoint_path(run_dir, name), os.path.join(run_dir, "model.json"))
+
+
 # ---------------------------------------------------------------------------
 # Supervised fine-tuning
 
@@ -175,7 +192,10 @@ def train_sft(
     target: str,
     run_dir: str | None = None,
 ) -> tuple[policy.PolicyParams, list[dict]]:
-    """Minibatch likelihood training; returns the best-on-validation params."""
+    """Minibatch likelihood training; returns the best-on-validation params
+    (the last epoch's if validation is empty).  With a ``run_dir``, writes
+    its config, one metrics line and one checkpoint per epoch, and
+    ``model.json``, a copy of the returned params' checkpoint."""
     train = tasks.trainable(train, target)
     valid = tasks.trainable(valid, target)
     if not train:
@@ -191,6 +211,7 @@ def train_sft(
     params = params.copy()
     best = params.copy()
     best_recall = -1.0
+    best_epoch = 0
     history: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):
@@ -209,17 +230,17 @@ def train_sft(
         }
         history.append(record)
         _write_metrics_line(run_dir, record)
-        if run_dir is not None:
-            policy.save_params(
-                params, os.path.join(run_dir, "checkpoints", f"epoch-{epoch}.model.json"),
-                target=target,
-            )
+        _save_checkpoint(run_dir, f"epoch-{epoch}", params, target)
         # ties prefer the later epoch: equal validation recall, lower train loss
         if not math.isnan(recall) and recall >= best_recall:
             best_recall = recall
             best = params.copy()
+            best_epoch = epoch
 
-    return (best if best_recall >= 0 else params), history
+    if best_recall < 0:
+        best, best_epoch = params, cfg.epochs
+    _publish_model(run_dir, f"epoch-{best_epoch}")
+    return best, history
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +472,10 @@ def train_rl(
 
     The reference policy defaults to a frozen copy of the initial
     parameters.  Returns the best-on-validation checkpoint (final params if
-    validation is empty).  A NumericalError inside an iteration rolls the
-    parameters and the optimizer state back to the iteration start and
-    moves on.  ``summary``, when given, receives the episodes and steps
+    validation is empty); with a ``run_dir``, writes the run files of
+    ``train_sft``, with one checkpoint per iteration.  A NumericalError
+    inside an iteration rolls the parameters and the optimizer state back
+    to the iteration start and moves on.  ``summary``, when given, receives the episodes and steps
     sampled (the value-head warm start's included), the number of
     numerical rollbacks, and the wall seconds spent in rollouts and in
     updates.
@@ -482,6 +504,7 @@ def train_rl(
     adam = Adam(state.current, cfg.learning_rate)
     best = state.current.copy()
     best_recall = -1.0
+    best_iteration = 0
     rollout_s = update_s = 0.0
 
     for iteration in range(1, cfg.iterations + 1):
@@ -518,15 +541,11 @@ def train_rl(
             if recall >= best_recall:
                 best_recall = recall
                 best = state.current.copy()
+                best_iteration = iteration
 
         state.history.append(record)
         _write_metrics_line(run_dir, record)
-        if run_dir is not None:
-            policy.save_params(
-                state.current,
-                os.path.join(run_dir, "checkpoints", f"iter-{iteration}.model.json"),
-                target=target,
-            )
+        _save_checkpoint(run_dir, f"iter-{iteration}", state.current, target)
 
     if summary is not None:
         summary.update(
@@ -536,4 +555,7 @@ def train_rl(
             rollout_seconds=round(rollout_s, 3),
             update_seconds=round(update_s, 3),
         )
-    return (best if best_recall >= 0 else state.current), state.history
+    if best_recall < 0:
+        best, best_iteration = state.current, cfg.iterations
+    _publish_model(run_dir, f"iter-{best_iteration}")
+    return best, state.history

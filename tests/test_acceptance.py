@@ -272,7 +272,7 @@ def _context_text(inst, reduction):
     table = inst.table if reduction is None else project(inst.table, reduction)
     if table.n_columns == 0:
         return ""
-    return linearize_rows(table, frozenset(range(table.n_columns))).text
+    return linearize_rows(table, frozenset(range(table.n_columns)))
 
 
 def test_10_length_bucket_stability():

@@ -154,6 +154,25 @@ class TestTraining:
             training.PpoConfig(iterations=2, rollout_episodes_per_iter=8,
                                minibatch_episodes=4, epochs_per_iter=1, seed=5))
 
+    def test_sft_manifest_summary(self, pipeline, tmp_path):
+        root, data, _ = pipeline
+        cfg = tmp_path / "sft.json"
+        cfg.write_text(json.dumps({"epochs": 1, "seed": 7}))
+        out = tmp_path / "sft"
+        assert run([
+            "sft", "--data", str(data), "--target", "columns", "--out", str(out),
+            "--config", str(cfg), "--dim", "8",
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        # the resolved config records the seed that came from the file
+        assert manifest["args"]["seed"] is None
+        assert manifest["summary"] == {
+            "config": dataclasses.asdict(training.SftConfig(epochs=1, seed=7))
+        }
+        assert manifest["elapsed_seconds"] is not None
+        model = (out / "model.json").read_bytes()
+        assert model == (out / "checkpoints" / "epoch-1.model.json").read_bytes()
+
     def test_wrong_target_model_rejected(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline
         code = run([
@@ -395,7 +414,7 @@ class TestQaAndReport:
         assert seen == [
             [("user", llm.QA_PROMPT_TEMPLATE.format(
                 question=inst.question,
-                context=linearize_rows(inst.table, frozenset(range(inst.table.n_columns))).text,
+                context=linearize_rows(inst.table, frozenset(range(inst.table.n_columns))),
             ))]
             for inst in instances
         ]

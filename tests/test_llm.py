@@ -216,7 +216,7 @@ class TestReduceBaseline:
 
 class TestMock:
     def build_prompt(self, table, question="which city in 2008?"):
-        text = linearize_rows(table, frozenset(range(table.n_columns))).text
+        text = linearize_rows(table, frozenset(range(table.n_columns)))
         return llm.QA_PROMPT_TEMPLATE.format(question=question, context=text)
 
     def olympics(self):
@@ -282,7 +282,7 @@ class TestMock:
 
     def test_parse_prompt_table_round_trip(self):
         table = make_table(["a b", "c,d"], [[1, "x, y"], [None, "z"]])
-        text = linearize_rows(table, frozenset({0, 1})).text
+        text = linearize_rows(table, frozenset({0, 1}))
         parsed = parse_prompt_table("Prefix text " + text)
         assert parsed.columns == ("a b", "c,d")
         assert parsed.rows[0] == (1, "x, y")
@@ -298,7 +298,7 @@ class TestMock:
                 ["  spaced  ", "(", ")", '"'],
             ],
         )
-        text = linearize_rows(table, frozenset(range(4))).text
+        text = linearize_rows(table, frozenset(range(4)))
         parsed = parse_prompt_table("Table: " + text)
         assert parsed.columns == table.columns
         assert parsed.rows == (
@@ -317,7 +317,7 @@ class TestReaderTruncation:
     """The mock reader's token-budget truncation of a QA prompt."""
 
     def prompt(self, table):
-        text = linearize_rows(table, frozenset(range(table.n_columns))).text
+        text = linearize_rows(table, frozenset(range(table.n_columns)))
         return llm.QA_PROMPT_TEMPLATE.format(question="q?", context=text)
 
     def preamble_tokens(self):

@@ -38,6 +38,7 @@ from tabreduce.policy import (
     step_distribution,
     zero_grads,
 )
+from test_render_fast import oracle_row_pairs
 
 TOLERANCE = 1e-10
 ENCODING_TOLERANCE = 1e-13
@@ -535,10 +536,11 @@ def test_greedy_reduction_bit_identical(target):
     cfg = dataio.SynthConfig(n_instances=8, rows_range=(150, 170), seed=5, annotate=False)
     instances = dataio.generate_synthetic(cfg)
     context = frozenset({0, 1})
-    vocab = policy.build_vocabulary(
-        [inst.question for inst in instances]
-        + [t for inst in instances for t in tasks.candidate_texts(inst, target, context)]
-    )
+    texts = [inst.question for inst in instances]
+    for inst in instances:
+        texts += (inst.table.columns if target == tasks.TARGET_COLUMNS
+                  else [oracle_row_pairs(inst.table, row, sorted(context)) for row in inst.table.rows])
+    vocab = policy.build_vocabulary(texts)
     params = policy.init_params(vocab, 16, seed=7)
     encs = [tasks.encode(vocab, inst, target, context) for inst in instances]
     expected = [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]

@@ -1,5 +1,7 @@
 """Differential tests: the one-pass table renderer and the regex pair parser
-against the per-row and per-character code they replaced.
+against the per-row and per-character code they replaced, and the row token
+ids, row vocabulary and token counts taken from each column's distinct cells
+against the same oracle renderings, tokenized and counted.
 
 The oracles below are that code, kept as it was apart from the quoting rule:
 ``"`` is quoted as well as ``,``, ``(`` and ``)``, which is the bug fix that
@@ -15,14 +17,16 @@ import time
 
 import pytest
 
-from tabreduce import llm, metrics, tasks
+from tabreduce import llm, metrics, policy, tasks
 from tabreduce.tables import (
     Instance,
     Table,
     count_tokens,
     format_cell,
     linearize_rows,
-    row_candidate_texts,
+    linearized_token_count,
+    row_tokens,
+    row_vocabulary_texts,
 )
 
 # ---------------------------------------------------------------------------
@@ -161,38 +165,96 @@ def random_subset(rng, n_cols):
 SEEDS = range(6)
 
 
+def check_against_oracle(table, cols):
+    """Rendering, count, row ids and row vocabulary of ``table`` over
+    ``cols``, and what ``tasks`` and ``metrics`` make of them, against the
+    oracle's text."""
+    text = oracle_linearize(table, cols)
+    rows = [oracle_row_pairs(table, row, sorted(cols)) for row in table.rows]
+    assert linearize_rows(table, cols) == text
+    assert linearized_token_count(table, cols) == count_tokens(text)
+
+    vocab = policy.build_vocabulary(rows)
+    assert policy.build_vocabulary(row_vocabulary_texts(table, cols)) == vocab
+    assert row_tokens(table, cols, vocab.encode) == [vocab.encode(t) for t in rows]
+    assert row_tokens(table, cols, policy.tokenize) == [tuple(policy.tokenize(t)) for t in rows]
+    # with some tokens out of the vocabulary
+    partial = policy.build_vocabulary(rows[: len(rows) // 2])
+    assert row_tokens(table, cols, partial.encode) == [partial.encode(t) for t in rows]
+
+    inst = Instance(id="i", question="Which q?", table=table, relevant_columns=frozenset(cols))
+    assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["Which q?", *rows])
+    assert tasks.encode(partial, inst, "rows") == policy.encode_instance(partial, "Which q?", rows)
+    assert metrics.full_context_tokens(inst) == count_tokens(
+        oracle_linearize(table, range(table.n_columns))
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_renderings_match_oracle(seed):
     rng = random.Random(seed)
     for _ in range(150):
         table = random_table(rng)
-        cols = random_subset(rng, table.n_columns)
-        text = oracle_linearize(table, cols)
-        out = linearize_rows(table, cols)
-        assert out.text == text
-        assert out.token_count == count_tokens(text)
-        expected_rows = [oracle_row_pairs(table, row, sorted(cols)) for row in table.rows]
-        assert row_candidate_texts(table, cols) == expected_rows
-        inst = Instance(id="i", question="q", table=table, relevant_columns=cols)
-        assert tasks.candidate_texts(inst, "rows") == expected_rows
-        assert metrics.full_context_tokens(inst) == count_tokens(
-            oracle_linearize(table, range(table.n_columns))
-        )
+        check_against_oracle(table, random_subset(rng, table.n_columns))
+
+
+# whitespace str.split sees (\x1c, \u3000, \x85), runs at either end or
+# alone, and anchors whose quoting splits the run after them
+AWKWARD = ['"', "Row3:  x", "Row3: \u3000x", " lead", "trail ", "  both  ", " ", "\t\n ",
+           "\x1c", "a\x1cb", "\u3000", "a\u3000\u3000b", "\x85x", "x, y", "Row1:", "row2: z",
+           "İstanbul", "ΣΑΣ x", "e\u0301", "", 1, 1.0, True, 0, 0.0, False, -0.0, None,
+           1e20, math.nan]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_awkward_cells_match_oracle(seed):
+    rng = random.Random(4000 + seed)
+    for _ in range(100):
+        n_cols = rng.randint(1, 4)
+        headers = tuple(f"{rng.choice(AWKWARD)}{c}" if rng.random() < 0.7 else f"h{c}"
+                        for c in range(n_cols))
+        rows = tuple(tuple(rng.choice(AWKWARD) for _ in range(n_cols))
+                     for _ in range(rng.randint(0, 8)))
+        table = Table(headers, rows)
+        check_against_oracle(table, random_subset(rng, n_cols))
+
+
+@pytest.mark.parametrize("cell", [c for c in AWKWARD if isinstance(c, str)])
+def test_each_awkward_text_as_header_and_cell(cell):
+    table = Table((cell, "n"), ((cell, 1), ("plain", cell), (cell, None)))
+    for cols in ({0}, {1}, {0, 1}):
+        check_against_oracle(table, cols)
+
+
+def test_quoting_splits_a_whitespace_run():
+    # the anchor's space is written between two quoted runs: 2 runs, not 1
+    table = Table(("v",), (("Row3:  x",),))
+    assert linearize_rows(table, {0}) == 'Row0: (v,"Row3:" " x")'
+    assert linearized_token_count(table, {0}) == count_tokens('Row0: (v,"Row3:" " x")') == 4
 
 
 def test_equal_keys_of_other_types_render_apart():
     table = Table(("v",), ((1,), (1.0,), (True,), (0,), (False,), (-0.0,), (1.5,), (None,)))
-    assert row_candidate_texts(table, {0}) == [
-        "(v,1)", "(v,1)", "(v,true)", "(v,0)", "(v,false)", "(v,0)", "(v,1.5)", "(v,)"
+    assert linearize_rows(table, {0}) == oracle_linearize(table, {0}) == (
+        "Row0: (v,1) Row1: (v,1) Row2: (v,true) Row3: (v,0) Row4: (v,false) Row5: (v,0) "
+        "Row6: (v,1.5) Row7: (v,)"
+    )
+    vocab = policy.build_vocabulary(["v 1 true 0 false 1 5"])
+    v, one, true, zero, false, five = map(vocab.encode, ["v", "1", "true", "0", "false", "5"])
+    assert row_tokens(table, {0}, vocab.encode) == [
+        v + one, v + one, v + true, v + zero, v + false, v + zero, v + one + five, v
     ]
-    assert linearize_rows(table, {0}).text == oracle_linearize(table, {0})
+    check_against_oracle(table, {0})
 
 
 def test_zero_rows_and_zero_columns():
     table = Table(("a", "b"), ())
-    assert linearize_rows(table, {0, 1}).text == ""
-    assert linearize_rows(table, {0, 1}).token_count == 0
-    assert row_candidate_texts(table, {1}) == []
+    vocab = policy.build_vocabulary(["a b"])
+    assert linearize_rows(table, {0, 1}) == ""
+    assert linearized_token_count(table, {0, 1}) == 0
+    assert row_tokens(table, {1}, vocab.encode) == []
+    assert row_vocabulary_texts(table, {0, 1}) == []
+    check_against_oracle(table, {0, 1})
     assert metrics.full_context_tokens(Instance(id="i", question="q", table=table)) == 0
     empty = Instance(id="e", question="q", table=Table((), ((), ())))
     assert metrics.full_context_tokens(empty) == 0
@@ -267,7 +329,7 @@ def test_cells_holding_row_anchors_read_back(seed):
                      for row in table.rows)
         table = Table(headers, rows)
         prompt = llm.QA_PROMPT_TEMPLATE.format(
-            question="q?", context=linearize_rows(table, range(table.n_columns)).text
+            question="q?", context=linearize_rows(table, range(table.n_columns))
         )
         expected = Table(headers, tuple(
             tuple(llm._parse_cell(format_cell(cell)) for cell in row) for row in rows
@@ -277,6 +339,6 @@ def test_cells_holding_row_anchors_read_back(seed):
 
 def test_cell_holding_row_anchor_keeps_both_rows():
     table = Table(("note", "n"), (("see Row3: x", 1), ("plain", 2)))
-    text = linearize_rows(table, {0, 1}).text
+    text = linearize_rows(table, {0, 1})
     assert text == 'Row0: (note,"see Row3:" "x"), (n,1) Row1: (note,plain), (n,2)'
     assert llm.parse_prompt_table(text) == table

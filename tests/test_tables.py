@@ -9,8 +9,11 @@ from tabreduce.tables import (
     build_row_prompt,
     count_tokens,
     linearize_rows,
+    linearized_token_count,
     make_table,
     project,
+    row_tokens,
+    row_vocabulary_texts,
     table_fingerprint,
     validate_table,
 )
@@ -77,41 +80,48 @@ class TestLinearize:
     def test_paper_format(self):
         table = make_table(["year", "city"], [[2008, "Beijing"]])
         out = linearize_rows(table, {0, 1})
-        assert out.text == "Row0: (year,2008), (city,Beijing)"
-        assert out.token_count == count_tokens(out.text)
+        assert out == "Row0: (year,2008), (city,Beijing)"
+        assert linearized_token_count(table, {0, 1}) == count_tokens(out) == 3
 
     def test_zero_rows_empty_text(self):
         table = make_table(["year"], [])
-        out = linearize_rows(table, {0})
-        assert out.text == ""
-        assert out.token_count == 0
+        assert linearize_rows(table, {0}) == ""
+        assert linearized_token_count(table, {0}) == 0
 
     def test_subset_keeps_row_indices(self):
         table = make_table(["year", "city"], [[2008, "Beijing"], [2012, "London"]])
         out = linearize_rows(table, {1})
-        assert out.text == "Row0: (city,Beijing) Row1: (city,London)"
+        assert out == "Row0: (city,Beijing) Row1: (city,London)"
 
     def test_empty_subset_raises(self):
+        for derived in (linearize_rows, linearized_token_count, row_vocabulary_texts):
+            with pytest.raises(EmptySelectionError):
+                derived(olympics(), set())
         with pytest.raises(EmptySelectionError):
-            linearize_rows(olympics(), set())
+            row_tokens(olympics(), set(), str.split)
+
+    def test_column_out_of_range_raises(self):
+        for derived in (linearize_rows, linearized_token_count, row_vocabulary_texts):
+            with pytest.raises(IndexError):
+                derived(olympics(), {0, 9})
 
     def test_pair_counts(self):
         table = make_table(
             ["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
         )
         out = linearize_rows(table, {0, 2})
-        assert out.text.count("Row") == 4
-        assert out.text.count("(") == 4 * 2
+        assert out.count("Row") == 4
+        assert out.count("(") == 4 * 2
 
     def test_quoting_of_awkward_values(self):
         table = make_table(["notes"], [["a, b (c)"]])
         out = linearize_rows(table, {0})
-        assert '"a, b (c)"' in out.text
+        assert '"a, b (c)"' in out
 
     def test_double_quotes_are_quoted_and_doubled(self):
         table = make_table(['say "hi"', "size"], [['5" screen', 'plain']])
         out = linearize_rows(table, {0, 1})
-        assert out.text == 'Row0: ("say ""hi""","5"" screen"), (size,plain)'
+        assert out == 'Row0: ("say ""hi""","5"" screen"), (size,plain)'
 
 
 class TestPrompts:

@@ -23,29 +23,50 @@ def annotated_instance():
 
 
 class TestCandidates:
+    """Candidates as the policy sees them: the token ids of the headers, or
+    of each row rendered over the context columns (as the oracle renders
+    it in ``test_render_fast``)."""
+
+    def vocab(self):
+        return policy.build_vocabulary(["which city year athens noise 2004 2008 beijing y"])
+
     def test_column_candidates_are_headers(self):
         inst = annotated_instance()
-        assert tasks.candidate_texts(inst, "columns") == ["year", "city", "noise"]
+        vocab = self.vocab()
+        enc = tasks.encode(vocab, inst, "columns")
+        assert enc.question_ids == vocab.encode("which city in 2008?")
+        assert enc.candidate_ids == tuple(vocab.encode(h) for h in ["year", "city", "noise"])
 
     def test_row_candidates_use_gold_columns_by_default(self):
         inst = annotated_instance()
-        texts = tasks.candidate_texts(inst, "rows")
-        assert texts[0] == "(year,2004), (city,athens)"
-        assert len(texts) == 2
+        vocab = self.vocab()
+        enc = tasks.encode(vocab, inst, "rows")
+        assert enc.candidate_ids == (
+            vocab.encode("(year,2004), (city,athens)"), vocab.encode("(year,2008), (city,beijing)")
+        )
 
     def test_row_candidates_accept_predicted_columns(self):
         inst = annotated_instance()
-        texts = tasks.candidate_texts(inst, "rows", context_columns=frozenset({1, 2}))
-        assert texts[1] == "(city,beijing), (noise,y)"
+        vocab = self.vocab()
+        enc = tasks.encode(vocab, inst, "rows", context_columns=frozenset({1, 2}))
+        assert enc.candidate_ids[1] == vocab.encode("(city,beijing), (noise,y)")
+        # "x" is out of the vocabulary
+        assert enc.candidate_ids[0] == vocab.encode("city athens noise") + (0,)
 
     def test_rows_without_columns_rejected(self):
         inst = Instance(id="x", question="q", table=make_table(["a"], [[1]]), answers=("1",))
         with pytest.raises(ConfigError):
-            tasks.candidate_texts(inst, "rows")
+            tasks.encode(self.vocab(), inst, "rows")
+        with pytest.raises(ConfigError):
+            tasks.build_vocab([inst], "rows")
 
     def test_unknown_target_rejected(self):
         with pytest.raises(ConfigError):
             tasks.check_target("cells")
+        with pytest.raises(ConfigError):
+            tasks.encode(self.vocab(), annotated_instance(), "cells")
+        with pytest.raises(ConfigError):
+            tasks.build_vocab([annotated_instance()], "cells")
 
 
 class TestTrainable:
@@ -95,3 +116,8 @@ def test_vocab_covers_questions_and_candidates():
     vocab = tasks.build_vocab([inst], "rows")
     for token in ("which", "city", "2008", "athens", "year"):
         assert vocab.encode(token) != (0,), token
+    # the rows over the gold columns: "noise" and its cells are not candidates
+    assert vocab.tokens == ("2004", "2008", "athens", "beijing", "city", "in", "which", "year")
+    assert tasks.build_vocab([inst], "columns").tokens == (
+        "2008", "city", "in", "noise", "which", "year"
+    )

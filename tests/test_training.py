@@ -342,6 +342,25 @@ class TestSft:
         assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch-1.model.json"]
         assert len((run_dir / "metrics.jsonl").read_text().strip().split("\n")) == 1
 
+    @pytest.mark.parametrize("valid_share", [0.2, 0.0])
+    def test_model_json_is_the_returned_params_checkpoint(self, tmp_path, valid_share):
+        insts = dataset(60)
+        train, valid, _ = dataio.split(insts, (0.8 - valid_share, valid_share, 0.2), seed=0)
+        vocab = tasks.build_vocab(tasks.trainable(train, "columns"), "columns")
+        run_dir = tmp_path / "run"
+        best, history = train_sft(
+            policy.init_params(vocab, 16, 0), train, valid,
+            SftConfig(epochs=4, learning_rate=2e-2, seed=0), "columns", run_dir=str(run_dir),
+        )
+        policy.save_params(best, tmp_path / "expected.json", target="columns")
+        model = (run_dir / "model.json").read_bytes()
+        assert model == (tmp_path / "expected.json").read_bytes()
+        # the best validation recall, ties to the later epoch; the last epoch without validation
+        recalls = [(h["valid_recall"] or 0.0, h["epoch"]) for h in history]
+        assert (valid_share == 0) == all(h["valid_recall"] is None for h in history)
+        epoch = max(recalls)[1] if valid_share else 4
+        assert model == (run_dir / "checkpoints" / f"epoch-{epoch}.model.json").read_bytes()
+
 
 class TestTrainRl:
     def small_cfg(self, **kw):
@@ -404,6 +423,21 @@ class TestTrainRl:
         lines = (run_dir / "metrics.jsonl").read_text().strip().split("\n")
         assert len(lines) == 4
         assert json.loads(lines[0])["iteration"] == 1
+
+    @pytest.mark.parametrize("with_valid", [True, False])
+    def test_model_json_is_the_returned_params_checkpoint(self, tmp_path, with_valid):
+        sft, train, valid = self.prepared()
+        run_dir = tmp_path / "rl"
+        best, history = train_rl(sft, train, valid if with_valid else [],
+                                 self.small_cfg(eval_every=1), "columns", run_dir=str(run_dir))
+        policy.save_params(best, tmp_path / "expected.json", target="columns")
+        model = (run_dir / "model.json").read_bytes()
+        assert model == (tmp_path / "expected.json").read_bytes()
+        if with_valid:
+            iteration = max((h["valid_recall"], h["iteration"]) for h in history)[1]
+        else:
+            iteration = 4
+        assert model == (run_dir / "checkpoints" / f"iter-{iteration}.model.json").read_bytes()
 
     def test_numerical_error_rolls_back_params_and_optimizer(self, monkeypatch):
         sft, train, valid = self.prepared()
