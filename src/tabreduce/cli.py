@@ -70,14 +70,37 @@ def _load_instances(path: str):
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in text.split(",")]
+    try:
+        parts = [float(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3:
-        raise ConfigError("--split needs three comma-separated ratios")
+        raise ConfigError(f"--split needs three comma-separated ratios, got {text!r}")
     return (parts[0], parts[1], parts[2])
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+    try:
+        return [int(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _load_answers(path: str) -> dict[str, str]:
+    """Answer by instance id from a ``qa`` output file."""
+    answers: dict[str, str] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not (isinstance(record, dict) and "id" in record and "answer" in record):
+                raise ConfigError(f'{path}:{lineno}: an answer record needs "id" and "answer"')
+            answers[record["id"]] = record["answer"]
+    return answers
 
 
 def _load_model(path: str, target: str | None) -> tuple[policy.PolicyParams, str]:
@@ -147,15 +170,12 @@ def cmd_annotate(args) -> int:
     return EXIT_OK
 
 
-def _split_from_args(instances, args):
-    return dataio.split(instances, _parse_ratios(args.split), seed=args.split_seed)
-
-
 def cmd_sft(args) -> int:
     cfg = _load_config(args.config, training.SftConfig, args.seed)
+    ratios = _parse_ratios(args.split)
     manifest = Manifest("sft", vars(args), args.out)
     instances = _load_instances(args.data)
-    train, valid, _ = _split_from_args(instances, args)
+    train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
     usable = tasks.trainable(train, args.target)
     if not usable:
         raise ConfigError("no annotated training instances; run annotate first")
@@ -174,9 +194,10 @@ def cmd_sft(args) -> int:
 
 def cmd_train_rl(args) -> int:
     cfg = _load_config(args.config, training.PpoConfig, args.seed)
+    ratios = _parse_ratios(args.split)
     manifest = Manifest("train-rl", vars(args), args.out)
     instances = _load_instances(args.data)
-    train, valid, _ = _split_from_args(instances, args)
+    train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
     params, _ = _load_model(args.init, args.target)
     summary: dict = {}
     _, history = training.train_rl(
@@ -190,6 +211,7 @@ def cmd_train_rl(args) -> int:
 
 
 def cmd_eval_reduce(args) -> int:
+    boundaries = _parse_int_list(args.buckets) if args.buckets else None
     manifest = Manifest("eval-reduce", vars(args), args.report)
     instances = _load_instances(args.data)
     params, target = _load_model(args.model, args.target)
@@ -207,7 +229,6 @@ def cmd_eval_reduce(args) -> int:
                 context_tokens=metrics.full_context_tokens(inst),
             )
         )
-    boundaries = _parse_int_list(args.buckets) if args.buckets else None
     report = metrics.build_recall_report(entries, boundaries, include_micro=args.micro)
     doc = metrics.report_to_dict(report)
     doc["target"] = target
@@ -218,7 +239,6 @@ def cmd_eval_reduce(args) -> int:
         "instances": len(entries),
         f"{target}_kept": sum(len(e.predicted) for e in entries),
         "decode_steps": decoded.steps,
-        "exact_steps": decoded.exact_steps,
     }
     manifest.finish()
     print(
@@ -252,7 +272,7 @@ def cmd_reduce(args) -> int:
     col_params, _ = _load_model(args.col_model, tasks.TARGET_COLUMNS)
     row_params, _ = _load_model(args.row_model, tasks.TARGET_ROWS)
     out = []
-    summary = dict.fromkeys(("columns_kept", "rows_kept", "decode_steps", "exact_steps"), 0)
+    summary = dict.fromkeys(("columns_kept", "rows_kept", "decode_steps"), 0)
     for group in _groups(instances):
         # columns for every instance, then rows for those with a column prediction
         col_decode = policy.greedy_decode(
@@ -273,7 +293,6 @@ def cmd_reduce(args) -> int:
             summary["columns_kept"] += len(cols)
             summary["rows_kept"] += len(rows)
         summary["decode_steps"] += col_decode.steps + row_decode.steps
-        summary["exact_steps"] += col_decode.exact_steps + row_decode.exact_steps
     dataio.save_dataset(out, args.out)
     manifest.doc["summary"] = {"instances": len(out), **summary}
     manifest.finish()
@@ -344,15 +363,11 @@ def cmd_qa(args) -> int:
 
 
 def cmd_report(args) -> int:
+    boundaries = _parse_int_list(args.buckets)
     manifest = Manifest("report", vars(args), args.out)
     instances = _load_instances(args.reductions)
-    answers: dict[str, str] = {}
-    with open(args.answers, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                record = json.loads(line)
-                answers[record["id"]] = record["answer"]
-    doc = metrics.build_accuracy_report(instances, answers, _parse_int_list(args.buckets))
+    answers = _load_answers(args.answers)
+    doc = metrics.build_accuracy_report(instances, answers, boundaries)
     buckets = doc["per_bucket"]
     with atomic_write(args.out) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)

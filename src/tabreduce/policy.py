@@ -21,15 +21,14 @@ same whatever it is batched with.  Sampling (``sample_episodes``) and greedy
 decoding (``greedy_decode``) step many instances together as masked
 ``(B, N + 1)`` score arrays, STOP in the last slot, through one stepper
 (``_Stepper``).  Sampling draws each episode's picks from its own row of a
-caller-supplied block of uniforms.  Greedy decoding settles near-ties with
-the per-instance ``step_distribution``, so that its selections are exactly
-those of a per-instance greedy walk over the same encodings.  Training never
-walks episodes: a fixed action sequence becomes an ``Episode`` (per step,
-the available candidates and the history-mean weights ``W``, so
-``h = W @ v``), built once per example, and ``forward`` replays a whole
-minibatch of them as padded ``(B, T, N + 1)`` score tensors.  ``backward``
-runs the chain rule back through the same tensors down to the token
-embeddings.
+caller-supplied block of uniforms.  Greedy decoding takes each row's argmax,
+ties to the lowest slot; a row scores the same in any batch, so an instance
+decodes the same whatever it is decoded with.  Training never walks
+episodes: a fixed action sequence becomes an ``Episode`` (per step, the
+available candidates and the history-mean weights ``W``, so ``h = W @ v``),
+built once per example, and ``forward`` replays a whole minibatch of them as
+padded ``(B, T, N + 1)`` score tensors.  ``backward`` runs the chain rule
+back through the same tensors down to the token embeddings.
 
 Log-probabilities are exact and every gradient here is written by hand;
 ``finite_difference_error`` checks them against central differences, which
@@ -334,32 +333,6 @@ def embed(params: PolicyParams, encs: Sequence[EncodedInstance]) -> list[Embedde
 # ---------------------------------------------------------------------------
 # Step-level math
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(scores)):
-        raise NumericalError("non-finite scores in step distribution")
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
-def step_distribution(
-    params: PolicyParams,
-    question_enc: np.ndarray,
-    history_enc: np.ndarray,
-    candidate_encs: np.ndarray,
-) -> np.ndarray:
-    """Probabilities over remaining candidates (given order) then STOP."""
-    n = candidate_encs.shape[0] if candidate_encs.size else 0
-    scores = np.empty(n + 1)
-    if n:
-        scores[:n] = (question_enc @ params.score_q) @ candidate_encs.T
-        scores[:n] += (history_enc @ params.score_h) @ candidate_encs.T
-    scores[n] = (
-        question_enc @ params.stop_q + history_enc @ params.stop_h + params.stop_b[0]
-    )
-    return _softmax(scores)
-
-
 def apply_top_p_mask(probs: np.ndarray, p: float) -> np.ndarray:
     """Keep, in each distribution along the last axis, the smallest
     probability-descending prefix with cumulative >= p.
@@ -597,113 +570,49 @@ def _sample_run(current, reference, uniforms, top_p) -> list[EpisodeTrace]:
 
 @dataclass(frozen=True)
 class GreedyDecode:
-    """Greedy selections, in input order, and how they were reached:
-    ``steps`` decode steps over all instances (each STOP included), of which
-    ``exact_steps`` were settled by the per-instance arithmetic."""
+    """Greedy selections, in input order, and ``steps``, the decode steps
+    over all instances (each STOP included)."""
 
     selected: list[frozenset[int]]
     steps: int
-    exact_steps: int
-
-
-def _gamma(n: int) -> float:
-    """The standard bound n·u / (1 - n·u), u = 2**-53, on the relative
-    rounding error of an n-term dot product, in any summation order."""
-    nu = n * 2.0**-53
-    return nu / (1.0 - nu)
-
-
-# The step distribution's exp and division can give two probabilities the
-# same value when their scores differ by less than about 2**-50; a lead of
-# more than this keeps the top slot the distribution's unique argmax.
-_TIE_MARGIN = 2.0**-48
-
-
-def _exact_pick(params: PolicyParams, q: np.ndarray, v: np.ndarray,
-                allowed: np.ndarray, rank: np.ndarray) -> int:
-    """The slot a per-instance walk picks: the argmax of ``step_distribution``
-    over the remaining candidates in ascending order, with the history mean
-    taken over the selected candidates in selection order."""
-    n = v.shape[0]
-    remaining = np.flatnonzero(allowed[:n])
-    chosen = np.flatnonzero(rank >= 0)
-    chosen = chosen[np.argsort(rank[chosen])]
-    history = v[chosen].mean(axis=0) if chosen.size else np.zeros(params.dim)
-    # q copied into its own array, as the walk's is, in case BLAS rounds by alignment
-    pick = int(np.argmax(step_distribution(params, q.copy(), history, v[remaining])))
-    return n if pick == remaining.size else int(remaining[pick])
 
 
 def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> GreedyDecode:
     """Greedy decode of many instances, stepped together.
 
-    The result is what walking each instance on its own, over its ``embed``
-    encodings, gives when every step takes the argmax of
-    ``step_distribution`` (ties to the lowest action index) and STOP ends
-    the episode.  Instances are sorted by candidate count and cut into
-    ``chunks``; each chunk is embedded once and stepped as one masked
-    ``(B, N + 1)`` score array with STOP in the last slot (``_Stepper``),
-    and instances that stop leave the working arrays.
-
-    The batched products round differently from that walk's (BLAS rounds a
-    column differently depending on the shape of the call).  So the batched
-    argmax stands only when it leads every other allowed slot by more than
-    both paths' rounding error plus ``_TIE_MARGIN``.  The error of a score
-    x . y is bounded by γₙ·|x|·|y|, here taken through ‖|x|‖·‖y‖ for the
-    candidates, with the history mean's own rounding covered by the mean of
-    the selected candidates' magnitudes.  Otherwise, as on a real tie, that
-    instance's step is settled by ``step_distribution`` itself
-    (``_exact_pick``).  Non-finite scores raise ``NumericalError``.
+    Every step takes the argmax of the stepper's scores over the remaining
+    candidates and STOP, ties to the lowest slot, and STOP ends the episode.
+    Instances are sorted by candidate count and cut into ``chunks``; each
+    chunk is embedded once and stepped as one masked ``(B, N + 1)`` score
+    array with STOP in the last slot (``_Stepper``), and instances that stop
+    leave the working arrays.  A row's scores depend on neither the batch
+    nor its width, so an instance decodes the same in any batch, and
+    candidates with bit-identical encodings score exactly alike, so the
+    lowest of them wins.  Non-finite scores raise ``NumericalError``.
     """
     if not encs:
-        return GreedyDecode([], 0, 0)
+        return GreedyDecode([], 0)
     order = sorted(range(len(encs)), key=lambda i: encs[i].n_candidates)
     ordered = [encs[i] for i in order]
     selected: list[frozenset[int]] = [frozenset()] * len(encs)
-    steps = exact_steps = 0
-    abs_score_h = np.abs(params.score_h)
-    abs_stop_h = np.abs(params.stop_h)
+    steps = 0
     for run in chunks(ordered):
         q, v = _embed_padded(params, ordered[run])[1:]  # the count matrices are not kept
-        batch, n, dim = v.shape
+        n = v.shape[1]
         st = _Stepper(params, q, v, np.array([enc.n_candidates for enc in ordered[run]]))
         live = np.arange(run.start, run.stop)  # positions in ``order``
-        # both paths' error: 2·dim + 2 terms per score, n for the history
-        # mean, and 2 for the norms and the comparison below
-        slack = 2.0 * _gamma(2 * dim + 4 + n)
-        rank = np.full((batch, n), -1)  # selection order of each picked candidate
-        h_abs = np.zeros((batch, dim))  # sum of the selected candidates' magnitudes
-        v_norm = np.sqrt(np.einsum("bnd,bnd->bn", v, v))
-        qw_abs = np.abs(q) @ np.abs(params.score_q)
-        q_stop_abs = np.abs(q) @ np.abs(params.stop_q) + abs(params.stop_b[0])
         while live.size:
-            rows = np.arange(live.size)
-            scores = st.scores()
-            h_bound = h_abs / np.maximum(st.picked, 1)[:, None]
-            bound = np.empty(scores.shape)
-            bound[:, :n] = v_norm * np.linalg.norm(qw_abs + h_bound @ abs_score_h, axis=1)[:, None]
-            bound[:, n] = q_stop_abs + h_bound @ abs_stop_h
-            bound *= slack
-            top = scores.argmax(axis=1)
-            rivals = scores + bound
-            rivals[rows, top] = -np.inf
-            clear = scores[rows, top] - bound[rows, top] - rivals.max(axis=1) > _TIE_MARGIN
-            for i in np.flatnonzero(~clear):
-                top[i] = _exact_pick(params, st.q[i], st.v[i], st.allowed[i], rank[i])
+            top = st.scores().argmax(axis=1)
             steps += live.size
-            exact_steps += live.size - int(clear.sum())
-
             go = top < n
-            rows, cols = rows[go], top[go]
-            rank[rows, cols] = st.picked[rows]
-            h_abs[rows] += np.abs(st.v[rows, cols])
-            st.select(rows, cols)
+            st.select(np.flatnonzero(go), top[go])
             if not go.all():
                 for i in np.flatnonzero(~go):
-                    selected[order[live[i]]] = frozenset(np.flatnonzero(rank[i] >= 0).tolist())
-                live, rank, h_abs, v_norm, qw_abs, q_stop_abs = st.keep(
-                    go, live, rank, h_abs, v_norm, qw_abs, q_stop_abs)
-    return GreedyDecode(selected, steps, exact_steps)
+                    k = live[i]
+                    taken = ~st.allowed[i, : ordered[k].n_candidates]
+                    selected[order[k]] = frozenset(np.flatnonzero(taken).tolist())
+                (live,) = st.keep(go, live)
+    return GreedyDecode(selected, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from .tables import Cell, Table
 
 AGGREGATE_FNS = ("count", "sum", "avg", "min", "max")
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 MISSING_COLUMN = "missing_column"
 TYPE_MISMATCH = "type_mismatch"

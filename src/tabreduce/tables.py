@@ -56,11 +56,10 @@ class Table:
     rows: tuple[tuple[Cell, ...], ...]
 
     def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row {i} has {len(row)} cells, expected {len(self.columns)}"
-                )
+        width = len(self.columns)
+        if not set(map(len, self.rows)) <= {width}:
+            i, row = next((i, row) for i, row in enumerate(self.rows) if len(row) != width)
+            raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
 
     @property
     def n_columns(self) -> int:
@@ -81,7 +80,7 @@ class Table:
 
 def make_table(columns: list[str] | tuple[str, ...], rows) -> Table:
     """Build and validate a table from plain lists."""
-    table = Table(tuple(columns), tuple(tuple(r) for r in rows))
+    table = Table(tuple(columns), tuple(map(tuple, rows)))
     validate_table(table)
     return table
 

@@ -1,7 +1,9 @@
 """Every public top-level function and class of ``src/tabreduce`` has a
 caller in the package: another module that imports and uses it, or code in
 its own module.  Library code that only the tests reach is either wired into
-the pipeline or deleted."""
+the pipeline or deleted.  Every other top-level definition (private
+functions, classes and constants, and public constants) is read by package
+code too, so nothing is left behind when its last user goes."""
 
 import ast
 from pathlib import Path
@@ -29,6 +31,19 @@ def public_definitions(tree):
     }
 
 
+def other_definitions(tree):
+    """Top-level private functions and classes and every top-level constant
+    (a name assigned at module level), dunder names aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
+
+
 def references(module, tree):
     """(module, name) pairs this module's code refers to: bare names resolve
     to this module or to a ``from .mod import name``; ``alias.name`` resolves
@@ -44,7 +59,7 @@ def references(module, tree):
                     imported_names[alias.asname or alias.name] = node.module
     refs = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs.add((imported_names.get(node.id, module), node.id))
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in module_aliases:
@@ -52,11 +67,13 @@ def references(module, tree):
     return refs
 
 
+def package_references(trees):
+    return set().union(*(references(module, tree) for module, tree in trees.items()))
+
+
 def test_every_public_definition_has_a_package_caller():
     trees = parse_package()
-    used = set()
-    for module, tree in trees.items():
-        used |= references(module, tree)
+    used = package_references(trees)
     unused = sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
@@ -64,6 +81,18 @@ def test_every_public_definition_has_a_package_caller():
         if (module, name) not in used and f"{module}.{name}" not in ALLOWED
     )
     assert unused == [], "public definitions no package code uses: " + ", ".join(unused)
+
+
+def test_every_other_definition_is_read_by_package_code():
+    trees = parse_package()
+    used = package_references(trees)
+    unused = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in other_definitions(tree)
+        if (module, name) not in used
+    )
+    assert unused == [], "definitions no package code reads: " + ", ".join(unused)
 
 
 def test_allowlist_names_live_definitions():

@@ -13,6 +13,11 @@ def run(args):
     return cli.main(args)
 
 
+def assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 def synth_config_args(n, out, seed=0):
     return [
         "synth", "--n", str(n), "--seed", str(seed), "--out", str(out),
@@ -203,8 +208,20 @@ class TestTraining:
             "--config", str(cfg), *extra,
         ])
         assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err.strip().split("\n")
-        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert_one_error_line(capsys, message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["sft", "train-rl"])
+    @pytest.mark.parametrize("split", ["0.8,x,0.1", "0.8,0.2"])
+    def test_bad_split_is_one_error_line(self, pipeline, tmp_path, capsys, stage, split):
+        root, data, sft_dir = pipeline
+        extra = ["--init", str(sft_dir / "model.json")] if stage == "train-rl" else []
+        code = run([
+            stage, "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+            "--split", split, *extra,
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, f"--split needs three comma-separated ratios, got {split!r}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("stage", ["eval-reduce", "reduce", "train-rl"])
@@ -245,7 +262,18 @@ class TestEvalAndReduce:
         assert summary["instances"] == len(usable) == report["count"]
         assert summary["columns_kept"] == sum(map(len, predicted))
         assert summary["decode_steps"] == sum(len(p) + 1 for p in predicted)
-        assert 0 <= summary["exact_steps"] <= summary["decode_steps"]
+        assert set(summary) == {"instances", "columns_kept", "decode_steps"}
+
+    def test_eval_reduce_bad_buckets_is_one_error_line(self, pipeline, tmp_path, capsys):
+        root, data, sft_dir = pipeline
+        report_path = tmp_path / "report.json"
+        code = run([
+            "eval-reduce", "--data", str(data), "--model", str(sft_dir / "model.json"),
+            "--report", str(report_path), "--buckets", "0,a",
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, "expected comma-separated integers, got '0,a'")
+        assert not report_path.exists()
 
     def test_eval_reduce_rejects_target_mismatch(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline
@@ -308,6 +336,7 @@ class TestEvalAndReduce:
         assert summary["columns_kept"] == sum(len(i.extra["predicted_columns"]) for i in instances)
         assert summary["rows_kept"] == sum(len(i.extra["predicted_rows"]) for i in instances)
         assert summary["decode_steps"] == steps
+        assert set(summary) == {"instances", "columns_kept", "rows_kept", "decode_steps"}
         monkeypatch.setattr(cli, "_REDUCE_GROUP_ROWS", 7)
         regrouped = tmp_path / "regrouped.jsonl"
         assert run([
@@ -316,9 +345,7 @@ class TestEvalAndReduce:
         ]) == 0
         assert regrouped.read_bytes() == reduced.read_bytes()
         regrouped_summary = json.loads((tmp_path / "regrouped.jsonl.manifest.json").read_text())
-        # which steps need the exact path depends on the chunk a step ran in
-        for key in ("instances", "columns_kept", "rows_kept", "decode_steps"):
-            assert regrouped_summary["summary"][key] == summary[key]
+        assert regrouped_summary["summary"] == summary
 
     def test_reduce_rejects_swapped_models(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline
@@ -369,6 +396,30 @@ class TestQaAndReport:
         assert doc["overall_accuracy"] == 1.0
         assert sum(b["count"] for b in doc["per_bucket"]) == 80
         assert (tmp_path / "qa.csv").read_text().startswith("bucket,min_tokens,count,accuracy")
+
+    @pytest.mark.parametrize(
+        "buckets, answer_line, message",
+        [
+            ("0,a", '{"id": "synth-00000", "answer": "1"}', "expected comma-separated integers, got '0,a'"),
+            ("0,40", '{"id": "synth-00000"}', ':1: an answer record needs "id" and "answer"'),
+            ("0,40", '["synth-00000", "1"]', ':1: an answer record needs "id" and "answer"'),
+            ("0,40", '{"id": "synth-00000", "answer": ', ":1: invalid JSON"),
+        ],
+        ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json"],
+    )
+    def test_bad_report_input_is_one_error_line(self, pipeline, tmp_path, capsys, buckets,
+                                                answer_line, message):
+        root, data, _ = pipeline
+        answers = tmp_path / "answers.jsonl"
+        answers.write_text(answer_line + "\n")
+        out = tmp_path / "report.json"
+        code = run([
+            "report", "--answers", str(answers), "--reductions", str(data),
+            "--buckets", buckets, "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, message)
+        assert not out.exists()
 
     def test_gold_context_qa(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline

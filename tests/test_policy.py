@@ -28,7 +28,6 @@ from tabreduce.policy import (
     sample_episodes,
     save_params,
     sft_loss_and_grad,
-    step_distribution,
     tokenize,
 )
 
@@ -93,16 +92,24 @@ class TestInit:
         assert np.all(params.emb == 0)
 
 
+def first_step(params, q, v, u):
+    """Action and behavior log-probability of the first step of an episode
+    over the encodings ``q`` and ``v``, sampled unmasked at uniform ``u``."""
+    uniforms = np.full((1, v.shape[0] + 1), u)
+    trace = sample_episodes([policy.Embedded(params, q, v)], None, uniforms, None)[0]
+    return trace.actions[0], trace.logp_pi[0]
+
+
 class TestStepDistribution:
     def test_zero_params_uniform(self):
         params = PolicyParams.zeros(tiny_vocab(), 4)
-        dist = step_distribution(params, np.zeros(4), np.zeros(4), np.zeros((2, 4)))
-        assert np.allclose(dist, [1 / 3] * 3)
+        third = pytest.approx(math.log(1 / 3))
+        for u, action in ((0.0, 0), (0.5, 1), (0.9, STOP)):
+            assert first_step(params, np.zeros(4), np.zeros((2, 4)), u) == (action, third)
 
     def test_no_candidates_all_stop(self):
         params = PolicyParams.zeros(tiny_vocab(), 4)
-        dist = step_distribution(params, np.zeros(4), np.zeros(4), np.zeros((0, 4)))
-        assert dist.tolist() == [1.0]
+        assert first_step(params, np.zeros(4), np.zeros((0, 4)), 0.5) == (STOP, 0.0)
 
     def test_hand_computed_one_candidate(self):
         # d=2, one candidate: two scores computed by hand
@@ -114,25 +121,28 @@ class TestStepDistribution:
         v = np.array([[2.0, 0.5]])
         s_cand = 1.0 * 1.0 * 2.0 + 1.0 * 2.0 * 0.5      # q . Mq . v = 3.0
         s_stop = 0.5 - 0.5 + 0.25                        # 0.25
+        stepper = policy._Stepper(params, q[None], v[None], np.array([1]))
+        assert stepper.scores().tolist() == [[s_cand, s_stop]]
         expected = np.exp([s_cand, s_stop]) / np.exp([s_cand, s_stop]).sum()
-        dist = step_distribution(params, q, np.zeros(2), v)
-        assert np.allclose(dist, expected)
+        assert first_step(params, q, v, 0.0) == (0, pytest.approx(math.log(expected[0])))
+        assert first_step(params, q, v, 0.99) == (STOP, pytest.approx(math.log(expected[1])))
 
     def test_valid_distribution_random(self):
         rng = np.random.default_rng(0)
         params = init_params(tiny_vocab(), 6, seed=1)
         for _ in range(50):
             n = int(rng.integers(0, 5))
-            dist = step_distribution(
-                params, rng.normal(size=6), rng.normal(size=6), rng.normal(size=(n, 6))
-            )
-            assert np.all(dist >= 0)
-            assert abs(dist.sum() - 1.0) < 1e-9
+            e = policy.Embedded(params, rng.normal(size=6), rng.normal(size=(n, 6)))
+            trace = sample_episodes([e], None, rng.random((1, n + 1)), None)[0]
+            assert trace.actions[-1] == STOP and len(trace.actions) <= n + 1
+            assert all(-np.inf < lp <= 0.0 for lp in trace.logp_pi)
+            if len(trace.actions) == n + 1:  # every candidate taken: STOP is certain
+                assert trace.logp_pi[-1] == 0.0
 
     def test_non_finite_scores_raise(self):
         params = PolicyParams.zeros(tiny_vocab(), 2)
         with pytest.raises(NumericalError):
-            step_distribution(params, np.array([np.nan, 0.0]), np.zeros(2), np.zeros((1, 2)))
+            first_step(params, np.array([np.nan, 0.0]), np.zeros((1, 2)), 0.5)
 
 
 class TestTopPMask:
@@ -189,7 +199,7 @@ class TestEpisodes:
         # candidate and STOP tie, so the candidate's lower slot wins; then
         # only STOP is left
         assert decoded.selected == [frozenset({0})]
-        assert (decoded.steps, decoded.exact_steps) == (2, 1)
+        assert decoded.steps == 2
 
     def test_seeded_sampling_reproducible(self):
         vocab, enc = tiny_enc(3)

@@ -2,11 +2,12 @@
 replaced.
 
 The oracle below is the earlier implementation: an ``_Encoder`` walked one
-episode at a time, ``replay_episode`` recomputed each step's distribution,
-``accumulate_episode_grads`` backpropagated step by step, and the two losses
-looped over episodes.  Its encodings are per-segment means of token
-embeddings; the policy's count-matrix products sum in another order, so
-encodings must agree to 1e-13 relative (to the largest magnitude of each
+episode at a time, ``step_distribution`` gave each step's probabilities as
+a softmax of ``step_scores``, ``replay_episode`` recomputed each step's
+distribution, ``accumulate_episode_grads`` backpropagated step by step, and
+the two losses looped over episodes.  Its encodings are per-segment means of
+token embeddings; the policy's count-matrix products sum in another order,
+so encodings must agree to 1e-13 relative (to the largest magnitude of each
 array), and losses, gradients and per-step quantities to 1e-10.  An
 instance's encoding must not depend on the batch around it: alone and in any
 batch it is bit-identical.  Sampling and greedy decoding are checked against
@@ -16,7 +17,12 @@ the batched sampler must take the walk's actions, with log-probabilities
 and values within 1e-12 (its products are shaped differently, so BLAS
 rounds them differently), and a trace must not depend on the episodes it is
 stepped with.  The greedy stepper, which decodes many instances together,
-must select exactly what the greedy walk selects, ties included.
+must select exactly what the greedy walk selects.  The walk takes the
+argmax of its scores and then the lowest remaining candidate whose encoding
+is bit-identical to that pick's: the stepper scores such copies exactly
+alike and takes the lowest, while the walk's matrix-vector products may
+round them apart.  Only ties between bit-identical encodings are settled
+so; every other step must agree as it stands.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from tabreduce.policy import (
     PolicyParams,
     PpoExample,
     PpoStats,
-    step_distribution,
     zero_grads,
 )
 from test_render_fast import oracle_row_pairs
@@ -60,6 +65,25 @@ def oracle_top_p_mask(probs: np.ndarray, p: float) -> np.ndarray:
             break
     masked = np.where(keep, probs, 0.0)
     return masked / masked.sum()
+
+
+def step_scores(params: PolicyParams, question_enc: np.ndarray, history_enc: np.ndarray,
+                candidate_encs: np.ndarray) -> np.ndarray:
+    """Scores of the remaining candidates (given order) then STOP."""
+    n = candidate_encs.shape[0]
+    scores = np.empty(n + 1)
+    scores[:n] = (question_enc @ params.score_q) @ candidate_encs.T
+    scores[:n] += (history_enc @ params.score_h) @ candidate_encs.T
+    scores[n] = question_enc @ params.stop_q + history_enc @ params.stop_h + params.stop_b[0]
+    return scores
+
+
+def step_distribution(params: PolicyParams, question_enc: np.ndarray, history_enc: np.ndarray,
+                      candidate_encs: np.ndarray) -> np.ndarray:
+    """Probabilities over the remaining candidates (given order) then STOP."""
+    scores = step_scores(params, question_enc, history_enc, candidate_encs)
+    exp = np.exp(scores - scores.max())
+    return exp / exp.sum()
 
 
 def value_estimate(params: PolicyParams, question_enc: np.ndarray, history_enc: np.ndarray) -> float:
@@ -96,15 +120,24 @@ class _Encoder:
         self._selected.append(candidate)
         self.h = self.v[self._selected].mean(axis=0)
 
+    def scores(self, remaining: Sequence[int]) -> np.ndarray:
+        return step_scores(self.params, self.q, self.h, self.v[list(remaining)])
+
     def distribution(self, remaining: Sequence[int]) -> np.ndarray:
         return step_distribution(self.params, self.q, self.h, self.v[list(remaining)])
 
 
-def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=None, uniforms=None):
+def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=None, uniforms=None,
+                          tie_steps=None):
     """The per-episode walk over the policy's one-instance encodings; step t
     of a sampled episode picks where ``uniforms[t]`` falls in the behavior
-    distribution's normalized cumulative sum.  Returns (actions, logp_pi,
-    logp_ref, values, selected)."""
+    distribution's normalized cumulative sum.  A greedy step takes the argmax
+    of the scores, then the lowest remaining candidate whose encoding is
+    bit-identical to it: such candidates are one candidate to the policy,
+    though the walk's matrix-vector products may round their scores apart.
+    Each greedy step whose pick had such a copy is appended to
+    ``tie_steps`` (when given).  Returns (actions, logp_pi, logp_ref,
+    values, selected)."""
     ref = reference_params if reference_params is not None else params
     pi = _Encoder(params, enc, policy.embed(params, [enc])[0])
     theta = _Encoder(ref, enc, policy.embed(ref, [enc])[0])
@@ -122,7 +155,13 @@ def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=No
         else:
             behavior = probs
         if mode == "greedy":
-            pick = int(np.argmax(probs))
+            pick = int(np.argmax(pi.scores(remaining)))
+            if pick < len(remaining):
+                key = pi.v[remaining[pick]].tobytes()
+                copies = [k for k, c in enumerate(remaining) if pi.v[c].tobytes() == key]
+                pick = copies[0]
+                if tie_steps is not None and len(copies) > 1:
+                    tie_steps.append(len(actions))
         else:
             cdf = np.cumsum(behavior)
             cdf /= cdf[-1]
@@ -570,18 +609,19 @@ def tie_prone_instances(rng, count: int) -> list[EncodedInstance]:
 def test_greedy_decode_matches_per_step_walk(dim):
     rng = np.random.default_rng(dim)
     params = random_params(dim, dim)
-    exact_steps = stop_first = 0
+    tie_steps: list[int] = []
+    stop_first = 0
     for _ in range(5):
         encs = tie_prone_instances(rng, 80)
         decoded = policy.greedy_decode(params, encs)
-        expected = [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
+        expected = [oracle_sample_episode(params, None, enc, mode="greedy", tie_steps=tie_steps)[-1]
+                    for enc in encs]
         assert decoded.selected == expected
         assert decoded.steps == sum(len(sel) + 1 for sel in expected)
-        exact_steps += decoded.exact_steps
         stop_first += sum(1 for enc, sel in zip(encs, expected) if enc.n_candidates and not sel)
-    # the ties reached the per-instance arithmetic, and some instances with
+    # some picks had a bit-identical copy left, and some instances with
     # candidates stopped at once
-    assert exact_steps > 0
+    assert len(tie_steps) > 0
     assert stop_first > 0
 
 

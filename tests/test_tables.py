@@ -31,6 +31,25 @@ class TestTableInvariants:
         with pytest.raises(ValueError, match="cells"):
             Table(("a", "b"), ((1,),))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 2], [3], [4, 5, 6]], "row 1 has 1 cells, expected 2"),
+            ([[1, 2], [3, 4], [4, 5, 6]], "row 2 has 3 cells, expected 2"),
+            ([[]], "row 0 has 0 cells, expected 2"),
+        ],
+    )
+    def test_first_ragged_row_named(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_table(["a", "b"], rows)
+
+    def test_rows_copied_to_tuples(self):
+        rows = [[1, "x"], ["y", None]]
+        table = make_table(["a", "b"], rows)
+        rows[0][0] = 9
+        assert table.rows == ((1, "x"), ("y", None))
+        assert make_table(["a"], []).rows == ()
+
     def test_duplicate_headers_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_table(["Year", " year "], [[1, 2]])
