@@ -181,8 +181,11 @@ def cmd_sft(args) -> int:
         raise ConfigError("no annotated training instances; run annotate first")
     vocab = tasks.build_vocab(usable, args.target)
     params = policy.init_params(vocab, dim=args.dim, seed=cfg.seed)
-    _, history = training.train_sft(params, train, valid, cfg, args.target, run_dir=args.out)
-    manifest.doc["summary"] = {"config": dataclasses.asdict(cfg)}
+    summary: dict = {}
+    _, history = training.train_sft(
+        params, train, valid, cfg, args.target, run_dir=args.out, summary=summary
+    )
+    manifest.doc["summary"] = {**summary, "config": dataclasses.asdict(cfg)}
     manifest.finish()
     final = history[-1]
     print(

@@ -156,6 +156,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_instances < 0:
             raise ConfigError("n_instances must be non-negative")
+        for name in ("columns_range", "rows_range", "numeric_range"):
+            value = getattr(self, name)
+            if len(value) != 2:
+                raise ConfigError(f"{name} must be a (lo, hi) pair, got {value!r}")
         lo, hi = self.columns_range
         if not (2 <= lo <= hi <= len(HEADER_WORDS)):
             raise ConfigError("columns_range out of supported bounds")

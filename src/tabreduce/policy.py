@@ -823,19 +823,15 @@ def chunks(encs: Sequence[EncodedInstance]) -> list[slice]:
 
 def sft_loss_and_grad(
     params: PolicyParams,
-    batch: Sequence[Episode | tuple[EncodedInstance, Sequence[int]]],
+    batch: Sequence[Episode],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean negative log-likelihood of gold action sequences, with gradients.
-
-    Items are Episodes or (encoded instance, actions) pairs.
-    """
+    """Mean negative log-likelihood of gold action sequences, with gradients."""
     if not batch:
         raise ConfigError("empty SFT batch")
-    episodes = [item if isinstance(item, Episode) else build_episode(*item) for item in batch]
     grads = zero_grads(params)
     total = 0.0
-    for run in chunks([ep.enc for ep in episodes]):
-        fw = forward(params, episodes[run])
+    for run in chunks([ep.enc for ep in batch]):
+        fw = forward(params, batch[run])
         total += float(fw.logps.sum())
         backward(params, fw, grads, logp_coef=np.where(fw.valid, -1.0 / len(batch), 0.0))
     loss = -total / len(batch)

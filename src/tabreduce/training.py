@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import policy, tasks
-from .atomicio import atomic_copy, atomic_write
+from .atomicio import atomic_write
 from .errors import ConfigError, NumericalError
 from .rewards import RewardConfig, shaped_reward, task_reward
 from .tables import Instance
@@ -149,36 +149,20 @@ def _write_metrics_line(run_dir: str | None, record: dict) -> None:
 
 
 def _prepare_run_dir(run_dir: str | None, config) -> None:
-    """Write the config; drop the metrics and checkpoints of an earlier run."""
+    """Write the config; drop the metrics of an earlier run and the
+    ``checkpoints/`` directory that older versions wrote."""
     if run_dir is None:
         return
+    os.makedirs(run_dir, exist_ok=True)
     checkpoints = os.path.join(run_dir, "checkpoints")
     if os.path.isdir(checkpoints):
         shutil.rmtree(checkpoints)
-    os.makedirs(checkpoints)
     with atomic_write(os.path.join(run_dir, "config.json")) as fh:
         json.dump(asdict(config), fh, sort_keys=True, indent=2)
         fh.write("\n")
     metrics_path = os.path.join(run_dir, "metrics.jsonl")
     if os.path.exists(metrics_path):
         os.remove(metrics_path)
-
-
-def _checkpoint_path(run_dir: str, name: str) -> str:
-    return os.path.join(run_dir, "checkpoints", f"{name}.model.json")
-
-
-def _save_checkpoint(run_dir: str | None, name: str, params: policy.PolicyParams,
-                     target: str) -> None:
-    if run_dir is not None:
-        policy.save_params(params, _checkpoint_path(run_dir, name), target=target)
-
-
-def _publish_model(run_dir: str | None, name: str) -> None:
-    """``model.json``: a copy of checkpoint ``name``'s bytes, which are what
-    ``save_params`` would write for the parameters training returns."""
-    if run_dir is not None:
-        atomic_copy(_checkpoint_path(run_dir, name), os.path.join(run_dir, "model.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +175,13 @@ def train_sft(
     cfg: SftConfig,
     target: str,
     run_dir: str | None = None,
+    summary: dict | None = None,
 ) -> tuple[policy.PolicyParams, list[dict]]:
-    """Minibatch likelihood training; returns the best-on-validation params
-    (the last epoch's if validation is empty).  With a ``run_dir``, writes
-    its config, one metrics line and one checkpoint per epoch, and
-    ``model.json``, a copy of the returned params' checkpoint."""
+    """Minibatch likelihood training; returns the params of the epoch with
+    the best validation recall (ties to the later epoch; the last epoch if
+    validation is empty).  With a ``run_dir``, writes its config, one
+    metrics line per epoch, and the returned params as ``model.json``.
+    ``summary``, when given, receives the chosen epoch."""
     train = tasks.trainable(train, target)
     valid = tasks.trainable(valid, target)
     if not train:
@@ -230,7 +216,6 @@ def train_sft(
         }
         history.append(record)
         _write_metrics_line(run_dir, record)
-        _save_checkpoint(run_dir, f"epoch-{epoch}", params, target)
         # ties prefer the later epoch: equal validation recall, lower train loss
         if not math.isnan(recall) and recall >= best_recall:
             best_recall = recall
@@ -239,7 +224,10 @@ def train_sft(
 
     if best_recall < 0:
         best, best_epoch = params, cfg.epochs
-    _publish_model(run_dir, f"epoch-{best_epoch}")
+    if summary is not None:
+        summary["chosen_epoch"] = best_epoch
+    if run_dir is not None:
+        policy.save_params(best, os.path.join(run_dir, "model.json"), target=target)
     return best, history
 
 
@@ -471,14 +459,15 @@ def train_rl(
     """PPO iterations with periodic greedy evaluation.
 
     The reference policy defaults to a frozen copy of the initial
-    parameters.  Returns the best-on-validation checkpoint (final params if
-    validation is empty); with a ``run_dir``, writes the run files of
-    ``train_sft``, with one checkpoint per iteration.  A NumericalError
-    inside an iteration rolls the parameters and the optimizer state back
-    to the iteration start and moves on.  ``summary``, when given, receives the episodes and steps
-    sampled (the value-head warm start's included), the number of
-    numerical rollbacks, and the wall seconds spent in rollouts and in
-    updates.
+    parameters.  Returns the params of the evaluated iteration with the
+    best validation recall (ties to the later iteration; the final params
+    if validation is empty); with a ``run_dir``, writes the run files of
+    ``train_sft``, one metrics line per iteration.  A NumericalError inside
+    an iteration rolls the parameters and the optimizer state back to the
+    iteration start and moves on.  ``summary``, when given, receives the
+    episodes and steps sampled (the value-head warm start's included), the
+    number of numerical rollbacks, the wall seconds spent in rollouts and
+    in updates, and the chosen iteration.
     """
     train = tasks.trainable(train, target)
     valid = tasks.trainable(valid, target)
@@ -545,8 +534,9 @@ def train_rl(
 
         state.history.append(record)
         _write_metrics_line(run_dir, record)
-        _save_checkpoint(run_dir, f"iter-{iteration}", state.current, target)
 
+    if best_recall < 0:
+        best, best_iteration = state.current, cfg.iterations
     if summary is not None:
         summary.update(
             episodes=state.episodes,
@@ -554,8 +544,8 @@ def train_rl(
             numerical_rollbacks=sum("error" in record for record in state.history),
             rollout_seconds=round(rollout_s, 3),
             update_seconds=round(update_s, 3),
+            chosen_iteration=best_iteration,
         )
-    if best_recall < 0:
-        best, best_iteration = state.current, cfg.iterations
-    _publish_model(run_dir, f"iter-{best_iteration}")
+    if run_dir is not None:
+        policy.save_params(best, os.path.join(run_dir, "model.json"), target=target)
     return best, state.history

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tabreduce import dataio, policy
-from tabreduce.atomicio import atomic_copy, atomic_write
+from tabreduce.atomicio import atomic_write
 from tabreduce.tables import Instance, make_table
 
 
@@ -33,25 +33,6 @@ def test_exception_before_first_write_creates_nothing(tmp_path):
         with atomic_write(path):
             raise RuntimeError("interrupted")
     assert list(tmp_path.iterdir()) == []
-
-
-def test_copy_replaces_file_with_the_source_bytes(tmp_path):
-    source = tmp_path / "source.json"
-    source.write_bytes(b'{"a": "\xc3\xa9"}\r\n')
-    path = tmp_path / "out.json"
-    path.write_text("old\n")
-    atomic_copy(source, path)
-    assert path.read_bytes() == source.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "source.json"]
-
-
-def test_failed_copy_keeps_previous_file(tmp_path):
-    path = tmp_path / "out.json"
-    path.write_text("old\n")
-    with pytest.raises(FileNotFoundError):
-        atomic_copy(tmp_path / "missing.json", path)
-    assert path.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_failed_save_dataset_keeps_previous_dataset(tmp_path):

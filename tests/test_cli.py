@@ -51,6 +51,22 @@ class TestSynthAndAnnotate:
         assert manifest["command"] == "synth"
         assert manifest["elapsed_seconds"] is not None
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cols", "3"], "columns_range must be a (lo, hi) pair, got (3,)"),
+            (["--rows", "1,2,3"], "rows_range must be a (lo, hi) pair, got (1, 2, 3)"),
+            (["--rows", ","], "rows_range must be a (lo, hi) pair, got ()"),
+            (["--cols", "5,3"], "columns_range out of supported bounds"),
+        ],
+        ids=["one-col", "three-rows", "no-rows", "reversed-cols"],
+    )
+    def test_bad_synth_range_is_one_error_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d.jsonl"
+        assert run(["synth", "--n", "5", "--out", str(out)] + flags) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, message)
+        assert list(tmp_path.iterdir()) == []
+
     def test_annotate_round_trip_and_stats(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
         assert run(synth_config_args(6, raw) + ["--no-annotate"]) == 0
@@ -152,6 +168,8 @@ class TestTraining:
         iteration_steps = round(sum(r["mean_episode_length"] * 8 for r in records))
         assert summary["steps"] - iteration_steps >= 8
         assert summary["numerical_rollbacks"] == 0
+        # validation is scored after the last iteration only, so that one is chosen
+        assert summary["chosen_iteration"] == 2
         assert summary["rollout_seconds"] >= 0 and summary["update_seconds"] >= 0
         # the resolved config records the seed that came from the file
         assert manifest["args"]["seed"] is None
@@ -172,11 +190,13 @@ class TestTraining:
         # the resolved config records the seed that came from the file
         assert manifest["args"]["seed"] is None
         assert manifest["summary"] == {
-            "config": dataclasses.asdict(training.SftConfig(epochs=1, seed=7))
+            "chosen_epoch": 1,
+            "config": dataclasses.asdict(training.SftConfig(epochs=1, seed=7)),
         }
         assert manifest["elapsed_seconds"] is not None
-        model = (out / "model.json").read_bytes()
-        assert model == (out / "checkpoints" / "epoch-1.model.json").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "manifest.json", "metrics.jsonl", "model.json",
+        ]
 
     def test_wrong_target_model_rejected(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline

@@ -298,15 +298,17 @@ class TestSftLoss:
     def test_uniform_loss_log6(self):
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
-        loss, grads = sft_loss_and_grad(params, [(enc, (0, STOP))])
+        loss, grads = sft_loss_and_grad(params, [build_episode(enc, (0, STOP))])
         assert loss == pytest.approx(math.log(6))
 
     def test_batch_mean_of_singles(self):
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=0)
-        l1, _ = sft_loss_and_grad(params, [(enc, (0, STOP))])
-        l2, _ = sft_loss_and_grad(params, [(enc, (1, 2, STOP))])
-        both, _ = sft_loss_and_grad(params, [(enc, (0, STOP)), (enc, (1, 2, STOP))])
+        l1, _ = sft_loss_and_grad(params, [build_episode(enc, (0, STOP))])
+        l2, _ = sft_loss_and_grad(params, [build_episode(enc, (1, 2, STOP))])
+        both, _ = sft_loss_and_grad(
+            params, [build_episode(enc, (0, STOP)), build_episode(enc, (1, 2, STOP))]
+        )
         assert both == pytest.approx((l1 + l2) / 2)
 
     def test_training_single_example_to_near_zero(self):
@@ -315,7 +317,7 @@ class TestSftLoss:
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=0).copy()
         adam = Adam(params, 0.05)
-        batch = [(enc, (0, 2, STOP))]
+        batch = [build_episode(enc, (0, 2, STOP))]
         for _ in range(300):
             loss, grads = sft_loss_and_grad(params, batch)
             adam.step(params, grads)
@@ -369,7 +371,7 @@ class TestGradients:
         params = init_params(vocab, 4, seed=11)
 
         def corrupted(p):
-            loss, grads = sft_loss_and_grad(p, [(enc, (0, 2, STOP))])
+            loss, grads = sft_loss_and_grad(p, [build_episode(enc, (0, 2, STOP))])
             grads["score_q"] = grads["score_q"] * 1.5 + 0.01
             return loss, grads
 

@@ -505,7 +505,8 @@ def test_forward_matches_replay(seed):
 def test_sft_matches_oracle(seed):
     params = random_params(seed)
     batch = mixed_batch(seed)
-    loss, grads = policy.sft_loss_and_grad(params, batch)
+    episodes = [policy.build_episode(enc, actions) for enc, actions in batch]
+    loss, grads = policy.sft_loss_and_grad(params, episodes)
     oracle_loss, oracle_grads = oracle_sft_loss_and_grad(params, batch)
     assert relative_error(loss, oracle_loss) <= TOLERANCE
     assert_grads_agree(grads, oracle_grads)
@@ -547,8 +548,8 @@ def test_unavailable_action_rejected():
 def test_actions_after_stop_ignored():
     params = random_params(1)
     enc = random_instance(np.random.default_rng(1), 4)
-    full = policy.sft_loss_and_grad(params, [(enc, (1, STOP, 2, 3))])
-    short = policy.sft_loss_and_grad(params, [(enc, (1, STOP))])
+    full = policy.sft_loss_and_grad(params, [policy.build_episode(enc, (1, STOP, 2, 3))])
+    short = policy.sft_loss_and_grad(params, [policy.build_episode(enc, (1, STOP))])
     assert full[0] == short[0]
 
 
@@ -556,7 +557,9 @@ def test_non_finite_scores_raise():
     params = random_params(2)
     params.score_q[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-        policy.sft_loss_and_grad(params, mixed_batch(2))
+        policy.sft_loss_and_grad(
+            params, [policy.build_episode(enc, actions) for enc, actions in mixed_batch(2)]
+        )
 
 
 def test_step_count_mismatch_rejected():

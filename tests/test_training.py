@@ -316,18 +316,19 @@ class TestSft:
         usable = tasks.trainable(train, "columns")
         vocab = tasks.build_vocab(usable, "columns")
         run_dir = tmp_path / "run"
+        summary = {}
         best, history = train_sft(
             policy.init_params(vocab, 16, 0), train, valid,
             SftConfig(epochs=4, learning_rate=2e-2, seed=0), "columns", run_dir=str(run_dir),
+            summary=summary,
         )
-        # exhaustively score every saved checkpoint; best must match the max
+        # the returned params score the best validation recall of any epoch
         valid_encs = tasks.labeled_encodings(vocab, tasks.trainable(valid, "columns"), "columns")
-        recalls = []
-        for epoch in range(1, 5):
-            ck, _ = policy.load_params(run_dir / "checkpoints" / f"epoch-{epoch}.model.json")
-            recalls.append(tasks.greedy_recall(ck, *valid_encs))
         best_recall = tasks.greedy_recall(best, *valid_encs)
-        assert best_recall == pytest.approx(max(recalls))
+        assert best_recall == max(h["valid_recall"] for h in history)
+        assert history[summary["chosen_epoch"] - 1]["valid_recall"] == best_recall
+        assert summary["chosen_epoch"] < 4  # this run peaks before its last epoch
+        assert policy.load_params(run_dir / "model.json")[0].equals(best)
 
     def test_rerun_clears_old_checkpoints(self, tmp_path):
         insts = dataset(40)
@@ -335,11 +336,17 @@ class TestSft:
         vocab = tasks.build_vocab(tasks.trainable(train, "columns"), "columns")
         run_dir = tmp_path / "run"
         for epochs in (3, 1):
+            # the per-epoch models that older versions wrote
+            stale = run_dir / "checkpoints"
+            stale.mkdir(parents=True, exist_ok=True)
+            (stale / f"epoch-{epochs}.model.json").write_text("{}\n")
             train_sft(
                 policy.init_params(vocab, 16, 0), train, valid,
                 SftConfig(epochs=epochs, seed=0), "columns", run_dir=str(run_dir),
             )
-        assert [p.name for p in (run_dir / "checkpoints").iterdir()] == ["epoch-1.model.json"]
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                "config.json", "metrics.jsonl", "model.json",
+            ]
         assert len((run_dir / "metrics.jsonl").read_text().strip().split("\n")) == 1
 
     @pytest.mark.parametrize("valid_share", [0.2, 0.0])
@@ -348,9 +355,11 @@ class TestSft:
         train, valid, _ = dataio.split(insts, (0.8 - valid_share, valid_share, 0.2), seed=0)
         vocab = tasks.build_vocab(tasks.trainable(train, "columns"), "columns")
         run_dir = tmp_path / "run"
+        summary = {}
         best, history = train_sft(
             policy.init_params(vocab, 16, 0), train, valid,
             SftConfig(epochs=4, learning_rate=2e-2, seed=0), "columns", run_dir=str(run_dir),
+            summary=summary,
         )
         policy.save_params(best, tmp_path / "expected.json", target="columns")
         model = (run_dir / "model.json").read_bytes()
@@ -359,7 +368,13 @@ class TestSft:
         recalls = [(h["valid_recall"] or 0.0, h["epoch"]) for h in history]
         assert (valid_share == 0) == all(h["valid_recall"] is None for h in history)
         epoch = max(recalls)[1] if valid_share else 4
-        assert model == (run_dir / "checkpoints" / f"epoch-{epoch}.model.json").read_bytes()
+        assert summary == {"chosen_epoch": epoch}
+        # the returned params are those the chosen epoch ended with
+        rerun, _ = train_sft(
+            policy.init_params(vocab, 16, 0), train, [],
+            SftConfig(epochs=epoch, learning_rate=2e-2, seed=0), "columns",
+        )
+        assert best.equals(rerun)
 
 
 class TestTrainRl:
@@ -416,10 +431,9 @@ class TestTrainRl:
         sft, train, valid = self.prepared()
         run_dir = tmp_path / "rl"
         train_rl(sft, train, valid, self.small_cfg(), "columns", run_dir=str(run_dir))
-        assert (run_dir / "config.json").exists()
-        assert (run_dir / "metrics.jsonl").exists()
-        for k in range(1, 5):
-            assert (run_dir / "checkpoints" / f"iter-{k}.model.json").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.json", "metrics.jsonl", "model.json",
+        ]
         lines = (run_dir / "metrics.jsonl").read_text().strip().split("\n")
         assert len(lines) == 4
         assert json.loads(lines[0])["iteration"] == 1
@@ -428,8 +442,10 @@ class TestTrainRl:
     def test_model_json_is_the_returned_params_checkpoint(self, tmp_path, with_valid):
         sft, train, valid = self.prepared()
         run_dir = tmp_path / "rl"
+        summary = {}
         best, history = train_rl(sft, train, valid if with_valid else [],
-                                 self.small_cfg(eval_every=1), "columns", run_dir=str(run_dir))
+                                 self.small_cfg(eval_every=1), "columns", run_dir=str(run_dir),
+                                 summary=summary)
         policy.save_params(best, tmp_path / "expected.json", target="columns")
         model = (run_dir / "model.json").read_bytes()
         assert model == (tmp_path / "expected.json").read_bytes()
@@ -437,7 +453,26 @@ class TestTrainRl:
             iteration = max((h["valid_recall"], h["iteration"]) for h in history)[1]
         else:
             iteration = 4
-        assert model == (run_dir / "checkpoints" / f"iter-{iteration}.model.json").read_bytes()
+        assert summary["chosen_iteration"] == iteration
+        # the returned params are those the chosen iteration ended with
+        rerun, _ = train_rl(sft, train, [], self.small_cfg(eval_every=1, iterations=iteration),
+                            "columns")
+        assert best.equals(rerun)
+
+    def test_chosen_iteration_follows_valid_recall(self, tmp_path, monkeypatch):
+        sft, train, valid = self.prepared()
+        recalls = iter([0.5, 0.7, 0.7, 0.2])  # the best recall twice: the later one wins
+        monkeypatch.setattr(training.tasks, "greedy_recall", lambda *args: next(recalls))
+        summary = {}
+        best, history = train_rl(sft, train, valid, self.small_cfg(eval_every=1), "columns",
+                                 run_dir=str(tmp_path / "rl"), summary=summary)
+        assert [h["valid_recall"] for h in history] == [0.5, 0.7, 0.7, 0.2]
+        assert summary["chosen_iteration"] == 3
+        assert policy.load_params(tmp_path / "rl" / "model.json")[0].equals(best)
+        rerun, _ = train_rl(sft, train, [], self.small_cfg(iterations=3), "columns")
+        assert best.equals(rerun)
+        last, _ = train_rl(sft, train, [], self.small_cfg(), "columns")
+        assert not best.equals(last)
 
     def test_numerical_error_rolls_back_params_and_optimizer(self, monkeypatch):
         sft, train, valid = self.prepared()
