@@ -142,8 +142,8 @@ def _load_config(path: str | None, config_cls, seed: int | None):
 def cmd_synth(args) -> int:
     cfg = dataio.SynthConfig(
         n_instances=args.n,
-        columns_range=tuple(args.cols),
-        rows_range=tuple(args.rows),
+        columns_range=tuple(_parse_int_list(args.cols)),
+        rows_range=tuple(_parse_int_list(args.rows)),
         value_vocab_size=args.value_vocab,
         seed=args.seed,
         annotate=not args.no_annotate,
@@ -399,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--cols", type=_parse_int_list, default=[4, 10], metavar="LO,HI")
-    p.add_argument("--rows", type=_parse_int_list, default=[5, 60], metavar="LO,HI")
+    p.add_argument("--cols", default="4,10", metavar="LO,HI")
+    p.add_argument("--rows", default="5,60", metavar="LO,HI")
     p.add_argument("--value-vocab", type=int, default=30)
     p.add_argument("--no-annotate", action="store_true")
     p.set_defaults(func=cmd_synth)

@@ -33,7 +33,21 @@ class LoadError:
     message: str
 
 
+def _relevance(record: dict, key: str, size: int) -> frozenset[int] | None:
+    """The record's ``key`` list as a set, None when absent; ValueError for
+    an entry that is not an integer (a bool is not) in ``range(size)``."""
+    indices = record.get(key)
+    if indices is None:
+        return None
+    for index in indices:
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < size:
+            raise ValueError(f"{key} entry {index!r} is not an index below {size}")
+    return frozenset(indices)
+
+
 def record_to_instance(record: dict) -> Instance:
+    """The instance a record describes; KeyError, TypeError or ValueError
+    when it is malformed."""
     table_doc = record["table"]
     table = make_table(table_doc["columns"], table_doc["rows"])
     question = record["question"]
@@ -46,16 +60,8 @@ def record_to_instance(record: dict) -> Instance:
         table=table,
         sql=record.get("sql"),
         answers=tuple(str(a) for a in record.get("answers", [])),
-        relevant_columns=(
-            frozenset(record["relevant_columns"])
-            if record.get("relevant_columns") is not None
-            else None
-        ),
-        relevant_rows=(
-            frozenset(record["relevant_rows"])
-            if record.get("relevant_rows") is not None
-            else None
-        ),
+        relevant_columns=_relevance(record, "relevant_columns", table.n_columns),
+        relevant_rows=_relevance(record, "relevant_rows", table.n_rows),
         annotation_status=record.get("annotation_status"),
         extra=extra,
     )

@@ -23,12 +23,17 @@ decoding (``greedy_decode``) step many instances together as masked
 (``_Stepper``).  Sampling draws each episode's picks from its own row of a
 caller-supplied block of uniforms.  Greedy decoding takes each row's argmax,
 ties to the lowest slot; a row scores the same in any batch, so an instance
-decodes the same whatever it is decoded with.  Training never walks
-episodes: a fixed action sequence becomes an ``Episode`` (per step, the
-available candidates and the history-mean weights ``W``, so ``h = W @ v``),
-built once per example, and ``forward`` replays a whole minibatch of them as
-padded ``(B, T, N + 1)`` score tensors.  ``backward`` runs the chain rule
-back through the same tensors down to the token embeddings.
+decodes the same whatever it is decoded with.
+
+Training never walks episodes.  An episode is its instance's encoding and
+its actions, one row of a ``(B, T)`` array that reads STOP after the
+episode ends: sampling returns its episodes so (``SampledEpisodes``), gold
+sequences are padded so (``pad_actions``) and the update keeps them so
+(``PpoBatch``).  ``forward`` derives each step's available candidates and
+history-mean weights ``W`` (``h = W @ v``) from a minibatch's actions at
+once and replays it as padded ``(B, T, N + 1)`` score tensors.
+``backward`` runs the chain rule back through the same tensors down to the
+token embeddings.
 
 Log-probabilities are exact and every gradient here is written by hand;
 ``finite_difference_error`` checks them against central differences, which
@@ -41,8 +46,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -159,11 +165,6 @@ class PolicyParams:
             **{name: getattr(self, name).copy() for name in _PARAM_NAMES},
         )
 
-    def equals(self, other: "PolicyParams") -> bool:
-        return self.vocab.tokens == other.vocab.tokens and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in _PARAM_NAMES
-        )
-
     @classmethod
     def zeros(cls, vocab: Vocabulary, dim: int) -> "PolicyParams":
         return cls(
@@ -181,12 +182,22 @@ class PolicyParams:
         )
 
 
+def _dimension(dim, source: str = "") -> int:
+    """``dim`` if it is a positive integer (a bool is not), else ConfigError;
+    ``source`` prefixes the message."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise ConfigError(f"{source}dim must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def init_params(vocab: Vocabulary, dim: int = 64, seed: int = 0) -> PolicyParams:
     """Uniform(-0.1, 0.1) init for scoring parameters; value head starts at zero.
 
     Draw order is fixed (embeddings, bilinear forms, STOP weights) so a seed
-    pins the exact parameter values.
+    pins the exact parameter values.  ConfigError unless ``dim`` is a
+    positive integer.
     """
+    dim = _dimension(dim)
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
     params = PolicyParams.zeros(vocab, dim)
@@ -233,8 +244,7 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
         if key not in doc:
             raise ConfigError(f"{path}: model file lacks {key!r}")
     vocab = Vocabulary(tuple(doc["vocabulary"]))
-    dim = int(doc["dim"])
-    params = PolicyParams.zeros(vocab, dim)
+    params = PolicyParams.zeros(vocab, _dimension(doc["dim"], f"{path}: "))
     for name, arr in params.arrays().items():
         if name not in doc["params"]:
             raise ConfigError(f"{path}: model file lacks parameter {name!r}")
@@ -448,26 +458,27 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Sampling
 
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """One rollout: actions (candidate indices, then STOP), per-step
-    behavior/reference log-probabilities, value estimates, and the terminal
-    task reward filled in by the caller.
+@dataclass(frozen=True, eq=False)
+class SampledEpisodes:
+    """Episodes sampled together, as ``(n, W)`` arrays: row k is episode k
+    and column t its step t.  Episode k's ``steps[k]`` actions end at its
+    STOP; after them ``actions`` reads STOP and the other arrays 0.
 
     ``logp_pi`` is the behavior log-probability (top-p masked when sampling
     was masked), which the KL penalty and its measurement use; ``logp_ref``
     is the unmasked reference log-probability of the same action.
     """
 
-    actions: tuple[int, ...]
-    logp_pi: tuple[float, ...]
-    logp_ref: tuple[float, ...]
-    values: tuple[float, ...]
-    selected: frozenset[int]
-    task_reward: float = 0.0
+    actions: np.ndarray   # (n, W) candidate index of each step; STOP is -1
+    logp_pi: np.ndarray   # (n, W)
+    logp_ref: np.ndarray  # (n, W)
+    values: np.ndarray    # (n, W) value estimates
+    steps: np.ndarray     # (n,) steps of each episode, its STOP included
 
-    def with_task_reward(self, reward: float) -> "EpisodeTrace":
-        return replace(self, task_reward=reward)
+    @property
+    def valid(self) -> np.ndarray:
+        """(n, W) True on each episode's steps."""
+        return np.arange(self.actions.shape[1]) < self.steps[:, None]
 
 
 def sample_episodes(
@@ -475,7 +486,7 @@ def sample_episodes(
     reference: Sequence[Embedded] | None,
     uniforms: np.ndarray,
     top_p: float | None = None,
-) -> list[EpisodeTrace]:
+) -> SampledEpisodes:
     """Sample one episode per row of ``uniforms``, stepping them together;
     selected candidates leave the action set.
 
@@ -490,12 +501,12 @@ def sample_episodes(
     reference without masking.  Greedy decoding is ``greedy_decode``.
 
     ``uniforms`` needs a column for every step an episode can take, so
-    ``1 + n_candidates`` of them.  Episodes are padded to
-    ``uniforms.shape[1] - 1`` candidates, cut into runs of at most
-    ``_SEGMENT_BLOCK`` slots and each run stepped as one masked array
-    (``_Stepper``); episodes that stop leave it.  As every run has the same
-    width, an episode's trace does not depend on the episodes it is run
-    with.  Non-finite scores raise ``NumericalError``.
+    ``1 + n_candidates`` of them, and the returned arrays are as wide as
+    ``uniforms``.  Episodes are padded to ``uniforms.shape[1] - 1``
+    candidates, cut into runs of at most ``_SEGMENT_BLOCK`` slots and each
+    run stepped as one masked array (``_Stepper``); episodes that stop leave
+    it.  As every run has the same width, an episode does not depend on the
+    episodes it is run with.  Non-finite scores raise ``NumericalError``.
     """
     uniforms = np.asarray(uniforms, dtype=float)
     if uniforms.ndim != 2 or uniforms.shape[0] != len(current):
@@ -504,29 +515,30 @@ def sample_episodes(
         raise ValueError("reference needs one encoding per episode")
     if any(e.v.shape[0] >= uniforms.shape[1] for e in current):
         raise ValueError("uniforms need 1 + n_candidates columns for every episode")
-    per_run = max(1, _SEGMENT_BLOCK // uniforms.shape[1])
-    traces: list[EpisodeTrace] = []
-    for start in range(0, len(current), per_run):
+    shape = uniforms.shape
+    out = SampledEpisodes(
+        actions=np.full(shape, STOP), logp_pi=np.zeros(shape), logp_ref=np.zeros(shape),
+        values=np.zeros(shape), steps=np.zeros(shape[0], dtype=np.intp),
+    )
+    per_run = max(1, _SEGMENT_BLOCK // shape[1])
+    for start in range(0, shape[0], per_run):
         run = slice(start, start + per_run)
-        traces += _sample_run(
-            current[run], None if reference is None else reference[run], uniforms[run], top_p
+        _sample_run(
+            current[run], None if reference is None else reference[run], uniforms[run], top_p,
+            out.actions[run], out.logp_pi[run], out.logp_ref[run], out.values[run], out.steps[run],
         )
-    return traces
+    return out
 
 
-def _sample_run(current, reference, uniforms, top_p) -> list[EpisodeTrace]:
-    """``sample_episodes`` over one run of episodes."""
+def _sample_run(current, reference, uniforms, top_p, actions, logp_pi, logp_ref, values, steps):
+    """``sample_episodes`` over one run of episodes, written into the run's
+    rows of its arrays."""
     batch, width = uniforms.shape
     n = width - 1
     pi = _Stepper.of(current, n)
     ref = None if reference is None else _Stepper.of(reference, n)
     params = pi.params
     q_value = np.einsum("bd,d->b", pi.q, params.value_q)
-    actions = np.full((batch, width), STOP)
-    logp_pi = np.zeros((batch, width))
-    logp_ref = np.zeros((batch, width))
-    values = np.zeros((batch, width))
-    steps = np.zeros(batch, dtype=np.intp)
     live = np.arange(batch)
     for t in range(width):
         rows = np.arange(live.size)
@@ -552,17 +564,6 @@ def _sample_run(current, reference, uniforms, top_p) -> list[EpisodeTrace]:
                 ref.keep(go)
             if not live.size:
                 break
-    traces = []
-    for b, k in enumerate(steps.tolist()):
-        taken = actions[b, :k].tolist()
-        traces.append(EpisodeTrace(
-            actions=tuple(taken),
-            logp_pi=tuple(logp_pi[b, :k].tolist()),
-            logp_ref=tuple(logp_ref[b, :k].tolist()),
-            values=tuple(values[b, :k].tolist()),
-            selected=frozenset(taken[:-1]),
-        ))
-    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -618,47 +619,19 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
 # ---------------------------------------------------------------------------
 # Teacher-forced minibatches
 
-@dataclass(frozen=True, eq=False)
-class Episode:
-    """A fixed action sequence over one instance, laid out for ``forward``.
-
-    Actions end at the first STOP.  Row t describes the state before action
-    t: which candidates are still available, and the weights (1/k on the k
-    candidates already selected) whose product with the candidate encodings
-    is the history mean.
-    """
-
-    enc: EncodedInstance
-    picks: np.ndarray       # (T,) candidate index of each action; STOP is -1
-    available: np.ndarray   # (T, n_candidates) bool
-    history: np.ndarray     # (T, n_candidates)
-
-    @property
-    def steps(self) -> int:
-        return self.picks.size
+def pad_actions(sequences: Sequence[Sequence[int]]) -> np.ndarray:
+    """Action sequences as one ``(n, T)`` array, T the longest, each row
+    filled with STOP after its sequence."""
+    out = np.full((len(sequences), max(map(len, sequences), default=0)), STOP)
+    for row, actions in zip(out, sequences):
+        row[: len(actions)] = actions
+    return out
 
 
-def build_episode(enc: EncodedInstance, actions: Sequence[int]) -> Episode:
-    """Lay out ``actions``; raises ValueError for an unavailable action."""
-    n = enc.n_candidates
-    steps: list[int] = []
-    for action in actions:
-        steps.append(action)
-        if action == STOP:
-            break
-    available = np.ones((len(steps), n), dtype=bool)
-    history = np.zeros((len(steps), n))
-    chosen: list[int] = []
-    for t, action in enumerate(steps):
-        if chosen:
-            available[t, chosen] = False
-            history[t, chosen] = 1.0 / len(chosen)
-        if action == STOP:
-            break
-        if not 0 <= action < n or action in chosen:
-            raise ValueError(f"action {action} not available")
-        chosen.append(action)
-    return Episode(enc, np.array(steps, dtype=np.intp), available, history)
+def _episode_steps(actions: np.ndarray) -> np.ndarray:
+    """Steps of each row's episode: through its first STOP, else the whole row."""
+    stop = actions == STOP
+    return np.where(stop.any(axis=1), stop.argmax(axis=1) + 1, actions.shape[1])
 
 
 @dataclass
@@ -671,7 +644,6 @@ class Forward:
     """
 
     matrices: list[tuple[np.ndarray, np.ndarray]]  # per episode, (u, C) of _count_matrices
-    steps: np.ndarray       # (B,) real steps per episode
     valid: np.ndarray       # (B, T)
     picks: np.ndarray       # (B, T) slot of each taken action
     allowed: np.ndarray     # (B, T, N + 1)
@@ -686,34 +658,38 @@ class Forward:
     entropies: np.ndarray   # (B, T)
     values: np.ndarray      # (B, T)
 
-    def pad(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """Per-episode step vectors as one zero-padded (B, T) array."""
-        out = np.zeros(self.valid.shape)
-        for b, row in enumerate(rows):
-            if len(row) != self.steps[b]:
-                raise ValueError(f"episode {b} has {self.steps[b]} steps, got {len(row)} values")
-            out[b, : len(row)] = row
-        return out
 
+def forward(params: PolicyParams, encs: Sequence[EncodedInstance], actions: np.ndarray) -> Forward:
+    """Unmasked step distributions, log-probs, entropies and values of a
+    minibatch: episode b takes ``actions[b]`` on ``encs[b]`` through its
+    first STOP (the whole row if it has none), and T is the longest episode.
 
-def forward(params: PolicyParams, episodes: Sequence[Episode]) -> Forward:
-    """Unmasked step distributions, log-probs, entropies and values of a minibatch."""
-    matrices, q, v = _embed_padded(params, [ep.enc for ep in episodes])
-    n_max = v.shape[1]
-    t_max = max(ep.steps for ep in episodes)
-    batch = len(episodes)
-
-    steps = np.array([ep.steps for ep in episodes])
+    Before step t an episode has selected its first t actions, so the
+    candidates still allowed are those not among them, and the history-mean
+    weights are 1/t on each of them (an exclusive cumulative sum of the
+    picks' one-hot rows, times 1/t).  ValueError for an action that is out
+    of range or already taken.
+    """
+    matrices, q, v = _embed_padded(params, encs)
+    batch, n_max = v.shape[:2]
+    steps = _episode_steps(actions)
+    t_max = int(steps.max())
+    actions = actions[:, :t_max]
     valid = np.arange(t_max) < steps[:, None]
-    picks = np.full((batch, t_max), n_max)
-    allowed = np.zeros((batch, t_max, n_max + 1), dtype=bool)
-    allowed[..., n_max] = True
-    weights = np.zeros((batch, t_max, n_max))
-    for b, ep in enumerate(episodes):
-        t, n = ep.available.shape
-        picks[b, :t] = np.where(ep.picks == STOP, n_max, ep.picks)
-        allowed[b, :t, :n] = ep.available
-        weights[b, :t, :n] = ep.history
+    n_candidates = np.array([enc.n_candidates for enc in encs])
+    bad = valid & ((actions < STOP) | (actions >= n_candidates[:, None]))
+    picks = np.where(valid & (actions != STOP), actions, n_max)
+    one_hot = picks[..., None] == np.arange(n_max)
+    before = np.cumsum(one_hot, axis=1) - one_hot
+    bad |= (one_hot & (before > 0)).any(axis=-1)
+    if bad.any():
+        raise ValueError(f"action {actions[bad][0]} not available")
+    allowed = np.ones((batch, t_max, n_max + 1), dtype=bool)
+    allowed[..., :n_max] = (
+        valid[..., None] & (before == 0) & (np.arange(n_max) < n_candidates[:, None, None])
+    )
+    inverse_t = 1.0 / np.maximum(np.arange(t_max), 1)
+    weights = np.where(valid[..., None], before * inverse_t[:, None], 0.0)
 
     h = weights @ v
     u = (q @ params.score_q)[:, None, :] + h @ params.score_h
@@ -733,7 +709,7 @@ def forward(params: PolicyParams, episodes: Sequence[Episode]) -> Forward:
     values = (q @ params.value_q)[:, None] + h @ params.value_h + params.value_b[0]
 
     return Forward(
-        matrices=matrices, steps=steps, valid=valid, picks=picks, allowed=allowed,
+        matrices=matrices, valid=valid, picks=picks, allowed=allowed,
         weights=weights, q=q, v=v, h=h, u=u, probs=probs, logprobs=logprobs,
         logps=np.where(valid, logps, 0.0),
         entropies=np.where(valid, entropies, 0.0),
@@ -823,36 +799,46 @@ def chunks(encs: Sequence[EncodedInstance]) -> list[slice]:
 
 def sft_loss_and_grad(
     params: PolicyParams,
-    batch: Sequence[Episode],
+    encs: Sequence[EncodedInstance],
+    actions: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean negative log-likelihood of gold action sequences, with gradients."""
-    if not batch:
+    """Mean negative log-likelihood of gold action sequences, ``actions[b]``
+    on ``encs[b]`` as ``forward`` reads them, with gradients."""
+    if not encs:
         raise ConfigError("empty SFT batch")
     grads = zero_grads(params)
     total = 0.0
-    for run in chunks([ep.enc for ep in batch]):
-        fw = forward(params, batch[run])
+    for run in chunks(encs):
+        fw = forward(params, encs[run], actions[run])
         total += float(fw.logps.sum())
-        backward(params, fw, grads, logp_coef=np.where(fw.valid, -1.0 / len(batch), 0.0))
-    loss = -total / len(batch)
+        backward(params, fw, grads, logp_coef=np.where(fw.valid, -1.0 / len(encs), 0.0))
+    loss = -total / len(encs)
     if not np.isfinite(loss):
         raise NumericalError("non-finite SFT loss")
     return loss, grads
 
 
-@dataclass(frozen=True)
-class PpoExample:
-    """One episode prepared for the clipped-surrogate update."""
+@dataclass(frozen=True, eq=False)
+class PpoBatch:
+    """Episodes prepared for the clipped-surrogate update.
 
-    enc: EncodedInstance
-    actions: tuple[int, ...]
-    old_logps: np.ndarray     # behavior (masked) log-probs at collection time
-    advantages: np.ndarray    # normalized, frozen
-    returns: np.ndarray       # Monte-Carlo returns, frozen
-    episode: Episode = field(init=False, repr=False, compare=False)
+    Row b of each ``(B, W)`` array is episode b, on ``encs[b]``; its
+    ``actions`` are read as ``forward`` reads them, and the other arrays
+    hold one value per step and 0 after its last step.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "episode", build_episode(self.enc, self.actions))
+    encs: Sequence[EncodedInstance]
+    actions: np.ndarray      # STOP after each episode's end
+    old_logps: np.ndarray    # behavior (masked) log-probs at collection time
+    advantages: np.ndarray   # normalized, frozen
+    returns: np.ndarray      # Monte-Carlo returns, frozen
+
+    def rows(self, index: np.ndarray) -> "PpoBatch":
+        """The episodes at ``index``, in that order."""
+        return PpoBatch(
+            [self.encs[i] for i in index], self.actions[index], self.old_logps[index],
+            self.advantages[index], self.returns[index],
+        )
 
 
 @dataclass
@@ -866,7 +852,7 @@ class PpoStats:
 
 def ppo_loss_and_grad(
     params: PolicyParams,
-    batch: Sequence[PpoExample],
+    batch: PpoBatch,
     clip_epsilon: float,
     value_loss_coef: float,
     entropy_coef: float,
@@ -879,21 +865,22 @@ def ppo_loss_and_grad(
 
     New log-probs are the unmasked policy; ratios divide by the stored
     behavior log-probs.  Steps where the clipped branch is strictly active
-    contribute no policy gradient.
+    contribute no policy gradient.  Each ``chunks`` run of episodes is one
+    ``forward`` pass over the run's rows, cut to its longest episode.
     """
-    if not batch:
+    if not batch.encs:
         raise ConfigError("empty PPO batch")
     grads = zero_grads(params)
-    n_steps = sum(ex.episode.steps for ex in batch)
+    n_steps = int(_episode_steps(batch.actions).sum())
     pol_sum = val_sum = ent_sum = ratio_sum = 0.0
     clipped = 0
 
-    for run in chunks([ex.enc for ex in batch]):
-        part = batch[run]
-        fw = forward(params, [ex.episode for ex in part])
-        old_logps = fw.pad([ex.old_logps for ex in part])
-        advantages = fw.pad([ex.advantages for ex in part])
-        returns = fw.pad([ex.returns for ex in part])
+    for run in chunks(batch.encs):
+        fw = forward(params, batch.encs[run], batch.actions[run])
+        t_max = fw.valid.shape[1]
+        old_logps = batch.old_logps[run, :t_max]
+        advantages = batch.advantages[run, :t_max]
+        returns = batch.returns[run, :t_max]
 
         # padded steps: ratio exp(0 - 0) = 1 with zero advantage and error
         ratios = np.exp(fw.logps - old_logps)
@@ -973,27 +960,25 @@ def grad_check(
     sit inside the clip region and others strictly outside it, exercising
     both branches away from the kink.
     """
-    gold = tuple(gold_actions)
-    episode = build_episode(enc, gold)
+    actions = pad_actions([gold_actions])
 
     def sft_fn(p: PolicyParams) -> tuple[float, dict[str, np.ndarray]]:
-        return sft_loss_and_grad(p, [episode])
+        return sft_loss_and_grad(p, [enc], actions)
 
-    base_logps = forward(params, [episode]).logps[0]
-    steps = episode.steps
-    offsets = np.where(np.arange(steps) % 2 == 0, 0.1, 0.4)
-    signs = np.where(np.arange(steps) % 3 == 0, -1.0, 1.0)
-    example = PpoExample(
-        enc=enc,
-        actions=gold,
+    base_logps = forward(params, [enc], actions).logps
+    t = np.arange(base_logps.shape[1])
+    offsets = np.where(t % 2 == 0, 0.1, 0.4)
+    signs = np.where(t % 3 == 0, -1.0, 1.0)
+    batch = PpoBatch(
+        [enc], actions,
         old_logps=base_logps - offsets,
-        advantages=signs * (1.0 + 0.25 * np.arange(steps)),
-        returns=np.linspace(-1.0, 1.0, steps),
+        advantages=(signs * (1.0 + 0.25 * t))[None],
+        returns=np.linspace(-1.0, 1.0, t.size)[None],
     )
 
     def ppo_fn(p: PolicyParams) -> tuple[float, dict[str, np.ndarray]]:
         loss, grads, _ = ppo_loss_and_grad(
-            p, [example], clip_epsilon=clip_epsilon, value_loss_coef=0.5, entropy_coef=0.01
+            p, batch, clip_epsilon=clip_epsilon, value_loss_coef=0.5, entropy_coef=0.01
         )
         return loss, grads
 

@@ -8,8 +8,6 @@ picking up an irrelevant one, so the defaults satisfy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigError
@@ -60,14 +58,17 @@ def task_reward(
 
 
 def shaped_reward(
-    task: float, logp_pi: Sequence[float], logp_ref: Sequence[float], beta: float
+    task: np.ndarray, logp_pi: np.ndarray, logp_ref: np.ndarray, steps: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Per-step reward of one episode: ``-beta * (logp_pi - logp_ref)`` at
-    every step, plus the task reward on the last step.
+    """Per-step rewards of n episodes as an ``(n, W)`` array: episode k's
+    ``-beta * (logp_pi - logp_ref)`` at each of its ``steps[k]`` steps, plus
+    its task reward ``task[k]`` on the last of them.  The log-probability
+    arrays read 0 after each episode (``policy.SampledEpisodes``), and so do
+    the rewards.
 
     Non-finite inputs pass through: the value-head warm start skips on
     them, and the PPO loss raises ``NumericalError``.
     """
-    rewards = -beta * (np.array(logp_pi) - np.array(logp_ref))
-    rewards[-1] += task
+    rewards = -beta * (logp_pi - logp_ref)
+    rewards[np.arange(len(steps)), steps - 1] += task
     return rewards

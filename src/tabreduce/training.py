@@ -15,6 +15,12 @@ coefficient moves by
 
 so it drifts at most 2% per iteration toward holding the measured KL at the
 setpoint.
+
+Episodes stay the sampler's padded ``(n, W)`` arrays from rollout to update
+(``policy.SampledEpisodes``): step rewards, returns-to-go and advantages
+are computed on whole arrays with the steps after each episode's end held
+at 0, and each PPO minibatch is a selection of rows (``policy.PpoBatch``).
+SFT pads its gold action sequences the same way (``policy.pad_actions``).
 """
 
 from __future__ import annotations
@@ -189,7 +195,7 @@ def train_sft(
     _prepare_run_dir(run_dir, cfg)
 
     encs, golds = tasks.labeled_encodings(params.vocab, train, target)
-    examples = [policy.build_episode(enc, tasks.gold_actions(gold)) for enc, gold in zip(encs, golds)]
+    actions = policy.pad_actions([tasks.gold_actions(gold) for gold in golds])
     valid_encs, valid_golds = tasks.labeled_encodings(params.vocab, valid, target)
 
     rng = np.random.default_rng(cfg.seed)
@@ -201,11 +207,11 @@ def train_sft(
     history: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(encs))
         losses = []
         for start in range(0, len(order), cfg.minibatch):
-            batch = [examples[i] for i in order[start : start + cfg.minibatch]]
-            loss, grads = policy.sft_loss_and_grad(params, batch)
+            batch = order[start : start + cfg.minibatch]
+            loss, grads = policy.sft_loss_and_grad(params, [encs[i] for i in batch], actions[batch])
             adam.step(params, grads)
             losses.append(loss)
         recall = tasks.greedy_recall(params, valid_encs, valid_golds) if valid else float("nan")
@@ -236,29 +242,31 @@ def train_sft(
 
 @dataclass
 class Rollout:
-    """Episodes from one collection pass plus their encodings and rewards."""
+    """Episodes from one collection pass: their encodings, the sampled
+    ``(n, W)`` arrays, each episode's task reward and its per-step
+    KL-shaped rewards, 0 after its last step."""
 
     encs: list[policy.EncodedInstance]
-    traces: list[policy.EpisodeTrace]
-    step_rewards: list[np.ndarray]
-    beta: float
+    episodes: policy.SampledEpisodes
+    task_rewards: np.ndarray  # (n,)
+    step_rewards: np.ndarray  # (n, W)
 
     @property
     def measured_kl(self) -> float:
         """Single-sample KL estimate: mean over taken actions of the
-        behavior log-probability minus the reference's."""
-        total = 0.0
-        count = 0
-        for trace in self.traces:
-            total += sum(trace.logp_pi) - sum(trace.logp_ref)
-            count += len(trace.logp_pi)
-        return total / count if count else 0.0
+        behavior log-probability minus the reference's.  Sums run in step
+        order within an episode, then in episode order (``cumsum``; the
+        zeros after an episode's end leave its sum as it is)."""
+        count = int(self.episodes.steps.sum())
+        if not count:
+            return 0.0
+        per_episode = (np.cumsum(self.episodes.logp_pi, axis=1)[:, -1]
+                       - np.cumsum(self.episodes.logp_ref, axis=1)[:, -1])
+        return float(np.cumsum(per_episode)[-1] / count)
 
     @property
     def mean_task_reward(self) -> float:
-        if not self.traces:
-            return 0.0
-        return float(np.mean([t.task_reward for t in self.traces]))
+        return float(np.mean(self.task_rewards)) if self.task_rewards.size else 0.0
 
 
 @dataclass
@@ -300,19 +308,13 @@ def warm_start_value_head(
     rollout = collect_rollouts(
         state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn, reference
     )
-    if not rollout.traces:
-        return
-    episodes = [
-        policy.build_episode(enc, trace.actions)
-        for enc, trace in zip(rollout.encs, rollout.traces)
-    ]
     features: list[np.ndarray] = []
     for run in policy.chunks(rollout.encs):
-        fw = policy.forward(state.current, episodes[run])
+        fw = policy.forward(state.current, rollout.encs[run], rollout.episodes.actions[run])
         q = np.broadcast_to(fw.q[:, None, :], fw.h.shape)
         ones = np.ones(fw.h.shape[:2] + (1,))
         features.append(np.concatenate([q, fw.h, ones], axis=-1)[fw.valid])
-    targets = np.concatenate([_returns_to_go(r, cfg.discount) for r in rollout.step_rewards])
+    targets = _returns_to_go(rollout.step_rewards, cfg.discount)[rollout.episodes.valid]
     solution, *_ = np.linalg.lstsq(np.concatenate(features), targets, rcond=None)
     if not np.all(np.isfinite(solution)):
         return
@@ -345,7 +347,8 @@ def collect_rollouts(
     of its task reward and its behavior and reference log-probabilities.
     """
     if n == 0:
-        return Rollout([], [], [], state.beta)
+        empty = np.zeros((0, 1))
+        return Rollout([], policy.sample_episodes([], None, empty), np.zeros(0), empty)
     indices = state.rng.integers(0, len(encs), size=n)
     drawn, inverse = np.unique(indices, return_inverse=True)
     drawn_encs = [encs[i] for i in drawn]
@@ -356,70 +359,59 @@ def collect_rollouts(
         drawn_ref = [reference[i] for i in drawn]
     n_max = max(enc.n_candidates for enc in drawn_encs)
     uniforms = state.rng.random((n, n_max + 1))
-    traces = policy.sample_episodes(
+    episodes = policy.sample_episodes(
         [current[j] for j in inverse], [drawn_ref[j] for j in inverse], uniforms, cfg.top_p
     )
     state.episodes += n
-    state.steps += sum(len(trace.actions) for trace in traces)
-    traces = [
-        trace.with_task_reward(reward_fn(trace.selected, golds[idx]))
-        for trace, idx in zip(traces, indices)
-    ]
-    step_rewards = [
-        shaped_reward(trace.task_reward, trace.logp_pi, trace.logp_ref, state.beta)
-        for trace in traces
-    ]
-    return Rollout([encs[i] for i in indices], traces, step_rewards, state.beta)
+    state.steps += int(episodes.steps.sum())
+    task = np.array([
+        reward_fn(frozenset(actions[: k - 1].tolist()), golds[idx])
+        for actions, k, idx in zip(episodes.actions, episodes.steps, indices)
+    ], dtype=float)
+    step_rewards = shaped_reward(task, episodes.logp_pi, episodes.logp_ref, episodes.steps, state.beta)
+    return Rollout([encs[i] for i in indices], episodes, task, step_rewards)
 
 
-def _returns_to_go(rewards: Sequence[float], discount: float) -> np.ndarray:
-    """g[t] = rewards[t] + discount * g[t + 1], the last step's g its reward."""
-    g = np.zeros(len(rewards))
-    acc = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        acc = rewards[t] + discount * acc
-        g[t] = acc
+def _returns_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
+    """Per row, g[t] = rewards[t] + discount * g[t + 1], the last column's g
+    its reward; rows that end in zeros keep zero returns there."""
+    g = np.zeros(rewards.shape)
+    acc = np.zeros(rewards.shape[0])
+    for t in range(rewards.shape[1] - 1, -1, -1):
+        acc = rewards[:, t] + discount * acc
+        g[:, t] = acc
     return g
 
 
-def compute_advantages(rollout: Rollout, discount: float = 1.0) -> list[policy.PpoExample]:
-    """Monte-Carlo returns-to-go, baseline-subtracted, batch-normalized."""
-    returns = [_returns_to_go(rewards, discount) for rewards in rollout.step_rewards]
-    raw = [g - np.array(trace.values) for g, trace in zip(returns, rollout.traces)]
-    if not raw:
-        return []
-    flat = np.concatenate(raw)
-    mean = flat.mean()
-    std = flat.std()
-    examples = []
-    for enc, trace, adv, ret in zip(rollout.encs, rollout.traces, raw, returns):
-        examples.append(
-            policy.PpoExample(
-                enc=enc,
-                actions=trace.actions,
-                old_logps=np.array(trace.logp_pi),
-                advantages=(adv - mean) / (std + 1e-8),
-                returns=ret,
-            )
-        )
-    return examples
+def compute_advantages(rollout: Rollout, discount: float = 1.0) -> policy.PpoBatch:
+    """Monte-Carlo returns-to-go, baseline-subtracted, normalized over every
+    step of the batch (in row-major step order); 0 after each episode."""
+    valid = rollout.episodes.valid
+    returns = _returns_to_go(rollout.step_rewards, discount)
+    raw = returns - rollout.episodes.values
+    flat = raw[valid]
+    mean, std = (flat.mean(), flat.std()) if flat.size else (0.0, 0.0)
+    advantages = np.where(valid, (raw - mean) / (std + 1e-8), 0.0)
+    return policy.PpoBatch(
+        rollout.encs, rollout.episodes.actions, rollout.episodes.logp_pi, advantages, returns
+    )
 
 
 def ppo_update(
     params: policy.PolicyParams,
-    examples: Sequence[policy.PpoExample],
+    batch: policy.PpoBatch,
     cfg: PpoConfig,
     adam: Adam,
     rng: np.random.Generator,
 ) -> dict:
-    """epochs x minibatches of clipped-surrogate steps; returns mean stats."""
+    """epochs x minibatches of clipped-surrogate steps, each minibatch a
+    selection of the batch's rows; returns mean stats."""
     stats: list[policy.PpoStats] = []
     for _ in range(cfg.epochs_per_iter):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(batch.encs))
         for start in range(0, len(order), cfg.minibatch_episodes):
-            batch = [examples[i] for i in order[start : start + cfg.minibatch_episodes]]
             _, grads, batch_stats = policy.ppo_loss_and_grad(
-                params, batch,
+                params, batch.rows(order[start : start + cfg.minibatch_episodes]),
                 clip_epsilon=cfg.clip_epsilon,
                 value_loss_coef=cfg.value_loss_coef,
                 entropy_coef=cfg.entropy_coef,
@@ -515,9 +507,7 @@ def train_rl(
             record.update(update_stats)
             record["mean_task_reward"] = rollout.mean_task_reward
             record["measured_kl"] = rollout.measured_kl
-            record["mean_episode_length"] = float(
-                np.mean([len(t.actions) for t in rollout.traces])
-            )
+            record["mean_episode_length"] = float(np.mean(rollout.episodes.steps))
             state.beta = update_beta(state.beta, rollout.measured_kl, cfg)
         except NumericalError:
             state.current = backup

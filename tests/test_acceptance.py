@@ -153,7 +153,7 @@ def test_04_gradient_fidelity():
     params, enc, gold = _fixture_instance(rng)
 
     def corrupted(p):
-        loss, grads = policy.sft_loss_and_grad(p, [policy.build_episode(enc, gold)])
+        loss, grads = policy.sft_loss_and_grad(p, [enc], policy.pad_actions([gold]))
         grads["score_q"] = grads["score_q"] * 1.5 + 0.01
         return loss, grads
 

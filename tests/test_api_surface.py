@@ -3,7 +3,10 @@ caller in the package: another module that imports and uses it, or code in
 its own module.  Library code that only the tests reach is either wired into
 the pipeline or deleted.  Every other top-level definition (private
 functions, classes and constants, and public constants) is read by package
-code too, so nothing is left behind when its last user goes."""
+code too, so nothing is left behind when its last user goes.  So is every
+public method and property of a package class: some package code reads an
+attribute of its name (a name shared with another class's attribute counts
+as a read, so the check can miss a method but never flags a used one)."""
 
 import ast
 from pathlib import Path
@@ -67,6 +70,35 @@ def references(module, tree):
     return refs
 
 
+def public_methods(tree):
+    """(class, method) pairs of the public methods and properties of the
+    module's top-level classes."""
+    return {
+        (node.name, item.name)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
+def attribute_reads(tree):
+    """Names read as ``value.name``, except on a module bound by ``import``
+    (``np.zeros`` reads no method of ours)."""
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+    }
+
+
 def package_references(trees):
     return set().union(*(references(module, tree) for module, tree in trees.items()))
 
@@ -93,6 +125,18 @@ def test_every_other_definition_is_read_by_package_code():
         if (module, name) not in used
     )
     assert unused == [], "definitions no package code reads: " + ", ".join(unused)
+
+
+def test_every_public_method_is_read_by_package_code():
+    trees = parse_package()
+    read = set().union(*(attribute_reads(tree) for tree in trees.values()))
+    unused = sorted(
+        f"{module}.{cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name in public_methods(tree)
+        if name not in read
+    )
+    assert unused == [], "methods no package code reads: " + ", ".join(unused)
 
 
 def test_allowlist_names_live_definitions():

@@ -58,8 +58,10 @@ class TestSynthAndAnnotate:
             (["--rows", "1,2,3"], "rows_range must be a (lo, hi) pair, got (1, 2, 3)"),
             (["--rows", ","], "rows_range must be a (lo, hi) pair, got ()"),
             (["--cols", "5,3"], "columns_range out of supported bounds"),
+            (["--cols", "a"], "expected comma-separated integers, got 'a'"),
+            (["--rows", "2,x"], "expected comma-separated integers, got '2,x'"),
         ],
-        ids=["one-col", "three-rows", "no-rows", "reversed-cols"],
+        ids=["one-col", "three-rows", "no-rows", "reversed-cols", "letter-col", "letter-row"],
     )
     def test_bad_synth_range_is_one_error_line(self, tmp_path, capsys, flags, message):
         out = tmp_path / "d.jsonl"
@@ -243,6 +245,32 @@ class TestTraining:
         assert code == cli.EXIT_CONFIG
         assert_one_error_line(capsys, f"--split needs three comma-separated ratios, got {split!r}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_bad_dim_is_one_error_line(self, pipeline, tmp_path, capsys, dim):
+        root, data, sft_dir = pipeline
+        code = run([
+            "sft", "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+            "--dim", dim,
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, f"dim must be a positive integer, got {dim}")
+
+    @pytest.mark.parametrize("stage", ["eval-reduce", "reduce", "train-rl"])
+    @pytest.mark.parametrize("dim", [-2, "x", 2.5, True], ids=["negative", "string", "float", "bool"])
+    def test_bad_model_dim_is_one_error_line(self, pipeline, tmp_path, capsys, stage, dim):
+        root, data, sft_dir = pipeline
+        doc = json.loads((sft_dir / "model.json").read_text())
+        model = tmp_path / "bad-dim.model.json"
+        model.write_text(json.dumps({**doc, "dim": dim}))
+        out = str(tmp_path / "out")
+        argv = {
+            "eval-reduce": ["--model", str(model), "--report", out + ".json"],
+            "reduce": ["--col-model", str(model), "--row-model", str(model), "--out", out + ".jsonl"],
+            "train-rl": ["--init", str(model), "--target", "columns", "--out", out],
+        }[stage]
+        assert run([stage, "--data", str(data), *argv]) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, f"{model}: dim must be a positive integer, got {dim!r}")
 
     @pytest.mark.parametrize("stage", ["eval-reduce", "reduce", "train-rl"])
     def test_truncated_model_rejected(self, pipeline, tmp_path, capsys, stage):
@@ -456,6 +484,27 @@ class TestQaAndReport:
             for r in records
         ]
         assert sum(correct) == len(records)  # gold reduction always fits 60 tokens here
+
+    def test_relevance_outside_table_is_a_load_warning(self, pipeline, tmp_path, capsys):
+        root, data, sft_dir = pipeline
+        lines = data.read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        first["relevant_rows"] = [999]
+        second["relevant_columns"] = [-1]
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join([json.dumps(first), json.dumps(second), *lines[2:]]) + "\n")
+        answers = tmp_path / "answers.jsonl"
+        assert run([
+            "qa", "--data", str(edited), "--out", str(answers), "--mock", "--context", "gold",
+        ]) == 0
+        n_rows = len(first["table"]["rows"])
+        n_columns = len(second["table"]["columns"])
+        assert capsys.readouterr().err.strip().split("\n") == [
+            f"warning: {edited}:1: relevant_rows entry 999 is not an index below {n_rows}",
+            f"warning: {edited}:2: relevant_columns entry -1 is not an index below {n_columns}",
+        ]
+        answered = [json.loads(line)["id"] for line in answers.read_text().splitlines()]
+        assert answered == [json.loads(line)["id"] for line in lines[2:]]
 
     def test_qa_requires_exactly_one_backend(self, pipeline, tmp_path):
         root, data, _ = pipeline

@@ -71,6 +71,35 @@ class TestRoundTrip:
         assert len(errors) == 1
         assert errors[0].line == 2
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("relevant_columns", [-1], "relevant_columns entry -1 is not an index below 2"),
+            ("relevant_columns", [0, 2], "relevant_columns entry 2 is not an index below 2"),
+            ("relevant_columns", [True], "relevant_columns entry True is not an index below 2"),
+            ("relevant_rows", [999], "relevant_rows entry 999 is not an index below 2"),
+            ("relevant_rows", [0.0], "relevant_rows entry 0.0 is not an index below 2"),
+            ("relevant_rows", ["1"], "relevant_rows entry '1' is not an index below 2"),
+        ],
+        ids=["negative-col", "col-past-end", "bool-col", "row-past-end", "float-row", "str-row"],
+    )
+    def test_relevance_outside_table_reported(self, tmp_path, key, value, message):
+        record = instance_to_record(sample_instance())
+        with pytest.raises(ValueError, match=message):
+            record_to_instance({**record, key: value})
+        path = tmp_path / "d.jsonl"
+        good = json.dumps(record)
+        path.write_text(good + "\n" + json.dumps({**record, key: value}) + "\n" + good + "\n")
+        loaded, errors = load_dataset(path)
+        assert len(loaded) == 2
+        assert [(e.line, e.message) for e in errors] == [(2, message)]
+
+    def test_relevance_edges_accepted(self):
+        record = instance_to_record(sample_instance())
+        inst = record_to_instance({**record, "relevant_columns": [1, 0], "relevant_rows": []})
+        assert inst.relevant_columns == frozenset({0, 1}) and inst.relevant_rows == frozenset()
+        assert record_to_instance({**record, "relevant_rows": None}).relevant_rows is None
+
     def test_invalid_table_reported(self, tmp_path):
         path = tmp_path / "d.jsonl"
         bad = {"id": "x", "question": "q", "table": {"columns": [], "rows": []}, "answers": []}

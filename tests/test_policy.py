@@ -11,10 +11,9 @@ from tabreduce.policy import (
     STOP,
     EncodedInstance,
     PolicyParams,
-    PpoExample,
+    PpoBatch,
     Vocabulary,
     apply_top_p_mask,
-    build_episode,
     build_vocabulary,
     embed,
     encode_instance,
@@ -25,11 +24,13 @@ from tabreduce.policy import (
     init_params,
     load_params,
     ppo_loss_and_grad,
+    pad_actions,
     sample_episodes,
     save_params,
     sft_loss_and_grad,
     tokenize,
 )
+from test_policy_batched import params_equal, traces
 
 
 def tiny_vocab():
@@ -46,13 +47,12 @@ def sample(params, enc, reference=None, *, rng, top_p):
     """One episode of ``enc``, its uniforms drawn from ``rng``."""
     ref = embed(reference, [enc]) if reference is not None else None
     uniforms = rng.random((1, enc.n_candidates + 1))
-    return sample_episodes(embed(params, [enc]), ref, uniforms, top_p)[0]
+    return traces(sample_episodes(embed(params, [enc]), ref, uniforms, top_p))[0]
 
 
 def forward_logps(params, enc, actions):
     """Unmasked per-step log-probabilities of ``actions`` from the batched forward."""
-    episode = build_episode(enc, actions)
-    return forward(params, [episode]).logps[0, : episode.steps]
+    return forward(params, [enc], pad_actions([actions])).logps[0]
 
 
 def forward_logprob(params, enc, actions):
@@ -76,16 +76,21 @@ class TestVocabulary:
 class TestInit:
     def test_same_seed_identical(self):
         vocab = tiny_vocab()
-        assert init_params(vocab, 8, seed=3).equals(init_params(vocab, 8, seed=3))
+        assert params_equal(init_params(vocab, 8, seed=3), init_params(vocab, 8, seed=3))
 
     def test_different_seed_differs(self):
         vocab = tiny_vocab()
-        assert not init_params(vocab, 8, seed=3).equals(init_params(vocab, 8, seed=4))
+        assert not params_equal(init_params(vocab, 8, seed=3), init_params(vocab, 8, seed=4))
 
     def test_value_head_zero_and_range(self):
         params = init_params(tiny_vocab(), 8, seed=0)
         assert np.all(params.value_q == 0) and np.all(params.value_h == 0)
         assert np.all(np.abs(params.emb) <= 0.1)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True, "8"])
+    def test_bad_dim_rejected(self, dim):
+        with pytest.raises(ConfigError, match=f"dim must be a positive integer, got {dim!r}"):
+            init_params(tiny_vocab(), dim)
 
     def test_zeros_override(self):
         params = PolicyParams.zeros(tiny_vocab(), 4)
@@ -96,8 +101,8 @@ def first_step(params, q, v, u):
     """Action and behavior log-probability of the first step of an episode
     over the encodings ``q`` and ``v``, sampled unmasked at uniform ``u``."""
     uniforms = np.full((1, v.shape[0] + 1), u)
-    trace = sample_episodes([policy.Embedded(params, q, v)], None, uniforms, None)[0]
-    return trace.actions[0], trace.logp_pi[0]
+    sampled = sample_episodes([policy.Embedded(params, q, v)], None, uniforms, None)
+    return sampled.actions[0, 0], sampled.logp_pi[0, 0]
 
 
 class TestStepDistribution:
@@ -133,7 +138,7 @@ class TestStepDistribution:
         for _ in range(50):
             n = int(rng.integers(0, 5))
             e = policy.Embedded(params, rng.normal(size=6), rng.normal(size=(n, 6)))
-            trace = sample_episodes([e], None, rng.random((1, n + 1)), None)[0]
+            (trace,) = traces(sample_episodes([e], None, rng.random((1, n + 1)), None))
             assert trace.actions[-1] == STOP and len(trace.actions) <= n + 1
             assert all(-np.inf < lp <= 0.0 for lp in trace.logp_pi)
             if len(trace.actions) == n + 1:  # every candidate taken: STOP is certain
@@ -298,17 +303,15 @@ class TestSftLoss:
     def test_uniform_loss_log6(self):
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
-        loss, grads = sft_loss_and_grad(params, [build_episode(enc, (0, STOP))])
+        loss, grads = sft_loss_and_grad(params, [enc], pad_actions([(0, STOP)]))
         assert loss == pytest.approx(math.log(6))
 
     def test_batch_mean_of_singles(self):
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=0)
-        l1, _ = sft_loss_and_grad(params, [build_episode(enc, (0, STOP))])
-        l2, _ = sft_loss_and_grad(params, [build_episode(enc, (1, 2, STOP))])
-        both, _ = sft_loss_and_grad(
-            params, [build_episode(enc, (0, STOP)), build_episode(enc, (1, 2, STOP))]
-        )
+        l1, _ = sft_loss_and_grad(params, [enc], pad_actions([(0, STOP)]))
+        l2, _ = sft_loss_and_grad(params, [enc], pad_actions([(1, 2, STOP)]))
+        both, _ = sft_loss_and_grad(params, [enc, enc], pad_actions([(0, STOP), (1, 2, STOP)]))
         assert both == pytest.approx((l1 + l2) / 2)
 
     def test_training_single_example_to_near_zero(self):
@@ -317,11 +320,11 @@ class TestSftLoss:
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=0).copy()
         adam = Adam(params, 0.05)
-        batch = [build_episode(enc, (0, 2, STOP))]
+        actions = pad_actions([(0, 2, STOP)])
         for _ in range(300):
-            loss, grads = sft_loss_and_grad(params, batch)
+            loss, grads = sft_loss_and_grad(params, [enc], actions)
             adam.step(params, grads)
-        loss, grads = sft_loss_and_grad(params, batch)
+        loss, grads = sft_loss_and_grad(params, [enc], actions)
         assert loss < 0.01
         grad_norm = max(float(np.max(np.abs(g))) for g in grads.values())
         assert grad_norm < 0.05
@@ -329,14 +332,14 @@ class TestSftLoss:
     def test_empty_batch_rejected(self):
         params = PolicyParams.zeros(tiny_vocab(), 4)
         with pytest.raises(ConfigError):
-            sft_loss_and_grad(params, [])
+            sft_loss_and_grad(params, [], pad_actions([]))
 
 
 class TestValueHead:
     def test_zero_params_zero(self):
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
-        assert np.all(forward(params, [build_episode(enc, (0, 1, STOP))]).values == 0.0)
+        assert np.all(forward(params, [enc], pad_actions([(0, 1, STOP)])).values == 0.0)
         trace = sample(params, enc, rng=np.random.default_rng(0), top_p=None)
         assert all(value == 0.0 for value in trace.values)
 
@@ -351,10 +354,10 @@ class TestValueHead:
         params.value_b = np.array([0.25])
         # h is zero before the candidate is taken and v after it
         expected = [2 - 2 + 0.25, 2 - 2 + 2 + 0.25]
-        values = forward(params, [build_episode(enc, (0, STOP))]).values[0]
+        values = forward(params, [enc], pad_actions([(0, STOP)])).values[0]
         assert values.tolist() == pytest.approx(expected)
         # a zero uniform takes the candidate, then STOP is all that is left
-        trace = sample_episodes(embed(params, [enc]), None, np.zeros((1, 2)))[0]
+        (trace,) = traces(sample_episodes(embed(params, [enc]), None, np.zeros((1, 2))))
         assert trace.actions == (0, STOP)
         assert list(trace.values) == pytest.approx(expected)
 
@@ -371,7 +374,7 @@ class TestGradients:
         params = init_params(vocab, 4, seed=11)
 
         def corrupted(p):
-            loss, grads = sft_loss_and_grad(p, [build_episode(enc, (0, 2, STOP))])
+            loss, grads = sft_loss_and_grad(p, [enc], pad_actions([(0, 2, STOP)]))
             grads["score_q"] = grads["score_q"] * 1.5 + 0.01
             return loss, grads
 
@@ -390,30 +393,30 @@ class TestPpoLoss:
     def build(self, advantage, ratio_shift):
         vocab, enc = tiny_enc(2)
         params = init_params(vocab, 4, seed=5)
-        example = PpoExample(
-            enc=enc,
-            actions=(0, STOP),
-            old_logps=forward_logps(params, enc, (0, STOP)) - ratio_shift,
-            advantages=np.full(2, advantage),
-            returns=np.zeros(2),
+        batch = PpoBatch(
+            [enc],
+            pad_actions([(0, STOP)]),
+            old_logps=forward_logps(params, enc, (0, STOP))[None] - ratio_shift,
+            advantages=np.full((1, 2), advantage),
+            returns=np.zeros((1, 2)),
         )
-        return params, example
+        return params, batch
 
     def test_zero_advantages_zero_policy_loss(self):
-        params, example = self.build(0.0, 0.0)
-        loss, grads, stats = ppo_loss_and_grad(params, [example], 0.2, 0.5, 0.0)
+        params, batch = self.build(0.0, 0.0)
+        loss, grads, stats = ppo_loss_and_grad(params, batch, 0.2, 0.5, 0.0)
         assert stats.policy_loss == pytest.approx(0.0)
 
     def test_clipping_applied(self):
         # ratio exp(0.405) ~ 1.5 with positive advantage clips to 1.2
-        params, example = self.build(1.0, math.log(1.5))
-        loss, grads, stats = ppo_loss_and_grad(params, [example], 0.2, 0.0, 0.0)
+        params, batch = self.build(1.0, math.log(1.5))
+        loss, grads, stats = ppo_loss_and_grad(params, batch, 0.2, 0.0, 0.0)
         assert stats.policy_loss == pytest.approx(-1.2)
         assert stats.clip_fraction == pytest.approx(1.0)
 
     def test_unclipped_ratio_passthrough(self):
-        params, example = self.build(1.0, math.log(1.1))
-        loss, _, stats = ppo_loss_and_grad(params, [example], 0.2, 0.0, 0.0)
+        params, batch = self.build(1.0, math.log(1.1))
+        loss, _, stats = ppo_loss_and_grad(params, batch, 0.2, 0.0, 0.0)
         assert stats.policy_loss == pytest.approx(-1.1)
         assert stats.clip_fraction == 0.0
 
@@ -425,7 +428,7 @@ class TestSerialization:
         save_params(params, path, target="columns")
         loaded, target = load_params(path)
         assert target == "columns"
-        assert loaded.equals(params)
+        assert params_equal(loaded, params)
         save_params(loaded, tmp_path / "m2.model.json", target="columns")
         assert (tmp_path / "m.model.json").read_bytes() == (tmp_path / "m2.model.json").read_bytes()
 
@@ -468,6 +471,14 @@ class TestSerialization:
         del (doc if drop in doc else doc["params"])[drop]
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=repr(drop)):
+            load_params(path)
+
+    @pytest.mark.parametrize("dim", [-2, 0, "x", 2.5, True, None])
+    def test_bad_dim_rejected(self, tmp_path, dim):
+        path = tmp_path / "m.model.json"
+        save_params(init_params(tiny_vocab(), 4, seed=0), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dim": dim}))
+        with pytest.raises(ConfigError, match=f"dim must be a positive integer, got {dim!r}"):
             load_params(path)
 
     @pytest.mark.parametrize("text", ['{"format_version": 1, "dim"', "[1]"])

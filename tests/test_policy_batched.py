@@ -23,6 +23,12 @@ is bit-identical to that pick's: the stepper scores such copies exactly
 alike and takes the lowest, while the walk's matrix-vector products may
 round them apart.  Only ties between bit-identical encodings are settled
 so; every other step must agree as it stands.
+
+Episodes travel as padded ``(B, T)`` arrays.  What ``forward`` derives from
+them (allowed slots, history weights, picks) must equal bit for bit the
+per-step layout built one episode at a time (``oracle_layout``), and the
+rollout arithmetic (shaped rewards, returns-to-go, advantages, measured KL)
+must equal bit for bit the per-episode loops it replaced.
 """
 
 from __future__ import annotations
@@ -33,13 +39,13 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from tabreduce import dataio, policy, tasks
+from tabreduce import dataio, policy, rewards, tasks, training
 from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.policy import (
     STOP,
     EncodedInstance,
     PolicyParams,
-    PpoExample,
+    PpoBatch,
     PpoStats,
     zero_grads,
 )
@@ -325,6 +331,73 @@ def accumulate_episode_grads(
                 grads["emb"][tok] += per_token
 
 
+def oracle_layout(enc: EncodedInstance, actions: Sequence[int]):
+    """The per-step layout the batched forward derives, built step by step:
+    the actions through the first STOP (a ValueError for one that is not
+    available), and per step the candidates still available and the
+    history-mean weights (1/k on each of the k candidates selected before
+    it).  Returns (steps, available, history)."""
+    n = enc.n_candidates
+    steps: list[int] = []
+    for action in actions:
+        steps.append(action)
+        if action == STOP:
+            break
+    available = np.ones((len(steps), n), dtype=bool)
+    history = np.zeros((len(steps), n))
+    chosen: list[int] = []
+    for t, action in enumerate(steps):
+        if chosen:
+            available[t, chosen] = False
+            history[t, chosen] = 1.0 / len(chosen)
+        if action == STOP:
+            break
+        if not 0 <= action < n or action in chosen:
+            raise ValueError(f"action {action} not available")
+        chosen.append(action)
+    return steps, available, history
+
+
+@dataclass(frozen=True)
+class Trace:
+    """One sampled episode's steps, cut from the ``(n, W)`` arrays."""
+
+    actions: tuple[int, ...]
+    logp_pi: tuple[float, ...]
+    logp_ref: tuple[float, ...]
+    values: tuple[float, ...]
+
+    @property
+    def selected(self) -> frozenset[int]:
+        return frozenset(a for a in self.actions if a != STOP)
+
+
+def traces(sampled: policy.SampledEpisodes) -> list[Trace]:
+    """Each episode of ``sampled``; asserts that its arrays read STOP and 0
+    after each episode's last step, which is its only STOP."""
+    out = []
+    for k, n in enumerate(sampled.steps.tolist()):
+        assert (sampled.actions[k, n:] == STOP).all() and sampled.actions[k, n - 1] == STOP
+        assert STOP not in sampled.actions[k, : n - 1]
+        for name in ("logp_pi", "logp_ref", "values"):
+            assert (getattr(sampled, name)[k, n:] == 0.0).all()
+        out.append(Trace(*(tuple(getattr(sampled, name)[k, :n].tolist())
+                           for name in ("actions", "logp_pi", "logp_ref", "values"))))
+    return out
+
+
+def params_equal(a: PolicyParams, b: PolicyParams) -> bool:
+    """Same vocabulary and bit-identical arrays."""
+    return a.vocab.tokens == b.vocab.tokens and all(
+        np.array_equal(x, y) for x, y in zip(a.arrays().values(), b.arrays().values())
+    )
+
+
+def episodes_of(batch):
+    """``(encs, actions)`` of a list of (encoding, action sequence) pairs."""
+    return [enc for enc, _ in batch], policy.pad_actions([actions for _, actions in batch])
+
+
 def oracle_sft_loss_and_grad(params, batch):
     grads = zero_grads(params)
     total = 0.0
@@ -421,14 +494,15 @@ def random_actions(rng, n_candidates: int, max_picks: int = 6) -> tuple[int, ...
 
 def mixed_batch(seed: int) -> list[tuple[EncodedInstance, tuple[int, ...]]]:
     """Different T and N in one minibatch, with the edge cases: an empty
-    question, zero candidates, a STOP-only episode on a full instance and a
-    row-length candidate set."""
+    question, zero candidates, a STOP-only episode on a full instance, a
+    row-length candidate set and an episode that takes every candidate."""
     rng = np.random.default_rng(seed)
     batch = [
         (random_instance(rng, 5, question_len=0), random_actions(rng, 5)),
         (random_instance(rng, 0), (STOP,)),
         (random_instance(rng, 7), (STOP,)),
         (random_instance(rng, 160), random_actions(rng, 160, max_picks=9)),
+        (random_instance(rng, 6), tuple(int(a) for a in rng.permutation(6)) + (STOP,)),
     ]
     for _ in range(6):
         n = int(rng.integers(1, 13))
@@ -437,13 +511,24 @@ def mixed_batch(seed: int) -> list[tuple[EncodedInstance, tuple[int, ...]]]:
     return [batch[i] for i in order]
 
 
-def ppo_batch(params, seed: int, zero_advantages: bool = False) -> list[PpoExample]:
+@dataclass(frozen=True)
+class OracleExample:
+    """One episode for the per-episode PPO oracle."""
+
+    enc: EncodedInstance
+    actions: tuple[int, ...]
+    old_logps: np.ndarray
+    advantages: np.ndarray
+    returns: np.ndarray
+
+
+def ppo_batch(params, seed: int, zero_advantages: bool = False) -> list[OracleExample]:
     rng = np.random.default_rng(seed + 100)
     examples = []
     for enc, actions in mixed_batch(seed):
         logps = replay_episode(params, enc, actions).logps
         steps = len(logps)
-        examples.append(PpoExample(
+        examples.append(OracleExample(
             enc=enc,
             actions=actions,
             old_logps=logps - rng.uniform(-0.6, 0.6, steps),
@@ -451,6 +536,22 @@ def ppo_batch(params, seed: int, zero_advantages: bool = False) -> list[PpoExamp
             returns=rng.normal(size=steps),
         ))
     return examples
+
+
+def padded(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-episode step vectors as one zero-padded array."""
+    out = np.zeros((len(rows), max(len(row) for row in rows)))
+    for b, row in enumerate(rows):
+        out[b, : len(row)] = row
+    return out
+
+
+def as_ppo_batch(examples: Sequence[OracleExample]) -> PpoBatch:
+    return PpoBatch(
+        [ex.enc for ex in examples], policy.pad_actions([ex.actions for ex in examples]),
+        *(padded([getattr(ex, name) for ex in examples])
+          for name in ("old_logps", "advantages", "returns")),
+    )
 
 
 def relative_error(actual, expected) -> float:
@@ -485,12 +586,12 @@ def test_segment_means_match_oracle():
 def test_forward_matches_replay(seed):
     params = random_params(seed)
     batch = mixed_batch(seed)
-    fw = policy.forward(params, [policy.build_episode(enc, actions) for enc, actions in batch])
+    fw = policy.forward(params, *episodes_of(batch))
     for b, (enc, actions) in enumerate(batch):
         replay = replay_episode(params, enc, actions)
         walker = _Encoder(params, enc)
         steps = len(replay.logps)
-        assert fw.steps[b] == steps and not fw.valid[b, steps:].any()
+        assert fw.valid[b, :steps].all() and not fw.valid[b, steps:].any()
         assert relative_error(fw.logps[b, :steps], replay.logps) <= TOLERANCE
         assert relative_error(fw.entropies[b, :steps], replay.entropies) <= TOLERANCE
         assert relative_error(fw.values[b, :steps], replay.values) <= TOLERANCE
@@ -505,8 +606,7 @@ def test_forward_matches_replay(seed):
 def test_sft_matches_oracle(seed):
     params = random_params(seed)
     batch = mixed_batch(seed)
-    episodes = [policy.build_episode(enc, actions) for enc, actions in batch]
-    loss, grads = policy.sft_loss_and_grad(params, episodes)
+    loss, grads = policy.sft_loss_and_grad(params, *episodes_of(batch))
     oracle_loss, oracle_grads = oracle_sft_loss_and_grad(params, batch)
     assert relative_error(loss, oracle_loss) <= TOLERANCE
     assert_grads_agree(grads, oracle_grads)
@@ -525,7 +625,9 @@ def test_sft_matches_oracle(seed):
 def test_ppo_matches_oracle(seed, value_loss_coef, entropy_coef, zero_advantages):
     params = random_params(seed)
     batch = ppo_batch(params, seed, zero_advantages)
-    loss, grads, stats = policy.ppo_loss_and_grad(params, batch, 0.2, value_loss_coef, entropy_coef)
+    loss, grads, stats = policy.ppo_loss_and_grad(
+        params, as_ppo_batch(batch), 0.2, value_loss_coef, entropy_coef
+    )
     oracle_loss, oracle_grads, oracle_stats = oracle_ppo_loss_and_grad(
         params, batch, 0.2, value_loss_coef, entropy_coef
     )
@@ -538,39 +640,76 @@ def test_ppo_matches_oracle(seed, value_loss_coef, entropy_coef, zero_advantages
         assert 0.0 < stats.clip_fraction < 1.0  # both surrogate branches ran
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_layout_matches_per_step_oracle(seed):
+    """The allowed slots, history weights and picks that ``forward`` derives
+    from a padded minibatch are bit for bit the per-step layout, padded."""
+    params = random_params(seed)
+    for batch_seed in range(25 * seed, 25 * seed + 25):
+        assert_layout_matches_oracle(params, mixed_batch(batch_seed))
+
+
+def assert_layout_matches_oracle(params, batch) -> None:
+    fw = policy.forward(params, *episodes_of(batch))
+    n_max = max(enc.n_candidates for enc, _ in batch)
+    t_max = max(len(actions) for _, actions in batch)
+    allowed = np.zeros((len(batch), t_max, n_max + 1), dtype=bool)
+    allowed[..., n_max] = True
+    weights = np.zeros((len(batch), t_max, n_max))
+    picks = np.full((len(batch), t_max), n_max)
+    for b, (enc, actions) in enumerate(batch):
+        steps, available, history = oracle_layout(enc, actions)
+        t, n = available.shape
+        allowed[b, :t, :n] = available
+        weights[b, :t, :n] = history
+        picks[b, :t] = [n_max if a == STOP else a for a in steps]
+    assert np.array_equal(fw.allowed, allowed)
+    assert np.array_equal(fw.weights, weights)
+    assert np.array_equal(fw.picks, picks)
+    assert any(enc.n_candidates == 0 for enc, _ in batch)
+    assert any(len(actions) == enc.n_candidates + 1 > 1 for enc, actions in batch)
+    assert any(actions == (STOP,) and enc.n_candidates for enc, actions in batch)
+
+
 def test_unavailable_action_rejected():
     enc = EncodedInstance(question_ids=(1,), candidate_ids=((2,), (3,)))
-    for actions in ((0, 0, STOP), (2, STOP), (-2, STOP)):
-        with pytest.raises(ValueError):
-            policy.build_episode(enc, actions)
+    params = random_params(0)
+    for actions in ((0, 0, STOP), (2, STOP), (-2, STOP), (1, 0, 1)):
+        with pytest.raises(ValueError, match="not available"):
+            oracle_layout(enc, actions)
+        with pytest.raises(ValueError, match="not available"):
+            policy.forward(params, [enc], policy.pad_actions([actions]))
+    # a bad action in any row of a minibatch
+    other = EncodedInstance(question_ids=(1,), candidate_ids=((2,),) * 4)
+    with pytest.raises(ValueError, match="action 3 not available"):
+        policy.forward(params, [other, enc], policy.pad_actions([(3, STOP), (0, 3, STOP)]))
 
 
 def test_actions_after_stop_ignored():
     params = random_params(1)
     enc = random_instance(np.random.default_rng(1), 4)
-    full = policy.sft_loss_and_grad(params, [policy.build_episode(enc, (1, STOP, 2, 3))])
-    short = policy.sft_loss_and_grad(params, [policy.build_episode(enc, (1, STOP))])
+    full = policy.sft_loss_and_grad(params, [enc], policy.pad_actions([(1, STOP, 2, 3)]))
+    short = policy.sft_loss_and_grad(params, [enc], policy.pad_actions([(1, STOP)]))
     assert full[0] == short[0]
+    # nor are out-of-range or repeated ones
+    bad = policy.sft_loss_and_grad(params, [enc], policy.pad_actions([(1, STOP, 9, 1)]))
+    assert bad[0] == short[0]
 
 
 def test_non_finite_scores_raise():
     params = random_params(2)
     params.score_q[0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-        policy.sft_loss_and_grad(
-            params, [policy.build_episode(enc, actions) for enc, actions in mixed_batch(2)]
-        )
+        policy.sft_loss_and_grad(params, *episodes_of(mixed_batch(2)))
 
 
-def test_step_count_mismatch_rejected():
+def test_empty_batches_rejected():
     params = random_params(3)
-    enc = random_instance(np.random.default_rng(3), 3)
-    example = PpoExample(enc=enc, actions=(0, STOP), old_logps=np.zeros(3),
-                         advantages=np.zeros(3), returns=np.zeros(3))
-    with pytest.raises(ValueError):
-        policy.ppo_loss_and_grad(params, [example], 0.2, 0.5, 0.01)
     with pytest.raises(ConfigError):
-        policy.ppo_loss_and_grad(params, [], 0.2, 0.5, 0.01)
+        policy.sft_loss_and_grad(params, [], policy.pad_actions([]))
+    empty = np.zeros((0, 1))
+    with pytest.raises(ConfigError):
+        policy.ppo_loss_and_grad(params, PpoBatch([], empty, empty, empty, empty), 0.2, 0.5, 0.01)
 
 
 @pytest.mark.parametrize("target", [tasks.TARGET_COLUMNS, tasks.TARGET_ROWS])
@@ -645,7 +784,7 @@ def test_encodings_batch_independent(seed):
     params = random_params(seed)
     encs = [enc for enc, _ in mixed_batch(seed)] + tie_prone_instances(rng, 80)
     batched = policy.embed(params, encs)
-    fw = policy.forward(params, [policy.build_episode(enc, (STOP,)) for enc in encs])
+    fw = policy.forward(params, encs, policy.pad_actions([(STOP,)] * len(encs)))
     for k, enc in enumerate(encs):
         alone = policy.embed(params, [enc])[0]
         n = enc.n_candidates
@@ -689,9 +828,9 @@ def test_sample_episodes_match_oracle(seed, top_p):
     uniforms = block_of_uniforms(seed, encs)
     current = policy.embed(params, encs)
     ref = None if reference is None else policy.embed(reference, encs)
-    traces = policy.sample_episodes(current, ref, uniforms, top_p)
+    sampled = traces(policy.sample_episodes(current, ref, uniforms, top_p))
     stopped_at_once = 0
-    for k, (enc, trace) in enumerate(zip(encs, traces)):
+    for k, (enc, trace) in enumerate(zip(encs, sampled)):
         actions, logp_pi, logp_ref, values, selected = oracle_sample_episode(
             params, reference, enc, top_p=top_p, uniforms=uniforms[k]
         )
@@ -701,7 +840,7 @@ def test_sample_episodes_match_oracle(seed, top_p):
         assert_close_per_step(trace.values, values)
         stopped_at_once += enc.n_candidates > 0 and actions == (STOP,)
     assert stopped_at_once > 0
-    assert max(len(t.actions) for t in traces) > 3
+    assert max(len(t.actions) for t in sampled) > 3
     greedy = policy.greedy_decode(params, encs).selected
     assert greedy == [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
 
@@ -716,16 +855,16 @@ def test_sample_episodes_independent_of_runs(seed, monkeypatch):
     uniforms = block_of_uniforms(seed, encs)
     current = policy.embed(params, encs)
     ref = policy.embed(reference, encs)
-    whole = policy.sample_episodes(current, ref, uniforms, 0.9)
+    whole = traces(policy.sample_episodes(current, ref, uniforms, 0.9))
     width = uniforms.shape[1]
     for block in (width, 3 * width, 7 * width + 1):
         monkeypatch.setattr(policy, "_SEGMENT_BLOCK", block)
-        assert policy.sample_episodes(current, ref, uniforms, 0.9) == whole
+        assert traces(policy.sample_episodes(current, ref, uniforms, 0.9)) == whole
     monkeypatch.undo()
     order = np.random.default_rng(seed).permutation(len(encs))
-    shuffled = policy.sample_episodes(
+    shuffled = traces(policy.sample_episodes(
         [current[i] for i in order], [ref[i] for i in order], uniforms[order], 0.9
-    )
+    ))
     assert shuffled == [whole[i] for i in order]
 
 
@@ -761,6 +900,89 @@ def test_sample_episodes_needs_a_uniform_per_step():
         policy.sample_episodes(policy.embed(params, encs), None, uniforms[:, :-1], None)
     with pytest.raises(ValueError):
         policy.sample_episodes(policy.embed(params, encs), None, uniforms[1:], None)
+
+
+# ---------------------------------------------------------------------------
+# Rollout arithmetic: the per-episode loops it replaced
+
+def oracle_shaped_reward(task, logp_pi, logp_ref, beta) -> np.ndarray:
+    rewards = -beta * (np.array(logp_pi) - np.array(logp_ref))
+    rewards[-1] += task
+    return rewards
+
+
+def oracle_returns_to_go(rewards, discount) -> np.ndarray:
+    g = np.zeros(len(rewards))
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + discount * acc
+        g[t] = acc
+    return g
+
+
+def oracle_advantages(step_rewards, values, discount):
+    """Per episode, its returns-to-go and its normalized advantages."""
+    returns = [oracle_returns_to_go(r, discount) for r in step_rewards]
+    raw = [g - np.array(v) for g, v in zip(returns, values)]
+    flat = np.concatenate(raw)
+    mean = flat.mean()
+    std = flat.std()
+    return returns, [(adv - mean) / (std + 1e-8) for adv in raw]
+
+
+def oracle_measured_kl(episodes: Sequence[Trace]) -> float:
+    total = 0.0
+    count = 0
+    for trace in episodes:
+        total += sum(trace.logp_pi) - sum(trace.logp_ref)
+        count += len(trace.logp_pi)
+    return total / count if count else 0.0
+
+
+def assert_rows_equal(padded_rows: np.ndarray, rows, steps) -> None:
+    """Row k of ``padded_rows`` is ``rows[k]`` bit for bit, then zeros."""
+    for k, (row, n) in enumerate(zip(rows, steps.tolist())):
+        assert np.array_equal(padded_rows[k, :n], row)
+        assert (padded_rows[k, n:] == 0.0).all()
+
+
+def test_returns_to_go_match_per_episode_loop():
+    rng = np.random.default_rng(8)
+    for discount in (1.0, 0.5, 0.99, 0.0):
+        steps = rng.integers(1, 30, size=50)
+        rows = [rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n) for n in steps]
+        returns = training._returns_to_go(padded(rows), discount)
+        assert_rows_equal(returns, [oracle_returns_to_go(r, discount) for r in rows], steps)
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.5])
+@pytest.mark.parametrize("seed", range(3))
+def test_rollout_arithmetic_matches_per_episode_loop(seed, discount):
+    """Shaped rewards, returns, advantages and the measured KL of a sampled
+    rollout equal, bit for bit, those of the per-episode loops."""
+    rng = np.random.default_rng([seed, 9])
+    params, reference = random_params(seed), random_params(seed + 50)
+    encs = sampling_batch(seed)
+    sampled = policy.sample_episodes(
+        policy.embed(params, encs), policy.embed(reference, encs), block_of_uniforms(seed, encs), 0.9
+    )
+    task = rng.normal(scale=3.0, size=len(encs))
+    beta = float(rng.uniform(0.01, 0.5))
+    step_rewards = rewards.shaped_reward(task, sampled.logp_pi, sampled.logp_ref, sampled.steps, beta)
+    rollout = training.Rollout(encs, sampled, task, step_rewards)
+    batch = training.compute_advantages(rollout, discount)
+
+    episodes = traces(sampled)
+    expected_rewards = [oracle_shaped_reward(r, t.logp_pi, t.logp_ref, beta)
+                        for r, t in zip(task.tolist(), episodes)]
+    returns, advantages = oracle_advantages(expected_rewards, [t.values for t in episodes], discount)
+    assert_rows_equal(step_rewards, expected_rewards, sampled.steps)
+    assert_rows_equal(batch.returns, returns, sampled.steps)
+    assert_rows_equal(batch.advantages, advantages, sampled.steps)
+    assert_rows_equal(batch.old_logps, [t.logp_pi for t in episodes], sampled.steps)
+    assert np.array_equal(batch.actions, sampled.actions) and batch.encs == encs
+    assert rollout.measured_kl == oracle_measured_kl(episodes) != 0.0
+    assert max(sampled.steps) > 3
 
 
 # ---------------------------------------------------------------------------

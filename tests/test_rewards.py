@@ -82,27 +82,42 @@ class TestTaskReward:
             assert miss < extra
 
 
+def shaped_one(task, logp_pi, logp_ref, beta):
+    """``shaped_reward`` of one episode, as its row."""
+    return shaped_reward(
+        np.array([task]), np.array([logp_pi]), np.array([logp_ref]), np.array([len(logp_pi)]), beta
+    )[0]
+
+
 class TestShapedReward:
     def test_equal_logps_passthrough(self):
-        rewards = shaped_reward(2.0, [-0.4, -1.3], [-0.4, -1.3], 0.2)
+        rewards = shaped_one(2.0, [-0.4, -1.3], [-0.4, -1.3], 0.2)
         assert rewards == pytest.approx([0.0, 2.0])
 
     def test_formula(self):
-        rewards = shaped_reward(0.0, [-0.5, -0.1], [-1.5, -0.6], 0.2)
+        rewards = shaped_one(0.0, [-0.5, -0.1], [-1.5, -0.6], 0.2)
         assert rewards == pytest.approx([-0.2, -0.1])
 
     def test_beta_zero(self):
-        assert shaped_reward(1.7, [-0.1, -2.0], [-9.0, -0.5], 0.0) == pytest.approx([0.0, 1.7])
+        assert shaped_one(1.7, [-0.1, -2.0], [-9.0, -0.5], 0.0) == pytest.approx([0.0, 1.7])
 
     def test_linear_in_beta_and_logratio(self):
-        base = shaped_reward(1.0, [-1.0, -0.3], [-2.0, -0.1], 0.3)
-        double_beta = shaped_reward(1.0, [-1.0, -0.3], [-2.0, -0.1], 0.6)
-        doubled_ratio = shaped_reward(1.0, [-2.0, -0.5], [-4.0, -0.1], 0.3)
+        base = shaped_one(1.0, [-1.0, -0.3], [-2.0, -0.1], 0.3)
+        double_beta = shaped_one(1.0, [-1.0, -0.3], [-2.0, -0.1], 0.6)
+        doubled_ratio = shaped_one(1.0, [-2.0, -0.5], [-4.0, -0.1], 0.3)
         base[-1] -= 1.0
         double_beta[-1] -= 1.0
         doubled_ratio[-1] -= 1.0
         assert double_beta == pytest.approx(2 * base)
         assert doubled_ratio == pytest.approx(2 * base)
+
+    def test_padded_episodes(self):
+        # each episode's task reward lands on its own last step; after it, 0
+        logp_pi = np.array([[-0.5, -0.1, 0.0], [-1.0, 0.0, 0.0], [-0.2, -0.3, -0.4]])
+        logp_ref = np.array([[-1.5, -0.6, 0.0], [-2.0, 0.0, 0.0], [-0.2, -0.3, -0.4]])
+        rewards = shaped_reward(np.array([1.0, 2.0, 3.0]), logp_pi, logp_ref, np.array([2, 1, 3]), 0.2)
+        assert np.allclose(rewards, [[-0.2, 0.9, 0.0], [1.8, 0.0, 0.0], [0.0, 0.0, 3.0]])
+        assert rewards[0, 2] == rewards[1, 1] == rewards[1, 2] == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -113,12 +128,13 @@ class TestShapedReward:
         params = policy.init_params(vocab, 4, seed=0)
         enc = policy.encode_instance(vocab, "q", ["a", "b"])
         uniforms = np.random.default_rng(0).random((1, 3))
-        trace = policy.sample_episodes(policy.embed(params, [enc]), None, uniforms)[0]
-        rewards = shaped_reward(bad, trace.logp_pi, trace.logp_ref, 0.1)
+        sampled = policy.sample_episodes(policy.embed(params, [enc]), None, uniforms)
+        task = np.array([bad])
+        rewards = shaped_reward(task, sampled.logp_pi, sampled.logp_ref, sampled.steps, 0.1)
         assert not np.all(np.isfinite(rewards))
-        rollout = training.Rollout([enc], [trace], [rewards], beta=0.1)
-        examples = training.compute_advantages(rollout)
+        rollout = training.Rollout([enc], sampled, task, rewards)
+        batch = training.compute_advantages(rollout)
         with pytest.raises(NumericalError):
             policy.ppo_loss_and_grad(
-                params, examples, clip_epsilon=0.2, value_loss_coef=0.5, entropy_coef=0.01
+                params, batch, clip_epsilon=0.2, value_loss_coef=0.5, entropy_coef=0.01
             )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tabreduce import dataio, policy, tasks, training
+from tabreduce import dataio, policy, rewards, tasks, training
 from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.training import (
     Adam,
@@ -18,6 +18,7 @@ from tabreduce.training import (
     train_sft,
     update_beta,
 )
+from test_policy_batched import params_equal, traces
 
 
 def dataset(n=60, seed=3, rows=(4, 10)):
@@ -110,57 +111,66 @@ class TestUpdateBeta:
 
 
 class TestAdvantages:
-    def rollout_from(self, traces, step_rewards, encs):
-        return Rollout(encs=encs, traces=traces, step_rewards=step_rewards, beta=0.2)
-
-    def make_trace(self, actions, values, logps=None):
-        n = len(actions)
-        logps = logps or [0.0] * n
-        return policy.EpisodeTrace(
-            actions=tuple(actions),
-            logp_pi=tuple(logps),
-            logp_ref=tuple(logps),
-            values=tuple(values),
-            selected=frozenset(a for a in actions if a != policy.STOP),
+    def rollout_from(self, encs, actions, values, step_rewards):
+        """A rollout of episodes given per episode; logp_pi = logp_ref = 0."""
+        width = max(len(a) for a in actions)
+        pad = lambda rows: np.array([list(r) + [0.0] * (width - len(r)) for r in rows])
+        episodes = policy.SampledEpisodes(
+            actions=policy.pad_actions(actions), logp_pi=pad([[0.0] * len(a) for a in actions]),
+            logp_ref=pad([[0.0] * len(a) for a in actions]), values=pad(values),
+            steps=np.array([len(a) for a in actions]),
         )
+        task = np.array([r[-1] for r in step_rewards])
+        return Rollout(encs, episodes, task, pad(step_rewards))
 
     def test_single_step_advantage(self):
         enc = policy.EncodedInstance((1,), ())
-        trace = self.make_trace([policy.STOP], [0.5]).with_task_reward(2.0)
-        rollout = self.rollout_from([trace], [np.array([2.0])], [enc])
-        examples = compute_advantages(rollout)
+        rollout = self.rollout_from([enc], [(policy.STOP,)], [[0.5]], [[2.0]])
+        batch = compute_advantages(rollout)
         # one step: raw advantage 2.0 - 0.5, normalized to 0 (single sample)
-        assert examples[0].returns[0] == pytest.approx(2.0)
-        assert examples[0].advantages[0] == pytest.approx(0.0)
+        assert batch.returns[0, 0] == pytest.approx(2.0)
+        assert batch.advantages[0, 0] == pytest.approx(0.0)
 
     def test_constant_rewards_normalize_to_zero(self):
         enc = policy.EncodedInstance((1,), ())
-        traces = [self.make_trace([policy.STOP], [0.0]).with_task_reward(1.0) for _ in range(4)]
-        rollout = self.rollout_from(traces, [np.array([1.0])] * 4, [enc] * 4)
-        examples = compute_advantages(rollout)
-        for ex in examples:
-            assert np.allclose(ex.advantages, 0.0)
+        rollout = self.rollout_from([enc] * 4, [(policy.STOP,)] * 4, [[0.0]] * 4, [[1.0]] * 4)
+        assert np.allclose(compute_advantages(rollout).advantages, 0.0)
 
     def test_two_step_hand_computed(self):
         enc = policy.EncodedInstance((1,), ((2,),))
-        trace = self.make_trace([0, policy.STOP], [0.25, -0.5])
-        rewards = np.array([-0.1, 3.0])
-        rollout = self.rollout_from([trace], [rewards], [enc])
-        examples = compute_advantages(rollout)
-        assert examples[0].returns.tolist() == pytest.approx([2.9, 3.0])
+        rollout = self.rollout_from([enc], [(0, policy.STOP)], [[0.25, -0.5]], [[-0.1, 3.0]])
+        batch = compute_advantages(rollout)
+        assert batch.returns[0].tolist() == pytest.approx([2.9, 3.0])
         raw = np.array([2.9 - 0.25, 3.0 + 0.5])
         normalized = (raw - raw.mean()) / (raw.std() + 1e-8)
-        assert examples[0].advantages == pytest.approx(normalized)
+        assert batch.advantages[0] == pytest.approx(normalized)
+
+    def test_padded_steps_read_zero(self):
+        # the short episode's padded step takes no part in the normalization
+        encs = [policy.EncodedInstance((1,), ((2,),))] * 2
+        rollout = self.rollout_from(
+            encs, [(0, policy.STOP), (policy.STOP,)], [[0.0, 1.0], [2.0]], [[1.0, 1.0], [5.0]]
+        )
+        batch = compute_advantages(rollout)
+        raw = np.array([2.0 - 0.0, 1.0 - 1.0, 5.0 - 2.0])
+        normalized = (raw - raw.mean()) / (raw.std() + 1e-8)
+        assert np.allclose(batch.advantages, [normalized[:2], [normalized[2], 0.0]])
+        assert batch.advantages[1, 1] == 0.0
+        assert batch.returns.tolist() == [[2.0, 1.0], [5.0, 0.0]]
+        assert batch.old_logps.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_discount_applied(self):
         enc = policy.EncodedInstance((1,), ((2,),))
-        trace = self.make_trace([0, policy.STOP], [0.0, 0.0])
-        rollout = self.rollout_from([trace], [np.array([1.0, 1.0])], [enc])
-        examples = compute_advantages(rollout, discount=0.5)
-        assert examples[0].returns.tolist() == pytest.approx([1.5, 1.0])
+        rollout = self.rollout_from([enc], [(0, policy.STOP)], [[0.0, 0.0]], [[1.0, 1.0]])
+        batch = compute_advantages(rollout, discount=0.5)
+        assert batch.returns[0].tolist() == pytest.approx([1.5, 1.0])
 
     def test_empty_batch(self):
-        assert compute_advantages(self.rollout_from([], [], [])) == []
+        insts = dataset(10)
+        state, encs, golds = build_state(insts)
+        rollout = collect_rollouts(state, encs, golds, 0, PpoConfig(), lambda s, g: 0.0)
+        batch = compute_advantages(rollout)
+        assert batch.encs == [] and batch.actions.shape[0] == batch.advantages.shape[0] == 0
 
     def test_warm_start_fits_the_discounted_returns(self, monkeypatch):
         insts = dataset(20)
@@ -168,7 +178,8 @@ class TestAdvantages:
         state, encs, golds = build_state(insts, seed=2)
         replica, _, _ = build_state(insts, seed=2)
         rollout = collect_rollouts(replica, encs, golds, 16, cfg, lambda s, g: 1.0)
-        returns = np.concatenate([ex.returns for ex in compute_advantages(rollout, cfg.discount)])
+        valid = rollout.episodes.valid
+        returns = compute_advantages(rollout, cfg.discount).returns[valid]
         fitted = []
         real_lstsq = np.linalg.lstsq
 
@@ -179,7 +190,7 @@ class TestAdvantages:
         monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
         training.warm_start_value_head(state, encs, golds, cfg, lambda s, g: 1.0)
         assert len(fitted) == 1 and np.array_equal(fitted[0], returns)
-        undiscounted = np.concatenate([ex.returns for ex in compute_advantages(rollout, 1.0)])
+        undiscounted = compute_advantages(rollout, 1.0).returns[valid]
         assert not np.allclose(returns, undiscounted)
 
 
@@ -203,26 +214,27 @@ class TestRollouts:
         insts = dataset(10)
         state, encs, golds = build_state(insts)
         rollout = collect_rollouts(state, encs, golds, 0, PpoConfig(), lambda s, g: 0.0)
-        assert rollout.traces == []
-        assert rollout.measured_kl == 0.0
+        assert rollout.encs == [] and rollout.episodes.steps.size == 0
+        assert rollout.measured_kl == 0.0 and rollout.mean_task_reward == 0.0
 
     def test_beta_zero_means_zero_step_penalties(self):
         insts = dataset(10)
         state, encs, golds = build_state(insts, beta=0.0)
         rollout = collect_rollouts(state, encs, golds, 8, PpoConfig(), lambda s, g: 1.5)
-        for rewards, trace in zip(rollout.step_rewards, rollout.traces):
-            assert rewards[:-1] == pytest.approx(np.zeros(len(rewards) - 1))
-            assert rewards[-1] == pytest.approx(1.5)
+        for step_rewards, n in zip(rollout.step_rewards, rollout.episodes.steps):
+            assert step_rewards[: n - 1] == pytest.approx(np.zeros(n - 1))
+            assert step_rewards[n - 1] == pytest.approx(1.5)
+            assert not step_rewards[n:].any()
 
     def test_pi_equals_theta_log_ratio_is_mask_renormalization(self):
         insts = dataset(10)
         state, encs, golds = build_state(insts)
         cfg = PpoConfig(top_p=0.9)
         rollout = collect_rollouts(state, encs, golds, 16, cfg, lambda s, g: 0.0)
-        for enc, trace in zip(rollout.encs, rollout.traces):
+        for enc, trace in zip(rollout.encs, traces(rollout.episodes)):
             # with identical parameters the behavior/reference log-ratio is
             # exactly the mask's kept-mass renormalization at each step
-            fw = policy.forward(state.current, [policy.build_episode(enc, trace.actions)])
+            fw = policy.forward(state.current, [enc], policy.pad_actions([trace.actions]))
             for t, (lp_pi, lp_ref) in enumerate(zip(trace.logp_pi, trace.logp_ref)):
                 probs = fw.probs[0, t][fw.allowed[0, t]]  # remaining candidates, then STOP
                 masked = policy.apply_top_p_mask(probs, cfg.top_p)
@@ -236,8 +248,16 @@ class TestRollouts:
             state, encs, golds, 4, PpoConfig(),
             lambda selected, gold: float(len(selected & gold)),
         )
-        for trace in rollout.traces:
-            assert trace.task_reward == float(len(trace.selected & golds_for(trace, encs, golds)))
+        indices = np.random.default_rng(0).integers(0, len(encs), size=4)  # the rollout's draw
+        assert rollout.encs == [encs[i] for i in indices]
+        for trace, reward, i in zip(traces(rollout.episodes), rollout.task_rewards, indices):
+            assert reward == float(len(trace.selected & golds[i]))
+        assert rollout.mean_task_reward == np.mean(rollout.task_rewards)
+        expected = rewards.shaped_reward(
+            rollout.task_rewards, rollout.episodes.logp_pi, rollout.episodes.logp_ref,
+            rollout.episodes.steps, state.beta,
+        )
+        assert np.array_equal(rollout.step_rewards, expected)
 
 
     def test_random_stream(self):
@@ -258,8 +278,9 @@ class TestRollouts:
         expected = policy.sample_episodes(
             policy.embed(state.current, drawn), policy.embed(state.reference, drawn), uniforms, 0.9
         )
-        assert [t.with_task_reward(0.0) for t in rollout.traces] == expected
-        assert (state.episodes, state.steps) == (6, sum(len(t.actions) for t in expected))
+        assert traces(rollout.episodes) == traces(expected)
+        assert rollout.episodes.actions.shape == uniforms.shape
+        assert (state.episodes, state.steps) == (6, expected.steps.sum())
 
     def test_given_reference_encodings_used(self):
         insts = dataset(10)
@@ -270,16 +291,7 @@ class TestRollouts:
         by_params = collect_rollouts(state_b, encs, golds, 8, PpoConfig(), lambda s, g: 0.0)
         given = collect_rollouts(state_c, encs, golds, 8, PpoConfig(), lambda s, g: 0.0,
                                  reference=policy.embed(other, encs))
-        assert given.traces == by_params.traces
-
-
-def golds_for(trace, encs, golds):
-    # recover the gold set used: rollouts pick instances by index, so accept any
-    # gold consistent with the trace's candidate count; simplest is a lookup by reward
-    for gold in golds:
-        if float(len(trace.selected & gold)) == trace.task_reward:
-            return gold
-    raise AssertionError("no matching gold")
+        assert traces(given.episodes) == traces(by_params.episodes)
 
 
 class TestSft:
@@ -307,7 +319,7 @@ class TestSft:
         cfg = SftConfig(epochs=2, seed=9)
         p1, h1 = train_sft(policy.init_params(vocab, 16, 1), train, valid, cfg, "columns")
         p2, h2 = train_sft(policy.init_params(vocab, 16, 1), train, valid, cfg, "columns")
-        assert p1.equals(p2)
+        assert params_equal(p1, p2)
         assert h1 == h2
 
     def test_best_checkpoint_selected_by_valid_recall(self, tmp_path):
@@ -328,7 +340,7 @@ class TestSft:
         assert best_recall == max(h["valid_recall"] for h in history)
         assert history[summary["chosen_epoch"] - 1]["valid_recall"] == best_recall
         assert summary["chosen_epoch"] < 4  # this run peaks before its last epoch
-        assert policy.load_params(run_dir / "model.json")[0].equals(best)
+        assert params_equal(policy.load_params(run_dir / "model.json")[0], best)
 
     def test_rerun_clears_old_checkpoints(self, tmp_path):
         insts = dataset(40)
@@ -374,7 +386,7 @@ class TestSft:
             policy.init_params(vocab, 16, 0), train, [],
             SftConfig(epochs=epoch, learning_rate=2e-2, seed=0), "columns",
         )
-        assert best.equals(rerun)
+        assert params_equal(best, rerun)
 
 
 class TestTrainRl:
@@ -399,7 +411,7 @@ class TestTrainRl:
         sft, train, valid = self.prepared()
         reference = sft.copy()
         train_rl(sft, train, valid, self.small_cfg(), "columns")
-        assert sft.equals(reference)
+        assert params_equal(sft, reference)
 
     def test_eval_schedule(self):
         sft, train, valid = self.prepared()
@@ -457,7 +469,7 @@ class TestTrainRl:
         # the returned params are those the chosen iteration ended with
         rerun, _ = train_rl(sft, train, [], self.small_cfg(eval_every=1, iterations=iteration),
                             "columns")
-        assert best.equals(rerun)
+        assert params_equal(best, rerun)
 
     def test_chosen_iteration_follows_valid_recall(self, tmp_path, monkeypatch):
         sft, train, valid = self.prepared()
@@ -468,11 +480,11 @@ class TestTrainRl:
                                  run_dir=str(tmp_path / "rl"), summary=summary)
         assert [h["valid_recall"] for h in history] == [0.5, 0.7, 0.7, 0.2]
         assert summary["chosen_iteration"] == 3
-        assert policy.load_params(tmp_path / "rl" / "model.json")[0].equals(best)
+        assert params_equal(policy.load_params(tmp_path / "rl" / "model.json")[0], best)
         rerun, _ = train_rl(sft, train, [], self.small_cfg(iterations=3), "columns")
-        assert best.equals(rerun)
+        assert params_equal(best, rerun)
         last, _ = train_rl(sft, train, [], self.small_cfg(), "columns")
-        assert not best.equals(last)
+        assert not params_equal(best, last)
 
     def test_numerical_error_rolls_back_params_and_optimizer(self, monkeypatch):
         sft, train, valid = self.prepared()
@@ -501,7 +513,7 @@ class TestTrainRl:
         assert "error" not in history[0]
         assert history[1]["error"] == "numerical_rollback"
         params_at_start, adam, (t, m, v) = starts[1]
-        assert final.equals(params_at_start)
+        assert params_equal(final, params_at_start)
         assert adam.t == t > 0
         for name in m:
             assert np.array_equal(adam.m[name], m[name])
@@ -539,7 +551,7 @@ class TestTrainRl:
             reward_fn=lambda selected, gold: math.nan,
         )
         assert [h.get("error") for h in history] == ["numerical_rollback"] * 3
-        assert final.equals(sft)
+        assert params_equal(final, sft)
 
     def test_kl_penalty_pulls_policy_back_with_zero_task_reward(self):
         # start the policy well away from the reference; with no task signal
