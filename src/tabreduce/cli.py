@@ -312,11 +312,14 @@ def _context_for(inst, source: str) -> str:
             raise ConfigError(f"instance {inst.id} lacks gold annotations")
         reduction = Reduction(inst.relevant_columns, inst.relevant_rows)
     elif source == "predicted":
-        cols = inst.extra.get("predicted_columns")
-        rows = inst.extra.get("predicted_rows")
+        try:
+            cols = dataio.index_set(inst.extra, "predicted_columns", table.n_columns)
+            rows = dataio.index_set(inst.extra, "predicted_rows", table.n_rows)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"instance {inst.id}: {exc}") from exc
         if cols is None or rows is None:
             raise ConfigError(f"instance {inst.id} lacks predictions; run reduce first")
-        reduction = Reduction(frozenset(cols), frozenset(rows))
+        reduction = Reduction(cols, rows)
     else:
         raise ConfigError(f"unknown context source {source!r}")
     if reduction is not None:

@@ -5,6 +5,11 @@ answers, relevant_columns, relevant_rows, annotation_status, then any extra
 keys sorted), so load -> save is a byte-level fixed point.  Splits group by
 table content fingerprint: questions over the same table never straddle a
 split boundary.
+
+A synthetic table's cells come from one ``Generator.integers`` call with
+per-element bounds, one element per cell, row-major.  numpy draws each such
+element as a scalar ``integers`` call would, so the stream, and the
+generator's state after it, are those of one call per cell.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import annotate as annotate_mod
 from . import sql as sql_mod
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Instance, make_table, table_fingerprint
+from .tables import Instance, Table, make_table, table_fingerprint
 
 _CANONICAL_KEYS = (
     "id", "question", "table", "sql", "answers",
@@ -33,7 +38,7 @@ class LoadError:
     message: str
 
 
-def _relevance(record: dict, key: str, size: int) -> frozenset[int] | None:
+def index_set(record: dict, key: str, size: int) -> frozenset[int] | None:
     """The record's ``key`` list as a set, None when absent; ValueError for
     an entry that is not an integer (a bool is not) in ``range(size)``."""
     indices = record.get(key)
@@ -60,8 +65,8 @@ def record_to_instance(record: dict) -> Instance:
         table=table,
         sql=record.get("sql"),
         answers=tuple(str(a) for a in record.get("answers", [])),
-        relevant_columns=_relevance(record, "relevant_columns", table.n_columns),
-        relevant_rows=_relevance(record, "relevant_rows", table.n_rows),
+        relevant_columns=index_set(record, "relevant_columns", table.n_columns),
+        relevant_rows=index_set(record, "relevant_rows", table.n_rows),
         annotation_status=record.get("annotation_status"),
         extra=extra,
     )
@@ -196,28 +201,33 @@ def _sql_literal(value) -> str:
     return "'" + str(value).replace("'", "''") + "'"
 
 
-def _generate_one(cfg: SynthConfig, index: int) -> Instance:
-    rng = np.random.default_rng([cfg.seed, index])
+def _synth_table(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Table, np.ndarray]:
+    """A table drawn from ``rng``, and which of its columns are numeric."""
     n_cols = int(rng.integers(cfg.columns_range[0], cfg.columns_range[1] + 1))
     n_rows = int(rng.integers(cfg.rows_range[0], cfg.rows_range[1] + 1))
     headers = [HEADER_WORDS[i] for i in rng.choice(len(HEADER_WORDS), size=n_cols, replace=False)]
 
     # at least one numeric and one string column; the rest are coin flips
-    numeric = [bool(rng.integers(0, 2)) for _ in range(n_cols)]
+    numeric = rng.integers(0, 2, size=n_cols).astype(bool)
     numeric[0] = True
     numeric[1] = False
     value_pool = VALUE_WORDS[: cfg.value_vocab_size]
-    nlo, nhi = cfg.numeric_range
-    rows = []
-    for _ in range(n_rows):
-        row = []
-        for c in range(n_cols):
-            if numeric[c]:
-                row.append(int(rng.integers(nlo, nhi + 1)))
-            else:
-                row.append(value_pool[int(rng.integers(0, len(value_pool)))])
-        rows.append(row)
-    table = make_table(headers, rows)
+    lo = np.where(numeric, cfg.numeric_range[0], 0)
+    hi = np.where(numeric, cfg.numeric_range[1], len(value_pool) - 1)
+    # the stream of one scalar call per cell, row-major (module docstring)
+    cells = rng.integers(np.tile(lo, n_rows), np.tile(hi, n_rows), endpoint=True)
+    cells = cells.reshape(n_rows, n_cols)
+    columns = [
+        cells[:, c].tolist() if numeric[c] else [value_pool[i] for i in cells[:, c].tolist()]
+        for c in range(n_cols)
+    ]
+    return make_table(headers, zip(*columns)), numeric
+
+
+def _generate_one(cfg: SynthConfig, index: int) -> Instance:
+    rng = np.random.default_rng([cfg.seed, index])
+    table, numeric = _synth_table(cfg, rng)
+    headers, n_cols = table.columns, table.n_columns
 
     names = [name for name, _ in cfg.template_mix]
     weights = np.array([w for _, w in cfg.template_mix])
@@ -235,7 +245,7 @@ def _generate_one(cfg: SynthConfig, index: int) -> Instance:
         val_col = int(string_cols[int(rng.integers(0, len(string_cols)))])
     key_pool = string_cols if numeric[val_col] else numeric_cols
     key_col = int(key_pool[int(rng.integers(0, len(key_pool)))])
-    key_value = rows[int(rng.integers(0, n_rows))][key_col]
+    key_value = table.rows[int(rng.integers(0, table.n_rows))][key_col]
 
     projection = headers[val_col] if template == "lookup" else f"{template}({headers[val_col]})"
     query = f"select {projection} from t where {headers[key_col]} = {_sql_literal(key_value)}"

@@ -243,12 +243,20 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
     for key in ("dim", "vocabulary", "params"):
         if key not in doc:
             raise ConfigError(f"{path}: model file lacks {key!r}")
-    vocab = Vocabulary(tuple(doc["vocabulary"]))
-    params = PolicyParams.zeros(vocab, _dimension(doc["dim"], f"{path}: "))
+    tokens = doc["vocabulary"]
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise ConfigError(f"{path}: vocabulary is not a list of strings")
+    params = PolicyParams.zeros(Vocabulary(tuple(tokens)), _dimension(doc["dim"], f"{path}: "))
+    if not isinstance(doc["params"], dict):
+        raise ConfigError(f"{path}: params is not an object")
     for name, arr in params.arrays().items():
         if name not in doc["params"]:
             raise ConfigError(f"{path}: model file lacks parameter {name!r}")
-        flat = np.asarray(doc["params"][name], dtype=float)
+        values = doc["params"][name]
+        # json gives int, float or bool for a number; a bool is not a parameter
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ConfigError(f"{path}: parameter {name!r} is not a flat list of numbers")
+        flat = np.asarray(values, dtype=float)
         if flat.size != arr.size:
             raise ConfigError(f"{path}: parameter {name!r} has wrong size {flat.size}")
         setattr(params, name, flat.reshape(arr.shape))

@@ -506,6 +506,42 @@ class TestQaAndReport:
         answered = [json.loads(line)["id"] for line in answers.read_text().splitlines()]
         assert answered == [json.loads(line)["id"] for line in lines[2:]]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("predicted_rows", [999], "predicted_rows entry 999 is not an index below"),
+            ("predicted_rows", [-1], "predicted_rows entry -1 is not an index below"),
+            ("predicted_rows", [True], "predicted_rows entry True is not an index below"),
+            ("predicted_columns", [0, 99], "predicted_columns entry 99 is not an index below"),
+            ("predicted_columns", ["0"], "predicted_columns entry '0' is not an index below"),
+            ("predicted_columns", 5, "'int' object is not iterable"),
+        ],
+        ids=["row-past-end", "negative-row", "bool-row", "col-past-end", "str-col", "not-a-list"],
+    )
+    def test_bad_prediction_is_one_error_line(self, pipeline, tmp_path, capsys, key, value, message):
+        root, data, sft_dir = pipeline
+        row_model = tmp_path / "rows.model.json"
+        params, _ = policy.load_params(sft_dir / "model.json")
+        policy.save_params(params, row_model, target="rows")
+        reduced = tmp_path / "reduced.jsonl"
+        assert run([
+            "reduce", "--data", str(data), "--col-model", str(sft_dir / "model.json"),
+            "--row-model", str(row_model), "--out", str(reduced),
+        ]) == 0
+        lines = reduced.read_text().splitlines()
+        edited = json.loads(lines[3])
+        edited[key] = value
+        lines[3] = json.dumps(edited)
+        reduced.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        answers = tmp_path / "answers.jsonl"
+        code = run([
+            "qa", "--data", str(reduced), "--out", str(answers), "--mock", "--context", "predicted",
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, f"instance {edited['id']}: {message}")
+        assert not answers.exists()
+
     def test_qa_requires_exactly_one_backend(self, pipeline, tmp_path):
         root, data, _ = pipeline
         code = run(["qa", "--data", str(data), "--out", str(tmp_path / "a.jsonl")])

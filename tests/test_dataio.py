@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from tabreduce import annotate, dataio, sql, tasks
@@ -152,6 +154,116 @@ class TestSynth:
     def test_no_annotate_flag(self):
         instances = generate_synthetic(SynthConfig(n_instances=3, annotate=False, seed=0))
         assert all(i.annotation_status is None for i in instances)
+
+
+def per_cell_oracle(cfg, index):
+    """The synthetic instance ``index`` of ``cfg`` drawn with one scalar
+    ``integers`` call per cell, and the generator's state after the cells."""
+    rng = np.random.default_rng([cfg.seed, index])
+    n_cols = int(rng.integers(cfg.columns_range[0], cfg.columns_range[1] + 1))
+    n_rows = int(rng.integers(cfg.rows_range[0], cfg.rows_range[1] + 1))
+    headers = [
+        dataio.HEADER_WORDS[i]
+        for i in rng.choice(len(dataio.HEADER_WORDS), size=n_cols, replace=False)
+    ]
+    numeric = [bool(rng.integers(0, 2)) for _ in range(n_cols)]
+    numeric[0] = True
+    numeric[1] = False
+    value_pool = dataio.VALUE_WORDS[: cfg.value_vocab_size]
+    nlo, nhi = cfg.numeric_range
+    rows = []
+    for _ in range(n_rows):
+        row = []
+        for c in range(n_cols):
+            if numeric[c]:
+                row.append(int(rng.integers(nlo, nhi + 1)))
+            else:
+                row.append(value_pool[int(rng.integers(0, len(value_pool)))])
+        rows.append(row)
+    table = make_table(headers, rows)
+    state_after_cells = rng.bit_generator.state
+
+    names = [name for name, _ in cfg.template_mix]
+    weights = np.array([w for _, w in cfg.template_mix])
+    template = names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    numeric_cols = [c for c in range(n_cols) if numeric[c]]
+    string_cols = [c for c in range(n_cols) if not numeric[c]]
+    if template in ("sum", "min", "max"):
+        val_col = int(numeric_cols[int(rng.integers(0, len(numeric_cols)))])
+    elif rng.integers(0, 2):
+        val_col = int(numeric_cols[int(rng.integers(0, len(numeric_cols)))])
+    else:
+        val_col = int(string_cols[int(rng.integers(0, len(string_cols)))])
+    key_pool = string_cols if numeric[val_col] else numeric_cols
+    key_col = int(key_pool[int(rng.integers(0, len(key_pool)))])
+    key_value = rows[int(rng.integers(0, n_rows))][key_col]
+
+    projection = headers[val_col] if template == "lookup" else f"{template}({headers[val_col]})"
+    literal = dataio._sql_literal(key_value)
+    query = f"select {projection} from t where {headers[key_col]} = {literal}"
+    question = dataio._QUESTION_TEMPLATES[template].format(
+        val=headers[val_col], key=headers[key_col], lit=format_answer(key_value)
+    )
+    result = sql.execute(sql.parse_sql(query), table)
+    instance = Instance(
+        id=f"synth-{index:05d}", question=question, table=table, sql=query,
+        answers=tuple(format_answer(v) for v in result),
+    )
+    if cfg.annotate:
+        instance = annotate.annotate_instance(instance, target="both")
+    return instance, state_after_cells
+
+
+# Recorded with the per-cell generator; see test_synthetic_stream_pinned.
+SYNTH_40_SEED0_SHA256 = "7210d9aec773494f7c0cfe6b77c8b87b652d4b566db036ca3abdbd523cff826a"
+
+
+class TestSynthStream:
+    """The synthetic data is a function of numpy's ``Generator`` stream, which
+    NEP 19 does not promise across numpy versions.  These tests are what
+    catch a move of that stream: ``generate_synthetic`` must equal the
+    per-cell oracle above, draw for draw, and a pinned dataset must keep its
+    hash.  Every acceptance number rests on the synthetic data."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"value_vocab_size": 1, "numeric_range": (0, 0)},
+            {"value_vocab_size": 1},
+            {"numeric_range": (0, 0)},
+            {"numeric_range": (0, 2**31)},
+            {"numeric_range": (7, 2**32 + 5), "value_vocab_size": 48},
+            {"rows_range": (1, 1), "columns_range": (2, 2)},
+            {"rows_range": (1, 3), "columns_range": (2, 48)},
+            {"rows_range": (140, 160), "columns_range": (8, 10)},
+        ],
+        ids=[
+            "default", "width-1", "one-word", "one-number", "lemire-rejects",
+            "wide-numbers", "one-row-two-cols", "every-header", "long",
+        ],
+    )
+    @pytest.mark.parametrize("annotate_flag", [True, False], ids=["annotated", "raw"])
+    def test_equals_per_cell_oracle(self, overrides, annotate_flag):
+        for seed in (0, 1, 17):
+            cfg = SynthConfig(n_instances=6, seed=seed, annotate=annotate_flag, **overrides)
+            instances = generate_synthetic(cfg)
+            for index, inst in enumerate(instances):
+                expected, state_after_cells = per_cell_oracle(cfg, index)
+                assert inst == expected
+                rng = np.random.default_rng([seed, index])
+                table, _ = dataio._synth_table(cfg, rng)
+                assert table == expected.table
+                assert rng.bit_generator.state == state_after_cells
+
+    def test_synthetic_stream_pinned(self, tmp_path):
+        path = tmp_path / "synth.jsonl"
+        save_dataset(generate_synthetic(SynthConfig(n_instances=40, seed=0, annotate=False)), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == SYNTH_40_SEED0_SHA256, (
+            f"the synthetic stream moved under numpy {np.__version__}: every "
+            "synthetic dataset, and so every acceptance number, changes with it"
+        )
 
 
 class TestSplit:

@@ -481,6 +481,43 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"dim must be a positive integer, got {dim!r}"):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"vocabulary": 5}, "vocabulary is not a list of strings"),
+            ({"vocabulary": ["a", 3]}, "vocabulary is not a list of strings"),
+            ({"vocabulary": "alpha"}, "vocabulary is not a list of strings"),
+            ({"params": [1.0]}, "params is not an object"),
+            ({"emb": "0.5"}, "parameter 'emb' is not a flat list of numbers"),
+            ({"emb": None}, "parameter 'emb' is not a flat list of numbers"),
+            ({"stop_b": [True]}, "parameter 'stop_b' is not a flat list of numbers"),
+            ({"stop_b": ["0.5"]}, "parameter 'stop_b' is not a flat list of numbers"),
+            ({"stop_q": [[0.1, 0.2]]}, "parameter 'stop_q' is not a flat list of numbers"),
+            ({"stop_q": [[0.1, 0.2], [0.3]]}, "parameter 'stop_q' is not a flat list of numbers"),
+        ],
+        ids=["vocab-int", "vocab-mixed", "vocab-str", "params-list", "param-str", "param-null",
+             "param-bool", "param-numeric-str", "param-nested", "param-ragged"],
+    )
+    def test_malformed_model_is_one_error_line(self, tmp_path, capsys, edit, message):
+        from tabreduce import cli, dataio
+
+        data = tmp_path / "data.jsonl"
+        dataio.save_dataset(dataio.generate_synthetic(dataio.SynthConfig(n_instances=3)), data)
+        path = tmp_path / "m.model.json"
+        save_params(init_params(tiny_vocab(), 2, seed=0), path, target="columns")
+        doc = json.loads(path.read_text())
+        for key, value in edit.items():
+            (doc if key in doc else doc["params"])[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_params(path)
+        report = tmp_path / "report.json"
+        argv = ["eval-reduce", "--data", str(data), "--model", str(path), "--report", str(report)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: {path}: {message}"]
+        assert not report.exists()
+
     @pytest.mark.parametrize("text", ['{"format_version": 1, "dim"', "[1]"])
     def test_non_model_json_rejected(self, tmp_path, text):
         path = tmp_path / "m.model.json"
