@@ -99,6 +99,9 @@ def _load_answers(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not (isinstance(record, dict) and "id" in record and "answer" in record):
                 raise ConfigError(f'{path}:{lineno}: an answer record needs "id" and "answer"')
+            for key in ("id", "answer"):
+                if not isinstance(record[key], str):
+                    raise ConfigError(f"{path}:{lineno}: {key!r} must be a string, got {record[key]!r}")
             answers[record["id"]] = record["answer"]
     return answers
 

@@ -44,6 +44,7 @@ give identical episodes.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import numbers
@@ -59,7 +60,11 @@ from .errors import ConfigError, NumericalError
 
 STOP = -1
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+TARGET_COLUMNS = "columns"
+TARGET_ROWS = "rows"
+TARGETS = (TARGET_COLUMNS, TARGET_ROWS)
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -215,11 +220,24 @@ def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
 
 
 def save_params(params: PolicyParams, path, target: str | None = None) -> None:
+    """Write ``params``, and ``target`` when given, as a model file.
+
+    The file is one JSON object with sorted keys and a trailing newline,
+    written atomically: ``format_version`` (``MODEL_FORMAT_VERSION``),
+    ``dim``, ``vocabulary``, the optional ``target`` and ``params``, which
+    maps each parameter name to the standard base64 (with padding) of its
+    C-order little-endian float64 bytes.  The bytes are the values
+    themselves, so NaN payloads and signed zeros survive and the file is
+    strict JSON.
+    """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "dim": params.dim,
         "vocabulary": list(params.vocab.tokens),
-        "params": {name: arr.reshape(-1).tolist() for name, arr in params.arrays().items()},
+        "params": {
+            name: base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+            for name, arr in params.arrays().items()
+        },
     }
     if target is not None:
         doc["target"] = target
@@ -230,8 +248,13 @@ def save_params(params: PolicyParams, path, target: str | None = None) -> None:
 
 
 def load_params(path) -> tuple[PolicyParams, str | None]:
-    """The parameters and stored target of a model file; ``ConfigError``
-    when the file is not a complete model of the current format."""
+    """The parameters and stored target of a model file written by
+    ``save_params``.  Each parameter is decoded from base64 and copied into
+    a writable float64 array, since training updates parameters in place.
+    ``ConfigError``, naming ``path``, when the file is not a complete model
+    of the current format: among others an earlier format, a parameter that
+    is not a base64 string or whose byte count is not 8 times its size, or a
+    target other than one of ``TARGETS``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -246,21 +269,31 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
     tokens = doc["vocabulary"]
     if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
         raise ConfigError(f"{path}: vocabulary is not a list of strings")
-    params = PolicyParams.zeros(Vocabulary(tuple(tokens)), _dimension(doc["dim"], f"{path}: "))
+    try:
+        vocab = Vocabulary(tuple(tokens))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    target = doc.get("target")
+    if "target" in doc and target not in TARGETS:
+        raise ConfigError(f"{path}: target must be one of {TARGETS}, got {target!r}")
+    params = PolicyParams.zeros(vocab, _dimension(doc["dim"], f"{path}: "))
     if not isinstance(doc["params"], dict):
         raise ConfigError(f"{path}: params is not an object")
     for name, arr in params.arrays().items():
         if name not in doc["params"]:
             raise ConfigError(f"{path}: model file lacks parameter {name!r}")
-        values = doc["params"][name]
-        # json gives int, float or bool for a number; a bool is not a parameter
-        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-            raise ConfigError(f"{path}: parameter {name!r} is not a flat list of numbers")
-        flat = np.asarray(values, dtype=float)
-        if flat.size != arr.size:
-            raise ConfigError(f"{path}: parameter {name!r} has wrong size {flat.size}")
-        setattr(params, name, flat.reshape(arr.shape))
-    return params, doc.get("target")
+        text = doc["params"][name]
+        if not isinstance(text, str):
+            raise ConfigError(f"{path}: parameter {name!r} is not a base64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a non-ASCII string
+            raise ConfigError(f"{path}: parameter {name!r} is not valid base64") from None
+        if len(raw) != 8 * arr.size:
+            raise ConfigError(f"{path}: parameter {name!r} holds {len(raw)} bytes, not 8 x {arr.size}")
+        # frombuffer gives a read-only view of ``raw``; astype copies it
+        setattr(params, name, np.frombuffer(raw, dtype="<f8").astype(float).reshape(arr.shape))
+    return params, target
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,8 @@ import numpy as np
 
 from . import metrics, policy
 from .errors import ConfigError
+from .policy import TARGET_COLUMNS, TARGET_ROWS, TARGETS
 from .tables import Instance, row_tokens, row_vocabulary_texts
-
-TARGET_COLUMNS = "columns"
-TARGET_ROWS = "rows"
-TARGETS = (TARGET_COLUMNS, TARGET_ROWS)
 
 
 def check_target(target: str) -> str:

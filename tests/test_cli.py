@@ -452,8 +452,14 @@ class TestQaAndReport:
             ("0,40", '{"id": "synth-00000"}', ':1: an answer record needs "id" and "answer"'),
             ("0,40", '["synth-00000", "1"]', ':1: an answer record needs "id" and "answer"'),
             ("0,40", '{"id": "synth-00000", "answer": ', ":1: invalid JSON"),
+            ("0,40", '{"id": "synth-00000", "answer": null}', ":1: 'answer' must be a string, got None"),
+            ("0,40", '{"id": "synth-00000", "answer": 5}', ":1: 'answer' must be a string, got 5"),
+            ("0,40", '{"id": "synth-00000", "answer": ["x"]}', ":1: 'answer' must be a string, got ['x']"),
+            ("0,40", '{"id": ["synth-00000"], "answer": "1"}', ":1: 'id' must be a string, got ['synth-00000']"),
+            ("0,40", '{"id": 0, "answer": "1"}', ":1: 'id' must be a string, got 0"),
         ],
-        ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json"],
+        ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json", "answer-null", "answer-int",
+             "answer-list", "id-list", "id-int"],
     )
     def test_bad_report_input_is_one_error_line(self, pipeline, tmp_path, capsys, buckets,
                                                 answer_line, message):

@@ -1,6 +1,9 @@
+import base64
 import io
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -421,6 +424,48 @@ class TestPpoLoss:
         assert stats.clip_fraction == 0.0
 
 
+def save_v1(params, path, target=None):
+    """The format-1 writer that v2 replaced, kept as the oracle: each
+    parameter a flat list of JSON numbers."""
+    doc = {
+        "format_version": 1,
+        "dim": params.dim,
+        "vocabulary": list(params.vocab.tokens),
+        "params": {name: arr.reshape(-1).tolist() for name, arr in params.arrays().items()},
+    }
+    if target is not None:
+        doc["target"] = target
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+
+
+def load_v1_flat(path):
+    """The format-1 reader's flat float arrays, by parameter name."""
+    doc = json.loads(path.read_text())
+    return {name: np.asarray(values, dtype=float) for name, values in doc["params"].items()}
+
+
+def with_special_values(params, seed):
+    """``params`` with random values over the whole float64 range, led in
+    each array by infinities, NaNs with payloads and either sign,
+    subnormals and both zeros."""
+    rng = np.random.default_rng(seed)
+    specials = np.array(
+        [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+         0x7FF0000000000001, 0xFFF4000000ABCDEF, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+         0x8000000000000000, 0x0000000000000000, 0x7FEFFFFFFFFFFFFF],
+        dtype=np.uint64,
+    ).view(np.float64)
+    for name, arr in params.arrays().items():
+        values = rng.standard_normal(arr.size) * 10.0 ** rng.integers(-320, 300, arr.size)
+        values[: len(specials)] = specials[: arr.size]
+        setattr(params, name, values.reshape(arr.shape))
+    return params
+
+
+def raise_on_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(tiny_vocab(), 8, seed=123)
@@ -433,21 +478,16 @@ class TestSerialization:
         assert (tmp_path / "m.model.json").read_bytes() == (tmp_path / "m2.model.json").read_bytes()
 
     def test_bytes_match_python_encoder(self, tmp_path):
-        rng = np.random.default_rng(5)
-        params = init_params(tiny_vocab(), 8, seed=7)
-        specials = [np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, -0.0, 0.0, 1e308, 0.1]
-        for name, arr in params.arrays().items():
-            values = rng.standard_normal(arr.size) * 10.0 ** rng.integers(-320, 300, arr.size)
-            values[: len(specials)] = specials[: arr.size]
-            setattr(params, name, values.reshape(arr.shape))
+        params = with_special_values(init_params(tiny_vocab(), 8, seed=7), seed=5)
         path = tmp_path / "m.model.json"
         save_params(params, path, target="rows")
         doc = {
-            "format_version": policy.MODEL_FORMAT_VERSION,
+            "format_version": 2,
             "dim": params.dim,
             "vocabulary": list(params.vocab.tokens),
             "params": {
-                name: [float(x) for x in arr.reshape(-1)]
+                name: base64.b64encode(struct.pack(f"<{arr.size}Q", *arr.reshape(-1).view(np.uint64).tolist()))
+                .decode("ascii")
                 for name, arr in params.arrays().items()
             },
             "target": "rows",
@@ -457,11 +497,46 @@ class TestSerialization:
         expected.write("\n")
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loads_the_v1_oracle_values_bit_for_bit(self, tmp_path, seed):
+        params = with_special_values(init_params(tiny_vocab(), 5, seed=seed), seed=seed)
+        save_params(params, tmp_path / "v2.json")
+        save_v1(params, tmp_path / "v1.json")
+        loaded, _ = load_params(tmp_path / "v2.json")
+        oracle = load_v1_flat(tmp_path / "v1.json")
+        for name, arr in loaded.arrays().items():
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.shape == getattr(params, name).shape
+            bits = arr.reshape(-1).view(np.uint64)
+            nan = np.isnan(arr.reshape(-1))
+            # v1 wrote a bare NaN token and lost payload and sign; v2 keeps them
+            assert np.array_equal(bits, getattr(params, name).reshape(-1).view(np.uint64))
+            assert np.array_equal(bits[~nan], oracle[name].view(np.uint64)[~nan])
+            assert np.isnan(oracle[name][nan]).all()
+            arr[...] = 0.0  # training updates parameters in place
+
+    def test_model_file_is_strict_json(self, tmp_path):
+        path = tmp_path / "m.model.json"
+        save_params(with_special_values(init_params(tiny_vocab(), 4, seed=0), seed=0), path)
+        doc = json.loads(path.read_text(), parse_constant=raise_on_constant)
+        assert doc["format_version"] == policy.MODEL_FORMAT_VERSION == 2
+
     def test_format_version_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(ConfigError):
             load_params(path)
+
+    def test_v1_model_is_one_error_line(self, tmp_path, capsys):
+        from tabreduce import cli, dataio
+
+        data = tmp_path / "data.jsonl"
+        dataio.save_dataset(dataio.generate_synthetic(dataio.SynthConfig(n_instances=3)), data)
+        path = tmp_path / "m.model.json"
+        save_v1(init_params(tiny_vocab(), 2, seed=0), path, target="columns")
+        argv = ["eval-reduce", "--data", str(data), "--model", str(path), "--report", str(tmp_path / "r.json")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.strip().split("\n") == [f"error: {path}: unsupported model format: 1"]
 
     @pytest.mark.parametrize("drop", ["dim", "vocabulary", "params", "emb"])
     def test_incomplete_model_rejected(self, tmp_path, drop):
@@ -487,16 +562,29 @@ class TestSerialization:
             ({"vocabulary": 5}, "vocabulary is not a list of strings"),
             ({"vocabulary": ["a", 3]}, "vocabulary is not a list of strings"),
             ({"vocabulary": "alpha"}, "vocabulary is not a list of strings"),
+            ({"vocabulary": ["alpha", "beta", "alpha"]}, "vocabulary tokens must be unique"),
+            ({"target": 5}, "target must be one of ('columns', 'rows'), got 5"),
+            ({"target": "banana"}, "target must be one of ('columns', 'rows'), got 'banana'"),
+            ({"target": None}, "target must be one of ('columns', 'rows'), got None"),
             ({"params": [1.0]}, "params is not an object"),
-            ({"emb": "0.5"}, "parameter 'emb' is not a flat list of numbers"),
-            ({"emb": None}, "parameter 'emb' is not a flat list of numbers"),
-            ({"stop_b": [True]}, "parameter 'stop_b' is not a flat list of numbers"),
-            ({"stop_b": ["0.5"]}, "parameter 'stop_b' is not a flat list of numbers"),
-            ({"stop_q": [[0.1, 0.2]]}, "parameter 'stop_q' is not a flat list of numbers"),
-            ({"stop_q": [[0.1, 0.2], [0.3]]}, "parameter 'stop_q' is not a flat list of numbers"),
+            ({"emb": "0.5"}, "parameter 'emb' is not valid base64"),
+            ({"emb": None}, "parameter 'emb' is not a base64 string"),
+            ({"emb": 0.5}, "parameter 'emb' is not a base64 string"),
+            ({"stop_q": [0.1, 0.2]}, "parameter 'stop_q' is not a base64 string"),
+            ({"stop_b": [True]}, "parameter 'stop_b' is not a base64 string"),
+            ({"stop_b": ["0.5"]}, "parameter 'stop_b' is not a base64 string"),
+            ({"stop_q": [[0.1, 0.2]]}, "parameter 'stop_q' is not a base64 string"),
+            ({"stop_q": [[0.1, 0.2], [0.3]]}, "parameter 'stop_q' is not a base64 string"),
+            ({"stop_b": "AAAA*AAAAAA="}, "parameter 'stop_b' is not valid base64"),
+            ({"stop_b": "AAAAAAAAAA\u00e9="}, "parameter 'stop_b' is not valid base64"),
+            ({"stop_b": "AAAAAAAAAAA"}, "parameter 'stop_b' is not valid base64"),
+            ({"stop_b": "AAAAAAAAAA=="}, "parameter 'stop_b' holds 7 bytes, not 8 x 1"),
+            ({"stop_q": base64.b64encode(bytes(24)).decode()}, "parameter 'stop_q' holds 24 bytes, not 8 x 2"),
         ],
-        ids=["vocab-int", "vocab-mixed", "vocab-str", "params-list", "param-str", "param-null",
-             "param-bool", "param-numeric-str", "param-nested", "param-ragged"],
+        ids=["vocab-int", "vocab-mixed", "vocab-str", "vocab-dup", "target-int", "target-str",
+             "target-null", "params-list", "param-str", "param-null", "param-number", "param-v1-list",
+             "param-bool", "param-numeric-str", "param-nested", "param-ragged", "param-bad-char",
+             "param-non-ascii", "param-no-padding", "param-7-bytes", "param-wrong-size"],
     )
     def test_malformed_model_is_one_error_line(self, tmp_path, capsys, edit, message):
         from tabreduce import cli, dataio
@@ -509,7 +597,7 @@ class TestSerialization:
         for key, value in edit.items():
             (doc if key in doc else doc["params"])[key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_params(path)
         report = tmp_path / "report.json"
         argv = ["eval-reduce", "--data", str(data), "--model", str(path), "--report", str(report)]
