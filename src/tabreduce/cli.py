@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from . import __version__, annotate as annotate_mod, dataio, llm, metrics, policy, tasks, training
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Reduction, linearize_rows, project
+from .tables import Reduction, Table, linearize_rows, linearized_token_count, project
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,9 +86,11 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _load_answers(path: str) -> dict[str, str]:
-    """Answer by instance id from a ``qa`` output file."""
+def _load_answers(path: str, ids: set[str]) -> dict[str, str]:
+    """Answer by instance id from a ``qa`` output file, whose ids must be
+    distinct and among ``ids``."""
     answers: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -102,7 +104,12 @@ def _load_answers(path: str) -> dict[str, str]:
             for key in ("id", "answer"):
                 if not isinstance(record[key], str):
                     raise ConfigError(f"{path}:{lineno}: {key!r} must be a string, got {record[key]!r}")
-            answers[record["id"]] = record["answer"]
+            name = record["id"]
+            if name in lines:
+                raise ConfigError(f"{path}:{lineno}: id {name!r} was already answered on line {lines[name]}")
+            if name not in ids:
+                raise ConfigError(f"{path}:{lineno}: id {name!r} names no instance of the reductions file")
+            answers[name], lines[name] = record["answer"], lineno
     return answers
 
 
@@ -306,7 +313,8 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _context_for(inst, source: str) -> str:
+def _context_for(inst, source: str) -> Table:
+    """The instance's table reduced to the ``source`` context."""
     table = inst.table
     if source == "full":
         reduction = None
@@ -325,11 +333,7 @@ def _context_for(inst, source: str) -> str:
         reduction = Reduction(cols, rows)
     else:
         raise ConfigError(f"unknown context source {source!r}")
-    if reduction is not None:
-        table = project(table, reduction)
-    if table.n_columns == 0:
-        return ""
-    return linearize_rows(table, frozenset(range(table.n_columns)))
+    return table if reduction is None else project(table, reduction)
 
 
 def cmd_qa(args) -> int:
@@ -344,12 +348,14 @@ def cmd_qa(args) -> int:
         for inst, context in zip(instances, contexts):
             if inst.sql is None:
                 raise ConfigError(f"mock mode needs gold sql (instance {inst.id})")
-            prompt = llm.QA_PROMPT_TEMPLATE.format(question=inst.question, context=context)
-            answers.append(llm.mock_complete(inst.question, prompt, mock_cfg, inst.sql, inst.answers))
+            answers.append(llm.mock_complete(inst.question, context, mock_cfg, inst.sql, inst.answers))
     else:
         cfg = llm.LlmConfig(endpoint=args.endpoint, model=args.model)
         prompts = [
-            [("user", llm.QA_PROMPT_TEMPLATE.format(question=inst.question, context=context))]
+            [("user", llm.QA_PROMPT_TEMPLATE.format(
+                question=inst.question,
+                context=linearize_rows(context, frozenset(range(context.n_columns))) if context.n_columns else "",
+            ))]
             for inst, context in zip(instances, contexts)
         ]
         answers = [a.strip() for a in llm.complete_many(prompts, cfg, max_in_flight=args.jobs)]
@@ -360,7 +366,9 @@ def cmd_qa(args) -> int:
                 "id": inst.id,
                 "answer": answer,
                 "context_source": args.context,
-                "context_tokens": len(context.split()),
+                "context_tokens": (
+                    linearized_token_count(context, frozenset(range(context.n_columns))) if context.n_columns else 0
+                ),
             }
         )
     with atomic_write(args.out) as fh:
@@ -375,7 +383,7 @@ def cmd_report(args) -> int:
     boundaries = _parse_int_list(args.buckets)
     manifest = Manifest("report", vars(args), args.out)
     instances = _load_instances(args.reductions)
-    answers = _load_answers(args.answers)
+    answers = _load_answers(args.answers, {inst.id for inst in instances})
     doc = metrics.build_accuracy_report(instances, answers, boundaries)
     buckets = doc["per_bucket"]
     with atomic_write(args.out) as fh:

@@ -8,14 +8,16 @@ exponential backoff; other 4xx never retry.  The transport and the sleep
 function are injectable so tests can replay recorded fixtures byte for
 byte.
 
-The mock reader rebuilds a table from the ``Row{i}: (header,value)`` pairs
-it can parse out of the prompt - truncating to its token budget first, the
-way a context-window-limited model effectively would - then executes the
-instance's gold SQL over whatever survived.  It answers correctly exactly
-when the visible rows still support the query.  Pairs are read with the
-quoting rule of :mod:`tabreduce.tables`: a ``"`` opens a quoted run in which
-``,`` and ``)`` are literal and ``""`` stands for one ``"``.  The truncation
-here is the only token-budget truncation in the package.
+The mock reader takes the context table itself, never its rendered text.
+It sees the rows whose ``Row{i}: (header,value)`` text, counted by
+:func:`tabreduce.tables.row_token_counts`, fits its token budget after the
+prompt's preamble - truncating trailing rows the way a
+context-window-limited model effectively would - and reads each visible
+cell as it would come back from that text (``1.0`` as ``1``, ``true`` as
+text, null as None).  It then executes the instance's gold SQL over the
+visible rows and answers correctly exactly when they still support the
+query.  The truncation here is the only token-budget truncation in the
+package.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import re
 import time
 import urllib.error
 import urllib.request
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from . import sql as sql_mod
@@ -35,9 +39,12 @@ from .errors import ConfigError
 from .tables import (
     Reduction,
     Table,
+    _walk,
     build_column_prompt,
     build_row_prompt,
     count_tokens,
+    format_cell,
+    row_token_counts,
 )
 
 QA_PROMPT_TEMPLATE = (
@@ -262,38 +269,6 @@ def llm_reduce_baseline(
 # ---------------------------------------------------------------------------
 # Deterministic mock reader
 
-_ROW_ANCHOR_RE = re.compile(r"Row\d+: ")
-
-_QUOTED = r'"(?:[^"]++|"")*+"'
-# One pair per match, scanning left to right from each ``(``: groups are the
-# header, the separating comma (empty when the pair closed without one) and
-# the value.  A ``(`` whose pair never closes - the text ends first, maybe
-# inside quotes - matches the last alternative, which takes the rest of the
-# text, so the scan stops there.  The quantifiers are possessive so that a
-# pair that fails to close is not retried with its runs split another way:
-# without them a long unclosed pair takes time exponential in its length.
-# Python's ``re`` accepts possessive quantifiers from 3.11 on.
-_PAIR_RE = re.compile(
-    rf'\(((?:[^",)]++|{_QUOTED})*+)(?:(,)((?:[^")]++|{_QUOTED})*+))?\)|\([\s\S]*'
-)
-_QUOTED_RUN_RE = re.compile(r'"((?:[^"]++|"")*+)"')
-
-
-def _unquote(field: str) -> str:
-    if '"' not in field:
-        return field
-    return _QUOTED_RUN_RE.sub(lambda m: m.group(1).replace('""', '"'), field)
-
-
-def _parse_pairs(segment: str) -> list[tuple[str, str]]:
-    """The closed ``(header,value)`` pairs of a segment, unquoted."""
-    return [
-        (_unquote(header), _unquote(value))
-        for header, comma, value in _PAIR_RE.findall(segment)
-        if comma
-    ]
-
-
 def _parse_cell(text: str):
     if text == "":
         return None
@@ -307,66 +282,41 @@ def _parse_cell(text: str):
         return text
 
 
-def parse_prompt_table(prompt: str, budget_tokens: int | None = None) -> Table | None:
-    """Rebuild the table linearized inside a prompt.
-
-    The prompt is cut into segments at each ``Row{i}: ``.  With a budget,
-    segments are kept from the first on while the preamble and the kept
-    segments fit, mirroring a reader that never sees past its window; no
-    segment after the first that overflows is sliced.  A segment's pairs
-    must name the same headers as the first parsed segment's, or the row is
-    skipped.
-    """
-    anchors = [m.start() for m in _ROW_ANCHOR_RE.finditer(prompt)]
-    if not anchors:
+def _visible_table(question: str, table: Table, budget_tokens: int) -> Table | None:
+    """The part of a context table the mock reader sees: the longest row
+    prefix whose text fits the budget together with the prompt's preamble,
+    each cell read back as from the rendered text (headers as they are).
+    None when no row with a column fits."""
+    if table.n_columns == 0:
         return None
-    ends = anchors[1:] + [len(prompt)]
-    used = count_tokens(prompt[: anchors[0]]) if budget_tokens is not None else 0
-    segments: list[str] = []
-    for start, end in zip(anchors, ends):
-        segment = prompt[start:end]
-        if budget_tokens is not None:
-            used += count_tokens(segment)
-            if used > budget_tokens:
-                break
-        segments.append(segment)
-
-    cells: dict[str, object] = {}
-    rows: list[tuple] = []
-    headers: tuple[str, ...] | None = None
-    for segment in segments:
-        pairs = _parse_pairs(segment)
-        if not pairs:
-            continue
-        names, texts = zip(*pairs)
-        if headers is None:
-            headers = names
-        elif names != headers:
-            continue  # malformed row; ignore
-        for text in set(texts).difference(cells):
-            cells[text] = _parse_cell(text)
-        rows.append(tuple(map(cells.__getitem__, texts)))
-    if headers is None:
+    columns = frozenset(range(table.n_columns))
+    room = budget_tokens - count_tokens(QA_PROMPT_TEMPLATE.format(question=question, context=""))
+    n_visible = bisect_right(list(accumulate(row_token_counts(table, columns))), room)
+    if n_visible == 0:
         return None
-    return Table(headers, tuple(rows))
+    visible = Table(table.columns, table.rows[:n_visible])
+    per_column = [
+        list(map(values.__getitem__, keys))
+        for _, keys, _, values in _walk(visible, columns, lambda cell: _parse_cell(format_cell(cell)))
+    ]
+    return Table(table.columns, tuple(zip(*per_column)))
 
 
 def mock_complete(
     question: str,
-    prompt: str,
+    table: Table,
     cfg: MockLlmConfig,
     gold_sql: str,
     gold_answers: Sequence[str],
 ) -> str:
-    """Answer by executing the gold SQL over the prompt's visible table."""
-    del question  # the gold SQL already encodes the question
-    budget = cfg.budget_tokens if count_tokens(prompt) > cfg.budget_tokens else None
-    table = parse_prompt_table(prompt, budget_tokens=budget)
-    if table is None:
+    """Answer by executing the gold SQL over the visible part of the
+    context table (see ``_visible_table``)."""
+    visible = _visible_table(question, table, cfg.budget_tokens)
+    if visible is None:
         return "unknown"
     try:
         ast = sql_mod.parse_sql(gold_sql)
-        result = sql_mod.execute(ast, table)
+        result = sql_mod.execute(ast, visible)
     except (sql_mod.SqlSyntaxError, sql_mod.UnsupportedQuery, sql_mod.ExecutionError):
         return "unknown"
     if sql_mod.answers_match(result, list(gold_answers)):

@@ -198,7 +198,8 @@ def build_accuracy_report(
     boundaries: Sequence[int],
 ) -> dict:
     """Downstream accuracy overall and per length bucket, over the instances
-    that have an answer (keyed by instance id)."""
+    that have an answer (keyed by instance id; ``report`` refuses answers
+    whose id names no instance)."""
     scored = [inst for inst in instances if inst.id in answers]
 
     def accuracy(members: Sequence[Instance]) -> float:

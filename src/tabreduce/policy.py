@@ -252,7 +252,8 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
     ``save_params``.  Each parameter is decoded from base64 and copied into
     a writable float64 array, since training updates parameters in place.
     ``ConfigError``, naming ``path``, when the file is not a complete model
-    of the current format: among others an earlier format, a parameter that
+    of the current format: among others a ``format_version`` other than the
+    integer ``MODEL_FORMAT_VERSION`` (not ``2.0``), a parameter that
     is not a base64 string or whose byte count is not 8 times its size, or a
     target other than one of ``TARGETS``."""
     with open(path, encoding="utf-8") as fh:
@@ -261,7 +262,7 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
         except ValueError as exc:
             raise ConfigError(f"{path}: not a JSON model file: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported model format: {version!r}")
     for key in ("dim", "vocabulary", "params"):
         if key not in doc:

@@ -10,10 +10,12 @@ sufficient for relative length comparisons.
 
 Everything derived from a column subset's rows comes from one walk over
 its cells (``_walk``), which handles each distinct cell once per call: the
-rendered text (``linearize_rows``), its token count
-(``linearized_token_count``), each row's tokens (``row_tokens``) and the
-texts of the row vocabulary (``row_vocabulary_texts``).  Only the first
-renders rows; the others work from each header and distinct cell alone.
+rendered text (``linearize_rows``), each row's token count
+(``row_token_counts``, summed by ``linearized_token_count``), each row's
+tokens (``row_tokens``) and the texts of the row vocabulary
+(``row_vocabulary_texts``).  Only the first renders rows; the others work
+from each header and distinct cell alone.  The mock reader of ``llm``
+reads its visible rows back from the same walk.
 """
 
 from __future__ import annotations
@@ -242,8 +244,9 @@ def _quoted_runs(cell: Cell) -> int:
     return len(("x" + quote_if_needed(cell) + "x").split()) - 1
 
 
-def linearized_token_count(table: Table, column_subset: set[int] | frozenset[int]) -> int:
-    """``count_tokens(linearize_rows(table, column_subset))``, without rendering.
+def row_token_counts(table: Table, column_subset: set[int] | frozenset[int]) -> list[int]:
+    """``count_tokens`` of each row's ``Row{i}: ...`` text in
+    ``linearize_rows(table, column_subset)``, without rendering.
 
     A pair ``(qh,qv)`` begins and ends with a non-space character, so it is
     one word plus one for each whitespace run inside its quoted header
@@ -251,10 +254,20 @@ def linearized_token_count(table: Table, column_subset: set[int] | frozenset[int
     Quoting can split a run (``"see Row3:" "x"``), so the runs counted are
     those of the quoted texts.
     """
-    total = len(table.rows)
-    for header, keys, _, runs in _walk(table, column_subset, _quoted_runs):
-        total += len(keys) * (1 + _quoted_runs(header)) + sum(map(runs.__getitem__, keys))
-    return total
+    fixed = 1
+    per_column = []
+    for header, keys, distinct, runs in _walk(table, column_subset, _quoted_runs):
+        fixed += 1 + _quoted_runs(header)
+        if any(map(runs.__getitem__, distinct)):  # most columns hold no whitespace
+            per_column.append(list(map(runs.__getitem__, keys)))
+    if not per_column:
+        return [fixed] * len(table.rows)
+    return [fixed + sum(row) for row in zip(*per_column)]
+
+
+def linearized_token_count(table: Table, column_subset: set[int] | frozenset[int]) -> int:
+    """``count_tokens(linearize_rows(table, column_subset))``, without rendering."""
+    return sum(row_token_counts(table, column_subset))
 
 
 def row_tokens(

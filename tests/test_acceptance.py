@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tabreduce import annotate, cli, dataio, llm, metrics, policy, sql, tasks, training
-from tabreduce.tables import Reduction, linearize_rows, project
+from tabreduce.tables import Reduction, project
 
 from test_sql import naive_execute, random_query, random_table
 
@@ -268,13 +268,6 @@ def test_09_kl_control(splits_2000):
               f"late KLs {trajectories}")
 
 
-def _context_text(inst, reduction):
-    table = inst.table if reduction is None else project(inst.table, reduction)
-    if table.n_columns == 0:
-        return ""
-    return linearize_rows(table, frozenset(range(table.n_columns)))
-
-
 def test_10_length_bucket_stability():
     start = time.time()
     instances = dataio.generate_synthetic(dataio.SynthConfig(n_instances=3000, seed=21))
@@ -301,9 +294,8 @@ def test_10_length_bucket_stability():
     def bucket_accuracy(reductions):
         per_bucket = {k: [] for k in range(len(boundaries))}
         for inst, k, reduction in zip(test_ok, assignments, reductions):
-            context = _context_text(inst, reduction)
-            prompt = llm.QA_PROMPT_TEMPLATE.format(question=inst.question, context=context)
-            answer = llm.mock_complete(inst.question, prompt, mock_cfg, inst.sql, inst.answers)
+            context = inst.table if reduction is None else project(inst.table, reduction)
+            answer = llm.mock_complete(inst.question, context, mock_cfg, inst.sql, inst.answers)
             per_bucket[k].append(metrics.downstream_accuracy([answer], [list(inst.answers)]))
         return [float(np.mean(v)) for v in per_bucket.values()]
 

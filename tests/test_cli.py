@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tabreduce import cli, dataio, llm, metrics, policy, tasks, training
-from tabreduce.tables import linearize_rows
+from tabreduce.tables import Reduction, linearize_rows, project
 
 
 def run(args):
@@ -457,9 +457,12 @@ class TestQaAndReport:
             ("0,40", '{"id": "synth-00000", "answer": ["x"]}', ":1: 'answer' must be a string, got ['x']"),
             ("0,40", '{"id": ["synth-00000"], "answer": "1"}', ":1: 'id' must be a string, got ['synth-00000']"),
             ("0,40", '{"id": 0, "answer": "1"}', ":1: 'id' must be a string, got 0"),
+            ("0,40", '{"id": "synth-00000", "answer": "1"}\n{"id": "synth-00000", "answer": "2"}',
+             ":2: id 'synth-00000' was already answered on line 1"),
+            ("0,40", '{"id": "nosuch", "answer": "1"}', ":1: id 'nosuch' names no instance of the reductions file"),
         ],
         ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json", "answer-null", "answer-int",
-             "answer-list", "id-list", "id-int"],
+             "answer-list", "id-list", "id-int", "dup-id", "unknown-id"],
     )
     def test_bad_report_input_is_one_error_line(self, pipeline, tmp_path, capsys, buckets,
                                                 answer_line, message):
@@ -490,6 +493,51 @@ class TestQaAndReport:
             for r in records
         ]
         assert sum(correct) == len(records)  # gold reduction always fits 60 tokens here
+
+    def test_question_holding_row_anchor_is_answered(self, tmp_path):
+        data = tmp_path / "anchor.jsonl"
+        data.write_text(json.dumps({
+            "id": "anchor", "question": "Which city is in Row1: (city,Rome)?",
+            "table": {"columns": ["year", "city"], "rows": [[2004, "Athens"], [2008, "Rome"], [2012, "London"]]},
+            "sql": "select city from t where year = 2008", "answers": ["Rome"],
+        }) + "\n")
+        answers = tmp_path / "answers.jsonl"
+        assert run(["qa", "--data", str(data), "--out", str(answers), "--mock"]) == 0
+        assert json.loads(answers.read_text())["answer"] == "Rome"
+
+    def test_context_tokens_count_the_rendered_context(self, pipeline, tmp_path):
+        root, data, _ = pipeline
+        records = [json.loads(line) for line in data.read_text().splitlines()[:6]]
+        records[1]["table"]["rows"], records[1]["relevant_rows"] = [], []
+        for k, record in enumerate(records):
+            n_columns, n_rows = len(record["table"]["columns"]), len(record["table"]["rows"])
+            record["predicted_columns"] = [] if k == 0 else list(range(0, n_columns, 2))
+            record["predicted_rows"] = list(range(1, n_rows, 2))
+        edited = tmp_path / "reduced.jsonl"
+        edited.write_text("".join(json.dumps(record) + "\n" for record in records))
+        instances, _ = dataio.load_dataset(edited)
+
+        def rendered_tokens(table):
+            text = linearize_rows(table, frozenset(range(table.n_columns))) if table.n_columns else ""
+            return len(text.split())
+
+        expected = {
+            "full": [rendered_tokens(inst.table) for inst in instances],
+            "gold": [rendered_tokens(project(inst.table, Reduction(inst.relevant_columns, inst.relevant_rows)))
+                     for inst in instances],
+            "predicted": [rendered_tokens(project(inst.table, Reduction(
+                frozenset(inst.extra["predicted_columns"]), frozenset(inst.extra["predicted_rows"]))))
+                for inst in instances],
+        }
+        assert expected["predicted"][0] == expected["full"][1] == 0 < min(expected["full"][2:])
+        for source, counts in expected.items():
+            answers = tmp_path / f"{source}.jsonl"
+            assert run([
+                "qa", "--data", str(edited), "--out", str(answers), "--mock", "--budget", "30",
+                "--context", source,
+            ]) == 0
+            written = [json.loads(line)["context_tokens"] for line in answers.read_text().splitlines()]
+            assert written == counts, source
 
     def test_relevance_outside_table_is_a_load_warning(self, pipeline, tmp_path, capsys):
         root, data, sft_dir = pipeline

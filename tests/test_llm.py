@@ -18,10 +18,10 @@ from tabreduce.llm import (
     extract_completion_text,
     llm_reduce_baseline,
     mock_complete,
-    parse_prompt_table,
     split_selection,
 )
-from tabreduce.tables import build_row_prompt, count_tokens, linearize_rows, make_table
+from tabreduce.tables import Table, count_tokens, linearize_rows, make_table
+from test_render_fast import oracle_parse_prompt_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -215,10 +215,6 @@ class TestReduceBaseline:
 
 
 class TestMock:
-    def build_prompt(self, table, question="which city in 2008?"):
-        text = linearize_rows(table, frozenset(range(table.n_columns)))
-        return llm.QA_PROMPT_TEMPLATE.format(question=question, context=text)
-
     def olympics(self):
         return make_table(
             ["year", "city"],
@@ -226,30 +222,26 @@ class TestMock:
         )
 
     def test_answers_when_rows_visible(self):
-        prompt = self.build_prompt(self.olympics())
         out = mock_complete(
-            "q", prompt, MockLlmConfig(budget_tokens=10_000),
+            "which city in 2008?", self.olympics(), MockLlmConfig(budget_tokens=10_000),
             "select city from t where year = 2008", ["Beijing"],
         )
         assert out == "Beijing"
 
     def test_unknown_when_relevant_row_beyond_budget(self):
-        table = self.olympics()
-        prompt = self.build_prompt(table)
         # budget covers the preamble plus roughly one row
-        preamble_tokens = count_tokens(prompt.split("Row0:")[0])
+        preamble_tokens = count_tokens(llm.QA_PROMPT_TEMPLATE.format(question="q", context=""))
         out = mock_complete(
-            "q", prompt, MockLlmConfig(budget_tokens=preamble_tokens + 4),
+            "q", self.olympics(), MockLlmConfig(budget_tokens=preamble_tokens + 4),
             "select city from t where year = 2012", ["London"],
         )
         assert out == "unknown"
 
     def test_huge_budget_is_perfect_reader(self):
         table = self.olympics()
-        prompt = self.build_prompt(table)
         for year, city in ((2004, "Athens"), (2008, "Beijing"), (2012, "London")):
             out = mock_complete(
-                "q", prompt, MockLlmConfig(budget_tokens=10**6),
+                "q", table, MockLlmConfig(budget_tokens=10**6),
                 f"select city from t where year = {year}", [city],
             )
             assert out == city
@@ -262,20 +254,30 @@ class TestMock:
         )
         budget = MockLlmConfig(budget_tokens=10**6)
         query = "select city from t where year = 2008"
-        a = mock_complete("q", self.build_prompt(table), budget, query, ["Beijing"])
-        b = mock_complete("q", self.build_prompt(padded), budget, query, ["Beijing"])
+        a = mock_complete("q", table, budget, query, ["Beijing"])
+        b = mock_complete("q", padded, budget, query, ["Beijing"])
         assert a == b == "Beijing"
 
-    def test_unparseable_prompt_is_unknown(self):
-        out = mock_complete("q", "no table here", MockLlmConfig(budget_tokens=10),
-                            "select a from t", ["x"])
+    @pytest.mark.parametrize("table", [Table((), ((), ())), Table(("a",), ())], ids=["no-columns", "no-rows"])
+    def test_empty_context_is_unknown(self, table):
+        out = mock_complete("q", table, MockLlmConfig(budget_tokens=10**6),
+                            "select count(*) from t", ["0"])
         assert out == "unknown"
+
+    @pytest.mark.parametrize("budget", [40, 10**6])
+    def test_question_holding_row_anchor(self, budget):
+        # a reader of the prompt text would take the question's pair for row 0
+        table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Rome"], [2012, "London"]])
+        out = mock_complete(
+            "Which city is in Row1: (city,Rome)?", table, MockLlmConfig(budget_tokens=budget),
+            "select city from t where year = 2008", ["Rome"],
+        )
+        assert out == "Rome"
 
     def test_multi_answer_join(self):
         table = make_table(["k", "v"], [["a", "x"], ["a", "y"]])
-        prompt = self.build_prompt(table, "vs for a?")
         out = mock_complete(
-            "q", prompt, MockLlmConfig(budget_tokens=10**6),
+            "vs for a?", table, MockLlmConfig(budget_tokens=10**6),
             "select v from t where k = 'a'", ["x", "y"],
         )
         assert out == "x, y"
@@ -283,7 +285,7 @@ class TestMock:
     def test_parse_prompt_table_round_trip(self):
         table = make_table(["a b", "c,d"], [[1, "x, y"], [None, "z"]])
         text = linearize_rows(table, frozenset({0, 1}))
-        parsed = parse_prompt_table("Prefix text " + text)
+        parsed = oracle_parse_prompt_table("Prefix text " + text)
         assert parsed.columns == ("a b", "c,d")
         assert parsed.rows[0] == (1, "x, y")
         assert parsed.rows[1] == (None, "z")
@@ -299,14 +301,16 @@ class TestMock:
             ],
         )
         text = linearize_rows(table, frozenset(range(4)))
-        parsed = parse_prompt_table("Table: " + text)
-        assert parsed.columns == table.columns
-        assert parsed.rows == (
+        expected = (
             ('5" screen', "tv", '""', "x"),
             (7, "radio, portable", '"quoted"', "(y)"),
             (None, 'a"b', 'he said ""no"", twice', 2.5),
             ("  spaced  ", "(", ")", '"'),
         )
+        parsed = oracle_parse_prompt_table("Table: " + text)
+        assert parsed.columns == table.columns
+        assert parsed.rows == expected
+        assert llm._visible_table("q", table, 10**6) == Table(table.columns, expected)
 
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
@@ -314,7 +318,8 @@ class TestMock:
 
 
 class TestReaderTruncation:
-    """The mock reader's token-budget truncation of a QA prompt."""
+    """The mock reader's token-budget truncation of a context table,
+    checked against the QA prompt's rendered text."""
 
     def prompt(self, table):
         text = linearize_rows(table, frozenset(range(table.n_columns)))
@@ -325,19 +330,17 @@ class TestReaderTruncation:
 
     def test_big_budget_keeps_every_row(self):
         table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Beijing"]])
-        assert parse_prompt_table(self.prompt(table), budget_tokens=10_000) == table
+        assert llm._visible_table("q?", table, 10_000) == table
 
     def test_budget_zero_keeps_no_row(self):
         table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Beijing"]])
-        assert parse_prompt_table(self.prompt(table), budget_tokens=0) is None
+        assert llm._visible_table("q?", table, 0) is None
 
     def test_uniform_rows_prefix_kept(self):
         table = make_table(["a", "b"], [[i, i] for i in range(10)])
         per_row = count_tokens("Row0: (a,0), (b,0)")
-        parsed = parse_prompt_table(
-            self.prompt(table), budget_tokens=self.preamble_tokens() + 4 * per_row
-        )
-        assert parsed.rows == table.rows[:4]
+        visible = llm._visible_table("q?", table, self.preamble_tokens() + 4 * per_row)
+        assert visible.rows == table.rows[:4]
 
     def test_budget_invariant_random(self):
         import random
@@ -350,8 +353,8 @@ class TestReaderTruncation:
                 [[rng.randint(0, 99), "word " * rng.randint(1, 3)] for _ in range(n_rows)],
             )
             budget = self.preamble_tokens() + rng.randint(0, 40)
-            parsed = parse_prompt_table(self.prompt(table), budget_tokens=budget)
-            kept = () if parsed is None else parsed.rows
+            visible = llm._visible_table("q?", table, budget)
+            kept = () if visible is None else visible.rows
             assert kept == table.rows[: len(kept)]
             if kept:
                 kept_prompt = self.prompt(make_table(table.columns, kept))

@@ -1,7 +1,8 @@
-"""Differential tests: the one-pass table renderer and the regex pair parser
-against the per-row and per-character code they replaced, and the row token
-ids, row vocabulary and token counts taken from each column's distinct cells
-against the same oracle renderings, tokenized and counted.
+"""Differential tests: the one-pass table renderer against the per-row code
+it replaced; the row token ids, row vocabulary and token counts taken from
+each column's distinct cells against the same oracle renderings, tokenized
+and counted; and the mock reader's visible table against the per-character
+parse of the rendered QA prompt that it replaced.
 
 The oracles below are that code, kept as it was apart from the quoting rule:
 ``"`` is quoted as well as ``,``, ``(`` and ``)``, which is the bug fix that
@@ -13,18 +14,19 @@ cutting the prompt at anchors never cuts inside a cell.
 import math
 import random
 import re
-import time
 
 import pytest
 
 from tabreduce import llm, metrics, policy, tasks
 from tabreduce.tables import (
     Instance,
+    Reduction,
     Table,
     count_tokens,
     format_cell,
     linearize_rows,
     linearized_token_count,
+    project,
     row_tokens,
     row_vocabulary_texts,
 )
@@ -260,16 +262,30 @@ def test_zero_rows_and_zero_columns():
     assert metrics.full_context_tokens(empty) == 0
 
 
+def same_table(a, b):
+    # repr, because nan != nan and the reader shares one parsed value per text
+    return repr(a) == repr(b)
+
+
 def random_pair_text(rng):
     return "".join(rng.choice('(),"ab ') for _ in range(rng.randint(0, 24)))
+
+
+def check_pair_text_reads_back(text):
+    # pair-like text as a header and as a cell: the rendered pair parses back
+    # to it, and the mock reader sees what the oracle parses from the prompt
+    table = Table((text, "n"), ((text, 1),))
+    rendered = linearize_rows(table, {0, 1})
+    assert oracle_parse_pairs(rendered) == [(text, text), ("n", "1")], rendered
+    prompt = llm.QA_PROMPT_TEMPLATE.format(question="q?", context=rendered)
+    assert same_table(llm._visible_table("q?", table, 10**6), oracle_parse_prompt_table(prompt)), prompt
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parse_pairs_matches_oracle_on_random_text(seed):
     rng = random.Random(1000 + seed)
-    for _ in range(8000):
-        text = random_pair_text(rng)
-        assert llm._parse_pairs(text) == oracle_parse_pairs(text), repr(text)
+    for _ in range(2000):
+        check_pair_text_reads_back(random_pair_text(rng))
 
 
 @pytest.mark.parametrize(
@@ -278,40 +294,7 @@ def test_parse_pairs_matches_oracle_on_random_text(seed):
      '(a,b', '"(a,b)"', '(a,"")"(c,d)', '(a,b)) (c,"d))', '(a,"x""y""")', '(""""""",b)'],
 )
 def test_parse_pairs_matches_oracle_on_edge_cases(text):
-    assert llm._parse_pairs(text) == oracle_parse_pairs(text)
-
-
-def test_unclosed_pairs_parse_in_linear_time():
-    # each would backtrack through ~2**24 splits if the runs were not possessive
-    texts = ["(" + "a" * 24, "(a," + "b" * 24, '(a,"' + '""' * 24, "(" + 'a"b"' * 24,
-             "(a," + 'b"c"' * 24]
-    started = time.perf_counter()
-    for text in texts:
-        assert llm._parse_pairs(text) == oracle_parse_pairs(text) == []
-    assert time.perf_counter() - started < 0.5
-
-
-def same_table(a, b):
-    # repr, because nan != nan and the reader shares one parsed value per text
-    return repr(a) == repr(b)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_parse_prompt_table_matches_oracle(seed):
-    rng = random.Random(2000 + seed)
-    for _ in range(120):
-        table = random_table(rng, max_rows=20)
-        text = oracle_linearize(table, range(table.n_columns))
-        prompt = llm.QA_PROMPT_TEMPLATE.format(question="q?", context=text)
-        if rng.random() < 0.3:
-            # splice random pair text into a row so some rows are malformed
-            cut = rng.randint(0, len(prompt))
-            prompt = prompt[:cut] + random_pair_text(rng) + prompt[cut:]
-        total = count_tokens(prompt)
-        for budget in (None, 0, rng.randint(0, total + 1), total, total + 5):
-            assert same_table(
-                llm.parse_prompt_table(prompt, budget), oracle_parse_prompt_table(prompt, budget)
-            ), (prompt, budget)
+    check_pair_text_reads_back(text)
 
 
 ANCHOR_TEXTS = ["see Row3: x", "Row12: ", "a, Row1: (b)", 'Row2: "q"', "xRow0: y", "Row4: Row5: z",
@@ -334,11 +317,36 @@ def test_cells_holding_row_anchors_read_back(seed):
         expected = Table(headers, tuple(
             tuple(llm._parse_cell(format_cell(cell)) for cell in row) for row in rows
         )) if rows else None
-        assert same_table(llm.parse_prompt_table(prompt), expected), prompt
+        assert same_table(oracle_parse_prompt_table(prompt), expected), prompt
 
 
 def test_cell_holding_row_anchor_keeps_both_rows():
     table = Table(("note", "n"), (("see Row3: x", 1), ("plain", 2)))
     text = linearize_rows(table, {0, 1})
     assert text == 'Row0: (note,"see Row3:" "x"), (n,1) Row1: (note,plain), (n,2)'
-    assert llm.parse_prompt_table(text) == table
+    assert oracle_parse_prompt_table(text) == table
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_visible_table_matches_oracle(seed):
+    # contexts as ``qa`` builds them: projections, some to zero columns or rows
+    rng = random.Random(2000 + seed)
+    for _ in range(120):
+        table = random_table(rng, max_rows=20)
+        if rng.random() < 0.3:
+            table = Table(table.columns, tuple(
+                tuple(rng.choice(ANCHOR_TEXTS) if rng.random() < 0.3 else cell for cell in row)
+                for row in table.rows
+            ))
+        columns = rng.sample(range(table.n_columns), rng.randint(0, table.n_columns))
+        rows = rng.sample(range(table.n_rows), rng.randint(0, table.n_rows))
+        context = project(table, Reduction(frozenset(columns), frozenset(rows)))
+        # no row anchor in the question: a reader of the prompt text would cut there
+        question = rng.choice(["q?", "Which (a,b) is, \"x\"?", "row1 Row1:x"])
+        text = oracle_linearize(context, range(context.n_columns)) if context.n_columns else ""
+        prompt = llm.QA_PROMPT_TEMPLATE.format(question=question, context=text)
+        total = count_tokens(prompt)
+        for budget in (1, rng.randint(1, total + 1), total, total + 5):
+            assert same_table(
+                llm._visible_table(question, context, budget), oracle_parse_prompt_table(prompt, budget)
+            ), (prompt, budget)
