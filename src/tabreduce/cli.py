@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from . import __version__, annotate as annotate_mod, dataio, llm, metrics, policy, tasks, training
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Reduction, Table, linearize_rows, linearized_token_count, project
+from .tables import Reduction, Table, linearize_rows, project, table_row_token_counts
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -113,16 +113,12 @@ def _load_answers(path: str, ids: set[str]) -> dict[str, str]:
     return answers
 
 
-def _load_model(path: str, target: str | None) -> tuple[policy.PolicyParams, str]:
-    """Load a model and its target, refusing one whose stored target is not
-    ``target``.  ``target`` stands in for a model file that stores none."""
+def _load_model(path: str, target: str) -> policy.PolicyParams:
+    """Load a model, refusing one trained for a target other than ``target``."""
     params, stored = policy.load_params(path)
-    if stored is not None and target is not None and stored != target:
+    if stored != target:
         raise ConfigError(f"{path}: model was trained for target {stored!r}, not {target!r}")
-    resolved = stored or target
-    if resolved is None:
-        raise ConfigError(f"{path}: model file carries no target; pass --target")
-    return params, resolved
+    return params
 
 
 def _load_config(path: str | None, config_cls, seed: int | None):
@@ -211,7 +207,7 @@ def cmd_train_rl(args) -> int:
     manifest = Manifest("train-rl", vars(args), args.out)
     instances = _load_instances(args.data)
     train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
-    params, _ = _load_model(args.init, args.target)
+    params = _load_model(args.init, args.target)
     summary: dict = {}
     _, history = training.train_rl(
         params, train, valid, cfg, args.target, run_dir=args.out, summary=summary
@@ -227,7 +223,7 @@ def cmd_eval_reduce(args) -> int:
     boundaries = _parse_int_list(args.buckets) if args.buckets else None
     manifest = Manifest("eval-reduce", vars(args), args.report)
     instances = _load_instances(args.data)
-    params, target = _load_model(args.model, args.target)
+    params, target = policy.load_params(args.model)
     usable = tasks.trainable(instances, target)
     encs, golds = tasks.labeled_encodings(params.vocab, usable, target)
     decoded = policy.greedy_decode(params, encs)
@@ -239,7 +235,7 @@ def cmd_eval_reduce(args) -> int:
                 predicted=predicted,
                 gold=gold,
                 kept_fraction=len(predicted) / n_items if n_items else 0.0,
-                context_tokens=metrics.full_context_tokens(inst),
+                instance=inst,
             )
         )
     report = metrics.build_recall_report(entries, boundaries, include_micro=args.micro)
@@ -282,8 +278,8 @@ def _groups(instances):
 def cmd_reduce(args) -> int:
     manifest = Manifest("reduce", vars(args), args.out)
     instances = _load_instances(args.data)
-    col_params, _ = _load_model(args.col_model, tasks.TARGET_COLUMNS)
-    row_params, _ = _load_model(args.row_model, tasks.TARGET_ROWS)
+    col_params = _load_model(args.col_model, tasks.TARGET_COLUMNS)
+    row_params = _load_model(args.row_model, tasks.TARGET_ROWS)
     out = []
     summary = dict.fromkeys(("columns_kept", "rows_kept", "decode_steps"), 0)
     for group in _groups(instances):
@@ -342,13 +338,14 @@ def cmd_qa(args) -> int:
     manifest = Manifest("qa", vars(args), args.out)
     instances = _load_instances(args.data)
     contexts = [_context_for(inst, args.context) for inst in instances]
+    row_counts = list(map(table_row_token_counts, contexts))
     if args.mock:
         mock_cfg = llm.MockLlmConfig(budget_tokens=args.budget)
         answers = []
-        for inst, context in zip(instances, contexts):
+        for inst, context, counts in zip(instances, contexts, row_counts):
             if inst.sql is None:
                 raise ConfigError(f"mock mode needs gold sql (instance {inst.id})")
-            answers.append(llm.mock_complete(inst.question, context, mock_cfg, inst.sql, inst.answers))
+            answers.append(llm.mock_complete(inst.question, context, counts, mock_cfg, inst.sql, inst.answers))
     else:
         cfg = llm.LlmConfig(endpoint=args.endpoint, model=args.model)
         prompts = [
@@ -359,18 +356,10 @@ def cmd_qa(args) -> int:
             for inst, context in zip(instances, contexts)
         ]
         answers = [a.strip() for a in llm.complete_many(prompts, cfg, max_in_flight=args.jobs)]
-    records = []
-    for inst, context, answer in zip(instances, contexts, answers):
-        records.append(
-            {
-                "id": inst.id,
-                "answer": answer,
-                "context_source": args.context,
-                "context_tokens": (
-                    linearized_token_count(context, frozenset(range(context.n_columns))) if context.n_columns else 0
-                ),
-            }
-        )
+    records = [
+        {"id": inst.id, "answer": answer, "context_source": args.context, "context_tokens": sum(counts)}
+        for inst, counts, answer in zip(instances, row_counts, answers)
+    ]
     with atomic_write(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -444,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--target", choices=["columns", "rows"], default=None)
     p.add_argument("--buckets", default=None, metavar="B0,B1,...")
     p.add_argument("--micro", action="store_true")
     p.set_defaults(func=cmd_eval_reduce)

@@ -8,16 +8,16 @@ exponential backoff; other 4xx never retry.  The transport and the sleep
 function are injectable so tests can replay recorded fixtures byte for
 byte.
 
-The mock reader takes the context table itself, never its rendered text.
-It sees the rows whose ``Row{i}: (header,value)`` text, counted by
-:func:`tabreduce.tables.row_token_counts`, fits its token budget after the
-prompt's preamble - truncating trailing rows the way a
-context-window-limited model effectively would - and reads each visible
-cell as it would come back from that text (``1.0`` as ``1``, ``true`` as
-text, null as None).  It then executes the instance's gold SQL over the
-visible rows and answers correctly exactly when they still support the
-query.  The truncation here is the only token-budget truncation in the
-package.
+The mock reader takes the context table itself, never its rendered text,
+with the per-row word counts of that text that the caller already holds
+(:func:`tabreduce.tables.table_row_token_counts`).  It sees the rows whose
+``Row{i}: (header,value)`` text fits its token budget after the prompt's
+preamble - truncating trailing rows the way a context-window-limited model
+effectively would - and reads each visible cell as it would come back from
+that text (``1.0`` as ``1``, ``true`` as text, null as None).  It then
+executes the instance's gold SQL over the visible rows and answers
+correctly exactly when they still support the query.  The truncation here
+is the only token-budget truncation in the package.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .tables import (
     build_row_prompt,
     count_tokens,
     format_cell,
-    row_token_counts,
 )
 
 QA_PROMPT_TEMPLATE = (
@@ -282,18 +281,17 @@ def _parse_cell(text: str):
         return text
 
 
-def _visible_table(question: str, table: Table, budget_tokens: int) -> Table | None:
+def _visible_table(question: str, table: Table, row_counts: Sequence[int], budget_tokens: int) -> Table | None:
     """The part of a context table the mock reader sees: the longest row
     prefix whose text fits the budget together with the prompt's preamble,
     each cell read back as from the rendered text (headers as they are).
-    None when no row with a column fits."""
-    if table.n_columns == 0:
-        return None
-    columns = frozenset(range(table.n_columns))
+    ``row_counts`` is ``tables.table_row_token_counts(table)``.  None when
+    no row with a column fits."""
     room = budget_tokens - count_tokens(QA_PROMPT_TEMPLATE.format(question=question, context=""))
-    n_visible = bisect_right(list(accumulate(row_token_counts(table, columns))), room)
+    n_visible = bisect_right(list(accumulate(row_counts)), room)
     if n_visible == 0:
         return None
+    columns = frozenset(range(table.n_columns))
     visible = Table(table.columns, table.rows[:n_visible])
     per_column = [
         list(map(values.__getitem__, keys))
@@ -305,13 +303,15 @@ def _visible_table(question: str, table: Table, budget_tokens: int) -> Table | N
 def mock_complete(
     question: str,
     table: Table,
+    row_counts: Sequence[int],
     cfg: MockLlmConfig,
     gold_sql: str,
     gold_answers: Sequence[str],
 ) -> str:
     """Answer by executing the gold SQL over the visible part of the
-    context table (see ``_visible_table``)."""
-    visible = _visible_table(question, table, cfg.budget_tokens)
+    context table, whose per-row token counts are ``row_counts`` (see
+    ``_visible_table``)."""
+    visible = _visible_table(question, table, row_counts, cfg.budget_tokens)
     if visible is None:
         return "unknown"
     try:

@@ -1,8 +1,9 @@
 """Reduction quality metrics, length bucketing and length-bucketed reports.
 
 An instance's length is the whitespace token count of its whole table
-linearized, counted from the table's headers and distinct cells without
-rendering the text (``tables.linearized_token_count``).
+linearized: the sum of ``tables.table_row_token_counts``, which counts from
+the table's headers and distinct cells without rendering the text.  Only
+a bucketed report counts it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
 from .sql import answers_match
-from .tables import Instance, linearized_token_count
+from .tables import Instance, table_row_token_counts
 
 REPORT_FORMAT_VERSION = 1
 
@@ -29,12 +30,13 @@ def item_recall(predicted: frozenset[int] | set[int], gold: frozenset[int] | set
 
 @dataclass(frozen=True)
 class EvalEntry:
-    """One instance's evaluation inputs for a recall report."""
+    """One instance's evaluation inputs for a recall report; the instance
+    gives its length bucket."""
 
     predicted: frozenset[int]
     gold: frozenset[int]
     kept_fraction: float     # kept cells / total cells
-    context_tokens: int
+    instance: Instance
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def build_recall_report(
     if bucket_boundaries is not None:
         per_bucket = _per_bucket(
             entries,
-            assign_buckets([e.context_tokens for e in entries], bucket_boundaries),
+            bucket_by_length([e.instance for e in entries], bucket_boundaries),
             bucket_boundaries,
             lambda members: dict(zip(("recall", "precision", "f1"), _macro(members))),
         )
@@ -121,10 +123,7 @@ def report_to_dict(report: RecallReport) -> dict:
 
 def full_context_tokens(instance: Instance) -> int:
     """Token count of the instance's whole table, linearized (0 without columns)."""
-    table = instance.table
-    if table.n_columns == 0:
-        return 0
-    return linearized_token_count(table, frozenset(range(table.n_columns)))
+    return sum(table_row_token_counts(instance.table))
 
 
 def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> list[int]:

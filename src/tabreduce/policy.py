@@ -219,12 +219,12 @@ def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
 
 
-def save_params(params: PolicyParams, path, target: str | None = None) -> None:
-    """Write ``params``, and ``target`` when given, as a model file.
+def save_params(params: PolicyParams, path, target: str) -> None:
+    """Write ``params``, trained for ``target``, as a model file.
 
     The file is one JSON object with sorted keys and a trailing newline,
     written atomically: ``format_version`` (``MODEL_FORMAT_VERSION``),
-    ``dim``, ``vocabulary``, the optional ``target`` and ``params``, which
+    ``dim``, ``vocabulary``, ``target`` and ``params``, which
     maps each parameter name to the standard base64 (with padding) of its
     C-order little-endian float64 bytes.  The bytes are the values
     themselves, so NaN payloads and signed zeros survive and the file is
@@ -238,24 +238,23 @@ def save_params(params: PolicyParams, path, target: str | None = None) -> None:
             name: base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
             for name, arr in params.arrays().items()
         },
+        "target": target,
     }
-    if target is not None:
-        doc["target"] = target
     # json.dumps encodes in C; json.dump(doc, fh) always takes the Python encoder.
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 
-def load_params(path) -> tuple[PolicyParams, str | None]:
-    """The parameters and stored target of a model file written by
+def load_params(path) -> tuple[PolicyParams, str]:
+    """The parameters and target of a model file written by
     ``save_params``.  Each parameter is decoded from base64 and copied into
     a writable float64 array, since training updates parameters in place.
     ``ConfigError``, naming ``path``, when the file is not a complete model
     of the current format: among others a ``format_version`` other than the
     integer ``MODEL_FORMAT_VERSION`` (not ``2.0``), a parameter that
     is not a base64 string or whose byte count is not 8 times its size, or a
-    target other than one of ``TARGETS``."""
+    target that is missing or not one of ``TARGETS``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -264,7 +263,7 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported model format: {version!r}")
-    for key in ("dim", "vocabulary", "params"):
+    for key in ("dim", "vocabulary", "params", "target"):
         if key not in doc:
             raise ConfigError(f"{path}: model file lacks {key!r}")
     tokens = doc["vocabulary"]
@@ -274,8 +273,8 @@ def load_params(path) -> tuple[PolicyParams, str | None]:
         vocab = Vocabulary(tuple(tokens))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    target = doc.get("target")
-    if "target" in doc and target not in TARGETS:
+    target = doc["target"]
+    if target not in TARGETS:
         raise ConfigError(f"{path}: target must be one of {TARGETS}, got {target!r}")
     params = PolicyParams.zeros(vocab, _dimension(doc["dim"], f"{path}: "))
     if not isinstance(doc["params"], dict):

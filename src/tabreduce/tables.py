@@ -11,10 +11,11 @@ sufficient for relative length comparisons.
 Everything derived from a column subset's rows comes from one walk over
 its cells (``_walk``), which handles each distinct cell once per call: the
 rendered text (``linearize_rows``), each row's token count
-(``row_token_counts``, summed by ``linearized_token_count``), each row's
-tokens (``row_tokens``) and the texts of the row vocabulary
-(``row_vocabulary_texts``).  Only the first renders rows; the others work
-from each header and distinct cell alone.  The mock reader of ``llm``
+(``row_token_counts``), each row's tokens (``row_tokens``) and the texts of
+the row vocabulary (``row_vocabulary_texts``).  Only the first renders
+rows; the others work from each header and distinct cell alone.
+``table_row_token_counts`` gives the counts of a whole table, the one
+count behind QA contexts and length buckets.  The mock reader of ``llm``
 reads its visible rows back from the same walk.
 """
 
@@ -265,9 +266,13 @@ def row_token_counts(table: Table, column_subset: set[int] | frozenset[int]) -> 
     return [fixed + sum(row) for row in zip(*per_column)]
 
 
-def linearized_token_count(table: Table, column_subset: set[int] | frozenset[int]) -> int:
-    """``count_tokens(linearize_rows(table, column_subset))``, without rendering."""
-    return sum(row_token_counts(table, column_subset))
+def table_row_token_counts(table: Table) -> list[int]:
+    """``row_token_counts`` over all of the table's columns: each row's
+    word count in the whole table linearized; ``[]`` without columns, whose
+    linearization is the empty text."""
+    if table.n_columns == 0:
+        return []
+    return row_token_counts(table, frozenset(range(table.n_columns)))
 
 
 def row_tokens(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tabreduce import annotate, cli, dataio, llm, metrics, policy, sql, tasks, training
-from tabreduce.tables import Reduction, project
+from tabreduce.tables import Reduction, project, table_row_token_counts
 
 from test_sql import naive_execute, random_query, random_table
 
@@ -295,7 +295,9 @@ def test_10_length_bucket_stability():
         per_bucket = {k: [] for k in range(len(boundaries))}
         for inst, k, reduction in zip(test_ok, assignments, reductions):
             context = inst.table if reduction is None else project(inst.table, reduction)
-            answer = llm.mock_complete(inst.question, context, mock_cfg, inst.sql, inst.answers)
+            answer = llm.mock_complete(
+                inst.question, context, table_row_token_counts(context), mock_cfg, inst.sql, inst.answers
+            )
             per_bucket[k].append(metrics.downstream_accuracy([answer], [list(inst.answers)]))
         return [float(np.mean(v)) for v in per_bucket.values()]
 

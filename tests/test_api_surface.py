@@ -6,9 +6,11 @@ functions, classes and constants, and public constants) is read by package
 code too, so nothing is left behind when its last user goes.  So is every
 public method and property of a package class: some package code reads an
 attribute of its name (a name shared with another class's attribute counts
-as a read, so the check can miss a method but never flags a used one)."""
+as a read, so the check can miss a method but never flags a used one).
+The package imports nothing outside the standard library but numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabreduce"
@@ -143,3 +145,24 @@ def test_allowlist_names_live_definitions():
     trees = parse_package()
     defined = {f"{m}.{n}" for m, tree in trees.items() for n in public_definitions(tree)}
     assert ALLOWED <= defined
+
+
+
+def absolute_imports(tree):
+    """Top-level names of the modules the code imports absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_absolute_imports_are_stdlib_or_numpy():
+    allowed = sys.stdlib_module_names | {"numpy"}
+    outside = sorted(
+        f"{module}: {name}"
+        for module, tree in parse_package().items()
+        for name in absolute_imports(tree)
+        if name not in allowed
+    )
+    assert outside == [], "imports outside the standard library and numpy: " + ", ".join(outside)

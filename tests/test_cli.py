@@ -1,16 +1,32 @@
 import dataclasses
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from tabreduce import cli, dataio, llm, metrics, policy, tasks, training
+from tabreduce import cli, dataio, llm, metrics, policy, tables, tasks, training
 from tabreduce.tables import Reduction, linearize_rows, project
 
 
 def run(args):
     return cli.main(args)
+
+
+def replace_token_counter(monkeypatch, counter):
+    """``counter`` in place of ``tables.row_token_counts`` under every name
+    the package holds it by."""
+    original = tables.row_token_counts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tabreduce") and getattr(module, "row_token_counts", None) is original:
+            monkeypatch.setattr(module, "row_token_counts", counter)
+
+
+def fake_endpoint(monkeypatch, answer="stub"):
+    """Serve ``qa --endpoint`` from a fake transport answering ``answer``."""
+    body = json.dumps({"choices": [{"message": {"content": answer}}]}).encode()
+    monkeypatch.setattr(llm, "_urllib_transport", lambda timeout: lambda url, headers, data: (200, body))
 
 
 def assert_one_error_line(capsys, message):
@@ -323,26 +339,41 @@ class TestEvalAndReduce:
         assert_one_error_line(capsys, "expected comma-separated integers, got '0,a'")
         assert not report_path.exists()
 
-    def test_eval_reduce_rejects_target_mismatch(self, pipeline, tmp_path):
+    def test_eval_reduce_counts_tokens_only_for_buckets(self, pipeline, tmp_path, monkeypatch):
         root, data, sft_dir = pipeline
-        report_path = tmp_path / "report.json"
-        code = run([
-            "eval-reduce", "--data", str(data), "--model", str(sft_dir / "model.json"),
-            "--report", str(report_path), "--target", "rows",
-        ])
-        assert code == cli.EXIT_CONFIG
-        assert not report_path.exists()
+        argv = ["eval-reduce", "--data", str(data), "--model", str(sft_dir / "model.json"), "--micro"]
+        bucketed = tmp_path / "bucketed.json"
+        assert run(argv + ["--report", str(bucketed), "--buckets", "0,40"]) == 0
 
-    def test_eval_reduce_target_flag_covers_untargeted_model(self, pipeline, tmp_path):
+        def refuse(table, column_subset):
+            raise AssertionError("eval-reduce counted tokens")
+
+        replace_token_counter(monkeypatch, refuse)
+        plain = tmp_path / "plain.json"
+        assert run(argv + ["--report", str(plain)]) == 0
+        with pytest.raises(AssertionError, match="eval-reduce counted tokens"):
+            run(argv + ["--report", str(tmp_path / "refused.json"), "--buckets", "0,40"])
+        monkeypatch.undo()
+
+        doc = json.loads(bucketed.read_text())
+        per_bucket = doc.pop("per_bucket")
+        assert json.loads(plain.read_text()) == doc
+        instances, _ = dataio.load_dataset(data)
+        assignments = metrics.bucket_by_length(tasks.trainable(instances, "columns"), [0, 40])
+        assert [b["count"] for b in per_bucket] == [assignments.count(0), assignments.count(1)]
+        assert 0 < per_bucket[0]["count"] and 0 < per_bucket[1]["count"]
+
+    def test_untargeted_model_is_one_error_line(self, pipeline, tmp_path, capsys):
         root, data, sft_dir = pipeline
-        params, _ = policy.load_params(sft_dir / "model.json")
+        doc = json.loads((sft_dir / "model.json").read_text())
+        del doc["target"]
         model = tmp_path / "untargeted.model.json"
-        policy.save_params(params, model)
+        model.write_text(json.dumps(doc))
         report_path = tmp_path / "report.json"
         argv = ["eval-reduce", "--data", str(data), "--model", str(model), "--report", str(report_path)]
         assert run(argv) == cli.EXIT_CONFIG
-        assert run(argv + ["--target", "columns"]) == 0
-        assert json.loads(report_path.read_text())["target"] == "columns"
+        assert_one_error_line(capsys, f"{model}: model file lacks 'target'")
+        assert not report_path.exists()
 
     def test_reduce_chains_predictions(self, pipeline, tmp_path, monkeypatch):
         root, data, sft_dir = pipeline
@@ -505,7 +536,7 @@ class TestQaAndReport:
         assert run(["qa", "--data", str(data), "--out", str(answers), "--mock"]) == 0
         assert json.loads(answers.read_text())["answer"] == "Rome"
 
-    def test_context_tokens_count_the_rendered_context(self, pipeline, tmp_path):
+    def test_context_tokens_count_the_rendered_context(self, pipeline, tmp_path, monkeypatch):
         root, data, _ = pipeline
         records = [json.loads(line) for line in data.read_text().splitlines()[:6]]
         records[1]["table"]["rows"], records[1]["relevant_rows"] = [], []
@@ -530,14 +561,33 @@ class TestQaAndReport:
                 for inst in instances],
         }
         assert expected["predicted"][0] == expected["full"][1] == 0 < min(expected["full"][2:])
+        fake_endpoint(monkeypatch)
         for source, counts in expected.items():
-            answers = tmp_path / f"{source}.jsonl"
-            assert run([
-                "qa", "--data", str(edited), "--out", str(answers), "--mock", "--budget", "30",
-                "--context", source,
-            ]) == 0
-            written = [json.loads(line)["context_tokens"] for line in answers.read_text().splitlines()]
-            assert written == counts, source
+            for backend in (["--mock", "--budget", "30"], ["--endpoint", "https://fake.test"]):
+                answers = tmp_path / f"{source}.jsonl"
+                argv = ["qa", "--data", str(edited), "--out", str(answers), "--context", source, *backend]
+                assert run(argv) == 0
+                written = [json.loads(line)["context_tokens"] for line in answers.read_text().splitlines()]
+                assert written == counts, (source, backend)
+
+    @pytest.mark.parametrize(
+        "backend", [["--mock"], ["--endpoint", "https://fake.test"]], ids=["mock", "endpoint"]
+    )
+    def test_qa_counts_each_context_once(self, pipeline, tmp_path, monkeypatch, backend):
+        root, data, _ = pipeline
+        counted = []
+
+        def counter(table, column_subset):
+            counted.append(table)
+            return original(table, column_subset)
+
+        original = tables.row_token_counts
+        replace_token_counter(monkeypatch, counter)
+        fake_endpoint(monkeypatch)
+        answers = tmp_path / "answers.jsonl"
+        assert run(["qa", "--data", str(data), "--out", str(answers), "--context", "full", *backend]) == 0
+        instances, _ = dataio.load_dataset(data)
+        assert counted == [inst.table for inst in instances]
 
     def test_relevance_outside_table_is_a_load_warning(self, pipeline, tmp_path, capsys):
         root, data, sft_dir = pipeline

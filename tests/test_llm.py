@@ -20,8 +20,8 @@ from tabreduce.llm import (
     mock_complete,
     split_selection,
 )
-from tabreduce.tables import Table, count_tokens, linearize_rows, make_table
-from test_render_fast import oracle_parse_prompt_table
+from tabreduce.tables import Table, count_tokens, linearize_rows, make_table, table_row_token_counts
+from test_render_fast import oracle_parse_prompt_table, visible_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,6 +214,11 @@ class TestReduceBaseline:
         assert split_selection('"wins, losses", year @') == ["wins, losses", "year"]
 
 
+def mock(question, table, cfg, gold_sql, gold_answers):
+    """``mock_complete`` given the counts ``qa`` passes it."""
+    return mock_complete(question, table, table_row_token_counts(table), cfg, gold_sql, gold_answers)
+
+
 class TestMock:
     def olympics(self):
         return make_table(
@@ -222,7 +227,7 @@ class TestMock:
         )
 
     def test_answers_when_rows_visible(self):
-        out = mock_complete(
+        out = mock(
             "which city in 2008?", self.olympics(), MockLlmConfig(budget_tokens=10_000),
             "select city from t where year = 2008", ["Beijing"],
         )
@@ -231,7 +236,7 @@ class TestMock:
     def test_unknown_when_relevant_row_beyond_budget(self):
         # budget covers the preamble plus roughly one row
         preamble_tokens = count_tokens(llm.QA_PROMPT_TEMPLATE.format(question="q", context=""))
-        out = mock_complete(
+        out = mock(
             "q", self.olympics(), MockLlmConfig(budget_tokens=preamble_tokens + 4),
             "select city from t where year = 2012", ["London"],
         )
@@ -240,7 +245,7 @@ class TestMock:
     def test_huge_budget_is_perfect_reader(self):
         table = self.olympics()
         for year, city in ((2004, "Athens"), (2008, "Beijing"), (2012, "London")):
-            out = mock_complete(
+            out = mock(
                 "q", table, MockLlmConfig(budget_tokens=10**6),
                 f"select city from t where year = {year}", [city],
             )
@@ -254,21 +259,20 @@ class TestMock:
         )
         budget = MockLlmConfig(budget_tokens=10**6)
         query = "select city from t where year = 2008"
-        a = mock_complete("q", table, budget, query, ["Beijing"])
-        b = mock_complete("q", padded, budget, query, ["Beijing"])
+        a = mock("q", table, budget, query, ["Beijing"])
+        b = mock("q", padded, budget, query, ["Beijing"])
         assert a == b == "Beijing"
 
     @pytest.mark.parametrize("table", [Table((), ((), ())), Table(("a",), ())], ids=["no-columns", "no-rows"])
     def test_empty_context_is_unknown(self, table):
-        out = mock_complete("q", table, MockLlmConfig(budget_tokens=10**6),
-                            "select count(*) from t", ["0"])
+        out = mock("q", table, MockLlmConfig(budget_tokens=10**6), "select count(*) from t", ["0"])
         assert out == "unknown"
 
     @pytest.mark.parametrize("budget", [40, 10**6])
     def test_question_holding_row_anchor(self, budget):
         # a reader of the prompt text would take the question's pair for row 0
         table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Rome"], [2012, "London"]])
-        out = mock_complete(
+        out = mock(
             "Which city is in Row1: (city,Rome)?", table, MockLlmConfig(budget_tokens=budget),
             "select city from t where year = 2008", ["Rome"],
         )
@@ -276,7 +280,7 @@ class TestMock:
 
     def test_multi_answer_join(self):
         table = make_table(["k", "v"], [["a", "x"], ["a", "y"]])
-        out = mock_complete(
+        out = mock(
             "vs for a?", table, MockLlmConfig(budget_tokens=10**6),
             "select v from t where k = 'a'", ["x", "y"],
         )
@@ -310,7 +314,7 @@ class TestMock:
         parsed = oracle_parse_prompt_table("Table: " + text)
         assert parsed.columns == table.columns
         assert parsed.rows == expected
-        assert llm._visible_table("q", table, 10**6) == Table(table.columns, expected)
+        assert visible_table("q", table, 10**6) == Table(table.columns, expected)
 
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
@@ -330,16 +334,16 @@ class TestReaderTruncation:
 
     def test_big_budget_keeps_every_row(self):
         table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Beijing"]])
-        assert llm._visible_table("q?", table, 10_000) == table
+        assert visible_table("q?", table, 10_000) == table
 
     def test_budget_zero_keeps_no_row(self):
         table = make_table(["year", "city"], [[2004, "Athens"], [2008, "Beijing"]])
-        assert llm._visible_table("q?", table, 0) is None
+        assert visible_table("q?", table, 0) is None
 
     def test_uniform_rows_prefix_kept(self):
         table = make_table(["a", "b"], [[i, i] for i in range(10)])
         per_row = count_tokens("Row0: (a,0), (b,0)")
-        visible = llm._visible_table("q?", table, self.preamble_tokens() + 4 * per_row)
+        visible = visible_table("q?", table, self.preamble_tokens() + 4 * per_row)
         assert visible.rows == table.rows[:4]
 
     def test_budget_invariant_random(self):
@@ -353,7 +357,7 @@ class TestReaderTruncation:
                 [[rng.randint(0, 99), "word " * rng.randint(1, 3)] for _ in range(n_rows)],
             )
             budget = self.preamble_tokens() + rng.randint(0, 40)
-            visible = llm._visible_table("q?", table, budget)
+            visible = visible_table("q?", table, budget)
             kept = () if visible is None else visible.rows
             assert kept == table.rows[: len(kept)]
             if kept:

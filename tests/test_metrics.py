@@ -61,8 +61,9 @@ class TestItemRecall:
 class TestRecallReport:
     def entries(self):
         return [
-            EvalEntry(frozenset({0, 1}), frozenset({0, 1}), 0.5, 100),
-            EvalEntry(frozenset({0}), frozenset({0, 1}), 0.25, 1500),
+            # one column: each row "Row{i}: (c0,1)" is 2 tokens, so 100 and 1500 in all
+            EvalEntry(frozenset({0, 1}), frozenset({0, 1}), 0.5, inst(1, 50)),
+            EvalEntry(frozenset({0}), frozenset({0, 1}), 0.25, inst(1, 750)),
         ]
 
     def test_macro_average(self):

@@ -500,7 +500,7 @@ class TestSerialization:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_loads_the_v1_oracle_values_bit_for_bit(self, tmp_path, seed):
         params = with_special_values(init_params(tiny_vocab(), 5, seed=seed), seed=seed)
-        save_params(params, tmp_path / "v2.json")
+        save_params(params, tmp_path / "v2.json", target="rows")
         save_v1(params, tmp_path / "v1.json")
         loaded, _ = load_params(tmp_path / "v2.json")
         oracle = load_v1_flat(tmp_path / "v1.json")
@@ -517,7 +517,7 @@ class TestSerialization:
 
     def test_model_file_is_strict_json(self, tmp_path):
         path = tmp_path / "m.model.json"
-        save_params(with_special_values(init_params(tiny_vocab(), 4, seed=0), seed=0), path)
+        save_params(with_special_values(init_params(tiny_vocab(), 4, seed=0), seed=0), path, target="columns")
         doc = json.loads(path.read_text(), parse_constant=raise_on_constant)
         assert doc["format_version"] == policy.MODEL_FORMAT_VERSION == 2
 
@@ -538,10 +538,10 @@ class TestSerialization:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.strip().split("\n") == [f"error: {path}: unsupported model format: 1"]
 
-    @pytest.mark.parametrize("drop", ["dim", "vocabulary", "params", "emb"])
+    @pytest.mark.parametrize("drop", ["dim", "vocabulary", "params", "target", "emb"])
     def test_incomplete_model_rejected(self, tmp_path, drop):
         path = tmp_path / "m.model.json"
-        save_params(init_params(tiny_vocab(), 4, seed=0), path)
+        save_params(init_params(tiny_vocab(), 4, seed=0), path, target="columns")
         doc = json.loads(path.read_text())
         del (doc if drop in doc else doc["params"])[drop]
         path.write_text(json.dumps(doc))
@@ -551,7 +551,7 @@ class TestSerialization:
     @pytest.mark.parametrize("dim", [-2, 0, "x", 2.5, True, None])
     def test_bad_dim_rejected(self, tmp_path, dim):
         path = tmp_path / "m.model.json"
-        save_params(init_params(tiny_vocab(), 4, seed=0), path)
+        save_params(init_params(tiny_vocab(), 4, seed=0), path, target="columns")
         path.write_text(json.dumps({**json.loads(path.read_text()), "dim": dim}))
         with pytest.raises(ConfigError, match=f"dim must be a positive integer, got {dim!r}"):
             load_params(path)

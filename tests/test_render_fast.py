@@ -25,10 +25,10 @@ from tabreduce.tables import (
     count_tokens,
     format_cell,
     linearize_rows,
-    linearized_token_count,
     project,
     row_tokens,
     row_vocabulary_texts,
+    table_row_token_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,10 @@ def check_against_oracle(table, cols):
     text = oracle_linearize(table, cols)
     rows = [oracle_row_pairs(table, row, sorted(cols)) for row in table.rows]
     assert linearize_rows(table, cols) == text
-    assert linearized_token_count(table, cols) == count_tokens(text)
+    context = project(table, Reduction(frozenset(cols), frozenset(range(table.n_rows))))
+    counts = table_row_token_counts(context)
+    assert counts == [count_tokens(f"Row{i}: {pairs}") for i, pairs in enumerate(rows)]
+    assert sum(counts) == count_tokens(text)
 
     vocab = policy.build_vocabulary(rows)
     assert policy.build_vocabulary(row_vocabulary_texts(table, cols)) == vocab
@@ -232,7 +235,7 @@ def test_quoting_splits_a_whitespace_run():
     # the anchor's space is written between two quoted runs: 2 runs, not 1
     table = Table(("v",), (("Row3:  x",),))
     assert linearize_rows(table, {0}) == 'Row0: (v,"Row3:" " x")'
-    assert linearized_token_count(table, {0}) == count_tokens('Row0: (v,"Row3:" " x")') == 4
+    assert table_row_token_counts(table) == [count_tokens('Row0: (v,"Row3:" " x")')] == [4]
 
 
 def test_equal_keys_of_other_types_render_apart():
@@ -253,13 +256,19 @@ def test_zero_rows_and_zero_columns():
     table = Table(("a", "b"), ())
     vocab = policy.build_vocabulary(["a b"])
     assert linearize_rows(table, {0, 1}) == ""
-    assert linearized_token_count(table, {0, 1}) == 0
+    assert table_row_token_counts(table) == []
     assert row_tokens(table, {1}, vocab.encode) == []
     assert row_vocabulary_texts(table, {0, 1}) == []
     check_against_oracle(table, {0, 1})
     assert metrics.full_context_tokens(Instance(id="i", question="q", table=table)) == 0
     empty = Instance(id="e", question="q", table=Table((), ((), ())))
+    assert table_row_token_counts(empty.table) == []
     assert metrics.full_context_tokens(empty) == 0
+
+
+def visible_table(question, table, budget_tokens):
+    """The mock reader's visible table, given the counts ``qa`` passes it."""
+    return llm._visible_table(question, table, table_row_token_counts(table), budget_tokens)
 
 
 def same_table(a, b):
@@ -278,7 +287,7 @@ def check_pair_text_reads_back(text):
     rendered = linearize_rows(table, {0, 1})
     assert oracle_parse_pairs(rendered) == [(text, text), ("n", "1")], rendered
     prompt = llm.QA_PROMPT_TEMPLATE.format(question="q?", context=rendered)
-    assert same_table(llm._visible_table("q?", table, 10**6), oracle_parse_prompt_table(prompt)), prompt
+    assert same_table(visible_table("q?", table, 10**6), oracle_parse_prompt_table(prompt)), prompt
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -348,5 +357,5 @@ def test_visible_table_matches_oracle(seed):
         total = count_tokens(prompt)
         for budget in (1, rng.randint(1, total + 1), total, total + 5):
             assert same_table(
-                llm._visible_table(question, context, budget), oracle_parse_prompt_table(prompt, budget)
+                visible_table(question, context, budget), oracle_parse_prompt_table(prompt, budget)
             ), (prompt, budget)

@@ -9,11 +9,12 @@ from tabreduce.tables import (
     build_row_prompt,
     count_tokens,
     linearize_rows,
-    linearized_token_count,
     make_table,
     project,
+    row_token_counts,
     row_tokens,
     row_vocabulary_texts,
+    table_row_token_counts,
     table_fingerprint,
     validate_table,
 )
@@ -100,12 +101,12 @@ class TestLinearize:
         table = make_table(["year", "city"], [[2008, "Beijing"]])
         out = linearize_rows(table, {0, 1})
         assert out == "Row0: (year,2008), (city,Beijing)"
-        assert linearized_token_count(table, {0, 1}) == count_tokens(out) == 3
+        assert table_row_token_counts(table) == [count_tokens(out)] == [3]
 
     def test_zero_rows_empty_text(self):
         table = make_table(["year"], [])
         assert linearize_rows(table, {0}) == ""
-        assert linearized_token_count(table, {0}) == 0
+        assert table_row_token_counts(table) == []
 
     def test_subset_keeps_row_indices(self):
         table = make_table(["year", "city"], [[2008, "Beijing"], [2012, "London"]])
@@ -113,14 +114,14 @@ class TestLinearize:
         assert out == "Row0: (city,Beijing) Row1: (city,London)"
 
     def test_empty_subset_raises(self):
-        for derived in (linearize_rows, linearized_token_count, row_vocabulary_texts):
+        for derived in (linearize_rows, row_token_counts, row_vocabulary_texts):
             with pytest.raises(EmptySelectionError):
                 derived(olympics(), set())
         with pytest.raises(EmptySelectionError):
             row_tokens(olympics(), set(), str.split)
 
     def test_column_out_of_range_raises(self):
-        for derived in (linearize_rows, linearized_token_count, row_vocabulary_texts):
+        for derived in (linearize_rows, row_token_counts, row_vocabulary_texts):
             with pytest.raises(IndexError):
                 derived(olympics(), {0, 9})
 
