@@ -17,8 +17,14 @@ trying every removal, given that the gold check has passed on the full table
    result unchanged, so the relevant columns are exactly the referenced ones.
 2. A row that fails the WHERE filter never reaches the result, whatever other
    rows are present, so it is dropped without a trial.  The filter runs once
-   (``sql.filter_rows``) and each trial re-runs only ``sql.finish`` over the
-   passing rows still kept.
+   per instance: the gold check on the full table is ``sql.filter_rows``
+   then ``sql.finish``, its passing rows are kept, and each row trial
+   re-runs only ``sql.finish`` over the passing rows still kept, on the full
+   table.  By fact 1 every name the query references resolves to the same
+   cells there as in the column-projected table, so the trials give the
+   labels they give on that projection.  ``annotate_rows`` accepts any
+   column set, where fact 1 need not hold, so it filters that set's
+   projection instead.
 3. No subset of the rows can raise an ``ExecutionError`` that the full set
    did not: predicate errors are per row, and ORDER BY mixing and aggregate
    type errors can only come from cells the full set already evaluated.  So
@@ -54,14 +60,6 @@ class SkipStats:
         return sum(self.counts.values())
 
 
-def _reproduces_gold(ast: sql.SqlAst, table: Table, gold: list[str]) -> bool:
-    try:
-        result = sql.execute(ast, table)
-    except sql.ExecutionError:
-        return False
-    return sql.answers_match(result, gold)
-
-
 def _finishes_gold(ast: sql.SqlAst, table: Table, rows: list[int], gold: list[str]) -> bool:
     """Whether the filtered ``rows`` of ``table`` still yield the gold answers."""
     try:
@@ -69,6 +67,21 @@ def _finishes_gold(ast: sql.SqlAst, table: Table, rows: list[int], gold: list[st
     except sql.ExecutionError:
         return False
     return sql.answers_match(result, gold)
+
+
+def _gold_rows(ast: sql.SqlAst, table: Table, gold: list[str]) -> list[int] | None:
+    """The rows passing the WHERE filter, when the query over them yields
+    the gold answers; None when it does not, or when execution fails."""
+    try:
+        passing = sql.filter_rows(ast, table)
+    except sql.ExecutionError:
+        return None
+    return passing if _finishes_gold(ast, table, passing, gold) else None
+
+
+def _reproduces_gold(ast: sql.SqlAst, table: Table, gold: list[str]) -> bool:
+    """Whether the query over the whole of ``table`` yields the gold answers."""
+    return _gold_rows(ast, table, gold) is not None
 
 
 def _parse(instance: Instance) -> tuple[sql.SqlAst | None, str]:
@@ -80,32 +93,17 @@ def _parse(instance: Instance) -> tuple[sql.SqlAst | None, str]:
         return None, SKIP_UNSUPPORTED
 
 
-def _relevant_columns(ast: sql.SqlAst, instance: Instance) -> tuple[frozenset[int] | None, str]:
-    table = instance.table
-    if not _reproduces_gold(ast, table, list(instance.answers)):
-        return None, SKIP_GOLD_MISMATCH
-    return frozenset(sql.referenced_columns(ast, table)), STATUS_OK
-
-
 def _relevant_rows(
-    ast: sql.SqlAst, instance: Instance, relevant_columns: frozenset[int]
-) -> tuple[frozenset[int] | None, str]:
-    gold = list(instance.answers)
-    base = project(
-        instance.table,
-        Reduction(columns=relevant_columns, rows=frozenset(range(instance.table.n_rows))),
-    )
-    try:
-        kept = sql.filter_rows(ast, base)
-    except sql.ExecutionError:
-        return None, SKIP_GOLD_MISMATCH
-    if not _finishes_gold(ast, base, kept, gold):
-        return None, SKIP_GOLD_MISMATCH
-    for row in list(kept):
+    ast: sql.SqlAst, table: Table, passing: list[int], gold: list[str]
+) -> frozenset[int]:
+    """The rows that the top-to-bottom removal trials keep, of those that
+    passed the filter."""
+    kept = passing
+    for row in passing:
         trial = [r for r in kept if r != row]
-        if _finishes_gold(ast, base, trial, gold):
+        if _finishes_gold(ast, table, trial, gold):
             kept = trial
-    return frozenset(kept), STATUS_OK
+    return frozenset(kept)
 
 
 def annotate_columns(instance: Instance) -> tuple[frozenset[int] | None, str]:
@@ -119,7 +117,9 @@ def annotate_columns(instance: Instance) -> tuple[frozenset[int] | None, str]:
     ast, status = _parse(instance)
     if ast is None:
         return None, status
-    return _relevant_columns(ast, instance)
+    if not _reproduces_gold(ast, instance.table, list(instance.answers)):
+        return None, SKIP_GOLD_MISMATCH
+    return frozenset(sql.referenced_columns(ast, instance.table)), STATUS_OK
 
 
 def annotate_rows(instance: Instance, relevant_columns: frozenset[int]) -> tuple[frozenset[int] | None, str]:
@@ -135,31 +135,40 @@ def annotate_rows(instance: Instance, relevant_columns: frozenset[int]) -> tuple
     ast, status = _parse(instance)
     if ast is None:
         return None, status
-    return _relevant_rows(ast, instance, relevant_columns)
+    table = instance.table
+    base = project(table, Reduction(columns=relevant_columns, rows=frozenset(range(table.n_rows))))
+    gold = list(instance.answers)
+    passing = _gold_rows(ast, base, gold)
+    if passing is None:
+        return None, SKIP_GOLD_MISMATCH
+    return _relevant_rows(ast, base, passing, gold), STATUS_OK
 
 
 def annotate_instance(instance: Instance, target: str = "both") -> Instance:
-    """Return a copy of the instance with gold relevance fields filled in."""
+    """Return a copy of the instance with gold relevance fields filled in.
+
+    The WHERE filter runs once, in the gold check on the full table, and the
+    row trials reuse its passing rows (fact 2 in the module docstring).
+    """
     if target not in ("columns", "rows", "both"):
         raise ValueError(f"unknown target {target!r}")
 
-    columns: frozenset[int] | None = None
-    rows: frozenset[int] | None = None
-
     ast, status = _parse(instance)
-    if ast is not None:
-        columns, status = _relevant_columns(ast, instance)
-    if status == STATUS_OK and target in ("rows", "both"):
-        assert ast is not None and columns is not None
-        rows, status = _relevant_rows(ast, instance, columns)
-    if status != STATUS_OK:
+    if ast is None:
         return replace(instance, annotation_status=status)
+    table = instance.table
+    gold = list(instance.answers)
+    passing = _gold_rows(ast, table, gold)
+    if passing is None:
+        return replace(instance, annotation_status=SKIP_GOLD_MISMATCH)
+    columns = frozenset(sql.referenced_columns(ast, table))
     if target == "columns":
-        return replace(instance, relevant_columns=columns, annotation_status=status)
+        return replace(instance, relevant_columns=columns, annotation_status=STATUS_OK)
+    rows = _relevant_rows(ast, table, passing, gold)
     if target == "rows":
-        return replace(instance, relevant_rows=rows, annotation_status=status)
+        return replace(instance, relevant_rows=rows, annotation_status=STATUS_OK)
     return replace(
-        instance, relevant_columns=columns, relevant_rows=rows, annotation_status=status
+        instance, relevant_columns=columns, relevant_rows=rows, annotation_status=STATUS_OK
     )
 
 

@@ -50,11 +50,32 @@ def index_set(record: dict, key: str, size: int) -> frozenset[int] | None:
     return frozenset(indices)
 
 
+def _check_cells(table: Table) -> None:
+    """TypeError naming the first cell that is a list or an object.
+
+    A decoded JSON value is a string, number, bool, null, list or object,
+    and only lists and objects are unhashable, so one hash of the rows finds
+    them at about half the cost of a type check per cell.
+    """
+    try:
+        hash(table.rows)
+    except TypeError:
+        for i, row in enumerate(table.rows):
+            for j, cell in enumerate(row):
+                if not isinstance(cell, (str, int, float, type(None))):
+                    raise TypeError(
+                        f"table row {i} column {j} holds a {type(cell).__name__}, "
+                        "not a string, number, bool or null"
+                    ) from None
+        raise
+
+
 def record_to_instance(record: dict) -> Instance:
     """The instance a record describes; KeyError, TypeError or ValueError
-    when it is malformed."""
+    when it is malformed, a table cell that is a list or an object included."""
     table_doc = record["table"]
     table = make_table(table_doc["columns"], table_doc["rows"])
+    _check_cells(table)
     question = record["question"]
     if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be a non-empty string")

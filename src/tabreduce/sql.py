@@ -294,11 +294,28 @@ def coerce_number(value: Cell) -> float | None:
     return None
 
 
-def _compare(cell: Cell, op: str, literal: str | float) -> bool:
+def _prepare_literal(literal: str | float) -> tuple[float | None, str | None]:
+    """A predicate literal's numeric view, and its trimmed lowercase text
+    when it is a string without one; what ``_judge`` compares cells to."""
+    lit_num = coerce_number(literal)
+    lit_text = literal.strip().lower() if isinstance(literal, str) and lit_num is None else None
+    return lit_num, lit_text
+
+
+def _judge(
+    cell: Cell, op: str, literal: str | float, prepared: tuple[float | None, str | None]
+) -> bool:
+    """Whether ``cell op literal`` holds, given ``_prepare_literal(literal)``.
+
+    Numbers and numeric strings compare numerically (``=``/``!=`` within
+    1e-6 relative), other strings as trimmed lowercase text.  Any other
+    pairing, a bool cell's included, is never equal, and ordering it raises
+    ``type_mismatch``; null never matches.
+    """
     if cell is None:
         return False
     cell_num = coerce_number(cell)
-    lit_num = coerce_number(literal)
+    lit_num, lit_text = prepared
     if cell_num is not None and lit_num is not None:
         if op == "=":
             return math.isclose(cell_num, lit_num, rel_tol=1e-6, abs_tol=1e-9)
@@ -312,23 +329,20 @@ def _compare(cell: Cell, op: str, literal: str | float) -> bool:
             return cell_num > lit_num
         if op == ">=":
             return cell_num >= lit_num
-    cell_is_str = isinstance(cell, str) and cell_num is None
-    lit_is_str = isinstance(literal, str) and lit_num is None
-    if cell_is_str and lit_is_str:
+    if lit_text is not None and isinstance(cell, str) and cell_num is None:
         a = cell.strip().lower()
-        b = literal.strip().lower()
         if op == "=":
-            return a == b
+            return a == lit_text
         if op == "!=":
-            return a != b
+            return a != lit_text
         if op == "<":
-            return a < b
+            return a < lit_text
         if op == "<=":
-            return a <= b
+            return a <= lit_text
         if op == ">":
-            return a > b
+            return a > lit_text
         if op == ">=":
-            return a >= b
+            return a >= lit_text
     # mixed number/string: equality is simply false, ordering is an error
     if op == "=":
         return False
@@ -373,14 +387,33 @@ def filter_rows(ast: SqlAst, table: Table) -> list[int]:
     reported before any predicate type error.  Each row is judged on its own
     cells alone, so the rows of a subset pass, fail or raise exactly as they
     do in the whole table.
+
+    Predicates apply in query order, each to the rows the earlier ones
+    passed, row by row.  A predicate prepares its literal once and judges
+    each distinct cell once, keyed by ``(type(cell), cell)`` so that
+    ``True`` stays apart from ``1`` and ``1`` from ``1.0``; later rows with
+    that key reuse the verdict.  The rows are those of judging every row in
+    turn, and a ``type_mismatch`` is raised at the same first row, with the
+    same message.
     """
     pred_cols = [_resolve(table, p.column) for p in ast.predicates]
     _resolve(table, ast.projection_column)
     rows = table.rows
-    indices = list(range(len(rows)))
+    indices: list[int] | range = range(len(rows))
     for pred, col in zip(ast.predicates, pred_cols):
-        indices = [i for i in indices if _compare(rows[i][col], pred.op, pred.literal)]
-    return indices
+        prepared = _prepare_literal(pred.literal)
+        verdicts: dict[tuple[type, Cell], bool] = {}
+        kept = []
+        for i in indices:
+            cell = rows[i][col]
+            key = (type(cell), cell)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _judge(cell, pred.op, pred.literal, prepared)
+            if verdict:
+                kept.append(i)
+        indices = kept
+    return list(indices)
 
 
 def finish(ast: SqlAst, table: Table, row_indices: list[int]) -> list[Cell]:

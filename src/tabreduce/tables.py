@@ -1,8 +1,8 @@
 """Table data model, linearization, prompt assembly and token counting.
 
-Tables are rectangular grids of string / number / null cells under unique
-headers.  A reduction names the column and row indices worth keeping; the
-projected sub-table is rendered as ``Row0: (header,value), ...`` text that
+Tables are rectangular grids of string / number / bool / null cells under
+unique headers.  A reduction names the column and row indices worth keeping;
+the projected sub-table is rendered as ``Row0: (header,value), ...`` text that
 downstream prompts embed.  A header or value containing ``,``, ``(``, ``)``
 or ``"`` is double-quoted, with each ``"`` doubled, so the pairs parse back.
 Token counts are whitespace word counts: cheap, deterministic, and
@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import EmptySelectionError
 
-Cell = str | int | float | None
+Cell = str | int | float | bool | None
 
 COLUMN_PROMPT_TEMPLATE = (
     "Select relevant columns from a table to answer a question. "

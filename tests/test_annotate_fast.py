@@ -288,3 +288,32 @@ def test_filter_once_stands_for_every_row_subset():
         assert actual == expected
         checked += 1
     assert checked > 500
+
+
+def test_annotate_instance_filters_once_and_never_projects(monkeypatch):
+    """One WHERE pass per instance, whatever the target, and no projected
+    copy: the row trials reuse the gold check's passing rows."""
+    calls = {"filter_rows": 0, "project": 0}
+    filter_rows = sql.filter_rows
+
+    def counted_filter_rows(ast, table):
+        calls["filter_rows"] += 1
+        return filter_rows(ast, table)
+
+    def counted_project(table, reduction):
+        calls["project"] += 1
+        return project(table, reduction)
+
+    monkeypatch.setattr(sql, "filter_rows", counted_filter_rows)
+    monkeypatch.setattr(annotate, "project", counted_project)
+    rng = random.Random(12)
+    instances = [random_instance(rng) for _ in range(300)] + synth_long(5, 2)
+    statuses = set()
+    for inst in instances:
+        for target in ("columns", "rows", "both"):
+            calls.update(filter_rows=0, project=0)
+            status = annotate.annotate_instance(inst, target).annotation_status
+            parsed = status not in (annotate.SKIP_NO_SQL, annotate.SKIP_UNSUPPORTED)
+            assert calls == {"filter_rows": int(parsed), "project": 0}, (target, inst.sql)
+            statuses.add(status)
+    assert {annotate.STATUS_OK, annotate.SKIP_GOLD_MISMATCH} <= statuses

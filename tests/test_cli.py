@@ -133,6 +133,39 @@ class TestSynthAndAnnotate:
         }
         assert manifest["elapsed_seconds"] is not None
 
+    @pytest.mark.parametrize("cell", [[1, 2], {"z": 1}], ids=["list", "object"])
+    def test_non_scalar_cell_is_one_load_warning(self, tmp_path, capsys, cell):
+        """A line whose table holds a list or an object is skipped with one
+        warning, both by ``annotate`` and by ``sft`` over annotated data."""
+        raw = tmp_path / "raw.jsonl"
+        assert run(synth_config_args(40, raw) + ["--no-annotate"]) == 0
+
+        def with_bad_first_line(source, out):
+            lines = source.read_text().splitlines()
+            bad = json.loads(lines[0])
+            bad["table"]["rows"][0][0] = cell
+            out.write_text("\n".join([json.dumps(bad), *lines]) + "\n")
+
+        kind = type(cell).__name__
+        edited = tmp_path / "edited.jsonl"
+        with_bad_first_line(raw, edited)
+        annotated = tmp_path / "annotated.jsonl"
+        capsys.readouterr()
+        assert run(["annotate", "--in", str(edited), "--out", str(annotated)]) == 0
+        message = f"table row 0 column 0 holds a {kind}, not a string, number, bool or null"
+        assert capsys.readouterr().err.strip().split("\n") == [f"warning: {edited}:1: {message}"]
+        assert len(annotated.read_text().splitlines()) == 40
+
+        data = tmp_path / "data.jsonl"
+        with_bad_first_line(annotated, data)
+        cfg = tmp_path / "sft.json"
+        cfg.write_text(json.dumps({"epochs": 1}))
+        assert run([
+            "sft", "--data", str(data), "--target", "rows", "--out", str(tmp_path / "sft"),
+            "--config", str(cfg), "--dim", "8",
+        ]) == 0
+        assert capsys.readouterr().err.strip().split("\n") == [f"warning: {data}:1: {message}"]
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = run(["annotate", "--in", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "o.jsonl")])

@@ -96,6 +96,30 @@ class TestRoundTrip:
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]
 
+    @pytest.mark.parametrize(
+        "cell, kind",
+        [([1, 2], "list"), ({"z": 1}, "dict"), ([], "list")],
+        ids=["list", "object", "empty-list"],
+    )
+    def test_non_scalar_cell_reported(self, tmp_path, cell, kind):
+        record = instance_to_record(sample_instance())
+        bad = {**record, "table": {**record["table"], "rows": [[2008, "Beijing"], [2012, cell]]}}
+        message = f"table row 1 column 1 holds a {kind}, not a string, number, bool or null"
+        with pytest.raises(TypeError, match=message):
+            record_to_instance(bad)
+        path = tmp_path / "d.jsonl"
+        good = json.dumps(record)
+        path.write_text(good + "\n" + json.dumps(bad) + "\n" + good + "\n")
+        loaded, errors = load_dataset(path)
+        assert len(loaded) == 2
+        assert [(e.line, e.message) for e in errors] == [(2, message)]
+
+    def test_scalar_cells_accepted(self):
+        record = instance_to_record(sample_instance())
+        rows = [[True, "x"], [False, None], [1.5, -0.0]]
+        inst = record_to_instance({**record, "table": {**record["table"], "rows": rows}})
+        assert inst.table.rows == tuple(map(tuple, rows))
+
     def test_relevance_edges_accepted(self):
         record = instance_to_record(sample_instance())
         inst = record_to_instance({**record, "relevant_columns": [1, 0], "relevant_rows": []})

@@ -157,6 +157,60 @@ class TestExecute:
             assert cells.count(value) >= result.count(value)
 
 
+class TestBoolCells:
+    """The engine's semantics for bool cells, which JSON data carries: a bool
+    is neither a number nor text, so it equals no literal and cannot be
+    ordered.
+
+    The differential oracle below does not hold the engine to this:
+    ``random_table`` draws no bools, and ``naive_execute`` reads a bool as
+    the text ``'true'``/``'false'`` in ``min``/``max``, so on ``[True, 'x']``
+    it returns ``'x'`` for ``max(v)`` where the engine raises
+    ``type_mismatch``.  These direct cases do instead.
+    """
+
+    TABLE = make_table(
+        ["v", "k"], [[True, "a"], [1, "b"], [False, "c"], [0, "d"], ["true", "e"], [1.0, "f"]]
+    )
+
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("v = 1", ["b", "f"]),
+            ("v = 0", ["d"]),
+            ("v != 1", ["a", "c", "d", "e"]),
+            ("v = 'true'", ["e"]),
+            ("v != 'true'", ["a", "b", "c", "d", "f"]),
+        ],
+    )
+    def test_equality_never_matches_a_bool(self, where, expected):
+        ast = sql.parse_sql(f"select k from t where {where}")
+        assert sql.execute(ast, self.TABLE) == expected
+
+    @pytest.mark.parametrize(
+        "rows, where, message",
+        [
+            ([[True]], "v > 0", "cannot order True against 0.0"),
+            ([[1], [False]], "v <= 1", "cannot order False against 1.0"),
+            ([["x"], [True]], "v >= 'a'", "cannot order True against 'a'"),
+        ],
+    )
+    def test_ordering_a_bool_raises(self, rows, where, message):
+        ast = sql.parse_sql(f"select v from t where {where}")
+        with pytest.raises(sql.ExecutionError, match=message) as err:
+            sql.execute(ast, make_table(["v"], rows))
+        assert err.value.kind == sql.TYPE_MISMATCH
+
+    @pytest.mark.parametrize(
+        "query", ["select min(v) from t", "select max(v) from t", "select k from t order by v"]
+    )
+    def test_bools_mixed_with_strings_raise(self, query):
+        table = make_table(["v", "k"], [[True, "a"], ["x", "b"]])
+        with pytest.raises(sql.ExecutionError) as err:
+            sql.execute(sql.parse_sql(query), table)
+        assert err.value.kind == sql.TYPE_MISMATCH
+
+
 class TestAnswersMatch:
     @pytest.mark.parametrize(
         "result,gold,expected",
@@ -347,3 +401,91 @@ def test_differential_small():
         query = random_query(rng, table)
         expected, actual = run_both(query, table)
         assert actual == expected, f"{query} on {table}"
+
+
+# ---------------------------------------------------------------------------
+# filter_rows against the per-row loop it replaced
+
+def oracle_compare(cell, op, literal):
+    """One row's comparison with the literal prepared afresh, as the per-row
+    loop made it."""
+    return sql._judge(cell, op, literal, sql._prepare_literal(literal))
+
+
+def oracle_filter_rows(ast, table):
+    """Each predicate in query order judges every row the earlier ones
+    passed, one row at a time."""
+    pred_cols = [sql._resolve(table, p.column) for p in ast.predicates]
+    sql._resolve(table, ast.projection_column)
+    indices = list(range(table.n_rows))
+    for pred, col in zip(ast.predicates, pred_cols):
+        indices = [i for i in indices if oracle_compare(table.rows[i][col], pred.op, pred.literal)]
+    return indices
+
+
+# Cells that compare alike but must be judged apart (True/1, False/0/0.0/-0.0,
+# 1/1.0, '2,008'/2008), padded and mixed-case text, and null.
+FILTER_CELLS = (
+    True, False, 1, 0, 1.0, 0.0, -0.0, -1, 2.5, 2008, "2,008", " 2008 ", "1", " 1 ",
+    "ant", " Ant ", "ANT", "bee", "true", "", None,
+)
+FILTER_LITERALS = (
+    1.0, 0.0, -1.0, 2.5, 2008.0, "1", "2,008", "-0", "ant", "ANT ", "true", "zzz", "",
+)
+
+
+def random_filter_case(rng):
+    """A table whose columns draw from a few of ``FILTER_CELLS`` each, often
+    over many rows, and a query of one or two predicates on it."""
+    n_cols = rng.randint(1, 4)
+    n_rows = rng.choice([0, 1, rng.randint(2, 8), rng.randint(20, 120)])
+    pools = [rng.sample(FILTER_CELLS, rng.randint(1, 5)) for _ in range(n_cols)]
+    rows = [[rng.choice(pool) for pool in pools] for _ in range(n_rows)]
+    table = make_table([f"c{i}" for i in range(n_cols)], rows)
+    predicates = tuple(
+        sql.Predicate(
+            column=rng.choice(table.columns),
+            op=rng.choice(["=", "!=", "<", "<=", ">", ">="]),
+            literal=rng.choice(FILTER_LITERALS),
+        )
+        for _ in range(rng.randint(1, 2))
+    )
+    return sql.SqlAst(projection_column=rng.choice(table.columns), predicates=predicates), table
+
+
+def outcome(fn, ast, table):
+    try:
+        return ("ok", fn(ast, table))
+    except sql.ExecutionError as exc:
+        return ("error", exc.kind, str(exc))
+
+
+def test_filter_rows_matches_per_row_loop():
+    """Same rows, or the same error kind and message (so the same first
+    failing row), as judging every row in turn."""
+    rng = random.Random(606)
+    kinds = set()
+    for _ in range(3000):
+        ast, table = random_filter_case(rng)
+        expected = outcome(oracle_filter_rows, ast, table)
+        assert outcome(sql.filter_rows, ast, table) == expected, f"{ast}\n{table}"
+        kinds.add(expected[0] if expected[0] == "ok" else expected[1])
+    assert kinds == {"ok", sql.TYPE_MISMATCH}
+
+
+@pytest.mark.parametrize(
+    "column, literal, op",
+    [
+        ([1, True, 1.0, True], 1.0, "="),
+        ([0, False, -0.0, 0.0, False], 0.0, "!="),
+        ([1, 1.0, True], "ant", ">"),
+        ([-0.0, 0.0, "x"], "ant", "<"),
+        ([True, 1, False, 0], "1", "="),
+    ],
+    ids=["true-one", "false-zero", "int-float-error", "signed-zero-error", "numeric-text"],
+)
+def test_filter_rows_keeps_equal_keys_apart(column, literal, op):
+    """Cells that are equal dict keys but judged or reported apart."""
+    table = make_table(["v"], [[cell] for cell in column])
+    ast = sql.SqlAst(projection_column="v", predicates=(sql.Predicate("v", op, literal),))
+    assert outcome(sql.filter_rows, ast, table) == outcome(oracle_filter_rows, ast, table)
