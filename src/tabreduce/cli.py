@@ -338,20 +338,27 @@ def cmd_qa(args) -> int:
     manifest = Manifest("qa", vars(args), args.out)
     instances = _load_instances(args.data)
     contexts = [_context_for(inst, args.context) for inst in instances]
-    row_counts = list(map(table_row_token_counts, contexts))
+    # each per-cell memo lives for this stage only (see tables._walk)
+    runs: dict = {}
+    row_counts = [table_row_token_counts(context, runs) for context in contexts]
     if args.mock:
         mock_cfg = llm.MockLlmConfig(budget_tokens=args.budget)
+        read: dict = {}
         answers = []
         for inst, context, counts in zip(instances, contexts, row_counts):
             if inst.sql is None:
                 raise ConfigError(f"mock mode needs gold sql (instance {inst.id})")
-            answers.append(llm.mock_complete(inst.question, context, counts, mock_cfg, inst.sql, inst.answers))
+            answers.append(
+                llm.mock_complete(inst.question, context, counts, mock_cfg, inst.sql, inst.answers, read)
+            )
     else:
         cfg = llm.LlmConfig(endpoint=args.endpoint, model=args.model)
+        tails: dict = {}
         prompts = [
             [("user", llm.QA_PROMPT_TEMPLATE.format(
                 question=inst.question,
-                context=linearize_rows(context, frozenset(range(context.n_columns))) if context.n_columns else "",
+                context=linearize_rows(context, frozenset(range(context.n_columns)), tails)
+                if context.n_columns else "",
             ))]
             for inst, context in zip(instances, contexts)
         ]

@@ -50,6 +50,28 @@ def index_set(record: dict, key: str, size: int) -> frozenset[int] | None:
     return frozenset(indices)
 
 
+# The types a table's headers and rows may come in: a list, as JSON decodes
+# an array, or a tuple, as ``instance_to_record`` hands rows on.
+_ARRAYS = frozenset({list, tuple})
+_STRINGS = frozenset({str})
+
+
+def _check_shape(columns, rows) -> None:
+    """TypeError unless the headers are an array of strings and the rows an
+    array of arrays; a string or an object would otherwise be taken apart
+    into its characters or keys.  Each check is one pass over the types."""
+    if type(columns) not in _ARRAYS:
+        raise TypeError(f"table columns are a {type(columns).__name__}, not a list")
+    if not set(map(type, columns)) <= _STRINGS:
+        j, header = next((j, h) for j, h in enumerate(columns) if type(h) is not str)
+        raise TypeError(f"table column {j} is a {type(header).__name__}, not a string")
+    if type(rows) not in _ARRAYS:
+        raise TypeError(f"table rows are a {type(rows).__name__}, not a list")
+    if not set(map(type, rows)) <= _ARRAYS:
+        i, row = next((i, row) for i, row in enumerate(rows) if type(row) not in _ARRAYS)
+        raise TypeError(f"table row {i} is a {type(row).__name__}, not a list")
+
+
 def _check_cells(table: Table) -> None:
     """TypeError naming the first cell that is a list or an object.
 
@@ -72,9 +94,13 @@ def _check_cells(table: Table) -> None:
 
 def record_to_instance(record: dict) -> Instance:
     """The instance a record describes; KeyError, TypeError or ValueError
-    when it is malformed, a table cell that is a list or an object included."""
+    when it is malformed: headers that are not a list of strings, rows that
+    are not a list of lists and a table cell that is a list or an object
+    included."""
     table_doc = record["table"]
-    table = make_table(table_doc["columns"], table_doc["rows"])
+    columns, rows = table_doc["columns"], table_doc["rows"]
+    _check_shape(columns, rows)
+    table = make_table(columns, rows)
     _check_cells(table)
     question = record["question"]
     if not isinstance(question, str) or not question.strip():
@@ -99,7 +125,7 @@ def instance_to_record(instance: Instance) -> dict:
         "question": instance.question,
         "table": {
             "columns": list(instance.table.columns),
-            "rows": [list(r) for r in instance.table.rows],
+            "rows": instance.table.rows,  # json writes the tuples as arrays
         },
     }
     if instance.sql is not None:

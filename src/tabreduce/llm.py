@@ -281,21 +281,28 @@ def _parse_cell(text: str):
         return text
 
 
-def _visible_table(question: str, table: Table, row_counts: Sequence[int], budget_tokens: int) -> Table | None:
+def _read_back(cell):
+    """The cell as the reader gets it back from its rendered text."""
+    return _parse_cell(format_cell(cell))
+
+
+def _visible_table(question: str, table: Table, row_counts: Sequence[int], budget_tokens: int,
+                   read: dict | None = None) -> Table | None:
     """The part of a context table the mock reader sees: the longest row
     prefix whose text fits the budget together with the prompt's preamble,
     each cell read back as from the rendered text (headers as they are).
-    ``row_counts`` is ``tables.table_row_token_counts(table)``.  None when
-    no row with a column fits."""
+    ``row_counts`` is ``tables.table_row_token_counts(table)``, and ``read``
+    the stage's memo of ``_read_back`` per cell key (see ``tables._walk``).
+    None when no row with a column fits."""
     room = budget_tokens - count_tokens(QA_PROMPT_TEMPLATE.format(question=question, context=""))
     n_visible = bisect_right(list(accumulate(row_counts)), room)
     if n_visible == 0:
         return None
+    read = {} if read is None else read
     columns = frozenset(range(table.n_columns))
     visible = Table(table.columns, table.rows[:n_visible])
     per_column = [
-        list(map(values.__getitem__, keys))
-        for _, keys, _, values in _walk(visible, columns, lambda cell: _parse_cell(format_cell(cell)))
+        list(map(read.__getitem__, keys)) for _, keys, _, _ in _walk(visible, columns, _read_back, read)
     ]
     return Table(table.columns, tuple(zip(*per_column)))
 
@@ -307,11 +314,12 @@ def mock_complete(
     cfg: MockLlmConfig,
     gold_sql: str,
     gold_answers: Sequence[str],
+    read: dict | None = None,
 ) -> str:
     """Answer by executing the gold SQL over the visible part of the
-    context table, whose per-row token counts are ``row_counts`` (see
-    ``_visible_table``)."""
-    visible = _visible_table(question, table, row_counts, cfg.budget_tokens)
+    context table, whose per-row token counts are ``row_counts``; ``read``
+    is the stage's memo of read-back cells (see ``_visible_table``)."""
+    visible = _visible_table(question, table, row_counts, cfg.budget_tokens, read)
     if visible is None:
         return "unknown"
     try:

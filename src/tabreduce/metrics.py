@@ -3,7 +3,8 @@
 An instance's length is the whitespace token count of its whole table
 linearized: the sum of ``tables.table_row_token_counts``, which counts from
 the table's headers and distinct cells without rendering the text.  Only
-a bucketed report counts it.
+a bucketed report counts it, with one memo over all of its instances, so
+each distinct cell is judged once per report.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def report_to_dict(report: RecallReport) -> dict:
 # ---------------------------------------------------------------------------
 # Length buckets and downstream accuracy
 
-def full_context_tokens(instance: Instance) -> int:
-    """Token count of the instance's whole table, linearized (0 without columns)."""
-    return sum(table_row_token_counts(instance.table))
+def full_context_tokens(instance: Instance, runs: dict | None = None) -> int:
+    """Token count of the instance's whole table, linearized (0 without
+    columns); ``runs`` is the memo of ``tables.row_token_counts``."""
+    return sum(table_row_token_counts(instance.table, runs))
 
 
 def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> list[int]:
@@ -148,7 +150,8 @@ def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> li
 
 
 def bucket_by_length(instances: Sequence[Instance], boundaries: Sequence[int]) -> list[int]:
-    return assign_buckets([full_context_tokens(inst) for inst in instances], boundaries)
+    runs: dict = {}
+    return assign_buckets([full_context_tokens(inst, runs) for inst in instances], boundaries)
 
 
 def _per_bucket(

@@ -76,10 +76,16 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-index map; index 0 is reserved for out-of-vocabulary words."""
+    """Token-to-index map; index 0 is reserved for out-of-vocabulary words.
+
+    ``cell_ids`` is this vocabulary's memo of token ids per table cell key
+    (``tables.row_tokens``): it lives as long as the vocabulary, which a
+    stage builds or loads for itself, and never serves another vocabulary.
+    """
 
     tokens: tuple[str, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    cell_ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lookup = {tok: i + 1 for i, tok in enumerate(self.tokens)}

@@ -9,11 +9,13 @@ Token counts are whitespace word counts: cheap, deterministic, and
 sufficient for relative length comparisons.
 
 Everything derived from a column subset's rows comes from one walk over
-its cells (``_walk``), which handles each distinct cell once per call: the
-rendered text (``linearize_rows``), each row's token count
-(``row_token_counts``), each row's tokens (``row_tokens``) and the texts of
-the row vocabulary (``row_vocabulary_texts``).  Only the first renders
-rows; the others work from each header and distinct cell alone.
+its cells (``_walk``): the rendered text (``linearize_rows``), each row's
+token count (``row_token_counts``), each row's tokens (``row_tokens``) and
+the texts of the row vocabulary (``row_vocabulary_texts``).  Only the
+first renders rows; the others work from each header and distinct cell
+alone.  Each takes a memo of its per-cell function that its caller keeps
+over one stage's tables, so a stage handles each distinct cell once, not
+once per table; without one, a call keeps its own.
 ``table_row_token_counts`` gives the counts of a whole table, the one
 count behind QA contexts and length buckets.  The mock reader of ``llm``
 reads its visible rows back from the same walk.
@@ -25,8 +27,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptySelectionError
@@ -57,6 +58,7 @@ class Table:
 
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
+    _folded: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = len(self.columns)
@@ -72,13 +74,20 @@ class Table:
     def n_rows(self) -> int:
         return len(self.rows)
 
+    def _fold(self) -> dict[str, int]:
+        """Each header's index under its lowercased, trimmed text, folded on
+        first use only; the first of several headers that fold alike
+        (``validate_table`` refuses those)."""
+        if self._folded is None:
+            folded: dict[str, int] = {}
+            for i, header in enumerate(self.columns):
+                folded.setdefault(header.strip().lower(), i)
+            object.__setattr__(self, "_folded", folded)
+        return self._folded
+
     def column_index(self, name: str) -> int | None:
         """Resolve a header case-insensitively; None when absent."""
-        key = name.strip().lower()
-        for i, header in enumerate(self.columns):
-            if header.strip().lower() == key:
-                return i
-        return None
+        return self._fold().get(name.strip().lower())
 
 
 def make_table(columns: list[str] | tuple[str, ...], rows) -> Table:
@@ -92,17 +101,15 @@ def validate_table(table: Table) -> None:
     """Enforce the ingestion invariants: >= 1 column, unique headers."""
     if table.n_columns < 1:
         raise ValueError("table needs at least one column")
-    seen: set[str] = set()
-    for header in table.columns:
-        key = header.strip().lower()
-        if key in seen:
-            raise ValueError(f"duplicate header (case-insensitive): {header!r}")
-        seen.add(key)
+    folded = table._fold()
+    if len(folded) < table.n_columns:
+        header = next(h for i, h in enumerate(table.columns) if folded[h.strip().lower()] != i)
+        raise ValueError(f"duplicate header (case-insensitive): {header!r}")
 
 
 def table_fingerprint(table: Table) -> str:
     """Content hash used to group instances that share a table."""
-    doc = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
+    doc = {"columns": table.columns, "rows": table.rows}  # json writes tuples as arrays
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()
 
@@ -198,41 +205,53 @@ def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int
     return sorted(column_subset)
 
 
-def _walk(table: Table, column_subset: set[int] | frozenset[int],
-          value_of: Callable[[Cell], object]) -> Iterator[tuple[str, list, set, dict]]:
+def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Callable[[Cell], object],
+          values: dict) -> Iterator[tuple[str, list, set, set]]:
     """The one walk over a column subset's cells, columns in table order.
 
     Yields per column its header, each row's cell key, the column's
-    distinct keys, and ``values``: ``value_of(key)`` of each distinct key,
-    computed once over the whole walk (one dict, shared by all columns).
-    A key formats (``format_cell``) as its cells do.  A cell is its own key:
-    equal ints and floats format alike (``1`` and ``1.0`` as ``1``).  A bool
-    is not, because ``True == 1`` and ``False == 0`` are equal dict keys
-    but format as ``true`` and ``1``; its key is its formatted text.
+    distinct keys and those of them that were not yet in ``values``, after
+    putting ``value_of(key)`` into ``values`` for each of those.  ``values``
+    is the caller's memo: one per stage and per ``value_of``, kept over all
+    of the stage's tables, so each distinct key is judged once per stage.
+
+    A key formats (``format_cell``) as its cells do, and equal keys format
+    alike.  A cell is its own key: equal ints and floats format alike (``1``
+    and ``1.0`` as ``1``, ``0`` and ``-0.0`` as ``0``).  A bool is not,
+    because ``True == 1`` and ``False == 0`` are equal dict keys but format
+    as ``true`` and ``1``; its key is its formatted text, equal to the string
+    cell ``"true"``.  Every ``value_of`` depends on its key only through the
+    formatted text, so whichever of several equal keys, in whichever table,
+    filled a memo entry, the entry is right for them all.
     """
-    values: dict[Cell, object] = {}
     for c in _columns(table, column_subset):
         keys = list(map(itemgetter(c), table.rows))
         if bool in set(map(type, keys)):
             keys = [format_cell(k) if type(k) is bool else k for k in keys]
         distinct = set(keys)
-        for key in distinct.difference(values):
+        new = distinct.difference(values)
+        for key in new:
             values[key] = value_of(key)
-        yield table.columns[c], keys, distinct, values
+        yield table.columns[c], keys, distinct, new
 
 
-def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> str:
+def _pair_tail(cell: Cell) -> str:
+    """A cell's ``value)`` in its ``(header,value)`` pair."""
+    return quote_if_needed(format_cell(cell)) + ")"
+
+
+def linearize_rows(table: Table, column_subset: set[int] | frozenset[int], tails: dict | None = None) -> str:
     """Render every row as ``Row{i}: (header,value), ...`` over a column subset.
 
     Rows keep table order and are joined by single spaces; a zero-row table
-    linearizes to the empty string.
+    linearizes to the empty string.  ``tails`` is the stage's memo of each
+    cell key's ``value)`` text (see ``_walk``).
     """
+    tails = {} if tails is None else tails
     per_column = []
-    for header, keys, _, values in _walk(
-        table, column_subset, lambda cell: quote_if_needed(format_cell(cell)) + ")"
-    ):
+    for header, keys, _, _ in _walk(table, column_subset, _pair_tail, tails):
         head = "(" + quote_if_needed(header) + ","
-        per_column.append(list(map(head.__add__, map(values.__getitem__, keys))))
+        per_column.append(list(map(head.__add__, map(tails.__getitem__, keys))))
     return " ".join([f"Row{i}: {', '.join(pairs)}" for i, pairs in enumerate(zip(*per_column))])
 
 
@@ -245,7 +264,8 @@ def _quoted_runs(cell: Cell) -> int:
     return len(("x" + quote_if_needed(cell) + "x").split()) - 1
 
 
-def row_token_counts(table: Table, column_subset: set[int] | frozenset[int]) -> list[int]:
+def row_token_counts(table: Table, column_subset: set[int] | frozenset[int],
+                     runs: dict | None = None) -> list[int]:
     """``count_tokens`` of each row's ``Row{i}: ...`` text in
     ``linearize_rows(table, column_subset)``, without rendering.
 
@@ -253,12 +273,17 @@ def row_token_counts(table: Table, column_subset: set[int] | frozenset[int]) -> 
     one word plus one for each whitespace run inside its quoted header
     ``qh`` or value ``qv``; each row adds one for its ``Row{i}:`` anchor.
     Quoting can split a run (``"see Row3:" "x"``), so the runs counted are
-    those of the quoted texts.
+    those of the quoted texts.  ``runs`` is the stage's memo of
+    ``_quoted_runs`` per cell key and header (see ``_walk``).
     """
+    runs = {} if runs is None else runs
     fixed = 1
     per_column = []
-    for header, keys, distinct, runs in _walk(table, column_subset, _quoted_runs):
-        fixed += 1 + _quoted_runs(header)
+    for header, keys, distinct, _ in _walk(table, column_subset, _quoted_runs, runs):
+        head = runs.get(header)
+        if head is None:  # a header is text, and as a cell key it formats as itself
+            head = runs[header] = _quoted_runs(header)
+        fixed += 1 + head
         if any(map(runs.__getitem__, distinct)):  # most columns hold no whitespace
             per_column.append(list(map(runs.__getitem__, keys)))
     if not per_column:
@@ -266,19 +291,20 @@ def row_token_counts(table: Table, column_subset: set[int] | frozenset[int]) -> 
     return [fixed + sum(row) for row in zip(*per_column)]
 
 
-def table_row_token_counts(table: Table) -> list[int]:
+def table_row_token_counts(table: Table, runs: dict | None = None) -> list[int]:
     """``row_token_counts`` over all of the table's columns: each row's
     word count in the whole table linearized; ``[]`` without columns, whose
     linearization is the empty text."""
     if table.n_columns == 0:
         return []
-    return row_token_counts(table, frozenset(range(table.n_columns)))
+    return row_token_counts(table, frozenset(range(table.n_columns)), runs)
 
 
 def row_tokens(
     table: Table,
     column_subset: set[int] | frozenset[int],
     encode: Callable[[str], Sequence],
+    ids: dict | None = None,
 ) -> list[tuple]:
     """``tuple(encode(text))`` of each row's linearization without its ``Row{i}:``
     anchor, without rendering: the row policy's candidates.
@@ -287,26 +313,40 @@ def row_tokens(
     character outside ``[a-z0-9]``, like ``policy.tokenize``.  Quoting and
     the ``(``, ``,``, ``)``, ``, `` separators then never join or split a
     token, so a row's tokens are ``encode(header) + encode(value)`` over its
-    columns, and each header and distinct cell is encoded once.
+    columns.  ``ids`` is the memo of ``tuple(encode(text))`` per cell key
+    and header (see ``_walk``); it holds one ``encode``'s ids only, so it
+    belongs to that ``encode`` (``policy.Vocabulary.cell_ids``).
     """
-    per_column = []
-    for header, keys, distinct, values in _walk(
-        table, column_subset, lambda cell: encode(format_cell(cell))
-    ):
-        head = encode(header)
-        pairs = {key: head + values[key] for key in distinct}
-        per_column.append(list(map(pairs.__getitem__, keys)))
-    return [tuple(chain.from_iterable(row)) for row in zip(*per_column)]
+    ids = {} if ids is None else ids
+
+    def encode_cell(cell: Cell) -> tuple:
+        return tuple(encode(format_cell(cell)))
+
+    rows: list[tuple] = []
+    for header, keys, distinct, _ in _walk(table, column_subset, encode_cell, ids):
+        head = ids.get(header)
+        if head is None:  # as in row_token_counts
+            head = ids[header] = tuple(encode(header))
+        pairs = {key: head + ids[key] for key in distinct}
+        column = map(pairs.__getitem__, keys)
+        rows = list(map(add, rows, column)) if rows else list(column)  # column by column
+    return rows
 
 
-def row_vocabulary_texts(table: Table, column_subset: set[int] | frozenset[int]) -> list[str]:
+def row_vocabulary_texts(table: Table, column_subset: set[int] | frozenset[int],
+                         texts: dict | None = None) -> list[str]:
     """Texts whose tokens are those of the subset's rows (see ``row_tokens``):
-    each header and each distinct formatted cell; none without rows."""
+    each header and each distinct formatted cell; none without rows.
+    ``texts`` is the memo of ``format_cell`` per cell key (see ``_walk``);
+    kept over many tables, it makes a cell text come once, from the first
+    table with rows that holds it."""
+    texts = {} if texts is None else texts
     headers: list[str] = []
-    values: dict = {}
-    for header, _, _, values in _walk(table, column_subset, format_cell):
+    cells: list[str] = []
+    for header, _, _, new in _walk(table, column_subset, format_cell, texts):
         headers.append(header)
-    return headers + list(values.values()) if table.rows else []
+        cells.extend(map(texts.__getitem__, new))
+    return headers + cells if table.rows else []
 
 
 def build_column_prompt(question: str, table: Table) -> str:

@@ -5,10 +5,12 @@ over an already-reduced column set (gold columns by default, predicted ones
 when chaining stages).  Rows are never rendered for the policy: their token
 ids and the row vocabulary come from each header and distinct cell
 (``tables.row_tokens``, ``tables.row_vocabulary_texts``) and equal those of
-the rendered rows.  Greedy reductions go through ``policy.greedy_decode``,
-which steps many encoded instances together; recall is ``greedy_recall``
-over instances encoded once (``labeled_encodings``), as training does at
-every evaluation.
+the rendered rows.  Each distinct cell is tokenized once per vocabulary
+(``Vocabulary.cell_ids``) and its text taken once per ``build_vocab``.
+Greedy reductions go through ``policy.greedy_decode``, which steps many
+encoded instances together; recall is ``greedy_recall`` over instances
+encoded once (``labeled_encodings``), as training does at every
+evaluation.
 """
 
 from __future__ import annotations
@@ -65,13 +67,14 @@ def trainable(instances: Sequence[Instance], target: str) -> list[Instance]:
 def build_vocab(instances: Sequence[Instance], target: str) -> policy.Vocabulary:
     """Vocabulary of the questions and of the candidates' texts."""
     check_target(target)
-    texts: list[str] = []
+    texts: set[str] = set()
+    cells: dict = {}  # one memo over all instances: each cell text comes once
     for inst in instances:
-        texts.append(inst.question)
+        texts.add(inst.question)
         if target == TARGET_COLUMNS:
-            texts.extend(inst.table.columns)
+            texts.update(inst.table.columns)
         else:
-            texts.extend(row_vocabulary_texts(inst.table, _row_context(inst, None)))
+            texts.update(row_vocabulary_texts(inst.table, _row_context(inst, None), cells))
     return policy.build_vocabulary(texts)
 
 
@@ -85,7 +88,7 @@ def encode(
     (headers, or rows over ``context_columns``, else the gold columns)."""
     if check_target(target) == TARGET_COLUMNS:
         return policy.encode_instance(vocab, instance.question, instance.table.columns)
-    rows = row_tokens(instance.table, _row_context(instance, context_columns), vocab.encode)
+    rows = row_tokens(instance.table, _row_context(instance, context_columns), vocab.encode, vocab.cell_ids)
     return policy.EncodedInstance(vocab.encode(instance.question), tuple(rows))
 
 

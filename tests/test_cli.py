@@ -166,6 +166,49 @@ class TestSynthAndAnnotate:
         ]) == 0
         assert capsys.readouterr().err.strip().split("\n") == [f"warning: {data}:1: {message}"]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.update(columns=[1, *t["columns"][1:]]), "table column 0 is a int, not a string"),
+            (lambda t: t.update(columns=[*t["columns"][:-1], None]), "table column {last} is a NoneType, not a string"),
+            (lambda t: t.update(columns="".join(h[0] for h in t["columns"])), "table columns are a str, not a list"),
+            (lambda t: t.update(rows=[t["rows"][0], "xy"]), "table row 1 is a str, not a list"),
+            (lambda t: t.update(rows=[dict(zip(t["columns"], t["rows"][0]))]), "table row 0 is a dict, not a list"),
+        ],
+        ids=["int-header", "null-header", "string-headers", "string-row", "object-row"],
+    )
+    def test_malformed_table_shape_is_one_load_warning(self, tmp_path, capsys, edit, message):
+        """A line whose headers are not a list of strings, or whose rows are
+        not lists, is skipped with one warning by ``annotate`` and by
+        ``sft --target rows``, never taken apart into characters or keys."""
+        raw = tmp_path / "raw.jsonl"
+        assert run(synth_config_args(40, raw) + ["--no-annotate"]) == 0
+
+        def with_bad_first_line(source, out):
+            lines = source.read_text().splitlines()
+            bad = json.loads(lines[0])
+            edit(bad["table"])
+            out.write_text("\n".join([json.dumps(bad), *lines]) + "\n")
+            return message.format(last=len(bad["table"]["columns"]) - 1)
+
+        edited = tmp_path / "edited.jsonl"
+        expected = with_bad_first_line(raw, edited)
+        annotated = tmp_path / "annotated.jsonl"
+        capsys.readouterr()
+        assert run(["annotate", "--in", str(edited), "--out", str(annotated)]) == 0
+        assert capsys.readouterr().err.strip().split("\n") == [f"warning: {edited}:1: {expected}"]
+        assert len(annotated.read_text().splitlines()) == 40
+
+        data = tmp_path / "data.jsonl"
+        expected = with_bad_first_line(annotated, data)
+        cfg = tmp_path / "sft.json"
+        cfg.write_text(json.dumps({"epochs": 1}))
+        assert run([
+            "sft", "--data", str(data), "--target", "rows", "--out", str(tmp_path / "sft"),
+            "--config", str(cfg), "--dim", "8",
+        ]) == 0
+        assert capsys.readouterr().err.strip().split("\n") == [f"warning: {data}:1: {expected}"]
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = run(["annotate", "--in", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "o.jsonl")])
@@ -378,7 +421,7 @@ class TestEvalAndReduce:
         bucketed = tmp_path / "bucketed.json"
         assert run(argv + ["--report", str(bucketed), "--buckets", "0,40"]) == 0
 
-        def refuse(table, column_subset):
+        def refuse(table, column_subset, runs=None):
             raise AssertionError("eval-reduce counted tokens")
 
         replace_token_counter(monkeypatch, refuse)
@@ -610,9 +653,9 @@ class TestQaAndReport:
         root, data, _ = pipeline
         counted = []
 
-        def counter(table, column_subset):
+        def counter(table, column_subset, runs=None):
             counted.append(table)
-            return original(table, column_subset)
+            return original(table, column_subset, runs)
 
         original = tables.row_token_counts
         replace_token_counter(monkeypatch, counter)
@@ -621,6 +664,41 @@ class TestQaAndReport:
         assert run(["qa", "--data", str(data), "--out", str(answers), "--context", "full", *backend]) == 0
         instances, _ = dataio.load_dataset(data)
         assert counted == [inst.table for inst in instances]
+
+    def test_qa_judges_each_distinct_cell_once_per_stage(self, pipeline, tmp_path, monkeypatch):
+        """``qa --mock`` calls each per-cell function once per distinct cell
+        key (and, for the counts, header) over the whole stage, though most
+        keys recur across its tables; a second stage in the same process
+        calls them as often again, so no memo outlives its stage."""
+        root, data, _ = pipeline
+        calls = {"runs": [], "read": []}
+        original = {"runs": tables._quoted_runs, "read": llm._read_back}
+
+        def counting(name):
+            def judge(cell):
+                calls[name].append(cell)
+                return original[name](cell)
+            return judge
+
+        monkeypatch.setattr(tables, "_quoted_runs", counting("runs"))
+        monkeypatch.setattr(llm, "_read_back", counting("read"))
+        argv = ["qa", "--data", str(data), "--out", str(tmp_path / "answers.jsonl"),
+                "--mock", "--budget", "100000", "--context", "full"]
+        instances, _ = dataio.load_dataset(data)
+        per_table = [{tables.format_cell(c) if type(c) is bool else c for row in inst.table.rows for c in row}
+                     for inst in instances]
+        cells = set().union(*per_table)
+        headers = {h for inst in instances for h in inst.table.columns}
+        assert sum(map(len, per_table)) > 5 * len(cells)
+        made = []
+        for _ in range(2):
+            for judged in calls.values():
+                judged.clear()
+            assert run(argv) == 0
+            assert len(calls["read"]) == len(cells) and set(calls["read"]) == cells
+            assert len(calls["runs"]) == len(cells | headers) and set(calls["runs"]) == cells | headers
+            made.append({name: len(judged) for name, judged in calls.items()})
+        assert made[0] == made[1]
 
     def test_relevance_outside_table_is_a_load_warning(self, pipeline, tmp_path, capsys):
         root, data, sft_dir = pipeline

@@ -114,6 +114,47 @@ class TestRoundTrip:
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"columns": [1, "b"], "rows": [[1, 2]]}, "table column 0 is a int, not a string"),
+            ({"columns": ["a", None], "rows": [[1, 2]]}, "table column 1 is a NoneType, not a string"),
+            ({"columns": "ab", "rows": [[1, 2]]}, "table columns are a str, not a list"),
+            ({"columns": {"a": 1, "b": 2}, "rows": [[1, 2]]}, "table columns are a dict, not a list"),
+            ({"columns": ["a", "b"], "rows": [[1, 2], "xy"]}, "table row 1 is a str, not a list"),
+            ({"columns": ["a", "b"], "rows": [{"a": 1, "b": 2}]}, "table row 0 is a dict, not a list"),
+            ({"columns": ["a", "b"], "rows": [[1, 2], None]}, "table row 1 is a NoneType, not a list"),
+            ({"columns": ["a", "b"], "rows": "xy"}, "table rows are a str, not a list"),
+        ],
+        ids=["int-header", "null-header", "string-headers", "object-headers", "string-row",
+             "object-row", "null-row", "string-rows"],
+    )
+    def test_malformed_table_shape_reported(self, tmp_path, table, message):
+        """Headers that are not a list of strings and rows that are not lists
+        are refused, not read as their characters or keys."""
+        record = instance_to_record(sample_instance())
+        bad = {**record, "table": table}
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            record_to_instance(bad)
+        path = tmp_path / "d.jsonl"
+        good = json.dumps(record)
+        path.write_text(good + "\n" + json.dumps(bad) + "\n" + good + "\n")
+        loaded, errors = load_dataset(path)
+        assert len(loaded) == 2
+        assert [(e.line, e.message) for e in errors] == [(2, message)]
+
+    def test_record_hands_row_tuples_to_json(self):
+        """The record keeps the table's row tuples; ``json`` writes them as
+        the arrays the lists of each row once were, and the record reads
+        back in process as well."""
+        table = make_table(["a", "b", "c"], [[True, None, -0.0], [False, 1.5, 0.0], [1e20, "x y", 10**20]])
+        inst = Instance(id="t", question="q?", table=table, answers=("1",))
+        record = instance_to_record(inst)
+        assert record["table"]["rows"] is table.rows
+        as_lists = {**record, "table": {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}}
+        assert json.dumps(record) == json.dumps(as_lists)
+        assert record_to_instance(record) == inst == record_to_instance(json.loads(json.dumps(record)))
+
     def test_scalar_cells_accepted(self):
         record = instance_to_record(sample_instance())
         rows = [[True, "x"], [False, None], [1.5, -0.0]]

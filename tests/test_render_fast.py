@@ -1,8 +1,9 @@
 """Differential tests: the one-pass table renderer against the per-row code
 it replaced; the row token ids, row vocabulary and token counts taken from
 each column's distinct cells against the same oracle renderings, tokenized
-and counted; and the mock reader's visible table against the per-character
-parse of the rendered QA prompt that it replaced.
+and counted; the mock reader's visible table against the per-character
+parse of the rendered QA prompt that it replaced; and walks that share one
+memo over a stage's tables against fresh walks of each table.
 
 The oracles below are that code, kept as it was apart from the quoting rule:
 ``"`` is quoted as well as ``,``, ``(`` and ``)``, which is the bug fix that
@@ -26,6 +27,7 @@ from tabreduce.tables import (
     format_cell,
     linearize_rows,
     project,
+    row_token_counts,
     row_tokens,
     row_vocabulary_texts,
     table_row_token_counts,
@@ -359,3 +361,80 @@ def test_visible_table_matches_oracle(seed):
             assert same_table(
                 visible_table(question, context, budget), oracle_parse_prompt_table(prompt, budget)
             ), (prompt, budget)
+
+
+# ---------------------------------------------------------------------------
+# Stage memos
+
+# keys equal across types (1, 1.0 and True's text "true"; 0, -0.0 and
+# False's "false"), null beside the empty string, and texts that quoting or
+# anchors change
+COLLIDING = [1, 1.0, True, "true", 0, -0.0, 0.0, False, "false", None, "", "1", "0", 10**20, 1e20,
+             2.5, math.nan, 'say "hi"', "x, y", "(p)", "see Row3: x", "Row1:", "a b", "  lead"]
+
+
+def colliding_table(rng):
+    n_cols = rng.randint(1, 4)
+    headers = tuple(rng.choice(["v", "true", "a b", "x, y", "Row2: h"]) + str(c) for c in range(n_cols))
+    rows = tuple(tuple(rng.choice(COLLIDING) for _ in range(n_cols)) for _ in range(rng.randint(0, 6)))
+    return Table(headers, rows)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stage_memos_match_fresh_walks(seed):
+    """Each per-cell function's memo kept over a batch of tables, as a stage
+    keeps it, gives every table what a walk with a fresh memo gives, and
+    what the oracle renders."""
+    rng = random.Random(5000 + seed)
+    batch = [(table, random_subset(rng, table.n_columns))
+             for table in (colliding_table(rng) for _ in range(60))]
+    vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
+    runs, tails, ids, texts, read = {}, {}, {}, {}, {}
+    shared_texts, fresh_texts = set(), set()
+    for table, cols in batch:
+        assert linearize_rows(table, cols, tails) == linearize_rows(table, cols) == oracle_linearize(table, cols)
+        assert row_token_counts(table, cols, runs) == row_token_counts(table, cols) == [
+            count_tokens(f"Row{i}: {oracle_row_pairs(table, row, sorted(cols))}")
+            for i, row in enumerate(table.rows)
+        ]
+        assert row_tokens(table, cols, vocab.encode, ids) == row_tokens(table, cols, vocab.encode) == [
+            vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
+        ]
+        counts = table_row_token_counts(table, runs)
+        assert counts == table_row_token_counts(table)
+        for budget in (12, 10**6):
+            assert same_table(
+                llm._visible_table("q?", table, counts, budget, read),
+                llm._visible_table("q?", table, counts, budget),
+            )
+        shared_texts.update(row_vocabulary_texts(table, cols, texts))
+        fresh_texts.update(row_vocabulary_texts(table, cols))
+    assert shared_texts == fresh_texts
+    rows = [oracle_row_pairs(table, row, sorted(cols)) for table, cols in batch for row in table.rows]
+    assert policy.build_vocabulary(shared_texts) == policy.build_vocabulary(rows)
+    instances = [Instance(id=str(k), question="q?", table=table, relevant_columns=cols)
+                 for k, (table, cols) in enumerate(batch)]
+    assert [metrics.full_context_tokens(inst, runs) for inst in instances] == [
+        count_tokens(oracle_linearize(table, range(table.n_columns))) for table, _ in batch
+    ]
+    assert tasks.build_vocab(instances, "rows") == policy.build_vocabulary(["q?", *rows])
+
+
+def test_vocabularies_never_share_cell_ids():
+    """Each vocabulary keeps its own memo of cell token ids: vocabularies
+    built one after another, each dropped before the next is built (so one
+    may take a dropped one's address), encode the same rows by their own
+    ids."""
+    table = Table(("city", "n"), (("athens", 1), ("beijing", 2), ("athens", True)))
+    inst = Instance(id="i", question="which city?", table=table, relevant_columns=frozenset({0, 1}))
+    rows = [oracle_row_pairs(table, row, [0, 1]) for row in table.rows]
+    words = ["which", "city", "athens", "beijing", "n", "1", "2", "true", "x", "y"]
+    rng = random.Random(7)
+    for _ in range(40):
+        vocab = policy.build_vocabulary(rng.sample(words, rng.randint(1, len(words))))
+        assert not vocab.cell_ids
+        assert tasks.encode(vocab, inst, "rows") == policy.encode_instance(vocab, "which city?", rows)
+        assert tasks.encode(vocab, inst, "rows") == policy.encode_instance(vocab, "which city?", rows)
+        del vocab
+    first, second = policy.build_vocabulary(["city athens"]), policy.build_vocabulary(["city athens"])
+    assert first == second and first.cell_ids is not second.cell_ids

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from tabreduce.errors import EmptySelectionError
@@ -63,6 +67,27 @@ class TestTableInvariants:
         table = olympics()
         assert table.column_index(" YEAR ") == 0
         assert table.column_index("nope") is None
+
+    def test_column_index_matches_loop(self):
+        """The headers folded once per table resolve every name as the loop
+        that folded them on each call did, the first of several headers that
+        fold alike included (a table built directly may hold those)."""
+
+        def oracle_column_index(table, name):
+            key = name.strip().lower()
+            for i, header in enumerate(table.columns):
+                if header.strip().lower() == key:
+                    return i
+            return None
+
+        pool = ["year", " Year", "YEAR ", "city", "City", "a b", " a b ", "", " ", "\tx", "X", "İ", "i̇"]
+        rng = random.Random(0)
+        for _ in range(300):
+            table = Table(tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))), ())
+            for name in pool + ["nope"]:
+                assert table.column_index(name) == oracle_column_index(table, name), (table.columns, name)
+        twice = Table((" Year", "year ", "CITY", "city"), ())
+        assert [twice.column_index(n) for n in ("year", "YEAR", "city", " City ")] == [0, 0, 2, 2]
 
 
 class TestProject:
@@ -188,6 +213,26 @@ def test_fingerprint_distinguishes_content():
     t2 = make_table(["year", "city"], [[2004, "Athens"]])
     assert table_fingerprint(t1) == table_fingerprint(olympics())
     assert table_fingerprint(t1) != table_fingerprint(t2)
+
+
+def test_fingerprint_matches_list_oracle():
+    """Rows go to ``json`` as tuples; the hash is that of the lists the
+    fingerprint once built, for bools, nulls, ``-0.0`` and floats too."""
+
+    def oracle_fingerprint(table):
+        doc = {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha1(blob.encode("utf-8")).hexdigest()
+
+    tables = [
+        olympics(),
+        make_table(["a", "b", "c"], [[True, None, -0.0], [False, 1.5, 0.0], [1e20, "x y", 10**20]]),
+        make_table(["n"], [[0.1], [-2.5e-7], [float("inf")], [1.0], [""]]),
+        make_table(["empty"], []),
+    ]
+    for table in tables:
+        assert table_fingerprint(table) == oracle_fingerprint(table)
+    assert len({table_fingerprint(t) for t in tables}) == len(tables)
 
 
 def test_instance_carries_annotations():
