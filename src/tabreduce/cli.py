@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from . import __version__, annotate as annotate_mod, dataio, llm, metrics, policy, tasks, training
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Reduction, Table, linearize_rows, project, table_row_token_counts
+from .tables import Reduction, Table, linearize_tables, project, table_row_token_counts_many
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -338,29 +338,21 @@ def cmd_qa(args) -> int:
     manifest = Manifest("qa", vars(args), args.out)
     instances = _load_instances(args.data)
     contexts = [_context_for(inst, args.context) for inst in instances]
-    # each per-cell memo lives for this stage only (see tables._walk)
-    runs: dict = {}
-    row_counts = [table_row_token_counts(context, runs) for context in contexts]
+    row_counts = table_row_token_counts_many(contexts)
     if args.mock:
-        mock_cfg = llm.MockLlmConfig(budget_tokens=args.budget)
-        read: dict = {}
-        answers = []
-        for inst, context, counts in zip(instances, contexts, row_counts):
+        for inst in instances:
             if inst.sql is None:
                 raise ConfigError(f"mock mode needs gold sql (instance {inst.id})")
-            answers.append(
-                llm.mock_complete(inst.question, context, counts, mock_cfg, inst.sql, inst.answers, read)
-            )
+        answers = llm.mock_complete_many(
+            [(inst.question, context, counts, inst.sql, inst.answers)
+             for inst, context, counts in zip(instances, contexts, row_counts)],
+            llm.MockLlmConfig(budget_tokens=args.budget),
+        )
     else:
         cfg = llm.LlmConfig(endpoint=args.endpoint, model=args.model)
-        tails: dict = {}
         prompts = [
-            [("user", llm.QA_PROMPT_TEMPLATE.format(
-                question=inst.question,
-                context=linearize_rows(context, frozenset(range(context.n_columns)), tails)
-                if context.n_columns else "",
-            ))]
-            for inst, context in zip(instances, contexts)
+            [("user", llm.QA_PROMPT_TEMPLATE.format(question=inst.question, context=context))]
+            for inst, context in zip(instances, linearize_tables(contexts))
         ]
         answers = [a.strip() for a in llm.complete_many(prompts, cfg, max_in_flight=args.jobs)]
     records = [

@@ -62,12 +62,12 @@ def _check_shape(columns, rows) -> None:
     into its characters or keys.  Each check is one pass over the types."""
     if type(columns) not in _ARRAYS:
         raise TypeError(f"table columns are a {type(columns).__name__}, not a list")
-    if not set(map(type, columns)) <= _STRINGS:
+    if not _STRINGS.issuperset(map(type, columns)):
         j, header = next((j, h) for j, h in enumerate(columns) if type(h) is not str)
         raise TypeError(f"table column {j} is a {type(header).__name__}, not a string")
     if type(rows) not in _ARRAYS:
         raise TypeError(f"table rows are a {type(rows).__name__}, not a list")
-    if not set(map(type, rows)) <= _ARRAYS:
+    if not _ARRAYS.issuperset(map(type, rows)):
         i, row = next((i, row) for i, row in enumerate(rows) if type(row) not in _ARRAYS)
         raise TypeError(f"table row {i} is a {type(row).__name__}, not a list")
 

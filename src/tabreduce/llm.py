@@ -14,7 +14,8 @@ with the per-row word counts of that text that the caller already holds
 ``Row{i}: (header,value)`` text fits its token budget after the prompt's
 preamble - truncating trailing rows the way a context-window-limited model
 effectively would - and reads each visible cell as it would come back from
-that text (``1.0`` as ``1``, ``true`` as text, null as None).  It then
+that text (``1.0`` as ``1``, ``true`` as text, null as None), each distinct
+cell once over all the questions of ``mock_complete_many``.  It then
 executes the instance's gold SQL over the visible rows and answers
 correctly exactly when they still support the query.  The truncation here
 is the only token-budget truncation in the package.
@@ -32,7 +33,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import sql as sql_mod
 from .errors import ConfigError
@@ -282,23 +283,25 @@ def _parse_cell(text: str):
 
 
 def _read_back(cell):
-    """The cell as the reader gets it back from its rendered text."""
+    """The cell as the reader gets it back from its rendered text; an int
+    comes back as itself."""
+    if type(cell) is int:
+        return cell
     return _parse_cell(format_cell(cell))
 
 
 def _visible_table(question: str, table: Table, row_counts: Sequence[int], budget_tokens: int,
-                   read: dict | None = None) -> Table | None:
+                   read: dict) -> Table | None:
     """The part of a context table the mock reader sees: the longest row
     prefix whose text fits the budget together with the prompt's preamble,
     each cell read back as from the rendered text (headers as they are).
     ``row_counts`` is ``tables.table_row_token_counts(table)``, and ``read``
-    the stage's memo of ``_read_back`` per cell key (see ``tables._walk``).
-    None when no row with a column fits."""
+    the memo of ``_read_back`` per cell key (see ``tables._walk``).  None
+    when no row with a column fits."""
     room = budget_tokens - count_tokens(QA_PROMPT_TEMPLATE.format(question=question, context=""))
     n_visible = bisect_right(list(accumulate(row_counts)), room)
     if n_visible == 0:
         return None
-    read = {} if read is None else read
     columns = frozenset(range(table.n_columns))
     visible = Table(table.columns, table.rows[:n_visible])
     per_column = [
@@ -317,9 +320,11 @@ def mock_complete(
     read: dict | None = None,
 ) -> str:
     """Answer by executing the gold SQL over the visible part of the
-    context table, whose per-row token counts are ``row_counts``; ``read``
-    is the stage's memo of read-back cells (see ``_visible_table``)."""
-    visible = _visible_table(question, table, row_counts, cfg.budget_tokens, read)
+    context table, whose per-row token counts are ``row_counts`` (see
+    ``_visible_table``).  ``read`` is the memo of read-back cells that
+    ``mock_complete_many`` keeps over its questions; a question asked on
+    its own reads with a memo of its own."""
+    visible = _visible_table(question, table, row_counts, cfg.budget_tokens, {} if read is None else read)
     if visible is None:
         return "unknown"
     try:
@@ -330,3 +335,17 @@ def mock_complete(
     if sql_mod.answers_match(result, list(gold_answers)):
         return ", ".join(gold_answers)
     return "unknown"
+
+
+def mock_complete_many(
+    requests: Iterable[tuple[str, Table, Sequence[int], str, Sequence[str]]],
+    cfg: MockLlmConfig,
+) -> list[str]:
+    """``mock_complete`` of each ``(question, table, row_counts, gold_sql,
+    gold_answers)``, reading each distinct cell back once per call (see
+    ``tables._walk``)."""
+    read: dict = {}
+    return [
+        mock_complete(question, table, row_counts, cfg, gold_sql, gold_answers, read)
+        for question, table, row_counts, gold_sql, gold_answers in requests
+    ]

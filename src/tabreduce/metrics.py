@@ -3,8 +3,8 @@
 An instance's length is the whitespace token count of its whole table
 linearized: the sum of ``tables.table_row_token_counts``, which counts from
 the table's headers and distinct cells without rendering the text.  Only
-a bucketed report counts it, with one memo over all of its instances, so
-each distinct cell is judged once per report.
+a bucketed report counts it, each distinct cell once over all of its
+instances.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ def report_to_dict(report: RecallReport) -> dict:
 
 def full_context_tokens(instance: Instance, runs: dict | None = None) -> int:
     """Token count of the instance's whole table, linearized (0 without
-    columns); ``runs`` is the memo of ``tables.row_token_counts``."""
+    columns); ``runs`` is the memo of ``bucket_by_length`` (see
+    ``tables.table_row_token_counts``)."""
     return sum(table_row_token_counts(instance.table, runs))
 
 
@@ -150,7 +151,7 @@ def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> li
 
 
 def bucket_by_length(instances: Sequence[Instance], boundaries: Sequence[int]) -> list[int]:
-    runs: dict = {}
+    runs: dict = {}  # each distinct cell counted once over the instances (see tables._walk)
     return assign_buckets([full_context_tokens(inst, runs) for inst in instances], boundaries)
 
 

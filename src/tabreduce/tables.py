@@ -13,9 +13,12 @@ its cells (``_walk``): the rendered text (``linearize_rows``), each row's
 token count (``row_token_counts``), each row's tokens (``row_tokens``) and
 the texts of the row vocabulary (``row_vocabulary_texts``).  Only the
 first renders rows; the others work from each header and distinct cell
-alone.  Each takes a memo of its per-cell function that its caller keeps
-over one stage's tables, so a stage handles each distinct cell once, not
-once per table; without one, a call keeps its own.
+alone.  A walk fills a memo of its per-cell function that outlives it, so
+that a stage judges each distinct cell once, not once per table: the calls
+that walk many tables (``linearize_tables``, ``table_row_token_counts_many``,
+``row_vocabulary_texts``, ``metrics.bucket_by_length``,
+``llm.mock_complete_many``) keep one over them, and a vocabulary keeps its
+own for ``row_tokens`` (``policy.Vocabulary.cell_ids``).
 ``table_row_token_counts`` gives the counts of a whole table, the one
 count behind QA contexts and length buckets.  The mock reader of ``llm``
 reads its visible rows back from the same walk.
@@ -27,8 +30,9 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from operator import add, itemgetter
-from typing import Callable, Iterator, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import EmptySelectionError
 
@@ -76,8 +80,8 @@ class Table:
 
     def _fold(self) -> dict[str, int]:
         """Each header's index under its lowercased, trimmed text, folded on
-        first use only; the first of several headers that fold alike
-        (``validate_table`` refuses those)."""
+        the first ``column_index`` call only; the first of several headers
+        that fold alike (``validate_table`` refuses those)."""
         if self._folded is None:
             folded: dict[str, int] = {}
             for i, header in enumerate(self.columns):
@@ -101,10 +105,12 @@ def validate_table(table: Table) -> None:
     """Enforce the ingestion invariants: >= 1 column, unique headers."""
     if table.n_columns < 1:
         raise ValueError("table needs at least one column")
-    folded = table._fold()
-    if len(folded) < table.n_columns:
-        header = next(h for i, h in enumerate(table.columns) if folded[h.strip().lower()] != i)
-        raise ValueError(f"duplicate header (case-insensitive): {header!r}")
+    seen: set[str] = set()
+    for header in table.columns:
+        key = header.strip().lower()
+        if key in seen:
+            raise ValueError(f"duplicate header (case-insensitive): {header!r}")
+        seen.add(key)
 
 
 def table_fingerprint(table: Table) -> str:
@@ -205,6 +211,10 @@ def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int
     return sorted(column_subset)
 
 
+# In a memo of ``_walk`` once a walk has found a key in it; never a cell key.
+_SAVED = object()
+
+
 def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Callable[[Cell], object],
           values: dict) -> Iterator[tuple[str, list, set, set]]:
     """The one walk over a column subset's cells, columns in table order.
@@ -212,8 +222,12 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
     Yields per column its header, each row's cell key, the column's
     distinct keys and those of them that were not yet in ``values``, after
     putting ``value_of(key)`` into ``values`` for each of those.  ``values``
-    is the caller's memo: one per stage and per ``value_of``, kept over all
-    of the stage's tables, so each distinct key is judged once per stage.
+    is the caller's memo of ``value_of``, which it keeps over all of a
+    stage's tables, so each distinct key is judged once per stage.  It pays
+    only where cells recur across tables, so until a walk finds one of its
+    keys in the memo (``_SAVED``), a walk that finds none empties it once
+    done: over tables that share no cell it holds no more than two tables'
+    keys, and costs what a memo per table would.
 
     A key formats (``format_cell``) as its cells do, and equal keys format
     alike.  A cell is its own key: equal ints and floats format alike (``1``
@@ -224,15 +238,21 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
     formatted text, so whichever of several equal keys, in whichever table,
     filled a memo entry, the entry is right for them all.
     """
+    held, found = bool(values), False
     for c in _columns(table, column_subset):
         keys = list(map(itemgetter(c), table.rows))
         if bool in set(map(type, keys)):
             keys = [format_cell(k) if type(k) is bool else k for k in keys]
         distinct = set(keys)
         new = distinct.difference(values)
+        found = found or len(new) < len(distinct)
         for key in new:
             values[key] = value_of(key)
         yield table.columns[c], keys, distinct, new
+    if found:
+        values[_SAVED] = True
+    elif held and table.rows and _SAVED not in values:
+        values.clear()
 
 
 def _pair_tail(cell: Cell) -> str:
@@ -240,19 +260,30 @@ def _pair_tail(cell: Cell) -> str:
     return quote_if_needed(format_cell(cell)) + ")"
 
 
-def linearize_rows(table: Table, column_subset: set[int] | frozenset[int], tails: dict | None = None) -> str:
-    """Render every row as ``Row{i}: (header,value), ...`` over a column subset.
-
-    Rows keep table order and are joined by single spaces; a zero-row table
-    linearizes to the empty string.  ``tails`` is the stage's memo of each
-    cell key's ``value)`` text (see ``_walk``).
-    """
-    tails = {} if tails is None else tails
+def _render(table: Table, column_subset: set[int] | frozenset[int], tails: dict) -> str:
+    """``linearize_rows`` with ``tails`` the memo of ``_pair_tail`` (see ``_walk``)."""
     per_column = []
     for header, keys, _, _ in _walk(table, column_subset, _pair_tail, tails):
         head = "(" + quote_if_needed(header) + ","
         per_column.append(list(map(head.__add__, map(tails.__getitem__, keys))))
     return " ".join([f"Row{i}: {', '.join(pairs)}" for i, pairs in enumerate(zip(*per_column))])
+
+
+def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> str:
+    """Render every row as ``Row{i}: (header,value), ...`` over a column subset.
+
+    Rows keep table order and are joined by single spaces; a zero-row table
+    linearizes to the empty string.
+    """
+    return _render(table, column_subset, {})
+
+
+def linearize_tables(tables: Sequence[Table]) -> list[str]:
+    """``linearize_rows`` of each table over all of its columns (the empty
+    text without columns), rendering each distinct cell once per call (see
+    ``_walk``)."""
+    tails: dict = {}
+    return [_render(t, frozenset(range(t.n_columns)), tails) if t.n_columns else "" for t in tables]
 
 
 def _quoted_runs(cell: Cell) -> int:
@@ -264,8 +295,7 @@ def _quoted_runs(cell: Cell) -> int:
     return len(("x" + quote_if_needed(cell) + "x").split()) - 1
 
 
-def row_token_counts(table: Table, column_subset: set[int] | frozenset[int],
-                     runs: dict | None = None) -> list[int]:
+def row_token_counts(table: Table, column_subset: set[int] | frozenset[int], runs: dict) -> list[int]:
     """``count_tokens`` of each row's ``Row{i}: ...`` text in
     ``linearize_rows(table, column_subset)``, without rendering.
 
@@ -273,10 +303,9 @@ def row_token_counts(table: Table, column_subset: set[int] | frozenset[int],
     one word plus one for each whitespace run inside its quoted header
     ``qh`` or value ``qv``; each row adds one for its ``Row{i}:`` anchor.
     Quoting can split a run (``"see Row3:" "x"``), so the runs counted are
-    those of the quoted texts.  ``runs`` is the stage's memo of
-    ``_quoted_runs`` per cell key and header (see ``_walk``).
+    those of the quoted texts.  ``runs`` is the memo of ``_quoted_runs`` per
+    cell key and header (see ``_walk``), ``{}`` for a table on its own.
     """
-    runs = {} if runs is None else runs
     fixed = 1
     per_column = []
     for header, keys, distinct, _ in _walk(table, column_subset, _quoted_runs, runs):
@@ -294,17 +323,26 @@ def row_token_counts(table: Table, column_subset: set[int] | frozenset[int],
 def table_row_token_counts(table: Table, runs: dict | None = None) -> list[int]:
     """``row_token_counts`` over all of the table's columns: each row's
     word count in the whole table linearized; ``[]`` without columns, whose
-    linearization is the empty text."""
+    linearization is the empty text.  ``runs`` is the memo that a caller
+    counting many tables keeps over them (``table_row_token_counts_many``,
+    ``metrics.bucket_by_length``); a table counted on its own gets its own."""
     if table.n_columns == 0:
         return []
-    return row_token_counts(table, frozenset(range(table.n_columns)), runs)
+    return row_token_counts(table, frozenset(range(table.n_columns)), {} if runs is None else runs)
+
+
+def table_row_token_counts_many(tables: Sequence[Table]) -> list[list[int]]:
+    """``table_row_token_counts`` of each table, judging each distinct cell
+    and header once per call (see ``_walk``)."""
+    runs: dict = {}
+    return [table_row_token_counts(table, runs) for table in tables]
 
 
 def row_tokens(
     table: Table,
     column_subset: set[int] | frozenset[int],
     encode: Callable[[str], Sequence],
-    ids: dict | None = None,
+    ids: dict,
 ) -> list[tuple]:
     """``tuple(encode(text))`` of each row's linearization without its ``Row{i}:``
     anchor, without rendering: the row policy's candidates.
@@ -317,36 +355,35 @@ def row_tokens(
     and header (see ``_walk``); it holds one ``encode``'s ids only, so it
     belongs to that ``encode`` (``policy.Vocabulary.cell_ids``).
     """
-    ids = {} if ids is None else ids
 
     def encode_cell(cell: Cell) -> tuple:
         return tuple(encode(format_cell(cell)))
 
-    rows: list[tuple] = []
-    for header, keys, distinct, _ in _walk(table, column_subset, encode_cell, ids):
+    parts: list = []  # per column, its header's ids beside each row's cell ids
+    for header, keys, _, _ in _walk(table, column_subset, encode_cell, ids):
         head = ids.get(header)
         if head is None:  # as in row_token_counts
             head = ids[header] = tuple(encode(header))
-        pairs = {key: head + ids[key] for key in distinct}
-        column = map(pairs.__getitem__, keys)
-        rows = list(map(add, rows, column)) if rows else list(column)  # column by column
-    return rows
+        parts += (repeat(head), list(map(ids.__getitem__, keys)))
+    return [tuple(chain.from_iterable(row)) for row in zip(*parts)]
 
 
-def row_vocabulary_texts(table: Table, column_subset: set[int] | frozenset[int],
-                         texts: dict | None = None) -> list[str]:
-    """Texts whose tokens are those of the subset's rows (see ``row_tokens``):
-    each header and each distinct formatted cell; none without rows.
-    ``texts`` is the memo of ``format_cell`` per cell key (see ``_walk``);
-    kept over many tables, it makes a cell text come once, from the first
-    table with rows that holds it."""
-    texts = {} if texts is None else texts
-    headers: list[str] = []
-    cells: list[str] = []
-    for header, _, _, new in _walk(table, column_subset, format_cell, texts):
-        headers.append(header)
-        cells.extend(map(texts.__getitem__, new))
-    return headers + cells if table.rows else []
+def row_vocabulary_texts(subsets: Iterable[tuple[Table, set[int] | frozenset[int]]]) -> list[str]:
+    """Texts whose tokens are those of the rows of each table over its
+    column subset (see ``row_tokens``): each header and each distinct
+    formatted cell of a table with rows, leaving out a cell text that the
+    call's memo (see ``_walk``) holds from an earlier table."""
+    texts: dict = {}
+    out: list[str] = []
+    for table, column_subset in subsets:
+        headers: list[str] = []
+        cells: list[str] = []
+        for header, _, _, new in _walk(table, column_subset, format_cell, texts):
+            headers.append(header)
+            cells.extend(map(texts.__getitem__, new))
+        if table.rows:
+            out += headers + cells
+    return out
 
 
 def build_column_prompt(question: str, table: Table) -> str:

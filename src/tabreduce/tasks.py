@@ -6,7 +6,8 @@ when chaining stages).  Rows are never rendered for the policy: their token
 ids and the row vocabulary come from each header and distinct cell
 (``tables.row_tokens``, ``tables.row_vocabulary_texts``) and equal those of
 the rendered rows.  Each distinct cell is tokenized once per vocabulary
-(``Vocabulary.cell_ids``) and its text taken once per ``build_vocab``.
+(``Vocabulary.cell_ids``) and its text taken once per ``build_vocab``
+(see ``tables._walk``).
 Greedy reductions go through ``policy.greedy_decode``, which steps many
 encoded instances together; recall is ``greedy_recall`` over instances
 encoded once (``labeled_encodings``), as training does at every
@@ -67,14 +68,11 @@ def trainable(instances: Sequence[Instance], target: str) -> list[Instance]:
 def build_vocab(instances: Sequence[Instance], target: str) -> policy.Vocabulary:
     """Vocabulary of the questions and of the candidates' texts."""
     check_target(target)
-    texts: set[str] = set()
-    cells: dict = {}  # one memo over all instances: each cell text comes once
-    for inst in instances:
-        texts.add(inst.question)
-        if target == TARGET_COLUMNS:
-            texts.update(inst.table.columns)
-        else:
-            texts.update(row_vocabulary_texts(inst.table, _row_context(inst, None), cells))
+    texts = [inst.question for inst in instances]
+    if target == TARGET_COLUMNS:
+        texts += [header for inst in instances for header in inst.table.columns]
+    else:
+        texts += row_vocabulary_texts([(inst.table, _row_context(inst, None)) for inst in instances])
     return policy.build_vocabulary(texts)
 
 

@@ -421,7 +421,7 @@ class TestEvalAndReduce:
         bucketed = tmp_path / "bucketed.json"
         assert run(argv + ["--report", str(bucketed), "--buckets", "0,40"]) == 0
 
-        def refuse(table, column_subset, runs=None):
+        def refuse(table, column_subset, runs):
             raise AssertionError("eval-reduce counted tokens")
 
         replace_token_counter(monkeypatch, refuse)
@@ -653,7 +653,7 @@ class TestQaAndReport:
         root, data, _ = pipeline
         counted = []
 
-        def counter(table, column_subset, runs=None):
+        def counter(table, column_subset, runs):
             counted.append(table)
             return original(table, column_subset, runs)
 

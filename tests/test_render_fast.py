@@ -26,11 +26,13 @@ from tabreduce.tables import (
     count_tokens,
     format_cell,
     linearize_rows,
+    linearize_tables,
     project,
     row_token_counts,
     row_tokens,
     row_vocabulary_texts,
     table_row_token_counts,
+    table_row_token_counts_many,
 )
 
 # ---------------------------------------------------------------------------
@@ -182,12 +184,12 @@ def check_against_oracle(table, cols):
     assert sum(counts) == count_tokens(text)
 
     vocab = policy.build_vocabulary(rows)
-    assert policy.build_vocabulary(row_vocabulary_texts(table, cols)) == vocab
-    assert row_tokens(table, cols, vocab.encode) == [vocab.encode(t) for t in rows]
-    assert row_tokens(table, cols, policy.tokenize) == [tuple(policy.tokenize(t)) for t in rows]
+    assert policy.build_vocabulary(row_vocabulary_texts([(table, cols)])) == vocab
+    assert row_tokens(table, cols, vocab.encode, {}) == [vocab.encode(t) for t in rows]
+    assert row_tokens(table, cols, policy.tokenize, {}) == [tuple(policy.tokenize(t)) for t in rows]
     # with some tokens out of the vocabulary
     partial = policy.build_vocabulary(rows[: len(rows) // 2])
-    assert row_tokens(table, cols, partial.encode) == [partial.encode(t) for t in rows]
+    assert row_tokens(table, cols, partial.encode, {}) == [partial.encode(t) for t in rows]
 
     inst = Instance(id="i", question="Which q?", table=table, relevant_columns=frozenset(cols))
     assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["Which q?", *rows])
@@ -248,7 +250,7 @@ def test_equal_keys_of_other_types_render_apart():
     )
     vocab = policy.build_vocabulary(["v 1 true 0 false 1 5"])
     v, one, true, zero, false, five = map(vocab.encode, ["v", "1", "true", "0", "false", "5"])
-    assert row_tokens(table, {0}, vocab.encode) == [
+    assert row_tokens(table, {0}, vocab.encode, {}) == [
         v + one, v + one, v + true, v + zero, v + false, v + zero, v + one + five, v
     ]
     check_against_oracle(table, {0})
@@ -259,8 +261,8 @@ def test_zero_rows_and_zero_columns():
     vocab = policy.build_vocabulary(["a b"])
     assert linearize_rows(table, {0, 1}) == ""
     assert table_row_token_counts(table) == []
-    assert row_tokens(table, {1}, vocab.encode) == []
-    assert row_vocabulary_texts(table, {0, 1}) == []
+    assert row_tokens(table, {1}, vocab.encode, {}) == []
+    assert row_vocabulary_texts([(table, {0, 1})]) == []
     check_against_oracle(table, {0, 1})
     assert metrics.full_context_tokens(Instance(id="i", question="q", table=table)) == 0
     empty = Instance(id="e", question="q", table=Table((), ((), ())))
@@ -270,7 +272,7 @@ def test_zero_rows_and_zero_columns():
 
 def visible_table(question, table, budget_tokens):
     """The mock reader's visible table, given the counts ``qa`` passes it."""
-    return llm._visible_table(question, table, table_row_token_counts(table), budget_tokens)
+    return llm._visible_table(question, table, table_row_token_counts(table), budget_tokens, {})
 
 
 def same_table(a, b):
@@ -376,48 +378,96 @@ COLLIDING = [1, 1.0, True, "true", 0, -0.0, 0.0, False, "false", None, "", "1", 
 def colliding_table(rng):
     n_cols = rng.randint(1, 4)
     headers = tuple(rng.choice(["v", "true", "a b", "x, y", "Row2: h"]) + str(c) for c in range(n_cols))
+    if rng.random() < 0.15:  # a table sharing no cell with the others, which empties the memos
+        cells = iter(rng.sample(range(10**6), 24))
+        rows = tuple(tuple(rng.choice([n, f"u{n} {n}", float(n) + 0.5])
+                           for n in (next(cells) for _ in range(n_cols))) for _ in range(rng.randint(1, 6)))
+        return Table(headers, rows)
     rows = tuple(tuple(rng.choice(COLLIDING) for _ in range(n_cols)) for _ in range(rng.randint(0, 6)))
     return Table(headers, rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_stage_memos_match_fresh_walks(seed):
-    """Each per-cell function's memo kept over a batch of tables, as a stage
-    keeps it, gives every table what a walk with a fresh memo gives, and
-    what the oracle renders."""
+def test_batch_memos_match_fresh_walks(seed):
+    """The batch calls, each keeping one memo of its per-cell function over
+    all of its tables, and a vocabulary's memo of cell ids, kept over many
+    tables, give every table what a walk with a fresh memo gives, and what
+    the oracle renders."""
     rng = random.Random(5000 + seed)
     batch = [(table, random_subset(rng, table.n_columns))
              for table in (colliding_table(rng) for _ in range(60))]
-    vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
-    runs, tails, ids, texts, read = {}, {}, {}, {}, {}
-    shared_texts, fresh_texts = set(), set()
-    for table, cols in batch:
-        assert linearize_rows(table, cols, tails) == linearize_rows(table, cols) == oracle_linearize(table, cols)
-        assert row_token_counts(table, cols, runs) == row_token_counts(table, cols) == [
-            count_tokens(f"Row{i}: {oracle_row_pairs(table, row, sorted(cols))}")
-            for i, row in enumerate(table.rows)
-        ]
-        assert row_tokens(table, cols, vocab.encode, ids) == row_tokens(table, cols, vocab.encode) == [
-            vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
-        ]
-        counts = table_row_token_counts(table, runs)
-        assert counts == table_row_token_counts(table)
+    batch.append((Table((), ((), ())), frozenset()))
+    tables = [table for table, _ in batch]
+    whole = [range(table.n_columns) for table in tables]
+    rendered = linearize_tables(tables)
+    assert rendered == [linearize_rows(table, cols) if table.n_columns else "" for table, cols in zip(tables, whole)]
+    assert rendered[:-1] == [oracle_linearize(table, cols) for table, cols in zip(tables, whole[:-1])]
+    counts = table_row_token_counts_many(tables)
+    assert counts == list(map(table_row_token_counts, tables))
+    assert counts[:-1] == [
+        [count_tokens(f"Row{i}: {oracle_row_pairs(table, row, sorted(cols))}") for i, row in enumerate(table.rows)]
+        for table, cols in zip(tables, whole[:-1])
+    ]
+    read = {}
+    for table, table_counts in zip(tables, counts):
         for budget in (12, 10**6):
             assert same_table(
-                llm._visible_table("q?", table, counts, budget, read),
-                llm._visible_table("q?", table, counts, budget),
+                llm._visible_table("q?", table, table_counts, budget, read),
+                llm._visible_table("q?", table, table_counts, budget, {}),
             )
-        shared_texts.update(row_vocabulary_texts(table, cols, texts))
-        fresh_texts.update(row_vocabulary_texts(table, cols))
-    assert shared_texts == fresh_texts
+    batch.pop()
+    vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
+    runs = {}
+    for table, cols in batch:
+        assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {}) == [
+            vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
+        ]
+        assert row_token_counts(table, cols, runs) == row_token_counts(table, cols, {})
+    texts = row_vocabulary_texts(batch)
+    assert set(texts) == set().union(*(row_vocabulary_texts([subset]) for subset in batch))
     rows = [oracle_row_pairs(table, row, sorted(cols)) for table, cols in batch for row in table.rows]
-    assert policy.build_vocabulary(shared_texts) == policy.build_vocabulary(rows)
+    assert policy.build_vocabulary(texts) == policy.build_vocabulary(rows)
     instances = [Instance(id=str(k), question="q?", table=table, relevant_columns=cols)
                  for k, (table, cols) in enumerate(batch)]
-    assert [metrics.full_context_tokens(inst, runs) for inst in instances] == [
-        count_tokens(oracle_linearize(table, range(table.n_columns))) for table, _ in batch
-    ]
     assert tasks.build_vocab(instances, "rows") == policy.build_vocabulary(["q?", *rows])
+    lengths = [count_tokens(oracle_linearize(table, range(table.n_columns))) for table, _ in batch]
+    assert list(map(metrics.full_context_tokens, instances)) == lengths
+    assert metrics.bucket_by_length(instances, [0, 10, 30]) == metrics.assign_buckets(lengths, [0, 10, 30])
+
+
+def disjoint_tables(n_tables, n_cols, n_rows):
+    """Tables no two of which share a cell."""
+    cells = iter(range(10**6))
+    return [Table(tuple(f"h{c}" for c in range(n_cols)),
+                  tuple(tuple(next(cells) if c % 2 else f"w{next(cells)} x" for c in range(n_cols))
+                        for _ in range(n_rows)))
+            for _ in range(n_tables)]
+
+
+def test_memo_of_tables_sharing_no_cell_stays_small():
+    """Until a walk finds one of its cells in a memo, a walk that finds
+    none empties the memo once done, so over tables that share no cell a
+    memo never holds more than two tables' cells and headers, and every
+    result is still a fresh walk's.  Once a walk has found a cell in it,
+    the memo lasts."""
+    tables = disjoint_tables(40, 3, 5)
+    vocab = policy.build_vocabulary(["h0 h1 h2 x"])
+    cols = frozenset(range(3))
+    runs, read, largest = {}, {}, 0
+    for table in tables:
+        assert row_token_counts(table, cols, runs) == row_token_counts(table, cols, {})
+        assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {})
+        counts = table_row_token_counts(table)
+        assert same_table(llm._visible_table("q?", table, counts, 10**6, read),
+                          llm._visible_table("q?", table, counts, 10**6, {}))
+        largest = max(largest, len(runs), len(vocab.cell_ids), len(read))
+    assert largest <= 2 * (15 + 3)
+    runs = {}
+    row_token_counts(tables[0], cols, runs)
+    row_token_counts(Table(("h0",), (("w0 x",),)), frozenset({0}), runs)  # finds tables[0]'s first cell
+    for table in tables[1:]:
+        row_token_counts(table, cols, runs)
+    assert all(cell in runs for table in tables for row in table.rows for cell in row)
 
 
 def test_vocabularies_never_share_cell_ids():

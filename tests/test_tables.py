@@ -31,6 +31,16 @@ def olympics():
     )
 
 
+def counts(table, column_subset):
+    """``row_token_counts`` of a table on its own."""
+    return row_token_counts(table, column_subset, {})
+
+
+def vocabulary_texts(table, column_subset):
+    """``row_vocabulary_texts`` of a table on its own."""
+    return row_vocabulary_texts([(table, column_subset)])
+
+
 class TestTableInvariants:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="cells"):
@@ -139,14 +149,14 @@ class TestLinearize:
         assert out == "Row0: (city,Beijing) Row1: (city,London)"
 
     def test_empty_subset_raises(self):
-        for derived in (linearize_rows, row_token_counts, row_vocabulary_texts):
+        for derived in (linearize_rows, counts, vocabulary_texts):
             with pytest.raises(EmptySelectionError):
                 derived(olympics(), set())
         with pytest.raises(EmptySelectionError):
-            row_tokens(olympics(), set(), str.split)
+            row_tokens(olympics(), set(), str.split, {})
 
     def test_column_out_of_range_raises(self):
-        for derived in (linearize_rows, row_token_counts, row_vocabulary_texts):
+        for derived in (linearize_rows, counts, vocabulary_texts):
             with pytest.raises(IndexError):
                 derived(olympics(), {0, 9})
 
