@@ -51,24 +51,26 @@ def index_set(record: dict, key: str, size: int) -> frozenset[int] | None:
 
 
 # The types a table's headers and rows may come in: a list, as JSON decodes
-# an array, or a tuple, as ``instance_to_record`` hands rows on.
-_ARRAYS = frozenset({list, tuple})
+# an array.  ``instance_to_record`` hands rows on as tuples, which ``json``
+# writes as arrays, so a record reads back through ``json`` only.
+_LISTS = frozenset({list})
 _STRINGS = frozenset({str})
 
 
 def _check_shape(columns, rows) -> None:
-    """TypeError unless the headers are an array of strings and the rows an
-    array of arrays; a string or an object would otherwise be taken apart
-    into its characters or keys.  Each check is one pass over the types."""
-    if type(columns) not in _ARRAYS:
+    """TypeError unless the headers are a list of strings and the rows a
+    list of lists, as JSON decodes arrays; a string or an object would
+    otherwise be taken apart into its characters or keys.  Each check is one
+    pass over the types."""
+    if type(columns) is not list:
         raise TypeError(f"table columns are a {type(columns).__name__}, not a list")
     if not _STRINGS.issuperset(map(type, columns)):
         j, header = next((j, h) for j, h in enumerate(columns) if type(h) is not str)
         raise TypeError(f"table column {j} is a {type(header).__name__}, not a string")
-    if type(rows) not in _ARRAYS:
+    if type(rows) is not list:
         raise TypeError(f"table rows are a {type(rows).__name__}, not a list")
-    if not _ARRAYS.issuperset(map(type, rows)):
-        i, row = next((i, row) for i, row in enumerate(rows) if type(row) not in _ARRAYS)
+    if not _LISTS.issuperset(map(type, rows)):
+        i, row = next((i, row) for i, row in enumerate(rows) if type(row) is not list)
         raise TypeError(f"table row {i} is a {type(row).__name__}, not a list")
 
 
@@ -96,7 +98,8 @@ def record_to_instance(record: dict) -> Instance:
     """The instance a record describes; KeyError, TypeError or ValueError
     when it is malformed: headers that are not a list of strings, rows that
     are not a list of lists and a table cell that is a list or an object
-    included."""
+    included.  A record of ``instance_to_record`` holds row tuples and
+    reads back through ``json``, as ``load_dataset`` reads it."""
     table_doc = record["table"]
     columns, rows = table_doc["columns"], table_doc["rows"]
     _check_shape(columns, rows)

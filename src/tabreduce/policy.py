@@ -13,28 +13,35 @@ selected.  A linear value head ``q . vq + h . vh + vb`` shares the
 embeddings.
 
 Encodings are segment means: each instance gets a matrix of its segments'
-token counts over its distinct tokens, divided by the segment lengths, and
-its encodings are that matrix times the rows of those tokens in the
-embedding table (``embed``); the gradient goes back through the transposed
-product.  The matrices are built per instance, so an instance encodes the
-same whatever it is batched with.  Sampling (``sample_episodes``) and greedy
-decoding (``greedy_decode``) step many instances together as masked
-``(B, N + 1)`` score arrays, STOP in the last slot, through one stepper
-(``_Stepper``).  Sampling draws each episode's picks from its own row of a
-caller-supplied block of uniforms.  Greedy decoding takes each row's argmax,
-ties to the lowest slot; a row scores the same in any batch, so an instance
-decodes the same whatever it is decoded with.
+token counts over its distinct tokens, divided by the segment lengths
+(``CountMatrix``), and its encodings are that matrix times the rows of those
+tokens in the embedding table; the gradient goes back through the
+transposed product.  The matrices are built per instance, so an instance
+encodes the same whatever it is batched with.  ``forward`` reads count
+matrices, not encodings: SFT and greedy decoding build them per chunk and
+drop them, while a PPO rollout builds them once for its distinct instances
+(``count_matrices``) and keeps them for every minibatch of its update.
 
-Training never walks episodes.  An episode is its instance's encoding and
-its actions, one row of a ``(B, T)`` array that reads STOP after the
-episode ends: sampling returns its episodes so (``SampledEpisodes``), gold
-sequences are padded so (``pad_actions``) and the update keeps them so
-(``PpoBatch``).  ``forward`` derives each step's available candidates and
-history-mean weights ``W`` (``h = W @ v``) from a minibatch's actions at
-once and replays it as padded ``(B, T, N + 1)`` score tensors.
-``backward`` runs the chain rule back through the same tensors down to the
-token embeddings.
+Sampling (``sample_episodes``) and greedy decoding (``greedy_decode``) step
+many instances together as masked ``(B, N + 1)`` score arrays, STOP in the
+last slot, through one stepper (``_Stepper``).  Sampling draws each
+episode's picks from its own row of a caller-supplied block of uniforms.
+Greedy decoding takes each row's argmax, ties to the lowest slot; a row
+scores the same in any batch, so an instance decodes the same whatever it
+is decoded with.
 
+Training never walks episodes.  An episode is its instance (its count
+matrix, in a PPO update) and its actions, one row of a ``(B, T)`` array
+that reads STOP after the episode ends: sampling returns its episodes so
+(``SampledEpisodes``), gold sequences are padded so (``pad_actions``) and
+the update keeps them so (``PpoBatch``).  ``forward`` derives each step's
+available candidates and history-mean weights ``W`` (``h = W @ v``) from a
+minibatch's actions at once and replays it as padded ``(B, T, N + 1)``
+score tensors.  ``backward`` runs the chain rule back through the same
+tensors down to the token embeddings.
+
+Gradients come in ``FlatArrays``: per-parameter views of one flat buffer,
+so an optimizer can update them in one elementwise pass (``zero_grads``).
 Log-probabilities are exact and every gradient here is written by hand;
 ``finite_difference_error`` checks them against central differences, which
 the test suite runs for both the likelihood loss and the clipped-surrogate
@@ -47,11 +54,12 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,13 +87,16 @@ class Vocabulary:
     """Token-to-index map; index 0 is reserved for out-of-vocabulary words.
 
     ``cell_ids`` is this vocabulary's memo of token ids per table cell key
-    (``tables.row_tokens``): it lives as long as the vocabulary, which a
-    stage builds or loads for itself, and never serves another vocabulary.
+    (``tables.row_tokens``), and ``text_ids`` its memo of token ids per
+    candidate text (``encode_instance``, which column candidates go
+    through).  Both live as long as the vocabulary, which a stage builds or
+    loads for itself, and never serve another vocabulary.
     """
 
     tokens: tuple[str, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     cell_ids: dict = field(default_factory=dict, repr=False, compare=False)
+    text_ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lookup = {tok: i + 1 for i, tok in enumerate(self.tokens)}
@@ -112,9 +123,9 @@ def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
 class EncodedInstance:
     """Tokenized question and candidate texts, ready for the policy.
 
-    The policy reads them as ``segments``, from which each batch builds the
-    instance's count matrix (``_count_matrices``); nothing of the batch
-    enters it.
+    The policy reads them as ``segments``, from which the instance's count
+    matrix is built (``_count_matrices``); nothing of the batch it is built
+    in enters it.
     """
 
     question_ids: tuple[int, ...]
@@ -135,10 +146,16 @@ class EncodedInstance:
 
 
 def encode_instance(vocab: Vocabulary, question: str, candidate_texts: Sequence[str]) -> EncodedInstance:
-    return EncodedInstance(
-        question_ids=vocab.encode(question),
-        candidate_ids=tuple(vocab.encode(t) for t in candidate_texts),
-    )
+    """The question and candidate texts as token ids; each distinct candidate
+    text is tokenized once per vocabulary (``Vocabulary.text_ids``)."""
+    memo = vocab.text_ids
+    candidate_ids = []
+    for text in candidate_texts:
+        ids = memo.get(text)
+        if ids is None:
+            ids = memo[text] = vocab.encode(text)
+        candidate_ids.append(ids)
+    return EncodedInstance(question_ids=vocab.encode(question), candidate_ids=tuple(candidate_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +238,30 @@ def init_params(vocab: Vocabulary, dim: int = 64, seed: int = 0) -> PolicyParams
     return params
 
 
-def zero_grads(params: PolicyParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+class FlatArrays(dict):
+    """Arrays named and shaped like a parameter set's (``PolicyParams.arrays``),
+    each a view of ``flat``, one float64 buffer that holds them in that
+    order.  Writing into a view writes ``flat``; binding a new array to a
+    name does not, so callers update the views in place."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self[name] = flat[start:stop].reshape(shape)
+            start = stop
+
+    def like(self, flat: np.ndarray) -> "FlatArrays":
+        """The same names and shapes over another buffer of the same size."""
+        return FlatArrays(flat, {name: arr.shape for name, arr in self.items()})
+
+
+def zero_grads(params: PolicyParams) -> FlatArrays:
+    """Zeros named and shaped like ``params``' arrays, views of one flat buffer."""
+    shapes = {name: arr.shape for name, arr in params.arrays().items()}
+    return FlatArrays(np.zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
 
 
 def save_params(params: PolicyParams, path, target: str) -> None:
@@ -307,23 +346,39 @@ def load_params(path) -> tuple[PolicyParams, str]:
 
 # Segments per ``forward``, ``greedy_decode`` or ``embed`` chunk, and padded
 # slots per ``sample_episodes`` run: they bound the padded (segments, dim)
-# arrays and the chunk's count matrices, so a minibatch of long tables needs
-# little more memory than one of short tables.
+# arrays and the count matrices a chunk builds, so a minibatch of long
+# tables needs little more memory than one of short tables.
 _SEGMENT_BLOCK = 1024
 
 
-def _count_matrices(encs: Sequence[EncodedInstance]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per instance, its distinct token ids ``u`` (ascending) and the
-    ``(1 + n_candidates, len(u))`` matrix ``C`` whose entry ``C[s, k]`` is
+class CountMatrix(NamedTuple):
+    """One instance's distinct token ids ``u`` (ascending) and the
+    ``(1 + n_candidates, len(u))`` matrix ``c`` whose entry ``c[s, k]`` is
     the count of token ``u[k]`` in segment s divided by that segment's
-    length.  The segment means are ``C @ emb[u]`` (an empty segment's is
-    zero), and ``C.T @ d_means`` is their gradient with respect to
-    ``emb[u]``.
+    length (``_count_matrices``)."""
 
-    One sort and one count serve all of ``encs``, but each ``C`` comes from
+    u: np.ndarray
+    c: np.ndarray
+
+    @property
+    def n_candidates(self) -> int:
+        return self.c.shape[0] - 1
+
+    def means(self, emb: np.ndarray) -> np.ndarray:
+        """The ``(1 + n_candidates, dim)`` segment means under token
+        embeddings ``emb``: the question's, then each candidate's (an empty
+        segment's is zero)."""
+        return self.c @ emb[self.u]
+
+
+def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
+    """Each instance's ``CountMatrix``.  ``c @ emb[u]`` are its segment
+    means and ``c.T @ d_means`` their gradient with respect to ``emb[u]``.
+
+    One sort and one count serve all of ``encs``, but each ``c`` comes from
     its own instance alone, so an instance encodes bit for bit the same in
     any batch: a ``u`` shared across the batch would change the products'
-    inner dimension, and with it their rounding.  ``C`` is dense, so its
+    inner dimension, and with it their rounding.  ``c`` is dense, so its
     size grows with the distinct tokens of the instance, which the
     vocabulary bounds (at most about 130 tokens for every model the
     benchmark builds).
@@ -353,9 +408,15 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[tuple[np.ndarray, n
     )
     divisor = np.maximum(seg_lengths, 1)[:, None]
     return [
-        (u[k0 : k0 + k], counts[o : o + s * k].reshape(s, k) / divisor[s0 : s0 + s])
+        CountMatrix(u[k0 : k0 + k], counts[o : o + s * k].reshape(s, k) / divisor[s0 : s0 + s])
         for k0, k, s0, s, o in zip(*(a.tolist() for a in (u_start, n_u, seg_start, n_segs, offset)))
     ]
+
+
+def count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
+    """The ``CountMatrix`` of each of ``encs``, built one ``chunks`` run at
+    a time, for a caller that keeps them (a rollout: ``training``)."""
+    return [m for run in chunks(encs) for m in _count_matrices(encs[run])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,25 +427,27 @@ class Embedded:
     q: np.ndarray   # (dim,)
     v: np.ndarray   # (n_candidates, dim)
 
+    @classmethod
+    def of(cls, params: PolicyParams, matrix: CountMatrix) -> "Embedded":
+        """The instance of count matrix ``matrix`` encoded under ``params``."""
+        means = matrix.means(params.emb)
+        return cls(params, means[0], means[1:])
 
-def _embed_padded(params: PolicyParams, encs: Sequence[EncodedInstance]):
-    """Count matrices, (B, dim) question and (B, N, dim) candidate encodings
-    of ``encs`` padded to the most candidates; padded candidates are zero."""
-    matrices = _count_matrices(encs)
-    encoded = np.zeros((len(encs), 1 + max(enc.n_candidates for enc in encs), params.dim))
-    for b, (u, c) in enumerate(matrices):
-        encoded[b, : c.shape[0]] = c @ params.emb[u]
-    return matrices, encoded[:, 0], encoded[:, 1:]
+
+def _embed_padded(params: PolicyParams, matrices: Sequence[CountMatrix]):
+    """(B, dim) question and (B, N, dim) candidate encodings of the
+    instances of ``matrices``, padded to the most candidates; padded
+    candidates are zero."""
+    encoded = np.zeros((len(matrices), 1 + max(m.n_candidates for m in matrices), params.dim))
+    for b, m in enumerate(matrices):
+        encoded[b, : m.c.shape[0]] = m.means(params.emb)
+    return encoded[:, 0], encoded[:, 1:]
 
 
 def embed(params: PolicyParams, encs: Sequence[EncodedInstance]) -> list[Embedded]:
-    """Encode many instances, one ``chunks`` run of count matrices at a time."""
-    embedded = []
-    for run in chunks(encs):
-        for u, c in _count_matrices(encs[run]):
-            means = c @ params.emb[u]
-            embedded.append(Embedded(params, means[0], means[1:]))
-    return embedded
+    """Encode many instances, one ``chunks`` run of count matrices at a
+    time; the matrices are not kept."""
+    return [Embedded.of(params, m) for run in chunks(encs) for m in _count_matrices(encs[run])]
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +708,7 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
     selected: list[frozenset[int]] = [frozenset()] * len(encs)
     steps = 0
     for run in chunks(ordered):
-        q, v = _embed_padded(params, ordered[run])[1:]  # the count matrices are not kept
+        q, v = _embed_padded(params, _count_matrices(ordered[run]))  # the matrices are not kept
         n = v.shape[1]
         st = _Stepper(params, q, v, np.array([enc.n_candidates for enc in ordered[run]]))
         live = np.arange(run.start, run.stop)  # positions in ``order``
@@ -687,10 +750,11 @@ class Forward:
 
     Slot N of the last axis is STOP.  Padded steps allow only STOP, are
     False in ``valid`` and read 0 in ``logps``, ``entropies`` and
-    ``values``.  Everything ``backward`` needs is kept.
+    ``values``.  Everything ``backward`` needs is kept, the episodes' count
+    matrices (the caller's, not copies) among it.
     """
 
-    matrices: list[tuple[np.ndarray, np.ndarray]]  # per episode, (u, C) of _count_matrices
+    matrices: Sequence[CountMatrix]  # per episode
     valid: np.ndarray       # (B, T)
     picks: np.ndarray       # (B, T) slot of each taken action
     allowed: np.ndarray     # (B, T, N + 1)
@@ -706,10 +770,12 @@ class Forward:
     values: np.ndarray      # (B, T)
 
 
-def forward(params: PolicyParams, encs: Sequence[EncodedInstance], actions: np.ndarray) -> Forward:
+def forward(params: PolicyParams, matrices: Sequence[CountMatrix], actions: np.ndarray) -> Forward:
     """Unmasked step distributions, log-probs, entropies and values of a
-    minibatch: episode b takes ``actions[b]`` on ``encs[b]`` through its
-    first STOP (the whole row if it has none), and T is the longest episode.
+    minibatch: episode b takes ``actions[b]`` on the instance of count
+    matrix ``matrices[b]`` through its first STOP (the whole row if it has
+    none), and T is the longest episode.  The candidates of each instance
+    are the rows of its matrix after the question's.
 
     Before step t an episode has selected its first t actions, so the
     candidates still allowed are those not among them, and the history-mean
@@ -717,13 +783,13 @@ def forward(params: PolicyParams, encs: Sequence[EncodedInstance], actions: np.n
     picks' one-hot rows, times 1/t).  ValueError for an action that is out
     of range or already taken.
     """
-    matrices, q, v = _embed_padded(params, encs)
+    q, v = _embed_padded(params, matrices)
     batch, n_max = v.shape[:2]
     steps = _episode_steps(actions)
     t_max = int(steps.max())
     actions = actions[:, :t_max]
     valid = np.arange(t_max) < steps[:, None]
-    n_candidates = np.array([enc.n_candidates for enc in encs])
+    n_candidates = np.array([m.n_candidates for m in matrices])
     bad = valid & ((actions < STOP) | (actions >= n_candidates[:, None]))
     picks = np.where(valid & (actions != STOP), actions, n_max)
     one_hot = picks[..., None] == np.arange(n_max)
@@ -820,24 +886,29 @@ def backward(
         grads["emb"][u] += c.T @ d_means[b, : c.shape[0]]
 
 
-def chunks(encs: Sequence[EncodedInstance]) -> list[slice]:
-    """Consecutive runs of instances to pass to ``forward`` (or to step in
-    ``greedy_decode``, or to encode in ``embed``) one at a time.
+def chunks(items: Sequence[EncodedInstance | CountMatrix]) -> list[slice]:
+    """Consecutive runs of instances (their encodings or their count
+    matrices) to pass to ``forward`` (or to step in ``greedy_decode``, or
+    to count and encode in ``embed`` and ``count_matrices``) one at a time.
 
     Each run pads to at most ``_SEGMENT_BLOCK`` encodings (or holds a single
-    instance), which bounds the memory of ``forward``/``backward``, of the
-    greedy stepper and of a run's count matrices whatever the table size; a
-    minibatch of short tables is one run.
+    instance), which bounds the memory of ``forward``/``backward`` and of
+    the greedy stepper whatever the table size; a minibatch of short tables
+    is one run.  It bounds the count matrices of a run that builds them
+    (SFT, greedy decoding, ``embed``) too.  Count matrices that a caller
+    keeps are outside that bound: a rollout (``training.collect_rollouts``)
+    holds one per distinct drawn instance, each ``(1 + n_candidates) x
+    distinct tokens`` floats, until its update ends.
     """
     runs = []
     start = width = 0
-    for i, enc in enumerate(encs):
-        need = 1 + enc.n_candidates
+    for i, item in enumerate(items):
+        need = 1 + item.n_candidates
         if i > start and (i + 1 - start) * max(width, need) > _SEGMENT_BLOCK:
             runs.append(slice(start, i))
             start, width = i, 0
         width = max(width, need)
-    runs.append(slice(start, len(encs)))
+    runs.append(slice(start, len(items)))
     return runs
 
 
@@ -848,7 +919,7 @@ def sft_loss_and_grad(
     params: PolicyParams,
     encs: Sequence[EncodedInstance],
     actions: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, FlatArrays]:
     """Mean negative log-likelihood of gold action sequences, ``actions[b]``
     on ``encs[b]`` as ``forward`` reads them, with gradients."""
     if not encs:
@@ -856,7 +927,7 @@ def sft_loss_and_grad(
     grads = zero_grads(params)
     total = 0.0
     for run in chunks(encs):
-        fw = forward(params, encs[run], actions[run])
+        fw = forward(params, _count_matrices(encs[run]), actions[run])
         total += float(fw.logps.sum())
         backward(params, fw, grads, logp_coef=np.where(fw.valid, -1.0 / len(encs), 0.0))
     loss = -total / len(encs)
@@ -869,12 +940,14 @@ def sft_loss_and_grad(
 class PpoBatch:
     """Episodes prepared for the clipped-surrogate update.
 
-    Row b of each ``(B, W)`` array is episode b, on ``encs[b]``; its
-    ``actions`` are read as ``forward`` reads them, and the other arrays
-    hold one value per step and 0 after its last step.
+    Row b of each ``(B, W)`` array is episode b, on the instance of count
+    matrix ``matrices[b]``; its ``actions`` are read as ``forward`` reads
+    them, and the other arrays hold one value per step and 0 after its last
+    step.  Episodes on the same instance share its matrix, so a batch holds
+    one per distinct instance.
     """
 
-    encs: Sequence[EncodedInstance]
+    matrices: Sequence[CountMatrix]
     actions: np.ndarray      # STOP after each episode's end
     old_logps: np.ndarray    # behavior (masked) log-probs at collection time
     advantages: np.ndarray   # normalized, frozen
@@ -883,7 +956,7 @@ class PpoBatch:
     def rows(self, index: np.ndarray) -> "PpoBatch":
         """The episodes at ``index``, in that order."""
         return PpoBatch(
-            [self.encs[i] for i in index], self.actions[index], self.old_logps[index],
+            [self.matrices[i] for i in index], self.actions[index], self.old_logps[index],
             self.advantages[index], self.returns[index],
         )
 
@@ -903,7 +976,7 @@ def ppo_loss_and_grad(
     clip_epsilon: float,
     value_loss_coef: float,
     entropy_coef: float,
-) -> tuple[float, dict[str, np.ndarray], PpoStats]:
+) -> tuple[float, FlatArrays, PpoStats]:
     """Clipped-surrogate PPO loss over every step in the batch.
 
         loss = -mean(min(ratio*A, clip(ratio)*A))
@@ -913,17 +986,18 @@ def ppo_loss_and_grad(
     New log-probs are the unmasked policy; ratios divide by the stored
     behavior log-probs.  Steps where the clipped branch is strictly active
     contribute no policy gradient.  Each ``chunks`` run of episodes is one
-    ``forward`` pass over the run's rows, cut to its longest episode.
+    ``forward`` pass over the run's rows, cut to its longest episode, on
+    the batch's own count matrices.
     """
-    if not batch.encs:
+    if not batch.matrices:
         raise ConfigError("empty PPO batch")
     grads = zero_grads(params)
     n_steps = int(_episode_steps(batch.actions).sum())
     pol_sum = val_sum = ent_sum = ratio_sum = 0.0
     clipped = 0
 
-    for run in chunks(batch.encs):
-        fw = forward(params, batch.encs[run], batch.actions[run])
+    for run in chunks(batch.matrices):
+        fw = forward(params, batch.matrices[run], batch.actions[run])
         t_max = fw.valid.shape[1]
         old_logps = batch.old_logps[run, :t_max]
         advantages = batch.advantages[run, :t_max]
@@ -1008,16 +1082,17 @@ def grad_check(
     both branches away from the kink.
     """
     actions = pad_actions([gold_actions])
+    matrices = _count_matrices([enc])
 
     def sft_fn(p: PolicyParams) -> tuple[float, dict[str, np.ndarray]]:
         return sft_loss_and_grad(p, [enc], actions)
 
-    base_logps = forward(params, [enc], actions).logps
+    base_logps = forward(params, matrices, actions).logps
     t = np.arange(base_logps.shape[1])
     offsets = np.where(t % 2 == 0, 0.1, 0.4)
     signs = np.where(t % 3 == 0, -1.0, 1.0)
     batch = PpoBatch(
-        [enc], actions,
+        matrices, actions,
         old_logps=base_logps - offsets,
         advantages=(signs * (1.0 + 0.25 * t))[None],
         returns=np.linspace(-1.0, 1.0, t.size)[None],

@@ -20,7 +20,14 @@ Episodes stay the sampler's padded ``(n, W)`` arrays from rollout to update
 (``policy.SampledEpisodes``): step rewards, returns-to-go and advantages
 are computed on whole arrays with the steps after each episode's end held
 at 0, and each PPO minibatch is a selection of rows (``policy.PpoBatch``).
-SFT pads its gold action sequences the same way (``policy.pad_actions``).
+A rollout builds the count matrices of the distinct instances it draws once
+(``policy.count_matrices``), encodes them from those matrices, and keeps
+them per row, so the value-head warm start's forward pass and every
+minibatch of every update epoch reuse them; the rollout holds them until
+its update ends.  SFT pads its gold action sequences the same way
+(``policy.pad_actions``) and builds each minibatch's matrices as it goes.
+Gradients and the Adam moments are flat buffers with per-parameter views
+(``policy.FlatArrays``), so an Adam step is one elementwise pass.
 """
 
 from __future__ import annotations
@@ -106,7 +113,15 @@ class PpoConfig:
 
 
 class Adam:
-    """Adaptive-moment-estimation optimizer over named parameter arrays."""
+    """Adaptive-moment-estimation optimizer over named parameter arrays.
+
+    The moments ``m`` and ``v`` are ``policy.FlatArrays``: per-name views
+    of one flat buffer each, laid out as ``policy.zero_grads`` lays out the
+    gradients ``step`` takes.  A step is one elementwise pass over the flat
+    buffers and one in-place subtraction per parameter array; elementwise
+    arithmetic rounds each value alike whatever the array, so it is the
+    per-array update bit for bit.
+    """
 
     def __init__(self, params: policy.PolicyParams, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -115,36 +130,37 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {n: np.zeros_like(a) for n, a in params.arrays().items()}
-        self.v = {n: np.zeros_like(a) for n, a in params.arrays().items()}
+        self.m = policy.zero_grads(params)
+        self.v = policy.zero_grads(params)
+        self._update = policy.zero_grads(params)
 
-    def step(self, params: policy.PolicyParams, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: policy.PolicyParams, grads: policy.FlatArrays) -> None:
+        """One update of ``params`` in place from ``grads``, laid out by
+        ``policy.zero_grads``."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        g = grads.flat
+        m = self.m.flat
+        v = self.v.flat
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = self._update
+        np.divide(self.learning_rate * (m / bc1), np.sqrt(v / bc2) + self.eps, out=update.flat)
         for name, arr in params.arrays().items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            arr -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            arr -= update[name]
 
     def snapshot(self) -> tuple:
         """Copy of the step count and moments, for ``restore``."""
-        return (
-            self.t,
-            {n: a.copy() for n, a in self.m.items()},
-            {n: a.copy() for n, a in self.v.items()},
-        )
+        return self.t, self.m.like(self.m.flat.copy()), self.v.like(self.v.flat.copy())
 
     def restore(self, snapshot: tuple) -> None:
         t, m, v = snapshot
         self.t = t
-        self.m = {n: a.copy() for n, a in m.items()}
-        self.v = {n: a.copy() for n, a in v.items()}
+        self.m.flat[:] = m.flat
+        self.v.flat[:] = v.flat
 
 
 def _write_metrics_line(run_dir: str | None, record: dict) -> None:
@@ -242,11 +258,12 @@ def train_sft(
 
 @dataclass
 class Rollout:
-    """Episodes from one collection pass: their encodings, the sampled
-    ``(n, W)`` arrays, each episode's task reward and its per-step
+    """Episodes from one collection pass: the count matrix of each
+    episode's instance (shared by the episodes on one instance), the
+    sampled ``(n, W)`` arrays, each episode's task reward and its per-step
     KL-shaped rewards, 0 after its last step."""
 
-    encs: list[policy.EncodedInstance]
+    matrices: list[policy.CountMatrix]
     episodes: policy.SampledEpisodes
     task_rewards: np.ndarray  # (n,)
     step_rewards: np.ndarray  # (n, W)
@@ -302,15 +319,16 @@ def warm_start_value_head(
     past the KL-penalty equilibrium before the head catches up.  Fitting
     value_q/value_h/value_b on one rollout batch from the initial policy
     removes that transient without touching the update rule.  The features
-    ``[q, h, 1]`` of every step come from the teacher-forced forward pass,
-    and the targets are the returns-to-go that ``compute_advantages`` uses.
+    ``[q, h, 1]`` of every step come from the teacher-forced forward pass
+    on the rollout's count matrices, and the targets are the returns-to-go
+    that ``compute_advantages`` uses.
     """
     rollout = collect_rollouts(
         state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn, reference
     )
     features: list[np.ndarray] = []
-    for run in policy.chunks(rollout.encs):
-        fw = policy.forward(state.current, rollout.encs[run], rollout.episodes.actions[run])
+    for run in policy.chunks(rollout.matrices):
+        fw = policy.forward(state.current, rollout.matrices[run], rollout.episodes.actions[run])
         q = np.broadcast_to(fw.q[:, None, :], fw.h.shape)
         ones = np.ones(fw.h.shape[:2] + (1,))
         features.append(np.concatenate([q, fw.h, ones], axis=-1)[fw.valid])
@@ -338,10 +356,12 @@ def collect_rollouts(
     The random stream: ``state.rng`` draws the n instance indices, then one
     ``(n, N_max + 1)`` block of uniforms, where N_max is the most candidates
     among the drawn instances; episode k takes its step t from row k, column
-    t (``policy.sample_episodes``).  Only the distinct drawn instances are
-    encoded under the current parameters.  ``reference`` is ``encs``
-    embedded under the reference parameters (the drawn instances are
-    embedded here when it is not given).
+    t (``policy.sample_episodes``).  The count matrices of the distinct
+    drawn instances are built once (``policy.count_matrices``); they encode
+    those instances under the current parameters, and the rollout keeps
+    them for its update.  ``reference`` is ``encs`` embedded under the
+    reference parameters (the drawn instances are embedded here, from the
+    same matrices, when it is not given).
 
     Each episode's step rewards are :func:`tabreduce.rewards.shaped_reward`
     of its task reward and its behavior and reference log-probabilities.
@@ -351,13 +371,13 @@ def collect_rollouts(
         return Rollout([], policy.sample_episodes([], None, empty), np.zeros(0), empty)
     indices = state.rng.integers(0, len(encs), size=n)
     drawn, inverse = np.unique(indices, return_inverse=True)
-    drawn_encs = [encs[i] for i in drawn]
-    current = policy.embed(state.current, drawn_encs)
+    matrices = policy.count_matrices([encs[i] for i in drawn])
+    current = [policy.Embedded.of(state.current, m) for m in matrices]
     if reference is None:
-        drawn_ref = policy.embed(state.reference, drawn_encs)
+        drawn_ref = [policy.Embedded.of(state.reference, m) for m in matrices]
     else:
         drawn_ref = [reference[i] for i in drawn]
-    n_max = max(enc.n_candidates for enc in drawn_encs)
+    n_max = max(m.n_candidates for m in matrices)
     uniforms = state.rng.random((n, n_max + 1))
     episodes = policy.sample_episodes(
         [current[j] for j in inverse], [drawn_ref[j] for j in inverse], uniforms, cfg.top_p
@@ -369,7 +389,7 @@ def collect_rollouts(
         for actions, k, idx in zip(episodes.actions, episodes.steps, indices)
     ], dtype=float)
     step_rewards = shaped_reward(task, episodes.logp_pi, episodes.logp_ref, episodes.steps, state.beta)
-    return Rollout([encs[i] for i in indices], episodes, task, step_rewards)
+    return Rollout([matrices[j] for j in inverse], episodes, task, step_rewards)
 
 
 def _returns_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
@@ -393,7 +413,7 @@ def compute_advantages(rollout: Rollout, discount: float = 1.0) -> policy.PpoBat
     mean, std = (flat.mean(), flat.std()) if flat.size else (0.0, 0.0)
     advantages = np.where(valid, (raw - mean) / (std + 1e-8), 0.0)
     return policy.PpoBatch(
-        rollout.encs, rollout.episodes.actions, rollout.episodes.logp_pi, advantages, returns
+        rollout.matrices, rollout.episodes.actions, rollout.episodes.logp_pi, advantages, returns
     )
 
 
@@ -405,10 +425,11 @@ def ppo_update(
     rng: np.random.Generator,
 ) -> dict:
     """epochs x minibatches of clipped-surrogate steps, each minibatch a
-    selection of the batch's rows; returns mean stats."""
+    selection of the batch's rows (and of its count matrices); returns mean
+    stats."""
     stats: list[policy.PpoStats] = []
     for _ in range(cfg.epochs_per_iter):
-        order = rng.permutation(len(batch.encs))
+        order = rng.permutation(len(batch.matrices))
         for start in range(0, len(order), cfg.minibatch_episodes):
             _, grads, batch_stats = policy.ppo_loss_and_grad(
                 params, batch.rows(order[start : start + cfg.minibatch_episodes]),
@@ -458,8 +479,8 @@ def train_rl(
     an iteration rolls the parameters and the optimizer state back to the
     iteration start and moves on.  ``summary``, when given, receives the
     episodes and steps sampled (the value-head warm start's included), the
-    number of numerical rollbacks, the wall seconds spent in rollouts and
-    in updates, and the chosen iteration.
+    number of numerical rollbacks, the wall seconds spent in the value-head
+    warm start, in rollouts and in updates, and the chosen iteration.
     """
     train = tasks.trainable(train, target)
     valid = tasks.trainable(valid, target)
@@ -481,7 +502,9 @@ def train_rl(
         rng=np.random.default_rng(cfg.seed),
     )
     reference_embedded = policy.embed(state.reference, encs)
+    started = time.perf_counter()
     warm_start_value_head(state, encs, golds, cfg, reward_fn, reference_embedded)
+    warm_start_s = time.perf_counter() - started
     adam = Adam(state.current, cfg.learning_rate)
     best = state.current.copy()
     best_recall = -1.0
@@ -532,6 +555,7 @@ def train_rl(
             episodes=state.episodes,
             steps=state.steps,
             numerical_rollbacks=sum("error" in record for record in state.history),
+            warm_start_seconds=round(warm_start_s, 3),
             rollout_seconds=round(rollout_s, 3),
             update_seconds=round(update_s, 3),
             chosen_iteration=best_iteration,

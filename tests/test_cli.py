@@ -264,7 +264,8 @@ class TestTraining:
         assert summary["numerical_rollbacks"] == 0
         # validation is scored after the last iteration only, so that one is chosen
         assert summary["chosen_iteration"] == 2
-        assert summary["rollout_seconds"] >= 0 and summary["update_seconds"] >= 0
+        for key in ("warm_start_seconds", "rollout_seconds", "update_seconds"):
+            assert summary[key] >= 0
         # the resolved config records the seed that came from the file
         assert manifest["args"]["seed"] is None
         assert summary["config"] == dataclasses.asdict(

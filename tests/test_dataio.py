@@ -33,6 +33,12 @@ def sample_instance():
     )
 
 
+def loaded_record(instance):
+    """The record of ``instance`` as ``load_dataset`` reads it back: through
+    ``json``, which writes its row tuples as arrays."""
+    return json.loads(json.dumps(instance_to_record(instance)))
+
+
 class TestRoundTrip:
     def test_load_save_identity(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -49,7 +55,7 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_fields_preserved(self):
-        record = instance_to_record(sample_instance())
+        record = loaded_record(sample_instance())
         record["mystery"] = {"deep": [1, 2]}
         inst = record_to_instance(record)
         assert inst.extra["mystery"] == {"deep": [1, 2]}
@@ -86,7 +92,7 @@ class TestRoundTrip:
         ids=["negative-col", "col-past-end", "bool-col", "row-past-end", "float-row", "str-row"],
     )
     def test_relevance_outside_table_reported(self, tmp_path, key, value, message):
-        record = instance_to_record(sample_instance())
+        record = loaded_record(sample_instance())
         with pytest.raises(ValueError, match=message):
             record_to_instance({**record, key: value})
         path = tmp_path / "d.jsonl"
@@ -146,14 +152,22 @@ class TestRoundTrip:
     def test_record_hands_row_tuples_to_json(self):
         """The record keeps the table's row tuples; ``json`` writes them as
         the arrays the lists of each row once were, and the record reads
-        back in process as well."""
+        back through ``json``, not in process."""
         table = make_table(["a", "b", "c"], [[True, None, -0.0], [False, 1.5, 0.0], [1e20, "x y", 10**20]])
         inst = Instance(id="t", question="q?", table=table, answers=("1",))
         record = instance_to_record(inst)
         assert record["table"]["rows"] is table.rows
         as_lists = {**record, "table": {"columns": list(table.columns), "rows": [list(r) for r in table.rows]}}
         assert json.dumps(record) == json.dumps(as_lists)
-        assert record_to_instance(record) == inst == record_to_instance(json.loads(json.dumps(record)))
+        assert record_to_instance(json.loads(json.dumps(record))) == inst
+        with pytest.raises(TypeError, match="^table rows are a tuple, not a list$"):
+            record_to_instance(record)
+        tuple_rows = {**record, "table": {"columns": list(table.columns), "rows": list(table.rows)}}
+        with pytest.raises(TypeError, match="^table row 0 is a tuple, not a list$"):
+            record_to_instance(tuple_rows)
+        tuple_headers = {**record, "table": {**as_lists["table"], "columns": table.columns}}
+        with pytest.raises(TypeError, match="^table columns are a tuple, not a list$"):
+            record_to_instance(tuple_headers)
 
     def test_scalar_cells_accepted(self):
         record = instance_to_record(sample_instance())
@@ -162,7 +176,7 @@ class TestRoundTrip:
         assert inst.table.rows == tuple(map(tuple, rows))
 
     def test_relevance_edges_accepted(self):
-        record = instance_to_record(sample_instance())
+        record = loaded_record(sample_instance())
         inst = record_to_instance({**record, "relevant_columns": [1, 0], "relevant_rows": []})
         assert inst.relevant_columns == frozenset({0, 1}) and inst.relevant_rows == frozenset()
         assert record_to_instance({**record, "relevant_rows": None}).relevant_rows is None

@@ -18,6 +18,7 @@ from tabreduce.policy import (
     Vocabulary,
     apply_top_p_mask,
     build_vocabulary,
+    count_matrices,
     embed,
     encode_instance,
     finite_difference_error,
@@ -55,7 +56,7 @@ def sample(params, enc, reference=None, *, rng, top_p):
 
 def forward_logps(params, enc, actions):
     """Unmasked per-step log-probabilities of ``actions`` from the batched forward."""
-    return forward(params, [enc], pad_actions([actions])).logps[0]
+    return forward(params, count_matrices([enc]), pad_actions([actions])).logps[0]
 
 
 def forward_logprob(params, enc, actions):
@@ -342,7 +343,7 @@ class TestValueHead:
     def test_zero_params_zero(self):
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
-        assert np.all(forward(params, [enc], pad_actions([(0, 1, STOP)])).values == 0.0)
+        assert np.all(forward(params, count_matrices([enc]), pad_actions([(0, 1, STOP)])).values == 0.0)
         trace = sample(params, enc, rng=np.random.default_rng(0), top_p=None)
         assert all(value == 0.0 for value in trace.values)
 
@@ -357,7 +358,7 @@ class TestValueHead:
         params.value_b = np.array([0.25])
         # h is zero before the candidate is taken and v after it
         expected = [2 - 2 + 0.25, 2 - 2 + 2 + 0.25]
-        values = forward(params, [enc], pad_actions([(0, STOP)])).values[0]
+        values = forward(params, count_matrices([enc]), pad_actions([(0, STOP)])).values[0]
         assert values.tolist() == pytest.approx(expected)
         # a zero uniform takes the candidate, then STOP is all that is left
         (trace,) = traces(sample_episodes(embed(params, [enc]), None, np.zeros((1, 2))))
@@ -397,7 +398,7 @@ class TestPpoLoss:
         vocab, enc = tiny_enc(2)
         params = init_params(vocab, 4, seed=5)
         batch = PpoBatch(
-            [enc],
+            count_matrices([enc]),
             pad_actions([(0, STOP)]),
             old_logps=forward_logps(params, enc, (0, STOP))[None] - ratio_shift,
             advantages=np.full((1, 2), advantage),

@@ -398,6 +398,11 @@ def episodes_of(batch):
     return [enc for enc, _ in batch], policy.pad_actions([actions for _, actions in batch])
 
 
+def forward_of(params, encs, actions):
+    """``policy.forward`` on the count matrices of ``encs``."""
+    return policy.forward(params, policy.count_matrices(encs), actions)
+
+
 def oracle_sft_loss_and_grad(params, batch):
     grads = zero_grads(params)
     total = 0.0
@@ -548,7 +553,8 @@ def padded(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 def as_ppo_batch(examples: Sequence[OracleExample]) -> PpoBatch:
     return PpoBatch(
-        [ex.enc for ex in examples], policy.pad_actions([ex.actions for ex in examples]),
+        policy.count_matrices([ex.enc for ex in examples]),
+        policy.pad_actions([ex.actions for ex in examples]),
         *(padded([getattr(ex, name) for ex in examples])
           for name in ("old_logps", "advantages", "returns")),
     )
@@ -586,7 +592,7 @@ def test_segment_means_match_oracle():
 def test_forward_matches_replay(seed):
     params = random_params(seed)
     batch = mixed_batch(seed)
-    fw = policy.forward(params, *episodes_of(batch))
+    fw = forward_of(params, *episodes_of(batch))
     for b, (enc, actions) in enumerate(batch):
         replay = replay_episode(params, enc, actions)
         walker = _Encoder(params, enc)
@@ -650,7 +656,7 @@ def test_forward_layout_matches_per_step_oracle(seed):
 
 
 def assert_layout_matches_oracle(params, batch) -> None:
-    fw = policy.forward(params, *episodes_of(batch))
+    fw = forward_of(params, *episodes_of(batch))
     n_max = max(enc.n_candidates for enc, _ in batch)
     t_max = max(len(actions) for _, actions in batch)
     allowed = np.zeros((len(batch), t_max, n_max + 1), dtype=bool)
@@ -678,11 +684,11 @@ def test_unavailable_action_rejected():
         with pytest.raises(ValueError, match="not available"):
             oracle_layout(enc, actions)
         with pytest.raises(ValueError, match="not available"):
-            policy.forward(params, [enc], policy.pad_actions([actions]))
+            forward_of(params, [enc], policy.pad_actions([actions]))
     # a bad action in any row of a minibatch
     other = EncodedInstance(question_ids=(1,), candidate_ids=((2,),) * 4)
     with pytest.raises(ValueError, match="action 3 not available"):
-        policy.forward(params, [other, enc], policy.pad_actions([(3, STOP), (0, 3, STOP)]))
+        forward_of(params, [other, enc], policy.pad_actions([(3, STOP), (0, 3, STOP)]))
 
 
 def test_actions_after_stop_ignored():
@@ -784,7 +790,7 @@ def test_encodings_batch_independent(seed):
     params = random_params(seed)
     encs = [enc for enc, _ in mixed_batch(seed)] + tie_prone_instances(rng, 80)
     batched = policy.embed(params, encs)
-    fw = policy.forward(params, encs, policy.pad_actions([(STOP,)] * len(encs)))
+    fw = forward_of(params, encs, policy.pad_actions([(STOP,)] * len(encs)))
     for k, enc in enumerate(encs):
         alone = policy.embed(params, [enc])[0]
         n = enc.n_candidates
@@ -969,7 +975,7 @@ def test_rollout_arithmetic_matches_per_episode_loop(seed, discount):
     task = rng.normal(scale=3.0, size=len(encs))
     beta = float(rng.uniform(0.01, 0.5))
     step_rewards = rewards.shaped_reward(task, sampled.logp_pi, sampled.logp_ref, sampled.steps, beta)
-    rollout = training.Rollout(encs, sampled, task, step_rewards)
+    rollout = training.Rollout(policy.count_matrices(encs), sampled, task, step_rewards)
     batch = training.compute_advantages(rollout, discount)
 
     episodes = traces(sampled)
@@ -980,7 +986,7 @@ def test_rollout_arithmetic_matches_per_episode_loop(seed, discount):
     assert_rows_equal(batch.returns, returns, sampled.steps)
     assert_rows_equal(batch.advantages, advantages, sampled.steps)
     assert_rows_equal(batch.old_logps, [t.logp_pi for t in episodes], sampled.steps)
-    assert np.array_equal(batch.actions, sampled.actions) and batch.encs == encs
+    assert np.array_equal(batch.actions, sampled.actions) and batch.matrices is rollout.matrices
     assert rollout.measured_kl == oracle_measured_kl(episodes) != 0.0
     assert max(sampled.steps) > 3
 

@@ -132,7 +132,7 @@ class TestShapedReward:
         task = np.array([bad])
         rewards = shaped_reward(task, sampled.logp_pi, sampled.logp_ref, sampled.steps, 0.1)
         assert not np.all(np.isfinite(rewards))
-        rollout = training.Rollout([enc], sampled, task, rewards)
+        rollout = training.Rollout(policy.count_matrices([enc]), sampled, task, rewards)
         batch = training.compute_advantages(rollout)
         with pytest.raises(NumericalError):
             policy.ppo_loss_and_grad(

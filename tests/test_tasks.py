@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,34 @@ class TestCandidates:
         enc = tasks.encode(vocab, inst, "columns")
         assert enc.question_ids == vocab.encode("which city in 2008?")
         assert enc.candidate_ids == tuple(vocab.encode(h) for h in ["year", "city", "noise"])
+
+    def test_column_candidates_tokenize_each_header_once(self, monkeypatch):
+        """Header ids come from the vocabulary's memo: each distinct header
+        text is tokenized once per vocabulary, and every encoding equals a
+        fresh tokenization of its headers."""
+        insts = dataio.generate_synthetic(dataio.SynthConfig(n_instances=60, seed=4))
+        vocab = tasks.build_vocab(insts, "columns")
+        expected = [
+            policy.EncodedInstance(vocab.encode(inst.question),
+                                   tuple(vocab.encode(h) for h in inst.table.columns))
+            for inst in insts
+        ]
+        headers = {h for inst in insts for h in inst.table.columns}
+        assert len(headers) < sum(inst.table.n_columns for inst in insts) / 4
+        calls = Counter()
+        real = policy.Vocabulary.encode
+
+        def counting(self, text):
+            calls[text] += 1
+            return real(self, text)
+
+        monkeypatch.setattr(policy.Vocabulary, "encode", counting)
+        for vocabulary in (vocab, tasks.build_vocab(insts, "columns")):
+            calls.clear()
+            assert [tasks.encode(vocabulary, inst, "columns") for inst in insts] == expected
+            questions = Counter(inst.question for inst in insts)
+            assert calls == questions + Counter(headers)
+            assert vocabulary.text_ids.keys() == headers
 
     def test_row_candidates_use_gold_columns_by_default(self):
         inst = annotated_instance()

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -18,7 +19,7 @@ from tabreduce.training import (
     train_sft,
     update_beta,
 )
-from test_policy_batched import params_equal, traces
+from test_policy_batched import mixed_batch, params_equal, random_instance, random_params, traces
 
 
 def dataset(n=60, seed=3, rows=(4, 10)):
@@ -121,7 +122,7 @@ class TestAdvantages:
             steps=np.array([len(a) for a in actions]),
         )
         task = np.array([r[-1] for r in step_rewards])
-        return Rollout(encs, episodes, task, pad(step_rewards))
+        return Rollout(policy.count_matrices(encs), episodes, task, pad(step_rewards))
 
     def test_single_step_advantage(self):
         enc = policy.EncodedInstance((1,), ())
@@ -170,7 +171,7 @@ class TestAdvantages:
         state, encs, golds = build_state(insts)
         rollout = collect_rollouts(state, encs, golds, 0, PpoConfig(), lambda s, g: 0.0)
         batch = compute_advantages(rollout)
-        assert batch.encs == [] and batch.actions.shape[0] == batch.advantages.shape[0] == 0
+        assert batch.matrices == [] and batch.actions.shape[0] == batch.advantages.shape[0] == 0
 
     def test_warm_start_fits_the_discounted_returns(self, monkeypatch):
         insts = dataset(20)
@@ -194,6 +195,18 @@ class TestAdvantages:
         assert not np.allclose(returns, undiscounted)
 
 
+def assert_matrices_of(matrices, encs):
+    """``matrices`` are the count matrices of ``encs`` bit for bit, and
+    episodes on the same instance share one matrix object."""
+    expected = policy.count_matrices(encs)
+    assert len(matrices) == len(expected)
+    for matrix, oracle in zip(matrices, expected):
+        assert np.array_equal(matrix.u, oracle.u) and np.array_equal(matrix.c, oracle.c)
+    shared = {}
+    for matrix, enc in zip(matrices, encs):
+        assert shared.setdefault(id(enc), matrix) is matrix
+
+
 def build_state(instances, target="columns", seed=0, beta=0.2):
     usable = tasks.trainable(instances, target)
     vocab = tasks.build_vocab(usable, target)
@@ -214,7 +227,7 @@ class TestRollouts:
         insts = dataset(10)
         state, encs, golds = build_state(insts)
         rollout = collect_rollouts(state, encs, golds, 0, PpoConfig(), lambda s, g: 0.0)
-        assert rollout.encs == [] and rollout.episodes.steps.size == 0
+        assert rollout.matrices == [] and rollout.episodes.steps.size == 0
         assert rollout.measured_kl == 0.0 and rollout.mean_task_reward == 0.0
 
     def test_beta_zero_means_zero_step_penalties(self):
@@ -231,10 +244,10 @@ class TestRollouts:
         state, encs, golds = build_state(insts)
         cfg = PpoConfig(top_p=0.9)
         rollout = collect_rollouts(state, encs, golds, 16, cfg, lambda s, g: 0.0)
-        for enc, trace in zip(rollout.encs, traces(rollout.episodes)):
+        for matrix, trace in zip(rollout.matrices, traces(rollout.episodes)):
             # with identical parameters the behavior/reference log-ratio is
             # exactly the mask's kept-mass renormalization at each step
-            fw = policy.forward(state.current, [enc], policy.pad_actions([trace.actions]))
+            fw = policy.forward(state.current, [matrix], policy.pad_actions([trace.actions]))
             for t, (lp_pi, lp_ref) in enumerate(zip(trace.logp_pi, trace.logp_ref)):
                 probs = fw.probs[0, t][fw.allowed[0, t]]  # remaining candidates, then STOP
                 masked = policy.apply_top_p_mask(probs, cfg.top_p)
@@ -249,7 +262,7 @@ class TestRollouts:
             lambda selected, gold: float(len(selected & gold)),
         )
         indices = np.random.default_rng(0).integers(0, len(encs), size=4)  # the rollout's draw
-        assert rollout.encs == [encs[i] for i in indices]
+        assert_matrices_of(rollout.matrices, [encs[i] for i in indices])
         for trace, reward, i in zip(traces(rollout.episodes), rollout.task_rewards, indices):
             assert reward == float(len(trace.selected & golds[i]))
         assert rollout.mean_task_reward == np.mean(rollout.task_rewards)
@@ -273,7 +286,7 @@ class TestRollouts:
         assert n_max < max(enc.n_candidates for enc in encs)  # N_max is the drawn instances'
         uniforms = replay.random((6, n_max + 1))
         assert state.rng.random() == replay.random()
-        assert rollout.encs == [encs[i] for i in indices]
+        assert_matrices_of(rollout.matrices, [encs[i] for i in indices])
         drawn = [encs[i] for i in indices]
         expected = policy.sample_episodes(
             policy.embed(state.current, drawn), policy.embed(state.reference, drawn), uniforms, 0.9
@@ -594,7 +607,250 @@ class TestAdam:
         adam = Adam(params, 0.1)
         target = np.ones_like(params.score_q)
         for _ in range(200):
-            grads = {n: np.zeros_like(a) for n, a in params.arrays().items()}
-            grads["score_q"] = 2 * (params.score_q - target)
+            grads = policy.zero_grads(params)
+            grads["score_q"][:] = 2 * (params.score_q - target)
             adam.step(params, grads)
         assert np.allclose(params.score_q, target, atol=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: flat Adam against the per-array update it replaced, and
+# the rollout-held count matrices against matrices rebuilt per minibatch
+
+class OracleAdam:
+    """The per-array Adam that the flat buffers replaced: eight numpy calls
+    on each parameter array, moments as separate arrays."""
+
+    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros_like(a) for n, a in params.arrays().items()}
+        self.v = {n: np.zeros_like(a) for n, a in params.arrays().items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, arr in params.arrays().items():
+            g = grads[name]
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            arr -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def snapshot(self):
+        return (self.t, {n: a.copy() for n, a in self.m.items()},
+                {n: a.copy() for n, a in self.v.items()})
+
+    def restore(self, snapshot):
+        t, m, v = snapshot
+        self.t = t
+        self.m = {n: a.copy() for n, a in m.items()}
+        self.v = {n: a.copy() for n, a in v.items()}
+
+
+def assert_adam_equal(adam, oracle):
+    assert adam.t == oracle.t
+    assert adam.m.keys() == oracle.m.keys()
+    for name in oracle.m:
+        assert np.array_equal(adam.m[name], oracle.m[name])
+        assert np.array_equal(adam.v[name], oracle.v[name])
+
+
+def random_grads(params, rng):
+    """Gradients of mixed scales, some exactly zero, as flat-buffer views."""
+    grads = policy.zero_grads(params)
+    for arr in grads.values():
+        arr[...] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-9, 4, size=arr.shape)
+        arr[rng.random(arr.shape) < 0.2] = 0.0
+    return grads
+
+
+class TestFlatAdam:
+    def test_matches_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        params = random_params(3, dim=6)
+        expected = params.copy()
+        adam = Adam(params, 0.05)
+        oracle = OracleAdam(expected, 0.05)
+        snapshots = None
+        for step in range(1, 81):
+            grads = random_grads(params, rng)
+            adam.step(params, grads)
+            oracle.step(expected, {n: a.copy() for n, a in grads.items()})
+            assert params_equal(params, expected)
+            assert_adam_equal(adam, oracle)
+            if step == 30:
+                snapshots = adam.snapshot(), oracle.snapshot(), params.copy()
+            if step == 50:  # roll both back and take other steps from there
+                adam.restore(snapshots[0])
+                oracle.restore(snapshots[1])
+                params, expected = snapshots[2].copy(), snapshots[2].copy()
+                assert_adam_equal(adam, oracle)
+        assert adam.t == 60
+
+    def test_snapshot_is_a_copy_and_restores_twice(self):
+        rng = np.random.default_rng(2)
+        params = random_params(1, dim=4)
+        adam = Adam(params, 0.1)
+        adam.step(params, random_grads(params, rng))
+        t, m, v = adam.snapshot()
+        before = m.flat.copy(), v.flat.copy()
+        for _ in range(2):
+            adam.step(params, random_grads(params, rng))
+            assert not np.array_equal(adam.m.flat, before[0])
+            adam.restore((t, m, v))
+            assert adam.t == t
+            assert np.array_equal(adam.m.flat, before[0]) and np.array_equal(adam.v.flat, before[1])
+        # the moments' views still write the flat buffers
+        adam.m["emb"][0, 0] = 7.0
+        assert adam.m.flat[0] == 7.0
+
+    def test_zero_grads_are_views_of_one_buffer(self):
+        params = random_params(0, dim=5)
+        grads = policy.zero_grads(params)
+        assert list(grads) == list(params.arrays())
+        assert grads.flat.size == sum(a.size for a in params.arrays().values())
+        assert not grads.flat.any()
+        offset = 0
+        for name, arr in params.arrays().items():
+            assert grads[name].shape == arr.shape and grads[name].base is grads.flat
+            grads[name][...] = offset + 1.0
+            assert (grads.flat[offset : offset + arr.size] == offset + 1.0).all()
+            offset += arr.size
+
+
+def rl_fixture(seed, n_episodes=48):
+    """A train state on random parameters and the instances of a
+    ``mixed_batch`` plus a one-candidate instance: 0, 1 and 160 candidates,
+    so minibatches and the rollout span several ``chunks`` runs."""
+    rng = np.random.default_rng([seed, 5])
+    encs = [enc for enc, _ in mixed_batch(seed)] + [random_instance(rng, 1)]
+    sizes = {enc.n_candidates for enc in encs}
+    assert {0, 1, 160} <= sizes
+    golds = [frozenset(int(j) for j in np.flatnonzero(rng.random(enc.n_candidates) < 0.3))
+             for enc in encs]
+    state = TrainState(random_params(seed), random_params(seed + 50), 0.2,
+                       np.random.default_rng([seed, 6]))
+    cfg = PpoConfig(rollout_episodes_per_iter=n_episodes, minibatch_episodes=8,
+                    epochs_per_iter=3, seed=seed)
+    reward = lambda selected, gold: len(selected & gold) - 0.5 * len(selected - gold)
+    return state, encs, golds, cfg, reward
+
+
+def rows_of(state, encs, n):
+    """The instance of each row of the next rollout, from the first draw of
+    its random stream (``collect_rollouts``)."""
+    indices = copy.deepcopy(state.rng).integers(0, len(encs), size=n)
+    return [encs[i] for i in indices]
+
+
+def rebuilt_matrices(rows):
+    """Count matrices built afresh, one ``_count_matrices`` call per
+    ``chunks`` run, as each forward pass built them before rollouts kept
+    theirs."""
+    return [m for run in policy.chunks(rows) for m in policy._count_matrices(rows[run])]
+
+
+def oracle_ppo_update(params, rows, batch, cfg, adam, rng):
+    """``ppo_update`` as it was: each minibatch rebuilds its episodes' count
+    matrices, and the per-array Adam steps."""
+    stats = []
+    for _ in range(cfg.epochs_per_iter):
+        order = rng.permutation(len(rows))
+        for start in range(0, len(order), cfg.minibatch_episodes):
+            index = order[start : start + cfg.minibatch_episodes]
+            minibatch = policy.PpoBatch(
+                rebuilt_matrices([rows[i] for i in index]), batch.actions[index],
+                batch.old_logps[index], batch.advantages[index], batch.returns[index],
+            )
+            _, grads, batch_stats = policy.ppo_loss_and_grad(
+                params, minibatch, cfg.clip_epsilon, cfg.value_loss_coef, cfg.entropy_coef
+            )
+            adam.step(params, dict(grads))
+            stats.append(batch_stats)
+    return stats
+
+
+def oracle_warm_start(state, encs, golds, cfg, reward):
+    """The value-head fit as it was: the forward pass rebuilds the count
+    matrices of the rollout's rows."""
+    rows = rows_of(state, encs, cfg.rollout_episodes_per_iter)
+    rollout = collect_rollouts(state, encs, golds, len(rows), cfg, reward)
+    features = []
+    for run in policy.chunks(rows):
+        fw = policy.forward(state.current, rebuilt_matrices(rows[run]), rollout.episodes.actions[run])
+        q = np.broadcast_to(fw.q[:, None, :], fw.h.shape)
+        features.append(np.concatenate([q, fw.h, np.ones(fw.h.shape[:2] + (1,))], axis=-1)[fw.valid])
+    targets = training._returns_to_go(rollout.step_rewards, cfg.discount)[rollout.episodes.valid]
+    solution, *_ = np.linalg.lstsq(np.concatenate(features), targets, rcond=None)
+    d = state.current.dim
+    return solution[:d], solution[d : 2 * d], solution[-1]
+
+
+class TestRolloutMatrices:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ppo_update_matches_matrices_rebuilt_per_minibatch(self, seed):
+        state, encs, golds, cfg, reward = rl_fixture(seed)
+        rows = rows_of(state, encs, cfg.rollout_episodes_per_iter)
+        rollout = collect_rollouts(state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward)
+        assert_matrices_of(rollout.matrices, rows)
+        batch = compute_advantages(rollout)
+        assert len(policy.chunks(batch.matrices)) > 2
+        params, expected = state.current.copy(), state.current.copy()
+        adam, oracle = Adam(params, 0.05), OracleAdam(expected, 0.05)
+        rng, oracle_rng = copy.deepcopy(state.rng), copy.deepcopy(state.rng)
+        stats = training.ppo_update(params, batch, cfg, adam, rng)
+        oracle_stats = oracle_ppo_update(expected, rows, batch, cfg, oracle, oracle_rng)
+        assert params_equal(params, expected)
+        assert_adam_equal(adam, oracle)
+        assert stats == {
+            name: float(np.mean([getattr(s, name) for s in oracle_stats]))
+            for name in ("policy_loss", "value_loss", "entropy", "clip_fraction", "mean_ratio")
+        }
+        assert 0.0 < stats["clip_fraction"] < 1.0
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_matches_matrices_rebuilt_per_run(self, seed):
+        state, encs, golds, cfg, reward = rl_fixture(seed)
+        replica = TrainState(state.current.copy(), state.reference, state.beta,
+                             copy.deepcopy(state.rng))
+        training.warm_start_value_head(state, encs, golds, cfg, reward)
+        value_q, value_h, value_b = oracle_warm_start(replica, encs, golds, cfg, reward)
+        assert np.array_equal(state.current.value_q, value_q)
+        assert np.array_equal(state.current.value_h, value_h)
+        assert state.current.value_b[0] == value_b
+        assert value_b != 0.0
+
+
+@pytest.mark.parametrize("given_reference", [True, False])
+def test_count_matrices_once_per_distinct_drawn_instance(monkeypatch, given_reference):
+    """A rollout counts each distinct instance it draws once, and its
+    update (every minibatch of every epoch) and the warm start's forward
+    pass count none again."""
+    state, encs, golds, cfg, reward = rl_fixture(4, n_episodes=40)
+    reference = policy.embed(state.reference, encs) if given_reference else None
+    seen = []
+    real = policy._count_matrices
+
+    def counting(batch):
+        seen.extend(map(id, batch))
+        return real(batch)
+
+    monkeypatch.setattr(policy, "_count_matrices", counting)
+    n = cfg.rollout_episodes_per_iter
+    rows = rows_of(state, encs, n)
+    training.warm_start_value_head(state, encs, golds, cfg, reward, reference)
+    assert sorted(seen) == sorted({id(enc) for enc in rows})
+    adam = Adam(state.current, cfg.learning_rate)
+    for _ in range(3):
+        seen.clear()
+        rows = rows_of(state, encs, n)
+        rollout = collect_rollouts(state, encs, golds, n, cfg, reward, reference)
+        training.ppo_update(state.current, compute_advantages(rollout), cfg, adam, state.rng)
+        assert sorted(seen) == sorted({id(enc) for enc in rows})
+        assert len(set(map(id, rows))) < n  # instances recur among the rows
