@@ -12,33 +12,31 @@ means of token embeddings; ``h`` is the zero vector before anything is
 selected.  A linear value head ``q . vq + h . vh + vb`` shares the
 embeddings.
 
-Encodings are segment means: each instance gets a matrix of its segments'
-token counts over its distinct tokens, divided by the segment lengths
-(``CountMatrix``), and its encodings are that matrix times the rows of those
-tokens in the embedding table; the gradient goes back through the
-transposed product.  The matrices are built per instance, so an instance
-encodes the same whatever it is batched with.  ``forward`` reads count
-matrices, not encodings: SFT and greedy decoding build them per chunk and
-drop them, while a PPO rollout builds them once for its distinct instances
-(``count_matrices``) and keeps them for every minibatch of its update.
+Encodings are segment means: an instance's matrix of its segments' token
+counts over its distinct tokens, divided by the segment lengths
+(``CountMatrix``), times those tokens' rows of the embedding table; the
+gradient goes back through the transposed product.  The matrices are built
+per instance, so an instance encodes the same in any batch.  ``forward``
+reads count matrices: SFT and greedy decoding build them per chunk, and a
+PPO rollout once for its distinct instances (``count_matrices``), kept for
+every minibatch of its update.
 
-Sampling (``sample_episodes``) and greedy decoding (``greedy_decode``) step
-many instances together as masked ``(B, N + 1)`` score arrays, STOP in the
-last slot, through one stepper (``_Stepper``).  Sampling draws each
-episode's picks from its own row of a caller-supplied block of uniforms.
-Greedy decoding takes each row's argmax, ties to the lowest slot; a row
-scores the same in any batch, so an instance decodes the same whatever it
-is decoded with.
+The step distribution is written once (``_step``, ``_values``,
+``_log_softmax``), by per-row products rounded alike in any batch.
+Sampling (``sample_episodes``, one row of caller-supplied uniforms per
+episode) and greedy decoding (``greedy_decode``, each row's argmax, ties
+to the lowest slot) evaluate it a step at a time for many instances
+together (``_Stepper``), as masked ``(B, N + 1)`` arrays, STOP last.
 
 Training never walks episodes.  An episode is its instance (its count
 matrix, in a PPO update) and its actions, one row of a ``(B, T)`` array
-that reads STOP after the episode ends: sampling returns its episodes so
-(``SampledEpisodes``), gold sequences are padded so (``pad_actions``) and
-the update keeps them so (``PpoBatch``).  ``forward`` derives each step's
-available candidates and history-mean weights ``W`` (``h = W @ v``) from a
-minibatch's actions at once and replays it as padded ``(B, T, N + 1)``
-score tensors.  ``backward`` runs the chain rule back through the same
-tensors down to the token embeddings.
+that reads STOP after the episode ends (``SampledEpisodes``,
+``pad_actions``, ``PpoBatch``).  ``forward`` derives every step's
+available candidates and history from a minibatch's actions at once and
+evaluates the step distribution at all of them, as padded ``(B, T, N +
+1)`` tensors, so a sampled episode replays with the log-probabilities and
+values it was sampled with; ``backward`` runs the chain rule back through
+them down to the token embeddings.
 
 Gradients come in ``FlatArrays``: per-parameter views of one flat buffer,
 so an optimizer can update them in one elementwise pass (``zero_grads``).
@@ -406,10 +404,10 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
         offset[inst_of] + seg_of * n_u[inst_of] + column - u_start[inst_of],
         minlength=int(size.sum()),
     )
-    divisor = np.maximum(seg_lengths, 1)[:, None]
+    c = counts / np.repeat(np.maximum(seg_lengths, 1), np.repeat(n_u, n_segs))  # over its segment's length
     return [
-        CountMatrix(u[k0 : k0 + k], counts[o : o + s * k].reshape(s, k) / divisor[s0 : s0 + s])
-        for k0, k, s0, s, o in zip(*(a.tolist() for a in (u_start, n_u, seg_start, n_segs, offset)))
+        CountMatrix(u[k0 : k0 + k], c[o : o + s * k].reshape(s, k))
+        for k0, k, s, o in zip(*(a.tolist() for a in (u_start, n_u, n_segs, offset)))
     ]
 
 
@@ -480,29 +478,66 @@ def apply_top_p_mask(probs: np.ndarray, p: float) -> np.ndarray:
 # Stepping many instances together
 
 def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Each row of ``x`` times ``matrix``, one vector-matrix product per row,
-    so a row's result does not depend on how many rows there are (a
-    one-row matrix product takes another BLAS path than a many-row one)."""
-    return np.matmul(x[:, None, :], matrix)[:, 0]
+    """Each vector along the last axis of ``x`` times ``matrix``, one
+    vector-matrix product each, so a vector's result does not depend on how
+    many there are (a many-row matrix product takes another BLAS path)."""
+    return np.matmul(x[..., None, :], matrix)[..., 0, :]
+
+
+def _question_terms(params: PolicyParams, q: np.ndarray, v: np.ndarray):
+    """What the question adds at every step of each row: ``(B, N)``
+    candidate scores, ``(B,)`` STOP scores and ``(B,)`` values."""
+    q_scores = np.einsum("bnd,bd->bn", v, _rows_times(q, params.score_q))
+    return q_scores, np.einsum("bd,d->b", q, params.stop_q), np.einsum("bd,d->b", q, params.value_q)
+
+
+def _history(h_sum: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """History means from the running sums of the picked encodings and
+    their number; zero before the first pick."""
+    return h_sum / np.maximum(picked, 1)[..., None]
+
+
+def _step(params: PolicyParams, v: np.ndarray, question, h: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Scores, -inf outside ``allowed``, of row b's step at history mean
+    ``h[b]`` (its T steps for ``(B, T, dim)`` ``h``, the ``question`` terms
+    given a step axis), by products per row rounded alike whatever the
+    rows, steps or N.  ``NumericalError`` for a non-finite allowed score."""
+    scores = np.empty(allowed.shape)
+    scores[..., :-1] = question[0]
+    scores[..., -1] = question[1]
+    if h.any():  # else every history is zero and adds nothing
+        scores[..., :-1] += np.einsum("bnd,b...d->b...n", v, _rows_times(h, params.score_h))
+        scores[..., -1] += np.einsum("b...d,d->b...", h, params.stop_h)
+    scores[..., -1] += params.stop_b[0]
+    if not np.isfinite(scores[allowed]).all():
+        raise NumericalError("non-finite scores in step distribution")
+    scores[~allowed] = -np.inf
+    return scores
+
+
+def _values(params: PolicyParams, question, h: np.ndarray) -> np.ndarray:
+    """The value head at history means ``h``, as ``_step`` takes them."""
+    return question[2] + np.einsum("b...d,d->b...", h, params.value_h) + params.value_b[0]
+
+
+def _log_softmax(scores: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and log-probabilities (0 outside ``allowed``) of masked
+    scores along the last axis; a log-probability is the shifted score less
+    the log of the total, finite where its probability is 0."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    return exp / total, np.where(allowed, shifted - np.log(total), 0.0)
 
 
 class _Stepper:
-    """Instances stepped together under one parameter set.
-
-    Rows are instances, padded to N candidates with STOP in slot N.  The
-    stepper holds what does not change between steps (the encodings and the
-    question's share of every score), the slots each row may still take, and
-    the sum of the encodings each row has selected.  Every quantity of a row
-    comes from that row alone, by products whose rounding depends on neither
-    the number of rows nor N (a vector-matrix product per row and ``einsum``
-    dot products), so a row steps bit for bit the same in any batch of the
-    same width.
-    """
+    """Instances (rows, padded to N candidates, STOP in slot N) stepped
+    together, one ``_step`` at a time: their encodings, ``_question_terms``,
+    open slots, and the sum and number of the encodings each has taken."""
 
     def __init__(self, params: PolicyParams, q: np.ndarray, v: np.ndarray,
                  n_candidates: np.ndarray):
         self.params = params
-        self.q = q                      # (B, dim)
         self.v = v                      # (B, N, dim), zero past each row's candidates
         n = v.shape[1]
         self.allowed = np.zeros((q.shape[0], n + 1), dtype=bool)
@@ -510,13 +545,11 @@ class _Stepper:
         self.allowed[:, n] = True
         self.picked = np.zeros(q.shape[0], dtype=np.intp)
         self.h_sum = np.zeros(q.shape)
-        self.q_scores = np.einsum("bnd,bd->bn", v, _rows_times(q, params.score_q))
-        self.q_stop = np.einsum("bd,d->b", q, params.stop_q)
+        self.question = _question_terms(params, q, v)
 
     @classmethod
     def of(cls, embedded: Sequence[Embedded], n: int) -> "_Stepper":
-        """A stepper over ``embedded`` (all under one parameter set), padded
-        to ``n`` candidates."""
+        """A stepper over ``embedded``, one parameter set, N = ``n``."""
         params = embedded[0].params
         v = np.zeros((len(embedded), n, params.dim))
         for b, e in enumerate(embedded):
@@ -524,26 +557,13 @@ class _Stepper:
         counts = np.array([e.v.shape[0] for e in embedded])
         return cls(params, np.stack([e.q for e in embedded]), v, counts)
 
-    def history(self) -> np.ndarray:
-        """(B, dim) mean encoding of each row's selected candidates."""
-        return self.h_sum / np.maximum(self.picked, 1)[:, None]
-
     def scores(self) -> np.ndarray:
-        """(B, N + 1) step scores, -inf outside the allowed slots;
-        ``NumericalError`` when an allowed score is not finite."""
-        params = self.params
-        scores = np.empty(self.allowed.shape)
-        scores[:, :-1] = self.q_scores
-        scores[:, -1] = self.q_stop
-        if self.picked.any():  # else every history is zero and adds nothing
-            h = self.history()
-            scores[:, :-1] += np.einsum("bnd,bd->bn", self.v, _rows_times(h, params.score_h))
-            scores[:, -1] += np.einsum("bd,d->b", h, params.stop_h)
-        scores[:, -1] += params.stop_b[0]
-        if not np.isfinite(scores[self.allowed]).all():
-            raise NumericalError("non-finite scores in step distribution")
-        scores[~self.allowed] = -np.inf
-        return scores
+        """(B, N + 1) scores of this step, -inf outside the allowed slots."""
+        return _step(self.params, self.v, self.question, _history(self.h_sum, self.picked), self.allowed)
+
+    def values(self) -> np.ndarray:
+        """(B,) values of this step."""
+        return _values(self.params, self.question, _history(self.h_sum, self.picked))
 
     def select(self, rows: np.ndarray, slots: np.ndarray) -> None:
         """Row ``rows[i]`` takes candidate ``slots[i]``."""
@@ -551,18 +571,11 @@ class _Stepper:
         self.h_sum[rows] += self.v[rows, slots]
         self.picked[rows] += 1
 
-    def keep(self, mask: np.ndarray, *extra: np.ndarray) -> list[np.ndarray]:
-        """Drop the rows outside ``mask``, here and in ``extra`` (arrays
-        the caller keeps per row), which are returned filtered."""
-        for name in ("q", "v", "allowed", "picked", "h_sum", "q_scores", "q_stop"):
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows outside ``mask``."""
+        for name in ("v", "allowed", "picked", "h_sum"):
             setattr(self, name, getattr(self, name)[mask])
-        return [a[mask] for a in extra]
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of masked (-inf) scores."""
-    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return exp / exp.sum(axis=1, keepdims=True)
+        self.question = tuple(terms[mask] for terms in self.question)
 
 
 # ---------------------------------------------------------------------------
@@ -601,22 +614,22 @@ def sample_episodes(
     selected candidates leave the action set.
 
     Episode k walks ``current[k]``, an instance encoded under the current
-    parameters; ``reference[k]`` is the same instance under the reference
-    parameters (``reference`` None: the reference is the current policy).
-    At step t the behavior distribution b is the policy over the remaining
-    candidates and STOP, top-p masked when ``top_p`` is given, and the pick
-    is ``searchsorted(cumsum(b) / cumsum(b)[-1], uniforms[k, t],
-    side="right")``, the arithmetic of ``Generator.choice``.  The recorded
-    logp_pi is log b of the pick; logp_ref scores the same action under the
-    reference without masking.  Greedy decoding is ``greedy_decode``.
+    parameters, and ``reference[k]`` under the reference ones (``reference``
+    None: the current policy).  At step t the behavior distribution b is the
+    policy over the remaining candidates and STOP, top-p masked when
+    ``top_p`` is given, and the pick is ``searchsorted(cumsum(b) /
+    cumsum(b)[-1], uniforms[k, t], side="right")``, the arithmetic of
+    ``Generator.choice``.  logp_pi is the pick's log-probability
+    (``_log_softmax``), or log b when masked; logp_ref is the unmasked one
+    under the reference.  ``forward`` at this width replays unmasked
+    episodes with these log-probabilities and values bit for bit.
 
-    ``uniforms`` needs a column for every step an episode can take, so
-    ``1 + n_candidates`` of them, and the returned arrays are as wide as
-    ``uniforms``.  Episodes are padded to ``uniforms.shape[1] - 1``
-    candidates, cut into runs of at most ``_SEGMENT_BLOCK`` slots and each
-    run stepped as one masked array (``_Stepper``); episodes that stop leave
-    it.  As every run has the same width, an episode does not depend on the
-    episodes it is run with.  Non-finite scores raise ``NumericalError``.
+    ``uniforms`` needs ``1 + n_candidates`` columns, one per step an episode
+    can take, and the returned arrays are as wide.  Episodes are padded to
+    ``uniforms.shape[1] - 1`` candidates and cut into runs of at most
+    ``_SEGMENT_BLOCK`` slots, each stepped as one ``_Stepper``, so an episode
+    does not depend on those it is run with.  Non-finite scores raise
+    ``NumericalError``.
     """
     uniforms = np.asarray(uniforms, dtype=float)
     if uniforms.ndim != 2 or uniforms.shape[0] != len(current):
@@ -647,33 +660,30 @@ def _sample_run(current, reference, uniforms, top_p, actions, logp_pi, logp_ref,
     n = width - 1
     pi = _Stepper.of(current, n)
     ref = None if reference is None else _Stepper.of(reference, n)
-    params = pi.params
-    q_value = np.einsum("bd,d->b", pi.q, params.value_q)
+    steppers = [pi] if ref is None else [pi, ref]
     live = np.arange(batch)
     for t in range(width):
         rows = np.arange(live.size)
-        probs = _softmax_rows(pi.scores())
+        probs, logprobs = _log_softmax(pi.scores(), pi.allowed)
         behavior = probs if top_p is None else apply_top_p_mask(probs, top_p)
         cdf = np.cumsum(behavior, axis=1)
         cdf /= cdf[:, -1:]
         pick = (cdf <= uniforms[live, t][:, None]).sum(axis=1)
-        ref_probs = probs if ref is None else _softmax_rows(ref.scores())
-        values[live, t] = q_value + np.einsum("bd,d->b", pi.history(), params.value_h) + params.value_b[0]
-        logp_pi[live, t] = np.log(behavior[rows, pick])
-        logp_ref[live, t] = np.log(ref_probs[rows, pick])
+        logp_pi[live, t] = logprobs[rows, pick] if top_p is None else np.log(behavior[rows, pick])
+        ref_logprobs = logprobs if ref is None else _log_softmax(ref.scores(), ref.allowed)[1]
+        logp_ref[live, t] = ref_logprobs[rows, pick]
+        values[live, t] = pi.values()
 
         go = pick < n
         actions[live[go], t] = pick[go]
         steps[live[~go]] = t + 1
-        pi.select(rows[go], pick[go])
-        if ref is not None:
-            ref.select(rows[go], pick[go])
-        if not go.all():
-            live, q_value = pi.keep(go, live, q_value)
-            if ref is not None:
-                ref.keep(go)
-            if not live.size:
-                break
+        for stepper in steppers:
+            stepper.select(rows[go], pick[go])
+            if not go.all():
+                stepper.keep(go)
+        live = live[go]
+        if not live.size:
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -691,15 +701,13 @@ class GreedyDecode:
 def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> GreedyDecode:
     """Greedy decode of many instances, stepped together.
 
-    Every step takes the argmax of the stepper's scores over the remaining
-    candidates and STOP, ties to the lowest slot, and STOP ends the episode.
-    Instances are sorted by candidate count and cut into ``chunks``; each
-    chunk is embedded once and stepped as one masked ``(B, N + 1)`` score
-    array with STOP in the last slot (``_Stepper``), and instances that stop
-    leave the working arrays.  A row's scores depend on neither the batch
-    nor its width, so an instance decodes the same in any batch, and
-    candidates with bit-identical encodings score exactly alike, so the
-    lowest of them wins.  Non-finite scores raise ``NumericalError``.
+    Every step takes the argmax of the scores over the remaining candidates
+    and STOP, ties to the lowest slot, and STOP ends the episode.  Instances
+    are sorted by candidate count and cut into ``chunks``, each embedded
+    once and stepped as one ``_Stepper``; instances that stop leave it.  A
+    row's scores depend on neither the batch nor its width, so an instance
+    decodes the same in any batch, and of candidates with bit-identical
+    encodings the lowest wins.  Non-finite scores raise ``NumericalError``.
     """
     if not encs:
         return GreedyDecode([], 0)
@@ -722,7 +730,8 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
                     k = live[i]
                     taken = ~st.allowed[i, : ordered[k].n_candidates]
                     selected[order[k]] = frozenset(np.flatnonzero(taken).tolist())
-                (live,) = st.keep(go, live)
+                st.keep(go)
+                live = live[go]
     return GreedyDecode(selected, steps)
 
 
@@ -746,13 +755,10 @@ def _episode_steps(actions: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Forward:
-    """Teacher-forced pass over B episodes padded to T steps and N candidates.
-
-    Slot N of the last axis is STOP.  Padded steps allow only STOP, are
-    False in ``valid`` and read 0 in ``logps``, ``entropies`` and
-    ``values``.  Everything ``backward`` needs is kept, the episodes' count
-    matrices (the caller's, not copies) among it.
-    """
+    """Teacher-forced pass over B episodes padded to T steps and N
+    candidates, STOP in slot N.  Padded steps allow only STOP, are False in
+    ``valid`` and read 0 in ``logps``, ``entropies`` and ``values``.  It
+    keeps what ``backward`` needs, the caller's count matrices among it."""
 
     matrices: Sequence[CountMatrix]  # per episode
     valid: np.ndarray       # (B, T)
@@ -761,8 +767,7 @@ class Forward:
     weights: np.ndarray     # (B, T, N) history-mean weights
     q: np.ndarray           # (B, dim)
     v: np.ndarray           # (B, N, dim)
-    h: np.ndarray           # (B, T, dim) history means
-    u: np.ndarray           # (B, T, dim) q . Wq + h . Wh
+    h: np.ndarray           # (B, T, dim) history means (past the end: of all picks)
     probs: np.ndarray       # (B, T, N + 1), 0 outside allowed
     logprobs: np.ndarray    # (B, T, N + 1), 0 outside allowed
     logps: np.ndarray       # (B, T) log-probability of each taken action
@@ -773,15 +778,14 @@ class Forward:
 def forward(params: PolicyParams, matrices: Sequence[CountMatrix], actions: np.ndarray) -> Forward:
     """Unmasked step distributions, log-probs, entropies and values of a
     minibatch: episode b takes ``actions[b]`` on the instance of count
-    matrix ``matrices[b]`` through its first STOP (the whole row if it has
-    none), and T is the longest episode.  The candidates of each instance
-    are the rows of its matrix after the question's.
-
-    Before step t an episode has selected its first t actions, so the
-    candidates still allowed are those not among them, and the history-mean
-    weights are 1/t on each of them (an exclusive cumulative sum of the
-    picks' one-hot rows, times 1/t).  ValueError for an action that is out
-    of range or already taken.
+    matrix ``matrices[b]`` (whose rows after the question's are its
+    candidates) through its first STOP, else the whole row; T is the
+    longest episode.  Before step t an episode has taken its first t
+    actions, which are no longer allowed, and its history is their running
+    sum over t; every step is scored by ``_step``, so at the sampler's width
+    a sampled episode replays bit for bit.  The ``weights``, 1/t on each
+    candidate taken before step t, carry the history's gradient.
+    ValueError for an action that is out of range or already taken.
     """
     q, v = _embed_padded(params, matrices)
     batch, n_max = v.shape[:2]
@@ -793,40 +797,32 @@ def forward(params: PolicyParams, matrices: Sequence[CountMatrix], actions: np.n
     bad = valid & ((actions < STOP) | (actions >= n_candidates[:, None]))
     picks = np.where(valid & (actions != STOP), actions, n_max)
     one_hot = picks[..., None] == np.arange(n_max)
-    before = np.cumsum(one_hot, axis=1) - one_hot
-    bad |= (one_hot & (before > 0)).any(axis=-1)
+    chosen = one_hot @ v  # each step's pick (exact: one term per sum), zero for STOP
+    # before step t: the candidates taken and their running sum, added in
+    # the stepper's order (a loop, as cumsum along a middle axis is slow)
+    before = np.zeros(one_hot.shape, dtype=bool)
+    h_sum = np.zeros(chosen.shape)
+    for t in range(1, t_max):
+        np.logical_or(before[:, t - 1], one_hot[:, t - 1], out=before[:, t])
+        np.add(h_sum[:, t - 1], chosen[:, t - 1], out=h_sum[:, t])
+    bad |= (one_hot & before).any(axis=-1)
     if bad.any():
         raise ValueError(f"action {actions[bad][0]} not available")
     allowed = np.ones((batch, t_max, n_max + 1), dtype=bool)
-    allowed[..., :n_max] = (
-        valid[..., None] & (before == 0) & (np.arange(n_max) < n_candidates[:, None, None])
-    )
-    inverse_t = 1.0 / np.maximum(np.arange(t_max), 1)
-    weights = np.where(valid[..., None], before * inverse_t[:, None], 0.0)
-
-    h = weights @ v
-    u = (q @ params.score_q)[:, None, :] + h @ params.score_h
-    scores = np.empty((batch, t_max, n_max + 1))
-    scores[..., :n_max] = u @ v.transpose(0, 2, 1)
-    scores[..., n_max] = (q @ params.stop_q)[:, None] + h @ params.stop_h + params.stop_b[0]
-    if not np.all(np.isfinite(scores[allowed])):
-        raise NumericalError("non-finite scores in step distribution")
-    scores[~allowed] = -np.inf
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=-1, keepdims=True)
-    probs = exp / total
-    logprobs = np.where(allowed, shifted - np.log(total), 0.0)
+    allowed[..., :n_max] = valid[..., None] & ~before & (np.arange(n_max) < n_candidates[:, None, None])
+    weights = np.where(valid[..., None] & before, 1.0 / np.maximum(np.arange(t_max), 1)[:, None], 0.0)
+    h = _history(h_sum, np.arange(t_max))
+    question = [terms[:, None] for terms in _question_terms(params, q, v)]
+    probs, logprobs = _log_softmax(_step(params, v, question, h, allowed), allowed)
     logps = np.take_along_axis(logprobs, picks[..., None], axis=-1)[..., 0]
     entropies = -(probs * logprobs).sum(axis=-1)
-    values = (q @ params.value_q)[:, None] + h @ params.value_h + params.value_b[0]
 
     return Forward(
         matrices=matrices, valid=valid, picks=picks, allowed=allowed,
-        weights=weights, q=q, v=v, h=h, u=u, probs=probs, logprobs=logprobs,
+        weights=weights, q=q, v=v, h=h, probs=probs, logprobs=logprobs,
         logps=np.where(valid, logps, 0.0),
         entropies=np.where(valid, entropies, 0.0),
-        values=np.where(valid, values, 0.0),
+        values=np.where(valid, _values(params, question, h), 0.0),
     )
 
 
@@ -855,6 +851,7 @@ def backward(
     d_cand = dscores[..., :n_max]
     d_stop = dscores[..., n_max]
 
+    u = (fw.q @ params.score_q)[:, None, :] + fw.h @ params.score_h  # q . Wq + h . Wh
     du = d_cand @ fw.v
     du_sum = du.sum(axis=1)
     grads["score_q"] += fw.q.T @ du_sum
@@ -879,26 +876,25 @@ def backward(
     d_means[:, 0] = dq
     np.matmul(
         np.concatenate([d_cand, fw.weights], axis=1).transpose(0, 2, 1),
-        np.concatenate([fw.u, dh], axis=1),
+        np.concatenate([u, dh], axis=1),
         out=d_means[:, 1:],
     )
-    for b, (u, c) in enumerate(fw.matrices):
-        grads["emb"][u] += c.T @ d_means[b, : c.shape[0]]
+    for b, (ids, c) in enumerate(fw.matrices):
+        grads["emb"][ids] += c.T @ d_means[b, : c.shape[0]]
 
 
 def chunks(items: Sequence[EncodedInstance | CountMatrix]) -> list[slice]:
-    """Consecutive runs of instances (their encodings or their count
-    matrices) to pass to ``forward`` (or to step in ``greedy_decode``, or
-    to count and encode in ``embed`` and ``count_matrices``) one at a time.
+    """Consecutive runs of instances (their encodings or count matrices)
+    to pass to ``forward``, step in ``greedy_decode`` or count and encode in
+    ``embed`` and ``count_matrices`` one at a time.
 
     Each run pads to at most ``_SEGMENT_BLOCK`` encodings (or holds a single
-    instance), which bounds the memory of ``forward``/``backward`` and of
-    the greedy stepper whatever the table size; a minibatch of short tables
-    is one run.  It bounds the count matrices of a run that builds them
-    (SFT, greedy decoding, ``embed``) too.  Count matrices that a caller
-    keeps are outside that bound: a rollout (``training.collect_rollouts``)
-    holds one per distinct drawn instance, each ``(1 + n_candidates) x
-    distinct tokens`` floats, until its update ends.
+    instance), which bounds the memory of ``forward``/``backward``, of the
+    greedy stepper and of the count matrices a run builds, whatever the
+    table size; a minibatch of short tables is one run.  Count matrices a
+    caller keeps are outside that bound: a rollout holds one per distinct
+    drawn instance, ``(1 + n_candidates) x distinct tokens`` floats each,
+    until its update ends (``training.collect_rollouts``).
     """
     runs = []
     start = width = 0

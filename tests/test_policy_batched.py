@@ -29,10 +29,20 @@ them (allowed slots, history weights, picks) must equal bit for bit the
 per-step layout built one episode at a time (``oracle_layout``), and the
 rollout arithmetic (shaped rewards, returns-to-go, advantages, measured KL)
 must equal bit for bit the per-episode loops it replaced.
+
+Sampling, greedy decoding and ``forward`` evaluate one step function, so
+between them no tolerance is allowed: unmasked and without a reference,
+``forward`` at the sampler's width must give sampled episodes the sampler's
+log-probabilities and values and, at every step, the stepper's
+distribution, bit for bit, and every greedy pick must have its step's
+largest replayed probability.  The sampler's and greedy decoder's picks for
+fixed parameters and uniforms are pinned by digest, since the stepper's
+arithmetic is the reference that replay follows.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -906,6 +916,104 @@ def test_sample_episodes_needs_a_uniform_per_step():
         policy.sample_episodes(policy.embed(params, encs), None, uniforms[:, :-1], None)
     with pytest.raises(ValueError):
         policy.sample_episodes(policy.embed(params, encs), None, uniforms[1:], None)
+
+
+# ---------------------------------------------------------------------------
+# Replay equals sampling
+
+def replay_batches(seed: int):
+    """The sampling batch and the mixed batch's instances (0, 1 and 160
+    candidates among them)."""
+    return [sampling_batch(seed), [enc for enc, _ in mixed_batch(seed)]]
+
+
+@pytest.mark.parametrize("dim", [8, 64, 96])
+@pytest.mark.parametrize("seed", range(3))
+def test_forward_replays_sampling_bit_for_bit(seed, dim):
+    """Unmasked and without a reference, ``forward`` at the sampler's width
+    gives the sampled episodes the log-probabilities and values the sampler
+    recorded, and at every step the stepper's distribution, bit for bit."""
+    params = random_params(seed, dim)
+    for encs in replay_batches(seed):
+        uniforms = block_of_uniforms(seed, encs)
+        sampled = policy.sample_episodes(policy.embed(params, encs), None, uniforms, None)
+        fw = forward_of(params, encs, sampled.actions)
+        t_max = int(sampled.steps.max())
+        assert fw.probs.shape == (len(encs), t_max, uniforms.shape[1])
+        assert np.array_equal(fw.logps, sampled.logp_pi[:, :t_max])
+        assert np.array_equal(fw.values, sampled.values[:, :t_max])
+        stepper = policy._Stepper.of(policy.embed(params, encs), uniforms.shape[1] - 1)
+        for t in range(t_max):
+            live = fw.valid[:, t]
+            probs, _ = policy._log_softmax(stepper.scores(), stepper.allowed)
+            assert np.array_equal(fw.probs[live, t], probs[live])
+            go = live & (sampled.actions[:, t] != STOP)
+            stepper.select(np.flatnonzero(go), sampled.actions[go, t])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_picks_have_largest_replayed_probability(seed):
+    """Replayed through ``forward``, every greedy pick, STOP included, has
+    the largest probability of its step.  ``greedy_decode`` returns sets,
+    so each step's pick is the lowest remaining selected candidate of that
+    probability (bit-identical copies replay alike in either order)."""
+    params = random_params(seed, 16)
+    for encs in replay_batches(seed):
+        selected = policy.greedy_decode(params, encs).selected
+        matrices = policy.count_matrices(encs)
+        taken: list[list[int]] = [[] for _ in encs]
+        live = list(range(len(encs)))
+        while live:
+            fw = policy.forward(params, [matrices[b] for b in live],
+                                policy.pad_actions([taken[b] + [STOP] for b in live]))
+            picking = []
+            for row, b in enumerate(live):
+                probs = fw.probs[row, len(taken[b])]
+                left = sorted(selected[b] - set(taken[b]))
+                best = max([probs[k] for k in left], default=probs[-1])  # STOP once none is left
+                assert best == probs.max()
+                if left:
+                    taken[b].append(next(k for k in left if probs[k] == best))
+                    picking.append(b)
+            live = picking
+        assert [frozenset(p) for p in taken] == selected
+
+
+# Digests of ``sample_episodes``' actions and steps (unmasked without a
+# reference; top-p 0.9 with one) and of ``greedy_decode``'s selections, for
+# (dim, seed).  ``forward`` follows the stepper's arithmetic, not the other
+# way round, so a change to that arithmetic shows here as moved picks.
+PINNED_PICKS = {
+    (8, 0): ("b097e510f6282702", "91a968d98d8194aa", "55388118000a7c6c"),
+    (8, 1): ("396b2d343973f7f1", "63d0bbe446d32e00", "d3805587ca38bfcd"),
+    (8, 2): ("e480924c22f6d6a8", "2e4ffc9199e8f838", "bcb6c097b76d822d"),
+    (64, 0): ("5d481b8324672b97", "940e1e2fdb0b8100", "0609c9924ba7d2ca"),
+    (64, 1): ("5024f7f7e2d81385", "8fb5c558e5efa08e", "64dc2e68600f357b"),
+    (64, 2): ("0627f6fa2876f9c7", "94a03df347df8ea3", "ce25488346716008"),
+}
+
+
+def int_digest(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dim, seed", sorted(PINNED_PICKS))
+def test_sampled_and_greedy_picks_pinned(dim, seed):
+    params, reference = random_params(seed, dim), random_params(seed + 50, dim)
+    encs = sampling_batch(seed)
+    uniforms = block_of_uniforms(seed, encs)
+    current = policy.embed(params, encs)
+    plain = policy.sample_episodes(current, None, uniforms, None)
+    masked = policy.sample_episodes(current, policy.embed(reference, encs), uniforms, 0.9)
+    greedy = policy.greedy_decode(params, encs).selected
+    assert (
+        int_digest([plain.actions, plain.steps]),
+        int_digest([masked.actions, masked.steps]),
+        int_digest([[len(sel), *sorted(sel)] for sel in greedy]),
+    ) == PINNED_PICKS[dim, seed]
 
 
 # ---------------------------------------------------------------------------
