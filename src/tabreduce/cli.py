@@ -5,6 +5,14 @@ Stages mirror the data flow: ``synth`` or your own JSONL -> ``annotate`` ->
 ``report``.  Every stage writes a manifest next to its output before any
 other file, so a run can be reproduced from the recorded flags and seeds.
 
+Each command imports what it runs and no more: ``import tabreduce.cli``
+loads neither numpy nor the HTTP stack.  The model commands (``sft``,
+``train-rl``, ``eval-reduce``, ``reduce``) import ``policy`` and ``tasks``,
+and the training ones ``training``, inside their command functions; numpy
+comes with them, or with ``dataio``'s generator for ``synth``.  ``qa
+--endpoint`` loads the HTTP stack inside ``llm``.  So ``annotate``, ``qa
+--mock`` and ``report`` never load numpy.
+
 Exit codes: 0 success, 1 validation/config error, 2 I/O failure,
 3 remote endpoint failure.
 """
@@ -18,11 +26,15 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from . import __version__, annotate as annotate_mod, dataio, llm, metrics, policy, tasks, training
+from . import __version__, annotate as annotate_mod, dataio, llm, metrics
 from .atomicio import atomic_write
 from .errors import ConfigError
 from .tables import Reduction, Table, linearize_tables, project, table_row_token_counts_many
+
+if TYPE_CHECKING:
+    from . import policy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -115,6 +127,8 @@ def _load_answers(path: str, ids: set[str]) -> dict[str, str]:
 
 def _load_model(path: str, target: str) -> policy.PolicyParams:
     """Load a model, refusing one trained for a target other than ``target``."""
+    from . import policy
+
     params, stored = policy.load_params(path)
     if stored != target:
         raise ConfigError(f"{path}: model was trained for target {stored!r}, not {target!r}")
@@ -177,6 +191,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_sft(args) -> int:
+    from . import policy, tasks, training
+
     cfg = _load_config(args.config, training.SftConfig, args.seed)
     ratios = _parse_ratios(args.split)
     manifest = Manifest("sft", vars(args), args.out)
@@ -202,6 +218,8 @@ def cmd_sft(args) -> int:
 
 
 def cmd_train_rl(args) -> int:
+    from . import training
+
     cfg = _load_config(args.config, training.PpoConfig, args.seed)
     ratios = _parse_ratios(args.split)
     manifest = Manifest("train-rl", vars(args), args.out)
@@ -220,6 +238,8 @@ def cmd_train_rl(args) -> int:
 
 
 def cmd_eval_reduce(args) -> int:
+    from . import policy, tasks
+
     boundaries = _parse_int_list(args.buckets) if args.buckets else None
     manifest = Manifest("eval-reduce", vars(args), args.report)
     instances = _load_instances(args.data)
@@ -276,6 +296,8 @@ def _groups(instances):
 
 
 def cmd_reduce(args) -> int:
+    from . import policy, tasks
+
     manifest = Manifest("reduce", vars(args), args.out)
     instances = _load_instances(args.data)
     col_params = _load_model(args.col_model, tasks.TARGET_COLUMNS)

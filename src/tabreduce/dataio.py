@@ -10,21 +10,25 @@ A synthetic table's cells come from one ``Generator.integers`` call with
 per-element bounds, one element per cell, row-major.  numpy draws each such
 element as a scalar ``integers`` call would, so the stream, and the
 generator's state after it, are those of one call per cell.
+
+numpy is imported inside the generator and ``split`` only, so loading and
+saving a dataset never loads it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import annotate as annotate_mod
 from . import sql as sql_mod
 from .atomicio import atomic_write
 from .errors import ConfigError
 from .tables import Instance, Table, make_table, table_fingerprint
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CANONICAL_KEYS = (
     "id", "question", "table", "sql", "answers",
@@ -253,6 +257,8 @@ def _sql_literal(value) -> str:
 
 def _synth_table(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Table, np.ndarray]:
     """A table drawn from ``rng``, and which of its columns are numeric."""
+    import numpy as np
+
     n_cols = int(rng.integers(cfg.columns_range[0], cfg.columns_range[1] + 1))
     n_rows = int(rng.integers(cfg.rows_range[0], cfg.rows_range[1] + 1))
     headers = [HEADER_WORDS[i] for i in rng.choice(len(HEADER_WORDS), size=n_cols, replace=False)]
@@ -275,6 +281,8 @@ def _synth_table(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Table, np.
 
 
 def _generate_one(cfg: SynthConfig, index: int) -> Instance:
+    import numpy as np
+
     rng = np.random.default_rng([cfg.seed, index])
     table, numeric = _synth_table(cfg, rng)
     headers, n_cols = table.columns, table.n_columns
@@ -333,6 +341,8 @@ def split(
     """Disjoint, exhaustive, seed-stable split by table fingerprint."""
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError("ratios must be three non-negative numbers summing to 1")
+    import numpy as np
+
     fingerprints = [table_fingerprint(inst.table) for inst in instances]
     keys = sorted(set(fingerprints))
     rng = np.random.default_rng(seed)

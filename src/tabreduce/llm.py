@@ -14,11 +14,17 @@ with the per-row word counts of that text that the caller already holds
 ``Row{i}: (header,value)`` text fits its token budget after the prompt's
 preamble - truncating trailing rows the way a context-window-limited model
 effectively would - and reads each visible cell as it would come back from
-that text (``1.0`` as ``1``, ``true`` as text, null as None), each distinct
-cell once over all the questions of ``mock_complete_many``.  It then
-executes the instance's gold SQL over the visible rows and answers
-correctly exactly when they still support the query.  The truncation here
-is the only token-budget truncation in the package.
+that text (``1.0`` as ``1``, ``true`` as text, null as None), in the
+columns the gold SQL references only and each distinct cell once over all
+the questions of ``mock_complete_many``.  It then executes the instance's
+gold SQL over the visible rows and answers correctly exactly when they
+still support the query.  The truncation here is the only token-budget
+truncation in the package.
+
+The HTTP stack (``urllib.request``, and with it ``http.client``, ``ssl``
+and ``email``) is imported inside ``_urllib_transport`` and the thread pool
+inside ``complete_many``, so importing this module or running the mock
+reader loads neither.
 """
 
 from __future__ import annotations
@@ -27,10 +33,7 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
@@ -124,6 +127,9 @@ def build_request(messages: Sequence[tuple[str, str]], cfg: LlmConfig) -> tuple[
 
 
 def _urllib_transport(timeout: float) -> Transport:
+    import urllib.error
+    import urllib.request
+
     def post(url: str, headers: dict, body: bytes) -> tuple[int, bytes]:
         request = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
@@ -192,6 +198,8 @@ def complete_many(
     """Bounded-concurrency fan-out; results come back in request order."""
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be >= 1")
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(lambda m: complete(m, cfg, transport, sleep), message_lists))
 
@@ -290,24 +298,25 @@ def _read_back(cell):
     return _parse_cell(format_cell(cell))
 
 
-def _visible_table(question: str, table: Table, row_counts: Sequence[int], budget_tokens: int,
-                   read: dict) -> Table | None:
-    """The part of a context table the mock reader sees: the longest row
-    prefix whose text fits the budget together with the prompt's preamble,
-    each cell read back as from the rendered text (headers as they are).
-    ``row_counts`` is ``tables.table_row_token_counts(table)``, and ``read``
-    the memo of ``_read_back`` per cell key (see ``tables._walk``).  None
-    when no row with a column fits."""
+def _visible_rows(question: str, row_counts: Sequence[int], budget_tokens: int) -> int:
+    """How many leading rows of a context table the mock reader sees: the
+    longest prefix whose text fits the budget together with the prompt's
+    preamble.  ``row_counts`` is ``tables.table_row_token_counts`` of the
+    table, so which rows fit is judged on the whole rows' text."""
     room = budget_tokens - count_tokens(QA_PROMPT_TEMPLATE.format(question=question, context=""))
-    n_visible = bisect_right(list(accumulate(row_counts)), room)
-    if n_visible == 0:
-        return None
-    columns = frozenset(range(table.n_columns))
-    visible = Table(table.columns, table.rows[:n_visible])
-    per_column = [
-        list(map(read.__getitem__, keys)) for _, keys, _, _ in _walk(visible, columns, _read_back, read)
-    ]
-    return Table(table.columns, tuple(zip(*per_column)))
+    return bisect_right(list(accumulate(row_counts)), room)
+
+
+def _read_visible(table: Table, n_visible: int, columns: set[int] | frozenset[int], read: dict) -> Table:
+    """The first ``n_visible`` rows of a context table as the mock reader
+    reads them: the headers of ``columns`` (as they are, in table order)
+    and each of their cells read back as from the rendered text.  ``read``
+    is the memo of ``_read_back`` per cell key (see ``tables._walk``)."""
+    headers, per_column = [], []
+    for header, keys, _, _ in _walk(Table(table.columns, table.rows[:n_visible]), columns, _read_back, read):
+        headers.append(header)
+        per_column.append(list(map(read.__getitem__, keys)))
+    return Table(tuple(headers), tuple(zip(*per_column)))
 
 
 def mock_complete(
@@ -319,16 +328,20 @@ def mock_complete(
     gold_answers: Sequence[str],
     read: dict | None = None,
 ) -> str:
-    """Answer by executing the gold SQL over the visible part of the
+    """Answer by executing the gold SQL over the visible rows of the
     context table, whose per-row token counts are ``row_counts`` (see
-    ``_visible_table``).  ``read`` is the memo of read-back cells that
-    ``mock_complete_many`` keeps over its questions; a question asked on
-    its own reads with a memo of its own."""
-    visible = _visible_table(question, table, row_counts, cfg.budget_tokens, {} if read is None else read)
-    if visible is None:
+    ``_visible_rows``).  Only the columns the SQL references are read back:
+    the query resolves each of them to the same column among them as in the
+    whole table, and reads no other.  ``read`` is the memo of read-back
+    cells that ``mock_complete_many`` keeps over its questions; a question
+    asked on its own reads with a memo of its own."""
+    n_visible = _visible_rows(question, row_counts, cfg.budget_tokens)
+    if n_visible == 0:
         return "unknown"
     try:
         ast = sql_mod.parse_sql(gold_sql)
+        visible = _read_visible(table, n_visible, sql_mod.referenced_columns(ast, table),
+                                {} if read is None else read)
         result = sql_mod.execute(ast, visible)
     except (sql_mod.SqlSyntaxError, sql_mod.UnsupportedQuery, sql_mod.ExecutionError):
         return "unknown"

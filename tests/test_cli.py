@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tabreduce import cli, dataio, llm, metrics, policy, tables, tasks, training
+from tabreduce import cli, dataio, llm, metrics, policy, sql, tables, tasks, training
 from tabreduce.tables import Reduction, linearize_rows, project
 
 
@@ -669,8 +669,9 @@ class TestQaAndReport:
     def test_qa_judges_each_distinct_cell_once_per_stage(self, pipeline, tmp_path, monkeypatch):
         """``qa --mock`` calls each per-cell function once per distinct cell
         key (and, for the counts, header) over the whole stage, though most
-        keys recur across its tables; a second stage in the same process
-        calls them as often again, so no memo outlives its stage."""
+        keys recur across its tables; the reader reads back the cells of the
+        columns the gold SQL references only.  A second stage in the same
+        process calls them as often again, so no memo outlives its stage."""
         root, data, _ = pipeline
         calls = {"runs": [], "read": []}
         original = {"runs": tables._quoted_runs, "read": llm._read_back}
@@ -686,9 +687,14 @@ class TestQaAndReport:
         argv = ["qa", "--data", str(data), "--out", str(tmp_path / "answers.jsonl"),
                 "--mock", "--budget", "100000", "--context", "full"]
         instances, _ = dataio.load_dataset(data)
-        per_table = [{tables.format_cell(c) if type(c) is bool else c for row in inst.table.rows for c in row}
-                     for inst in instances]
+        def key(cell):
+            return tables.format_cell(cell) if type(cell) is bool else cell
+
+        per_table = [{key(c) for row in inst.table.rows for c in row} for inst in instances]
         cells = set().union(*per_table)
+        referenced = [sql.referenced_columns(sql.parse_sql(inst.sql), inst.table) for inst in instances]
+        read = {key(row[c]) for inst, cols in zip(instances, referenced) for row in inst.table.rows for c in cols}
+        assert all(len(cols) < inst.table.n_columns for inst, cols in zip(instances, referenced))
         headers = {h for inst in instances for h in inst.table.columns}
         assert sum(map(len, per_table)) > 5 * len(cells)
         made = []
@@ -696,7 +702,7 @@ class TestQaAndReport:
             for judged in calls.values():
                 judged.clear()
             assert run(argv) == 0
-            assert len(calls["read"]) == len(cells) and set(calls["read"]) == cells
+            assert len(calls["read"]) == len(read) and set(calls["read"]) == read
             assert len(calls["runs"]) == len(cells | headers) and set(calls["runs"]) == cells | headers
             made.append({name: len(judged) for name, judged in calls.items()})
         assert made[0] == made[1]

@@ -1,9 +1,13 @@
+import http.server
 import json
+import random
+import socket
+import threading
 from pathlib import Path
 
 import pytest
 
-from tabreduce import llm
+from tabreduce import llm, sql
 from tabreduce.errors import ConfigError
 from tabreduce.llm import (
     AuthError,
@@ -18,9 +22,17 @@ from tabreduce.llm import (
     extract_completion_text,
     llm_reduce_baseline,
     mock_complete,
+    mock_complete_many,
     split_selection,
 )
-from tabreduce.tables import Table, count_tokens, linearize_rows, make_table, table_row_token_counts
+from tabreduce.tables import (
+    Table,
+    count_tokens,
+    linearize_rows,
+    linearize_tables,
+    make_table,
+    table_row_token_counts,
+)
 from test_render_fast import oracle_parse_prompt_table, visible_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,6 +166,73 @@ def test_complete_many_order_preserved():
         transport=transport, sleep=lambda s: None,
     )
     assert outs == [f"echo:m{i}" for i in range(8)]
+
+
+class LoopbackHandler(http.server.BaseHTTPRequestHandler):
+    """Answers a path under ``/ok`` with 200 and any other with 500, each
+    with a body, and keeps what each request sent in ``received``."""
+
+    received: list
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.received.append((self.path, self.headers["Content-Type"], body))
+        status, payload = (200, ok_body("served")) if self.path.startswith("/ok/") else (500, b"overloaded")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """(base URL, received requests) of an HTTP server on 127.0.0.1 served
+    from a thread; proxy variables are cleared so requests stay local."""
+    for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    received = []
+    server = http.server.HTTPServer(("127.0.0.1", 0), type("Handler", (LoopbackHandler,), {"received": received}))
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", received
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestUrllibTransport:
+    """The real transport, which every other endpoint test replaces."""
+
+    def test_200_returns_status_and_body(self, loopback):
+        base, received = loopback
+        url, headers, body = build_request([("user", "hi")], config(endpoint=base + "/ok"))
+        assert llm._urllib_transport(5.0)(url, headers, body) == (200, ok_body("served"))
+        assert received == [("/ok/v1/chat/completions", "application/json", body)]
+        assert complete([("user", "hi")], config(endpoint=base + "/ok", timeout=5.0)) == "served"
+
+    def test_500_with_body_returns_through_http_error(self, loopback):
+        base, received = loopback
+        url, headers, body = build_request([("user", "hi")], config(endpoint=base + "/busy"))
+        assert llm._urllib_transport(5.0)(url, headers, body) == (500, b"overloaded")
+        sleeps = []
+        with pytest.raises(TransportError, match="status 500"):
+            complete([("user", "hi")], config(endpoint=base + "/busy", timeout=5.0), sleep=sleeps.append)
+        assert sleeps == [0.5, 1.0] and len(received) == 4
+
+    def test_closed_port_raises_os_error_and_complete_retries(self, loopback):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        cfg = config(endpoint=f"http://127.0.0.1:{port}", timeout=5.0)
+        with pytest.raises(OSError):
+            llm._urllib_transport(5.0)(*build_request([("user", "hi")], cfg))
+        sleeps = []
+        with pytest.raises(TransportError, match="network failure"):
+            complete([("user", "hi")], cfg, sleep=sleeps.append)
+        assert sleeps == [0.5, 1.0]
 
 
 class TestQaPrompt:
@@ -319,6 +398,129 @@ class TestMock:
     def test_budget_validation(self):
         with pytest.raises(ConfigError):
             MockLlmConfig(budget_tokens=0)
+
+
+def every_column_answer(question, table, budget, gold_sql, gold_answers):
+    """The mock reader as it was before it read back only the columns the
+    SQL references: every visible cell of every column, parsed back from the
+    budget-truncated prompt text."""
+    prompt = llm.QA_PROMPT_TEMPLATE.format(question=question, context=linearize_tables([table])[0])
+    visible = oracle_parse_prompt_table(prompt, budget)
+    if visible is None:
+        return "unknown"
+    try:
+        result = sql.execute(sql.parse_sql(gold_sql), visible)
+    except (sql.SqlSyntaxError, sql.UnsupportedQuery, sql.ExecutionError):
+        return "unknown"
+    return ", ".join(gold_answers) if sql.answers_match(result, list(gold_answers)) else "unknown"
+
+
+def gold_answers_of(query, table):
+    """What the query returns over the whole table, as answer texts; None
+    when it fails."""
+    try:
+        result = sql.execute(sql.parse_sql(query), table)
+    except (sql.SqlSyntaxError, sql.UnsupportedQuery, sql.ExecutionError):
+        return None
+    return ["" if value is None else str(value) for value in result]
+
+
+def random_query(rng, headers):
+    """A query of the supported subset over ``headers``, naming a missing
+    column now and then and a header in upper case."""
+    def column():
+        name = rng.choice(headers) if rng.random() < 0.95 else "missing"
+        return name.upper() if rng.random() < 0.2 else name
+
+    fn = rng.choice([None, None, "count", "sum", "min", "max", "avg"])
+    query = f"select {column() if fn is None else fn + '(' + column() + ')'} from t"
+    predicates = [f"{column()} {rng.choice(OPERATORS)} {rng.choice(LITERALS)}" for _ in range(rng.randint(0, 2))]
+    if predicates:
+        query += " where " + " and ".join(predicates)
+    if rng.random() < 0.5:
+        query += f" order by {column()} {rng.choice(['asc', 'desc'])}"
+    if rng.random() < 0.3:
+        query += f" limit {rng.randint(1, 3)}"
+    return query
+
+
+# Cells that read back as something else than themselves, or that a
+# predicate can trip over: bools, nulls, numeric strings, integral floats.
+AWKWARD_CELLS = [None, True, False, 0, 1, 7, 1.0, 2.5, -0.0, "007", "1.0", "2,008", " 3 ", "", "true", "x", "y z"]
+OPERATORS = ["=", "!=", "<", ">="]
+LITERALS = ["1", "2.5", "'x'", "'007'"]
+
+
+class TestReferencedColumnsReader:
+    """The reader reads back only the columns the gold SQL references and
+    answers as the every-column reader does."""
+
+    def table(self):
+        return make_table(
+            ["city", "year", "flag", "note", "code", "rank"],
+            [
+                ["Athens", 2004, True, None, "007", 3],
+                ["Beijing", 2008, False, "", "1.0", 1],
+                ["London", 2012, None, "x", "2,008", 2],
+            ],
+        )
+
+    @pytest.mark.parametrize("query, answers", [
+        ("select city from t where year = 2008", ["Beijing"]),
+        ("select city from t order by rank asc limit 1", ["Beijing"]),
+        ("select year from t where year > 2000 order by rank desc limit 2", ["2004", "2012"]),
+        ("select count(city) from t where year >= 2004", ["3"]),
+        ("select city from t where code = '007'", ["Athens"]),
+        ("select nowhere from t", ["x"]),
+        ("select city from t where nowhere = 1", ["x"]),
+        ("select city from t order by nowhere", ["x"]),
+        ("select city frm t", ["x"]),
+    ])
+    @pytest.mark.parametrize("budget", [1, 40, 10**6])
+    def test_answers_as_every_column_reader(self, query, answers, budget):
+        table = self.table()
+        expected = every_column_answer("q?", table, budget, query, answers)
+        assert mock("q?", table, MockLlmConfig(budget_tokens=budget), query, answers) == expected
+        if budget == 10**6 and "nowhere" not in query and "frm" not in query:
+            assert expected == ", ".join(answers)
+        if budget == 1 or "nowhere" in query:
+            assert expected == "unknown"
+
+    def test_reads_back_only_referenced_columns(self, monkeypatch):
+        read = []
+        original = llm._read_back
+        monkeypatch.setattr(llm, "_read_back", lambda cell: read.append(cell) or original(cell))
+        table = self.table()
+        query = "select city from t where year > 2000 order by rank desc"
+        answers = ["London", "Athens", "Beijing"]
+        assert mock("q?", table, MockLlmConfig(budget_tokens=10**6), query, answers) == ", ".join(answers)
+        assert sorted(map(repr, read)) == sorted(repr(row[c]) for row in table.rows for c in (0, 1, 5))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tables_answer_as_every_column_reader(self, seed):
+        rng = random.Random(2100 + seed)
+        requests, budgets, expected = [], [], []
+        preamble = count_tokens(llm.QA_PROMPT_TEMPLATE.format(question="q?", context=""))
+        for k in range(120):
+            n_cols, n_rows = rng.randint(2, 6), rng.randint(0, 8)
+            headers = [f"h{c}" for c in range(n_cols)]
+            table = make_table(headers, [[rng.choice(AWKWARD_CELLS) for _ in headers] for _ in range(n_rows)])
+            # most queries run on the whole table, so that many are answered
+            for _ in range(30):
+                query = random_query(rng, headers)
+                answers = gold_answers_of(query, table)
+                if k % 4 == 0 or answers is not None:
+                    break
+            budget = preamble + rng.choice([0, 5, 12, 30, 10**6])
+            requests.append(("q?", table, table_row_token_counts(table), query, answers or ["none"]))
+            expected.append(every_column_answer("q?", table, budget, query, answers or ["none"]))
+            budgets.append(budget)
+        for budget in set(budgets):
+            picked = [k for k, b in enumerate(budgets) if b == budget]
+            got = mock_complete_many([requests[k] for k in picked], MockLlmConfig(budget_tokens=budget))
+            assert got == [expected[k] for k in picked]
+        answered = sum(answer != "unknown" for answer in expected)
+        assert 30 < answered < len(expected) - 30
 
 
 class TestReaderTruncation:

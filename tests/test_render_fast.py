@@ -270,9 +270,14 @@ def test_zero_rows_and_zero_columns():
     assert metrics.full_context_tokens(empty) == 0
 
 
-def visible_table(question, table, budget_tokens):
-    """The mock reader's visible table, given the counts ``qa`` passes it."""
-    return llm._visible_table(question, table, table_row_token_counts(table), budget_tokens, {})
+def visible_table(question, table, budget_tokens, read=None):
+    """The mock reader's visible rows of every column, given the counts
+    ``qa`` passes it, read with the memo ``read`` (a fresh one by default);
+    None when no row fits."""
+    n_visible = llm._visible_rows(question, table_row_token_counts(table), budget_tokens)
+    if n_visible == 0:
+        return None
+    return llm._read_visible(table, n_visible, frozenset(range(table.n_columns)), {} if read is None else read)
 
 
 def same_table(a, b):
@@ -409,12 +414,9 @@ def test_batch_memos_match_fresh_walks(seed):
         for table, cols in zip(tables, whole[:-1])
     ]
     read = {}
-    for table, table_counts in zip(tables, counts):
+    for table in tables:
         for budget in (12, 10**6):
-            assert same_table(
-                llm._visible_table("q?", table, table_counts, budget, read),
-                llm._visible_table("q?", table, table_counts, budget, {}),
-            )
+            assert same_table(visible_table("q?", table, budget, read), visible_table("q?", table, budget))
     batch.pop()
     vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
     runs = {}
@@ -457,9 +459,7 @@ def test_memo_of_tables_sharing_no_cell_stays_small():
     for table in tables:
         assert row_token_counts(table, cols, runs) == row_token_counts(table, cols, {})
         assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {})
-        counts = table_row_token_counts(table)
-        assert same_table(llm._visible_table("q?", table, counts, 10**6, read),
-                          llm._visible_table("q?", table, counts, 10**6, {}))
+        assert same_table(visible_table("q?", table, 10**6, read), visible_table("q?", table, 10**6))
         largest = max(largest, len(runs), len(vocab.cell_ids), len(read))
     assert largest <= 2 * (15 + 3)
     runs = {}
