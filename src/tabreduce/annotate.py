@@ -79,11 +79,6 @@ def _gold_rows(ast: sql.SqlAst, table: Table, gold: list[str]) -> list[int] | No
     return passing if _finishes_gold(ast, table, passing, gold) else None
 
 
-def _reproduces_gold(ast: sql.SqlAst, table: Table, gold: list[str]) -> bool:
-    """Whether the query over the whole of ``table`` yields the gold answers."""
-    return _gold_rows(ast, table, gold) is not None
-
-
 def _parse(instance: Instance) -> tuple[sql.SqlAst | None, str]:
     if instance.sql is None:
         return None, SKIP_NO_SQL
@@ -104,22 +99,6 @@ def _relevant_rows(
         if _finishes_gold(ast, table, trial, gold):
             kept = trial
     return frozenset(kept)
-
-
-def annotate_columns(instance: Instance) -> tuple[frozenset[int] | None, str]:
-    """Relevant column indices, or (None, skip reason).
-
-    Once the query reproduces the gold answers on the full table, the
-    relevant columns are exactly the ones it references: the removal pass
-    would drop every other column and keep every referenced one (fact 1 in
-    the module docstring), so it runs no trials.
-    """
-    ast, status = _parse(instance)
-    if ast is None:
-        return None, status
-    if not _reproduces_gold(ast, instance.table, list(instance.answers)):
-        return None, SKIP_GOLD_MISMATCH
-    return frozenset(sql.referenced_columns(ast, instance.table)), STATUS_OK
 
 
 def annotate_rows(instance: Instance, relevant_columns: frozenset[int]) -> tuple[frozenset[int] | None, str]:

@@ -59,6 +59,7 @@ def index_set(record: dict, key: str, size: int) -> frozenset[int] | None:
 # writes as arrays, so a record reads back through ``json`` only.
 _LISTS = frozenset({list})
 _STRINGS = frozenset({str})
+_ANSWER_TYPES = frozenset({str, int, float})
 
 
 def _check_shape(columns, rows) -> None:
@@ -98,12 +99,27 @@ def _check_cells(table: Table) -> None:
         raise
 
 
+def _check_query(sql, answers) -> None:
+    """TypeError unless ``sql`` is a string or null and ``answers`` a list
+    of strings and numbers; a string of answers would otherwise be taken
+    apart into its characters."""
+    if sql is not None and type(sql) is not str:
+        raise TypeError(f"sql is a {type(sql).__name__}, not a string or null")
+    if type(answers) is not list:
+        raise TypeError(f"answers are a {type(answers).__name__}, not a list")
+    if not _ANSWER_TYPES.issuperset(map(type, answers)):
+        j, answer = next((j, a) for j, a in enumerate(answers) if type(a) not in _ANSWER_TYPES)
+        raise TypeError(f"answer {j} is a {type(answer).__name__}, not a string or number")
+
+
 def record_to_instance(record: dict) -> Instance:
     """The instance a record describes; KeyError, TypeError or ValueError
     when it is malformed: headers that are not a list of strings, rows that
-    are not a list of lists and a table cell that is a list or an object
-    included.  A record of ``instance_to_record`` holds row tuples and
-    reads back through ``json``, as ``load_dataset`` reads it."""
+    are not a list of lists, a table cell that is a list or an object, an
+    ``sql`` that is not a string or null and ``answers`` that are not a list
+    of strings and numbers included.  A record of ``instance_to_record``
+    holds row tuples and reads back through ``json``, as ``load_dataset``
+    reads it."""
     table_doc = record["table"]
     columns, rows = table_doc["columns"], table_doc["rows"]
     _check_shape(columns, rows)
@@ -112,13 +128,15 @@ def record_to_instance(record: dict) -> Instance:
     question = record["question"]
     if not isinstance(question, str) or not question.strip():
         raise ValueError("question must be a non-empty string")
+    sql, answers = record.get("sql"), record.get("answers", [])
+    _check_query(sql, answers)
     extra = {k: v for k, v in record.items() if k not in _CANONICAL_KEYS}
     return Instance(
         id=str(record["id"]),
         question=question,
         table=table,
-        sql=record.get("sql"),
-        answers=tuple(str(a) for a in record.get("answers", [])),
+        sql=sql,
+        answers=tuple(map(str, answers)),
         relevant_columns=index_set(record, "relevant_columns", table.n_columns),
         relevant_rows=index_set(record, "relevant_rows", table.n_rows),
         annotation_status=record.get("annotation_status"),

@@ -1,12 +1,12 @@
-"""Chat-completions client for the downstream QA reasoner, plus the
-zero-shot reduction baseline and a deterministic offline mock.
+"""Chat-completions client for the downstream QA reasoner, and a
+deterministic offline mock of it.
 
 Wire protocol: ``POST {endpoint}/v1/chat/completions`` with a JSON body of
 ``model, messages[{role,content}], temperature, max_tokens``; the answer is
-``choices[0].message.content``.  429 and 5xx responses retry with
-exponential backoff; other 4xx never retry.  The transport and the sleep
-function are injectable so tests can replay recorded fixtures byte for
-byte.
+``choices[0].message.content``.  429 and 5xx responses, network failures
+and truncated or garbled responses retry with exponential backoff; other
+4xx never retry.  The transport and the sleep function are injectable so
+tests can replay recorded fixtures byte for byte.
 
 The mock reader takes the context table itself, never its rendered text,
 with the per-row word counts of that text that the caller already holds
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -40,15 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import sql as sql_mod
 from .errors import ConfigError
-from .tables import (
-    Reduction,
-    Table,
-    _walk,
-    build_column_prompt,
-    build_row_prompt,
-    count_tokens,
-    format_cell,
-)
+from .tables import Table, _walk, count_tokens, format_cell
 
 QA_PROMPT_TEMPLATE = (
     "Answer the question using only the table. "
@@ -127,16 +118,23 @@ def build_request(messages: Sequence[tuple[str, str]], cfg: LlmConfig) -> tuple[
 
 
 def _urllib_transport(timeout: float) -> Transport:
+    """POST over ``urllib``.  A truncated or garbled response
+    (``http.client.HTTPException``) raises ``ConnectionError``, an
+    ``OSError``, so ``complete`` retries it as a network failure."""
+    import http.client
     import urllib.error
     import urllib.request
 
     def post(url: str, headers: dict, body: bytes) -> tuple[int, bytes]:
         request = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read()
+            try:
+                with urllib.request.urlopen(request, timeout=timeout) as response:
+                    return response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                return exc.code, exc.read()
+        except http.client.HTTPException as exc:
+            raise ConnectionError(f"bad HTTP response: {exc!r}") from exc
 
     return post
 
@@ -202,76 +200,6 @@ def complete_many(
 
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(lambda m: complete(m, cfg, transport, sleep), message_lists))
-
-
-# ---------------------------------------------------------------------------
-# Zero-shot reduction baseline
-
-def split_selection(text: str) -> list[str]:
-    """Parse a completion like ``year, city @`` into selected item names."""
-    text = text.strip()
-    if text.endswith("@"):
-        text = text[:-1].strip()
-    if not text:
-        return []
-    items: list[str] = []
-    current: list[str] = []
-    in_quotes = False
-    for ch in text:
-        if ch == '"':
-            in_quotes = not in_quotes
-            continue
-        if ch == "," and not in_quotes:
-            items.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    items.append("".join(current).strip())
-    return [item for item in items if item]
-
-
-_ROW_NAME_RE = re.compile(r"^(?:row\s*)?(\d+)$", re.IGNORECASE)
-
-
-def llm_reduce_baseline(
-    question: str,
-    table: Table,
-    cfg: LlmConfig,
-    transport: Transport | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> tuple[Reduction, int]:
-    """Ask the endpoint to pick relevant columns, then rows over them.
-
-    Unparseable selections are dropped; the second return value counts
-    those warnings.
-    """
-    warnings = 0
-    completion = complete([("user", build_column_prompt(question, table))], cfg, transport, sleep)
-    columns: set[int] = set()
-    for name in split_selection(completion):
-        idx = table.column_index(name)
-        if idx is None:
-            warnings += 1
-        else:
-            columns.add(idx)
-
-    rows: set[int] = set()
-    if columns:
-        completion = complete(
-            [("user", build_row_prompt(question, table, frozenset(columns)))],
-            cfg, transport, sleep,
-        )
-        for name in split_selection(completion):
-            match = _ROW_NAME_RE.match(name)
-            if match is None:
-                warnings += 1
-                continue
-            idx = int(match.group(1))
-            if 0 <= idx < table.n_rows:
-                rows.add(idx)
-            else:
-                warnings += 1
-    return Reduction(columns=frozenset(columns), rows=frozenset(rows)), warnings
 
 
 # ---------------------------------------------------------------------------

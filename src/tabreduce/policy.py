@@ -608,7 +608,7 @@ def sample_episodes(
     current: Sequence[Embedded],
     reference: Sequence[Embedded] | None,
     uniforms: np.ndarray,
-    top_p: float | None = None,
+    top_p: float = 1.0,
 ) -> SampledEpisodes:
     """Sample one episode per row of ``uniforms``, stepping them together;
     selected candidates leave the action set.
@@ -617,12 +617,13 @@ def sample_episodes(
     parameters, and ``reference[k]`` under the reference ones (``reference``
     None: the current policy).  At step t the behavior distribution b is the
     policy over the remaining candidates and STOP, top-p masked when
-    ``top_p`` is given, and the pick is ``searchsorted(cumsum(b) /
+    ``top_p`` is below 1.0, and the pick is ``searchsorted(cumsum(b) /
     cumsum(b)[-1], uniforms[k, t], side="right")``, the arithmetic of
     ``Generator.choice``.  logp_pi is the pick's log-probability
     (``_log_softmax``), or log b when masked; logp_ref is the unmasked one
     under the reference.  ``forward`` at this width replays unmasked
-    episodes with these log-probabilities and values bit for bit.
+    episodes (``top_p`` 1.0) with these log-probabilities and values bit
+    for bit.
 
     ``uniforms`` needs ``1 + n_candidates`` columns, one per step an episode
     can take, and the returned arrays are as wide.  Episodes are padded to
@@ -661,15 +662,16 @@ def _sample_run(current, reference, uniforms, top_p, actions, logp_pi, logp_ref,
     pi = _Stepper.of(current, n)
     ref = None if reference is None else _Stepper.of(reference, n)
     steppers = [pi] if ref is None else [pi, ref]
+    masked = top_p < 1.0
     live = np.arange(batch)
     for t in range(width):
         rows = np.arange(live.size)
         probs, logprobs = _log_softmax(pi.scores(), pi.allowed)
-        behavior = probs if top_p is None else apply_top_p_mask(probs, top_p)
+        behavior = apply_top_p_mask(probs, top_p) if masked else probs
         cdf = np.cumsum(behavior, axis=1)
         cdf /= cdf[:, -1:]
         pick = (cdf <= uniforms[live, t][:, None]).sum(axis=1)
-        logp_pi[live, t] = logprobs[rows, pick] if top_p is None else np.log(behavior[rows, pick])
+        logp_pi[live, t] = np.log(behavior[rows, pick]) if masked else logprobs[rows, pick]
         ref_logprobs = logprobs if ref is None else _log_softmax(ref.scores(), ref.allowed)[1]
         logp_ref[live, t] = ref_logprobs[rows, pick]
         values[live, t] = pi.values()

@@ -1,15 +1,15 @@
-"""Table data model, linearization, prompt assembly and token counting.
+"""Table data model, linearization and token counting.
 
 Tables are rectangular grids of string / number / bool / null cells under
 unique headers.  A reduction names the column and row indices worth keeping;
 the projected sub-table is rendered as ``Row0: (header,value), ...`` text that
-downstream prompts embed.  A header or value containing ``,``, ``(``, ``)``
+the QA prompt embeds.  A header or value containing ``,``, ``(``, ``)``
 or ``"`` is double-quoted, with each ``"`` doubled, so the pairs parse back.
 Token counts are whitespace word counts: cheap, deterministic, and
 sufficient for relative length comparisons.
 
 Everything derived from a column subset's rows comes from one walk over
-its cells (``_walk``): the rendered text (``linearize_rows``), each row's
+its cells (``_walk``): the rendered text (``linearize_tables``), each row's
 token count (``row_token_counts``), each row's tokens (``row_tokens``) and
 the texts of the row vocabulary (``row_vocabulary_texts``).  Only the
 first renders rows; the others work from each header and distinct cell
@@ -38,16 +38,6 @@ from .errors import EmptySelectionError
 
 Cell = str | int | float | bool | None
 
-COLUMN_PROMPT_TEMPLATE = (
-    "Select relevant columns from a table to answer a question. "
-    "Output '@' if done generating. "
-    "Question: {question}, List of column headers: {headers}"
-)
-ROW_PROMPT_TEMPLATE = (
-    "Select relevant rows from a table to answer a question. "
-    "Output '@' if done generating. "
-    "Question: {question}, Rows: {rows}"
-)
 
 
 @dataclass(frozen=True)
@@ -260,30 +250,24 @@ def _pair_tail(cell: Cell) -> str:
     return quote_if_needed(format_cell(cell)) + ")"
 
 
-def _render(table: Table, column_subset: set[int] | frozenset[int], tails: dict) -> str:
-    """``linearize_rows`` with ``tails`` the memo of ``_pair_tail`` (see ``_walk``)."""
+def _render(table: Table, tails: dict) -> str:
+    """Every row of a table with columns as ``Row{i}: (header,value), ...``
+    over all of its columns, with ``tails`` the memo of ``_pair_tail`` (see
+    ``_walk``)."""
     per_column = []
-    for header, keys, _, _ in _walk(table, column_subset, _pair_tail, tails):
+    for header, keys, _, _ in _walk(table, frozenset(range(table.n_columns)), _pair_tail, tails):
         head = "(" + quote_if_needed(header) + ","
         per_column.append(list(map(head.__add__, map(tails.__getitem__, keys))))
     return " ".join([f"Row{i}: {', '.join(pairs)}" for i, pairs in enumerate(zip(*per_column))])
 
 
-def linearize_rows(table: Table, column_subset: set[int] | frozenset[int]) -> str:
-    """Render every row as ``Row{i}: (header,value), ...`` over a column subset.
-
-    Rows keep table order and are joined by single spaces; a zero-row table
-    linearizes to the empty string.
-    """
-    return _render(table, column_subset, {})
-
-
 def linearize_tables(tables: Sequence[Table]) -> list[str]:
-    """``linearize_rows`` of each table over all of its columns (the empty
-    text without columns), rendering each distinct cell once per call (see
-    ``_walk``)."""
+    """Render each table as ``Row{i}: (header,value), ...`` over all of its
+    columns, rows in table order joined by single spaces; a table without
+    columns or rows renders as the empty text.  Each distinct cell is
+    rendered once per call (see ``_walk``)."""
     tails: dict = {}
-    return [_render(t, frozenset(range(t.n_columns)), tails) if t.n_columns else "" for t in tables]
+    return [_render(t, tails) if t.n_columns else "" for t in tables]
 
 
 def _quoted_runs(cell: Cell) -> int:
@@ -296,8 +280,9 @@ def _quoted_runs(cell: Cell) -> int:
 
 
 def row_token_counts(table: Table, column_subset: set[int] | frozenset[int], runs: dict) -> list[int]:
-    """``count_tokens`` of each row's ``Row{i}: ...`` text in
-    ``linearize_rows(table, column_subset)``, without rendering.
+    """``count_tokens`` of each row's ``Row{i}: ...`` text in the rendering
+    (``linearize_tables``) of the table projected to ``column_subset``,
+    without rendering.
 
     A pair ``(qh,qv)`` begins and ends with a non-space character, so it is
     one word plus one for each whitespace run inside its quoted header
@@ -385,13 +370,3 @@ def row_vocabulary_texts(subsets: Iterable[tuple[Table, set[int] | frozenset[int
             out += headers + cells
     return out
 
-
-def build_column_prompt(question: str, table: Table) -> str:
-    headers = ", ".join(quote_if_needed(h) for h in table.columns)
-    return COLUMN_PROMPT_TEMPLATE.format(question=question, headers=headers)
-
-
-def build_row_prompt(question: str, table: Table, relevant_columns: set[int] | frozenset[int]) -> str:
-    if not relevant_columns:
-        raise EmptySelectionError("relevant_columns must be non-empty")
-    return ROW_PROMPT_TEMPLATE.format(question=question, rows=linearize_rows(table, relevant_columns))

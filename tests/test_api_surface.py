@@ -10,6 +10,8 @@ as a read, so the check can miss a method but never flags a used one).
 The package imports nothing outside the standard library but numpy."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -17,9 +19,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabreduce"
 
 # Entry points kept for tests and library users without a pipeline caller.
 ALLOWED = {
-    "llm.llm_reduce_baseline",  # the paper's zero-shot reduction baseline
-    "annotate.annotate_columns",  # single-target labelers that the annotator
-    "annotate.annotate_rows",  # acceptance tests (test_01, test_02) call
+    "annotate.annotate_rows",  # rows over any column set, which test_02's oracle check calls
     "policy.grad_check",  # finite-difference check of the hand-written gradients
 }
 
@@ -166,3 +166,37 @@ def test_absolute_imports_are_stdlib_or_numpy():
         if name not in allowed
     )
     assert outside == [], "imports outside the standard library and numpy: " + ", ".join(outside)
+
+
+def docstring_references(trees):
+    """(module, reference) pairs for each ``module.name`` and
+    :func:`tabreduce.module.name` in a package docstring whose first part is
+    a package module."""
+    pattern = re.compile(r"``(\w+(?:\.\w+)+)``|:func:`tabreduce\.(\w+(?:\.\w+)+)`")
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                for match in pattern.finditer(ast.get_docstring(node) or ""):
+                    reference = match.group(1) or match.group(2)
+                    if reference.split(".")[0] in trees:
+                        yield module, reference
+
+
+def resolves(reference):
+    """Whether ``module.name[.attr...]`` names an attribute of the package;
+    a dataclass field counts."""
+    first, *rest = reference.split(".")
+    obj = importlib.import_module(f"tabreduce.{first}")
+    for name in rest:
+        fields = getattr(obj, "__dataclass_fields__", {})
+        if not hasattr(obj, name) and name not in fields:
+            return False
+        obj = getattr(obj, name, None)
+    return True
+
+
+def test_docstring_references_resolve():
+    references = sorted(set(docstring_references(parse_package())))
+    assert len(references) > 20
+    unresolved = [f"{module}: {reference}" for module, reference in references if not resolves(reference)]
+    assert unresolved == [], "docstring references to no package attribute: " + ", ".join(unresolved)

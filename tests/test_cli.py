@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tabreduce import cli, dataio, llm, metrics, policy, sql, tables, tasks, training
-from tabreduce.tables import Reduction, linearize_rows, project
+from tabreduce.tables import Reduction, linearize_tables, project
 
 
 def run(args):
@@ -626,8 +626,7 @@ class TestQaAndReport:
         instances, _ = dataio.load_dataset(edited)
 
         def rendered_tokens(table):
-            text = linearize_rows(table, frozenset(range(table.n_columns))) if table.n_columns else ""
-            return len(text.split())
+            return len(linearize_tables([table])[0].split())
 
         expected = {
             "full": [rendered_tokens(inst.table) for inst in instances],
@@ -792,7 +791,7 @@ class TestQaAndReport:
         assert seen == [
             [("user", llm.QA_PROMPT_TEMPLATE.format(
                 question=inst.question,
-                context=linearize_rows(inst.table, frozenset(range(inst.table.n_columns))),
+                context=linearize_tables([inst.table])[0],
             ))]
             for inst in instances
         ]

@@ -149,6 +149,41 @@ class TestRoundTrip:
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sql", 5, "sql is a int, not a string or null"),
+            ("sql", ["select a from t"], "sql is a list, not a string or null"),
+            ("answers", "uv", "answers are a str, not a list"),
+            ("answers", None, "answers are a NoneType, not a list"),
+            ("answers", {"u": 1}, "answers are a dict, not a list"),
+            ("answers", ["u", ["v"]], "answer 1 is a list, not a string or number"),
+            ("answers", [None], "answer 0 is a NoneType, not a string or number"),
+            ("answers", [True], "answer 0 is a bool, not a string or number"),
+        ],
+        ids=["int-sql", "list-sql", "string-answers", "null-answers", "object-answers",
+             "list-answer", "null-answer", "bool-answer"],
+    )
+    def test_malformed_sql_or_answers_reported(self, tmp_path, key, value, message):
+        """An ``sql`` that is not a string or null and ``answers`` that are
+        not a list of strings and numbers are refused at load, not read as
+        characters or left for ``annotate`` and ``qa`` to crash on."""
+        record = loaded_record(sample_instance())
+        bad = {**record, key: value}
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            record_to_instance(bad)
+        path = tmp_path / "d.jsonl"
+        good = json.dumps(record)
+        path.write_text(good + "\n" + json.dumps(bad) + "\n" + good + "\n")
+        loaded, errors = load_dataset(path)
+        assert len(loaded) == 2
+        assert [(e.line, e.message) for e in errors] == [(2, message)]
+
+    def test_numeric_answers_and_null_sql_load(self):
+        record = {**loaded_record(sample_instance()), "sql": None, "answers": ["u", 2, 2.5]}
+        inst = record_to_instance(record)
+        assert inst.sql is None and inst.answers == ("u", "2", "2.5")
+
     def test_record_hands_row_tuples_to_json(self):
         """The record keeps the table's row tuples; ``json`` writes them as
         the arrays the lists of each row once were, and the record reads

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tabreduce import llm, sql
+from tabreduce import cli, llm, sql
 from tabreduce.errors import ConfigError
 from tabreduce.llm import (
     AuthError,
@@ -20,15 +20,12 @@ from tabreduce.llm import (
     complete,
     complete_many,
     extract_completion_text,
-    llm_reduce_baseline,
     mock_complete,
     mock_complete_many,
-    split_selection,
 )
 from tabreduce.tables import (
     Table,
     count_tokens,
-    linearize_rows,
     linearize_tables,
     make_table,
     table_row_token_counts,
@@ -170,13 +167,24 @@ def test_complete_many_order_preserved():
 
 class LoopbackHandler(http.server.BaseHTTPRequestHandler):
     """Answers a path under ``/ok`` with 200 and any other with 500, each
-    with a body, and keeps what each request sent in ``received``."""
+    with a body, and keeps what each request sent in ``received``.  Under
+    ``/short`` the response announces 500 body bytes and closes after 10,
+    and under ``/garbled`` its status line is not HTTP."""
 
     received: list
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         self.received.append((self.path, self.headers["Content-Type"], body))
+        if self.path.startswith("/short/"):
+            self.send_response(200)
+            self.send_header("Content-Length", "500")
+            self.end_headers()
+            self.wfile.write(ok_body("served")[:10])
+            return
+        if self.path.startswith("/garbled/"):
+            self.wfile.write(b"garbage\r\n\r\n")
+            return
         status, payload = (200, ok_body("served")) if self.path.startswith("/ok/") else (500, b"overloaded")
         self.send_response(status)
         self.send_header("Content-Length", str(len(payload)))
@@ -234,6 +242,29 @@ class TestUrllibTransport:
             complete([("user", "hi")], cfg, sleep=sleeps.append)
         assert sleeps == [0.5, 1.0]
 
+    @pytest.mark.parametrize("path", ["/short", "/garbled"])
+    def test_bad_response_raises_os_error_and_qa_exits_3(self, loopback, path, tmp_path, monkeypatch):
+        base, received = loopback
+        cfg = config(endpoint=base + path, timeout=5.0)
+        with pytest.raises(OSError):
+            llm._urllib_transport(5.0)(*build_request([("user", "hi")], cfg))
+        sleeps = []
+        with pytest.raises(TransportError, match="network failure"):
+            complete([("user", "hi")], cfg, sleep=sleeps.append)
+        assert sleeps == [0.5, 1.0] and len(received) == 4
+
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({
+            "id": "a", "question": "which city in 2008?",
+            "table": {"columns": ["year", "city"], "rows": [[2004, "Athens"], [2008, "Beijing"]]},
+        }) + "\n")
+        real = llm.complete_many
+        monkeypatch.setattr(llm, "complete_many", lambda prompts, qa_cfg, max_in_flight: real(
+            prompts, qa_cfg, max_in_flight, sleep=sleeps.append))
+        out = tmp_path / "answers.jsonl"
+        assert cli.main(["qa", "--data", str(data), "--out", str(out), "--endpoint", base + path]) == 3
+        assert sleeps == [0.5, 1.0] * 2 and len(received) == 7 and not out.exists()
+
 
 class TestQaPrompt:
     def test_prompt_byte_stable_and_called_on_empty_context(self):
@@ -251,46 +282,6 @@ class TestQaPrompt:
         assert [o.strip() for o in outs] == ["answer", "answer"]
         assert seen[0] == llm.QA_PROMPT_TEMPLATE.format(question="q?", context="")
         assert seen[0] == seen[1]
-
-
-class TestReduceBaseline:
-    def table(self):
-        return make_table(
-            ["year", "city", "country"],
-            [[2004, "Athens", "Greece"], [2008, "Beijing", "China"]],
-        )
-
-    def test_parses_headers(self):
-        transport = ScriptedTransport([(200, ok_body("year, city @")), (200, ok_body("Row1 @"))])
-        reduction, warnings = llm_reduce_baseline(
-            "q", self.table(), config(), transport=transport, sleep=lambda s: None
-        )
-        assert reduction.columns == frozenset({0, 1})
-        assert reduction.rows == frozenset({1})
-        assert warnings == 0
-
-    def test_done_marker_alone_is_empty(self):
-        transport = ScriptedTransport([(200, ok_body("@"))])
-        reduction, warnings = llm_reduce_baseline(
-            "q", self.table(), config(), transport=transport, sleep=lambda s: None
-        )
-        assert reduction.columns == frozenset()
-        assert reduction.rows == frozenset()
-        assert len(transport.calls) == 1  # no row call without columns
-
-    def test_unknown_names_warned(self):
-        transport = ScriptedTransport(
-            [(200, ok_body("year, nonsense @")), (200, ok_body("Row0, Row9, wat"))]
-        )
-        reduction, warnings = llm_reduce_baseline(
-            "q", self.table(), config(), transport=transport, sleep=lambda s: None
-        )
-        assert reduction.columns == frozenset({0})
-        assert reduction.rows == frozenset({0})
-        assert warnings == 3  # nonsense header, out-of-range row, unparseable row
-
-    def test_split_selection_respects_quotes(self):
-        assert split_selection('"wins, losses", year @') == ["wins, losses", "year"]
 
 
 def mock(question, table, cfg, gold_sql, gold_answers):
@@ -367,7 +358,7 @@ class TestMock:
 
     def test_parse_prompt_table_round_trip(self):
         table = make_table(["a b", "c,d"], [[1, "x, y"], [None, "z"]])
-        text = linearize_rows(table, frozenset({0, 1}))
+        text = linearize_tables([table])[0]
         parsed = oracle_parse_prompt_table("Prefix text " + text)
         assert parsed.columns == ("a b", "c,d")
         assert parsed.rows[0] == (1, "x, y")
@@ -383,7 +374,7 @@ class TestMock:
                 ["  spaced  ", "(", ")", '"'],
             ],
         )
-        text = linearize_rows(table, frozenset(range(4)))
+        text = linearize_tables([table])[0]
         expected = (
             ('5" screen', "tv", '""', "x"),
             (7, "radio, portable", '"quoted"', "(y)"),
@@ -528,7 +519,7 @@ class TestReaderTruncation:
     checked against the QA prompt's rendered text."""
 
     def prompt(self, table):
-        text = linearize_rows(table, frozenset(range(table.n_columns)))
+        text = linearize_tables([table])[0]
         return llm.QA_PROMPT_TEMPLATE.format(question="q?", context=text)
 
     def preamble_tokens(self):

@@ -105,7 +105,7 @@ def first_step(params, q, v, u):
     """Action and behavior log-probability of the first step of an episode
     over the encodings ``q`` and ``v``, sampled unmasked at uniform ``u``."""
     uniforms = np.full((1, v.shape[0] + 1), u)
-    sampled = sample_episodes([policy.Embedded(params, q, v)], None, uniforms, None)
+    sampled = sample_episodes([policy.Embedded(params, q, v)], None, uniforms, 1.0)
     return sampled.actions[0, 0], sampled.logp_pi[0, 0]
 
 
@@ -142,7 +142,7 @@ class TestStepDistribution:
         for _ in range(50):
             n = int(rng.integers(0, 5))
             e = policy.Embedded(params, rng.normal(size=6), rng.normal(size=(n, 6)))
-            (trace,) = traces(sample_episodes([e], None, rng.random((1, n + 1)), None))
+            (trace,) = traces(sample_episodes([e], None, rng.random((1, n + 1)), 1.0))
             assert trace.actions[-1] == STOP and len(trace.actions) <= n + 1
             assert all(-np.inf < lp <= 0.0 for lp in trace.logp_pi)
             if len(trace.actions) == n + 1:  # every candidate taken: STOP is certain
@@ -231,7 +231,7 @@ class TestEpisodes:
     def test_trace_logp_matches_sequence_logprob_without_mask(self):
         vocab, enc = tiny_enc(3)
         params = init_params(vocab, 8, seed=1)
-        trace = sample(params, enc, rng=np.random.default_rng(1), top_p=None)
+        trace = sample(params, enc, rng=np.random.default_rng(1), top_p=1.0)
         assert sum(trace.logp_pi) == pytest.approx(
             forward_logprob(params, enc, trace.actions)
         )
@@ -344,7 +344,7 @@ class TestValueHead:
         vocab, enc = tiny_enc(2)
         params = PolicyParams.zeros(vocab, 4)
         assert np.all(forward(params, count_matrices([enc]), pad_actions([(0, 1, STOP)])).values == 0.0)
-        trace = sample(params, enc, rng=np.random.default_rng(0), top_p=None)
+        trace = sample(params, enc, rng=np.random.default_rng(0), top_p=1.0)
         assert all(value == 0.0 for value in trace.values)
 
     def test_linear_and_hand_computed(self):

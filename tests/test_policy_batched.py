@@ -143,7 +143,7 @@ class _Encoder:
         return step_distribution(self.params, self.q, self.h, self.v[list(remaining)])
 
 
-def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=None, uniforms=None,
+def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=1.0, uniforms=None,
                           tie_steps=None):
     """The per-episode walk over the policy's one-instance encodings; step t
     of a sampled episode picks where ``uniforms[t]`` falls in the behavior
@@ -166,7 +166,7 @@ def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=No
 
     while True:
         probs = pi.distribution(remaining)
-        if mode == "sample" and top_p is not None:
+        if mode == "sample" and top_p < 1.0:
             behavior = oracle_top_p_mask(probs, top_p)
         else:
             behavior = probs
@@ -835,7 +835,7 @@ def assert_close_per_step(actual, expected) -> None:
     assert np.all(np.abs(actual - expected) <= SAMPLING_TOLERANCE * scale)
 
 
-@pytest.mark.parametrize("top_p", [None, 0.9])
+@pytest.mark.parametrize("top_p", [1.0, 0.9])
 @pytest.mark.parametrize("seed", range(3))
 def test_sample_episodes_match_oracle(seed, top_p):
     params = random_params(seed)
@@ -913,9 +913,9 @@ def test_sample_episodes_needs_a_uniform_per_step():
     encs = sampling_batch(0)
     uniforms = block_of_uniforms(0, encs)
     with pytest.raises(ValueError):
-        policy.sample_episodes(policy.embed(params, encs), None, uniforms[:, :-1], None)
+        policy.sample_episodes(policy.embed(params, encs), None, uniforms[:, :-1])
     with pytest.raises(ValueError):
-        policy.sample_episodes(policy.embed(params, encs), None, uniforms[1:], None)
+        policy.sample_episodes(policy.embed(params, encs), None, uniforms[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +936,7 @@ def test_forward_replays_sampling_bit_for_bit(seed, dim):
     params = random_params(seed, dim)
     for encs in replay_batches(seed):
         uniforms = block_of_uniforms(seed, encs)
-        sampled = policy.sample_episodes(policy.embed(params, encs), None, uniforms, None)
+        sampled = policy.sample_episodes(policy.embed(params, encs), None, uniforms, 1.0)
         fw = forward_of(params, encs, sampled.actions)
         t_max = int(sampled.steps.max())
         assert fw.probs.shape == (len(encs), t_max, uniforms.shape[1])
@@ -949,6 +949,23 @@ def test_forward_replays_sampling_bit_for_bit(seed, dim):
             assert np.array_equal(fw.probs[live, t], probs[live])
             go = live & (sampled.actions[:, t] != STOP)
             stepper.select(np.flatnonzero(go), sampled.actions[go, t])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_top_p_one_replays_bit_for_bit(seed):
+    """``top_p`` 1.0 is the unmasked path, with a reference too: ``forward``
+    replays the sampled log-probabilities bit for bit, and the episodes are
+    those of the default ``top_p``."""
+    params, reference = random_params(seed, 32), random_params(seed + 50, 32)
+    for encs in replay_batches(seed):
+        uniforms = block_of_uniforms(seed, encs)
+        current, ref = policy.embed(params, encs), policy.embed(reference, encs)
+        sampled = policy.sample_episodes(current, ref, uniforms, 1.0)
+        default = policy.sample_episodes(current, ref, uniforms)
+        assert all(np.array_equal(getattr(sampled, name), getattr(default, name))
+                   for name in ("actions", "logp_pi", "logp_ref", "values", "steps"))
+        fw = forward_of(params, encs, sampled.actions)
+        assert np.array_equal(fw.logps, sampled.logp_pi[:, :int(sampled.steps.max())])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1006,7 +1023,7 @@ def test_sampled_and_greedy_picks_pinned(dim, seed):
     encs = sampling_batch(seed)
     uniforms = block_of_uniforms(seed, encs)
     current = policy.embed(params, encs)
-    plain = policy.sample_episodes(current, None, uniforms, None)
+    plain = policy.sample_episodes(current, None, uniforms, 1.0)
     masked = policy.sample_episodes(current, policy.embed(reference, encs), uniforms, 0.9)
     greedy = policy.greedy_decode(params, encs).selected
     assert (

@@ -25,7 +25,6 @@ from tabreduce.tables import (
     Table,
     count_tokens,
     format_cell,
-    linearize_rows,
     linearize_tables,
     project,
     row_token_counts,
@@ -177,8 +176,8 @@ def check_against_oracle(table, cols):
     oracle's text."""
     text = oracle_linearize(table, cols)
     rows = [oracle_row_pairs(table, row, sorted(cols)) for row in table.rows]
-    assert linearize_rows(table, cols) == text
     context = project(table, Reduction(frozenset(cols), frozenset(range(table.n_rows))))
+    assert linearize_tables([context])[0] == text
     counts = table_row_token_counts(context)
     assert counts == [count_tokens(f"Row{i}: {pairs}") for i, pairs in enumerate(rows)]
     assert sum(counts) == count_tokens(text)
@@ -238,13 +237,13 @@ def test_each_awkward_text_as_header_and_cell(cell):
 def test_quoting_splits_a_whitespace_run():
     # the anchor's space is written between two quoted runs: 2 runs, not 1
     table = Table(("v",), (("Row3:  x",),))
-    assert linearize_rows(table, {0}) == 'Row0: (v,"Row3:" " x")'
+    assert linearize_tables([table])[0] == 'Row0: (v,"Row3:" " x")'
     assert table_row_token_counts(table) == [count_tokens('Row0: (v,"Row3:" " x")')] == [4]
 
 
 def test_equal_keys_of_other_types_render_apart():
     table = Table(("v",), ((1,), (1.0,), (True,), (0,), (False,), (-0.0,), (1.5,), (None,)))
-    assert linearize_rows(table, {0}) == oracle_linearize(table, {0}) == (
+    assert linearize_tables([table])[0] == oracle_linearize(table, {0}) == (
         "Row0: (v,1) Row1: (v,1) Row2: (v,true) Row3: (v,0) Row4: (v,false) Row5: (v,0) "
         "Row6: (v,1.5) Row7: (v,)"
     )
@@ -259,7 +258,7 @@ def test_equal_keys_of_other_types_render_apart():
 def test_zero_rows_and_zero_columns():
     table = Table(("a", "b"), ())
     vocab = policy.build_vocabulary(["a b"])
-    assert linearize_rows(table, {0, 1}) == ""
+    assert linearize_tables([table]) == [""]
     assert table_row_token_counts(table) == []
     assert row_tokens(table, {1}, vocab.encode, {}) == []
     assert row_vocabulary_texts([(table, {0, 1})]) == []
@@ -293,7 +292,7 @@ def check_pair_text_reads_back(text):
     # pair-like text as a header and as a cell: the rendered pair parses back
     # to it, and the mock reader sees what the oracle parses from the prompt
     table = Table((text, "n"), ((text, 1),))
-    rendered = linearize_rows(table, {0, 1})
+    rendered = linearize_tables([table])[0]
     assert oracle_parse_pairs(rendered) == [(text, text), ("n", "1")], rendered
     prompt = llm.QA_PROMPT_TEMPLATE.format(question="q?", context=rendered)
     assert same_table(visible_table("q?", table, 10**6), oracle_parse_prompt_table(prompt)), prompt
@@ -330,7 +329,7 @@ def test_cells_holding_row_anchors_read_back(seed):
                      for row in table.rows)
         table = Table(headers, rows)
         prompt = llm.QA_PROMPT_TEMPLATE.format(
-            question="q?", context=linearize_rows(table, range(table.n_columns))
+            question="q?", context=linearize_tables([table])[0]
         )
         expected = Table(headers, tuple(
             tuple(llm._parse_cell(format_cell(cell)) for cell in row) for row in rows
@@ -340,7 +339,7 @@ def test_cells_holding_row_anchors_read_back(seed):
 
 def test_cell_holding_row_anchor_keeps_both_rows():
     table = Table(("note", "n"), (("see Row3: x", 1), ("plain", 2)))
-    text = linearize_rows(table, {0, 1})
+    text = linearize_tables([table])[0]
     assert text == 'Row0: (note,"see Row3:" "x"), (n,1) Row1: (note,plain), (n,2)'
     assert oracle_parse_prompt_table(text) == table
 
@@ -405,7 +404,7 @@ def test_batch_memos_match_fresh_walks(seed):
     tables = [table for table, _ in batch]
     whole = [range(table.n_columns) for table in tables]
     rendered = linearize_tables(tables)
-    assert rendered == [linearize_rows(table, cols) if table.n_columns else "" for table, cols in zip(tables, whole)]
+    assert rendered == [linearize_tables([table])[0] for table in tables]
     assert rendered[:-1] == [oracle_linearize(table, cols) for table, cols in zip(tables, whole[:-1])]
     counts = table_row_token_counts_many(tables)
     assert counts == list(map(table_row_token_counts, tables))

@@ -4,15 +4,14 @@ import random
 
 import pytest
 
+from tabreduce import llm
 from tabreduce.errors import EmptySelectionError
 from tabreduce.tables import (
     Instance,
     Reduction,
     Table,
-    build_column_prompt,
-    build_row_prompt,
     count_tokens,
-    linearize_rows,
+    linearize_tables,
     make_table,
     project,
     row_token_counts,
@@ -29,6 +28,12 @@ def olympics():
         ["year", "city"],
         [[2004, "Athens"], [2008, "Beijing"], [2012, "London"]],
     )
+
+
+def linearize(table, column_subset):
+    """The rendered text of ``table`` reduced to ``column_subset`` and all
+    of its rows, as ``qa`` renders a context."""
+    return linearize_tables([project(table, Reduction(frozenset(column_subset), frozenset(range(table.n_rows))))])[0]
 
 
 def counts(table, column_subset):
@@ -134,29 +139,29 @@ class TestProject:
 class TestLinearize:
     def test_paper_format(self):
         table = make_table(["year", "city"], [[2008, "Beijing"]])
-        out = linearize_rows(table, {0, 1})
+        out = linearize(table, {0, 1})
         assert out == "Row0: (year,2008), (city,Beijing)"
         assert table_row_token_counts(table) == [count_tokens(out)] == [3]
 
     def test_zero_rows_empty_text(self):
         table = make_table(["year"], [])
-        assert linearize_rows(table, {0}) == ""
+        assert linearize(table, {0}) == ""
         assert table_row_token_counts(table) == []
 
     def test_subset_keeps_row_indices(self):
         table = make_table(["year", "city"], [[2008, "Beijing"], [2012, "London"]])
-        out = linearize_rows(table, {1})
+        out = linearize(table, {1})
         assert out == "Row0: (city,Beijing) Row1: (city,London)"
 
     def test_empty_subset_raises(self):
-        for derived in (linearize_rows, counts, vocabulary_texts):
+        for derived in (counts, vocabulary_texts):
             with pytest.raises(EmptySelectionError):
                 derived(olympics(), set())
         with pytest.raises(EmptySelectionError):
             row_tokens(olympics(), set(), str.split, {})
 
     def test_column_out_of_range_raises(self):
-        for derived in (linearize_rows, counts, vocabulary_texts):
+        for derived in (linearize, counts, vocabulary_texts):
             with pytest.raises(IndexError):
                 derived(olympics(), {0, 9})
 
@@ -164,52 +169,39 @@ class TestLinearize:
         table = make_table(
             ["a", "b", "c"], [[1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]]
         )
-        out = linearize_rows(table, {0, 2})
+        out = linearize(table, {0, 2})
         assert out.count("Row") == 4
         assert out.count("(") == 4 * 2
 
     def test_quoting_of_awkward_values(self):
         table = make_table(["notes"], [["a, b (c)"]])
-        out = linearize_rows(table, {0})
+        out = linearize(table, {0})
         assert '"a, b (c)"' in out
 
     def test_double_quotes_are_quoted_and_doubled(self):
         table = make_table(['say "hi"', "size"], [['5" screen', 'plain']])
-        out = linearize_rows(table, {0, 1})
+        out = linearize(table, {0, 1})
         assert out == 'Row0: ("say ""hi""","5"" screen"), (size,plain)'
 
 
 class TestPrompts:
-    def test_column_prompt_template(self):
-        table = make_table(["year", "winner"], [[2008, "x"]])
-        prompt = build_column_prompt("who won?", table)
-        assert prompt == (
-            "Select relevant columns from a table to answer a question. "
-            "Output '@' if done generating. "
-            "Question: who won?, List of column headers: year, winner"
-        )
+    """The QA prompt as ``qa --endpoint`` builds it, the one prompt the
+    package sends."""
+
+    def prompt(self, question, table):
+        return llm.QA_PROMPT_TEMPLATE.format(question=question, context=linearize_tables([table])[0])
 
     def test_empty_question_allowed(self):
-        prompt = build_column_prompt("", olympics())
-        assert "Question: ," in prompt
+        assert "Question:  Table: Row0: (year,2004)" in self.prompt("", olympics())
 
     def test_header_with_comma_is_quoted(self):
         table = make_table(["wins, losses", "year"], [[1, 2]])
-        prompt = build_column_prompt("q", table)
-        assert '"wins, losses", year' in prompt
+        assert self.prompt("q", table).endswith('Table: Row0: ("wins, losses",1), (year,2)')
 
     def test_prompts_are_byte_stable(self):
         table = olympics()
-        assert build_column_prompt("q?", table) == build_column_prompt("q?", table)
-        assert build_row_prompt("q?", table, {0}) == build_row_prompt("q?", table, {0})
-
-    def test_row_prompt_requires_columns(self):
-        with pytest.raises(EmptySelectionError):
-            build_row_prompt("q", olympics(), set())
-
-    def test_row_prompt_contains_linearization(self):
-        prompt = build_row_prompt("q", olympics(), {1})
-        assert "Row0: (city,Athens)" in prompt
+        assert self.prompt("q?", table) == self.prompt("q?", table)
+        assert linearize_tables([table, table]) == [linearize_tables([table])[0]] * 2
 
 
 class TestTokensAndBudget:

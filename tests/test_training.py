@@ -537,7 +537,7 @@ class TestTrainRl:
         real_sample = policy.sample_episodes
         calls = []
 
-        def corrupting_sample(current, reference, uniforms, top_p=None):
+        def corrupting_sample(current, reference, uniforms, top_p=1.0):
             calls.append(1)
             if len(calls) == 3:  # iteration 2: the warm start sampled first
                 params = current[0].params.copy()
