@@ -258,8 +258,7 @@ def cmd_eval_reduce(args) -> int:
                 instance=inst,
             )
         )
-    report = metrics.build_recall_report(entries, boundaries, include_micro=args.micro)
-    doc = metrics.report_to_dict(report)
+    doc = metrics.build_recall_report(entries, boundaries, include_micro=args.micro)
     doc["target"] = target
     with atomic_write(args.report) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -271,8 +270,8 @@ def cmd_eval_reduce(args) -> int:
     }
     manifest.finish()
     print(
-        f"eval-reduce ({target}): recall {report.recall:.4f} precision {report.precision:.4f} "
-        f"over {report.count} instances"
+        f"eval-reduce ({target}): recall {doc['recall']:.4f} precision {doc['precision']:.4f} "
+        f"over {doc['count']} instances"
     )
     return EXIT_OK
 

@@ -18,6 +18,7 @@ saving a dataset never loads it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -357,8 +358,9 @@ def split(
     seed: int = 0,
 ) -> tuple[list[Instance], list[Instance], list[Instance]]:
     """Disjoint, exhaustive, seed-stable split by table fingerprint."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("ratios must be three non-negative numbers summing to 1")
+    finite = all(math.isfinite(r) and r >= 0 for r in ratios)  # abs(NaN - 1.0) > 1e-9 is False
+    if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError("ratios must be three finite non-negative numbers summing to 1")
     import numpy as np
 
     fingerprints = [table_fingerprint(inst.table) for inst in instances]

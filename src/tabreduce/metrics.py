@@ -40,18 +40,6 @@ class EvalEntry:
     instance: Instance
 
 
-@dataclass(frozen=True)
-class RecallReport:
-    recall: float
-    precision: float
-    f1: float
-    mean_reduction_ratio: float
-    count: int
-    per_bucket: tuple[dict, ...] | None = None
-    micro_recall: float | None = None
-    micro_precision: float | None = None
-
-
 def _macro(entries: Sequence[EvalEntry]) -> tuple[float, float, float]:
     if not entries:
         return 0.0, 0.0, 0.0
@@ -68,54 +56,33 @@ def build_recall_report(
     entries: Sequence[EvalEntry],
     bucket_boundaries: Sequence[int] | None = None,
     include_micro: bool = False,
-) -> RecallReport:
-    """Macro-averaged recall/precision/f1; micro (pooled counts) on request."""
+) -> dict:
+    """The ``eval-reduce`` report document, less its ``target``: the count
+    and the macro-averaged recall, precision, f1 and kept fraction, the
+    same per length bucket given ``bucket_boundaries``, and micro (pooled
+    counts) recall and precision on request."""
     recall, precision, f1 = _macro(entries)
-    ratio = sum(e.kept_fraction for e in entries) / len(entries) if entries else 0.0
-
-    per_bucket = None
+    doc = {
+        "format_version": REPORT_FORMAT_VERSION,
+        "count": len(entries),
+        "recall": recall,
+        "precision": precision,
+        "f1": f1,
+        "mean_reduction_ratio": sum(e.kept_fraction for e in entries) / len(entries) if entries else 0.0,
+    }
     if bucket_boundaries is not None:
-        per_bucket = _per_bucket(
+        doc["per_bucket"] = list(_per_bucket(
             entries,
             bucket_by_length([e.instance for e in entries], bucket_boundaries),
             bucket_boundaries,
             lambda members: dict(zip(("recall", "precision", "f1"), _macro(members))),
-        )
-
-    micro_r = micro_p = None
+        ))
     if include_micro:
         hits = sum(len(e.predicted & e.gold) for e in entries)
         gold_total = sum(len(e.gold) for e in entries)
         pred_total = sum(len(e.predicted) for e in entries)
-        micro_r = 1.0 if gold_total == 0 else hits / gold_total
-        micro_p = 1.0 if pred_total == 0 else hits / pred_total
-
-    return RecallReport(
-        recall=recall,
-        precision=precision,
-        f1=f1,
-        mean_reduction_ratio=ratio,
-        count=len(entries),
-        per_bucket=per_bucket,
-        micro_recall=micro_r,
-        micro_precision=micro_p,
-    )
-
-
-def report_to_dict(report: RecallReport) -> dict:
-    doc = {
-        "format_version": REPORT_FORMAT_VERSION,
-        "count": report.count,
-        "recall": report.recall,
-        "precision": report.precision,
-        "f1": report.f1,
-        "mean_reduction_ratio": report.mean_reduction_ratio,
-    }
-    if report.per_bucket is not None:
-        doc["per_bucket"] = list(report.per_bucket)
-    if report.micro_recall is not None:
-        doc["micro_recall"] = report.micro_recall
-        doc["micro_precision"] = report.micro_precision
+        doc["micro_recall"] = 1.0 if gold_total == 0 else hits / gold_total
+        doc["micro_precision"] = 1.0 if pred_total == 0 else hits / pred_total
     return doc
 
 

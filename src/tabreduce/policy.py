@@ -16,10 +16,13 @@ Encodings are segment means: an instance's matrix of its segments' token
 counts over its distinct tokens, divided by the segment lengths
 (``CountMatrix``), times those tokens' rows of the embedding table; the
 gradient goes back through the transposed product.  The matrices are built
-per instance, so an instance encodes the same in any batch.  ``forward``
-reads count matrices: SFT and greedy decoding build them per chunk, and a
-PPO rollout once for its distinct instances (``count_matrices``), kept for
-every minibatch of its update.
+per instance, so an instance encodes the same in any batch.  Count
+matrices are all the policy encodes from, in one place (``_embed_padded``,
+which encodes each distinct matrix once per parameter set and call): SFT
+and greedy decoding build them per chunk, and ``train-rl`` once per run
+for its training instances (``count_matrices``), which every rollout,
+sampled under the current and the reference parameters, and every
+minibatch of its update reuse.
 
 The step distribution is written once (``_step``, ``_values``,
 ``_log_softmax``), by per-row products rounded alike in any batch.
@@ -84,17 +87,17 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     """Token-to-index map; index 0 is reserved for out-of-vocabulary words.
 
-    ``cell_ids`` is this vocabulary's memo of token ids per table cell key
-    (``tables.row_tokens``), and ``text_ids`` its memo of token ids per
-    candidate text (``encode_instance``, which column candidates go
-    through).  Both live as long as the vocabulary, which a stage builds or
-    loads for itself, and never serve another vocabulary.
+    ``cell_ids`` is this vocabulary's one memo of token ids: per table cell
+    key and header (``tables.row_tokens``) and per candidate text
+    (``encode_instance``, which column candidates go through).  A key that
+    is a string maps to ``encode`` of it in either use, since a string cell
+    formats as itself.  The memo lives as long as the vocabulary, which a
+    stage builds or loads for itself, and never serves another vocabulary.
     """
 
     tokens: tuple[str, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     cell_ids: dict = field(default_factory=dict, repr=False, compare=False)
-    text_ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lookup = {tok: i + 1 for i, tok in enumerate(self.tokens)}
@@ -145,8 +148,8 @@ class EncodedInstance:
 
 def encode_instance(vocab: Vocabulary, question: str, candidate_texts: Sequence[str]) -> EncodedInstance:
     """The question and candidate texts as token ids; each distinct candidate
-    text is tokenized once per vocabulary (``Vocabulary.text_ids``)."""
-    memo = vocab.text_ids
+    text is tokenized once per vocabulary (``Vocabulary.cell_ids``)."""
+    memo = vocab.cell_ids
     candidate_ids = []
     for text in candidate_texts:
         ids = memo.get(text)
@@ -342,10 +345,11 @@ def load_params(path) -> tuple[PolicyParams, str]:
 # ---------------------------------------------------------------------------
 # Encodings
 
-# Segments per ``forward``, ``greedy_decode`` or ``embed`` chunk, and padded
-# slots per ``sample_episodes`` run: they bound the padded (segments, dim)
-# arrays and the count matrices a chunk builds, so a minibatch of long
-# tables needs little more memory than one of short tables.
+# Segments per ``forward``, ``greedy_decode`` or ``count_matrices`` chunk,
+# and padded slots per ``sample_episodes`` run: they bound the padded
+# (segments, dim) arrays and the count matrices a chunk builds, so a
+# minibatch of long tables needs little more memory than one of short
+# tables.
 _SEGMENT_BLOCK = 1024
 
 
@@ -413,39 +417,29 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
 
 def count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
     """The ``CountMatrix`` of each of ``encs``, built one ``chunks`` run at
-    a time, for a caller that keeps them (a rollout: ``training``)."""
+    a time, for a caller that keeps them (``training.train_rl``)."""
     return [m for run in chunks(encs) for m in _count_matrices(encs[run])]
 
 
-@dataclass(frozen=True, eq=False)
-class Embedded:
-    """One instance's question and candidate encodings under one parameter set."""
-
-    params: PolicyParams
-    q: np.ndarray   # (dim,)
-    v: np.ndarray   # (n_candidates, dim)
-
-    @classmethod
-    def of(cls, params: PolicyParams, matrix: CountMatrix) -> "Embedded":
-        """The instance of count matrix ``matrix`` encoded under ``params``."""
-        means = matrix.means(params.emb)
-        return cls(params, means[0], means[1:])
-
-
-def _embed_padded(params: PolicyParams, matrices: Sequence[CountMatrix]):
-    """(B, dim) question and (B, N, dim) candidate encodings of the
-    instances of ``matrices``, padded to the most candidates; padded
-    candidates are zero."""
-    encoded = np.zeros((len(matrices), 1 + max(m.n_candidates for m in matrices), params.dim))
+def _embed_padded(params: PolicyParams, matrices: Sequence[CountMatrix], n: int | None = None,
+                  memo: dict | None = None):
+    """(B, dim) question and (B, n, dim) candidate encodings under
+    ``params`` of the instances of ``matrices``, views of one ``(B, 1 + n,
+    dim)`` buffer padded with zeros to ``n`` candidates (by default the
+    most among them).  Each distinct matrix object is encoded once, however
+    many rows share it: ``memo`` maps ``id(matrix)`` to its segment means,
+    so a caller that encodes the same matrices run by run passes one memo
+    to every run."""
+    if n is None:
+        n = max(m.n_candidates for m in matrices)
+    memo = {} if memo is None else memo
+    encoded = np.zeros((len(matrices), 1 + n, params.dim))
     for b, m in enumerate(matrices):
-        encoded[b, : m.c.shape[0]] = m.means(params.emb)
+        means = memo.get(id(m))
+        if means is None:
+            means = memo[id(m)] = m.means(params.emb)
+        encoded[b, : means.shape[0]] = means
     return encoded[:, 0], encoded[:, 1:]
-
-
-def embed(params: PolicyParams, encs: Sequence[EncodedInstance]) -> list[Embedded]:
-    """Encode many instances, one ``chunks`` run of count matrices at a
-    time; the matrices are not kept."""
-    return [Embedded.of(params, m) for run in chunks(encs) for m in _count_matrices(encs[run])]
 
 
 # ---------------------------------------------------------------------------
@@ -532,30 +526,22 @@ def _log_softmax(scores: np.ndarray, allowed: np.ndarray) -> tuple[np.ndarray, n
 
 class _Stepper:
     """Instances (rows, padded to N candidates, STOP in slot N) stepped
-    together, one ``_step`` at a time: their encodings, ``_question_terms``,
-    open slots, and the sum and number of the encodings each has taken."""
+    together under one parameter set, one ``_step`` at a time: their
+    encodings (``_embed_padded``), ``_question_terms``, open slots, and the
+    sum and number of the encodings each has taken."""
 
-    def __init__(self, params: PolicyParams, q: np.ndarray, v: np.ndarray,
-                 n_candidates: np.ndarray):
+    def __init__(self, params: PolicyParams, matrices: Sequence[CountMatrix], n: int | None = None,
+                 memo: dict | None = None):
         self.params = params
-        self.v = v                      # (B, N, dim), zero past each row's candidates
-        n = v.shape[1]
-        self.allowed = np.zeros((q.shape[0], n + 1), dtype=bool)
+        q, self.v = _embed_padded(params, matrices, n, memo)  # v is zero past each row's candidates
+        n = self.v.shape[1]
+        n_candidates = np.array([m.n_candidates for m in matrices])
+        self.allowed = np.zeros((len(matrices), n + 1), dtype=bool)
         self.allowed[:, :n] = np.arange(n) < n_candidates[:, None]
         self.allowed[:, n] = True
-        self.picked = np.zeros(q.shape[0], dtype=np.intp)
+        self.picked = np.zeros(len(matrices), dtype=np.intp)
         self.h_sum = np.zeros(q.shape)
-        self.question = _question_terms(params, q, v)
-
-    @classmethod
-    def of(cls, embedded: Sequence[Embedded], n: int) -> "_Stepper":
-        """A stepper over ``embedded``, one parameter set, N = ``n``."""
-        params = embedded[0].params
-        v = np.zeros((len(embedded), n, params.dim))
-        for b, e in enumerate(embedded):
-            v[b, : e.v.shape[0]] = e.v
-        counts = np.array([e.v.shape[0] for e in embedded])
-        return cls(params, np.stack([e.q for e in embedded]), v, counts)
+        self.question = _question_terms(params, q, self.v)
 
     def scores(self) -> np.ndarray:
         """(B, N + 1) scores of this step, -inf outside the allowed slots."""
@@ -605,39 +591,39 @@ class SampledEpisodes:
 
 
 def sample_episodes(
-    current: Sequence[Embedded],
-    reference: Sequence[Embedded] | None,
+    params: PolicyParams,
+    reference: PolicyParams,
+    matrices: Sequence[CountMatrix],
     uniforms: np.ndarray,
     top_p: float = 1.0,
 ) -> SampledEpisodes:
     """Sample one episode per row of ``uniforms``, stepping them together;
     selected candidates leave the action set.
 
-    Episode k walks ``current[k]``, an instance encoded under the current
-    parameters, and ``reference[k]`` under the reference ones (``reference``
-    None: the current policy).  At step t the behavior distribution b is the
-    policy over the remaining candidates and STOP, top-p masked when
-    ``top_p`` is below 1.0, and the pick is ``searchsorted(cumsum(b) /
-    cumsum(b)[-1], uniforms[k, t], side="right")``, the arithmetic of
-    ``Generator.choice``.  logp_pi is the pick's log-probability
-    (``_log_softmax``), or log b when masked; logp_ref is the unmasked one
-    under the reference.  ``forward`` at this width replays unmasked
-    episodes (``top_p`` 1.0) with these log-probabilities and values bit
-    for bit.
+    Episode k walks the instance of count matrix ``matrices[k]`` under the
+    current parameters ``params`` and the reference ones ``reference``
+    (``params`` again for the current policy's own log-probabilities).  At
+    step t the behavior distribution b is the policy over the remaining
+    candidates and STOP, top-p masked when ``top_p`` is below 1.0, and the
+    pick is ``searchsorted(cumsum(b) / cumsum(b)[-1], uniforms[k, t],
+    side="right")``, the arithmetic of ``Generator.choice``.  logp_pi is
+    the pick's log-probability (``_log_softmax``), or log b when masked;
+    logp_ref is the unmasked one under the reference.  ``forward`` at this
+    width replays unmasked episodes (``top_p`` 1.0) with these
+    log-probabilities and values bit for bit.
 
     ``uniforms`` needs ``1 + n_candidates`` columns, one per step an episode
     can take, and the returned arrays are as wide.  Episodes are padded to
     ``uniforms.shape[1] - 1`` candidates and cut into runs of at most
-    ``_SEGMENT_BLOCK`` slots, each stepped as one ``_Stepper``, so an episode
-    does not depend on those it is run with.  Non-finite scores raise
-    ``NumericalError``.
+    ``_SEGMENT_BLOCK`` slots, each stepped as one ``_Stepper`` per parameter
+    set, so an episode does not depend on those it is run with.  Episodes
+    on one instance share its matrix, which each parameter set encodes once
+    per call.  Non-finite scores raise ``NumericalError``.
     """
     uniforms = np.asarray(uniforms, dtype=float)
-    if uniforms.ndim != 2 or uniforms.shape[0] != len(current):
+    if uniforms.ndim != 2 or uniforms.shape[0] != len(matrices):
         raise ValueError("uniforms need one row per episode")
-    if reference is not None and len(reference) != len(current):
-        raise ValueError("reference needs one encoding per episode")
-    if any(e.v.shape[0] >= uniforms.shape[1] for e in current):
+    if any(m.n_candidates >= uniforms.shape[1] for m in matrices):
         raise ValueError("uniforms need 1 + n_candidates columns for every episode")
     shape = uniforms.shape
     out = SampledEpisodes(
@@ -645,25 +631,26 @@ def sample_episodes(
         values=np.zeros(shape), steps=np.zeros(shape[0], dtype=np.intp),
     )
     per_run = max(1, _SEGMENT_BLOCK // shape[1])
+    memo, ref_memo = {}, {}
     for start in range(0, shape[0], per_run):
         run = slice(start, start + per_run)
         _sample_run(
-            current[run], None if reference is None else reference[run], uniforms[run], top_p,
+            _Stepper(params, matrices[run], shape[1] - 1, memo),
+            _Stepper(reference, matrices[run], shape[1] - 1, ref_memo),
+            uniforms[run], top_p,
             out.actions[run], out.logp_pi[run], out.logp_ref[run], out.values[run], out.steps[run],
         )
     return out
 
 
-def _sample_run(current, reference, uniforms, top_p, actions, logp_pi, logp_ref, values, steps):
-    """``sample_episodes`` over one run of episodes, written into the run's
-    rows of its arrays."""
-    batch, width = uniforms.shape
+def _sample_run(pi, ref, uniforms, top_p, actions, logp_pi, logp_ref, values, steps):
+    """``sample_episodes`` over one run of episodes, stepped by ``pi``
+    under the current parameters and ``ref`` under the reference ones,
+    written into the run's rows of its arrays."""
+    width = uniforms.shape[1]
     n = width - 1
-    pi = _Stepper.of(current, n)
-    ref = None if reference is None else _Stepper.of(reference, n)
-    steppers = [pi] if ref is None else [pi, ref]
     masked = top_p < 1.0
-    live = np.arange(batch)
+    live = np.arange(uniforms.shape[0])
     for t in range(width):
         rows = np.arange(live.size)
         probs, logprobs = _log_softmax(pi.scores(), pi.allowed)
@@ -672,14 +659,13 @@ def _sample_run(current, reference, uniforms, top_p, actions, logp_pi, logp_ref,
         cdf /= cdf[:, -1:]
         pick = (cdf <= uniforms[live, t][:, None]).sum(axis=1)
         logp_pi[live, t] = np.log(behavior[rows, pick]) if masked else logprobs[rows, pick]
-        ref_logprobs = logprobs if ref is None else _log_softmax(ref.scores(), ref.allowed)[1]
-        logp_ref[live, t] = ref_logprobs[rows, pick]
+        logp_ref[live, t] = _log_softmax(ref.scores(), ref.allowed)[1][rows, pick]
         values[live, t] = pi.values()
 
         go = pick < n
         actions[live[go], t] = pick[go]
         steps[live[~go]] = t + 1
-        for stepper in steppers:
+        for stepper in (pi, ref):
             stepper.select(rows[go], pick[go])
             if not go.all():
                 stepper.keep(go)
@@ -705,11 +691,11 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
 
     Every step takes the argmax of the scores over the remaining candidates
     and STOP, ties to the lowest slot, and STOP ends the episode.  Instances
-    are sorted by candidate count and cut into ``chunks``, each embedded
-    once and stepped as one ``_Stepper``; instances that stop leave it.  A
-    row's scores depend on neither the batch nor its width, so an instance
-    decodes the same in any batch, and of candidates with bit-identical
-    encodings the lowest wins.  Non-finite scores raise ``NumericalError``.
+    are sorted by candidate count and cut into ``chunks``, each counted
+    and encoded once and stepped as one ``_Stepper``; instances that stop
+    leave it.  A row's scores depend on neither the batch nor its width, so
+    an instance decodes the same in any batch, and of candidates with
+    bit-identical encodings the lowest wins.  Non-finite scores raise ``NumericalError``.
     """
     if not encs:
         return GreedyDecode([], 0)
@@ -718,9 +704,8 @@ def greedy_decode(params: PolicyParams, encs: Sequence[EncodedInstance]) -> Gree
     selected: list[frozenset[int]] = [frozenset()] * len(encs)
     steps = 0
     for run in chunks(ordered):
-        q, v = _embed_padded(params, _count_matrices(ordered[run]))  # the matrices are not kept
-        n = v.shape[1]
-        st = _Stepper(params, q, v, np.array([enc.n_candidates for enc in ordered[run]]))
+        st = _Stepper(params, _count_matrices(ordered[run]))  # the matrices are not kept
+        n = st.v.shape[1]
         live = np.arange(run.start, run.stop)  # positions in ``order``
         while live.size:
             top = st.scores().argmax(axis=1)
@@ -887,16 +872,16 @@ def backward(
 
 def chunks(items: Sequence[EncodedInstance | CountMatrix]) -> list[slice]:
     """Consecutive runs of instances (their encodings or count matrices)
-    to pass to ``forward``, step in ``greedy_decode`` or count and encode in
-    ``embed`` and ``count_matrices`` one at a time.
+    to pass to ``forward``, step in ``greedy_decode`` or count in
+    ``count_matrices`` one at a time.
 
     Each run pads to at most ``_SEGMENT_BLOCK`` encodings (or holds a single
     instance), which bounds the memory of ``forward``/``backward``, of the
     greedy stepper and of the count matrices a run builds, whatever the
     table size; a minibatch of short tables is one run.  Count matrices a
-    caller keeps are outside that bound: a rollout holds one per distinct
-    drawn instance, ``(1 + n_candidates) x distinct tokens`` floats each,
-    until its update ends (``training.collect_rollouts``).
+    caller keeps are outside that bound: ``training.train_rl`` holds one
+    per training instance, ``(1 + n_candidates) x distinct tokens`` floats
+    each, for the whole run.
     """
     runs = []
     start = width = 0

@@ -22,6 +22,7 @@ subsets.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -302,6 +303,9 @@ def _prepare_literal(literal: str | float) -> tuple[float | None, str | None]:
     return lit_num, lit_text
 
 
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _judge(
     cell: Cell, op: str, literal: str | float, prepared: tuple[float | None, str | None]
 ) -> bool:
@@ -317,40 +321,20 @@ def _judge(
     cell_num = coerce_number(cell)
     lit_num, lit_text = prepared
     if cell_num is not None and lit_num is not None:
-        if op == "=":
-            return math.isclose(cell_num, lit_num, rel_tol=1e-6, abs_tol=1e-9)
-        if op == "!=":
-            return not math.isclose(cell_num, lit_num, rel_tol=1e-6, abs_tol=1e-9)
-        if op == "<":
-            return cell_num < lit_num
-        if op == "<=":
-            return cell_num <= lit_num
-        if op == ">":
-            return cell_num > lit_num
-        if op == ">=":
-            return cell_num >= lit_num
-    if lit_text is not None and isinstance(cell, str) and cell_num is None:
-        a = cell.strip().lower()
-        if op == "=":
-            return a == lit_text
-        if op == "!=":
-            return a != lit_text
-        if op == "<":
-            return a < lit_text
-        if op == "<=":
-            return a <= lit_text
-        if op == ">":
-            return a > lit_text
-        if op == ">=":
-            return a >= lit_text
-    # mixed number/string: equality is simply false, ordering is an error
+        a, b = cell_num, lit_num
+        equal = math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-9)
+    elif lit_text is not None and isinstance(cell, str) and cell_num is None:
+        a, b = cell.strip().lower(), lit_text
+        equal = a == b
+    elif op in _ORDERINGS:
+        raise ExecutionError(TYPE_MISMATCH, f"cannot order {cell!r} against {literal!r}")
+    else:  # mixed number/string: never equal
+        equal = False
     if op == "=":
-        return False
+        return equal
     if op == "!=":
-        return True
-    raise ExecutionError(
-        TYPE_MISMATCH, f"cannot order {cell!r} against {literal!r}"
-    )
+        return not equal
+    return _ORDERINGS[op](a, b)
 
 
 def _resolve(table: Table, name: str) -> int:

@@ -20,11 +20,13 @@ Episodes stay the sampler's padded ``(n, W)`` arrays from rollout to update
 (``policy.SampledEpisodes``): step rewards, returns-to-go and advantages
 are computed on whole arrays with the steps after each episode's end held
 at 0, and each PPO minibatch is a selection of rows (``policy.PpoBatch``).
-A rollout builds the count matrices of the distinct instances it draws once
-(``policy.count_matrices``), encodes them from those matrices, and keeps
-them per row, so the value-head warm start's forward pass and every
-minibatch of every update epoch reuse them; the rollout holds them until
-its update ends.  SFT pads its gold action sequences the same way
+``train_rl`` builds the count matrices of its training instances once per
+run (``policy.count_matrices``).  A rollout draws its rows from them, and
+``policy.sample_episodes`` encodes each drawn instance from its matrix
+under the current and the reference parameters; the rollout keeps the
+matrix of each row, shared by the rows on one instance, so the value-head
+warm start's forward pass and every minibatch of every update epoch reuse
+them.  SFT pads its gold action sequences the same way
 (``policy.pad_actions``) and builds each minibatch's matrices as it goes.
 Gradients and the Adam moments are flat buffers with per-parameter views
 (``policy.FlatArrays``), so an Adam step is one elementwise pass.
@@ -108,8 +110,11 @@ class PpoConfig:
             raise ConfigError("iterations must be >= 1")
         if self.kl_target <= 0:
             raise ConfigError("kl_target must be positive")
-        if self.eval_every < 1 or self.minibatch_episodes < 1 or self.rollout_episodes_per_iter < 1:
+        if (self.eval_every < 1 or self.epochs_per_iter < 1 or self.minibatch_episodes < 1
+                or self.rollout_episodes_per_iter < 1):
             raise ConfigError("schedule and batch sizes must be >= 1")
+        if self.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
 
 
 class Adam:
@@ -306,11 +311,10 @@ RewardFn = Callable[[frozenset[int], frozenset[int]], float]
 
 def warm_start_value_head(
     state: TrainState,
-    encs: Sequence[policy.EncodedInstance],
+    matrices: Sequence[policy.CountMatrix],
     golds: Sequence[frozenset[int]],
     cfg: PpoConfig,
     reward_fn: RewardFn,
-    reference: Sequence[policy.Embedded] | None = None,
 ) -> None:
     """Least-squares fit of the value head on pre-loop rollout returns.
 
@@ -323,9 +327,7 @@ def warm_start_value_head(
     on the rollout's count matrices, and the targets are the returns-to-go
     that ``compute_advantages`` uses.
     """
-    rollout = collect_rollouts(
-        state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn, reference
-    )
+    rollout = collect_rollouts(state, matrices, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn)
     features: list[np.ndarray] = []
     for run in policy.chunks(rollout.matrices):
         fw = policy.forward(state.current, rollout.matrices[run], rollout.episodes.actions[run])
@@ -344,44 +346,31 @@ def warm_start_value_head(
 
 def collect_rollouts(
     state: TrainState,
-    encs: Sequence[policy.EncodedInstance],
+    matrices: Sequence[policy.CountMatrix],
     golds: Sequence[frozenset[int]],
     n: int,
     cfg: PpoConfig,
     reward_fn: RewardFn,
-    reference: Sequence[policy.Embedded] | None = None,
 ) -> Rollout:
     """Sample n episodes under the masked current policy, all together.
 
-    The random stream: ``state.rng`` draws the n instance indices, then one
-    ``(n, N_max + 1)`` block of uniforms, where N_max is the most candidates
-    among the drawn instances; episode k takes its step t from row k, column
-    t (``policy.sample_episodes``).  The count matrices of the distinct
-    drawn instances are built once (``policy.count_matrices``); they encode
-    those instances under the current parameters, and the rollout keeps
-    them for its update.  ``reference`` is ``encs`` embedded under the
-    reference parameters (the drawn instances are embedded here, from the
-    same matrices, when it is not given).
+    ``matrices`` and ``golds`` are the training instances' count matrices
+    (``policy.count_matrices``) and gold items.  The random stream:
+    ``state.rng`` draws the n instance indices, then one ``(n, N_max + 1)``
+    block of uniforms, where N_max is the most candidates among the drawn
+    instances; episode k takes its step t from row k, column t
+    (``policy.sample_episodes``, which encodes each drawn instance once
+    under the current and once under the reference parameters).  The
+    rollout keeps each episode's matrix, shared by the episodes on one
+    instance, for its update.
 
     Each episode's step rewards are :func:`tabreduce.rewards.shaped_reward`
     of its task reward and its behavior and reference log-probabilities.
     """
-    if n == 0:
-        empty = np.zeros((0, 1))
-        return Rollout([], policy.sample_episodes([], None, empty), np.zeros(0), empty)
-    indices = state.rng.integers(0, len(encs), size=n)
-    drawn, inverse = np.unique(indices, return_inverse=True)
-    matrices = policy.count_matrices([encs[i] for i in drawn])
-    current = [policy.Embedded.of(state.current, m) for m in matrices]
-    if reference is None:
-        drawn_ref = [policy.Embedded.of(state.reference, m) for m in matrices]
-    else:
-        drawn_ref = [reference[i] for i in drawn]
-    n_max = max(m.n_candidates for m in matrices)
-    uniforms = state.rng.random((n, n_max + 1))
-    episodes = policy.sample_episodes(
-        [current[j] for j in inverse], [drawn_ref[j] for j in inverse], uniforms, cfg.top_p
-    )
+    indices = state.rng.integers(0, len(matrices), size=n)
+    rows = [matrices[i] for i in indices]
+    uniforms = state.rng.random((n, max((m.n_candidates for m in rows), default=0) + 1))
+    episodes = policy.sample_episodes(state.current, state.reference, rows, uniforms, cfg.top_p)
     state.episodes += n
     state.steps += int(episodes.steps.sum())
     task = np.array([
@@ -389,7 +378,7 @@ def collect_rollouts(
         for actions, k, idx in zip(episodes.actions, episodes.steps, indices)
     ], dtype=float)
     step_rewards = shaped_reward(task, episodes.logp_pi, episodes.logp_ref, episodes.steps, state.beta)
-    return Rollout([matrices[j] for j in inverse], episodes, task, step_rewards)
+    return Rollout(rows, episodes, task, step_rewards)
 
 
 def _returns_to_go(rewards: np.ndarray, discount: float) -> np.ndarray:
@@ -493,6 +482,7 @@ def train_rl(
         reward_fn = lambda selected, gold: task_reward(selected, gold, rcfg).task_reward
 
     encs, golds = tasks.labeled_encodings(initial.vocab, train, target)
+    matrices = policy.count_matrices(encs)  # kept for the run: every rollout draws from them
     valid_encs, valid_golds = tasks.labeled_encodings(initial.vocab, valid, target)
 
     state = TrainState(
@@ -501,9 +491,8 @@ def train_rl(
         beta=cfg.beta0,
         rng=np.random.default_rng(cfg.seed),
     )
-    reference_embedded = policy.embed(state.reference, encs)
     started = time.perf_counter()
-    warm_start_value_head(state, encs, golds, cfg, reward_fn, reference_embedded)
+    warm_start_value_head(state, matrices, golds, cfg, reward_fn)
     warm_start_s = time.perf_counter() - started
     adam = Adam(state.current, cfg.learning_rate)
     best = state.current.copy()
@@ -518,10 +507,7 @@ def train_rl(
         record: dict = {"iteration": iteration, "beta": state.beta}
         try:
             started = time.perf_counter()
-            rollout = collect_rollouts(
-                state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn,
-                reference_embedded,
-            )
+            rollout = collect_rollouts(state, matrices, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn)
             rollout_s += time.perf_counter() - started
             started = time.perf_counter()
             examples = compute_advantages(rollout, cfg.discount)

@@ -326,6 +326,40 @@ class TestTraining:
         assert_one_error_line(capsys, message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"epochs_per_iter": 0}', "schedule and batch sizes must be >= 1"),
+            ('{"learning_rate": 0}', "learning_rate must be positive"),
+        ],
+        ids=["zero-epochs", "zero-learning-rate"],
+    )
+    def test_ppo_config_out_of_range_is_one_error_line(self, pipeline, tmp_path, capsys, text, message):
+        """An update schedule that would take no step (or a step of size 0)
+        is refused before anything is written, as ``SftConfig`` refuses one."""
+        root, data, sft_dir = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = run([
+            "train-rl", "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+            "--config", str(cfg), "--init", str(sft_dir / "model.json"),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, message)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["sft", "train-rl"])
+    @pytest.mark.parametrize("split", ["nan,0.5,0.5", "0.5,nan,0.5"])
+    def test_non_finite_split_is_one_error_line(self, pipeline, tmp_path, capsys, stage, split):
+        root, data, sft_dir = pipeline
+        extra = ["--init", str(sft_dir / "model.json")] if stage == "train-rl" else []
+        code = run([
+            stage, "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+            "--split", split, *extra,
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, "ratios must be three finite non-negative numbers summing to 1")
+
     @pytest.mark.parametrize("stage", ["sft", "train-rl"])
     @pytest.mark.parametrize("split", ["0.8,x,0.1", "0.8,0.2"])
     def test_bad_split_is_one_error_line(self, pipeline, tmp_path, capsys, stage, split):

@@ -11,7 +11,6 @@ from tabreduce.metrics import (
     downstream_accuracy,
     item_recall,
     parse_answer_text,
-    report_to_dict,
 )
 from tabreduce.tables import Instance, make_table
 
@@ -68,34 +67,34 @@ class TestRecallReport:
 
     def test_macro_average(self):
         report = build_recall_report(self.entries())
-        assert report.recall == pytest.approx((1.0 + 0.5) / 2)
-        assert report.count == 2
-        assert report.mean_reduction_ratio == pytest.approx(0.375)
-        assert min(1.0, 0.5) <= report.recall <= 1.0
+        assert report["recall"] == pytest.approx((1.0 + 0.5) / 2)
+        assert report["count"] == 2
+        assert report["mean_reduction_ratio"] == pytest.approx(0.375)
+        assert min(1.0, 0.5) <= report["recall"] <= 1.0
 
     def test_micro_behind_flag(self):
         report = build_recall_report(self.entries(), include_micro=True)
-        assert report.micro_recall == pytest.approx(3 / 4)
-        assert build_recall_report(self.entries()).micro_recall is None
+        assert report["micro_recall"] == pytest.approx(3 / 4)
+        assert "micro_recall" not in build_recall_report(self.entries())
 
     def test_buckets(self):
         report = build_recall_report(self.entries(), bucket_boundaries=[0, 1000])
-        assert report.per_bucket[0]["count"] == 1
-        assert report.per_bucket[1]["count"] == 1
-        assert report.per_bucket[1]["recall"] == pytest.approx(0.5)
+        assert report["per_bucket"][0]["count"] == 1
+        assert report["per_bucket"][1]["count"] == 1
+        assert report["per_bucket"][1]["recall"] == pytest.approx(0.5)
 
     def test_to_dict_versioned(self):
-        doc = report_to_dict(build_recall_report(self.entries()))
+        doc = build_recall_report(self.entries())
         assert doc["format_version"] == metrics.REPORT_FORMAT_VERSION
         assert set(doc) >= {"recall", "precision", "f1", "count", "mean_reduction_ratio"}
 
     def test_empty(self):
         report = build_recall_report([])
-        assert report.count == 0
+        assert report["count"] == 0
 
     def test_empty_bucket_reported_as_zero(self):
         report = build_recall_report(self.entries(), bucket_boundaries=[0, 1000, 5000])
-        assert report.per_bucket[2] == {
+        assert report["per_bucket"][2] == {
             "bucket": 2, "min_tokens": 5000, "count": 0, "recall": 0.0, "precision": 0.0, "f1": 0.0,
         }
 

@@ -19,7 +19,6 @@ from tabreduce.policy import (
     apply_top_p_mask,
     build_vocabulary,
     count_matrices,
-    embed,
     encode_instance,
     finite_difference_error,
     forward,
@@ -49,9 +48,9 @@ def tiny_enc(n_candidates=2):
 
 def sample(params, enc, reference=None, *, rng, top_p):
     """One episode of ``enc``, its uniforms drawn from ``rng``."""
-    ref = embed(reference, [enc]) if reference is not None else None
+    ref = reference if reference is not None else params
     uniforms = rng.random((1, enc.n_candidates + 1))
-    return traces(sample_episodes(embed(params, [enc]), ref, uniforms, top_p))[0]
+    return traces(sample_episodes(params, ref, count_matrices([enc]), uniforms, top_p))[0]
 
 
 def forward_logps(params, enc, actions):
@@ -101,11 +100,21 @@ class TestInit:
         assert np.all(params.emb == 0)
 
 
+def encoded_as(params, q, v):
+    """A copy of ``params`` whose token embeddings are ``q`` and then the
+    rows of ``v``, and the count matrix of an instance that encodes under it
+    to exactly ``q`` and ``v``: one token per segment."""
+    params = params.copy()
+    params.emb = np.vstack([q, v])
+    return params, policy.CountMatrix(np.arange(1 + len(v)), np.eye(1 + len(v)))
+
+
 def first_step(params, q, v, u):
     """Action and behavior log-probability of the first step of an episode
     over the encodings ``q`` and ``v``, sampled unmasked at uniform ``u``."""
     uniforms = np.full((1, v.shape[0] + 1), u)
-    sampled = sample_episodes([policy.Embedded(params, q, v)], None, uniforms, 1.0)
+    params, matrix = encoded_as(params, q, v)
+    sampled = sample_episodes(params, params, [matrix], uniforms, 1.0)
     return sampled.actions[0, 0], sampled.logp_pi[0, 0]
 
 
@@ -130,7 +139,8 @@ class TestStepDistribution:
         v = np.array([[2.0, 0.5]])
         s_cand = 1.0 * 1.0 * 2.0 + 1.0 * 2.0 * 0.5      # q . Mq . v = 3.0
         s_stop = 0.5 - 0.5 + 0.25                        # 0.25
-        stepper = policy._Stepper(params, q[None], v[None], np.array([1]))
+        stepped, matrix = encoded_as(params, q, v)
+        stepper = policy._Stepper(stepped, [matrix])
         assert stepper.scores().tolist() == [[s_cand, s_stop]]
         expected = np.exp([s_cand, s_stop]) / np.exp([s_cand, s_stop]).sum()
         assert first_step(params, q, v, 0.0) == (0, pytest.approx(math.log(expected[0])))
@@ -141,8 +151,8 @@ class TestStepDistribution:
         params = init_params(tiny_vocab(), 6, seed=1)
         for _ in range(50):
             n = int(rng.integers(0, 5))
-            e = policy.Embedded(params, rng.normal(size=6), rng.normal(size=(n, 6)))
-            (trace,) = traces(sample_episodes([e], None, rng.random((1, n + 1)), 1.0))
+            e, matrix = encoded_as(params, rng.normal(size=6), rng.normal(size=(n, 6)))
+            (trace,) = traces(sample_episodes(e, e, [matrix], rng.random((1, n + 1)), 1.0))
             assert trace.actions[-1] == STOP and len(trace.actions) <= n + 1
             assert all(-np.inf < lp <= 0.0 for lp in trace.logp_pi)
             if len(trace.actions) == n + 1:  # every candidate taken: STOP is certain
@@ -361,7 +371,7 @@ class TestValueHead:
         values = forward(params, count_matrices([enc]), pad_actions([(0, STOP)])).values[0]
         assert values.tolist() == pytest.approx(expected)
         # a zero uniform takes the candidate, then STOP is all that is left
-        (trace,) = traces(sample_episodes(embed(params, [enc]), None, np.zeros((1, 2))))
+        (trace,) = traces(sample_episodes(params, params, count_matrices([enc]), np.zeros((1, 2))))
         assert trace.actions == (0, STOP)
         assert list(trace.values) == pytest.approx(expected)
 
@@ -622,6 +632,7 @@ class TestSerialization:
 def test_mean_embedding_empty_is_zero():
     params = PolicyParams.zeros(tiny_vocab(), 4)
     params.emb = np.ones_like(params.emb)
-    (encoded,) = embed(params, [EncodedInstance(question_ids=(), candidate_ids=((1,), ()))])
-    assert np.all(encoded.q == 0)
-    assert encoded.v.tolist() == [[1.0] * 4, [0.0] * 4]
+    (matrix,) = count_matrices([EncodedInstance(question_ids=(), candidate_ids=((1,), ()))])
+    means = matrix.means(params.emb)
+    assert np.all(means[0] == 0)
+    assert means[1:].tolist() == [[1.0] * 4, [0.0] * 4]

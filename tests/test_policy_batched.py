@@ -11,8 +11,8 @@ so encodings must agree to 1e-13 relative (to the largest magnitude of each
 array), and losses, gradients and per-step quantities to 1e-10.  An
 instance's encoding must not depend on the batch around it: alone and in any
 batch it is bit-identical.  Sampling and greedy decoding are checked against
-the oracle's walks fed the policy's own one-instance encodings
-(``policy.embed(params, [enc])``).  Given the same encodings and uniforms,
+the oracle's walks fed the policy's own one-instance encodings (the segment
+means of the instance's count matrix, ``encodings``).  Given the same encodings and uniforms,
 the batched sampler must take the walk's actions, with log-probabilities
 and values within 1e-12 (its products are shaped differently, so BLAS
 rounds them differently), and a trace must not depend on the episodes it is
@@ -31,13 +31,14 @@ rollout arithmetic (shaped rewards, returns-to-go, advantages, measured KL)
 must equal bit for bit the per-episode loops it replaced.
 
 Sampling, greedy decoding and ``forward`` evaluate one step function, so
-between them no tolerance is allowed: unmasked and without a reference,
-``forward`` at the sampler's width must give sampled episodes the sampler's
-log-probabilities and values and, at every step, the stepper's
-distribution, bit for bit, and every greedy pick must have its step's
-largest replayed probability.  The sampler's and greedy decoder's picks for
-fixed parameters and uniforms are pinned by digest, since the stepper's
-arithmetic is the reference that replay follows.
+between them no tolerance is allowed: unmasked, ``forward`` at the
+sampler's width must give sampled episodes the sampler's log-probabilities
+and values and, at every step, the stepper's distribution, bit for bit, and
+every greedy pick must have its step's largest replayed probability.  The
+sampler's and greedy decoder's picks, and the bits of the sampler's
+log-probabilities and values, for fixed parameters and uniforms are pinned
+by digest, since the stepper's arithmetic is the reference that replay
+follows.
 """
 
 from __future__ import annotations
@@ -117,13 +118,13 @@ def mean_embedding(emb: np.ndarray, ids: Sequence[int]) -> np.ndarray:
 class _Encoder:
     """Per-episode cache of q, candidate encodings and the history mean.
 
-    The encodings are per-segment means unless ``embedded`` gives them."""
+    The encodings are per-segment means unless ``means`` gives them (the
+    question's, then each candidate's)."""
 
-    def __init__(self, params: PolicyParams, enc: EncodedInstance,
-                 embedded: policy.Embedded | None = None):
+    def __init__(self, params: PolicyParams, enc: EncodedInstance, means: np.ndarray | None = None):
         self.params = params
-        if embedded is not None:
-            self.q, self.v = embedded.q, embedded.v
+        if means is not None:
+            self.q, self.v = means[0], means[1:]
         else:
             self.q = mean_embedding(params.emb, enc.question_ids)
             self.v = np.stack(
@@ -155,8 +156,8 @@ def oracle_sample_episode(params, reference_params, enc, mode="sample", top_p=1.
     ``tie_steps`` (when given).  Returns (actions, logp_pi, logp_ref,
     values, selected)."""
     ref = reference_params if reference_params is not None else params
-    pi = _Encoder(params, enc, policy.embed(params, [enc])[0])
-    theta = _Encoder(ref, enc, policy.embed(ref, [enc])[0])
+    pi = _Encoder(params, enc, encodings(params, enc))
+    theta = _Encoder(ref, enc, encodings(ref, enc))
 
     remaining = list(range(enc.n_candidates))
     actions: list[int] = []
@@ -408,6 +409,12 @@ def episodes_of(batch):
     return [enc for enc, _ in batch], policy.pad_actions([actions for _, actions in batch])
 
 
+def encodings(params, enc) -> np.ndarray:
+    """The policy's encodings of ``enc`` alone: the segment means of its
+    count matrix, the question's first."""
+    return policy.count_matrices([enc])[0].means(params.emb)
+
+
 def forward_of(params, encs, actions):
     """``policy.forward`` on the count matrices of ``encs``."""
     return policy.forward(params, policy.count_matrices(encs), actions)
@@ -592,10 +599,11 @@ def assert_grads_agree(actual, expected) -> None:
 def test_segment_means_match_oracle():
     params = random_params(0)
     encs = [enc for enc, _ in mixed_batch(0)]
-    for enc, embedded in zip(encs, policy.embed(params, encs)):
+    for enc, matrix in zip(encs, policy.count_matrices(encs)):
+        means = matrix.means(params.emb)
         oracle = _Encoder(params, enc)
-        assert relative_error(embedded.q, oracle.q) <= ENCODING_TOLERANCE
-        assert relative_error(embedded.v, oracle.v) <= ENCODING_TOLERANCE
+        assert relative_error(means[0], oracle.q) <= ENCODING_TOLERANCE
+        assert relative_error(means[1:], oracle.v) <= ENCODING_TOLERANCE
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -794,21 +802,22 @@ def test_greedy_decode_non_finite_scores_raise():
 @pytest.mark.parametrize("seed", range(3))
 def test_encodings_batch_independent(seed):
     """An instance's encoding depends only on it and the parameters: alone,
-    inside a batch of ``embed`` and inside ``forward`` it is bit-identical,
-    and a shuffled batch decodes to the same selections."""
+    inside a padded batch (``_embed_padded``) and inside ``forward`` it is
+    bit-identical, and a shuffled batch decodes to the same selections."""
     rng = np.random.default_rng(seed)
     params = random_params(seed)
     encs = [enc for enc, _ in mixed_batch(seed)] + tie_prone_instances(rng, 80)
-    batched = policy.embed(params, encs)
+    batched_q, batched_v = policy._embed_padded(params, policy.count_matrices(encs))
     fw = forward_of(params, encs, policy.pad_actions([(STOP,)] * len(encs)))
     for k, enc in enumerate(encs):
-        alone = policy.embed(params, [enc])[0]
+        means = encodings(params, enc)
+        alone_q, alone_v = means[0], means[1:]
         n = enc.n_candidates
-        assert np.array_equal(batched[k].q, alone.q) and np.array_equal(batched[k].v, alone.v)
-        assert np.array_equal(fw.q[k], alone.q) and np.array_equal(fw.v[k, :n], alone.v)
+        assert np.array_equal(batched_q[k], alone_q) and np.array_equal(batched_v[k, :n], alone_v)
+        assert np.array_equal(fw.q[k], alone_q) and np.array_equal(fw.v[k, :n], alone_v)
         oracle = _Encoder(params, enc)
-        assert relative_error(alone.q, oracle.q) <= ENCODING_TOLERANCE
-        assert relative_error(alone.v, oracle.v) <= ENCODING_TOLERANCE
+        assert relative_error(alone_q, oracle.q) <= ENCODING_TOLERANCE
+        assert relative_error(alone_v, oracle.v) <= ENCODING_TOLERANCE
     decoded = policy.greedy_decode(params, encs).selected
     order = rng.permutation(len(encs))
     shuffled = policy.greedy_decode(params, [encs[i] for i in order]).selected
@@ -842,9 +851,8 @@ def test_sample_episodes_match_oracle(seed, top_p):
     reference = random_params(seed + 50) if seed != 2 else None
     encs = sampling_batch(seed)
     uniforms = block_of_uniforms(seed, encs)
-    current = policy.embed(params, encs)
-    ref = None if reference is None else policy.embed(reference, encs)
-    sampled = traces(policy.sample_episodes(current, ref, uniforms, top_p))
+    ref = params if reference is None else reference
+    sampled = traces(policy.sample_episodes(params, ref, policy.count_matrices(encs), uniforms, top_p))
     stopped_at_once = 0
     for k, (enc, trace) in enumerate(zip(encs, sampled)):
         actions, logp_pi, logp_ref, values, selected = oracle_sample_episode(
@@ -869,17 +877,16 @@ def test_sample_episodes_independent_of_runs(seed, monkeypatch):
     reference = random_params(seed + 50)
     encs = sampling_batch(seed)
     uniforms = block_of_uniforms(seed, encs)
-    current = policy.embed(params, encs)
-    ref = policy.embed(reference, encs)
-    whole = traces(policy.sample_episodes(current, ref, uniforms, 0.9))
+    matrices = policy.count_matrices(encs)
+    whole = traces(policy.sample_episodes(params, reference, matrices, uniforms, 0.9))
     width = uniforms.shape[1]
     for block in (width, 3 * width, 7 * width + 1):
         monkeypatch.setattr(policy, "_SEGMENT_BLOCK", block)
-        assert traces(policy.sample_episodes(current, ref, uniforms, 0.9)) == whole
+        assert traces(policy.sample_episodes(params, reference, matrices, uniforms, 0.9)) == whole
     monkeypatch.undo()
     order = np.random.default_rng(seed).permutation(len(encs))
     shuffled = traces(policy.sample_episodes(
-        [current[i] for i in order], [ref[i] for i in order], uniforms[order], 0.9
+        params, reference, [matrices[i] for i in order], uniforms[order], 0.9
     ))
     assert shuffled == [whole[i] for i in order]
 
@@ -905,17 +912,18 @@ def test_sample_episodes_non_finite_scores_raise():
     params.score_q[0, 0] = np.inf
     encs = sampling_batch(2)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
-        policy.sample_episodes(policy.embed(params, encs), None, block_of_uniforms(2, encs), 0.9)
+        policy.sample_episodes(params, params, policy.count_matrices(encs), block_of_uniforms(2, encs), 0.9)
 
 
 def test_sample_episodes_needs_a_uniform_per_step():
     params = random_params(0)
     encs = sampling_batch(0)
     uniforms = block_of_uniforms(0, encs)
+    matrices = policy.count_matrices(encs)
     with pytest.raises(ValueError):
-        policy.sample_episodes(policy.embed(params, encs), None, uniforms[:, :-1])
+        policy.sample_episodes(params, params, matrices, uniforms[:, :-1])
     with pytest.raises(ValueError):
-        policy.sample_episodes(policy.embed(params, encs), None, uniforms[1:])
+        policy.sample_episodes(params, params, matrices, uniforms[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -930,19 +938,19 @@ def replay_batches(seed: int):
 @pytest.mark.parametrize("dim", [8, 64, 96])
 @pytest.mark.parametrize("seed", range(3))
 def test_forward_replays_sampling_bit_for_bit(seed, dim):
-    """Unmasked and without a reference, ``forward`` at the sampler's width
-    gives the sampled episodes the log-probabilities and values the sampler
-    recorded, and at every step the stepper's distribution, bit for bit."""
+    """Unmasked, ``forward`` at the sampler's width gives the sampled
+    episodes the log-probabilities and values the sampler recorded, and at
+    every step the stepper's distribution, bit for bit."""
     params = random_params(seed, dim)
     for encs in replay_batches(seed):
         uniforms = block_of_uniforms(seed, encs)
-        sampled = policy.sample_episodes(policy.embed(params, encs), None, uniforms, 1.0)
+        sampled = policy.sample_episodes(params, params, policy.count_matrices(encs), uniforms, 1.0)
         fw = forward_of(params, encs, sampled.actions)
         t_max = int(sampled.steps.max())
         assert fw.probs.shape == (len(encs), t_max, uniforms.shape[1])
         assert np.array_equal(fw.logps, sampled.logp_pi[:, :t_max])
         assert np.array_equal(fw.values, sampled.values[:, :t_max])
-        stepper = policy._Stepper.of(policy.embed(params, encs), uniforms.shape[1] - 1)
+        stepper = policy._Stepper(params, policy.count_matrices(encs), uniforms.shape[1] - 1)
         for t in range(t_max):
             live = fw.valid[:, t]
             probs, _ = policy._log_softmax(stepper.scores(), stepper.allowed)
@@ -959,9 +967,9 @@ def test_top_p_one_replays_bit_for_bit(seed):
     params, reference = random_params(seed, 32), random_params(seed + 50, 32)
     for encs in replay_batches(seed):
         uniforms = block_of_uniforms(seed, encs)
-        current, ref = policy.embed(params, encs), policy.embed(reference, encs)
-        sampled = policy.sample_episodes(current, ref, uniforms, 1.0)
-        default = policy.sample_episodes(current, ref, uniforms)
+        matrices = policy.count_matrices(encs)
+        sampled = policy.sample_episodes(params, reference, matrices, uniforms, 1.0)
+        default = policy.sample_episodes(params, reference, matrices, uniforms)
         assert all(np.array_equal(getattr(sampled, name), getattr(default, name))
                    for name in ("actions", "logp_pi", "logp_ref", "values", "steps"))
         fw = forward_of(params, encs, sampled.actions)
@@ -996,8 +1004,8 @@ def test_greedy_picks_have_largest_replayed_probability(seed):
         assert [frozenset(p) for p in taken] == selected
 
 
-# Digests of ``sample_episodes``' actions and steps (unmasked without a
-# reference; top-p 0.9 with one) and of ``greedy_decode``'s selections, for
+# Digests of ``sample_episodes``' actions and steps (unmasked, the current
+# parameters their own reference; top-p 0.9 with another reference) and of ``greedy_decode``'s selections, for
 # (dim, seed).  ``forward`` follows the stepper's arithmetic, not the other
 # way round, so a change to that arithmetic shows here as moved picks.
 PINNED_PICKS = {
@@ -1022,15 +1030,53 @@ def test_sampled_and_greedy_picks_pinned(dim, seed):
     params, reference = random_params(seed, dim), random_params(seed + 50, dim)
     encs = sampling_batch(seed)
     uniforms = block_of_uniforms(seed, encs)
-    current = policy.embed(params, encs)
-    plain = policy.sample_episodes(current, None, uniforms, 1.0)
-    masked = policy.sample_episodes(current, policy.embed(reference, encs), uniforms, 0.9)
+    matrices = policy.count_matrices(encs)
+    plain = policy.sample_episodes(params, params, matrices, uniforms, 1.0)
+    masked = policy.sample_episodes(params, reference, matrices, uniforms, 0.9)
     greedy = policy.greedy_decode(params, encs).selected
     assert (
         int_digest([plain.actions, plain.steps]),
         int_digest([masked.actions, masked.steps]),
         int_digest([[len(sel), *sorted(sel)] for sel in greedy]),
     ) == PINNED_PICKS[dim, seed]
+
+
+# Digests of the bits of ``sample_episodes``' ``logp_pi``, ``logp_ref`` and
+# ``values`` for (dim, seed), at top-p 1.0 and 0.9, with another reference
+# and with the current parameters as their own.  They pin the rounding of
+# the sampler's encodings and step arithmetic, not just its picks, so a
+# change to how the sampler encodes or steps cannot move a log-probability
+# unseen.  Float bits follow the BLAS kernels, so another BLAS build may
+# round them otherwise.
+PINNED_SAMPLED_BITS = {
+    (8, 0): ("5f0698cff783d9bc", "78721f9033ac6302", "b8ba0d6b65d37f3b", "a70c039c42edcb8c"),
+    (8, 1): ("ca08b3d28b5d83cc", "02af72263e360beb", "3550b888fefc0e92", "19990ed7c2b4f74b"),
+    (8, 2): ("74f0aac32bf9d11a", "d3ff71cdc4b7ea3b", "d1a24e9dacb7bc87", "9d49c2bc640e7d46"),
+    (64, 0): ("bd99f86953095bde", "2838c9c3802bc7fc", "975fbab300efba3a", "31bde1ecd7c88a64"),
+    (64, 1): ("e81d5ea9d0aed728", "fcdf41e0c0563bc2", "e4c7a42b644a4bb8", "b181018e1c8d8a0f"),
+    (64, 2): ("359f3b264a4c7224", "7dfa727bd3516fee", "c0609431a1c1af5a", "d717f25d4e06a97e"),
+}
+
+
+def float_digest(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("dim, seed", sorted(PINNED_SAMPLED_BITS))
+def test_sampled_float_bits_pinned(dim, seed):
+    params, reference = random_params(seed, dim), random_params(seed + 50, dim)
+    encs = sampling_batch(seed)
+    uniforms = block_of_uniforms(seed, encs)
+    matrices = policy.count_matrices(encs)
+    digests = []
+    for top_p in (1.0, 0.9):
+        for ref in (reference, params):
+            sampled = policy.sample_episodes(params, ref, matrices, uniforms, top_p)
+            digests.append(float_digest([sampled.logp_pi, sampled.logp_ref, sampled.values]))
+    assert tuple(digests) == PINNED_SAMPLED_BITS[dim, seed]
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1141,7 @@ def test_rollout_arithmetic_matches_per_episode_loop(seed, discount):
     params, reference = random_params(seed), random_params(seed + 50)
     encs = sampling_batch(seed)
     sampled = policy.sample_episodes(
-        policy.embed(params, encs), policy.embed(reference, encs), block_of_uniforms(seed, encs), 0.9
+        params, reference, policy.count_matrices(encs), block_of_uniforms(seed, encs), 0.9
     )
     task = rng.normal(scale=3.0, size=len(encs))
     beta = float(rng.uniform(0.01, 0.5))

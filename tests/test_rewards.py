@@ -128,11 +128,12 @@ class TestShapedReward:
         params = policy.init_params(vocab, 4, seed=0)
         enc = policy.encode_instance(vocab, "q", ["a", "b"])
         uniforms = np.random.default_rng(0).random((1, 3))
-        sampled = policy.sample_episodes(policy.embed(params, [enc]), None, uniforms)
+        matrices = policy.count_matrices([enc])
+        sampled = policy.sample_episodes(params, params, matrices, uniforms)
         task = np.array([bad])
         rewards = shaped_reward(task, sampled.logp_pi, sampled.logp_ref, sampled.steps, 0.1)
         assert not np.all(np.isfinite(rewards))
-        rollout = training.Rollout(policy.count_matrices([enc]), sampled, task, rewards)
+        rollout = training.Rollout(matrices, sampled, task, rewards)
         batch = training.compute_advantages(rollout)
         with pytest.raises(NumericalError):
             policy.ppo_loss_and_grad(

@@ -65,7 +65,7 @@ class TestCandidates:
             assert [tasks.encode(vocabulary, inst, "columns") for inst in insts] == expected
             questions = Counter(inst.question for inst in insts)
             assert calls == questions + Counter(headers)
-            assert vocabulary.text_ids.keys() == headers
+            assert vocabulary.cell_ids.keys() == headers
 
     def test_row_candidates_use_gold_columns_by_default(self):
         inst = annotated_instance()

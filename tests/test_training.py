@@ -54,6 +54,9 @@ class TestConfigs:
             {"top_p": 1.2},
             {"iterations": 0},
             {"kl_target": 0.0},
+            {"epochs_per_iter": 0},
+            {"learning_rate": 0.0},
+            {"learning_rate": -1e-3},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -169,7 +172,7 @@ class TestAdvantages:
     def test_empty_batch(self):
         insts = dataset(10)
         state, encs, golds = build_state(insts)
-        rollout = collect_rollouts(state, encs, golds, 0, PpoConfig(), lambda s, g: 0.0)
+        rollout = collect_rollouts(state, policy.count_matrices(encs), golds, 0, PpoConfig(), lambda s, g: 0.0)
         batch = compute_advantages(rollout)
         assert batch.matrices == [] and batch.actions.shape[0] == batch.advantages.shape[0] == 0
 
@@ -178,7 +181,8 @@ class TestAdvantages:
         cfg = PpoConfig(discount=0.5, rollout_episodes_per_iter=16)
         state, encs, golds = build_state(insts, seed=2)
         replica, _, _ = build_state(insts, seed=2)
-        rollout = collect_rollouts(replica, encs, golds, 16, cfg, lambda s, g: 1.0)
+        matrices = policy.count_matrices(encs)
+        rollout = collect_rollouts(replica, matrices, golds, 16, cfg, lambda s, g: 1.0)
         valid = rollout.episodes.valid
         returns = compute_advantages(rollout, cfg.discount).returns[valid]
         fitted = []
@@ -189,7 +193,7 @@ class TestAdvantages:
             return real_lstsq(features, targets, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
-        training.warm_start_value_head(state, encs, golds, cfg, lambda s, g: 1.0)
+        training.warm_start_value_head(state, matrices, golds, cfg, lambda s, g: 1.0)
         assert len(fitted) == 1 and np.array_equal(fitted[0], returns)
         undiscounted = compute_advantages(rollout, 1.0).returns[valid]
         assert not np.allclose(returns, undiscounted)
@@ -226,14 +230,14 @@ class TestRollouts:
     def test_zero_episodes(self):
         insts = dataset(10)
         state, encs, golds = build_state(insts)
-        rollout = collect_rollouts(state, encs, golds, 0, PpoConfig(), lambda s, g: 0.0)
+        rollout = collect_rollouts(state, policy.count_matrices(encs), golds, 0, PpoConfig(), lambda s, g: 0.0)
         assert rollout.matrices == [] and rollout.episodes.steps.size == 0
         assert rollout.measured_kl == 0.0 and rollout.mean_task_reward == 0.0
 
     def test_beta_zero_means_zero_step_penalties(self):
         insts = dataset(10)
         state, encs, golds = build_state(insts, beta=0.0)
-        rollout = collect_rollouts(state, encs, golds, 8, PpoConfig(), lambda s, g: 1.5)
+        rollout = collect_rollouts(state, policy.count_matrices(encs), golds, 8, PpoConfig(), lambda s, g: 1.5)
         for step_rewards, n in zip(rollout.step_rewards, rollout.episodes.steps):
             assert step_rewards[: n - 1] == pytest.approx(np.zeros(n - 1))
             assert step_rewards[n - 1] == pytest.approx(1.5)
@@ -243,7 +247,7 @@ class TestRollouts:
         insts = dataset(10)
         state, encs, golds = build_state(insts)
         cfg = PpoConfig(top_p=0.9)
-        rollout = collect_rollouts(state, encs, golds, 16, cfg, lambda s, g: 0.0)
+        rollout = collect_rollouts(state, policy.count_matrices(encs), golds, 16, cfg, lambda s, g: 0.0)
         for matrix, trace in zip(rollout.matrices, traces(rollout.episodes)):
             # with identical parameters the behavior/reference log-ratio is
             # exactly the mask's kept-mass renormalization at each step
@@ -258,7 +262,7 @@ class TestRollouts:
         insts = dataset(10)
         state, encs, golds = build_state(insts)
         rollout = collect_rollouts(
-            state, encs, golds, 4, PpoConfig(),
+            state, policy.count_matrices(encs), golds, 4, PpoConfig(),
             lambda selected, gold: float(len(selected & gold)),
         )
         indices = np.random.default_rng(0).integers(0, len(encs), size=4)  # the rollout's draw
@@ -279,7 +283,7 @@ class TestRollouts:
         insts = dataset(20)
         state, encs, golds = build_state(insts, seed=4)
         cfg = PpoConfig(top_p=0.9)
-        rollout = collect_rollouts(state, encs, golds, 6, cfg, lambda s, g: 0.0)
+        rollout = collect_rollouts(state, policy.count_matrices(encs), golds, 6, cfg, lambda s, g: 0.0)
         replay = np.random.default_rng(4)
         indices = replay.integers(0, len(encs), size=6)
         n_max = max(encs[i].n_candidates for i in indices)
@@ -289,22 +293,31 @@ class TestRollouts:
         assert_matrices_of(rollout.matrices, [encs[i] for i in indices])
         drawn = [encs[i] for i in indices]
         expected = policy.sample_episodes(
-            policy.embed(state.current, drawn), policy.embed(state.reference, drawn), uniforms, 0.9
+            state.current, state.reference, policy.count_matrices(drawn), uniforms, 0.9
         )
         assert traces(rollout.episodes) == traces(expected)
         assert rollout.episodes.actions.shape == uniforms.shape
         assert (state.episodes, state.steps) == (6, expected.steps.sum())
 
-    def test_given_reference_encodings_used(self):
+    def test_reference_parameters_used(self):
+        """``logp_ref`` is read under ``state.reference``: another reference
+        changes it and nothing else of the episodes."""
         insts = dataset(10)
         state, encs, golds = build_state(insts)
+        matrices = policy.count_matrices(encs)
         other = policy.init_params(state.current.vocab, 16, seed=7)
         state_b = TrainState(state.current.copy(), other, 0.2, np.random.default_rng(0))
         state_c = TrainState(state.current.copy(), state.reference, 0.2, np.random.default_rng(0))
-        by_params = collect_rollouts(state_b, encs, golds, 8, PpoConfig(), lambda s, g: 0.0)
-        given = collect_rollouts(state_c, encs, golds, 8, PpoConfig(), lambda s, g: 0.0,
-                                 reference=policy.embed(other, encs))
-        assert traces(given.episodes) == traces(by_params.episodes)
+        by_other = collect_rollouts(state_b, matrices, golds, 8, PpoConfig(), lambda s, g: 0.0)
+        by_own = collect_rollouts(state_c, matrices, golds, 8, PpoConfig(), lambda s, g: 0.0)
+        for name in ("actions", "logp_pi", "values", "steps"):
+            assert np.array_equal(getattr(by_other.episodes, name), getattr(by_own.episodes, name))
+        assert not np.array_equal(by_other.episodes.logp_ref, by_own.episodes.logp_ref)
+        replay = np.random.default_rng(0)  # the rollout's random stream
+        rows = [matrices[i] for i in replay.integers(0, len(matrices), size=8)]
+        uniforms = replay.random((8, max(m.n_candidates for m in rows) + 1))
+        expected = policy.sample_episodes(state.current, other, rows, uniforms, PpoConfig().top_p)
+        assert traces(by_other.episodes) == traces(expected)
 
 
 class TestSft:
@@ -537,13 +550,12 @@ class TestTrainRl:
         real_sample = policy.sample_episodes
         calls = []
 
-        def corrupting_sample(current, reference, uniforms, top_p=1.0):
+        def corrupting_sample(params, reference, matrices, uniforms, top_p=1.0):
             calls.append(1)
             if len(calls) == 3:  # iteration 2: the warm start sampled first
-                params = current[0].params.copy()
+                params = params.copy()
                 params.score_q[0, 0] = np.inf
-                current = [policy.Embedded(params, e.q, e.v) for e in current]
-            return real_sample(current, reference, uniforms, top_p)
+            return real_sample(params, reference, matrices, uniforms, top_p)
 
         monkeypatch.setattr(policy, "sample_episodes", corrupting_sample)
         summary = {}
@@ -779,7 +791,7 @@ def oracle_warm_start(state, encs, golds, cfg, reward):
     """The value-head fit as it was: the forward pass rebuilds the count
     matrices of the rollout's rows."""
     rows = rows_of(state, encs, cfg.rollout_episodes_per_iter)
-    rollout = collect_rollouts(state, encs, golds, len(rows), cfg, reward)
+    rollout = collect_rollouts(state, policy.count_matrices(encs), golds, len(rows), cfg, reward)
     features = []
     for run in policy.chunks(rows):
         fw = policy.forward(state.current, rebuilt_matrices(rows[run]), rollout.episodes.actions[run])
@@ -796,7 +808,9 @@ class TestRolloutMatrices:
     def test_ppo_update_matches_matrices_rebuilt_per_minibatch(self, seed):
         state, encs, golds, cfg, reward = rl_fixture(seed)
         rows = rows_of(state, encs, cfg.rollout_episodes_per_iter)
-        rollout = collect_rollouts(state, encs, golds, cfg.rollout_episodes_per_iter, cfg, reward)
+        rollout = collect_rollouts(
+            state, policy.count_matrices(encs), golds, cfg.rollout_episodes_per_iter, cfg, reward
+        )
         assert_matrices_of(rollout.matrices, rows)
         batch = compute_advantages(rollout)
         assert len(policy.chunks(batch.matrices)) > 2
@@ -819,7 +833,7 @@ class TestRolloutMatrices:
         state, encs, golds, cfg, reward = rl_fixture(seed)
         replica = TrainState(state.current.copy(), state.reference, state.beta,
                              copy.deepcopy(state.rng))
-        training.warm_start_value_head(state, encs, golds, cfg, reward)
+        training.warm_start_value_head(state, policy.count_matrices(encs), golds, cfg, reward)
         value_q, value_h, value_b = oracle_warm_start(replica, encs, golds, cfg, reward)
         assert np.array_equal(state.current.value_q, value_q)
         assert np.array_equal(state.current.value_h, value_h)
@@ -829,28 +843,50 @@ class TestRolloutMatrices:
 
 @pytest.mark.parametrize("given_reference", [True, False])
 def test_count_matrices_once_per_distinct_drawn_instance(monkeypatch, given_reference):
-    """A rollout counts each distinct instance it draws once, and its
-    update (every minibatch of every epoch) and the warm start's forward
-    pass count none again."""
-    state, encs, golds, cfg, reward = rl_fixture(4, n_episodes=40)
-    reference = policy.embed(state.reference, encs) if given_reference else None
-    seen = []
-    real = policy._count_matrices
+    """``train_rl`` counts each training instance once per run, before its
+    value-head warm start, whether the reference is given or the frozen
+    initial parameters; every instance a rollout draws takes its matrix from
+    that count, and the warm start, the rollouts and every minibatch of
+    every update count none again."""
+    sft, train, _ = TestTrainRl().prepared()
+    reference = policy.init_params(sft.vocab, sft.dim, seed=7) if given_reference else None
+    seen, built, drawn, phases = [], [], [], []
+    real_count, real_encodings = policy._count_matrices, tasks.labeled_encodings
+    trained = []
 
     def counting(batch):
         seen.extend(map(id, batch))
-        return real(batch)
+        out = real_count(batch)
+        built.extend(map(id, out))
+        return out
+
+    def encoding(*args):
+        encs, golds = real_encodings(*args)
+        trained.extend(encs)
+        return encs, golds
+
+    def watched(name):
+        real = getattr(training, name)
+
+        def run(*args, **kwargs):
+            before = len(seen)
+            out = real(*args, **kwargs)
+            phases.append((name, len(seen) - before))
+            if name == "collect_rollouts":
+                drawn.extend(map(id, out.matrices))
+            return out
+
+        monkeypatch.setattr(training, name, run)
 
     monkeypatch.setattr(policy, "_count_matrices", counting)
-    n = cfg.rollout_episodes_per_iter
-    rows = rows_of(state, encs, n)
-    training.warm_start_value_head(state, encs, golds, cfg, reward, reference)
-    assert sorted(seen) == sorted({id(enc) for enc in rows})
-    adam = Adam(state.current, cfg.learning_rate)
-    for _ in range(3):
-        seen.clear()
-        rows = rows_of(state, encs, n)
-        rollout = collect_rollouts(state, encs, golds, n, cfg, reward, reference)
-        training.ppo_update(state.current, compute_advantages(rollout), cfg, adam, state.rng)
-        assert sorted(seen) == sorted({id(enc) for enc in rows})
-        assert len(set(map(id, rows))) < n  # instances recur among the rows
+    monkeypatch.setattr(tasks, "labeled_encodings", encoding)
+    for name in ("warm_start_value_head", "collect_rollouts", "ppo_update"):
+        watched(name)
+    # no validation set, so no greedy evaluation counts its instances
+    train_rl(sft, train, [], TestTrainRl().small_cfg(iterations=3), "columns", reference=reference)
+    assert trained and sorted(seen) == sorted(map(id, trained))
+    assert drawn and set(drawn) <= set(built)
+    assert len(set(drawn)) < len(drawn)  # instances recur among the rows
+    names = [name for name, _ in phases]
+    assert names.count("collect_rollouts") == 4 and names.count("ppo_update") == 3
+    assert all(counted == 0 for _, counted in phases)
