@@ -2,8 +2,9 @@
 
 Stages mirror the data flow: ``synth`` or your own JSONL -> ``annotate`` ->
 ``sft`` -> ``train-rl`` -> ``reduce`` / ``eval-reduce`` -> ``qa`` ->
-``report``.  Every stage writes a manifest next to its output before any
-other file, so a run can be reproduced from the recorded flags and seeds.
+``report``.  Every stage checks its flags, then writes a manifest next to
+its output before any other file, so a refused flag leaves no file and a
+run can be reproduced from the recorded flags and seeds.
 
 Each command imports what it runs and no more: ``import tabreduce.cli``
 loads neither numpy nor the HTTP stack.  The model commands (``sft``,
@@ -88,7 +89,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
         parts = []
     if len(parts) != 3:
         raise ConfigError(f"--split needs three comma-separated ratios, got {text!r}")
-    return (parts[0], parts[1], parts[2])
+    return dataio.check_ratios(parts)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -195,6 +196,7 @@ def cmd_sft(args) -> int:
 
     cfg = _load_config(args.config, training.SftConfig, args.seed)
     ratios = _parse_ratios(args.split)
+    policy.check_dim(args.dim)
     manifest = Manifest("sft", vars(args), args.out)
     instances = _load_instances(args.data)
     train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
@@ -356,6 +358,12 @@ def _context_for(inst, source: str) -> Table:
 def cmd_qa(args) -> int:
     if args.mock == (args.endpoint is not None):
         raise ConfigError("pass exactly one of --mock or --endpoint")
+    if args.mock:
+        cfg = llm.MockLlmConfig(budget_tokens=args.budget)
+    else:
+        cfg = llm.LlmConfig(endpoint=args.endpoint, model=args.model)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     manifest = Manifest("qa", vars(args), args.out)
     instances = _load_instances(args.data)
     contexts = [_context_for(inst, args.context) for inst in instances]
@@ -367,10 +375,9 @@ def cmd_qa(args) -> int:
         answers = llm.mock_complete_many(
             [(inst.question, context, counts, inst.sql, inst.answers)
              for inst, context, counts in zip(instances, contexts, row_counts)],
-            llm.MockLlmConfig(budget_tokens=args.budget),
+            cfg,
         )
     else:
-        cfg = llm.LlmConfig(endpoint=args.endpoint, model=args.model)
         prompts = [
             [("user", llm.QA_PROMPT_TEMPLATE.format(question=inst.question, context=context))]
             for inst, context in zip(instances, linearize_tables(contexts))

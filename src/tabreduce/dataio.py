@@ -186,8 +186,8 @@ def load_dataset(path) -> tuple[list[Instance], list[LoadError]]:
 
 def save_dataset(instances: Sequence[Instance], path) -> None:
     with atomic_write(path) as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_record(inst)) + "\n")
+        for inst in instances:  # records come from JSON or the generator: no cycles to check
+            fh.write(json.dumps(instance_to_record(inst), check_circular=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +352,22 @@ def generate_synthetic(cfg: SynthConfig) -> list[Instance]:
 # ---------------------------------------------------------------------------
 # Splits
 
+def check_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
+    """``ratios`` as a tuple if they are three finite non-negative numbers
+    summing to 1, else ConfigError."""
+    finite = all(math.isfinite(r) and r >= 0 for r in ratios)  # abs(NaN - 1.0) > 1e-9 is False
+    if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError("ratios must be three finite non-negative numbers summing to 1")
+    return tuple(ratios)
+
+
 def split(
     instances: Sequence[Instance],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
 ) -> tuple[list[Instance], list[Instance], list[Instance]]:
     """Disjoint, exhaustive, seed-stable split by table fingerprint."""
-    finite = all(math.isfinite(r) and r >= 0 for r in ratios)  # abs(NaN - 1.0) > 1e-9 is False
-    if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError("ratios must be three finite non-negative numbers summing to 1")
+    check_ratios(ratios)
     import numpy as np
 
     fingerprints = [table_fingerprint(inst.table) for inst in instances]

@@ -211,7 +211,7 @@ class PolicyParams:
         )
 
 
-def _dimension(dim, source: str = "") -> int:
+def check_dim(dim, source: str = "") -> int:
     """``dim`` if it is a positive integer (a bool is not), else ConfigError;
     ``source`` prefixes the message."""
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
@@ -226,7 +226,7 @@ def init_params(vocab: Vocabulary, dim: int = 64, seed: int = 0) -> PolicyParams
     pins the exact parameter values.  ConfigError unless ``dim`` is a
     positive integer.
     """
-    dim = _dimension(dim)
+    dim = check_dim(dim)
     rng = np.random.default_rng(seed)
     u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
     params = PolicyParams.zeros(vocab, dim)
@@ -322,7 +322,7 @@ def load_params(path) -> tuple[PolicyParams, str]:
     target = doc["target"]
     if target not in TARGETS:
         raise ConfigError(f"{path}: target must be one of {TARGETS}, got {target!r}")
-    params = PolicyParams.zeros(vocab, _dimension(doc["dim"], f"{path}: "))
+    params = PolicyParams.zeros(vocab, check_dim(doc["dim"], f"{path}: "))
     if not isinstance(doc["params"], dict):
         raise ConfigError(f"{path}: params is not an object")
     for name, arr in params.arrays().items():

@@ -3,20 +3,30 @@
 Grammar:
 
     SELECT column | fn(column)          fn in {count, sum, avg, min, max}
-    FROM ident                          (ignored; table supplied at execution)
-    [WHERE column op literal [AND ...]] op in {=, !=, <, <=, >, >=}
+    [FROM ident]                        (ignored; table supplied at execution)
+    [WHERE column op literal [AND ...]] op in {=, !=, <>, <, <=, >, >=}
     [ORDER BY column [ASC|DESC]]
     [LIMIT n]
 
 Anything beyond this (joins, OR, GROUP BY, expressions, ...) raises
-``UnsupportedQuery`` with the offending token span.  Execution resolves
-column names case-insensitively; a missing column is an ``ExecutionError``
-with kind ``missing_column`` — the failure signal relevance annotation
-relies on.  Null cells never satisfy a predicate; aggregates skip nulls
-except ``count``, which counts non-null cells.  ``execute`` runs in two
-steps, ``filter_rows`` (WHERE) and ``finish`` (ORDER BY, LIMIT, projection,
-aggregation), so relevance annotation can filter once and finish many row
-subsets.
+``UnsupportedQuery`` with the offending token span.
+
+``parse_sql`` scans the whole query first, in one ``finditer`` pass of
+``_TOKEN_RE``: each token is a plain tuple ``(kind, text, start, end,
+lowercased word or None)``, its kind the number of the regex group that
+matched.  Text that no token matches, other than trailing whitespace, is a
+``SqlSyntaxError`` naming where the last token ended.  The list ends with
+the ``_END`` sentinel, so one flat function parses the tokens clause by
+clause, indexing ahead without bounds checks; reaching the sentinel where a
+token is needed is an "unexpected end of query".
+
+Execution resolves column names case-insensitively; a missing column is an
+``ExecutionError`` with kind ``missing_column`` — the failure signal
+relevance annotation relies on.  Null cells never satisfy a predicate;
+aggregates skip nulls except ``count``, which counts non-null cells.
+``execute`` runs in two steps, ``filter_rows`` (WHERE) and ``finish``
+(ORDER BY, LIMIT, projection, aggregation), so relevance annotation can
+filter once and finish many row subsets.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ class SqlAst:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser
+# Scanner / parser
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -83,177 +93,46 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>[(),;*])"
     r")"
 )
+_STRING, _NUMBER, _WORD, _OP = 1, 2, 3, 4  # the group numbers of those kinds
+
+_END = (0, "", -1, -1, None)  # the last token of every scan (module docstring)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _scan(text: str) -> list[tuple]:
+    tokens = []
     pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise SqlSyntaxError(f"cannot scan query at position {pos}: {text[pos:pos + 10]!r}")
-        kind = match.lastgroup or "punct"
-        tokens.append(_Token(kind, match.group(kind), match.start(kind), match.end(kind)))
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:  # text at pos matched no token
+            break
+        kind = match.lastindex
+        token = match.group(kind)
+        start, end = match.span(kind)
+        tokens.append((kind, token, start, end, token.lower() if kind == _WORD else None))
         pos = match.end()
+    if text[pos:].strip():
+        raise SqlSyntaxError(f"cannot scan query at position {pos}: {text[pos:pos + 10]!r}")
+    tokens.append(_END)
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _unsupported(token: tuple, feature: str) -> UnsupportedQuery:
+    _, text, start, end, _ = token
+    return UnsupportedQuery(f"unsupported {feature} at {start}..{end}: {text!r}", span=(start, end))
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise SqlSyntaxError("unexpected end of query")
-        self.pos += 1
-        return tok
+def _expected(token: tuple, what: str) -> SqlSyntaxError:
+    if token is _END:
+        return SqlSyntaxError("unexpected end of query")
+    return SqlSyntaxError(f"expected {what}, got {token[1]!r}")
 
-    def expect_word(self, word: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "word" or tok.text.lower() != word:
-            raise SqlSyntaxError(f"expected {word!r}, got {tok.text!r}")
-        return tok
 
-    def unsupported(self, tok: _Token, feature: str) -> UnsupportedQuery:
-        return UnsupportedQuery(
-            f"unsupported {feature} at {tok.start}..{tok.end}: {tok.text!r}",
-            span=(tok.start, tok.end),
-        )
-
-    def column_name(self) -> str:
-        tok = self.next()
-        if tok.kind == "word":
-            return tok.text
-        if tok.kind == "string":
-            return _unquote(tok.text)
-        raise SqlSyntaxError(f"expected column name, got {tok.text!r}")
-
-    def parse(self) -> SqlAst:
-        self.expect_word("select")
-        tok = self.peek()
-        if tok is None:
-            raise SqlSyntaxError("empty projection")
-        if tok.kind == "punct" and tok.text == "*":
-            raise self.unsupported(tok, "star projection")
-        if tok.kind == "word" and tok.text.lower() == "distinct":
-            raise self.unsupported(tok, "DISTINCT")
-
-        aggregate = None
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if (
-            tok.kind == "word"
-            and nxt is not None
-            and nxt.kind == "punct"
-            and nxt.text == "("
-        ):
-            fn = tok.text.lower()
-            if fn not in AGGREGATE_FNS:
-                raise self.unsupported(tok, f"function {tok.text!r}")
-            aggregate = fn
-            self.next()  # fn
-            self.next()  # (
-            column = self.column_name()
-            closing = self.next()
-            if closing.text != ")":
-                raise SqlSyntaxError(f"expected ')', got {closing.text!r}")
-        else:
-            column = self.column_name()
-
-        after = self.peek()
-        if after is not None and after.kind == "punct" and after.text == ",":
-            raise self.unsupported(after, "multi-column projection")
-
-        # Optional FROM <ident>; the table comes from the caller.
-        if self._at_word("from"):
-            self.next()
-            self.next()  # table name, ignored
-
-        predicates: list[Predicate] = []
-        if self._at_word("where"):
-            self.next()
-            predicates.append(self._predicate())
-            while True:
-                tok = self.peek()
-                if tok is None:
-                    break
-                if tok.kind == "word" and tok.text.lower() == "and":
-                    self.next()
-                    predicates.append(self._predicate())
-                elif tok.kind == "word" and tok.text.lower() == "or":
-                    raise self.unsupported(tok, "OR")
-                else:
-                    break
-
-        order_by = None
-        if self._at_word("order"):
-            self.next()
-            self.expect_word("by")
-            col = self.column_name()
-            direction = "asc"
-            if self._at_word("asc") or self._at_word("desc"):
-                direction = self.next().text.lower()
-            order_by = (col, direction)
-
-        limit = None
-        if self._at_word("limit"):
-            self.next()
-            tok = self.next()
-            if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text) or int(tok.text) < 1:
-                raise SqlSyntaxError(f"LIMIT needs a positive integer, got {tok.text!r}")
-            limit = int(tok.text)
-
-        leftover = self.peek()
-        if leftover is not None:
-            if leftover.kind == "punct" and leftover.text == ";" and self.pos == len(self.tokens) - 1:
-                self.next()
-            else:
-                raise self.unsupported(leftover, "clause")
-
-        return SqlAst(
-            projection_column=column,
-            aggregate=aggregate,
-            predicates=tuple(predicates),
-            order_by=order_by,
-            limit=limit,
-        )
-
-    def _at_word(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "word" and tok.text.lower() == word
-
-    def _predicate(self) -> Predicate:
-        column = self.column_name()
-        op_tok = self.next()
-        if op_tok.kind != "op":
-            raise SqlSyntaxError(f"expected comparison operator, got {op_tok.text!r}")
-        op = "!=" if op_tok.text == "<>" else op_tok.text
-        lit_tok = self.next()
-        if lit_tok.kind == "number":
-            literal: str | float = float(lit_tok.text)
-        elif lit_tok.kind == "string":
-            literal = _unquote(lit_tok.text)
-        elif lit_tok.kind == "word":
-            # bare-word literal, e.g. WHERE city = beijing
-            literal = lit_tok.text
-        else:
-            raise SqlSyntaxError(f"expected literal, got {lit_tok.text!r}")
-        return Predicate(column=column, op=op, literal=literal)
+def _column(token: tuple) -> str:
+    kind = token[0]
+    if kind == _WORD:
+        return token[1]
+    if kind == _STRING:
+        return _unquote(token[1])
+    raise _expected(token, "column name")
 
 
 def _unquote(text: str) -> str:
@@ -269,7 +148,88 @@ def parse_sql(text: str) -> SqlAst:
     """
     if not text or not text.strip():
         raise SqlSyntaxError("empty query")
-    return _Parser(text).parse()
+    tokens = _scan(text)
+    if tokens[0][4] != "select":
+        raise _expected(tokens[0], "'select'")
+    token = tokens[1]
+    if token is _END:
+        raise SqlSyntaxError("empty projection")
+    if token[1] == "*":
+        raise _unsupported(token, "star projection")
+    word = token[4]
+    if word == "distinct":
+        raise _unsupported(token, "DISTINCT")
+    if word is not None and tokens[2][1] == "(":
+        if word not in AGGREGATE_FNS:
+            raise _unsupported(token, f"function {token[1]!r}")
+        aggregate = word
+        column = _column(tokens[3])
+        if tokens[4][1] != ")":
+            raise _expected(tokens[4], "')'")
+        i = 5
+    else:
+        aggregate = None
+        column = _column(token)
+        i = 2
+    token = tokens[i]
+    if token[1] == ",":
+        raise _unsupported(token, "multi-column projection")
+    word = token[4]
+
+    if word == "from":  # FROM <ident>: the table comes from the caller
+        if tokens[i + 1] is _END:
+            raise SqlSyntaxError("unexpected end of query")
+        i += 2
+        word = tokens[i][4]
+
+    predicates = []
+    if word == "where":
+        word = "and"
+        while word == "and":
+            name = _column(tokens[i + 1])
+            op = tokens[i + 2]
+            if op[0] != _OP:
+                raise _expected(op, "comparison operator")
+            token = tokens[i + 3]
+            kind, literal = token[0], token[1]
+            if kind == _NUMBER:
+                literal = float(literal)
+            elif kind == _STRING:
+                literal = _unquote(literal)
+            elif kind != _WORD:  # a bare word is a literal too: WHERE city = beijing
+                raise _expected(token, "literal")
+            predicates.append(Predicate(name, "!=" if op[1] == "<>" else op[1], literal))
+            i += 4
+            word = tokens[i][4]
+        if word == "or":
+            raise _unsupported(tokens[i], "OR")
+
+    order_by = None
+    if word == "order":
+        if tokens[i + 1][4] != "by":
+            raise _expected(tokens[i + 1], "'by'")
+        order_by = (_column(tokens[i + 2]), "asc")
+        i += 3
+        word = tokens[i][4]
+        if word == "asc" or word == "desc":
+            order_by = (order_by[0], word)
+            i += 1
+            word = tokens[i][4]
+
+    limit = None
+    if word == "limit":
+        token = tokens[i + 1]
+        if token is _END:
+            raise SqlSyntaxError("unexpected end of query")
+        if token[0] != _NUMBER or not token[1].isdecimal() or int(token[1]) < 1:
+            raise SqlSyntaxError(f"LIMIT needs a positive integer, got {token[1]!r}")
+        limit = int(token[1])
+        i += 2
+
+    token = tokens[i]
+    if token is not _END and not (token[1] == ";" and tokens[i + 1] is _END):
+        raise _unsupported(token, "clause")
+    return SqlAst(column, aggregate, tuple(predicates), order_by, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -105,8 +105,9 @@ def validate_table(table: Table) -> None:
 
 def table_fingerprint(table: Table) -> str:
     """Content hash used to group instances that share a table."""
-    doc = {"columns": table.columns, "rows": table.rows}  # json writes tuples as arrays
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # json writes tuples as arrays; cells are scalars, so there is no cycle to check
+    doc = {"columns": table.columns, "rows": table.rows}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)
     return hashlib.sha1(blob.encode("utf-8")).hexdigest()
 
 

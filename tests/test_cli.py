@@ -840,6 +840,34 @@ class TestQaAndReport:
         assert code == cli.EXIT_CONFIG
 
 
+class TestRefusedArguments:
+    """A flag value the stage refuses is refused before its manifest is
+    written, so the run leaves no file behind."""
+
+    @pytest.mark.parametrize(
+        "stage, flags, message",
+        [
+            ("sft", ["--split", "0.5,0.5,0.5"], "ratios must be three finite non-negative numbers summing to 1"),
+            ("train-rl", ["--split", "nan,0.5,0.5"], "ratios must be three finite non-negative numbers summing to 1"),
+            ("sft", ["--dim", "0"], "dim must be a positive integer, got 0"),
+            ("qa", ["--mock", "--budget", "-5"], "budget_tokens must be positive"),
+            ("qa", ["--endpoint", "http://127.0.0.1:9", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        ],
+        ids=["sft-split-sum", "train-rl-split-nan", "sft-dim", "qa-budget", "qa-jobs"],
+    )
+    def test_leaves_no_files(self, pipeline, tmp_path, capsys, stage, flags, message):
+        root, data, sft_dir = pipeline
+        argv = {
+            "sft": ["--target", "columns", "--out", str(tmp_path / "out")],
+            "train-rl": ["--target", "columns", "--out", str(tmp_path / "out"),
+                         "--init", str(sft_dir / "model.json")],
+            "qa": ["--out", str(tmp_path / "answers.jsonl")],
+        }[stage]
+        assert run([stage, "--data", str(data), *argv, *flags]) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, message)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestReproducibility:
     def test_synth_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

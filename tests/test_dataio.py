@@ -54,6 +54,27 @@ class TestRoundTrip:
         save_dataset(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_saved_bytes_and_fingerprints_pinned(self, tmp_path):
+        """The JSON that ``save_dataset`` writes and ``table_fingerprint``
+        hashes, over annotated synthetic data and non-ASCII, bool, null,
+        negative-zero and nested values, keeps the bytes recorded before
+        either encoder stopped checking for cycles."""
+        odd = Instance(
+            id="odd", question="wie viele?",
+            table=make_table(["größe", "flag", "x"], [[1.5, True, None], ['Zürich "q"', False, -0.0]]),
+            sql=None, answers=("1.5",), extra={"note": ["ü", {"k": 1e-7}]},
+        )
+        instances = generate_synthetic(SynthConfig(n_instances=30, seed=2)) + [odd]
+        path = tmp_path / "d.jsonl"
+        save_dataset(instances, path)
+        fingerprints = " ".join(table_fingerprint(inst.table) for inst in instances)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9f0e62ef13c045dcd4a3dc0db2475fe4236ece44eaf508170b6e85797540d341"
+        )
+        assert hashlib.sha256(fingerprints.encode()).hexdigest() == (
+            "2e69214146180101e125c93f5fab0483766ff3b9d1c6cebf4fc2690bc6d69997"
+        )
+
     def test_unknown_fields_preserved(self):
         record = loaded_record(sample_instance())
         record["mystery"] = {"deep": [1, 2]}

@@ -70,6 +70,73 @@ class TestParse:
         ast = sql.parse_sql("select a from t where b <> 1")
         assert ast.predicates[0].op == "!="
 
+    @pytest.mark.parametrize(
+        "query, message, span",
+        [
+            ("select * from t", "unsupported star projection at 7..8: '*'", (7, 8)),
+            ("select distinct a from t", "unsupported DISTINCT at 7..15: 'distinct'", (7, 15)),
+            ("select median(a) from t", "unsupported function 'median' at 7..13: 'median'", (7, 13)),
+            ("select a, b from t", "unsupported multi-column projection at 8..9: ','", (8, 9)),
+            ("select a from t where b = 1 or c = 2", "unsupported OR at 28..30: 'or'", (28, 30)),
+            ("select a from t group by a", "unsupported clause at 16..21: 'group'", (16, 21)),
+            ("select a from t join u", "unsupported clause at 16..20: 'join'", (16, 20)),
+            ("select a from t;;", "unsupported clause at 15..16: ';'", (15, 16)),
+            ("select a from t; ;", "unsupported clause at 15..16: ';'", (15, 16)),
+        ],
+    )
+    def test_unsupported_message_and_span(self, query, message, span):
+        with pytest.raises(sql.UnsupportedQuery) as err:
+            sql.parse_sql(query)
+        assert str(err.value) == message
+        assert err.value.span == span
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("", "empty query"),
+            ("  \t\n", "empty query"),
+            ("select", "empty projection"),
+            ("delete from t", "expected 'select', got 'delete'"),
+            ("select (a) from t", "expected column name, got '('"),
+            ("select a from", "unexpected end of query"),
+            ("select a from t where", "unexpected end of query"),
+            ("select a from t where b", "unexpected end of query"),
+            ("select a from t where b =", "unexpected end of query"),
+            ("select a from t where b 1", "expected comparison operator, got '1'"),
+            ("select a from t where b = = 1", "expected literal, got '='"),
+            ("select count(a", "unexpected end of query"),
+            ("select count(a from t", "expected ')', got 'from'"),
+            ("select a from t order b", "expected 'by', got 'b'"),
+            ("select a from t order by", "unexpected end of query"),
+            ("select a from t where b = 1 ^ 2", "cannot scan query at position 27: ' ^ 2'"),
+            ("select a from t @", "cannot scan query at position 15: ' @'"),
+            ("select a from t where b = 'x", "cannot scan query at position 25: \" 'x\""),
+            ("select 'a'' from t", "cannot scan query at position 10: \"' from t\""),
+            ("select a from t limit 0", "LIMIT needs a positive integer, got '0'"),
+            ("select a from t limit -1", "LIMIT needs a positive integer, got '-1'"),
+            ("select a from t limit 2.5", "LIMIT needs a positive integer, got '2.5'"),
+            ("select a from t limit x", "LIMIT needs a positive integer, got 'x'"),
+            ("select a from t limit", "unexpected end of query"),
+        ],
+    )
+    def test_syntax_error_message(self, query, message):
+        with pytest.raises(sql.SqlSyntaxError) as err:
+            sql.parse_sql(query)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("select a from t limit ٣", sql.SqlAst("a", limit=3)),  # Arabic-Indic digit three
+            ("select\x1ca\x1cfrom\x1ct", sql.SqlAst("a")),  # a separator scans as whitespace
+            ("select a from ;;", sql.SqlAst("a")),  # the table name is any one token
+            ("SELECT MAX(a) FROM t WHERE b <> 'x' ORDER BY a DESC LIMIT 2;",
+             sql.SqlAst("a", "max", (sql.Predicate("b", "!=", "x"),), ("a", "desc"), 2)),
+        ],
+    )
+    def test_accepted_edge_cases(self, query, expected):
+        assert sql.parse_sql(query) == expected
+
 
 class TestExecute:
     def test_lookup(self):
