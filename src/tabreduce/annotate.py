@@ -22,9 +22,7 @@ trying every removal, given that the gold check has passed on the full table
    re-runs only ``sql.finish`` over the passing rows still kept, on the full
    table.  By fact 1 every name the query references resolves to the same
    cells there as in the column-projected table, so the trials give the
-   labels they give on that projection.  ``annotate_rows`` accepts any
-   column set, where fact 1 need not hold, so it filters that set's
-   projection instead.
+   labels they give on that projection.
 3. No subset of the rows can raise an ``ExecutionError`` that the full set
    did not: predicate errors are per row, and ORDER BY mixing and aggregate
    type errors can only come from cells the full set already evaluated.  So
@@ -39,7 +37,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from . import sql
-from .tables import Instance, Reduction, Table, project
+# ``project`` is unused here but stays bound: perfbench/selftest.py wraps ``annotate.project``
+from .tables import Instance, Table, project  # noqa: F401
 
 STATUS_OK = "ok"
 SKIP_UNSUPPORTED = "skipped:unsupported_sql"
@@ -99,28 +98,6 @@ def _relevant_rows(
         if _finishes_gold(ast, table, trial, gold):
             kept = trial
     return frozenset(kept)
-
-
-def annotate_rows(instance: Instance, relevant_columns: frozenset[int]) -> tuple[frozenset[int] | None, str]:
-    """Relevant row indices over the column-projected table, or a skip.
-
-    A row is relevant iff removing it from the surviving set makes execution
-    fail or stops the result matching the gold answers.  The WHERE filter
-    runs once over the projected table; rows it rejects are dropped without
-    a trial, and the top-to-bottom trials re-run only ORDER BY / LIMIT and
-    the projection over the passing rows (facts 2 and 3 in the module
-    docstring).
-    """
-    ast, status = _parse(instance)
-    if ast is None:
-        return None, status
-    table = instance.table
-    base = project(table, Reduction(columns=relevant_columns, rows=frozenset(range(table.n_rows))))
-    gold = list(instance.answers)
-    passing = _gold_rows(ast, base, gold)
-    if passing is None:
-        return None, SKIP_GOLD_MISMATCH
-    return _relevant_rows(ast, base, passing, gold), STATUS_OK
 
 
 def annotate_instance(instance: Instance, target: str = "both") -> Instance:

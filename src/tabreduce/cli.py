@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from . import __version__, annotate as annotate_mod, dataio, llm, metrics
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Reduction, Table, linearize_tables, project, table_row_token_counts_many
+from .tables import Reduction, Table, linearize_tables, project, row_token_counts
 
 if TYPE_CHECKING:
     from . import policy
@@ -367,7 +367,7 @@ def cmd_qa(args) -> int:
     manifest = Manifest("qa", vars(args), args.out)
     instances = _load_instances(args.data)
     contexts = [_context_for(inst, args.context) for inst in instances]
-    row_counts = table_row_token_counts_many(contexts)
+    row_counts = row_token_counts(contexts)
     if args.mock:
         for inst in instances:
             if inst.sql is None:

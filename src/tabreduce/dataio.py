@@ -26,7 +26,7 @@ from . import annotate as annotate_mod
 from . import sql as sql_mod
 from .atomicio import atomic_write
 from .errors import ConfigError
-from .tables import Instance, Table, make_table, table_fingerprint
+from .tables import Instance, Table, format_cell, make_table, table_fingerprint
 
 if TYPE_CHECKING:
     import numpy as np
@@ -262,15 +262,9 @@ class SynthConfig:
             raise ConfigError("template mix weights must sum to 1")
 
 
-def format_answer(value) -> str:
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
-
-
 def _sql_literal(value) -> str:
     if isinstance(value, (int, float)):
-        return format_answer(value)
+        return format_cell(value)
     return "'" + str(value).replace("'", "''") + "'"
 
 
@@ -327,10 +321,10 @@ def _generate_one(cfg: SynthConfig, index: int) -> Instance:
     projection = headers[val_col] if template == "lookup" else f"{template}({headers[val_col]})"
     query = f"select {projection} from t where {headers[key_col]} = {_sql_literal(key_value)}"
     question = _QUESTION_TEMPLATES[template].format(
-        val=headers[val_col], key=headers[key_col], lit=format_answer(key_value)
+        val=headers[val_col], key=headers[key_col], lit=format_cell(key_value)
     )
     result = sql_mod.execute(sql_mod.parse_sql(query), table)
-    answers = tuple(format_answer(v) for v in result)
+    answers = tuple(map(format_cell, result))
 
     instance = Instance(
         id=f"synth-{index:05d}",

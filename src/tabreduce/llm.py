@@ -10,7 +10,7 @@ tests can replay recorded fixtures byte for byte.
 
 The mock reader takes the context table itself, never its rendered text,
 with the per-row word counts of that text that the caller already holds
-(:func:`tabreduce.tables.table_row_token_counts`).  It sees the rows whose
+(:func:`tabreduce.tables.row_token_counts`).  It sees the rows whose
 ``Row{i}: (header,value)`` text fits its token budget after the prompt's
 preamble - truncating trailing rows the way a context-window-limited model
 effectively would - and reads each visible cell as it would come back from
@@ -229,8 +229,8 @@ def _read_back(cell):
 def _visible_rows(question: str, row_counts: Sequence[int], budget_tokens: int) -> int:
     """How many leading rows of a context table the mock reader sees: the
     longest prefix whose text fits the budget together with the prompt's
-    preamble.  ``row_counts`` is ``tables.table_row_token_counts`` of the
-    table, so which rows fit is judged on the whole rows' text."""
+    preamble.  ``row_counts`` is the table's ``tables.row_token_counts``,
+    so which rows fit is judged on the whole rows' text."""
     room = budget_tokens - count_tokens(QA_PROMPT_TEMPLATE.format(question=question, context=""))
     return bisect_right(list(accumulate(row_counts)), room)
 
@@ -254,22 +254,20 @@ def mock_complete(
     cfg: MockLlmConfig,
     gold_sql: str,
     gold_answers: Sequence[str],
-    read: dict | None = None,
+    read: dict,
 ) -> str:
     """Answer by executing the gold SQL over the visible rows of the
     context table, whose per-row token counts are ``row_counts`` (see
     ``_visible_rows``).  Only the columns the SQL references are read back:
     the query resolves each of them to the same column among them as in the
     whole table, and reads no other.  ``read`` is the memo of read-back
-    cells that ``mock_complete_many`` keeps over its questions; a question
-    asked on its own reads with a memo of its own."""
+    cells that ``mock_complete_many`` keeps over its questions."""
     n_visible = _visible_rows(question, row_counts, cfg.budget_tokens)
     if n_visible == 0:
         return "unknown"
     try:
         ast = sql_mod.parse_sql(gold_sql)
-        visible = _read_visible(table, n_visible, sql_mod.referenced_columns(ast, table),
-                                {} if read is None else read)
+        visible = _read_visible(table, n_visible, sql_mod.referenced_columns(ast, table), read)
         result = sql_mod.execute(ast, visible)
     except (sql_mod.SqlSyntaxError, sql_mod.UnsupportedQuery, sql_mod.ExecutionError):
         return "unknown"

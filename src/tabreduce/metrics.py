@@ -1,10 +1,10 @@
 """Reduction quality metrics, length bucketing and length-bucketed reports.
 
 An instance's length is the whitespace token count of its whole table
-linearized: the sum of ``tables.table_row_token_counts``, which counts from
-the table's headers and distinct cells without rendering the text.  Only
-a bucketed report counts it, each distinct cell once over all of its
-instances.
+linearized: the sum of its ``tables.row_token_counts``, which count from
+the table's headers and distinct cells without rendering the text, the
+count that ``qa`` writes as ``context_tokens``.  Only a bucketed report
+counts it, each distinct cell once over all of its instances.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
 from .sql import answers_match
-from .tables import Instance, table_row_token_counts
+from .tables import Instance, row_token_counts
 
 REPORT_FORMAT_VERSION = 1
 
@@ -89,13 +89,6 @@ def build_recall_report(
 # ---------------------------------------------------------------------------
 # Length buckets and downstream accuracy
 
-def full_context_tokens(instance: Instance, runs: dict | None = None) -> int:
-    """Token count of the instance's whole table, linearized (0 without
-    columns); ``runs`` is the memo of ``bucket_by_length`` (see
-    ``tables.table_row_token_counts``)."""
-    return sum(table_row_token_counts(instance.table, runs))
-
-
 def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> list[int]:
     """Bucket k holds counts in [boundaries[k], boundaries[k+1]); the last
     bucket is open-ended.  Counts below the first boundary are an error so
@@ -118,8 +111,9 @@ def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> li
 
 
 def bucket_by_length(instances: Sequence[Instance], boundaries: Sequence[int]) -> list[int]:
-    runs: dict = {}  # each distinct cell counted once over the instances (see tables._walk)
-    return assign_buckets([full_context_tokens(inst, runs) for inst in instances], boundaries)
+    """Each instance's bucket by the token count of its whole table."""
+    counts = row_token_counts([inst.table for inst in instances])
+    return assign_buckets(list(map(sum, counts)), boundaries)
 
 
 def _per_bucket(

@@ -177,8 +177,8 @@ def parse_sql(text: str) -> SqlAst:
     word = token[4]
 
     if word == "from":  # FROM <ident>: the table comes from the caller
-        if tokens[i + 1] is _END:
-            raise SqlSyntaxError("unexpected end of query")
+        if tokens[i + 1][0] != _WORD and tokens[i + 1][0] != _STRING:
+            raise _expected(tokens[i + 1], "table name")
         i += 2
         word = tokens[i][4]
 

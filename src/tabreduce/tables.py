@@ -8,20 +8,20 @@ or ``"`` is double-quoted, with each ``"`` doubled, so the pairs parse back.
 Token counts are whitespace word counts: cheap, deterministic, and
 sufficient for relative length comparisons.
 
-Everything derived from a column subset's rows comes from one walk over
-its cells (``_walk``): the rendered text (``linearize_tables``), each row's
-token count (``row_token_counts``), each row's tokens (``row_tokens``) and
-the texts of the row vocabulary (``row_vocabulary_texts``).  Only the
-first renders rows; the others work from each header and distinct cell
-alone.  A walk fills a memo of its per-cell function that outlives it, so
-that a stage judges each distinct cell once, not once per table: the calls
-that walk many tables (``linearize_tables``, ``table_row_token_counts_many``,
-``row_vocabulary_texts``, ``metrics.bucket_by_length``,
-``llm.mock_complete_many``) keep one over them, and a vocabulary keeps its
-own for ``row_tokens`` (``policy.Vocabulary.cell_ids``).
-``table_row_token_counts`` gives the counts of a whole table, the one
-count behind QA contexts and length buckets.  The mock reader of ``llm``
-reads its visible rows back from the same walk.
+Everything derived from a table's rows comes from one walk over the cells
+of a column subset (``_walk``): the rendered text (``linearize_tables``),
+each row's token count (``row_token_counts``), each row's tokens
+(``row_tokens``) and the texts of the row vocabulary
+(``row_vocabulary_texts``).  The first two walk all of a table's columns,
+and only the first renders rows; the others work from each header and
+distinct cell alone.  A walk fills a memo of its per-cell function that
+outlives it, so that a stage judges each distinct cell once, not once per
+table: the calls that walk many tables (``linearize_tables``,
+``row_token_counts``, ``row_vocabulary_texts``, ``llm.mock_complete_many``)
+keep one over them, and a vocabulary keeps its own for ``row_tokens``
+(``policy.Vocabulary.cell_ids``).  ``row_token_counts`` is the one count
+behind QA contexts and length buckets (``metrics.bucket_by_length``).  The
+mock reader of ``llm`` reads its visible rows back from the same walk.
 """
 
 from __future__ import annotations
@@ -280,21 +280,20 @@ def _quoted_runs(cell: Cell) -> int:
     return len(("x" + quote_if_needed(cell) + "x").split()) - 1
 
 
-def row_token_counts(table: Table, column_subset: set[int] | frozenset[int], runs: dict) -> list[int]:
+def _row_counts(table: Table, runs: dict) -> list[int]:
     """``count_tokens`` of each row's ``Row{i}: ...`` text in the rendering
-    (``linearize_tables``) of the table projected to ``column_subset``,
-    without rendering.
+    (``linearize_tables``) of a table with columns, without rendering.
 
     A pair ``(qh,qv)`` begins and ends with a non-space character, so it is
     one word plus one for each whitespace run inside its quoted header
     ``qh`` or value ``qv``; each row adds one for its ``Row{i}:`` anchor.
     Quoting can split a run (``"see Row3:" "x"``), so the runs counted are
     those of the quoted texts.  ``runs`` is the memo of ``_quoted_runs`` per
-    cell key and header (see ``_walk``), ``{}`` for a table on its own.
+    cell key and header (see ``_walk``).
     """
     fixed = 1
     per_column = []
-    for header, keys, distinct, _ in _walk(table, column_subset, _quoted_runs, runs):
+    for header, keys, distinct, _ in _walk(table, frozenset(range(table.n_columns)), _quoted_runs, runs):
         head = runs.get(header)
         if head is None:  # a header is text, and as a cell key it formats as itself
             head = runs[header] = _quoted_runs(header)
@@ -306,22 +305,13 @@ def row_token_counts(table: Table, column_subset: set[int] | frozenset[int], run
     return [fixed + sum(row) for row in zip(*per_column)]
 
 
-def table_row_token_counts(table: Table, runs: dict | None = None) -> list[int]:
-    """``row_token_counts`` over all of the table's columns: each row's
-    word count in the whole table linearized; ``[]`` without columns, whose
-    linearization is the empty text.  ``runs`` is the memo that a caller
-    counting many tables keeps over them (``table_row_token_counts_many``,
-    ``metrics.bucket_by_length``); a table counted on its own gets its own."""
-    if table.n_columns == 0:
-        return []
-    return row_token_counts(table, frozenset(range(table.n_columns)), {} if runs is None else runs)
-
-
-def table_row_token_counts_many(tables: Sequence[Table]) -> list[list[int]]:
-    """``table_row_token_counts`` of each table, judging each distinct cell
-    and header once per call (see ``_walk``)."""
+def row_token_counts(tables: Sequence[Table]) -> list[list[int]]:
+    """Each table's per-row word counts in its linearization over all of
+    its columns (``[]`` for a table without columns, whose linearization is
+    the empty text), judging each distinct cell and header once per call
+    (see ``_walk``).  The one count behind QA contexts and length buckets."""
     runs: dict = {}
-    return [table_row_token_counts(table, runs) for table in tables]
+    return [_row_counts(table, runs) if table.n_columns else [] for table in tables]
 
 
 def row_tokens(
@@ -348,7 +338,7 @@ def row_tokens(
     parts: list = []  # per column, its header's ids beside each row's cell ids
     for header, keys, _, _ in _walk(table, column_subset, encode_cell, ids):
         head = ids.get(header)
-        if head is None:  # as in row_token_counts
+        if head is None:  # as in _row_counts
             head = ids[header] = tuple(encode(header))
         parts += (repeat(head), list(map(ids.__getitem__, keys)))
     return [tuple(chain.from_iterable(row)) for row in zip(*parts)]

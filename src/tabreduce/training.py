@@ -117,6 +117,10 @@ class PpoConfig:
             raise ConfigError("learning_rate must be positive")
 
 
+# Adam's moment decay rates and denominator guard: Kingma and Ba's defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive-moment-estimation optimizer over named parameter arrays.
 
@@ -128,12 +132,8 @@ class Adam:
     per-array update bit for bit.
     """
 
-    def __init__(self, params: policy.PolicyParams, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: policy.PolicyParams, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = policy.zero_grads(params)
         self.v = policy.zero_grads(params)
@@ -143,17 +143,17 @@ class Adam:
         """One update of ``params`` in place from ``grads``, laid out by
         ``policy.zero_grads``."""
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         g = grads.flat
         m = self.m.flat
         v = self.v.flat
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         update = self._update
-        np.divide(self.learning_rate * (m / bc1), np.sqrt(v / bc2) + self.eps, out=update.flat)
+        np.divide(self.learning_rate * (m / bc1), np.sqrt(v / bc2) + ADAM_EPS, out=update.flat)
         for name, arr in params.arrays().items():
             arr -= update[name]
 

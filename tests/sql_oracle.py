@@ -1,5 +1,6 @@
 """The SELECT-subset parser ``tabreduce.sql`` used before its one-pass scan,
-kept verbatim as the oracle the differential tests compare ``parse_sql`` with.
+kept as the oracle the differential tests compare ``parse_sql`` with; the one
+change since is that FROM takes a word or a quoted identifier only.
 
 ``parse_sql`` here scans with ``_TOKEN_RE.match`` token by token into
 ``_Token`` dataclasses and parses with ``_Parser``'s method calls; it raises
@@ -122,7 +123,9 @@ class _Parser:
         # Optional FROM <ident>; the table comes from the caller.
         if self._at_word("from"):
             self.next()
-            self.next()  # table name, ignored
+            tok = self.next()  # table name, ignored
+            if tok.kind not in ("word", "string"):
+                raise SqlSyntaxError(f"expected table name, got {tok.text!r}")
 
         predicates: list[Predicate] = []
         if self._at_word("where"):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tabreduce import annotate, cli, dataio, llm, metrics, policy, sql, tasks, training
-from tabreduce.tables import Reduction, project, table_row_token_counts
+from tabreduce.tables import Reduction, project, row_token_counts
 
 from test_sql import naive_execute, random_query, random_table
 
@@ -103,16 +103,14 @@ def test_02_annotator_oracle_equivalence():
             seed=rng.randint(0, 10**9), annotate=False,
         )
         inst = dataio.generate_synthetic(cfg)[0]
-        annotated = annotate.annotate_instance(inst, "columns")
+        annotated = annotate.annotate_instance(inst, "both")
         if annotated.annotation_status != annotate.STATUS_OK:
             continue
-        cols = annotated.relevant_columns
+        cols, rows = annotated.relevant_columns, annotated.relevant_rows
         ast = sql.parse_sql(inst.sql)
         gold = list(inst.answers)
         col_sets = _minimal_sets(ast, inst.table, gold, range(inst.table.n_columns))
         assert cols in col_sets, f"{inst.sql}: {sorted(cols)} not minimal"
-        rows, status = annotate.annotate_rows(inst, cols)
-        assert status == annotate.STATUS_OK
         row_sets = _minimal_sets(ast, inst.table, gold, range(inst.table.n_rows), fix_cols=cols)
         assert rows in row_sets, f"{inst.sql}: {sorted(rows)} not minimal"
         checked += 1
@@ -308,19 +306,21 @@ def test_10_length_bucket_stability():
     )
 
     test_ok = [i for i in test if i.annotation_status == annotate.STATUS_OK]
-    budget = max(1, max(metrics.full_context_tokens(i) for i in instances) // 4)
+    budget = max(1, max(map(sum, row_token_counts([i.table for i in instances]))) // 4)
     mock_cfg = llm.MockLlmConfig(budget_tokens=budget)
-    quartiles = np.quantile([metrics.full_context_tokens(i) for i in test_ok], [0.25, 0.5, 0.75])
+    quartiles = np.quantile(list(map(sum, row_token_counts([i.table for i in test_ok]))), [0.25, 0.5, 0.75])
     boundaries = [0] + [int(q) for q in quartiles]
     assignments = metrics.bucket_by_length(test_ok, boundaries)
 
     def bucket_accuracy(reductions):
         per_bucket = {k: [] for k in range(len(boundaries))}
-        for inst, k, reduction in zip(test_ok, assignments, reductions):
-            context = inst.table if reduction is None else project(inst.table, reduction)
-            answer = llm.mock_complete(
-                inst.question, context, table_row_token_counts(context), mock_cfg, inst.sql, inst.answers
-            )
+        contexts = [i.table if r is None else project(i.table, r) for i, r in zip(test_ok, reductions)]
+        answers = llm.mock_complete_many(
+            [(i.question, context, counts, i.sql, i.answers)
+             for i, context, counts in zip(test_ok, contexts, row_token_counts(contexts))],
+            mock_cfg,
+        )
+        for inst, k, answer in zip(test_ok, assignments, answers):
             per_bucket[k].append(metrics.downstream_accuracy([answer], [list(inst.answers)]))
         return [float(np.mean(v)) for v in per_bucket.values()]
 

@@ -23,6 +23,12 @@ def columns_of(inst):
     return annotated.relevant_columns, annotated.annotation_status
 
 
+def rows_of(inst):
+    """(relevant rows, status) as ``annotate_instance`` labels rows."""
+    annotated = annotate.annotate_instance(inst, "rows")
+    return annotated.relevant_rows, annotated.annotation_status
+
+
 def yields_gold(ast, table, gold):
     """Whether the query over the whole of ``table`` yields the gold answers."""
     try:
@@ -79,8 +85,7 @@ class TestColumns:
 
 class TestRows:
     def test_single_matching_row(self):
-        cols, _ = columns_of(OLYMPICS)
-        rows, status = annotate.annotate_rows(OLYMPICS, cols)
+        rows, status = rows_of(OLYMPICS)
         assert status == annotate.STATUS_OK
         assert rows == frozenset({1})
 
@@ -92,16 +97,14 @@ class TestRows:
             "select count(city) from t where country = 'usa'",
             ["2"],
         )
-        cols, _ = columns_of(inst)
-        rows, status = annotate.annotate_rows(inst, cols)
+        rows, status = rows_of(inst)
         assert rows == frozenset({0, 2})
 
     def test_zero_row_table(self):
         inst = instance(
             ["x", "k"], [], "q", "select count(x) from t where k = 'a'", ["0"]
         )
-        cols, _ = columns_of(inst)
-        rows, status = annotate.annotate_rows(inst, cols)
+        rows, status = rows_of(inst)
         assert status == annotate.STATUS_OK
         assert rows == frozenset()
 
@@ -195,13 +198,12 @@ def test_oracle_equivalence_small():
     checked = 0
     while checked < 60:
         inst = random_instance(rng)
-        cols, status = columns_of(inst)
-        if status != annotate.STATUS_OK:
+        annotated = annotate.annotate_instance(inst, "both")
+        if annotated.annotation_status != annotate.STATUS_OK:
             continue
+        cols, rows = annotated.relevant_columns, annotated.relevant_rows
         col_sets = minimal_column_sets(inst)
         assert cols in col_sets, f"{inst.sql}: {cols} not in {col_sets}"
-        rows, status = annotate.annotate_rows(inst, cols)
-        assert status == annotate.STATUS_OK
         row_sets = minimal_row_sets(inst, cols)
         assert rows in row_sets, f"{inst.sql}: {rows} not in {row_sets}"
         checked += 1

@@ -19,7 +19,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabreduce"
 
 # Entry points kept for tests and library users without a pipeline caller.
 ALLOWED = {
-    "annotate.annotate_rows",  # rows over any column set, which test_02's oracle check calls
     "policy.grad_check",  # finite-difference check of the hand-written gradients
 }
 
@@ -145,6 +144,13 @@ def test_allowlist_names_live_definitions():
     trees = parse_package()
     defined = {f"{m}.{n}" for m, tree in trees.items() for n in public_definitions(tree)}
     assert ALLOWED <= defined
+
+
+def test_allowlist_names_have_no_package_caller():
+    """A name that package code has come to use leaves the allowlist."""
+    used = package_references(parse_package())
+    called = sorted(name for name in ALLOWED if tuple(name.split(".")) in used)
+    assert called == [], "allowlisted names with a package caller: " + ", ".join(called)
 
 
 

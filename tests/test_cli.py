@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -15,12 +14,9 @@ def run(args):
 
 
 def replace_token_counter(monkeypatch, counter):
-    """``counter`` in place of ``tables.row_token_counts`` under every name
-    the package holds it by."""
-    original = tables.row_token_counts
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tabreduce") and getattr(module, "row_token_counts", None) is original:
-            monkeypatch.setattr(module, "row_token_counts", counter)
+    """``counter`` in place of ``tables._row_counts``, the per-table walk
+    behind every token count (``tables.row_token_counts``)."""
+    monkeypatch.setattr(tables, "_row_counts", counter)
 
 
 def fake_endpoint(monkeypatch, answer="stub"):
@@ -456,7 +452,7 @@ class TestEvalAndReduce:
         bucketed = tmp_path / "bucketed.json"
         assert run(argv + ["--report", str(bucketed), "--buckets", "0,40"]) == 0
 
-        def refuse(table, column_subset, runs):
+        def refuse(table, runs):
             raise AssertionError("eval-reduce counted tokens")
 
         replace_token_counter(monkeypatch, refuse)
@@ -587,6 +583,29 @@ class TestQaAndReport:
         assert sum(b["count"] for b in doc["per_bucket"]) == 80
         assert (tmp_path / "qa.csv").read_text().startswith("bucket,min_tokens,count,accuracy")
 
+    def test_qa_context_tokens_are_report_lengths(self, pipeline, tmp_path):
+        """``qa --context full`` writes each instance's length as ``report``
+        buckets it: both stages sum ``tables.row_token_counts``."""
+        root, data, _ = pipeline
+        instances, _ = dataio.load_dataset(data)
+        lengths = [sum(counts) for counts in tables.row_token_counts([inst.table for inst in instances])]
+        answers = tmp_path / "answers.jsonl"
+        argv = ["qa", "--data", str(data), "--out", str(answers), "--mock", "--budget", "60", "--context", "full"]
+        assert run(argv) == 0
+        written = [json.loads(line)["context_tokens"] for line in answers.read_text().splitlines()]
+        assert written == lengths
+
+        boundaries = list(range(min(written), max(written) + 1))  # one bucket per length
+        report_path = tmp_path / "report.json"
+        assert run([
+            "report", "--answers", str(answers), "--reductions", str(data),
+            "--buckets", ",".join(map(str, boundaries)), "--out", str(report_path),
+        ]) == 0
+        counts = [b["count"] for b in json.loads(report_path.read_text())["per_bucket"]]
+        assignments = metrics.assign_buckets(written, boundaries)
+        assert counts == [assignments.count(k) for k in range(len(boundaries))]
+        assert sum(count > 0 for count in counts) > 10
+
     @pytest.mark.parametrize(
         "buckets, answer_line, message",
         [
@@ -687,11 +706,11 @@ class TestQaAndReport:
         root, data, _ = pipeline
         counted = []
 
-        def counter(table, column_subset, runs):
+        def counter(table, runs):
             counted.append(table)
-            return original(table, column_subset, runs)
+            return original(table, runs)
 
-        original = tables.row_token_counts
+        original = tables._row_counts
         replace_token_counter(monkeypatch, counter)
         fake_endpoint(monkeypatch)
         answers = tmp_path / "answers.jsonl"

@@ -7,7 +7,6 @@ import pytest
 from tabreduce import annotate, dataio, sql, tasks
 from tabreduce.dataio import (
     SynthConfig,
-    format_answer,
     generate_synthetic,
     instance_to_record,
     load_dataset,
@@ -16,7 +15,7 @@ from tabreduce.dataio import (
     split,
 )
 from tabreduce.errors import ConfigError
-from tabreduce.tables import Instance, make_table, table_fingerprint
+from tabreduce.tables import Instance, format_cell, make_table, table_fingerprint
 
 
 def sample_instance():
@@ -337,12 +336,12 @@ def per_cell_oracle(cfg, index):
     literal = dataio._sql_literal(key_value)
     query = f"select {projection} from t where {headers[key_col]} = {literal}"
     question = dataio._QUESTION_TEMPLATES[template].format(
-        val=headers[val_col], key=headers[key_col], lit=format_answer(key_value)
+        val=headers[val_col], key=headers[key_col], lit=format_cell(key_value)
     )
     result = sql.execute(sql.parse_sql(query), table)
     instance = Instance(
         id=f"synth-{index:05d}", question=question, table=table, sql=query,
-        answers=tuple(format_answer(v) for v in result),
+        answers=tuple(map(format_cell, result)),
     )
     if cfg.annotate:
         instance = annotate.annotate_instance(instance, target="both")
@@ -441,12 +440,6 @@ class TestSplit:
     def test_bad_ratios(self):
         with pytest.raises(ConfigError):
             split([], (0.5, 0.5, 0.5))
-
-
-def test_format_answer():
-    assert format_answer(2.0) == "2"
-    assert format_answer(2.5) == "2.5"
-    assert format_answer("x") == "x"
 
 
 def test_gold_actions_ordering():

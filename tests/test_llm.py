@@ -28,7 +28,7 @@ from tabreduce.tables import (
     count_tokens,
     linearize_tables,
     make_table,
-    table_row_token_counts,
+    row_token_counts,
 )
 from test_render_fast import oracle_parse_prompt_table, visible_table
 
@@ -285,8 +285,8 @@ class TestQaPrompt:
 
 
 def mock(question, table, cfg, gold_sql, gold_answers):
-    """``mock_complete`` given the counts ``qa`` passes it."""
-    return mock_complete(question, table, table_row_token_counts(table), cfg, gold_sql, gold_answers)
+    """``mock_complete`` given the counts ``qa`` passes it and a memo of its own."""
+    return mock_complete(question, table, row_token_counts([table])[0], cfg, gold_sql, gold_answers, {})
 
 
 class TestMock:
@@ -503,7 +503,7 @@ class TestReferencedColumnsReader:
                 if k % 4 == 0 or answers is not None:
                     break
             budget = preamble + rng.choice([0, 5, 12, 30, 10**6])
-            requests.append(("q?", table, table_row_token_counts(table), query, answers or ["none"]))
+            requests.append(("q?", table, row_token_counts([table])[0], query, answers or ["none"]))
             expected.append(every_column_answer("q?", table, budget, query, answers or ["none"]))
             budgets.append(budget)
         for budget in set(budgets):

@@ -107,8 +107,8 @@ class TestFullContextTokens:
             table=make_table(["x", "y"], [[1, "u"], [2, "v"]]),
             answers=("1",),
         )
-        # "Row0: (x,1), (y,u) Row1: (x,2), (y,v)" -> 6 words
-        assert metrics.full_context_tokens(instance) == 6
+        # "Row0: (x,1), (y,u) Row1: (x,2), (y,v)" -> 6 words, the one count in [6, 7)
+        assert bucket_by_length([instance], [0, 6, 7]) == [1]
 
 
 class TestBuckets:

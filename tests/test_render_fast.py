@@ -23,6 +23,7 @@ from tabreduce.tables import (
     Instance,
     Reduction,
     Table,
+    _row_counts,
     count_tokens,
     format_cell,
     linearize_tables,
@@ -30,8 +31,6 @@ from tabreduce.tables import (
     row_token_counts,
     row_tokens,
     row_vocabulary_texts,
-    table_row_token_counts,
-    table_row_token_counts_many,
 )
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def check_against_oracle(table, cols):
     rows = [oracle_row_pairs(table, row, sorted(cols)) for row in table.rows]
     context = project(table, Reduction(frozenset(cols), frozenset(range(table.n_rows))))
     assert linearize_tables([context])[0] == text
-    counts = table_row_token_counts(context)
+    (counts,) = row_token_counts([context])
     assert counts == [count_tokens(f"Row{i}: {pairs}") for i, pairs in enumerate(rows)]
     assert sum(counts) == count_tokens(text)
 
@@ -193,9 +192,8 @@ def check_against_oracle(table, cols):
     inst = Instance(id="i", question="Which q?", table=table, relevant_columns=frozenset(cols))
     assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["Which q?", *rows])
     assert tasks.encode(partial, inst, "rows") == policy.encode_instance(partial, "Which q?", rows)
-    assert metrics.full_context_tokens(inst) == count_tokens(
-        oracle_linearize(table, range(table.n_columns))
-    )
+    length = count_tokens(oracle_linearize(table, range(table.n_columns)))
+    assert metrics.bucket_by_length([inst], [-1, length, length + 1]) == [1]  # whole table, exactly
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -238,7 +236,7 @@ def test_quoting_splits_a_whitespace_run():
     # the anchor's space is written between two quoted runs: 2 runs, not 1
     table = Table(("v",), (("Row3:  x",),))
     assert linearize_tables([table])[0] == 'Row0: (v,"Row3:" " x")'
-    assert table_row_token_counts(table) == [count_tokens('Row0: (v,"Row3:" " x")')] == [4]
+    assert row_token_counts([table]) == [[count_tokens('Row0: (v,"Row3:" " x")')]] == [[4]]
 
 
 def test_equal_keys_of_other_types_render_apart():
@@ -259,21 +257,21 @@ def test_zero_rows_and_zero_columns():
     table = Table(("a", "b"), ())
     vocab = policy.build_vocabulary(["a b"])
     assert linearize_tables([table]) == [""]
-    assert table_row_token_counts(table) == []
+    assert row_token_counts([table]) == [[]]
     assert row_tokens(table, {1}, vocab.encode, {}) == []
     assert row_vocabulary_texts([(table, {0, 1})]) == []
     check_against_oracle(table, {0, 1})
-    assert metrics.full_context_tokens(Instance(id="i", question="q", table=table)) == 0
-    empty = Instance(id="e", question="q", table=Table((), ((), ())))
-    assert table_row_token_counts(empty.table) == []
-    assert metrics.full_context_tokens(empty) == 0
+    empty = Table((), ((), ()))
+    assert row_token_counts([empty]) == [[]]
+    instances = [Instance(id="i", question="q", table=t) for t in (table, empty)]
+    assert metrics.bucket_by_length(instances, [0, 1]) == [0, 0]
 
 
 def visible_table(question, table, budget_tokens, read=None):
     """The mock reader's visible rows of every column, given the counts
     ``qa`` passes it, read with the memo ``read`` (a fresh one by default);
     None when no row fits."""
-    n_visible = llm._visible_rows(question, table_row_token_counts(table), budget_tokens)
+    n_visible = llm._visible_rows(question, row_token_counts([table])[0], budget_tokens)
     if n_visible == 0:
         return None
     return llm._read_visible(table, n_visible, frozenset(range(table.n_columns)), {} if read is None else read)
@@ -406,8 +404,8 @@ def test_batch_memos_match_fresh_walks(seed):
     rendered = linearize_tables(tables)
     assert rendered == [linearize_tables([table])[0] for table in tables]
     assert rendered[:-1] == [oracle_linearize(table, cols) for table, cols in zip(tables, whole[:-1])]
-    counts = table_row_token_counts_many(tables)
-    assert counts == list(map(table_row_token_counts, tables))
+    counts = row_token_counts(tables)
+    assert counts == [row_token_counts([table])[0] for table in tables]
     assert counts[:-1] == [
         [count_tokens(f"Row{i}: {oracle_row_pairs(table, row, sorted(cols))}") for i, row in enumerate(table.rows)]
         for table, cols in zip(tables, whole[:-1])
@@ -418,12 +416,10 @@ def test_batch_memos_match_fresh_walks(seed):
             assert same_table(visible_table("q?", table, budget, read), visible_table("q?", table, budget))
     batch.pop()
     vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
-    runs = {}
     for table, cols in batch:
         assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {}) == [
             vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
         ]
-        assert row_token_counts(table, cols, runs) == row_token_counts(table, cols, {})
     texts = row_vocabulary_texts(batch)
     assert set(texts) == set().union(*(row_vocabulary_texts([subset]) for subset in batch))
     rows = [oracle_row_pairs(table, row, sorted(cols)) for table, cols in batch for row in table.rows]
@@ -432,7 +428,7 @@ def test_batch_memos_match_fresh_walks(seed):
                  for k, (table, cols) in enumerate(batch)]
     assert tasks.build_vocab(instances, "rows") == policy.build_vocabulary(["q?", *rows])
     lengths = [count_tokens(oracle_linearize(table, range(table.n_columns))) for table, _ in batch]
-    assert list(map(metrics.full_context_tokens, instances)) == lengths
+    assert list(map(sum, row_token_counts([table for table, _ in batch]))) == lengths
     assert metrics.bucket_by_length(instances, [0, 10, 30]) == metrics.assign_buckets(lengths, [0, 10, 30])
 
 
@@ -456,16 +452,16 @@ def test_memo_of_tables_sharing_no_cell_stays_small():
     cols = frozenset(range(3))
     runs, read, largest = {}, {}, 0
     for table in tables:
-        assert row_token_counts(table, cols, runs) == row_token_counts(table, cols, {})
+        assert _row_counts(table, runs) == _row_counts(table, {})
         assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {})
         assert same_table(visible_table("q?", table, 10**6, read), visible_table("q?", table, 10**6))
         largest = max(largest, len(runs), len(vocab.cell_ids), len(read))
     assert largest <= 2 * (15 + 3)
     runs = {}
-    row_token_counts(tables[0], cols, runs)
-    row_token_counts(Table(("h0",), (("w0 x",),)), frozenset({0}), runs)  # finds tables[0]'s first cell
+    _row_counts(tables[0], runs)
+    _row_counts(Table(("h0",), (("w0 x",),)), runs)  # finds tables[0]'s first cell
     for table in tables[1:]:
-        row_token_counts(table, cols, runs)
+        _row_counts(table, runs)
     assert all(cell in runs for table in tables for row in table.rows for cell in row)
 
 

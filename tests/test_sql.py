@@ -99,6 +99,9 @@ class TestParse:
             ("delete from t", "expected 'select', got 'delete'"),
             ("select (a) from t", "expected column name, got '('"),
             ("select a from", "unexpected end of query"),
+            ("select a from ;;", "expected table name, got ';'"),
+            ("select a from = where b = 1", "expected table name, got '='"),
+            ("select a from 5 limit 2", "expected table name, got '5'"),
             ("select a from t where", "unexpected end of query"),
             ("select a from t where b", "unexpected end of query"),
             ("select a from t where b =", "unexpected end of query"),
@@ -129,7 +132,7 @@ class TestParse:
         [
             ("select a from t limit ٣", sql.SqlAst("a", limit=3)),  # Arabic-Indic digit three
             ("select\x1ca\x1cfrom\x1ct", sql.SqlAst("a")),  # a separator scans as whitespace
-            ("select a from ;;", sql.SqlAst("a")),  # the table name is any one token
+            ('select a from "t t"', sql.SqlAst("a")),  # the table name may be a quoted identifier
             ("SELECT MAX(a) FROM t WHERE b <> 'x' ORDER BY a DESC LIMIT 2;",
              sql.SqlAst("a", "max", (sql.Predicate("b", "!=", "x"),), ("a", "desc"), 2)),
         ],

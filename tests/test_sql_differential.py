@@ -24,7 +24,7 @@ JUNK = ("@", "^", "`", "'", '"', "''", "-", ".", "é", "$", "[", "?", "\\", "/*"
 # Every outcome of ``parse_sql``: a parse, or the start of an error message.
 OUTCOMES = {
     "ok", "empty query", "empty projection", "unexpected end of query",
-    "expected 'select'", "expected column name", "expected ')'", "expected 'by'",
+    "expected 'select'", "expected column name", "expected table name", "expected ')'", "expected 'by'",
     "expected comparison operator", "expected literal", "cannot scan query",
     "LIMIT needs a positive integer", "unsupported star projection", "unsupported DISTINCT",
     "unsupported function", "unsupported multi-column projection", "unsupported OR",

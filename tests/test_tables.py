@@ -11,13 +11,13 @@ from tabreduce.tables import (
     Reduction,
     Table,
     count_tokens,
+    format_cell,
     linearize_tables,
     make_table,
     project,
     row_token_counts,
     row_tokens,
     row_vocabulary_texts,
-    table_row_token_counts,
     table_fingerprint,
     validate_table,
 )
@@ -34,11 +34,6 @@ def linearize(table, column_subset):
     """The rendered text of ``table`` reduced to ``column_subset`` and all
     of its rows, as ``qa`` renders a context."""
     return linearize_tables([project(table, Reduction(frozenset(column_subset), frozenset(range(table.n_rows))))])[0]
-
-
-def counts(table, column_subset):
-    """``row_token_counts`` of a table on its own."""
-    return row_token_counts(table, column_subset, {})
 
 
 def vocabulary_texts(table, column_subset):
@@ -141,12 +136,12 @@ class TestLinearize:
         table = make_table(["year", "city"], [[2008, "Beijing"]])
         out = linearize(table, {0, 1})
         assert out == "Row0: (year,2008), (city,Beijing)"
-        assert table_row_token_counts(table) == [count_tokens(out)] == [3]
+        assert row_token_counts([table]) == [[count_tokens(out)]] == [[3]]
 
     def test_zero_rows_empty_text(self):
         table = make_table(["year"], [])
         assert linearize(table, {0}) == ""
-        assert table_row_token_counts(table) == []
+        assert row_token_counts([table]) == [[]]
 
     def test_subset_keeps_row_indices(self):
         table = make_table(["year", "city"], [[2008, "Beijing"], [2012, "London"]])
@@ -154,14 +149,13 @@ class TestLinearize:
         assert out == "Row0: (city,Beijing) Row1: (city,London)"
 
     def test_empty_subset_raises(self):
-        for derived in (counts, vocabulary_texts):
-            with pytest.raises(EmptySelectionError):
-                derived(olympics(), set())
+        with pytest.raises(EmptySelectionError):
+            vocabulary_texts(olympics(), set())
         with pytest.raises(EmptySelectionError):
             row_tokens(olympics(), set(), str.split, {})
 
     def test_column_out_of_range_raises(self):
-        for derived in (linearize, counts, vocabulary_texts):
+        for derived in (linearize, vocabulary_texts):
             with pytest.raises(IndexError):
                 derived(olympics(), {0, 9})
 
@@ -202,6 +196,14 @@ class TestPrompts:
         table = olympics()
         assert self.prompt("q?", table) == self.prompt("q?", table)
         assert linearize_tables([table, table]) == [linearize_tables([table])[0]] * 2
+
+
+@pytest.mark.parametrize(
+    "cell, text",
+    [(2.0, "2"), (2.5, "2.5"), ("x", "x"), (7, "7"), (-0.0, "0"), (True, "true"), (False, "false"), (None, "")],
+)
+def test_format_cell(cell, text):
+    assert format_cell(cell) == text
 
 
 class TestTokensAndBudget:
