@@ -307,14 +307,12 @@ def cmd_reduce(args) -> int:
     summary = dict.fromkeys(("columns_kept", "rows_kept", "decode_steps"), 0)
     for group in _groups(instances):
         # columns for every instance, then rows for those with a column prediction
-        col_decode = policy.greedy_decode(
-            col_params, [tasks.encode(col_params.vocab, inst, tasks.TARGET_COLUMNS) for inst in group]
-        )
+        col_decode = policy.greedy_decode(col_params, tasks.encode(col_params.vocab, group, tasks.TARGET_COLUMNS))
         with_columns = [i for i, cols in enumerate(col_decode.selected) if cols]
-        row_decode = policy.greedy_decode(row_params, [
-            tasks.encode(row_params.vocab, group[i], tasks.TARGET_ROWS, col_decode.selected[i])
-            for i in with_columns
-        ])
+        row_decode = policy.greedy_decode(row_params, tasks.encode(
+            row_params.vocab, [group[i] for i in with_columns], tasks.TARGET_ROWS,
+            [col_decode.selected[i] for i in with_columns],
+        ))
         predicted_rows = dict(zip(with_columns, row_decode.selected))
         for i, (inst, cols) in enumerate(zip(group, col_decode.selected)):
             rows = predicted_rows.get(i, frozenset())

@@ -15,8 +15,11 @@ embeddings.
 Encodings are segment means: an instance's matrix of its segments' token
 counts over its distinct tokens, divided by the segment lengths
 (``CountMatrix``), times those tokens' rows of the embedding table; the
-gradient goes back through the transposed product.  The matrices are built
-per instance, so an instance encodes the same in any batch.  Count
+gradient goes back through the transposed product.  An instance comes in
+as two flat arrays, each token's id and segment (``EncodedInstance``,
+flattened for many instances at once by ``encode_parts``), so the order of
+a segment's tokens is immaterial.  The matrices are built per instance,
+so an instance encodes the same in any batch.  Count
 matrices are all the policy encodes from, in one place (``_embed_padded``,
 which encodes each distinct matrix once per parameter set and call): SFT
 and greedy decoding build them per chunk, and ``train-rl`` once per run
@@ -59,7 +62,6 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,8 +90,8 @@ class Vocabulary:
     """Token-to-index map; index 0 is reserved for out-of-vocabulary words.
 
     ``cell_ids`` is this vocabulary's one memo of token ids: per table cell
-    key and header (``tables.row_tokens``) and per candidate text
-    (``encode_instance``, which column candidates go through).  A key that
+    key and header (``tables.column_token_ids``) and per candidate text
+    (``encode_texts``, which column candidates go through).  A key that
     is a string maps to ``encode`` of it in either use, since a string cell
     formats as itself.  The memo lives as long as the vocabulary, which a
     stage builds or loads for itself, and never serves another vocabulary.
@@ -120,43 +122,68 @@ def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
     return Vocabulary(tuple(sorted(seen)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncodedInstance:
-    """Tokenized question and candidate texts, ready for the policy.
+    """An instance's question and candidates as token ids, ready for the
+    policy: ``ids[i]`` is a token of segment ``segment[i]``, 0 for the
+    question and 1 + j for candidate j.  Token order within a segment is
+    immaterial, since the policy reads the instance only through its count
+    matrix (``_count_matrices``); nothing of the batch it is built in
+    enters that."""
 
-    The policy reads them as ``segments``, from which the instance's count
-    matrix is built (``_count_matrices``); nothing of the batch it is built
-    in enters it.
-    """
-
-    question_ids: tuple[int, ...]
-    candidate_ids: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_candidates(self) -> int:
-        return len(self.candidate_ids)
-
-    @cached_property
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat token ids in segment order and each segment's length;
-        segment 0 is the question and segment 1 + j candidate j."""
-        parts = (self.question_ids, *self.candidate_ids)
-        lengths = np.array([len(p) for p in parts], dtype=np.intp)
-        ids = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=int(lengths.sum()))
-        return ids, lengths
+    ids: np.ndarray      # (tokens,) intp token ids
+    segment: np.ndarray  # (tokens,) intp segment of each token
+    n_candidates: int
 
 
-def encode_instance(vocab: Vocabulary, question: str, candidate_texts: Sequence[str]) -> EncodedInstance:
-    """The question and candidate texts as token ids; each distinct candidate
-    text is tokenized once per vocabulary (``Vocabulary.cell_ids``)."""
+def encode_parts(
+    pieces: Sequence[Sequence[int]],
+    piece_of: np.ndarray,
+    segment_of: np.ndarray,
+    shapes: Sequence[tuple[int, int]],
+) -> list[EncodedInstance]:
+    """Instances made of parts, each a token-id tuple of ``pieces``: part i
+    is ``pieces[piece_of[i]]`` and lies in segment ``segment_of[i]`` of its
+    instance, which may span several parts in any order.  ``shapes`` gives
+    each instance's number of parts, which follow those of the instance
+    before it, and of candidates.  A fixed number of numpy calls flattens
+    all the instances, whose arrays are views of two arrays over them all;
+    only the pieces' tokens are read one by one."""
+    piece_len = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+    piece_start = np.cumsum(piece_len) - piece_len
+    tokens = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.intp, count=int(piece_len.sum()))
+    part_len = piece_len[piece_of]
+    ends = np.zeros(part_len.size + 1, dtype=np.intp)  # token offset of each part, then the total
+    np.cumsum(part_len, out=ends[1:])
+    ids = tokens[np.repeat(piece_start[piece_of] - ends[:-1], part_len) + np.arange(ends[-1])]
+    segment = np.repeat(segment_of, part_len)
+    bounds = ends[list(itertools.accumulate((n for n, _ in shapes), initial=0))].tolist()
+    return [
+        EncodedInstance(ids[start:stop], segment[start:stop], n_candidates)
+        for start, stop, (_, n_candidates) in zip(bounds, bounds[1:], shapes)
+    ]
+
+
+def encode_texts(vocab: Vocabulary, instances: Iterable[tuple[str, Sequence[str]]]) -> list[EncodedInstance]:
+    """Each ``(question, candidate texts)`` pair as an ``EncodedInstance``,
+    all flattened together (``encode_parts``), each distinct candidate text
+    tokenized once per vocabulary (``Vocabulary.cell_ids``): column
+    candidates."""
     memo = vocab.cell_ids
-    candidate_ids = []
-    for text in candidate_texts:
-        ids = memo.get(text)
-        if ids is None:
-            ids = memo[text] = vocab.encode(text)
-        candidate_ids.append(ids)
-    return EncodedInstance(question_ids=vocab.encode(question), candidate_ids=tuple(candidate_ids))
+    pieces: list[tuple[int, ...]] = []
+    segment_of: list[int] = []
+    shapes = []
+    for question, texts in instances:
+        pieces.append(vocab.encode(question))
+        for text in texts:
+            ids = memo.get(text)
+            if ids is None:
+                ids = memo[text] = vocab.encode(text)
+            pieces.append(ids)
+        segment_of += range(1 + len(texts))
+        shapes.append((1 + len(texts), len(texts)))
+    order = np.arange(len(pieces))
+    return encode_parts(pieces, order, np.array(segment_of, dtype=np.intp), shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +379,10 @@ def load_params(path) -> tuple[PolicyParams, str]:
 # tables.
 _SEGMENT_BLOCK = 1024
 
+# ``_count_matrices`` finds distinct (instance, token id) pairs in a table
+# of every pair while it has at most this many entries per token.
+_PAIRS_PER_TOKEN = 8
+
 
 class CountMatrix(NamedTuple):
     """One instance's distinct token ids ``u`` (ascending) and the
@@ -377,9 +408,10 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
     """Each instance's ``CountMatrix``.  ``c @ emb[u]`` are its segment
     means and ``c.T @ d_means`` their gradient with respect to ``emb[u]``.
 
-    One sort and one count serve all of ``encs``, but each ``c`` comes from
-    its own instance alone, so an instance encodes bit for bit the same in
-    any batch: a ``u`` shared across the batch would change the products'
+    One pass over the tokens of all of ``encs`` finds the distinct (instance,
+    token id) pairs and one count places every token, but each ``c`` comes
+    from its own instance alone, so an instance encodes bit for bit the same
+    in any batch: a ``u`` shared across the batch would change the products'
     inner dimension, and with it their rounding.  ``c`` is dense, so its
     size grows with the distinct tokens of the instance, which the
     vocabulary bounds (at most about 130 tokens for every model the
@@ -387,28 +419,33 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
     """
     if not encs:
         return []
-    segments = [enc.segments for enc in encs]
-    ids = np.concatenate([tok_ids for tok_ids, _ in segments])
-    seg_lengths = np.concatenate([lengths for _, lengths in segments])
-    n_segs = np.array([lengths.size for _, lengths in segments])
-    inst_of = np.repeat(np.arange(len(encs)), [tok_ids.size for tok_ids, _ in segments])
+    ids = np.concatenate([enc.ids for enc in encs])
+    segment = np.concatenate([enc.segment for enc in encs])
+    n_segs = np.array([1 + enc.n_candidates for enc in encs])
+    inst_of = np.repeat(np.arange(len(encs)), [enc.ids.size for enc in encs])
+    seg_of = (np.cumsum(n_segs) - n_segs)[inst_of] + segment  # each token's segment in the batch
     base = int(ids.max(initial=0)) + 1
-    # distinct (instance, token id) pairs, instance-major; ``column`` places
-    # each token among them
-    keys, column = np.unique(inst_of * base + ids, return_inverse=True)
+    pair = inst_of * base + ids
+    # the distinct (instance, token id) pairs, instance-major, and each
+    # token's place among them: by a table of every pair when that is
+    # small beside the tokens, else by a sort
+    if len(encs) * base <= _PAIRS_PER_TOKEN * ids.size:
+        present = np.zeros(len(encs) * base, dtype=bool)
+        present[pair] = True
+        keys = np.flatnonzero(present)
+        column = (np.cumsum(present) - 1)[pair]
+    else:
+        keys, column = np.unique(pair, return_inverse=True)
     owner, u = np.divmod(keys, base)
     n_u = np.bincount(owner, minlength=len(encs))
     u_start = np.cumsum(n_u) - n_u
-    seg_start = np.cumsum(n_segs) - n_segs
     size = n_segs * n_u
     offset = np.cumsum(size) - size
-    # instance b's counts fill ``counts[offset[b] : offset[b] + size[b]]`` row-major
-    seg_of = np.repeat(np.arange(seg_lengths.size), seg_lengths) - seg_start[inst_of]
-    counts = np.bincount(
-        offset[inst_of] + seg_of * n_u[inst_of] + column - u_start[inst_of],
-        minlength=int(size.sum()),
-    )
-    c = counts / np.repeat(np.maximum(seg_lengths, 1), np.repeat(n_u, n_segs))  # over its segment's length
+    # instance b's matrix fills ``c[offset[b] : offset[b] + size[b]]`` row-major;
+    # a token's entry is its count over its segment's length, and the rest are 0
+    at = offset[inst_of] + segment * n_u[inst_of] + column - u_start[inst_of]
+    c = np.zeros(int(size.sum()))
+    c[at] = np.bincount(at)[at] / np.bincount(seg_of)[seg_of]
     return [
         CountMatrix(u[k0 : k0 + k], c[o : o + s * k].reshape(s, k))
         for k0, k, s, o in zip(*(a.tolist() for a in (u_start, n_u, n_segs, offset)))

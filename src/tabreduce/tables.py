@@ -10,18 +10,19 @@ sufficient for relative length comparisons.
 
 Everything derived from a table's rows comes from one walk over the cells
 of a column subset (``_walk``): the rendered text (``linearize_tables``),
-each row's token count (``row_token_counts``), each row's tokens
-(``row_tokens``) and the texts of the row vocabulary
+each row's token count (``row_token_counts``), each column's header and
+cell token ids (``column_token_ids``) and the texts of the row vocabulary
 (``row_vocabulary_texts``).  The first two walk all of a table's columns,
 and only the first renders rows; the others work from each header and
 distinct cell alone.  A walk fills a memo of its per-cell function that
 outlives it, so that a stage judges each distinct cell once, not once per
 table: the calls that walk many tables (``linearize_tables``,
 ``row_token_counts``, ``row_vocabulary_texts``, ``llm.mock_complete_many``)
-keep one over them, and a vocabulary keeps its own for ``row_tokens``
-(``policy.Vocabulary.cell_ids``).  ``row_token_counts`` is the one count
-behind QA contexts and length buckets (``metrics.bucket_by_length``).  The
-mock reader of ``llm`` reads its visible rows back from the same walk.
+keep one over them, and a vocabulary keeps its own for
+``column_token_ids`` (``policy.Vocabulary.cell_ids``).  ``row_token_counts``
+is the one count behind QA contexts and length buckets
+(``metrics.bucket_by_length``).  The mock reader of ``llm`` reads its
+visible rows back from the same walk.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -314,39 +314,44 @@ def row_token_counts(tables: Sequence[Table]) -> list[list[int]]:
     return [_row_counts(table, runs) if table.n_columns else [] for table in tables]
 
 
-def row_tokens(
+def column_token_ids(
     table: Table,
     column_subset: set[int] | frozenset[int],
     encode: Callable[[str], Sequence],
     ids: dict,
-) -> list[tuple]:
-    """``tuple(encode(text))`` of each row's linearization without its ``Row{i}:``
-    anchor, without rendering: the row policy's candidates.
+) -> list[tuple[tuple, list[tuple], list[int]]]:
+    """The tokens of the row policy's candidates, without rendering: per
+    column of the subset, in table order, ``tuple(encode(header))``, the
+    ``tuple(encode(format_cell(cell)))`` of each of its distinct cells, and
+    each row's index among those.
 
     ``encode`` must be a tokenizer (or token-id lookup) that splits at every
     character outside ``[a-z0-9]``, like ``policy.tokenize``.  Quoting and
     the ``(``, ``,``, ``)``, ``, `` separators then never join or split a
-    token, so a row's tokens are ``encode(header) + encode(value)`` over its
-    columns.  ``ids`` is the memo of ``tuple(encode(text))`` per cell key
-    and header (see ``_walk``); it holds one ``encode``'s ids only, so it
-    belongs to that ``encode`` (``policy.Vocabulary.cell_ids``).
+    token, so a row's tokens in its linearization without its ``Row{i}:``
+    anchor are, column by column, its header's followed by its cell's.
+    ``ids`` is the memo of ``tuple(encode(text))`` per cell key and header
+    (see ``_walk``); it holds one ``encode``'s ids only, so it belongs to
+    that ``encode`` (``policy.Vocabulary.cell_ids``).
     """
 
     def encode_cell(cell: Cell) -> tuple:
         return tuple(encode(format_cell(cell)))
 
-    parts: list = []  # per column, its header's ids beside each row's cell ids
-    for header, keys, _, _ in _walk(table, column_subset, encode_cell, ids):
+    columns = []
+    for header, keys, distinct, _ in _walk(table, column_subset, encode_cell, ids):
         head = ids.get(header)
         if head is None:  # as in _row_counts
             head = ids[header] = tuple(encode(header))
-        parts += (repeat(head), list(map(ids.__getitem__, keys)))
-    return [tuple(chain.from_iterable(row)) for row in zip(*parts)]
+        distinct = list(distinct)
+        index = dict(zip(distinct, range(len(distinct))))
+        columns.append((head, list(map(ids.__getitem__, distinct)), list(map(index.__getitem__, keys))))
+    return columns
 
 
 def row_vocabulary_texts(subsets: Iterable[tuple[Table, set[int] | frozenset[int]]]) -> list[str]:
     """Texts whose tokens are those of the rows of each table over its
-    column subset (see ``row_tokens``): each header and each distinct
+    column subset (see ``column_token_ids``): each header and each distinct
     formatted cell of a table with rows, leaving out a cell text that the
     call's memo (see ``_walk``) holds from an earlier table."""
     texts: dict = {}

@@ -4,10 +4,12 @@ The column policy points at headers; the row policy points at rows rendered
 over an already-reduced column set (gold columns by default, predicted ones
 when chaining stages).  Rows are never rendered for the policy: their token
 ids and the row vocabulary come from each header and distinct cell
-(``tables.row_tokens``, ``tables.row_vocabulary_texts``) and equal those of
-the rendered rows.  Each distinct cell is tokenized once per vocabulary
-(``Vocabulary.cell_ids``) and its text taken once per ``build_vocab``
-(see ``tables._walk``).
+(``tables.column_token_ids``, ``tables.row_vocabulary_texts``) and equal
+those of the rendered rows.  Each distinct cell is tokenized once per
+vocabulary (``Vocabulary.cell_ids``) and its text taken once per
+``build_vocab`` (see ``tables._walk``).  ``encode`` encodes a whole stage,
+or a group of it, in one call: the row candidates of all its instances are
+flattened together, by a fixed number of numpy calls.
 Greedy reductions go through ``policy.greedy_decode``, which steps many
 encoded instances together; recall is ``greedy_recall`` over instances
 encoded once (``labeled_encodings``), as training does at every
@@ -16,6 +18,7 @@ evaluation.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from . import metrics, policy
 from .errors import ConfigError
 from .policy import TARGET_COLUMNS, TARGET_ROWS, TARGETS
-from .tables import Instance, row_tokens, row_vocabulary_texts
+from .tables import Instance, column_token_ids, row_vocabulary_texts
 
 
 def check_target(target: str) -> str:
@@ -78,16 +81,41 @@ def build_vocab(instances: Sequence[Instance], target: str) -> policy.Vocabulary
 
 def encode(
     vocab: policy.Vocabulary,
-    instance: Instance,
+    instances: Sequence[Instance],
     target: str,
-    context_columns: frozenset[int] | None = None,
-) -> policy.EncodedInstance:
-    """The instance as the policy sees it: its question and its candidates
-    (headers, or rows over ``context_columns``, else the gold columns)."""
+    contexts: Sequence[frozenset[int] | None] | None = None,
+) -> list[policy.EncodedInstance]:
+    """The instances as the policy sees them: each one's question and its
+    candidates, the headers (``policy.encode_texts``) or the rows over
+    ``contexts[i]`` (by default, or where it is None, the gold columns).
+
+    Rows are gathered column by column (``tables.column_token_ids``): the
+    segment of row r holds one part with the ids of all the headers and,
+    per column, the ids of its cell's distinct text, each a piece shared by
+    every row that has it.  The parts of all the instances are flattened
+    together (``policy.encode_parts``)."""
     if check_target(target) == TARGET_COLUMNS:
-        return policy.encode_instance(vocab, instance.question, instance.table.columns)
-    rows = row_tokens(instance.table, _row_context(instance, context_columns), vocab.encode, vocab.cell_ids)
-    return policy.EncodedInstance(vocab.encode(instance.question), tuple(rows))
+        return policy.encode_texts(vocab, [(inst.question, inst.table.columns) for inst in instances])
+    pieces: list[tuple] = []  # token-id tuples, each a part of one row or more
+    runs: list[tuple[int, int, int]] = []  # per run of parts: its first piece, its parts, its first segment
+    local: list[int] = []  # each part's piece, counted from its run's first piece
+    shapes = []
+    for inst, context in zip(instances, [None] * len(instances) if contexts is None else contexts, strict=True):
+        columns = column_token_ids(inst.table, _row_context(inst, context), vocab.encode, vocab.cell_ids)
+        n_rows = inst.table.n_rows
+        runs += [(len(pieces), 1, 0), (len(pieces) + 1, n_rows, 1)]  # the question; the headers of each row
+        local += [0] * (1 + n_rows)
+        pieces += [vocab.encode(inst.question), tuple(chain.from_iterable(head for head, _, _ in columns))]
+        for _, distinct, rows in columns:  # each row's cell
+            runs.append((len(pieces), n_rows, 1))
+            local += rows
+            pieces += distinct
+        shapes.append((1 + n_rows * (1 + len(columns)), n_rows))
+    # part k of a run is its piece ``first + local`` in segment ``first_segment + k``
+    first, length, first_segment = np.array(runs, dtype=np.intp).reshape(-1, 3).T
+    piece_of = np.fromiter(local, dtype=np.intp, count=len(local)) + np.repeat(first, length)
+    segment_of = np.arange(len(local)) - np.repeat(np.cumsum(length) - length - first_segment, length)
+    return policy.encode_parts(pieces, piece_of, segment_of, shapes)
 
 
 def labeled_encodings(
@@ -96,14 +124,8 @@ def labeled_encodings(
     target: str,
 ) -> tuple[list[policy.EncodedInstance], list[frozenset[int]]]:
     """Encodings and gold items of the instances with gold labels for the target."""
-    encs: list[policy.EncodedInstance] = []
-    golds: list[frozenset[int]] = []
-    for inst in instances:
-        gold = gold_items(inst, target)
-        if gold is not None:
-            encs.append(encode(vocab, inst, target))
-            golds.append(gold)
-    return encs, golds
+    labeled = [(inst, gold) for inst in instances if (gold := gold_items(inst, target)) is not None]
+    return encode(vocab, [inst for inst, _ in labeled], target), [gold for _, gold in labeled]
 
 
 def greedy_recall(

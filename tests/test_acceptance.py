@@ -19,6 +19,7 @@ import pytest
 from tabreduce import annotate, cli, dataio, llm, metrics, policy, sql, tasks, training
 from tabreduce.tables import Reduction, project, row_token_counts
 
+from encoded_instances import encoded
 from test_sql import naive_execute, random_query, random_table
 
 
@@ -145,12 +146,9 @@ def _fixture_instance(rng):
     words = ["ant", "bee", "cat", "dog", "elk", "fox", "gnu", "hen"]
     vocab = policy.Vocabulary(tuple(words))
     n_cands = rng.integers(2, 5)
-    enc = policy.EncodedInstance(
-        question_ids=tuple(int(rng.integers(1, len(words) + 1)) for _ in range(4)),
-        candidate_ids=tuple(
-            tuple(int(rng.integers(0, len(words) + 1)) for _ in range(2))
-            for _ in range(n_cands)
-        ),
+    enc = encoded(
+        [int(rng.integers(1, len(words) + 1)) for _ in range(4)],
+        [[int(rng.integers(0, len(words) + 1)) for _ in range(2)] for _ in range(n_cands)],
     )
     k = int(rng.integers(1, n_cands + 1))
     gold = tuple(sorted(rng.choice(n_cands, size=k, replace=False).tolist())) + (policy.STOP,)
@@ -325,14 +323,12 @@ def test_10_length_bucket_stability():
         return [float(np.mean(v)) for v in per_bucket.values()]
 
     def policy_reductions():
-        cols = policy.greedy_decode(
-            col_params, [tasks.encode(vocab_c, inst, "columns") for inst in test_ok]
-        ).selected
+        cols = policy.greedy_decode(col_params, tasks.encode(vocab_c, test_ok, "columns")).selected
         with_cols = [k for k, c in enumerate(cols) if c]
         rows = [frozenset()] * len(test_ok)
-        decoded = policy.greedy_decode(row_params, [
-            tasks.encode(vocab_r, test_ok[k], "rows", context_columns=cols[k]) for k in with_cols
-        ])
+        decoded = policy.greedy_decode(row_params, tasks.encode(
+            vocab_r, [test_ok[k] for k in with_cols], "rows", [cols[k] for k in with_cols]
+        ))
         for k, r in zip(with_cols, decoded.selected):
             rows[k] = r
         return [Reduction(c, r) for c, r in zip(cols, rows)]

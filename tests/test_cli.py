@@ -502,14 +502,12 @@ class TestEvalAndReduce:
         # first and then rows over the predicted columns, whatever the grouping
         col_params, _ = policy.load_params(sft_dir / "model.json")
         row_params, _ = policy.load_params(row_dir / "model.json")
-        pred_cols = policy.greedy_decode(
-            col_params, [tasks.encode(col_params.vocab, inst, "columns") for inst in instances]
-        ).selected
+        pred_cols = policy.greedy_decode(col_params, tasks.encode(col_params.vocab, instances, "columns")).selected
         with_cols = [k for k, cols in enumerate(pred_cols) if cols]
         pred_rows = [frozenset()] * len(instances)
-        row_decode = policy.greedy_decode(row_params, [
-            tasks.encode(row_params.vocab, instances[k], "rows", pred_cols[k]) for k in with_cols
-        ])
+        row_decode = policy.greedy_decode(row_params, tasks.encode(
+            row_params.vocab, [instances[k] for k in with_cols], "rows", [pred_cols[k] for k in with_cols]
+        ))
         for k, rows in zip(with_cols, row_decode.selected):
             pred_rows[k] = rows
         steps = 0

@@ -12,14 +12,13 @@ from tabreduce import policy
 from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.policy import (
     STOP,
-    EncodedInstance,
     PolicyParams,
     PpoBatch,
     Vocabulary,
     apply_top_p_mask,
     build_vocabulary,
     count_matrices,
-    encode_instance,
+    encode_texts,
     finite_difference_error,
     forward,
     grad_check,
@@ -33,6 +32,7 @@ from tabreduce.policy import (
     sft_loss_and_grad,
     tokenize,
 )
+from encoded_instances import encoded
 from test_policy_batched import params_equal, traces
 
 
@@ -43,7 +43,7 @@ def tiny_vocab():
 def tiny_enc(n_candidates=2):
     vocab = tiny_vocab()
     texts = ["alpha", "beta", "gamma", "delta"][:n_candidates]
-    return vocab, encode_instance(vocab, "what is alpha", texts)
+    return vocab, encode_texts(vocab, [("what is alpha", texts)])[0]
 
 
 def sample(params, enc, reference=None, *, rng, top_p):
@@ -297,7 +297,7 @@ class TestSequenceLogprob:
 
     def test_hand_computed_d2(self):
         vocab = Vocabulary(("a", "b"))
-        enc = EncodedInstance(question_ids=(1,), candidate_ids=((2,),))
+        enc = encoded((1,), [(2,)])
         params = PolicyParams.zeros(vocab, 2)
         params.emb = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -1.0]])
         params.score_q = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -360,7 +360,7 @@ class TestValueHead:
     def test_linear_and_hand_computed(self):
         # q = emb[1] = (2, 1) and the one candidate's v = emb[2] = (4, -1)
         vocab = Vocabulary(("a", "b"))
-        enc = EncodedInstance(question_ids=(1,), candidate_ids=((2,),))
+        enc = encoded((1,), [(2,)])
         params = PolicyParams.zeros(vocab, 2)
         params.emb = np.array([[0.0, 0.0], [2.0, 1.0], [4.0, -1.0]])
         params.value_q = np.array([1.0, -2.0])
@@ -632,7 +632,7 @@ class TestSerialization:
 def test_mean_embedding_empty_is_zero():
     params = PolicyParams.zeros(tiny_vocab(), 4)
     params.emb = np.ones_like(params.emb)
-    (matrix,) = count_matrices([EncodedInstance(question_ids=(), candidate_ids=((1,), ()))])
+    (matrix,) = count_matrices([encoded((), [(1,), ()])])
     means = matrix.means(params.emb)
     assert np.all(means[0] == 0)
     assert means[1:].tolist() == [[1.0] * 4, [0.0] * 4]

@@ -60,6 +60,7 @@ from tabreduce.policy import (
     PpoStats,
     zero_grads,
 )
+from encoded_instances import encoded, segment_ids
 from test_render_fast import oracle_row_pairs
 
 TOLERANCE = 1e-10
@@ -126,9 +127,10 @@ class _Encoder:
         if means is not None:
             self.q, self.v = means[0], means[1:]
         else:
-            self.q = mean_embedding(params.emb, enc.question_ids)
+            question_ids, *candidate_ids = segment_ids(enc)
+            self.q = mean_embedding(params.emb, question_ids)
             self.v = np.stack(
-                [mean_embedding(params.emb, ids) for ids in enc.candidate_ids]
+                [mean_embedding(params.emb, ids) for ids in candidate_ids]
             ) if enc.n_candidates else np.zeros((0, params.dim))
         self._selected: list[int] = []
         self.h = np.zeros(params.dim)
@@ -275,9 +277,10 @@ def accumulate_episode_grads(
     to ``grads``.  Backpropagates through scores, encodings, the shared
     history mean, and down to the token embeddings.
     """
-    q = mean_embedding(params.emb, enc.question_ids)
+    question_ids, *candidate_ids = segment_ids(enc)
+    q = mean_embedding(params.emb, question_ids)
     v = np.stack(
-        [mean_embedding(params.emb, ids) for ids in enc.candidate_ids]
+        [mean_embedding(params.emb, ids) for ids in candidate_ids]
     ) if enc.n_candidates else np.zeros((0, params.dim))
 
     dq = np.zeros(params.dim)
@@ -331,11 +334,11 @@ def accumulate_episode_grads(
             for cand in selected:
                 dv[cand] += share
 
-    if enc.question_ids and dq.any():
-        per_token = dq / len(enc.question_ids)
-        for tok in enc.question_ids:
+    if question_ids and dq.any():
+        per_token = dq / len(question_ids)
+        for tok in question_ids:
             grads["emb"][tok] += per_token
-    for cand, ids in enumerate(enc.candidate_ids):
+    for cand, ids in enumerate(candidate_ids):
         if ids and dv[cand].any():
             per_token = dv[cand] / len(ids)
             for tok in ids:
@@ -503,10 +506,7 @@ def random_instance(rng, n_candidates: int, question_len: int | None = None) -> 
     if question_len is None:
         question_len = int(rng.integers(1, 7))
     tokens = lambda k: tuple(int(t) for t in rng.integers(0, VOCAB.size, size=k))
-    return EncodedInstance(
-        question_ids=tokens(question_len),
-        candidate_ids=tuple(tokens(int(rng.integers(0, 5))) for _ in range(n_candidates)),
-    )
+    return encoded(tokens(question_len), [tokens(int(rng.integers(0, 5))) for _ in range(n_candidates)])
 
 
 def random_actions(rng, n_candidates: int, max_picks: int = 6) -> tuple[int, ...]:
@@ -696,7 +696,7 @@ def assert_layout_matches_oracle(params, batch) -> None:
 
 
 def test_unavailable_action_rejected():
-    enc = EncodedInstance(question_ids=(1,), candidate_ids=((2,), (3,)))
+    enc = encoded((1,), [(2,), (3,)])
     params = random_params(0)
     for actions in ((0, 0, STOP), (2, STOP), (-2, STOP), (1, 0, 1)):
         with pytest.raises(ValueError, match="not available"):
@@ -704,7 +704,7 @@ def test_unavailable_action_rejected():
         with pytest.raises(ValueError, match="not available"):
             forward_of(params, [enc], policy.pad_actions([actions]))
     # a bad action in any row of a minibatch
-    other = EncodedInstance(question_ids=(1,), candidate_ids=((2,),) * 4)
+    other = encoded((1,), [(2,)] * 4)
     with pytest.raises(ValueError, match="action 3 not available"):
         forward_of(params, [other, enc], policy.pad_actions([(3, STOP), (0, 3, STOP)]))
 
@@ -747,7 +747,7 @@ def test_greedy_reduction_bit_identical(target):
                   else [oracle_row_pairs(inst.table, row, sorted(context)) for row in inst.table.rows])
     vocab = policy.build_vocabulary(texts)
     params = policy.init_params(vocab, 16, seed=7)
-    encs = [tasks.encode(vocab, inst, target, context) for inst in instances]
+    encs = tasks.encode(vocab, instances, target, [context] * len(instances))
     expected = [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]
     assert policy.greedy_decode(params, encs).selected == expected
 
@@ -767,7 +767,7 @@ def tie_prone_instances(rng, count: int) -> list[EncodedInstance]:
             a, b = rng.choice(n, 2, replace=False)
             copy = candidates[a] if rng.random() < 0.4 else rng.permutation(candidates[a])
             candidates[b] = tuple(int(t) for t in copy)
-        instances.append(EncodedInstance(tokens(int(rng.integers(0, 7))), tuple(candidates)))
+        instances.append(encoded(tokens(int(rng.integers(0, 7))), candidates))
     return instances
 
 

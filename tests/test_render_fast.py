@@ -18,18 +18,19 @@ import re
 
 import pytest
 
+from encoded_instances import assert_same_matrices
 from tabreduce import llm, metrics, policy, tasks
 from tabreduce.tables import (
     Instance,
     Reduction,
     Table,
     _row_counts,
+    column_token_ids,
     count_tokens,
     format_cell,
     linearize_tables,
     project,
     row_token_counts,
-    row_tokens,
     row_vocabulary_texts,
 )
 
@@ -169,6 +170,14 @@ def random_subset(rng, n_cols):
 SEEDS = range(6)
 
 
+def row_ids(table, cols, encode, ids):
+    """Each row's token ids put back together from ``column_token_ids``:
+    per column, its header's and then its cell's."""
+    columns = column_token_ids(table, cols, encode, ids)
+    return [tuple(tok for head, distinct, index in columns for tok in head + distinct[index[r]])
+            for r in range(table.n_rows)]
+
+
 def check_against_oracle(table, cols):
     """Rendering, count, row ids and row vocabulary of ``table`` over
     ``cols``, and what ``tasks`` and ``metrics`` make of them, against the
@@ -183,15 +192,15 @@ def check_against_oracle(table, cols):
 
     vocab = policy.build_vocabulary(rows)
     assert policy.build_vocabulary(row_vocabulary_texts([(table, cols)])) == vocab
-    assert row_tokens(table, cols, vocab.encode, {}) == [vocab.encode(t) for t in rows]
-    assert row_tokens(table, cols, policy.tokenize, {}) == [tuple(policy.tokenize(t)) for t in rows]
+    assert row_ids(table, cols, vocab.encode, {}) == [vocab.encode(t) for t in rows]
+    assert row_ids(table, cols, policy.tokenize, {}) == [tuple(policy.tokenize(t)) for t in rows]
     # with some tokens out of the vocabulary
     partial = policy.build_vocabulary(rows[: len(rows) // 2])
-    assert row_tokens(table, cols, partial.encode, {}) == [partial.encode(t) for t in rows]
+    assert row_ids(table, cols, partial.encode, {}) == [partial.encode(t) for t in rows]
 
     inst = Instance(id="i", question="Which q?", table=table, relevant_columns=frozenset(cols))
     assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["Which q?", *rows])
-    assert tasks.encode(partial, inst, "rows") == policy.encode_instance(partial, "Which q?", rows)
+    assert_same_matrices(tasks.encode(partial, [inst], "rows"), policy.encode_texts(partial, [("Which q?", rows)]))
     length = count_tokens(oracle_linearize(table, range(table.n_columns)))
     assert metrics.bucket_by_length([inst], [-1, length, length + 1]) == [1]  # whole table, exactly
 
@@ -247,7 +256,7 @@ def test_equal_keys_of_other_types_render_apart():
     )
     vocab = policy.build_vocabulary(["v 1 true 0 false 1 5"])
     v, one, true, zero, false, five = map(vocab.encode, ["v", "1", "true", "0", "false", "5"])
-    assert row_tokens(table, {0}, vocab.encode, {}) == [
+    assert row_ids(table, {0}, vocab.encode, {}) == [
         v + one, v + one, v + true, v + zero, v + false, v + zero, v + one + five, v
     ]
     check_against_oracle(table, {0})
@@ -258,7 +267,8 @@ def test_zero_rows_and_zero_columns():
     vocab = policy.build_vocabulary(["a b"])
     assert linearize_tables([table]) == [""]
     assert row_token_counts([table]) == [[]]
-    assert row_tokens(table, {1}, vocab.encode, {}) == []
+    assert row_ids(table, {1}, vocab.encode, {}) == []
+    assert column_token_ids(table, {1}, vocab.encode, {}) == [(vocab.encode("b"), [], [])]
     assert row_vocabulary_texts([(table, {0, 1})]) == []
     check_against_oracle(table, {0, 1})
     empty = Table((), ((), ()))
@@ -417,7 +427,7 @@ def test_batch_memos_match_fresh_walks(seed):
     batch.pop()
     vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
     for table, cols in batch:
-        assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {}) == [
+        assert row_ids(table, cols, vocab.encode, vocab.cell_ids) == row_ids(table, cols, vocab.encode, {}) == [
             vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
         ]
     texts = row_vocabulary_texts(batch)
@@ -453,7 +463,7 @@ def test_memo_of_tables_sharing_no_cell_stays_small():
     runs, read, largest = {}, {}, 0
     for table in tables:
         assert _row_counts(table, runs) == _row_counts(table, {})
-        assert row_tokens(table, cols, vocab.encode, vocab.cell_ids) == row_tokens(table, cols, vocab.encode, {})
+        assert row_ids(table, cols, vocab.encode, vocab.cell_ids) == row_ids(table, cols, vocab.encode, {})
         assert same_table(visible_table("q?", table, 10**6, read), visible_table("q?", table, 10**6))
         largest = max(largest, len(runs), len(vocab.cell_ids), len(read))
     assert largest <= 2 * (15 + 3)
@@ -478,8 +488,9 @@ def test_vocabularies_never_share_cell_ids():
     for _ in range(40):
         vocab = policy.build_vocabulary(rng.sample(words, rng.randint(1, len(words))))
         assert not vocab.cell_ids
-        assert tasks.encode(vocab, inst, "rows") == policy.encode_instance(vocab, "which city?", rows)
-        assert tasks.encode(vocab, inst, "rows") == policy.encode_instance(vocab, "which city?", rows)
+        expected = policy.encode_texts(vocab, [("which city?", rows)])
+        assert_same_matrices(tasks.encode(vocab, [inst], "rows"), expected)
+        assert_same_matrices(tasks.encode(vocab, [inst], "rows"), expected)
         del vocab
     first, second = policy.build_vocabulary(["city athens"]), policy.build_vocabulary(["city athens"])
     assert first == second and first.cell_ids is not second.cell_ids

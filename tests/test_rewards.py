@@ -126,7 +126,7 @@ class TestShapedReward:
         # the episode's advantages is where it is rejected
         vocab = policy.build_vocabulary(["q", "a", "b"])
         params = policy.init_params(vocab, 4, seed=0)
-        enc = policy.encode_instance(vocab, "q", ["a", "b"])
+        enc = policy.encode_texts(vocab, [("q", ["a", "b"])])[0]
         uniforms = np.random.default_rng(0).random((1, 3))
         matrices = policy.count_matrices([enc])
         sampled = policy.sample_episodes(params, params, matrices, uniforms)

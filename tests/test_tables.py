@@ -10,13 +10,13 @@ from tabreduce.tables import (
     Instance,
     Reduction,
     Table,
+    column_token_ids,
     count_tokens,
     format_cell,
     linearize_tables,
     make_table,
     project,
     row_token_counts,
-    row_tokens,
     row_vocabulary_texts,
     table_fingerprint,
     validate_table,
@@ -152,12 +152,14 @@ class TestLinearize:
         with pytest.raises(EmptySelectionError):
             vocabulary_texts(olympics(), set())
         with pytest.raises(EmptySelectionError):
-            row_tokens(olympics(), set(), str.split, {})
+            column_token_ids(olympics(), set(), str.split, {})
 
     def test_column_out_of_range_raises(self):
         for derived in (linearize, vocabulary_texts):
             with pytest.raises(IndexError):
                 derived(olympics(), {0, 9})
+        with pytest.raises(IndexError):
+            column_token_ids(olympics(), {0, 9}, str.split, {})
 
     def test_pair_counts(self):
         table = make_table(

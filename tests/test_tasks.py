@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from encoded_instances import assert_same_matrices, encoded, segments
 from tabreduce import dataio, policy, tasks
 from tabreduce.errors import ConfigError
 from tabreduce.tables import Instance, make_table
@@ -35,9 +36,10 @@ class TestCandidates:
     def test_column_candidates_are_headers(self):
         inst = annotated_instance()
         vocab = self.vocab()
-        enc = tasks.encode(vocab, inst, "columns")
-        assert enc.question_ids == vocab.encode("which city in 2008?")
-        assert enc.candidate_ids == tuple(vocab.encode(h) for h in ["year", "city", "noise"])
+        (enc,) = tasks.encode(vocab, [inst], "columns")
+        assert segments(enc) == segments(
+            encoded(vocab.encode("which city in 2008?"), [vocab.encode(h) for h in ["year", "city", "noise"]])
+        )
 
     def test_column_candidates_tokenize_each_header_once(self, monkeypatch):
         """Header ids come from the vocabulary's memo: each distinct header
@@ -46,8 +48,7 @@ class TestCandidates:
         insts = dataio.generate_synthetic(dataio.SynthConfig(n_instances=60, seed=4))
         vocab = tasks.build_vocab(insts, "columns")
         expected = [
-            policy.EncodedInstance(vocab.encode(inst.question),
-                                   tuple(vocab.encode(h) for h in inst.table.columns))
+            segments(encoded(vocab.encode(inst.question), [vocab.encode(h) for h in inst.table.columns]))
             for inst in insts
         ]
         headers = {h for inst in insts for h in inst.table.columns}
@@ -62,7 +63,7 @@ class TestCandidates:
         monkeypatch.setattr(policy.Vocabulary, "encode", counting)
         for vocabulary in (vocab, tasks.build_vocab(insts, "columns")):
             calls.clear()
-            assert [tasks.encode(vocabulary, inst, "columns") for inst in insts] == expected
+            assert list(map(segments, tasks.encode(vocabulary, insts, "columns"))) == expected
             questions = Counter(inst.question for inst in insts)
             assert calls == questions + Counter(headers)
             assert vocabulary.cell_ids.keys() == headers
@@ -70,23 +71,27 @@ class TestCandidates:
     def test_row_candidates_use_gold_columns_by_default(self):
         inst = annotated_instance()
         vocab = self.vocab()
-        enc = tasks.encode(vocab, inst, "rows")
-        assert enc.candidate_ids == (
-            vocab.encode("(year,2004), (city,athens)"), vocab.encode("(year,2008), (city,beijing)")
-        )
+        (enc,) = tasks.encode(vocab, [inst], "rows")
+        assert segments(enc)[1:] == [
+            tuple(sorted(vocab.encode("(year,2004), (city,athens)"))),
+            tuple(sorted(vocab.encode("(year,2008), (city,beijing)"))),
+        ]
 
     def test_row_candidates_accept_predicted_columns(self):
         inst = annotated_instance()
         vocab = self.vocab()
-        enc = tasks.encode(vocab, inst, "rows", context_columns=frozenset({1, 2}))
-        assert enc.candidate_ids[1] == vocab.encode("(city,beijing), (noise,y)")
+        (enc,) = tasks.encode(vocab, [inst], "rows", [frozenset({1, 2})])
+        assert segments(enc)[2] == tuple(sorted(vocab.encode("(city,beijing), (noise,y)")))
         # "x" is out of the vocabulary
-        assert enc.candidate_ids[0] == vocab.encode("city athens noise") + (0,)
+        assert segments(enc)[1] == tuple(sorted(vocab.encode("city athens noise") + (0,)))
+        # a context of None is the gold columns
+        both = tasks.encode(vocab, [inst, inst], "rows", [None, frozenset({1, 2})])
+        assert_same_matrices(both, tasks.encode(vocab, [inst], "rows") + [enc])
 
     def test_rows_without_columns_rejected(self):
         inst = Instance(id="x", question="q", table=make_table(["a"], [[1]]), answers=("1",))
         with pytest.raises(ConfigError):
-            tasks.encode(self.vocab(), inst, "rows")
+            tasks.encode(self.vocab(), [inst], "rows")
         with pytest.raises(ConfigError):
             tasks.build_vocab([inst], "rows")
 
@@ -94,7 +99,7 @@ class TestCandidates:
         with pytest.raises(ConfigError):
             tasks.check_target("cells")
         with pytest.raises(ConfigError):
-            tasks.encode(self.vocab(), annotated_instance(), "cells")
+            tasks.encode(self.vocab(), [annotated_instance()], "cells")
         with pytest.raises(ConfigError):
             tasks.build_vocab([annotated_instance()], "cells")
 
@@ -122,9 +127,9 @@ class TestGreedyEvaluate:
         inst = annotated_instance()
         vocab = tasks.build_vocab([inst], "columns")
         params = policy.init_params(vocab, 8, seed=0)
-        enc = tasks.encode(vocab, inst, "columns")
-        r1 = policy.greedy_decode(params, [enc]).selected
-        r2 = policy.greedy_decode(params, [enc]).selected
+        encs = tasks.encode(vocab, [inst], "columns")
+        r1 = policy.greedy_decode(params, encs).selected
+        r2 = policy.greedy_decode(params, encs).selected
         assert r1 == r2
 
     def test_greedy_recall_bounds(self):

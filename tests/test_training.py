@@ -19,6 +19,7 @@ from tabreduce.training import (
     train_sft,
     update_beta,
 )
+from encoded_instances import encoded
 from test_policy_batched import mixed_batch, params_equal, random_instance, random_params, traces
 
 
@@ -128,7 +129,7 @@ class TestAdvantages:
         return Rollout(policy.count_matrices(encs), episodes, task, pad(step_rewards))
 
     def test_single_step_advantage(self):
-        enc = policy.EncodedInstance((1,), ())
+        enc = encoded((1,))
         rollout = self.rollout_from([enc], [(policy.STOP,)], [[0.5]], [[2.0]])
         batch = compute_advantages(rollout)
         # one step: raw advantage 2.0 - 0.5, normalized to 0 (single sample)
@@ -136,12 +137,12 @@ class TestAdvantages:
         assert batch.advantages[0, 0] == pytest.approx(0.0)
 
     def test_constant_rewards_normalize_to_zero(self):
-        enc = policy.EncodedInstance((1,), ())
+        enc = encoded((1,))
         rollout = self.rollout_from([enc] * 4, [(policy.STOP,)] * 4, [[0.0]] * 4, [[1.0]] * 4)
         assert np.allclose(compute_advantages(rollout).advantages, 0.0)
 
     def test_two_step_hand_computed(self):
-        enc = policy.EncodedInstance((1,), ((2,),))
+        enc = encoded((1,), [(2,)])
         rollout = self.rollout_from([enc], [(0, policy.STOP)], [[0.25, -0.5]], [[-0.1, 3.0]])
         batch = compute_advantages(rollout)
         assert batch.returns[0].tolist() == pytest.approx([2.9, 3.0])
@@ -151,7 +152,7 @@ class TestAdvantages:
 
     def test_padded_steps_read_zero(self):
         # the short episode's padded step takes no part in the normalization
-        encs = [policy.EncodedInstance((1,), ((2,),))] * 2
+        encs = [encoded((1,), [(2,)])] * 2
         rollout = self.rollout_from(
             encs, [(0, policy.STOP), (policy.STOP,)], [[0.0, 1.0], [2.0]], [[1.0, 1.0], [5.0]]
         )
@@ -164,7 +165,7 @@ class TestAdvantages:
         assert batch.old_logps.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_discount_applied(self):
-        enc = policy.EncodedInstance((1,), ((2,),))
+        enc = encoded((1,), [(2,)])
         rollout = self.rollout_from([enc], [(0, policy.STOP)], [[0.0, 0.0]], [[1.0, 1.0]])
         batch = compute_advantages(rollout, discount=0.5)
         assert batch.returns[0].tolist() == pytest.approx([1.5, 1.0])
@@ -215,7 +216,7 @@ def build_state(instances, target="columns", seed=0, beta=0.2):
     usable = tasks.trainable(instances, target)
     vocab = tasks.build_vocab(usable, target)
     params = policy.init_params(vocab, dim=16, seed=seed)
-    encs = [tasks.encode(vocab, inst, target) for inst in usable]
+    encs = tasks.encode(vocab, usable, target)
     golds = [tasks.gold_items(inst, target) for inst in usable]
     state = TrainState(
         current=params.copy(),
