@@ -138,26 +138,36 @@ class EncodedInstance:
 
 def encode_parts(
     pieces: Sequence[Sequence[int]],
-    piece_of: np.ndarray,
-    segment_of: np.ndarray,
+    runs: Sequence[tuple[int, Sequence[int], int]],
     shapes: Sequence[tuple[int, int]],
 ) -> list[EncodedInstance]:
-    """Instances made of parts, each a token-id tuple of ``pieces``: part i
-    is ``pieces[piece_of[i]]`` and lies in segment ``segment_of[i]`` of its
-    instance, which may span several parts in any order.  ``shapes`` gives
-    each instance's number of parts, which follow those of the instance
+    """Instances made of parts, each a token-id tuple of ``pieces``, laid
+    out in runs ``(first, local, first_segment)``: part k of a run is
+    ``pieces[first + local[k]]`` and lies in segment ``first_segment + k``
+    of its instance, which may span several runs in any order.  ``shapes``
+    gives each instance's number of runs, which follow those of the instance
     before it, and of candidates.  A fixed number of numpy calls flattens
     all the instances, whose arrays are views of two arrays over them all;
-    only the pieces' tokens are read one by one."""
+    only the pieces' tokens and the runs' local indices are read one by
+    one."""
+    first, length, first_segment = np.array(
+        [(start, len(local), segment) for start, local, segment in runs], dtype=np.intp
+    ).reshape(-1, 3).T
+    run_start = np.cumsum(length) - length
+    n_parts = int(length.sum())
+    local = np.fromiter(itertools.chain.from_iterable(local for _, local, _ in runs), dtype=np.intp, count=n_parts)
+    piece_of = local + np.repeat(first, length)
+    segment_of = np.arange(n_parts) - np.repeat(run_start - first_segment, length)
     piece_len = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
     piece_start = np.cumsum(piece_len) - piece_len
     tokens = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.intp, count=int(piece_len.sum()))
     part_len = piece_len[piece_of]
-    ends = np.zeros(part_len.size + 1, dtype=np.intp)  # token offset of each part, then the total
+    ends = np.zeros(n_parts + 1, dtype=np.intp)  # token offset of each part, then the total
     np.cumsum(part_len, out=ends[1:])
     ids = tokens[np.repeat(piece_start[piece_of] - ends[:-1], part_len) + np.arange(ends[-1])]
     segment = np.repeat(segment_of, part_len)
-    bounds = ends[list(itertools.accumulate((n for n, _ in shapes), initial=0))].tolist()
+    run_bounds = list(itertools.accumulate((n for n, _ in shapes), initial=0))
+    bounds = ends[np.append(run_start, n_parts)[run_bounds]].tolist()
     return [
         EncodedInstance(ids[start:stop], segment[start:stop], n_candidates)
         for start, stop, (_, n_candidates) in zip(bounds, bounds[1:], shapes)
@@ -166,24 +176,23 @@ def encode_parts(
 
 def encode_texts(vocab: Vocabulary, instances: Iterable[tuple[str, Sequence[str]]]) -> list[EncodedInstance]:
     """Each ``(question, candidate texts)`` pair as an ``EncodedInstance``,
-    all flattened together (``encode_parts``), each distinct candidate text
-    tokenized once per vocabulary (``Vocabulary.cell_ids``): column
-    candidates."""
+    all flattened together (``encode_parts``, one run per instance), each
+    distinct candidate text tokenized once per vocabulary
+    (``Vocabulary.cell_ids``): column candidates."""
     memo = vocab.cell_ids
     pieces: list[tuple[int, ...]] = []
-    segment_of: list[int] = []
+    runs = []
     shapes = []
     for question, texts in instances:
+        runs.append((len(pieces), range(1 + len(texts)), 0))
         pieces.append(vocab.encode(question))
         for text in texts:
             ids = memo.get(text)
             if ids is None:
                 ids = memo[text] = vocab.encode(text)
             pieces.append(ids)
-        segment_of += range(1 + len(texts))
-        shapes.append((1 + len(texts), len(texts)))
-    order = np.arange(len(pieces))
-    return encode_parts(pieces, order, np.array(segment_of, dtype=np.intp), shapes)
+        shapes.append((1, len(texts)))
+    return encode_parts(pieces, runs, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +388,6 @@ def load_params(path) -> tuple[PolicyParams, str]:
 # tables.
 _SEGMENT_BLOCK = 1024
 
-# ``_count_matrices`` finds distinct (instance, token id) pairs in a table
-# of every pair while it has at most this many entries per token.
-_PAIRS_PER_TOKEN = 8
-
 
 class CountMatrix(NamedTuple):
     """One instance's distinct token ids ``u`` (ascending) and the
@@ -408,7 +413,7 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
     """Each instance's ``CountMatrix``.  ``c @ emb[u]`` are its segment
     means and ``c.T @ d_means`` their gradient with respect to ``emb[u]``.
 
-    One pass over the tokens of all of ``encs`` finds the distinct (instance,
+    One sort of the tokens of all of ``encs`` finds the distinct (instance,
     token id) pairs and one count places every token, but each ``c`` comes
     from its own instance alone, so an instance encodes bit for bit the same
     in any batch: a ``u`` shared across the batch would change the products'
@@ -427,15 +432,8 @@ def _count_matrices(encs: Sequence[EncodedInstance]) -> list[CountMatrix]:
     base = int(ids.max(initial=0)) + 1
     pair = inst_of * base + ids
     # the distinct (instance, token id) pairs, instance-major, and each
-    # token's place among them: by a table of every pair when that is
-    # small beside the tokens, else by a sort
-    if len(encs) * base <= _PAIRS_PER_TOKEN * ids.size:
-        present = np.zeros(len(encs) * base, dtype=bool)
-        present[pair] = True
-        keys = np.flatnonzero(present)
-        column = (np.cumsum(present) - 1)[pair]
-    else:
-        keys, column = np.unique(pair, return_inverse=True)
+    # token's place among them
+    keys, column = np.unique(pair, return_inverse=True)
     owner, u = np.divmod(keys, base)
     n_u = np.bincount(owner, minlength=len(encs))
     u_start = np.cumsum(n_u) - n_u

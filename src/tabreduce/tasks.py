@@ -97,25 +97,18 @@ def encode(
     if check_target(target) == TARGET_COLUMNS:
         return policy.encode_texts(vocab, [(inst.question, inst.table.columns) for inst in instances])
     pieces: list[tuple] = []  # token-id tuples, each a part of one row or more
-    runs: list[tuple[int, int, int]] = []  # per run of parts: its first piece, its parts, its first segment
-    local: list[int] = []  # each part's piece, counted from its run's first piece
+    runs: list[tuple] = []  # per run of parts: its first piece, each part's piece from there, its first segment
     shapes = []
     for inst, context in zip(instances, [None] * len(instances) if contexts is None else contexts, strict=True):
         columns = column_token_ids(inst.table, _row_context(inst, context), vocab.encode, vocab.cell_ids)
         n_rows = inst.table.n_rows
-        runs += [(len(pieces), 1, 0), (len(pieces) + 1, n_rows, 1)]  # the question; the headers of each row
-        local += [0] * (1 + n_rows)
+        runs += [(len(pieces), (0,), 0), (len(pieces) + 1, (0,) * n_rows, 1)]  # the question; the headers of each row
         pieces += [vocab.encode(inst.question), tuple(chain.from_iterable(head for head, _, _ in columns))]
         for _, distinct, rows in columns:  # each row's cell
-            runs.append((len(pieces), n_rows, 1))
-            local += rows
+            runs.append((len(pieces), rows, 1))
             pieces += distinct
-        shapes.append((1 + n_rows * (1 + len(columns)), n_rows))
-    # part k of a run is its piece ``first + local`` in segment ``first_segment + k``
-    first, length, first_segment = np.array(runs, dtype=np.intp).reshape(-1, 3).T
-    piece_of = np.fromiter(local, dtype=np.intp, count=len(local)) + np.repeat(first, length)
-    segment_of = np.arange(len(local)) - np.repeat(np.cumsum(length) - length - first_segment, length)
-    return policy.encode_parts(pieces, piece_of, segment_of, shapes)
+        shapes.append((2 + len(columns), n_rows))
+    return policy.encode_parts(pieces, runs, shapes)
 
 
 def labeled_encodings(

@@ -77,10 +77,8 @@ def assert_matrix(matrix, expected):
     assert matrix.c.shape == c.shape and matrix.c.tobytes() == c.tobytes()
 
 
-@pytest.mark.parametrize("pairs_per_token", [0, 8, 10**9])  # by a sort; as the policy runs; by the table
 @pytest.mark.parametrize("seed", range(4))
-def test_count_matrices_match_tokenized_rendering(monkeypatch, seed, pairs_per_token):
-    monkeypatch.setattr(policy, "_PAIRS_PER_TOKEN", pairs_per_token)
+def test_count_matrices_match_tokenized_rendering(seed):
     rng = random.Random(seed)
     instances, contexts = random_instances(rng, 60)
     # some words of the tables and questions are out of the vocabulary
@@ -98,13 +96,10 @@ def test_count_matrices_match_tokenized_rendering(monkeypatch, seed, pairs_per_t
     assert any(len(seg) == 0 for inst, ctx in zip(instances, contexts) for seg in oracle_segments(vocab, inst, ctx))
 
 
-@pytest.mark.parametrize("pairs_per_token", [0, 10**9])
-def test_count_matrices_of_any_token_ids(monkeypatch, pairs_per_token):
-    """Count matrices by either way of finding the distinct tokens, for
-    token ids small and large, empty segments and instances without
-    tokens."""
-    monkeypatch.setattr(policy, "_PAIRS_PER_TOKEN", pairs_per_token)
-    rng = np.random.default_rng(pairs_per_token)
+def test_count_matrices_of_any_token_ids():
+    """Count matrices for token ids small and large, empty segments and
+    instances without tokens."""
+    rng = np.random.default_rng(0)
     for high in (3, 50, 10**6):
         segments = [
             [[int(t) for t in rng.integers(0, high, size=rng.integers(0, 6))] for _ in range(1 + n)]
