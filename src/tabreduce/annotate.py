@@ -101,12 +101,15 @@ def _relevant_rows(
 
 
 def annotate_instance(instance: Instance, target: str = "both") -> Instance:
-    """Return a copy of the instance with gold relevance fields filled in.
+    """Return a copy of the instance with gold relevance fields filled in:
+    the columns for ``target="columns"``, the columns and rows for
+    ``"both"``.  Row labels are defined over the relevant columns, so they
+    are never written without them.
 
     The WHERE filter runs once, in the gold check on the full table, and the
     row trials reuse its passing rows (fact 2 in the module docstring).
     """
-    if target not in ("columns", "rows", "both"):
+    if target not in ("columns", "both"):
         raise ValueError(f"unknown target {target!r}")
 
     ast, status = _parse(instance)
@@ -121,8 +124,6 @@ def annotate_instance(instance: Instance, target: str = "both") -> Instance:
     if target == "columns":
         return replace(instance, relevant_columns=columns, annotation_status=STATUS_OK)
     rows = _relevant_rows(ast, table, passing, gold)
-    if target == "rows":
-        return replace(instance, relevant_rows=rows, annotation_status=STATUS_OK)
     return replace(
         instance, relevant_columns=columns, relevant_rows=rows, annotation_status=STATUS_OK
     )

@@ -2,9 +2,10 @@
 
 Stages mirror the data flow: ``synth`` or your own JSONL -> ``annotate`` ->
 ``sft`` -> ``train-rl`` -> ``reduce`` / ``eval-reduce`` -> ``qa`` ->
-``report``.  Every stage checks its flags, then writes a manifest next to
-its output before any other file, so a refused flag leaves no file and a
-run can be reproduced from the recorded flags and seeds.
+``report``.  Every stage checks its flags and loads its models, then
+writes a manifest next to its output before any other file, so a refused
+flag or model leaves no file and a run can be reproduced from the recorded
+flags and seeds.
 
 Each command imports what it runs and no more: ``import tabreduce.cli``
 loads neither numpy nor the HTTP stack.  The model commands (``sft``,
@@ -14,8 +15,9 @@ comes with them, or with ``dataio``'s generator for ``synth``.  ``qa
 --endpoint`` loads the HTTP stack inside ``llm``.  So ``annotate``, ``qa
 --mock`` and ``report`` never load numpy.
 
-Exit codes: 0 success, 1 validation/config error, 2 I/O failure,
-3 remote endpoint failure.
+Exit codes: 0 success, 1 validation/config error or a non-finite number in
+training or decoding (``NumericalError``), 2 I/O failure, 3 remote
+endpoint failure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, annotate as annotate_mod, dataio, llm, metrics
 from .atomicio import atomic_write
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .tables import Reduction, Table, linearize_tables, project, row_token_counts
 
 if TYPE_CHECKING:
@@ -224,10 +226,10 @@ def cmd_train_rl(args) -> int:
 
     cfg = _load_config(args.config, training.PpoConfig, args.seed)
     ratios = _parse_ratios(args.split)
+    params = _load_model(args.init, args.target)
     manifest = Manifest("train-rl", vars(args), args.out)
     instances = _load_instances(args.data)
     train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
-    params = _load_model(args.init, args.target)
     summary: dict = {}
     _, history = training.train_rl(
         params, train, valid, cfg, args.target, run_dir=args.out, summary=summary
@@ -242,10 +244,10 @@ def cmd_train_rl(args) -> int:
 def cmd_eval_reduce(args) -> int:
     from . import policy, tasks
 
-    boundaries = _parse_int_list(args.buckets) if args.buckets else None
+    boundaries = metrics.check_boundaries(_parse_int_list(args.buckets)) if args.buckets else None
+    params, target = policy.load_params(args.model)
     manifest = Manifest("eval-reduce", vars(args), args.report)
     instances = _load_instances(args.data)
-    params, target = policy.load_params(args.model)
     usable = tasks.trainable(instances, target)
     encs, golds = tasks.labeled_encodings(params.vocab, usable, target)
     decoded = policy.greedy_decode(params, encs)
@@ -299,10 +301,10 @@ def _groups(instances):
 def cmd_reduce(args) -> int:
     from . import policy, tasks
 
-    manifest = Manifest("reduce", vars(args), args.out)
-    instances = _load_instances(args.data)
     col_params = _load_model(args.col_model, tasks.TARGET_COLUMNS)
     row_params = _load_model(args.row_model, tasks.TARGET_ROWS)
+    manifest = Manifest("reduce", vars(args), args.out)
+    instances = _load_instances(args.data)
     out = []
     summary = dict.fromkeys(("columns_kept", "rows_kept", "decode_steps"), 0)
     for group in _groups(instances):
@@ -394,7 +396,7 @@ def cmd_qa(args) -> int:
 
 
 def cmd_report(args) -> int:
-    boundaries = _parse_int_list(args.buckets)
+    boundaries = metrics.check_boundaries(_parse_int_list(args.buckets))
     manifest = Manifest("report", vars(args), args.out)
     instances = _load_instances(args.reductions)
     answers = _load_answers(args.answers, {inst.id for inst in instances})
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annotate", help="derive gold relevance labels via SQL execution")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--target", choices=["columns", "rows", "both"], default="both")
+    p.add_argument("--target", choices=["columns", "both"], default="both")
     p.set_defaults(func=cmd_annotate)
 
     for name, fn in (("sft", cmd_sft), ("train-rl", cmd_train_rl)):
@@ -496,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except llm.LlmError as exc:

@@ -241,7 +241,7 @@ def _read_visible(table: Table, n_visible: int, columns: set[int] | frozenset[in
     and each of their cells read back as from the rendered text.  ``read``
     is the memo of ``_read_back`` per cell key (see ``tables._walk``)."""
     headers, per_column = [], []
-    for header, keys, _, _ in _walk(Table(table.columns, table.rows[:n_visible]), columns, _read_back, read):
+    for header, keys, _ in _walk(Table(table.columns, table.rows[:n_visible]), columns, _read_back, read):
         headers.append(header)
         per_column.append(list(map(read.__getitem__, keys)))
     return Table(tuple(headers), tuple(zip(*per_column)))

@@ -89,15 +89,22 @@ def build_recall_report(
 # ---------------------------------------------------------------------------
 # Length buckets and downstream accuracy
 
+def check_boundaries(boundaries: Sequence[int]) -> list[int]:
+    """The bucket boundaries as a list, refused unless they are non-empty
+    and strictly ascending."""
+    bounds = list(boundaries)
+    if not bounds:
+        raise ConfigError("bucket boundaries must be non-empty")
+    if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
+        raise ConfigError("bucket boundaries must be strictly ascending")
+    return bounds
+
+
 def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> list[int]:
     """Bucket k holds counts in [boundaries[k], boundaries[k+1]); the last
     bucket is open-ended.  Counts below the first boundary are an error so
     the assignment is always a partition."""
-    if not boundaries:
-        raise ConfigError("bucket boundaries must be non-empty")
-    bounds = list(boundaries)
-    if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-        raise ConfigError("bucket boundaries must be strictly ascending")
+    bounds = check_boundaries(boundaries)
     out = []
     for tokens in token_counts:
         if tokens < bounds[0]:

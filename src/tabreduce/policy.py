@@ -17,15 +17,15 @@ counts over its distinct tokens, divided by the segment lengths
 (``CountMatrix``), times those tokens' rows of the embedding table; the
 gradient goes back through the transposed product.  An instance comes in
 as two flat arrays, each token's id and segment (``EncodedInstance``,
-flattened for many instances at once by ``encode_parts``), so the order of
-a segment's tokens is immaterial.  The matrices are built per instance,
-so an instance encodes the same in any batch.  Count
-matrices are all the policy encodes from, in one place (``_embed_padded``,
-which encodes each distinct matrix once per parameter set and call): SFT
-and greedy decoding build them per chunk, and ``train-rl`` once per run
-for its training instances (``count_matrices``), which every rollout,
-sampled under the current and the reference parameters, and every
-minibatch of its update reuse.
+flattened for many instances at once by ``encode_parts`` from the parts
+that ``tasks`` lays out), so the order of a segment's tokens is
+immaterial.  The matrices are built per instance, so an instance encodes
+the same in any batch.  Count matrices are all the policy encodes from, in
+one place (``_embed_padded``, which encodes each distinct matrix once per
+parameter set and call): SFT and greedy decoding build them per chunk, and
+``train-rl`` once per run for its training instances (``count_matrices``),
+which every rollout, sampled under the current and the reference
+parameters, and every minibatch of its update reuse.
 
 The step distribution is written once (``_step``, ``_values``,
 ``_log_softmax``), by per-row products rounded alike in any batch.
@@ -89,12 +89,13 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     """Token-to-index map; index 0 is reserved for out-of-vocabulary words.
 
-    ``cell_ids`` is this vocabulary's one memo of token ids: per table cell
-    key and header (``tables.column_token_ids``) and per candidate text
-    (``encode_texts``, which column candidates go through).  A key that
-    is a string maps to ``encode`` of it in either use, since a string cell
-    formats as itself.  The memo lives as long as the vocabulary, which a
-    stage builds or loads for itself, and never serves another vocabulary.
+    ``cell_ids`` is this vocabulary's one memo of token ids, per header and
+    table cell key of the candidates that ``tasks.encode`` builds (see
+    ``tables.column_token_ids``).  A key that is a string maps to
+    ``encode`` of it for column and row candidates alike, since a string
+    cell formats as itself.  The memo lives as long as the vocabulary,
+    which a stage builds or loads for itself, and never serves another
+    vocabulary.
     """
 
     tokens: tuple[str, ...]
@@ -172,27 +173,6 @@ def encode_parts(
         EncodedInstance(ids[start:stop], segment[start:stop], n_candidates)
         for start, stop, (_, n_candidates) in zip(bounds, bounds[1:], shapes)
     ]
-
-
-def encode_texts(vocab: Vocabulary, instances: Iterable[tuple[str, Sequence[str]]]) -> list[EncodedInstance]:
-    """Each ``(question, candidate texts)`` pair as an ``EncodedInstance``,
-    all flattened together (``encode_parts``, one run per instance), each
-    distinct candidate text tokenized once per vocabulary
-    (``Vocabulary.cell_ids``): column candidates."""
-    memo = vocab.cell_ids
-    pieces: list[tuple[int, ...]] = []
-    runs = []
-    shapes = []
-    for question, texts in instances:
-        runs.append((len(pieces), range(1 + len(texts)), 0))
-        pieces.append(vocab.encode(question))
-        for text in texts:
-            ids = memo.get(text)
-            if ids is None:
-                ids = memo[text] = vocab.encode(text)
-            pieces.append(ids)
-        shapes.append((1, len(texts)))
-    return encode_parts(pieces, runs, shapes)
 
 
 # ---------------------------------------------------------------------------

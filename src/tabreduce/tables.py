@@ -10,15 +10,15 @@ sufficient for relative length comparisons.
 
 Everything derived from a table's rows comes from one walk over the cells
 of a column subset (``_walk``): the rendered text (``linearize_tables``),
-each row's token count (``row_token_counts``), each column's header and
-cell token ids (``column_token_ids``) and the texts of the row vocabulary
-(``row_vocabulary_texts``).  The first two walk all of a table's columns,
-and only the first renders rows; the others work from each header and
-distinct cell alone.  A walk fills a memo of its per-cell function that
-outlives it, so that a stage judges each distinct cell once, not once per
-table: the calls that walk many tables (``linearize_tables``,
-``row_token_counts``, ``row_vocabulary_texts``, ``llm.mock_complete_many``)
-keep one over them, and a vocabulary keeps its own for
+each row's token count (``row_token_counts``) and each column's header and
+cell token ids (``column_token_ids``), from which ``tasks`` builds both the
+row policy's vocabulary and its encodings.  The first two walk all of a
+table's columns, and only the first renders rows; the last works from each
+header and distinct cell alone.  A walk fills a memo of its per-cell
+function that outlives it, so that a stage judges each distinct cell once,
+not once per table: the calls that walk many tables (``linearize_tables``,
+``row_token_counts``, ``llm.mock_complete_many``) keep one over them,
+``tasks.build_vocab`` one per call, and a vocabulary keeps its own for
 ``column_token_ids`` (``policy.Vocabulary.cell_ids``).  ``row_token_counts``
 is the one count behind QA contexts and length buckets
 (``metrics.bucket_by_length``).  The mock reader of ``llm`` reads its
@@ -32,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import EmptySelectionError
 
@@ -207,18 +207,18 @@ _SAVED = object()
 
 
 def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Callable[[Cell], object],
-          values: dict) -> Iterator[tuple[str, list, set, set]]:
+          values: dict) -> Iterator[tuple[str, list, set]]:
     """The one walk over a column subset's cells, columns in table order.
 
-    Yields per column its header, each row's cell key, the column's
-    distinct keys and those of them that were not yet in ``values``, after
-    putting ``value_of(key)`` into ``values`` for each of those.  ``values``
-    is the caller's memo of ``value_of``, which it keeps over all of a
-    stage's tables, so each distinct key is judged once per stage.  It pays
-    only where cells recur across tables, so until a walk finds one of its
-    keys in the memo (``_SAVED``), a walk that finds none empties it once
-    done: over tables that share no cell it holds no more than two tables'
-    keys, and costs what a memo per table would.
+    Yields per column its header, each row's cell key and the column's
+    distinct keys, after putting ``value_of(key)`` into ``values`` for each
+    of those that was not yet in it.  ``values`` is the caller's memo of
+    ``value_of``, which it keeps over all of a stage's tables, so each
+    distinct key is judged once per stage.  It pays only where cells recur
+    across tables, so until a walk finds one of its keys in the memo
+    (``_SAVED``), a walk that finds none empties it once done: over tables
+    that share no cell it holds no more than two tables' keys, and costs
+    what a memo per table would.
 
     A key formats (``format_cell``) as its cells do, and equal keys format
     alike.  A cell is its own key: equal ints and floats format alike (``1``
@@ -239,7 +239,7 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
         found = found or len(new) < len(distinct)
         for key in new:
             values[key] = value_of(key)
-        yield table.columns[c], keys, distinct, new
+        yield table.columns[c], keys, distinct
     if found:
         values[_SAVED] = True
     elif held and table.rows and _SAVED not in values:
@@ -256,7 +256,7 @@ def _render(table: Table, tails: dict) -> str:
     over all of its columns, with ``tails`` the memo of ``_pair_tail`` (see
     ``_walk``)."""
     per_column = []
-    for header, keys, _, _ in _walk(table, frozenset(range(table.n_columns)), _pair_tail, tails):
+    for header, keys, _ in _walk(table, frozenset(range(table.n_columns)), _pair_tail, tails):
         head = "(" + quote_if_needed(header) + ","
         per_column.append(list(map(head.__add__, map(tails.__getitem__, keys))))
     return " ".join([f"Row{i}: {', '.join(pairs)}" for i, pairs in enumerate(zip(*per_column))])
@@ -293,7 +293,7 @@ def _row_counts(table: Table, runs: dict) -> list[int]:
     """
     fixed = 1
     per_column = []
-    for header, keys, distinct, _ in _walk(table, frozenset(range(table.n_columns)), _quoted_runs, runs):
+    for header, keys, distinct in _walk(table, frozenset(range(table.n_columns)), _quoted_runs, runs):
         head = runs.get(header)
         if head is None:  # a header is text, and as a cell key it formats as itself
             head = runs[header] = _quoted_runs(header)
@@ -329,7 +329,9 @@ def column_token_ids(
     character outside ``[a-z0-9]``, like ``policy.tokenize``.  Quoting and
     the ``(``, ``,``, ``)``, ``, `` separators then never join or split a
     token, so a row's tokens in its linearization without its ``Row{i}:``
-    anchor are, column by column, its header's followed by its cell's.
+    anchor are, column by column, its header's followed by its cell's.  Or
+    it may keep each text whole (``tasks.build_vocab``), for a tokenizer to
+    split later.
     ``ids`` is the memo of ``tuple(encode(text))`` per cell key and header
     (see ``_walk``); it holds one ``encode``'s ids only, so it belongs to
     that ``encode`` (``policy.Vocabulary.cell_ids``).
@@ -339,7 +341,7 @@ def column_token_ids(
         return tuple(encode(format_cell(cell)))
 
     columns = []
-    for header, keys, distinct, _ in _walk(table, column_subset, encode_cell, ids):
+    for header, keys, distinct in _walk(table, column_subset, encode_cell, ids):
         head = ids.get(header)
         if head is None:  # as in _row_counts
             head = ids[header] = tuple(encode(header))
@@ -347,22 +349,3 @@ def column_token_ids(
         index = dict(zip(distinct, range(len(distinct))))
         columns.append((head, list(map(ids.__getitem__, distinct)), list(map(index.__getitem__, keys))))
     return columns
-
-
-def row_vocabulary_texts(subsets: Iterable[tuple[Table, set[int] | frozenset[int]]]) -> list[str]:
-    """Texts whose tokens are those of the rows of each table over its
-    column subset (see ``column_token_ids``): each header and each distinct
-    formatted cell of a table with rows, leaving out a cell text that the
-    call's memo (see ``_walk``) holds from an earlier table."""
-    texts: dict = {}
-    out: list[str] = []
-    for table, column_subset in subsets:
-        headers: list[str] = []
-        cells: list[str] = []
-        for header, _, _, new in _walk(table, column_subset, format_cell, texts):
-            headers.append(header)
-            cells.extend(map(texts.__getitem__, new))
-        if table.rows:
-            out += headers + cells
-    return out
-

@@ -2,14 +2,17 @@
 
 The column policy points at headers; the row policy points at rows rendered
 over an already-reduced column set (gold columns by default, predicted ones
-when chaining stages).  Rows are never rendered for the policy: their token
-ids and the row vocabulary come from each header and distinct cell
-(``tables.column_token_ids``, ``tables.row_vocabulary_texts``) and equal
-those of the rendered rows.  Each distinct cell is tokenized once per
-vocabulary (``Vocabulary.cell_ids``) and its text taken once per
-``build_vocab`` (see ``tables._walk``).  ``encode`` encodes a whole stage,
-or a group of it, in one call: the row candidates of all its instances are
-flattened together, by a fixed number of numpy calls.
+when chaining stages).  One builder (``_segments``) lays out an instance's
+segments, its question and its candidates, for both: ``encode`` fills it
+with token ids and ``build_vocab`` with texts, so a vocabulary holds
+exactly the tokens its encodings look up.  Rows are never rendered for the
+policy: their token ids come from each header and distinct cell
+(``tables.column_token_ids``) and equal those of the rendered rows.  Each
+distinct header and cell is tokenized once per vocabulary
+(``Vocabulary.cell_ids``) and its text taken once per ``build_vocab`` (see
+``tables._walk``).  ``encode`` encodes a whole stage, or a group of it, in
+one call: the candidates of all its instances are flattened together, by a
+fixed number of numpy calls.
 Greedy reductions go through ``policy.greedy_decode``, which steps many
 encoded instances together; recall is ``greedy_recall`` over instances
 encoded once (``labeled_encodings``), as training does at every
@@ -19,14 +22,14 @@ evaluation.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import metrics, policy
 from .errors import ConfigError
 from .policy import TARGET_COLUMNS, TARGET_ROWS, TARGETS
-from .tables import Instance, column_token_ids, row_vocabulary_texts
+from .tables import Instance, column_token_ids
 
 
 def check_target(target: str) -> str:
@@ -68,15 +71,59 @@ def trainable(instances: Sequence[Instance], target: str) -> list[Instance]:
     return kept
 
 
+def _segments(
+    instances: Sequence[Instance],
+    target: str,
+    contexts: Sequence[frozenset[int] | None] | None,
+    encode: Callable[[str], tuple],
+    memo: dict,
+) -> tuple[list[tuple], list[tuple], list[tuple[int, int]]]:
+    """The parts of the instances' segments, as ``policy.encode_parts``
+    takes them: ``(pieces, runs, shapes)``, each piece ``encode`` of a text,
+    with ``memo`` the memo of ``encode`` per header and cell key.
+
+    Segment 0 is the question.  Candidate j is header j, in the question's
+    run; or row j over ``contexts[i]`` (by default, or where it is None, the
+    gold columns), gathered column by column (``tables.column_token_ids``):
+    row r's segment holds one part with all the headers and, per column,
+    the piece of its cell's distinct text, shared by every row that has it.
+    A table without rows has its question only."""
+    pieces: list[tuple] = []  # each a part of one segment or more
+    runs: list[tuple] = []  # per run of parts: its first piece, each part's piece from there, its first segment
+    shapes = []
+    by_columns = check_target(target) == TARGET_COLUMNS
+    for inst, context in zip(instances, [None] * len(instances) if contexts is None else contexts, strict=True):
+        question = len(pieces)
+        pieces.append(encode(inst.question))
+        if by_columns:
+            for header in inst.table.columns:
+                ids = memo.get(header)
+                if ids is None:
+                    ids = memo[header] = encode(header)
+                pieces.append(ids)
+            runs.append((question, range(1 + inst.table.n_columns), 0))
+            shapes.append((1, inst.table.n_columns))
+            continue
+        columns = column_token_ids(inst.table, _row_context(inst, context), encode, memo)
+        n_rows = inst.table.n_rows
+        runs.append((question, (0,), 0))
+        if not n_rows:
+            shapes.append((1, 0))
+            continue
+        runs.append((len(pieces), (0,) * n_rows, 1))  # the headers of each row
+        pieces.append(tuple(chain.from_iterable(head for head, _, _ in columns)))
+        for _, distinct, rows in columns:  # each row's cell
+            runs.append((len(pieces), rows, 1))
+            pieces += distinct
+        shapes.append((2 + len(columns), n_rows))
+    return pieces, runs, shapes
+
+
 def build_vocab(instances: Sequence[Instance], target: str) -> policy.Vocabulary:
-    """Vocabulary of the questions and of the candidates' texts."""
-    check_target(target)
-    texts = [inst.question for inst in instances]
-    if target == TARGET_COLUMNS:
-        texts += [header for inst in instances for header in inst.table.columns]
-    else:
-        texts += row_vocabulary_texts([(inst.table, _row_context(inst, None)) for inst in instances])
-    return policy.build_vocabulary(texts)
+    """Vocabulary of the texts of the instances' segments (``_segments``),
+    so that it holds exactly the tokens that ``encode`` looks up."""
+    pieces, _, _ = _segments(instances, target, None, lambda text: (text,), {})
+    return policy.build_vocabulary(set(chain.from_iterable(pieces)))
 
 
 def encode(
@@ -85,30 +132,11 @@ def encode(
     target: str,
     contexts: Sequence[frozenset[int] | None] | None = None,
 ) -> list[policy.EncodedInstance]:
-    """The instances as the policy sees them: each one's question and its
-    candidates, the headers (``policy.encode_texts``) or the rows over
-    ``contexts[i]`` (by default, or where it is None, the gold columns).
-
-    Rows are gathered column by column (``tables.column_token_ids``): the
-    segment of row r holds one part with the ids of all the headers and,
-    per column, the ids of its cell's distinct text, each a piece shared by
-    every row that has it.  The parts of all the instances are flattened
+    """The instances as the policy sees them (``_segments``), with each
+    header and distinct cell tokenized once per vocabulary
+    (``Vocabulary.cell_ids``) and the parts of all the instances flattened
     together (``policy.encode_parts``)."""
-    if check_target(target) == TARGET_COLUMNS:
-        return policy.encode_texts(vocab, [(inst.question, inst.table.columns) for inst in instances])
-    pieces: list[tuple] = []  # token-id tuples, each a part of one row or more
-    runs: list[tuple] = []  # per run of parts: its first piece, each part's piece from there, its first segment
-    shapes = []
-    for inst, context in zip(instances, [None] * len(instances) if contexts is None else contexts, strict=True):
-        columns = column_token_ids(inst.table, _row_context(inst, context), vocab.encode, vocab.cell_ids)
-        n_rows = inst.table.n_rows
-        runs += [(len(pieces), (0,), 0), (len(pieces) + 1, (0,) * n_rows, 1)]  # the question; the headers of each row
-        pieces += [vocab.encode(inst.question), tuple(chain.from_iterable(head for head, _, _ in columns))]
-        for _, distinct, rows in columns:  # each row's cell
-            runs.append((len(pieces), rows, 1))
-            pieces += distinct
-        shapes.append((2 + len(columns), n_rows))
-    return policy.encode_parts(pieces, runs, shapes)
+    return policy.encode_parts(*_segments(instances, target, contexts, vocab.encode, vocab.cell_ids))
 
 
 def labeled_encodings(

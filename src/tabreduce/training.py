@@ -300,7 +300,6 @@ class TrainState:
     reference: policy.PolicyParams
     beta: float
     rng: np.random.Generator
-    iteration: int = 0
     history: list[dict] = field(default_factory=list)
     episodes: int = 0
     steps: int = 0
@@ -501,7 +500,6 @@ def train_rl(
     rollout_s = update_s = 0.0
 
     for iteration in range(1, cfg.iterations + 1):
-        state.iteration = iteration
         backup = state.current.copy()
         adam_backup = adam.snapshot()
         record: dict = {"iteration": iteration, "beta": state.beta}

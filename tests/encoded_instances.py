@@ -1,6 +1,6 @@
 """Test helpers for ``policy.EncodedInstance``: build one from each
-segment's token ids, read the segments back, and compare what the policy
-reads of instances, their count matrices.
+segment's token ids or texts, read the segments back, and compare what the
+policy reads of instances, their count matrices.
 
 An instance's arrays may hold a segment's tokens in any order, so
 comparisons go through ``segments`` (each segment's ids, sorted) or the
@@ -19,6 +19,13 @@ def encoded(question_ids, candidate_ids=()) -> policy.EncodedInstance:
     ids = np.array([tok for part in parts for tok in part], dtype=np.intp)
     segment = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
     return policy.EncodedInstance(ids, segment, len(parts) - 1)
+
+
+def encode_texts(vocab: policy.Vocabulary, instances) -> list[policy.EncodedInstance]:
+    """Each ``(question, candidate texts)`` pair as the instance whose
+    question and candidates are those texts, each tokenized on its own by
+    ``vocab``: the encoding of rendered rows, or of headers."""
+    return [encoded(vocab.encode(question), [vocab.encode(text) for text in texts]) for question, texts in instances]
 
 
 def segment_ids(enc: policy.EncodedInstance) -> list[tuple[int, ...]]:

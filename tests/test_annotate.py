@@ -24,8 +24,9 @@ def columns_of(inst):
 
 
 def rows_of(inst):
-    """(relevant rows, status) as ``annotate_instance`` labels rows."""
-    annotated = annotate.annotate_instance(inst, "rows")
+    """(relevant rows, status) as ``annotate_instance`` labels rows, which
+    it does with the columns (``target="both"``)."""
+    annotated = annotate.annotate_instance(inst, "both")
     return annotated.relevant_rows, annotated.annotation_status
 
 
@@ -233,3 +234,11 @@ def test_target_columns_leaves_rows_unset():
     out = annotate.annotate_instance(OLYMPICS, target="columns")
     assert out.relevant_columns == frozenset({0, 1})
     assert out.relevant_rows is None
+
+
+@pytest.mark.parametrize("target", ["rows", "cells"])
+def test_targets_other_than_columns_and_both_refused(target):
+    """Row labels are defined over the relevant columns, so there is no
+    target that writes them alone."""
+    with pytest.raises(ValueError, match="unknown target"):
+        annotate.annotate_instance(OLYMPICS, target=target)

@@ -88,15 +88,11 @@ def oracle_instance(instance, target):
     """(relevant_columns, relevant_rows, annotation_status) as the loop set them."""
     columns, status = oracle_columns(instance)
     rows = None
-    if status == annotate.STATUS_OK and target in ("rows", "both"):
+    if status == annotate.STATUS_OK and target == "both":
         rows, status = oracle_rows(instance, columns)
     if status != annotate.STATUS_OK:
         return None, None, status
-    return (
-        columns if target != "rows" else None,
-        rows if target != "columns" else None,
-        status,
-    )
+    return columns, rows, status
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,7 @@ def labels(annotated):
 
 
 def check_against_oracle(inst):
-    for target in ("columns", "rows", "both"):
+    for target in ("columns", "both"):
         got = labels(annotate.annotate_instance(inst, target))
         assert got == oracle_instance(inst, target), f"{target}: {inst.sql}\n{inst.table}"
 
@@ -288,7 +284,7 @@ def test_annotate_instance_filters_once_and_never_projects(monkeypatch):
     instances = [random_instance(rng) for _ in range(300)] + synth_long(5, 2)
     statuses = set()
     for inst in instances:
-        for target in ("columns", "rows", "both"):
+        for target in ("columns", "both"):
             calls.update(filter_rows=0, project=0)
             status = annotate.annotate_instance(inst, target).annotation_status
             parsed = status not in (annotate.SKIP_NO_SQL, annotate.SKIP_UNSUPPORTED)

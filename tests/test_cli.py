@@ -100,6 +100,16 @@ class TestSynthAndAnnotate:
         assert all(i.relevant_rows is None for i in instances)
         assert all(i.relevant_columns is not None for i in instances)
 
+    def test_annotate_has_no_rows_target(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        run(synth_config_args(4, raw) + ["--no-annotate"])
+        out = tmp_path / "rows.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["annotate", "--in", str(raw), "--out", str(out), "--target", "rows"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'rows'" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "rows.jsonl.manifest.json").exists()
+
     def test_annotate_deterministic(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
         run(synth_config_args(10, raw) + ["--no-annotate"])
@@ -296,6 +306,16 @@ class TestTraining:
             "--init", str(sft_dir / "model.json"), "--out", str(tmp_path / "x"),
         ])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_sft_is_one_error_line(self, pipeline, tmp_path, capsys):
+        root, data, sft_dir = pipeline
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text('{"learning_rate": 1e300}')
+        code = run(["sft", "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+                    "--config", str(cfg), "--dim", "16"])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, "non-finite scores in step distribution")
 
     @pytest.mark.parametrize("stage", ["sft", "train-rl"])
     @pytest.mark.parametrize(
@@ -530,6 +550,23 @@ class TestEvalAndReduce:
         assert regrouped.read_bytes() == reduced.read_bytes()
         regrouped_summary = json.loads((tmp_path / "regrouped.jsonl.manifest.json").read_text())
         assert regrouped_summary["summary"] == summary
+
+    @pytest.mark.parametrize("stage", ["eval-reduce", "reduce"])
+    def test_nan_model_is_one_error_line(self, pipeline, tmp_path, capsys, stage):
+        root, data, sft_dir = pipeline
+        params, _ = policy.load_params(sft_dir / "model.json")
+        params.emb[:] = float("nan")
+        model, row_model = tmp_path / "nan.model.json", tmp_path / "nan-rows.model.json"
+        policy.save_params(params, model, target="columns")
+        policy.save_params(params, row_model, target="rows")
+        out = tmp_path / "out.json"
+        argv = {
+            "eval-reduce": ["--model", str(model), "--report", str(out)],
+            "reduce": ["--col-model", str(model), "--row-model", str(row_model), "--out", str(out)],
+        }[stage]
+        assert run([stage, "--data", str(data), *argv]) == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, "non-finite scores in step distribution")
+        assert not out.exists()
 
     def test_reduce_rejects_swapped_models(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline
@@ -858,8 +895,21 @@ class TestQaAndReport:
 
 
 class TestRefusedArguments:
-    """A flag value the stage refuses is refused before its manifest is
-    written, so the run leaves no file behind."""
+    """A flag value or model file the stage refuses is refused before its
+    manifest is written, so the run leaves no file behind."""
+
+    @pytest.fixture(scope="class")
+    def models(self, pipeline):
+        """Files beside the pipeline's: the column model saved for the rows
+        target, the column model cut in half, and one answer."""
+        root, _, sft_dir = pipeline
+        text = (sft_dir / "model.json").read_text()
+        params, _ = policy.load_params(sft_dir / "model.json")
+        policy.save_params(params, root / "rows.model.json", target="rows")
+        (root / "truncated.model.json").write_text(text[: len(text) // 2])
+        (root / "one-answer.jsonl").write_text('{"id": "synth-00000", "answer": "1"}\n')
+        return {"columns-model": str(sft_dir / "model.json"), "rows-model": str(root / "rows.model.json"),
+                "truncated-model": str(root / "truncated.model.json"), "answers": str(root / "one-answer.jsonl")}
 
     @pytest.mark.parametrize(
         "stage, flags, message",
@@ -869,18 +919,34 @@ class TestRefusedArguments:
             ("sft", ["--dim", "0"], "dim must be a positive integer, got 0"),
             ("qa", ["--mock", "--budget", "-5"], "budget_tokens must be positive"),
             ("qa", ["--endpoint", "http://127.0.0.1:9", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            ("report", ["--buckets", "5,3"], "bucket boundaries must be strictly ascending"),
+            ("report", ["--buckets", ""], "bucket boundaries must be non-empty"),
+            ("eval-reduce", ["--buckets", "5,3"], "bucket boundaries must be strictly ascending"),
+            ("eval-reduce", ["--model", "truncated-model"], "not a JSON model file"),
+            ("train-rl", ["--init", "rows-model"], "model was trained for target 'rows', not 'columns'"),
+            ("reduce", ["--col-model", "rows-model"], "model was trained for target 'rows', not 'columns'"),
+            ("reduce", ["--row-model", "columns-model"], "model was trained for target 'columns', not 'rows'"),
         ],
-        ids=["sft-split-sum", "train-rl-split-nan", "sft-dim", "qa-budget", "qa-jobs"],
+        ids=["sft-split-sum", "train-rl-split-nan", "sft-dim", "qa-budget", "qa-jobs", "report-buckets",
+             "report-no-buckets", "eval-reduce-buckets", "eval-reduce-truncated-model", "train-rl-rows-model",
+             "reduce-rows-col-model", "reduce-columns-row-model"],
     )
-    def test_leaves_no_files(self, pipeline, tmp_path, capsys, stage, flags, message):
-        root, data, sft_dir = pipeline
+    def test_leaves_no_files(self, pipeline, models, tmp_path, capsys, stage, flags, message):
+        _, data, _ = pipeline
         argv = {
             "sft": ["--target", "columns", "--out", str(tmp_path / "out")],
             "train-rl": ["--target", "columns", "--out", str(tmp_path / "out"),
-                         "--init", str(sft_dir / "model.json")],
+                         "--init", models["columns-model"]],
             "qa": ["--out", str(tmp_path / "answers.jsonl")],
+            "report": ["--answers", models["answers"], "--reductions", str(data), "--out", str(tmp_path / "report.json")],
+            "eval-reduce": ["--model", models["columns-model"], "--report", str(tmp_path / "report.json")],
+            "reduce": ["--col-model", models["columns-model"], "--row-model", models["rows-model"],
+                       "--out", str(tmp_path / "reduced.jsonl")],
         }[stage]
-        assert run([stage, "--data", str(data), *argv, *flags]) == cli.EXIT_CONFIG
+        if stage != "report":
+            argv = ["--data", str(data), *argv]
+        # a later flag overrides an earlier one
+        assert run([stage, *argv, *(models.get(flag, flag) for flag in flags)]) == cli.EXIT_CONFIG
         assert_one_error_line(capsys, message)
         assert list(tmp_path.iterdir()) == []
 

@@ -18,7 +18,6 @@ from tabreduce.policy import (
     apply_top_p_mask,
     build_vocabulary,
     count_matrices,
-    encode_texts,
     finite_difference_error,
     forward,
     grad_check,
@@ -32,7 +31,7 @@ from tabreduce.policy import (
     sft_loss_and_grad,
     tokenize,
 )
-from encoded_instances import encoded
+from encoded_instances import encode_texts, encoded
 from test_policy_batched import params_equal, traces
 
 

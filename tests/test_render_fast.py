@@ -18,7 +18,7 @@ import re
 
 import pytest
 
-from encoded_instances import assert_same_matrices
+from encoded_instances import assert_same_matrices, encode_texts
 from tabreduce import llm, metrics, policy, tasks
 from tabreduce.tables import (
     Instance,
@@ -31,7 +31,6 @@ from tabreduce.tables import (
     linearize_tables,
     project,
     row_token_counts,
-    row_vocabulary_texts,
 )
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,6 @@ def check_against_oracle(table, cols):
     assert sum(counts) == count_tokens(text)
 
     vocab = policy.build_vocabulary(rows)
-    assert policy.build_vocabulary(row_vocabulary_texts([(table, cols)])) == vocab
     assert row_ids(table, cols, vocab.encode, {}) == [vocab.encode(t) for t in rows]
     assert row_ids(table, cols, policy.tokenize, {}) == [tuple(policy.tokenize(t)) for t in rows]
     # with some tokens out of the vocabulary
@@ -200,7 +198,7 @@ def check_against_oracle(table, cols):
 
     inst = Instance(id="i", question="Which q?", table=table, relevant_columns=frozenset(cols))
     assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["Which q?", *rows])
-    assert_same_matrices(tasks.encode(partial, [inst], "rows"), policy.encode_texts(partial, [("Which q?", rows)]))
+    assert_same_matrices(tasks.encode(partial, [inst], "rows"), encode_texts(partial, [("Which q?", rows)]))
     length = count_tokens(oracle_linearize(table, range(table.n_columns)))
     assert metrics.bucket_by_length([inst], [-1, length, length + 1]) == [1]  # whole table, exactly
 
@@ -269,7 +267,8 @@ def test_zero_rows_and_zero_columns():
     assert row_token_counts([table]) == [[]]
     assert row_ids(table, {1}, vocab.encode, {}) == []
     assert column_token_ids(table, {1}, vocab.encode, {}) == [(vocab.encode("b"), [], [])]
-    assert row_vocabulary_texts([(table, {0, 1})]) == []
+    inst = Instance(id="i", question="q", table=table, relevant_columns=frozenset({0, 1}))
+    assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["q"])
     check_against_oracle(table, {0, 1})
     empty = Table((), ((), ()))
     assert row_token_counts([empty]) == [[]]
@@ -430,10 +429,7 @@ def test_batch_memos_match_fresh_walks(seed):
         assert row_ids(table, cols, vocab.encode, vocab.cell_ids) == row_ids(table, cols, vocab.encode, {}) == [
             vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
         ]
-    texts = row_vocabulary_texts(batch)
-    assert set(texts) == set().union(*(row_vocabulary_texts([subset]) for subset in batch))
     rows = [oracle_row_pairs(table, row, sorted(cols)) for table, cols in batch for row in table.rows]
-    assert policy.build_vocabulary(texts) == policy.build_vocabulary(rows)
     instances = [Instance(id=str(k), question="q?", table=table, relevant_columns=cols)
                  for k, (table, cols) in enumerate(batch)]
     assert tasks.build_vocab(instances, "rows") == policy.build_vocabulary(["q?", *rows])
@@ -488,7 +484,7 @@ def test_vocabularies_never_share_cell_ids():
     for _ in range(40):
         vocab = policy.build_vocabulary(rng.sample(words, rng.randint(1, len(words))))
         assert not vocab.cell_ids
-        expected = policy.encode_texts(vocab, [("which city?", rows)])
+        expected = encode_texts(vocab, [("which city?", rows)])
         assert_same_matrices(tasks.encode(vocab, [inst], "rows"), expected)
         assert_same_matrices(tasks.encode(vocab, [inst], "rows"), expected)
         del vocab

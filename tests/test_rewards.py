@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from encoded_instances import encode_texts
 from tabreduce import policy, training
 from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.rewards import RewardConfig, shaped_reward, task_reward
@@ -126,7 +127,7 @@ class TestShapedReward:
         # the episode's advantages is where it is rejected
         vocab = policy.build_vocabulary(["q", "a", "b"])
         params = policy.init_params(vocab, 4, seed=0)
-        enc = policy.encode_texts(vocab, [("q", ["a", "b"])])[0]
+        enc = encode_texts(vocab, [("q", ["a", "b"])])[0]
         uniforms = np.random.default_rng(0).random((1, 3))
         matrices = policy.count_matrices([enc])
         sampled = policy.sample_episodes(params, params, matrices, uniforms)

@@ -17,7 +17,6 @@ from tabreduce.tables import (
     make_table,
     project,
     row_token_counts,
-    row_vocabulary_texts,
     table_fingerprint,
     validate_table,
 )
@@ -34,11 +33,6 @@ def linearize(table, column_subset):
     """The rendered text of ``table`` reduced to ``column_subset`` and all
     of its rows, as ``qa`` renders a context."""
     return linearize_tables([project(table, Reduction(frozenset(column_subset), frozenset(range(table.n_rows))))])[0]
-
-
-def vocabulary_texts(table, column_subset):
-    """``row_vocabulary_texts`` of a table on its own."""
-    return row_vocabulary_texts([(table, column_subset)])
 
 
 class TestTableInvariants:
@@ -150,14 +144,11 @@ class TestLinearize:
 
     def test_empty_subset_raises(self):
         with pytest.raises(EmptySelectionError):
-            vocabulary_texts(olympics(), set())
-        with pytest.raises(EmptySelectionError):
             column_token_ids(olympics(), set(), str.split, {})
 
     def test_column_out_of_range_raises(self):
-        for derived in (linearize, vocabulary_texts):
-            with pytest.raises(IndexError):
-                derived(olympics(), {0, 9})
+        with pytest.raises(IndexError):
+            linearize(olympics(), {0, 9})
         with pytest.raises(IndexError):
             column_token_ids(olympics(), {0, 9}, str.split, {})
 

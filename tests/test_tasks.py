@@ -156,3 +156,47 @@ def test_vocab_covers_questions_and_candidates():
     assert tasks.build_vocab([inst], "columns").tokens == (
         "2008", "city", "in", "noise", "which", "year"
     )
+
+
+def edge_instances():
+    """Tables whose rows are easy to tokenize apart from their vocabulary:
+    one without rows, bool and ``-0.0`` cells, text holding a quoted row
+    anchor, and a single gold column.  Words that no candidate of a target
+    holds (the row-less table's headers and the columns outside the gold
+    one) are each table's own."""
+    tables = [
+        (make_table(["orphan", "lonely"], []), {0, 1}),
+        (make_table(["flag", "amount"], [[True, -0.0], [False, 1.0], [None, 2.5]]), {0, 1}),
+        (make_table(["note", "kept"], [["see Row3: x", 'say "hi", (ok)'], ["Row12:", "row3"]]), {0, 1}),
+        (make_table(["gold", "unused"], [["alpha", "beta"], ["gamma", "delta"]]), {0}),
+    ]
+    return [
+        Instance(id=f"e{k}", question=f"edge question {k}?", table=table, answers=("x",),
+                 relevant_columns=frozenset(cols), relevant_rows=frozenset(range(table.n_rows)),
+                 annotation_status="ok")
+        for k, (table, cols) in enumerate(tables)
+    ]
+
+
+@pytest.mark.parametrize("target", ["columns", "rows"])
+@pytest.mark.parametrize("seed", [None, 3, 11])
+def test_vocabulary_holds_exactly_the_encoded_tokens(target, seed):
+    """The vocabulary built from instances is the set of tokens their
+    encodings hold: every id from 1 to ``size - 1`` occurs, and none is out
+    of the vocabulary (id 0)."""
+    if seed is None:
+        instances = edge_instances()
+    else:
+        synthetic = dataio.generate_synthetic(dataio.SynthConfig(n_instances=40, seed=seed))
+        instances = tasks.trainable(synthetic, target) + edge_instances()
+    vocab = tasks.build_vocab(instances, target)
+    ids = np.concatenate([enc.ids for enc in tasks.encode(vocab, instances, target)])
+    assert np.unique(ids).tolist() == list(range(1, vocab.size))
+    if seed is not None:
+        return
+    words = set(vocab.tokens)
+    if target == "rows":
+        assert not words & {"orphan", "lonely", "unused", "beta", "delta"}
+        assert {"true", "0", "row3", "row12", "hi", "gold", "gamma"} <= words
+    else:
+        assert {"orphan", "lonely", "unused"} <= words and not words & {"true", "row3", "gamma"}
