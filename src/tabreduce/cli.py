@@ -13,7 +13,9 @@ loads neither numpy nor the HTTP stack.  The model commands (``sft``,
 and the training ones ``training``, inside their command functions; numpy
 comes with them, or with ``dataio``'s generator for ``synth``.  ``qa
 --endpoint`` loads the HTTP stack inside ``llm``.  So ``annotate``, ``qa
---mock`` and ``report`` never load numpy.
+--mock`` and ``report`` never load numpy.  The model commands run with
+numpy's overflow and invalid-value warnings off (``_quiet_numpy``), so a
+diverging run prints its one ``error:`` line alone.
 
 Exit codes: 0 success, 1 validation/config error or a non-finite number in
 training or decoding (``NumericalError``), 2 I/O failure, 3 remote
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -159,6 +162,24 @@ def _load_config(path: str | None, config_cls, seed: int | None):
     return config_cls(**overrides)
 
 
+def _quiet_numpy(command):
+    """A model command run with numpy's overflow and invalid-value warnings
+    off.  The explicit checks (``NumericalError``) already refuse every
+    non-finite value that matters, and ``policy._step`` may hold inf in
+    slots it masks out, so the warnings would only print above the one
+    ``error:`` line of a diverging run.  numpy is imported on the call, so
+    ``import tabreduce.cli`` still loads none."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return command(args)
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -193,6 +214,7 @@ def cmd_annotate(args) -> int:
     return EXIT_OK
 
 
+@_quiet_numpy
 def cmd_sft(args) -> int:
     from . import policy, tasks, training
 
@@ -221,6 +243,7 @@ def cmd_sft(args) -> int:
     return EXIT_OK
 
 
+@_quiet_numpy
 def cmd_train_rl(args) -> int:
     from . import training
 
@@ -241,6 +264,7 @@ def cmd_train_rl(args) -> int:
     return EXIT_OK
 
 
+@_quiet_numpy
 def cmd_eval_reduce(args) -> int:
     from . import policy, tasks
 
@@ -298,6 +322,7 @@ def _groups(instances):
         yield instances[start:]
 
 
+@_quiet_numpy
 def cmd_reduce(args) -> int:
     from . import policy, tasks
 

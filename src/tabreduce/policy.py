@@ -17,15 +17,15 @@ counts over its distinct tokens, divided by the segment lengths
 (``CountMatrix``), times those tokens' rows of the embedding table; the
 gradient goes back through the transposed product.  An instance comes in
 as two flat arrays, each token's id and segment (``EncodedInstance``,
-flattened for many instances at once by ``encode_parts`` from the parts
-that ``tasks`` lays out), so the order of a segment's tokens is
-immaterial.  The matrices are built per instance, so an instance encodes
-the same in any batch.  Count matrices are all the policy encodes from, in
-one place (``_embed_padded``, which encodes each distinct matrix once per
-parameter set and call): SFT and greedy decoding build them per chunk, and
-``train-rl`` once per run for its training instances (``count_matrices``),
-which every rollout, sampled under the current and the reference
-parameters, and every minibatch of its update reuse.
+which ``tasks.encode`` builds for many instances at once), so the order of
+a segment's tokens is immaterial.  The matrices are built per instance, so
+an instance encodes the same in any batch.  Count matrices are all the
+policy encodes from, in one place (``_embed_padded``, which encodes each
+distinct matrix once per parameter set and call): SFT and greedy decoding
+build them per chunk, and ``train-rl`` once per run for its training
+instances (``count_matrices``), which every rollout, sampled under the
+current and the reference parameters, and every minibatch of its update
+reuse.
 
 The step distribution is written once (``_step``, ``_values``,
 ``_log_softmax``), by per-row products rounded alike in any batch.
@@ -60,9 +60,8 @@ import itertools
 import json
 import math
 import numbers
-import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,30 +76,12 @@ TARGET_COLUMNS = "columns"
 TARGET_ROWS = "rows"
 TARGETS = (TARGET_COLUMNS, TARGET_ROWS)
 
-_WORD_RE = re.compile(r"[a-z0-9]+")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased, punctuation-split words."""
-    return _WORD_RE.findall(text.lower())
-
-
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token-to-index map; index 0 is reserved for out-of-vocabulary words.
-
-    ``cell_ids`` is this vocabulary's one memo of token ids, per header and
-    table cell key of the candidates that ``tasks.encode`` builds (see
-    ``tables.column_token_ids``).  A key that is a string maps to
-    ``encode`` of it for column and row candidates alike, since a string
-    cell formats as itself.  The memo lives as long as the vocabulary,
-    which a stage builds or loads for itself, and never serves another
-    vocabulary.
-    """
+    """Token-to-index map; index 0 is reserved for out-of-vocabulary words."""
 
     tokens: tuple[str, ...]
     _index: dict = field(default_factory=dict, repr=False, compare=False)
-    cell_ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lookup = {tok: i + 1 for i, tok in enumerate(self.tokens)}
@@ -112,15 +93,9 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.tokens) + 1
 
-    def encode(self, text: str) -> tuple[int, ...]:
-        return tuple(map(self._index.get, tokenize(text), itertools.repeat(0)))
-
-
-def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
-    seen: set[str] = set()
-    for text in texts:
-        seen.update(tokenize(text))
-    return Vocabulary(tuple(sorted(seen)))
+    def ids(self, tokens: Iterable[str]) -> Iterator[int]:
+        """Each token's index, 0 for a token out of the vocabulary."""
+        return map(self._index.get, tokens, itertools.repeat(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,44 +110,6 @@ class EncodedInstance:
     ids: np.ndarray      # (tokens,) intp token ids
     segment: np.ndarray  # (tokens,) intp segment of each token
     n_candidates: int
-
-
-def encode_parts(
-    pieces: Sequence[Sequence[int]],
-    runs: Sequence[tuple[int, Sequence[int], int]],
-    shapes: Sequence[tuple[int, int]],
-) -> list[EncodedInstance]:
-    """Instances made of parts, each a token-id tuple of ``pieces``, laid
-    out in runs ``(first, local, first_segment)``: part k of a run is
-    ``pieces[first + local[k]]`` and lies in segment ``first_segment + k``
-    of its instance, which may span several runs in any order.  ``shapes``
-    gives each instance's number of runs, which follow those of the instance
-    before it, and of candidates.  A fixed number of numpy calls flattens
-    all the instances, whose arrays are views of two arrays over them all;
-    only the pieces' tokens and the runs' local indices are read one by
-    one."""
-    first, length, first_segment = np.array(
-        [(start, len(local), segment) for start, local, segment in runs], dtype=np.intp
-    ).reshape(-1, 3).T
-    run_start = np.cumsum(length) - length
-    n_parts = int(length.sum())
-    local = np.fromiter(itertools.chain.from_iterable(local for _, local, _ in runs), dtype=np.intp, count=n_parts)
-    piece_of = local + np.repeat(first, length)
-    segment_of = np.arange(n_parts) - np.repeat(run_start - first_segment, length)
-    piece_len = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
-    piece_start = np.cumsum(piece_len) - piece_len
-    tokens = np.fromiter(itertools.chain.from_iterable(pieces), dtype=np.intp, count=int(piece_len.sum()))
-    part_len = piece_len[piece_of]
-    ends = np.zeros(n_parts + 1, dtype=np.intp)  # token offset of each part, then the total
-    np.cumsum(part_len, out=ends[1:])
-    ids = tokens[np.repeat(piece_start[piece_of] - ends[:-1], part_len) + np.arange(ends[-1])]
-    segment = np.repeat(segment_of, part_len)
-    run_bounds = list(itertools.accumulate((n for n, _ in shapes), initial=0))
-    bounds = ends[np.append(run_start, n_parts)[run_bounds]].tolist()
-    return [
-        EncodedInstance(ids[start:stop], segment[start:stop], n_candidates)
-        for start, stop, (_, n_candidates) in zip(bounds, bounds[1:], shapes)
-    ]
 
 
 # ---------------------------------------------------------------------------

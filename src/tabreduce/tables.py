@@ -11,18 +11,19 @@ sufficient for relative length comparisons.
 Everything derived from a table's rows comes from one walk over the cells
 of a column subset (``_walk``): the rendered text (``linearize_tables``),
 each row's token count (``row_token_counts``) and each column's header and
-cell token ids (``column_token_ids``), from which ``tasks`` builds both the
-row policy's vocabulary and its encodings.  The first two walk all of a
+cell tokens (``column_tokens``), from which ``tasks`` builds both the row
+policy's vocabulary and its encodings.  The first two walk all of a
 table's columns, and only the first renders rows; the last works from each
-header and distinct cell alone.  A walk fills a memo of its per-cell
-function that outlives it, so that a stage judges each distinct cell once,
-not once per table: the calls that walk many tables (``linearize_tables``,
-``row_token_counts``, ``llm.mock_complete_many``) keep one over them,
-``tasks.build_vocab`` one per call, and a vocabulary keeps its own for
-``column_token_ids`` (``policy.Vocabulary.cell_ids``).  ``row_token_counts``
-is the one count behind QA contexts and length buckets
-(``metrics.bucket_by_length``).  The mock reader of ``llm`` reads its
-visible rows back from the same walk.
+header and distinct cell alone.  The policy's tokenizer (``_tokenize``)
+lives here, beside the walk that applies it: taken from ``policy``, it
+would load numpy with ``tables``.  A walk fills a memo of its per-cell
+function that outlives it, so that a call judges each distinct cell once,
+not once per table: one memo per batch call, which the calls that walk
+many tables (``linearize_tables``, ``row_token_counts``,
+``llm.mock_complete_many``, ``tasks.encode`` and ``tasks.build_vocab``)
+keep over them and drop when they return.  ``row_token_counts`` is the one
+count behind QA contexts and length buckets (``metrics.bucket_by_length``).
+The mock reader of ``llm`` reads its visible rows back from the same walk.
 """
 
 from __future__ import annotations
@@ -193,6 +194,14 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
+_WORD_RE = re.compile(r"[a-z0-9]+")
+
+
+def _tokenize(text: str) -> tuple[str, ...]:
+    """The policy's tokens of a text: its lowercased, punctuation-split words."""
+    return tuple(_WORD_RE.findall(text.lower()))
+
+
 def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int]:
     if not column_subset:
         raise EmptySelectionError("column subset must be non-empty")
@@ -213,12 +222,12 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
     Yields per column its header, each row's cell key and the column's
     distinct keys, after putting ``value_of(key)`` into ``values`` for each
     of those that was not yet in it.  ``values`` is the caller's memo of
-    ``value_of``, which it keeps over all of a stage's tables, so each
-    distinct key is judged once per stage.  It pays only where cells recur
-    across tables, so until a walk finds one of its keys in the memo
-    (``_SAVED``), a walk that finds none empties it once done: over tables
-    that share no cell it holds no more than two tables' keys, and costs
-    what a memo per table would.
+    ``value_of``, one per batch call, which it keeps over all the call's
+    tables, so each distinct key is judged once per call.  It pays only
+    where cells recur across tables, so until a walk finds one of its keys
+    in the memo (``_SAVED``), a walk that finds none empties it once done:
+    over tables that share no cell it holds no more than two tables' keys,
+    and costs what a memo per table would.
 
     A key formats (``format_cell``) as its cells do, and equal keys format
     alike.  A cell is its own key: equal ints and floats format alike (``1``
@@ -314,38 +323,34 @@ def row_token_counts(tables: Sequence[Table]) -> list[list[int]]:
     return [_row_counts(table, runs) if table.n_columns else [] for table in tables]
 
 
-def column_token_ids(
+def _cell_tokens(cell: Cell) -> tuple[str, ...]:
+    """The tokens of a cell's formatted text."""
+    return _tokenize(format_cell(cell))
+
+
+def column_tokens(
     table: Table,
     column_subset: set[int] | frozenset[int],
-    encode: Callable[[str], Sequence],
-    ids: dict,
-) -> list[tuple[tuple, list[tuple], list[int]]]:
+    tokens: dict,
+) -> list[tuple[tuple[str, ...], list[tuple[str, ...]], list[int]]]:
     """The tokens of the row policy's candidates, without rendering: per
-    column of the subset, in table order, ``tuple(encode(header))``, the
-    ``tuple(encode(format_cell(cell)))`` of each of its distinct cells, and
-    each row's index among those.
+    column of the subset, in table order, the header's tokens, the tokens
+    of each of its distinct formatted cells, and each row's index among
+    those.
 
-    ``encode`` must be a tokenizer (or token-id lookup) that splits at every
-    character outside ``[a-z0-9]``, like ``policy.tokenize``.  Quoting and
-    the ``(``, ``,``, ``)``, ``, `` separators then never join or split a
-    token, so a row's tokens in its linearization without its ``Row{i}:``
-    anchor are, column by column, its header's followed by its cell's.  Or
-    it may keep each text whole (``tasks.build_vocab``), for a tokenizer to
-    split later.
-    ``ids`` is the memo of ``tuple(encode(text))`` per cell key and header
-    (see ``_walk``); it holds one ``encode``'s ids only, so it belongs to
-    that ``encode`` (``policy.Vocabulary.cell_ids``).
+    Tokens split at every character outside ``[a-z0-9]`` (``_tokenize``),
+    so quoting and the ``(``, ``,``, ``)``, ``, `` separators never join or
+    split one, and a row's tokens in its linearization without its
+    ``Row{i}:`` anchor are, column by column, its header's followed by its
+    cell's.  ``tokens`` is the caller's memo of tokens per cell key and
+    header (see ``_walk``).
     """
-
-    def encode_cell(cell: Cell) -> tuple:
-        return tuple(encode(format_cell(cell)))
-
     columns = []
-    for header, keys, distinct in _walk(table, column_subset, encode_cell, ids):
-        head = ids.get(header)
+    for header, keys, distinct in _walk(table, column_subset, _cell_tokens, tokens):
+        head = tokens.get(header)
         if head is None:  # as in _row_counts
-            head = ids[header] = tuple(encode(header))
+            head = tokens[header] = _tokenize(header)
         distinct = list(distinct)
         index = dict(zip(distinct, range(len(distinct))))
-        columns.append((head, list(map(ids.__getitem__, distinct)), list(map(index.__getitem__, keys))))
+        columns.append((head, list(map(tokens.__getitem__, distinct)), list(map(index.__getitem__, keys))))
     return columns

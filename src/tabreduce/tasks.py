@@ -3,16 +3,17 @@
 The column policy points at headers; the row policy points at rows rendered
 over an already-reduced column set (gold columns by default, predicted ones
 when chaining stages).  One builder (``_segments``) lays out an instance's
-segments, its question and its candidates, for both: ``encode`` fills it
-with token ids and ``build_vocab`` with texts, so a vocabulary holds
-exactly the tokens its encodings look up.  Rows are never rendered for the
-policy: their token ids come from each header and distinct cell
-(``tables.column_token_ids``) and equal those of the rendered rows.  Each
-distinct header and cell is tokenized once per vocabulary
-(``Vocabulary.cell_ids``) and its text taken once per ``build_vocab`` (see
-``tables._walk``).  ``encode`` encodes a whole stage, or a group of it, in
-one call: the candidates of all its instances are flattened together, by a
-fixed number of numpy calls.
+segments, its question and its candidates, for both, as pieces of token
+texts: ``build_vocab`` takes the set of their tokens, so a vocabulary holds
+exactly the tokens its encodings look up, and ``encode`` maps them to ids
+once, while flattening (``_flatten``).  Rows are never rendered for the
+policy: their tokens come from each header and distinct cell
+(``tables.column_tokens``) and equal those of the rendered rows.  Each
+distinct header and cell is tokenized once per call, in one memo per batch
+call (see ``tables._walk``).  ``encode`` encodes a whole stage, or a group
+of it, in one call: the candidates of all its instances are flattened
+together, by a fixed number of numpy calls.  Only this module knows the
+layout of the pieces; ``policy`` sees ``policy.EncodedInstance`` alone.
 Greedy reductions go through ``policy.greedy_decode``, which steps many
 encoded instances together; recall is ``greedy_recall`` over instances
 encoded once (``labeled_encodings``), as training does at every
@@ -21,15 +22,15 @@ evaluation.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import metrics, policy
 from .errors import ConfigError
 from .policy import TARGET_COLUMNS, TARGET_ROWS, TARGETS
-from .tables import Instance, column_token_ids
+from .tables import Instance, _tokenize, column_tokens
 
 
 def check_target(target: str) -> str:
@@ -75,36 +76,36 @@ def _segments(
     instances: Sequence[Instance],
     target: str,
     contexts: Sequence[frozenset[int] | None] | None,
-    encode: Callable[[str], tuple],
-    memo: dict,
-) -> tuple[list[tuple], list[tuple], list[tuple[int, int]]]:
-    """The parts of the instances' segments, as ``policy.encode_parts``
-    takes them: ``(pieces, runs, shapes)``, each piece ``encode`` of a text,
-    with ``memo`` the memo of ``encode`` per header and cell key.
+) -> tuple[list[tuple[str, ...]], list[tuple], list[tuple[int, int]]]:
+    """The parts of the instances' segments, as ``_flatten`` takes them:
+    ``(pieces, runs, shapes)``, each piece the tokens of a text, with each
+    distinct header and cell tokenized once per call (see
+    ``tables._walk``).
 
     Segment 0 is the question.  Candidate j is header j, in the question's
     run; or row j over ``contexts[i]`` (by default, or where it is None, the
-    gold columns), gathered column by column (``tables.column_token_ids``):
+    gold columns), gathered column by column (``tables.column_tokens``):
     row r's segment holds one part with all the headers and, per column,
     the piece of its cell's distinct text, shared by every row that has it.
     A table without rows has its question only."""
-    pieces: list[tuple] = []  # each a part of one segment or more
+    pieces: list[tuple[str, ...]] = []  # each a part of one segment or more
     runs: list[tuple] = []  # per run of parts: its first piece, each part's piece from there, its first segment
     shapes = []
+    tokens: dict = {}  # the call's one memo of header and cell tokens
     by_columns = check_target(target) == TARGET_COLUMNS
     for inst, context in zip(instances, [None] * len(instances) if contexts is None else contexts, strict=True):
         question = len(pieces)
-        pieces.append(encode(inst.question))
+        pieces.append(_tokenize(inst.question))
         if by_columns:
             for header in inst.table.columns:
-                ids = memo.get(header)
-                if ids is None:
-                    ids = memo[header] = encode(header)
-                pieces.append(ids)
+                head = tokens.get(header)
+                if head is None:
+                    head = tokens[header] = _tokenize(header)
+                pieces.append(head)
             runs.append((question, range(1 + inst.table.n_columns), 0))
             shapes.append((1, inst.table.n_columns))
             continue
-        columns = column_token_ids(inst.table, _row_context(inst, context), encode, memo)
+        columns = column_tokens(inst.table, _row_context(inst, context), tokens)
         n_rows = inst.table.n_rows
         runs.append((question, (0,), 0))
         if not n_rows:
@@ -119,11 +120,50 @@ def _segments(
     return pieces, runs, shapes
 
 
+def _flatten(
+    vocab: policy.Vocabulary,
+    pieces: Sequence[tuple[str, ...]],
+    runs: Sequence[tuple[int, Sequence[int], int]],
+    shapes: Sequence[tuple[int, int]],
+) -> list[policy.EncodedInstance]:
+    """Instances made of parts, each a token tuple of ``pieces``, laid out
+    in runs ``(first, local, first_segment)``: part k of a run is
+    ``pieces[first + local[k]]`` and lies in segment ``first_segment + k``
+    of its instance, which may span several runs in any order.  ``shapes``
+    gives each instance's number of runs, which follow those of the instance
+    before it, and of candidates.  A fixed number of numpy calls flattens
+    all the instances, whose arrays are views of two arrays over them all;
+    only the pieces' tokens, mapped to ids here (``Vocabulary.ids``), and
+    the runs' local indices are read one by one."""
+    first, length, first_segment = np.array(
+        [(start, len(local), segment) for start, local, segment in runs], dtype=np.intp
+    ).reshape(-1, 3).T
+    run_start = np.cumsum(length) - length
+    n_parts = int(length.sum())
+    local = np.fromiter(chain.from_iterable(local for _, local, _ in runs), dtype=np.intp, count=n_parts)
+    piece_of = local + np.repeat(first, length)
+    segment_of = np.arange(n_parts) - np.repeat(run_start - first_segment, length)
+    piece_len = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+    piece_start = np.cumsum(piece_len) - piece_len
+    tokens = np.fromiter(vocab.ids(chain.from_iterable(pieces)), dtype=np.intp, count=int(piece_len.sum()))
+    part_len = piece_len[piece_of]
+    ends = np.zeros(n_parts + 1, dtype=np.intp)  # token offset of each part, then the total
+    np.cumsum(part_len, out=ends[1:])
+    ids = tokens[np.repeat(piece_start[piece_of] - ends[:-1], part_len) + np.arange(ends[-1])]
+    segment = np.repeat(segment_of, part_len)
+    run_bounds = list(accumulate((n for n, _ in shapes), initial=0))
+    bounds = ends[np.append(run_start, n_parts)[run_bounds]].tolist()
+    return [
+        policy.EncodedInstance(ids[start:stop], segment[start:stop], n_candidates)
+        for start, stop, (_, n_candidates) in zip(bounds, bounds[1:], shapes)
+    ]
+
+
 def build_vocab(instances: Sequence[Instance], target: str) -> policy.Vocabulary:
-    """Vocabulary of the texts of the instances' segments (``_segments``),
+    """Vocabulary of the tokens of the instances' segments (``_segments``),
     so that it holds exactly the tokens that ``encode`` looks up."""
-    pieces, _, _ = _segments(instances, target, None, lambda text: (text,), {})
-    return policy.build_vocabulary(set(chain.from_iterable(pieces)))
+    pieces, _, _ = _segments(instances, target, None)
+    return policy.Vocabulary(tuple(sorted(set(chain.from_iterable(pieces)))))
 
 
 def encode(
@@ -132,11 +172,9 @@ def encode(
     target: str,
     contexts: Sequence[frozenset[int] | None] | None = None,
 ) -> list[policy.EncodedInstance]:
-    """The instances as the policy sees them (``_segments``), with each
-    header and distinct cell tokenized once per vocabulary
-    (``Vocabulary.cell_ids``) and the parts of all the instances flattened
-    together (``policy.encode_parts``)."""
-    return policy.encode_parts(*_segments(instances, target, contexts, vocab.encode, vocab.cell_ids))
+    """The instances as the policy sees them (``_segments``), the parts of
+    all of them flattened together (``_flatten``)."""
+    return _flatten(vocab, *_segments(instances, target, contexts))
 
 
 def labeled_encodings(
@@ -144,9 +182,12 @@ def labeled_encodings(
     instances: Sequence[Instance],
     target: str,
 ) -> tuple[list[policy.EncodedInstance], list[frozenset[int]]]:
-    """Encodings and gold items of the instances with gold labels for the target."""
-    labeled = [(inst, gold) for inst in instances if (gold := gold_items(inst, target)) is not None]
-    return encode(vocab, [inst for inst, _ in labeled], target), [gold for _, gold in labeled]
+    """Encodings and gold items of instances that are trainable for the
+    target (``trainable``), in their order."""
+    encs = encode(vocab, instances, target)  # which checks the target
+    if target == TARGET_COLUMNS:
+        return encs, [inst.relevant_columns for inst in instances]
+    return encs, [inst.relevant_rows for inst in instances]
 
 
 def greedy_recall(

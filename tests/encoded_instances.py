@@ -1,15 +1,35 @@
 """Test helpers for ``policy.EncodedInstance``: build one from each
 segment's token ids or texts, read the segments back, and compare what the
-policy reads of instances, their count matrices.
+policy reads of instances, their count matrices.  ``tokenize``, ``encode``
+and ``build_vocabulary`` are oracles of a text's tokens, its token ids and
+the vocabulary of texts, written apart from the package's own code.
 
 An instance's arrays may hold a segment's tokens in any order, so
 comparisons go through ``segments`` (each segment's ids, sorted) or the
 count matrices, never the arrays themselves.
 """
 
+import re
+
 import numpy as np
 
 from tabreduce import policy
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercased words split at every character outside ``[a-z0-9]``."""
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def encode(vocab: policy.Vocabulary, text: str) -> tuple[int, ...]:
+    """The text's token ids in ``vocab``, 0 for a token it lacks."""
+    index = {token: i + 1 for i, token in enumerate(vocab.tokens)}
+    return tuple(index.get(token, 0) for token in tokenize(text))
+
+
+def build_vocabulary(texts) -> policy.Vocabulary:
+    """The vocabulary of the texts' tokens, sorted."""
+    return policy.Vocabulary(tuple(sorted({token for text in texts for token in tokenize(text)})))
 
 
 def encoded(question_ids, candidate_ids=()) -> policy.EncodedInstance:
@@ -25,7 +45,7 @@ def encode_texts(vocab: policy.Vocabulary, instances) -> list[policy.EncodedInst
     """Each ``(question, candidate texts)`` pair as the instance whose
     question and candidates are those texts, each tokenized on its own by
     ``vocab``: the encoding of rendered rows, or of headers."""
-    return [encoded(vocab.encode(question), [vocab.encode(text) for text in texts]) for question, texts in instances]
+    return [encoded(encode(vocab, question), [encode(vocab, text) for text in texts]) for question, texts in instances]
 
 
 def segment_ids(enc: policy.EncodedInstance) -> list[tuple[int, ...]]:

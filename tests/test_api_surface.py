@@ -206,3 +206,36 @@ def test_docstring_references_resolve():
     assert len(references) > 20
     unresolved = [f"{module}: {reference}" for module, reference in references if not resolves(reference)]
     assert unresolved == [], "docstring references to no package attribute: " + ", ".join(unresolved)
+
+
+README = PACKAGE.parent.parent / "README.md"
+
+# Last parts that make a dotted name a file name (``metrics.jsonl``), not a reference.
+FILE_SUFFIXES = {"csv", "json", "jsonl", "md", "py", "txt"}
+
+
+def readme_references(trees):
+    """Each backticked dotted name in README.md whose first part is a
+    package module or a public package class, as ``module.name...``."""
+    classes = {
+        node.name: module
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    }
+    for match in re.finditer(r"`(\w+(?:\.\w+)+)`", README.read_text()):
+        reference = match.group(1)
+        first, *rest = reference.split(".")
+        if rest[-1] in FILE_SUFFIXES:
+            continue
+        if first in trees:
+            yield reference
+        elif first in classes:
+            yield f"{classes[first]}.{reference}"
+
+
+def test_readme_references_resolve():
+    references = list(readme_references(parse_package()))
+    assert len(references) > 20
+    unresolved = sorted({reference for reference in references if not resolves(reference)})
+    assert unresolved == [], "README references to no package attribute: " + ", ".join(unresolved)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -316,6 +318,24 @@ class TestTraining:
                     "--config", str(cfg), "--dim", "16"])
         assert code == cli.EXIT_CONFIG
         assert_one_error_line(capsys, "non-finite scores in step distribution")
+
+    def test_diverging_sft_prints_only_its_error_line(self, pipeline, tmp_path):
+        """In a process of its own, where no test harness catches numpy's
+        warnings, a diverging run writes its ``error:`` line and nothing
+        else to stderr."""
+        root, data, sft_dir = pipeline
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text('{"learning_rate": 1e300}')
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "tabreduce.cli", "sft", "--data", str(data), "--target", "columns",
+             "--out", str(tmp_path / "out"), "--config", str(cfg), "--dim", "16"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == cli.EXIT_CONFIG
+        assert done.stderr == "error: non-finite scores in step distribution\n"
 
     @pytest.mark.parametrize("stage", ["sft", "train-rl"])
     @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ batched encoding, must equal byte for byte the matrix built by tokenizing
 each row of ``linearize_tables`` over the column subset, and counting each
 segment's tokens by hand.  An instance must encode the same alone, inside
 any batch and under any grouping of ``reduce``, and each distinct cell and
-header must be tokenized once per vocabulary, with the vocabulary's memo
-kept small over tables that share no cell.
+header must be tokenized once per call, with the call's memo kept small
+over tables that share no cell.
 """
 
 import random
@@ -17,10 +17,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from encoded_instances import assert_same_matrices, encoded
+from encoded_instances import assert_same_matrices, build_vocabulary, encode, encoded
 from tabreduce import cli, dataio, policy, tables, tasks
 from tabreduce.tables import Instance, Reduction, Table, format_cell, linearize_tables, project
 from test_render_fast import disjoint_tables
+from test_tasks import count_tokenizer_calls
 
 WORDS = ["alpha", "beta", "gamma", "delta", "see", "ok", "hi"]
 # bools, null, integral and signed-zero floats, texts that are quoted (with
@@ -59,7 +60,7 @@ def oracle_segments(vocab, inst, context):
     whole = project(inst.table, Reduction(frozenset(cols), frozenset(range(inst.table.n_rows))))
     rows = re.split(r"Row\d+: ", linearize_tables([whole])[0])[1:]
     assert len(rows) == inst.table.n_rows
-    return [vocab.encode(inst.question)] + [vocab.encode(row) for row in rows]
+    return [encode(vocab, inst.question)] + [encode(vocab, row) for row in rows]
 
 
 def oracle_matrix(segments):
@@ -82,7 +83,7 @@ def test_count_matrices_match_tokenized_rendering(seed):
     rng = random.Random(seed)
     instances, contexts = random_instances(rng, 60)
     # some words of the tables and questions are out of the vocabulary
-    vocab = policy.build_vocabulary(rng.sample(WORDS, 4) + ["which is 7 x", "say a b", "1", "true"])
+    vocab = build_vocabulary(rng.sample(WORDS, 4) + ["which is 7 x", "say a b", "1", "true"])
     encs = tasks.encode(vocab, instances, "rows", contexts)
     expected = [oracle_matrix(oracle_segments(vocab, inst, ctx)) for inst, ctx in zip(instances, contexts)]
     assert [enc.n_candidates for enc in encs] == [inst.table.n_rows for inst in instances]
@@ -91,7 +92,7 @@ def test_count_matrices_match_tokenized_rendering(seed):
             assert_matrix(matrix, oracle)
     # the cases that matter are there
     assert any(inst.table.n_rows == 0 for inst in instances)
-    assert any(not vocab.encode(inst.question) for inst in instances)
+    assert any(not encode(vocab, inst.question) for inst in instances)
     assert any(0 in matrix[0] for matrix in expected)
     assert any(len(seg) == 0 for inst, ctx in zip(instances, contexts) for seg in oracle_segments(vocab, inst, ctx))
 
@@ -145,11 +146,26 @@ def test_batch_independent(monkeypatch):
         assert decoded == selected
 
 
+def watch_memos(monkeypatch) -> list[tuple[dict, int]]:
+    """The memo of each ``tables.column_tokens`` call of ``tasks`` from now
+    on, and its size after the call."""
+    memos = []
+    real = tasks.column_tokens
+
+    def watched(table, column_subset, tokens):
+        out = real(table, column_subset, tokens)
+        memos.append((tokens, len(tokens)))
+        return out
+
+    monkeypatch.setattr(tasks, "column_tokens", watched)
+    return memos
+
+
 def test_row_candidates_tokenize_each_cell_and_header_once(monkeypatch):
     """Over tables that share cells, one batched encode tokenizes each
-    distinct cell key and header once per vocabulary (questions are
-    tokenized each time), and its encodings are those of a fresh
-    vocabulary per instance."""
+    distinct cell key and header once, in one memo over the call
+    (questions are tokenized each time), and its encodings are those of a
+    fresh vocabulary per instance."""
     rng = random.Random(8)
     pool = [1, 1.0, True, "true", -0.0, 0, None, "alpha", "beta x", "(gamma)", 2, 3]
     instances = []
@@ -167,40 +183,27 @@ def test_row_candidates_tokenize_each_cell_and_header_once(monkeypatch):
         keys.update(inst.table.columns[c] for c in cols)
         cells = [row[c] for row in inst.table.rows for c in cols]
         keys.update(format_cell(cell) if type(cell) is bool else cell for cell in cells)
+    vocab = tasks.build_vocab(instances, "rows")
     fresh = [tasks.encode(tasks.build_vocab(instances, "rows"), [inst], "rows")[0] for inst in instances]
-    calls = Counter()
-    real = policy.Vocabulary.encode
-
-    def counting(self, text):
-        calls[text] += 1
-        return real(self, text)
-
-    monkeypatch.setattr(policy.Vocabulary, "encode", counting)
-    for vocab in (tasks.build_vocab(instances, "rows"), tasks.build_vocab(instances, "rows")):
+    calls, memos = count_tokenizer_calls(monkeypatch), watch_memos(monkeypatch)
+    for _ in range(2):
         calls.clear()
+        memos.clear()
         assert_same_matrices(tasks.encode(vocab, instances, "rows"), fresh)
         assert calls == Counter(inst.question for inst in instances) + Counter(map(format_cell, keys))
-        assert set(vocab.cell_ids) - {tables._SAVED} == keys
+        (memo,) = {id(memo): memo for memo, _ in memos}.values()
+        assert len(memos) == len(instances) and set(memo) - {tables._SAVED} == keys
 
 
 def test_memo_of_tables_sharing_no_cell_stays_small(monkeypatch):
-    """Over tables that share no cell, the vocabulary's memo never holds
-    more than two tables' cells and headers during a batched encode, and
-    the encodings are still those of fresh memos."""
+    """Over tables that share no cell, the memo of a batched encode never
+    holds more than two tables' cells and headers, and the encodings are
+    still those of fresh memos."""
     instances = [Instance(id=str(k), question="q?", table=table, relevant_columns=frozenset(range(3)))
                  for k, table in enumerate(disjoint_tables(40, 3, 5))]
-    vocab = policy.build_vocabulary(["h0 h1 h2 x q"])
-    sizes = []
-    real = tasks.column_token_ids
-
-    def watched(*args):
-        out = real(*args)
-        sizes.append(len(vocab.cell_ids))
-        return out
-
-    monkeypatch.setattr(tasks, "column_token_ids", watched)
+    vocab = build_vocabulary(["h0 h1 h2 x q"])
+    memos = watch_memos(monkeypatch)
     encs = tasks.encode(vocab, instances, "rows")
-    assert len(sizes) == len(instances) and max(sizes) <= 2 * (15 + 3)
-    monkeypatch.setattr(tasks, "column_token_ids", real)
-    fresh = [tasks.encode(policy.build_vocabulary(["h0 h1 h2 x q"]), [inst], "rows")[0] for inst in instances]
+    assert len(memos) == len(instances) and max(size for _, size in memos) <= 2 * (15 + 3)
+    fresh = [tasks.encode(vocab, [inst], "rows")[0] for inst in instances]
     assert_same_matrices(encs, fresh)

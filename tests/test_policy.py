@@ -16,7 +16,6 @@ from tabreduce.policy import (
     PpoBatch,
     Vocabulary,
     apply_top_p_mask,
-    build_vocabulary,
     count_matrices,
     finite_difference_error,
     forward,
@@ -29,9 +28,10 @@ from tabreduce.policy import (
     sample_episodes,
     save_params,
     sft_loss_and_grad,
-    tokenize,
 )
-from encoded_instances import encode_texts, encoded
+from tabreduce import tasks
+from tabreduce.tables import Instance, _tokenize, make_table
+from encoded_instances import build_vocabulary, encode_texts, encoded
 from test_policy_batched import params_equal, traces
 
 
@@ -63,15 +63,16 @@ def forward_logprob(params, enc, actions):
 
 class TestVocabulary:
     def test_tokenize(self):
-        assert tokenize("What is the Count, of X9?") == ["what", "is", "the", "count", "of", "x9"]
+        assert _tokenize("What is the Count, of X9?") == ("what", "is", "the", "count", "of", "x9")
 
     def test_oov_maps_to_zero(self):
         vocab = tiny_vocab()
-        assert 0 in vocab.encode("unknownword alpha")
-        assert vocab.encode("alpha")[0] > 0
+        unknown, alpha = vocab.ids(["unknownword", "alpha"])
+        assert unknown == 0 and alpha > 0
 
     def test_sorted_and_stable(self):
-        vocab = build_vocabulary(["b a", "a c"])
+        inst = Instance(id="i", question="b a", table=make_table(["a", "c"], []), answers=("x",))
+        vocab = tasks.build_vocab([inst], "columns")
         assert vocab.tokens == ("a", "b", "c")
 
 

@@ -60,7 +60,7 @@ from tabreduce.policy import (
     PpoStats,
     zero_grads,
 )
-from encoded_instances import encoded, segment_ids
+from encoded_instances import build_vocabulary, encoded, segment_ids
 from test_render_fast import oracle_row_pairs
 
 TOLERANCE = 1e-10
@@ -745,7 +745,7 @@ def test_greedy_reduction_bit_identical(target):
     for inst in instances:
         texts += (inst.table.columns if target == tasks.TARGET_COLUMNS
                   else [oracle_row_pairs(inst.table, row, sorted(context)) for row in inst.table.rows])
-    vocab = policy.build_vocabulary(texts)
+    vocab = build_vocabulary(texts)
     params = policy.init_params(vocab, 16, seed=7)
     encs = tasks.encode(vocab, instances, target, [context] * len(instances))
     expected = [oracle_sample_episode(params, None, enc, mode="greedy")[-1] for enc in encs]

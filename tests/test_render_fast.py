@@ -1,5 +1,5 @@
 """Differential tests: the one-pass table renderer against the per-row code
-it replaced; the row token ids, row vocabulary and token counts taken from
+it replaced; the row tokens, row vocabulary and token counts taken from
 each column's distinct cells against the same oracle renderings, tokenized
 and counted; the mock reader's visible table against the per-character
 parse of the rendered QA prompt that it replaced; and walks that share one
@@ -18,14 +18,14 @@ import re
 
 import pytest
 
-from encoded_instances import assert_same_matrices, encode_texts
-from tabreduce import llm, metrics, policy, tasks
+from encoded_instances import assert_same_matrices, build_vocabulary, encode_texts, tokenize
+from tabreduce import llm, metrics, tasks
 from tabreduce.tables import (
     Instance,
     Reduction,
     Table,
     _row_counts,
-    column_token_ids,
+    column_tokens,
     count_tokens,
     format_cell,
     linearize_tables,
@@ -169,16 +169,16 @@ def random_subset(rng, n_cols):
 SEEDS = range(6)
 
 
-def row_ids(table, cols, encode, ids):
-    """Each row's token ids put back together from ``column_token_ids``:
-    per column, its header's and then its cell's."""
-    columns = column_token_ids(table, cols, encode, ids)
+def row_tokens(table, cols, tokens):
+    """Each row's tokens put back together from ``column_tokens`` with the
+    memo ``tokens``: per column, its header's and then its cell's."""
+    columns = column_tokens(table, cols, tokens)
     return [tuple(tok for head, distinct, index in columns for tok in head + distinct[index[r]])
             for r in range(table.n_rows)]
 
 
 def check_against_oracle(table, cols):
-    """Rendering, count, row ids and row vocabulary of ``table`` over
+    """Rendering, count, row tokens and row vocabulary of ``table`` over
     ``cols``, and what ``tasks`` and ``metrics`` make of them, against the
     oracle's text."""
     text = oracle_linearize(table, cols)
@@ -189,16 +189,14 @@ def check_against_oracle(table, cols):
     assert counts == [count_tokens(f"Row{i}: {pairs}") for i, pairs in enumerate(rows)]
     assert sum(counts) == count_tokens(text)
 
-    vocab = policy.build_vocabulary(rows)
-    assert row_ids(table, cols, vocab.encode, {}) == [vocab.encode(t) for t in rows]
-    assert row_ids(table, cols, policy.tokenize, {}) == [tuple(policy.tokenize(t)) for t in rows]
-    # with some tokens out of the vocabulary
-    partial = policy.build_vocabulary(rows[: len(rows) // 2])
-    assert row_ids(table, cols, partial.encode, {}) == [partial.encode(t) for t in rows]
+    assert row_tokens(table, cols, {}) == [tuple(tokenize(t)) for t in rows]
 
     inst = Instance(id="i", question="Which q?", table=table, relevant_columns=frozenset(cols))
-    assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["Which q?", *rows])
-    assert_same_matrices(tasks.encode(partial, [inst], "rows"), encode_texts(partial, [("Which q?", rows)]))
+    vocab = tasks.build_vocab([inst], "rows")
+    assert vocab == build_vocabulary(["Which q?", *rows])
+    # and with some tokens out of the vocabulary
+    for vocab in (vocab, build_vocabulary(rows[: len(rows) // 2])):
+        assert_same_matrices(tasks.encode(vocab, [inst], "rows"), encode_texts(vocab, [("Which q?", rows)]))
     length = count_tokens(oracle_linearize(table, range(table.n_columns)))
     assert metrics.bucket_by_length([inst], [-1, length, length + 1]) == [1]  # whole table, exactly
 
@@ -252,23 +250,20 @@ def test_equal_keys_of_other_types_render_apart():
         "Row0: (v,1) Row1: (v,1) Row2: (v,true) Row3: (v,0) Row4: (v,false) Row5: (v,0) "
         "Row6: (v,1.5) Row7: (v,)"
     )
-    vocab = policy.build_vocabulary(["v 1 true 0 false 1 5"])
-    v, one, true, zero, false, five = map(vocab.encode, ["v", "1", "true", "0", "false", "5"])
-    assert row_ids(table, {0}, vocab.encode, {}) == [
-        v + one, v + one, v + true, v + zero, v + false, v + zero, v + one + five, v
+    assert row_tokens(table, {0}, {}) == [
+        ("v", "1"), ("v", "1"), ("v", "true"), ("v", "0"), ("v", "false"), ("v", "0"), ("v", "1", "5"), ("v",)
     ]
     check_against_oracle(table, {0})
 
 
 def test_zero_rows_and_zero_columns():
     table = Table(("a", "b"), ())
-    vocab = policy.build_vocabulary(["a b"])
     assert linearize_tables([table]) == [""]
     assert row_token_counts([table]) == [[]]
-    assert row_ids(table, {1}, vocab.encode, {}) == []
-    assert column_token_ids(table, {1}, vocab.encode, {}) == [(vocab.encode("b"), [], [])]
+    assert row_tokens(table, {1}, {}) == []
+    assert column_tokens(table, {1}, {}) == [(("b",), [], [])]
     inst = Instance(id="i", question="q", table=table, relevant_columns=frozenset({0, 1}))
-    assert tasks.build_vocab([inst], "rows") == policy.build_vocabulary(["q"])
+    assert tasks.build_vocab([inst], "rows") == build_vocabulary(["q"])
     check_against_oracle(table, {0, 1})
     empty = Table((), ((), ()))
     assert row_token_counts([empty]) == [[]]
@@ -401,9 +396,9 @@ def colliding_table(rng):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_memos_match_fresh_walks(seed):
     """The batch calls, each keeping one memo of its per-cell function over
-    all of its tables, and a vocabulary's memo of cell ids, kept over many
-    tables, give every table what a walk with a fresh memo gives, and what
-    the oracle renders."""
+    all of its tables, and a memo of cell tokens kept over many tables, give
+    every table what a walk with a fresh memo gives, and what the oracle
+    renders."""
     rng = random.Random(5000 + seed)
     batch = [(table, random_subset(rng, table.n_columns))
              for table in (colliding_table(rng) for _ in range(60))]
@@ -424,15 +419,15 @@ def test_batch_memos_match_fresh_walks(seed):
         for budget in (12, 10**6):
             assert same_table(visible_table("q?", table, budget, read), visible_table("q?", table, budget))
     batch.pop()
-    vocab = policy.build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
-    for table, cols in batch:
-        assert row_ids(table, cols, vocab.encode, vocab.cell_ids) == row_ids(table, cols, vocab.encode, {}) == [
-            vocab.encode(oracle_row_pairs(table, row, sorted(cols))) for row in table.rows
-        ]
-    rows = [oracle_row_pairs(table, row, sorted(cols)) for table, cols in batch for row in table.rows]
+    tokens = {}
+    texts = [[oracle_row_pairs(table, row, sorted(cols)) for row in table.rows] for table, cols in batch]
+    for (table, cols), rows in zip(batch, texts):
+        assert row_tokens(table, cols, tokens) == row_tokens(table, cols, {}) == [tuple(tokenize(t)) for t in rows]
     instances = [Instance(id=str(k), question="q?", table=table, relevant_columns=cols)
                  for k, (table, cols) in enumerate(batch)]
-    assert tasks.build_vocab(instances, "rows") == policy.build_vocabulary(["q?", *rows])
+    assert tasks.build_vocab(instances, "rows") == build_vocabulary(["q?", *(t for rows in texts for t in rows)])
+    vocab = build_vocabulary([oracle_linearize(table, cols) for table, cols in batch[::2]])
+    assert_same_matrices(tasks.encode(vocab, instances, "rows"), encode_texts(vocab, [("q?", rows) for rows in texts]))
     lengths = [count_tokens(oracle_linearize(table, range(table.n_columns))) for table, _ in batch]
     assert list(map(sum, row_token_counts([table for table, _ in batch]))) == lengths
     assert metrics.bucket_by_length(instances, [0, 10, 30]) == metrics.assign_buckets(lengths, [0, 10, 30])
@@ -454,14 +449,13 @@ def test_memo_of_tables_sharing_no_cell_stays_small():
     result is still a fresh walk's.  Once a walk has found a cell in it,
     the memo lasts."""
     tables = disjoint_tables(40, 3, 5)
-    vocab = policy.build_vocabulary(["h0 h1 h2 x"])
     cols = frozenset(range(3))
-    runs, read, largest = {}, {}, 0
+    runs, tokens, read, largest = {}, {}, {}, 0
     for table in tables:
         assert _row_counts(table, runs) == _row_counts(table, {})
-        assert row_ids(table, cols, vocab.encode, vocab.cell_ids) == row_ids(table, cols, vocab.encode, {})
+        assert row_tokens(table, cols, tokens) == row_tokens(table, cols, {})
         assert same_table(visible_table("q?", table, 10**6, read), visible_table("q?", table, 10**6))
-        largest = max(largest, len(runs), len(vocab.cell_ids), len(read))
+        largest = max(largest, len(runs), len(tokens), len(read))
     assert largest <= 2 * (15 + 3)
     runs = {}
     _row_counts(tables[0], runs)
@@ -472,21 +466,17 @@ def test_memo_of_tables_sharing_no_cell_stays_small():
 
 
 def test_vocabularies_never_share_cell_ids():
-    """Each vocabulary keeps its own memo of cell token ids: vocabularies
-    built one after another, each dropped before the next is built (so one
-    may take a dropped one's address), encode the same rows by their own
-    ids."""
+    """No memo value depends on a vocabulary: vocabularies built one after
+    another, each dropped before the next is built (so one may take a
+    dropped one's address), encode the same rows by their own ids."""
     table = Table(("city", "n"), (("athens", 1), ("beijing", 2), ("athens", True)))
     inst = Instance(id="i", question="which city?", table=table, relevant_columns=frozenset({0, 1}))
     rows = [oracle_row_pairs(table, row, [0, 1]) for row in table.rows]
     words = ["which", "city", "athens", "beijing", "n", "1", "2", "true", "x", "y"]
     rng = random.Random(7)
     for _ in range(40):
-        vocab = policy.build_vocabulary(rng.sample(words, rng.randint(1, len(words))))
-        assert not vocab.cell_ids
+        vocab = build_vocabulary(rng.sample(words, rng.randint(1, len(words))))
         expected = encode_texts(vocab, [("which city?", rows)])
         assert_same_matrices(tasks.encode(vocab, [inst], "rows"), expected)
         assert_same_matrices(tasks.encode(vocab, [inst], "rows"), expected)
         del vocab
-    first, second = policy.build_vocabulary(["city athens"]), policy.build_vocabulary(["city athens"])
-    assert first == second and first.cell_ids is not second.cell_ids

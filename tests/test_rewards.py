@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from encoded_instances import encode_texts
+from encoded_instances import build_vocabulary, encode_texts
 from tabreduce import policy, training
 from tabreduce.errors import ConfigError, NumericalError
 from tabreduce.rewards import RewardConfig, shaped_reward, task_reward
@@ -125,7 +125,7 @@ class TestShapedReward:
     def test_non_finite_rejected(self, bad):
         # shaped_reward passes a non-finite reward through; the PPO loss over
         # the episode's advantages is where it is rejected
-        vocab = policy.build_vocabulary(["q", "a", "b"])
+        vocab = build_vocabulary(["q", "a", "b"])
         params = policy.init_params(vocab, 4, seed=0)
         enc = encode_texts(vocab, [("q", ["a", "b"])])[0]
         uniforms = np.random.default_rng(0).random((1, 3))

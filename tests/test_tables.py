@@ -10,7 +10,7 @@ from tabreduce.tables import (
     Instance,
     Reduction,
     Table,
-    column_token_ids,
+    column_tokens,
     count_tokens,
     format_cell,
     linearize_tables,
@@ -144,13 +144,13 @@ class TestLinearize:
 
     def test_empty_subset_raises(self):
         with pytest.raises(EmptySelectionError):
-            column_token_ids(olympics(), set(), str.split, {})
+            column_tokens(olympics(), set(), {})
 
     def test_column_out_of_range_raises(self):
         with pytest.raises(IndexError):
             linearize(olympics(), {0, 9})
         with pytest.raises(IndexError):
-            column_token_ids(olympics(), {0, 9}, str.split, {})
+            column_tokens(olympics(), {0, 9}, {})
 
     def test_pair_counts(self):
         table = make_table(

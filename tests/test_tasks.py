@@ -3,10 +3,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from encoded_instances import assert_same_matrices, encoded, segments
-from tabreduce import dataio, policy, tasks
+from encoded_instances import assert_same_matrices, build_vocabulary, encode, encoded, segments
+from tabreduce import dataio, policy, tables, tasks
 from tabreduce.errors import ConfigError
 from tabreduce.tables import Instance, make_table
+
+
+def count_tokenizer_calls(monkeypatch) -> Counter:
+    """Each text's number of calls of the tokenizer, from now on."""
+    calls = Counter()
+    real = tables._tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(tables, "_tokenize", counting)
+    monkeypatch.setattr(tasks, "_tokenize", counting)
+    return calls
 
 
 def annotated_instance():
@@ -31,59 +45,50 @@ class TestCandidates:
     it in ``test_render_fast``)."""
 
     def vocab(self):
-        return policy.build_vocabulary(["which city year athens noise 2004 2008 beijing y"])
+        return build_vocabulary(["which city year athens noise 2004 2008 beijing y"])
 
     def test_column_candidates_are_headers(self):
         inst = annotated_instance()
         vocab = self.vocab()
         (enc,) = tasks.encode(vocab, [inst], "columns")
         assert segments(enc) == segments(
-            encoded(vocab.encode("which city in 2008?"), [vocab.encode(h) for h in ["year", "city", "noise"]])
+            encoded(encode(vocab, "which city in 2008?"), [encode(vocab, h) for h in ["year", "city", "noise"]])
         )
 
     def test_column_candidates_tokenize_each_header_once(self, monkeypatch):
-        """Header ids come from the vocabulary's memo: each distinct header
-        text is tokenized once per vocabulary, and every encoding equals a
-        fresh tokenization of its headers."""
+        """Each distinct header text is tokenized once per ``tasks.encode``
+        call, and every encoding equals a fresh tokenization of its
+        headers."""
         insts = dataio.generate_synthetic(dataio.SynthConfig(n_instances=60, seed=4))
         vocab = tasks.build_vocab(insts, "columns")
         expected = [
-            segments(encoded(vocab.encode(inst.question), [vocab.encode(h) for h in inst.table.columns]))
+            segments(encoded(encode(vocab, inst.question), [encode(vocab, h) for h in inst.table.columns]))
             for inst in insts
         ]
         headers = {h for inst in insts for h in inst.table.columns}
         assert len(headers) < sum(inst.table.n_columns for inst in insts) / 4
-        calls = Counter()
-        real = policy.Vocabulary.encode
-
-        def counting(self, text):
-            calls[text] += 1
-            return real(self, text)
-
-        monkeypatch.setattr(policy.Vocabulary, "encode", counting)
-        for vocabulary in (vocab, tasks.build_vocab(insts, "columns")):
+        calls = count_tokenizer_calls(monkeypatch)
+        for _ in range(2):
             calls.clear()
-            assert list(map(segments, tasks.encode(vocabulary, insts, "columns"))) == expected
-            questions = Counter(inst.question for inst in insts)
-            assert calls == questions + Counter(headers)
-            assert vocabulary.cell_ids.keys() == headers
+            assert list(map(segments, tasks.encode(vocab, insts, "columns"))) == expected
+            assert calls == Counter(inst.question for inst in insts) + Counter(headers)
 
     def test_row_candidates_use_gold_columns_by_default(self):
         inst = annotated_instance()
         vocab = self.vocab()
         (enc,) = tasks.encode(vocab, [inst], "rows")
         assert segments(enc)[1:] == [
-            tuple(sorted(vocab.encode("(year,2004), (city,athens)"))),
-            tuple(sorted(vocab.encode("(year,2008), (city,beijing)"))),
+            tuple(sorted(encode(vocab, "(year,2004), (city,athens)"))),
+            tuple(sorted(encode(vocab, "(year,2008), (city,beijing)"))),
         ]
 
     def test_row_candidates_accept_predicted_columns(self):
         inst = annotated_instance()
         vocab = self.vocab()
         (enc,) = tasks.encode(vocab, [inst], "rows", [frozenset({1, 2})])
-        assert segments(enc)[2] == tuple(sorted(vocab.encode("(city,beijing), (noise,y)")))
+        assert segments(enc)[2] == tuple(sorted(encode(vocab, "(city,beijing), (noise,y)")))
         # "x" is out of the vocabulary
-        assert segments(enc)[1] == tuple(sorted(vocab.encode("city athens noise") + (0,)))
+        assert segments(enc)[1] == tuple(sorted(encode(vocab, "city athens noise") + (0,)))
         # a context of None is the gold columns
         both = tasks.encode(vocab, [inst, inst], "rows", [None, frozenset({1, 2})])
         assert_same_matrices(both, tasks.encode(vocab, [inst], "rows") + [enc])
@@ -141,7 +146,7 @@ class TestGreedyEvaluate:
         assert 0.0 <= recall <= 1.0
 
     def test_greedy_recall_empty(self):
-        vocab = policy.build_vocabulary(["x"])
+        vocab = build_vocabulary(["x"])
         params = policy.init_params(vocab, 8, seed=0)
         assert tasks.greedy_recall(params, *tasks.labeled_encodings(vocab, [], "columns")) == 0.0
 
@@ -150,7 +155,7 @@ def test_vocab_covers_questions_and_candidates():
     inst = annotated_instance()
     vocab = tasks.build_vocab([inst], "rows")
     for token in ("which", "city", "2008", "athens", "year"):
-        assert vocab.encode(token) != (0,), token
+        assert encode(vocab, token) != (0,), token
     # the rows over the gold columns: "noise" and its cells are not candidates
     assert vocab.tokens == ("2004", "2008", "athens", "beijing", "city", "in", "which", "year")
     assert tasks.build_vocab([inst], "columns").tokens == (

@@ -19,7 +19,7 @@ from tabreduce.training import (
     train_sft,
     update_beta,
 )
-from encoded_instances import encoded
+from encoded_instances import build_vocabulary, encoded
 from test_policy_batched import mixed_batch, params_equal, random_instance, random_params, traces
 
 
@@ -323,7 +323,7 @@ class TestRollouts:
 
 class TestSft:
     def test_empty_dataset_rejected(self):
-        vocab = policy.build_vocabulary(["x"])
+        vocab = build_vocabulary(["x"])
         params = policy.init_params(vocab, 8, 0)
         with pytest.raises(ConfigError):
             train_sft(params, [], [], SftConfig(), "columns")
@@ -615,7 +615,7 @@ class TestTrainRl:
 
 class TestAdam:
     def test_moves_toward_minimum(self):
-        vocab = policy.build_vocabulary(["a b c"])
+        vocab = build_vocabulary(["a b c"])
         params = policy.PolicyParams.zeros(vocab, 4)
         adam = Adam(params, 0.1)
         target = np.ones_like(params.score_q)
