@@ -5,7 +5,8 @@ Stages mirror the data flow: ``synth`` or your own JSONL -> ``annotate`` ->
 ``report``.  Every stage checks its flags and loads its models, then
 writes a manifest next to its output before any other file, so a refused
 flag or model leaves no file and a run can be reproduced from the recorded
-flags and seeds.
+flags and seeds.  A stage that fails after writing its manifest rewrites it
+with its elapsed time and its error line (``Manifest.fail``).
 
 Each command imports what it runs and no more: ``import tabreduce.cli``
 loads neither numpy nor the HTTP stack.  The model commands (``sft``,
@@ -55,9 +56,14 @@ def _manifest_path(out_path: str) -> str:
 
 
 class Manifest:
-    """Run record written before stage output, finalized with timing."""
+    """Run record written before stage output, finalized with timing.
+    ``pending`` is the running stage's manifest until it is finished, which
+    ``main`` finishes with the error line when the stage fails."""
+
+    pending: Manifest | None = None
 
     def __init__(self, command: str, args: dict, out_path: str):
+        Manifest.pending = self
         self.path = _manifest_path(out_path)
         self.started = time.time()
         self.doc = {
@@ -76,8 +82,14 @@ class Manifest:
             fh.write("\n")
 
     def finish(self) -> None:
+        Manifest.pending = None
         self.doc["elapsed_seconds"] = round(time.time() - self.started, 3)
         self._write()
+
+    def fail(self, line: str) -> None:
+        """Finish a failed stage's record, with the error ``line`` it printed."""
+        self.doc["error"] = line
+        self.finish()
 
 
 def _load_instances(path: str):
@@ -521,17 +533,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    Manifest.pending = None
     try:
         return args.func(args)
     except (ConfigError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, line = EXIT_CONFIG, f"error: {exc}"
     except llm.LlmError as exc:
-        print(f"endpoint error: {exc}", file=sys.stderr)
-        return EXIT_REMOTE
+        code, line = EXIT_REMOTE, f"endpoint error: {exc}"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, line = EXIT_IO, f"i/o error: {exc}"
+    print(line, file=sys.stderr)
+    if Manifest.pending is not None:
+        try:
+            Manifest.pending.fail(line)
+        except OSError:
+            pass  # the printed line is the record of the failure
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ counts it, each distinct cell once over all of its instances.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -109,11 +110,7 @@ def assign_buckets(token_counts: Sequence[int], boundaries: Sequence[int]) -> li
     for tokens in token_counts:
         if tokens < bounds[0]:
             raise ConfigError(f"token count {tokens} below first boundary {bounds[0]}")
-        k = 0
-        for i, b in enumerate(bounds):
-            if tokens >= b:
-                k = i
-        out.append(k)
+        out.append(bisect_right(bounds, tokens) - 1)
     return out
 
 

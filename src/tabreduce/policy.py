@@ -44,9 +44,12 @@ evaluates the step distribution at all of them, as padded ``(B, T, N +
 values it was sampled with; ``backward`` runs the chain rule back through
 them down to the token embeddings.
 
-Gradients come in ``FlatArrays``: per-parameter views of one flat buffer,
-so an optimizer can update them in one elementwise pass (``zero_grads``).
-Log-probabilities are exact and every gradient here is written by hand;
+Parameters are named views of one flat buffer (``PolicyParams``), laid
+out by one table (``_layout``), and a gradient is a zero parameter set of
+the same layout, so an optimizer updates every parameter in one
+elementwise pass over the buffers; parameters are therefore written in
+place, never rebound.  Log-probabilities are exact and every gradient
+here is written by hand;
 ``finite_difference_error`` checks them against central differences, which
 the test suite runs for both the likelihood loss and the clipped-surrogate
 loss.  Sampling reads only the uniforms it is given, so identical uniforms
@@ -115,53 +118,61 @@ class EncodedInstance:
 # ---------------------------------------------------------------------------
 # Parameters
 
-_PARAM_NAMES = (
-    "emb", "score_q", "score_h", "stop_q", "stop_h", "stop_b",
-    "value_q", "value_h", "value_b",
-)
+def _layout(size: int, dim: int) -> dict[str, tuple[int, ...]]:
+    """Each parameter's name and shape, for a vocabulary of ``size`` tokens,
+    in the order ``PolicyParams.flat`` holds them: the one list of the
+    parameters."""
+    return {
+        "emb": (size, dim),     # token embeddings
+        "score_q": (dim, dim),  # question-candidate bilinear form
+        "score_h": (dim, dim),  # history-candidate bilinear form
+        "stop_q": (dim,),
+        "stop_h": (dim,),
+        "stop_b": (1,),
+        "value_q": (dim,),
+        "value_h": (dim,),
+        "value_b": (1,),
+    }
 
 
-@dataclass
 class PolicyParams:
-    """All learnable arrays.  Scalars are shape-(1,) for uniform handling."""
+    """All learnable arrays, each a view of ``flat``, one float64 buffer
+    that holds them in ``_layout``'s order (scalars are shape (1,)); zeros
+    unless ``flat`` is given.  A zero set is a gradient (``backward`` adds
+    into its views), and ``copy`` and ``training.Adam`` read and write
+    ``flat`` alone, so parameters are written in place: ``p.emb[...] = x``
+    and ``p.emb *= 2.0`` write ``flat``, while binding a new object to any
+    attribute raises AttributeError."""
 
-    vocab: Vocabulary
-    dim: int
-    emb: np.ndarray       # (vocab.size, dim) token embeddings
-    score_q: np.ndarray   # (dim, dim) question-candidate bilinear form
-    score_h: np.ndarray   # (dim, dim) history-candidate bilinear form
-    stop_q: np.ndarray    # (dim,)
-    stop_h: np.ndarray    # (dim,)
-    stop_b: np.ndarray    # (1,)
-    value_q: np.ndarray   # (dim,)
-    value_h: np.ndarray   # (dim,)
-    value_b: np.ndarray   # (1,)
+    def __init__(self, vocab: Vocabulary, dim: int, flat: np.ndarray | None = None):
+        shapes = _layout(vocab.size, dim)
+        size = sum(map(math.prod, shapes.values()))
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.shape != (size,):
+            raise ValueError(f"flat has shape {flat.shape}; the layout needs ({size},)")
+        views = {"vocab": vocab, "dim": dim, "flat": flat}
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
+            start = stop
+        self.__dict__.update(views)
+
+    def __setattr__(self, name: str, value) -> None:
+        # ``p.emb *= 2.0`` rebinds ``emb`` to the array it names, and passes
+        if name not in self.__dict__ or self.__dict__[name] is not value:
+            raise AttributeError(f"PolicyParams.{name} is written in place, not rebound")
+
+    def __reduce__(self):  # copy.deepcopy and pickle rebuild the views over one buffer
+        return PolicyParams, (self.vocab, self.dim, self.flat)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _PARAM_NAMES}
+        """The parameter views by name, in ``flat``'s order."""
+        return {name: getattr(self, name) for name in _layout(self.vocab.size, self.dim)}
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(
-            vocab=self.vocab,
-            dim=self.dim,
-            **{name: getattr(self, name).copy() for name in _PARAM_NAMES},
-        )
-
-    @classmethod
-    def zeros(cls, vocab: Vocabulary, dim: int) -> "PolicyParams":
-        return cls(
-            vocab=vocab,
-            dim=dim,
-            emb=np.zeros((vocab.size, dim)),
-            score_q=np.zeros((dim, dim)),
-            score_h=np.zeros((dim, dim)),
-            stop_q=np.zeros(dim),
-            stop_h=np.zeros(dim),
-            stop_b=np.zeros(1),
-            value_q=np.zeros(dim),
-            value_h=np.zeros(dim),
-            value_b=np.zeros(1),
-        )
+        return PolicyParams(self.vocab, self.dim, self.flat.copy())
 
 
 def check_dim(dim, source: str = "") -> int:
@@ -175,47 +186,19 @@ def check_dim(dim, source: str = "") -> int:
 def init_params(vocab: Vocabulary, dim: int = 64, seed: int = 0) -> PolicyParams:
     """Uniform(-0.1, 0.1) init for scoring parameters; value head starts at zero.
 
-    Draw order is fixed (embeddings, bilinear forms, STOP weights) so a seed
-    pins the exact parameter values.  ConfigError unless ``dim`` is a
+    Every parameter but the value head's is drawn, in ``_layout``'s order
+    (embeddings, bilinear forms, STOP weights), so a seed pins the exact
+    parameter values; a new parameter that must start at zero without a
+    draw needs its own exception here.  ConfigError unless ``dim`` is a
     positive integer.
     """
     dim = check_dim(dim)
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
-    params = PolicyParams.zeros(vocab, dim)
-    params.emb = u(vocab.size, dim)
-    params.score_q = u(dim, dim)
-    params.score_h = u(dim, dim)
-    params.stop_q = u(dim)
-    params.stop_h = u(dim)
-    params.stop_b = u(1)
+    params = PolicyParams(vocab, dim)
+    for name, arr in params.arrays().items():
+        if not name.startswith("value_"):
+            arr[...] = rng.uniform(-0.1, 0.1, size=arr.shape)
     return params
-
-
-class FlatArrays(dict):
-    """Arrays named and shaped like a parameter set's (``PolicyParams.arrays``),
-    each a view of ``flat``, one float64 buffer that holds them in that
-    order.  Writing into a view writes ``flat``; binding a new array to a
-    name does not, so callers update the views in place."""
-
-    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
-        super().__init__()
-        self.flat = flat
-        start = 0
-        for name, shape in shapes.items():
-            stop = start + math.prod(shape)
-            self[name] = flat[start:stop].reshape(shape)
-            start = stop
-
-    def like(self, flat: np.ndarray) -> "FlatArrays":
-        """The same names and shapes over another buffer of the same size."""
-        return FlatArrays(flat, {name: arr.shape for name, arr in self.items()})
-
-
-def zero_grads(params: PolicyParams) -> FlatArrays:
-    """Zeros named and shaped like ``params``' arrays, views of one flat buffer."""
-    shapes = {name: arr.shape for name, arr in params.arrays().items()}
-    return FlatArrays(np.zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
 
 
 def save_params(params: PolicyParams, path, target: str) -> None:
@@ -247,8 +230,8 @@ def save_params(params: PolicyParams, path, target: str) -> None:
 
 def load_params(path) -> tuple[PolicyParams, str]:
     """The parameters and target of a model file written by
-    ``save_params``.  Each parameter is decoded from base64 and copied into
-    a writable float64 array, since training updates parameters in place.
+    ``save_params``.  Each parameter is decoded from base64 into its view
+    of the new parameters' ``flat`` buffer.
     ``ConfigError``, naming ``path``, when the file is not a complete model
     of the current format: among others a ``format_version`` other than the
     integer ``MODEL_FORMAT_VERSION`` (not ``2.0``), a parameter that
@@ -275,7 +258,7 @@ def load_params(path) -> tuple[PolicyParams, str]:
     target = doc["target"]
     if target not in TARGETS:
         raise ConfigError(f"{path}: target must be one of {TARGETS}, got {target!r}")
-    params = PolicyParams.zeros(vocab, check_dim(doc["dim"], f"{path}: "))
+    params = PolicyParams(vocab, check_dim(doc["dim"], f"{path}: "))
     if not isinstance(doc["params"], dict):
         raise ConfigError(f"{path}: params is not an object")
     for name, arr in params.arrays().items():
@@ -290,8 +273,7 @@ def load_params(path) -> tuple[PolicyParams, str]:
             raise ConfigError(f"{path}: parameter {name!r} is not valid base64") from None
         if len(raw) != 8 * arr.size:
             raise ConfigError(f"{path}: parameter {name!r} holds {len(raw)} bytes, not 8 x {arr.size}")
-        # frombuffer gives a read-only view of ``raw``; astype copies it
-        setattr(params, name, np.frombuffer(raw, dtype="<f8").astype(float).reshape(arr.shape))
+        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
     return params, target
 
 
@@ -768,15 +750,16 @@ def forward(params: PolicyParams, matrices: Sequence[CountMatrix], actions: np.n
 def backward(
     params: PolicyParams,
     fw: Forward,
-    grads: dict[str, np.ndarray],
+    grads: PolicyParams,
     logp_coef: np.ndarray,
     entropy_coef: np.ndarray | None = None,
     value_coef: np.ndarray | None = None,
 ) -> None:
     """Add the gradient of sum(logp_coef*logp + entropy_coef*H +
-    value_coef*V) over the (B, T) steps of ``fw`` to ``grads``;
-    coefficients must be 0 on padded steps.  Backpropagates through scores,
-    the history means and the segment means down to the token embeddings.
+    value_coef*V) over the (B, T) steps of ``fw`` to ``grads``, a parameter
+    set laid out like ``params``, in place; coefficients must be 0 on padded
+    steps.  Backpropagates through scores, the history means and the
+    segment means down to the token embeddings.
     """
     batch, t_max, slots = fw.probs.shape
     n_max = slots - 1
@@ -793,8 +776,8 @@ def backward(
     u = (fw.q @ params.score_q)[:, None, :] + fw.h @ params.score_h  # q . Wq + h . Wh
     du = d_cand @ fw.v
     du_sum = du.sum(axis=1)
-    grads["score_q"] += fw.q.T @ du_sum
-    grads["score_h"] += fw.h.reshape(-1, dim).T @ du.reshape(-1, dim)
+    grads.score_q += fw.q.T @ du_sum
+    grads.score_h += fw.h.reshape(-1, dim).T @ du.reshape(-1, dim)
     dq = du_sum @ params.score_q.T
     dh = du @ params.score_h.T
 
@@ -803,9 +786,9 @@ def backward(
         heads.append(("value", value_coef))
     for head, coef in heads:
         per_episode = coef.sum(axis=1)
-        grads[f"{head}_q"] += per_episode @ fw.q
-        grads[f"{head}_h"] += coef.reshape(-1) @ fw.h.reshape(-1, dim)
-        grads[f"{head}_b"][0] += per_episode.sum()
+        getattr(grads, f"{head}_q")[...] += per_episode @ fw.q
+        getattr(grads, f"{head}_h")[...] += coef.reshape(-1) @ fw.h.reshape(-1, dim)
+        getattr(grads, f"{head}_b")[0] += per_episode.sum()
         dq += per_episode[:, None] * getattr(params, f"{head}_q")
         dh += coef[..., None] * getattr(params, f"{head}_h")
 
@@ -819,7 +802,7 @@ def backward(
         out=d_means[:, 1:],
     )
     for b, (ids, c) in enumerate(fw.matrices):
-        grads["emb"][ids] += c.T @ d_means[b, : c.shape[0]]
+        grads.emb[ids] += c.T @ d_means[b, : c.shape[0]]
 
 
 def chunks(items: Sequence[EncodedInstance | CountMatrix]) -> list[slice]:
@@ -854,12 +837,13 @@ def sft_loss_and_grad(
     params: PolicyParams,
     encs: Sequence[EncodedInstance],
     actions: np.ndarray,
-) -> tuple[float, FlatArrays]:
+) -> tuple[float, PolicyParams]:
     """Mean negative log-likelihood of gold action sequences, ``actions[b]``
-    on ``encs[b]`` as ``forward`` reads them, with gradients."""
+    on ``encs[b]`` as ``forward`` reads them, and its gradient, a
+    ``PolicyParams`` laid out like ``params``."""
     if not encs:
         raise ConfigError("empty SFT batch")
-    grads = zero_grads(params)
+    grads = PolicyParams(params.vocab, params.dim)
     total = 0.0
     for run in chunks(encs):
         fw = forward(params, _count_matrices(encs[run]), actions[run])
@@ -911,22 +895,23 @@ def ppo_loss_and_grad(
     clip_epsilon: float,
     value_loss_coef: float,
     entropy_coef: float,
-) -> tuple[float, FlatArrays, PpoStats]:
+) -> tuple[float, PolicyParams, PpoStats]:
     """Clipped-surrogate PPO loss over every step in the batch.
 
         loss = -mean(min(ratio*A, clip(ratio)*A))
                + value_loss_coef * mean((V - return)^2)
                - entropy_coef * mean(H)
 
-    New log-probs are the unmasked policy; ratios divide by the stored
-    behavior log-probs.  Steps where the clipped branch is strictly active
+    The gradient comes as a ``PolicyParams`` laid out like ``params``.  New
+    log-probs are the unmasked policy; ratios divide by the stored behavior
+    log-probs.  Steps where the clipped branch is strictly active
     contribute no policy gradient.  Each ``chunks`` run of episodes is one
     ``forward`` pass over the run's rows, cut to its longest episode, on
     the batch's own count matrices.
     """
     if not batch.matrices:
         raise ConfigError("empty PPO batch")
-    grads = zero_grads(params)
+    grads = PolicyParams(params.vocab, params.dim)
     n_steps = int(_episode_steps(batch.actions).sum())
     pol_sum = val_sum = ent_sum = ratio_sum = 0.0
     clipped = 0
@@ -980,26 +965,25 @@ def ppo_loss_and_grad(
 
 def finite_difference_error(
     params: PolicyParams,
-    value_and_grad: Callable[[PolicyParams], tuple[float, dict[str, np.ndarray]]],
+    value_and_grad: Callable[[PolicyParams], tuple[float, PolicyParams]],
     epsilon: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference
+    gradients, over every entry of ``flat``."""
     _, grads = value_and_grad(params)
     work = params.copy()
+    flat = work.flat
     worst = 0.0
-    for name, arr in work.arrays().items():
-        flat = arr.reshape(-1)
-        gflat = grads[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up, _ = value_and_grad(work)
-            flat[i] = orig - epsilon
-            down, _ = value_and_grad(work)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(1e-6, abs(gflat[i]), abs(numeric))
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
+    for i, analytic in enumerate(grads.flat):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        up, _ = value_and_grad(work)
+        flat[i] = orig - epsilon
+        down, _ = value_and_grad(work)
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        denom = max(1e-6, abs(analytic), abs(numeric))
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst
 
 
@@ -1019,7 +1003,7 @@ def grad_check(
     actions = pad_actions([gold_actions])
     matrices = _count_matrices([enc])
 
-    def sft_fn(p: PolicyParams) -> tuple[float, dict[str, np.ndarray]]:
+    def sft_fn(p: PolicyParams) -> tuple[float, PolicyParams]:
         return sft_loss_and_grad(p, [enc], actions)
 
     base_logps = forward(params, matrices, actions).logps
@@ -1033,7 +1017,7 @@ def grad_check(
         returns=np.linspace(-1.0, 1.0, t.size)[None],
     )
 
-    def ppo_fn(p: PolicyParams) -> tuple[float, dict[str, np.ndarray]]:
+    def ppo_fn(p: PolicyParams) -> tuple[float, PolicyParams]:
         loss, grads, _ = ppo_loss_and_grad(
             p, batch, clip_epsilon=clip_epsilon, value_loss_coef=0.5, entropy_coef=0.01
         )

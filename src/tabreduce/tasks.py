@@ -182,12 +182,9 @@ def labeled_encodings(
     instances: Sequence[Instance],
     target: str,
 ) -> tuple[list[policy.EncodedInstance], list[frozenset[int]]]:
-    """Encodings and gold items of instances that are trainable for the
-    target (``trainable``), in their order."""
-    encs = encode(vocab, instances, target)  # which checks the target
-    if target == TARGET_COLUMNS:
-        return encs, [inst.relevant_columns for inst in instances]
-    return encs, [inst.relevant_rows for inst in instances]
+    """Encodings and gold items (``gold_items``) of instances that are
+    trainable for the target (``trainable``), in their order."""
+    return encode(vocab, instances, target), [gold_items(inst, target) for inst in instances]
 
 
 def greedy_recall(

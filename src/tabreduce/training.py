@@ -28,8 +28,10 @@ matrix of each row, shared by the rows on one instance, so the value-head
 warm start's forward pass and every minibatch of every update epoch reuse
 them.  SFT pads its gold action sequences the same way
 (``policy.pad_actions``) and builds each minibatch's matrices as it goes.
-Gradients and the Adam moments are flat buffers with per-parameter views
-(``policy.FlatArrays``), so an Adam step is one elementwise pass.
+Parameters and gradients are named views of one flat buffer each
+(``policy.PolicyParams``), and Adam's moments are flat buffers of the same
+layout, so an Adam step is one elementwise pass that writes the parameters
+in place.
 """
 
 from __future__ import annotations
@@ -122,50 +124,46 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adaptive-moment-estimation optimizer over named parameter arrays.
+    """Adaptive-moment-estimation optimizer over a parameter set's flat
+    buffer.
 
-    The moments ``m`` and ``v`` are ``policy.FlatArrays``: per-name views
-    of one flat buffer each, laid out as ``policy.zero_grads`` lays out the
-    gradients ``step`` takes.  A step is one elementwise pass over the flat
-    buffers and one in-place subtraction per parameter array; elementwise
-    arithmetic rounds each value alike whatever the array, so it is the
-    per-array update bit for bit.
+    The moments ``m`` and ``v`` are flat arrays laid out like the ``flat``
+    buffer of a ``policy.PolicyParams``.  A step is one elementwise pass
+    over the flat buffers ending in one subtraction from ``params.flat``,
+    so it writes the parameters in place; elementwise arithmetic rounds
+    each value alike whatever the array, so it is the per-array update bit
+    for bit.
     """
 
     def __init__(self, params: policy.PolicyParams, learning_rate: float):
         self.learning_rate = learning_rate
         self.t = 0
-        self.m = policy.zero_grads(params)
-        self.v = policy.zero_grads(params)
-        self._update = policy.zero_grads(params)
+        self.m = np.zeros(params.flat.shape)
+        self.v = np.zeros(params.flat.shape)
+        self._update = np.zeros(params.flat.shape)
 
-    def step(self, params: policy.PolicyParams, grads: policy.FlatArrays) -> None:
-        """One update of ``params`` in place from ``grads``, laid out by
-        ``policy.zero_grads``."""
+    def step(self, params: policy.PolicyParams, grads: policy.PolicyParams) -> None:
+        """One update of ``params`` in place from ``grads``, laid out alike."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        g = grads.flat
-        m = self.m.flat
-        v = self.v.flat
+        g, m, v = grads.flat, self.m, self.v
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        update = self._update
-        np.divide(self.learning_rate * (m / bc1), np.sqrt(v / bc2) + ADAM_EPS, out=update.flat)
-        for name, arr in params.arrays().items():
-            arr -= update[name]
+        np.divide(self.learning_rate * (m / bc1), np.sqrt(v / bc2) + ADAM_EPS, out=self._update)
+        params.flat -= self._update
 
     def snapshot(self) -> tuple:
         """Copy of the step count and moments, for ``restore``."""
-        return self.t, self.m.like(self.m.flat.copy()), self.v.like(self.v.flat.copy())
+        return self.t, self.m.copy(), self.v.copy()
 
     def restore(self, snapshot: tuple) -> None:
         t, m, v = snapshot
         self.t = t
-        self.m.flat[:] = m.flat
-        self.v.flat[:] = v.flat
+        self.m[:] = m
+        self.v[:] = v
 
 
 def _write_metrics_line(run_dir: str | None, record: dict) -> None:

@@ -164,7 +164,7 @@ def test_04_gradient_fidelity():
 
     def corrupted(p):
         loss, grads = policy.sft_loss_and_grad(p, [enc], policy.pad_actions([gold]))
-        grads["score_q"] = grads["score_q"] * 1.5 + 0.01
+        grads.score_q[...] = grads.score_q * 1.5 + 0.01
         return loss, grads
 
     negative = policy.finite_difference_error(params, corrupted, epsilon=1e-5)

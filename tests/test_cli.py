@@ -336,6 +336,10 @@ class TestTraining:
         )
         assert done.returncode == cli.EXIT_CONFIG
         assert done.stderr == "error: non-finite scores in step distribution\n"
+        # the manifest written before training records the failure and its time
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["error"] == "error: non-finite scores in step distribution"
+        assert isinstance(manifest["elapsed_seconds"], float) and manifest["elapsed_seconds"] >= 0
 
     @pytest.mark.parametrize("stage", ["sft", "train-rl"])
     @pytest.mark.parametrize(

@@ -114,6 +114,8 @@ class TestFullContextTokens:
 class TestBuckets:
     def test_assignment(self):
         assert assign_buckets([500, 1500], [0, 1000, 2000]) == [0, 1]
+        # a count equal to a boundary opens that boundary's bucket
+        assert assign_buckets([0, 999, 1000, 2000], [0, 1000, 2000]) == [0, 0, 1, 2]
 
     def test_open_ended_last(self):
         assert assign_buckets([99999], [0, 10]) == [1]

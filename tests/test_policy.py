@@ -1,7 +1,9 @@
 import base64
+import copy
 import io
 import json
 import math
+import pickle
 import re
 import struct
 
@@ -96,17 +98,45 @@ class TestInit:
             init_params(tiny_vocab(), dim)
 
     def test_zeros_override(self):
-        params = PolicyParams.zeros(tiny_vocab(), 4)
+        params = PolicyParams(tiny_vocab(), 4)
         assert np.all(params.emb == 0)
+
+    def test_parameters_are_views_written_in_place(self):
+        params = init_params(tiny_vocab(), 4, seed=0)
+        flat, emb = params.flat, params.emb
+        for name in ("emb", "value_b", "flat"):
+            with pytest.raises(AttributeError, match="written in place"):
+                setattr(params, name, getattr(params, name).copy())
+        with pytest.raises(AttributeError, match="written in place"):
+            params.extra = 1.0
+        assert params.flat is flat and params.emb is emb
+        # item and augmented assignment write the buffer and keep the views
+        params.emb[...] = 2.0
+        stop_b = params.stop_b[0]
+        params.stop_b *= 4.0
+        params.value_b += 1.5
+        assert params.emb is emb and params.stop_b.base is flat and params.value_b.base is flat
+        assert (flat[: emb.size] == 2.0).all()
+        assert flat[emb.size + 2 * 16 + 2 * 4] == 4.0 * stop_b and flat[-1] == 1.5
+        for other in (params.copy(), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            assert other.flat is not flat and np.array_equal(other.flat, flat)
+            assert all(arr.base is other.flat for arr in other.arrays().values())
+            assert params_equal(other, params)
+
+    def test_flat_buffer_of_another_layout_rejected(self):
+        with pytest.raises(ValueError, match="layout"):
+            PolicyParams(tiny_vocab(), 4, np.zeros(7))
 
 
 def encoded_as(params, q, v):
-    """A copy of ``params`` whose token embeddings are ``q`` and then the
-    rows of ``v``, and the count matrix of an instance that encodes under it
-    to exactly ``q`` and ``v``: one token per segment."""
-    params = params.copy()
-    params.emb = np.vstack([q, v])
-    return params, policy.CountMatrix(np.arange(1 + len(v)), np.eye(1 + len(v)))
+    """``params`` over a vocabulary of ``1 + len(v)`` tokens whose
+    embeddings are ``q`` and then the rows of ``v``, and the count matrix of
+    an instance that encodes under it to exactly ``q`` and ``v``: one token
+    per segment."""
+    out = PolicyParams(Vocabulary(tuple(f"t{j}" for j in range(len(v)))), params.dim)
+    for name, arr in out.arrays().items():
+        arr[...] = np.vstack([q, v]) if name == "emb" else getattr(params, name)
+    return out, policy.CountMatrix(np.arange(1 + len(v)), np.eye(1 + len(v)))
 
 
 def first_step(params, q, v, u):
@@ -120,21 +150,21 @@ def first_step(params, q, v, u):
 
 class TestStepDistribution:
     def test_zero_params_uniform(self):
-        params = PolicyParams.zeros(tiny_vocab(), 4)
+        params = PolicyParams(tiny_vocab(), 4)
         third = pytest.approx(math.log(1 / 3))
         for u, action in ((0.0, 0), (0.5, 1), (0.9, STOP)):
             assert first_step(params, np.zeros(4), np.zeros((2, 4)), u) == (action, third)
 
     def test_no_candidates_all_stop(self):
-        params = PolicyParams.zeros(tiny_vocab(), 4)
+        params = PolicyParams(tiny_vocab(), 4)
         assert first_step(params, np.zeros(4), np.zeros((0, 4)), 0.5) == (STOP, 0.0)
 
     def test_hand_computed_one_candidate(self):
         # d=2, one candidate: two scores computed by hand
-        params = PolicyParams.zeros(tiny_vocab(), 2)
-        params.score_q = np.array([[1.0, 0.0], [0.0, 2.0]])
-        params.stop_q = np.array([0.5, -0.5])
-        params.stop_b = np.array([0.25])
+        params = PolicyParams(tiny_vocab(), 2)
+        params.score_q[...] = [[1.0, 0.0], [0.0, 2.0]]
+        params.stop_q[...] = [0.5, -0.5]
+        params.stop_b[...] = [0.25]
         q = np.array([1.0, 1.0])
         v = np.array([[2.0, 0.5]])
         s_cand = 1.0 * 1.0 * 2.0 + 1.0 * 2.0 * 0.5      # q . Mq . v = 3.0
@@ -159,7 +189,7 @@ class TestStepDistribution:
                 assert trace.logp_pi[-1] == 0.0
 
     def test_non_finite_scores_raise(self):
-        params = PolicyParams.zeros(tiny_vocab(), 2)
+        params = PolicyParams(tiny_vocab(), 2)
         with pytest.raises(NumericalError):
             first_step(params, np.array([np.nan, 0.0]), np.zeros((1, 2)), 0.5)
 
@@ -213,7 +243,7 @@ class TestTopPMask:
 class TestEpisodes:
     def test_greedy_tie_break_takes_candidate_then_stop(self):
         vocab, enc = tiny_enc(1)
-        params = PolicyParams.zeros(vocab, 4)
+        params = PolicyParams(vocab, 4)
         decoded = greedy_decode(params, [enc])
         # candidate and STOP tie, so the candidate's lower slot wins; then
         # only STOP is left
@@ -287,22 +317,22 @@ class TestEpisodes:
 class TestSequenceLogprob:
     def test_uniform_fixture(self):
         vocab, enc = tiny_enc(2)
-        params = PolicyParams.zeros(vocab, 4)
+        params = PolicyParams(vocab, 4)
         assert forward_logprob(params, enc, (0, STOP)) == pytest.approx(math.log(1 / 6))
 
     def test_stop_only(self):
         vocab, enc = tiny_enc(2)
-        params = PolicyParams.zeros(vocab, 4)
+        params = PolicyParams(vocab, 4)
         assert forward_logprob(params, enc, (STOP,)) == pytest.approx(math.log(1 / 3))
 
     def test_hand_computed_d2(self):
         vocab = Vocabulary(("a", "b"))
         enc = encoded((1,), [(2,)])
-        params = PolicyParams.zeros(vocab, 2)
-        params.emb = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -1.0]])
-        params.score_q = np.array([[1.0, 0.5], [0.0, 1.0]])
-        params.stop_q = np.array([0.2, 0.1])
-        params.stop_b = np.array([-0.3])
+        params = PolicyParams(vocab, 2)
+        params.emb[...] = [[0.0, 0.0], [1.0, 2.0], [0.5, -1.0]]
+        params.score_q[...] = [[1.0, 0.5], [0.0, 1.0]]
+        params.stop_q[...] = [0.2, 0.1]
+        params.stop_b[...] = [-0.3]
         q = params.emb[1]
         v = params.emb[2]
         s_cand = float(q @ params.score_q @ v)
@@ -316,7 +346,7 @@ class TestSequenceLogprob:
 class TestSftLoss:
     def test_uniform_loss_log6(self):
         vocab, enc = tiny_enc(2)
-        params = PolicyParams.zeros(vocab, 4)
+        params = PolicyParams(vocab, 4)
         loss, grads = sft_loss_and_grad(params, [enc], pad_actions([(0, STOP)]))
         assert loss == pytest.approx(math.log(6))
 
@@ -340,11 +370,11 @@ class TestSftLoss:
             adam.step(params, grads)
         loss, grads = sft_loss_and_grad(params, [enc], actions)
         assert loss < 0.01
-        grad_norm = max(float(np.max(np.abs(g))) for g in grads.values())
+        grad_norm = max(float(np.max(np.abs(g))) for g in grads.arrays().values())
         assert grad_norm < 0.05
 
     def test_empty_batch_rejected(self):
-        params = PolicyParams.zeros(tiny_vocab(), 4)
+        params = PolicyParams(tiny_vocab(), 4)
         with pytest.raises(ConfigError):
             sft_loss_and_grad(params, [], pad_actions([]))
 
@@ -352,7 +382,7 @@ class TestSftLoss:
 class TestValueHead:
     def test_zero_params_zero(self):
         vocab, enc = tiny_enc(2)
-        params = PolicyParams.zeros(vocab, 4)
+        params = PolicyParams(vocab, 4)
         assert np.all(forward(params, count_matrices([enc]), pad_actions([(0, 1, STOP)])).values == 0.0)
         trace = sample(params, enc, rng=np.random.default_rng(0), top_p=1.0)
         assert all(value == 0.0 for value in trace.values)
@@ -361,11 +391,11 @@ class TestValueHead:
         # q = emb[1] = (2, 1) and the one candidate's v = emb[2] = (4, -1)
         vocab = Vocabulary(("a", "b"))
         enc = encoded((1,), [(2,)])
-        params = PolicyParams.zeros(vocab, 2)
-        params.emb = np.array([[0.0, 0.0], [2.0, 1.0], [4.0, -1.0]])
-        params.value_q = np.array([1.0, -2.0])
-        params.value_h = np.array([0.5, 0.0])
-        params.value_b = np.array([0.25])
+        params = PolicyParams(vocab, 2)
+        params.emb[...] = [[0.0, 0.0], [2.0, 1.0], [4.0, -1.0]]
+        params.value_q[...] = [1.0, -2.0]
+        params.value_h[...] = [0.5, 0.0]
+        params.value_b[...] = [0.25]
         # h is zero before the candidate is taken and v after it
         expected = [2 - 2 + 0.25, 2 - 2 + 2 + 0.25]
         values = forward(params, count_matrices([enc]), pad_actions([(0, STOP)])).values[0]
@@ -389,7 +419,7 @@ class TestGradients:
 
         def corrupted(p):
             loss, grads = sft_loss_and_grad(p, [enc], pad_actions([(0, 2, STOP)]))
-            grads["score_q"] = grads["score_q"] * 1.5 + 0.01
+            grads.score_q[...] = grads.score_q * 1.5 + 0.01
             return loss, grads
 
         err = finite_difference_error(params, corrupted, epsilon=1e-5)
@@ -397,7 +427,7 @@ class TestGradients:
 
     def test_zero_params_model_finite(self):
         vocab, enc = tiny_enc(2)
-        params = PolicyParams.zeros(vocab, 4)
+        params = PolicyParams(vocab, 4)
         err = grad_check(params, enc, (0, STOP), epsilon=1e-5)
         assert math.isfinite(err)
         assert err < 1e-4
@@ -469,7 +499,7 @@ def with_special_values(params, seed):
     for name, arr in params.arrays().items():
         values = rng.standard_normal(arr.size) * 10.0 ** rng.integers(-320, 300, arr.size)
         values[: len(specials)] = specials[: arr.size]
-        setattr(params, name, values.reshape(arr.shape))
+        arr[...] = values.reshape(arr.shape)
     return params
 
 
@@ -630,8 +660,8 @@ class TestSerialization:
 
 
 def test_mean_embedding_empty_is_zero():
-    params = PolicyParams.zeros(tiny_vocab(), 4)
-    params.emb = np.ones_like(params.emb)
+    params = PolicyParams(tiny_vocab(), 4)
+    params.emb[...] = 1.0
     (matrix,) = count_matrices([encoded((), [(1,), ()])])
     means = matrix.means(params.emb)
     assert np.all(means[0] == 0)

@@ -58,7 +58,6 @@ from tabreduce.policy import (
     PolicyParams,
     PpoBatch,
     PpoStats,
-    zero_grads,
 )
 from encoded_instances import build_vocabulary, encoded, segment_ids
 from test_render_fast import oracle_row_pairs
@@ -268,7 +267,7 @@ def accumulate_episode_grads(
     enc: EncodedInstance,
     actions: Sequence[int],
     replay: Replay,
-    grads: dict[str, np.ndarray],
+    grads: PolicyParams,
     logp_coef: np.ndarray,
     entropy_coef: np.ndarray,
     value_coef: np.ndarray,
@@ -306,25 +305,25 @@ def accumulate_episode_grads(
             g_vec = dscores[: len(remaining)]
             v_rem = v[remaining]
             gv = v_rem.T @ g_vec  # sum_j g_j v_j
-            grads["score_q"] += np.outer(q, gv)
-            grads["score_h"] += np.outer(h, gv)
+            grads.score_q += np.outer(q, gv)
+            grads.score_h += np.outer(h, gv)
             dq += params.score_q @ gv
             dh += params.score_h @ gv
             shared = params.score_q.T @ q + params.score_h.T @ h
             dv[remaining] += np.outer(g_vec, shared)
         g_stop = dscores[-1]
         if g_stop != 0.0:
-            grads["stop_q"] += g_stop * q
-            grads["stop_h"] += g_stop * h
-            grads["stop_b"][0] += g_stop
+            grads.stop_q += g_stop * q
+            grads.stop_h += g_stop * h
+            grads.stop_b[0] += g_stop
             dq += g_stop * params.stop_q
             dh += g_stop * params.stop_h
 
         if value_coef[t] != 0.0:
             gv_t = value_coef[t]
-            grads["value_q"] += gv_t * q
-            grads["value_h"] += gv_t * h
-            grads["value_b"][0] += gv_t
+            grads.value_q += gv_t * q
+            grads.value_h += gv_t * h
+            grads.value_b[0] += gv_t
             dq += gv_t * params.value_q
             dh += gv_t * params.value_h
 
@@ -337,12 +336,12 @@ def accumulate_episode_grads(
     if question_ids and dq.any():
         per_token = dq / len(question_ids)
         for tok in question_ids:
-            grads["emb"][tok] += per_token
+            grads.emb[tok] += per_token
     for cand, ids in enumerate(candidate_ids):
         if ids and dv[cand].any():
             per_token = dv[cand] / len(ids)
             for tok in ids:
-                grads["emb"][tok] += per_token
+                grads.emb[tok] += per_token
 
 
 def oracle_layout(enc: EncodedInstance, actions: Sequence[int]):
@@ -424,7 +423,7 @@ def forward_of(params, encs, actions):
 
 
 def oracle_sft_loss_and_grad(params, batch):
-    grads = zero_grads(params)
+    grads = PolicyParams(params.vocab, params.dim)
     total = 0.0
     scale = -1.0 / len(batch)
     for enc, actions in batch:
@@ -441,7 +440,7 @@ def oracle_sft_loss_and_grad(params, batch):
 
 
 def oracle_ppo_loss_and_grad(params, batch, clip_epsilon, value_loss_coef, entropy_coef):
-    grads = zero_grads(params)
+    grads = PolicyParams(params.vocab, params.dim)
     n_steps = sum(len(ex.old_logps) for ex in batch)
     pol_sum = val_sum = ent_sum = ratio_sum = 0.0
     clipped = 0
@@ -496,9 +495,9 @@ def random_params(seed: int, dim: int = 8) -> PolicyParams:
     params.emb *= 4.0
     params.score_q *= 3.0
     params.score_h *= 3.0
-    params.value_q = rng.uniform(-0.5, 0.5, dim)
-    params.value_h = rng.uniform(-0.5, 0.5, dim)
-    params.value_b = rng.uniform(-0.5, 0.5, 1)
+    params.value_q[...] = rng.uniform(-0.5, 0.5, dim)
+    params.value_h[...] = rng.uniform(-0.5, 0.5, dim)
+    params.value_b[...] = rng.uniform(-0.5, 0.5, 1)
     return params
 
 
@@ -587,6 +586,7 @@ def relative_error(actual, expected) -> float:
 
 
 def assert_grads_agree(actual, expected) -> None:
+    actual, expected = actual.arrays(), expected.arrays()
     assert actual.keys() == expected.keys()
     for name in expected:
         err = relative_error(actual[name], expected[name])
