@@ -457,7 +457,11 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each argument's help
+    formatter asks for the terminal size, so a build costs milliseconds,
+    and a process that calls ``main`` for every stage would pay it each time."""
     parser = argparse.ArgumentParser(prog="tabreduce", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -145,19 +145,12 @@ def parse_answer_text(text: str) -> list[str]:
     return [part for part in text.split(", ")]
 
 
-def downstream_accuracy(
-    model_answers: Sequence[str], gold_answers: Sequence[Sequence[str]]
-) -> float:
-    """Exact-match rate under answer normalization."""
+def answer_hits(model_answers: Sequence[str], gold_answers: Sequence[Sequence[str]]) -> list[bool]:
+    """Whether each model answer matches its gold answers exactly, under
+    answer normalization."""
     if len(model_answers) != len(gold_answers):
         raise ConfigError("answer lists must align")
-    if not model_answers:
-        return 0.0
-    hits = 0
-    for text, gold in zip(model_answers, gold_answers):
-        if answers_match(parse_answer_text(text), list(gold)):
-            hits += 1
-    return hits / len(model_answers)
+    return [answers_match(parse_answer_text(text), list(gold)) for text, gold in zip(model_answers, gold_answers)]
 
 
 def build_accuracy_report(
@@ -167,21 +160,21 @@ def build_accuracy_report(
 ) -> dict:
     """Downstream accuracy overall and per length bucket, over the instances
     that have an answer (keyed by instance id; ``report`` refuses answers
-    whose id names no instance)."""
+    whose id names no instance).  Each answer is judged once, and every
+    accuracy is its hits over its count (0.0 for none)."""
     scored = [inst for inst in instances if inst.id in answers]
+    hits = answer_hits([answers[inst.id] for inst in scored], [inst.answers for inst in scored])
 
-    def accuracy(members: Sequence[Instance]) -> float:
-        return downstream_accuracy(
-            [answers[m.id] for m in members], [list(m.answers) for m in members]
-        )
+    def accuracy(members: Sequence[bool]) -> float:
+        return sum(members) / len(members) if members else 0.0
 
     per_bucket = _per_bucket(
-        scored, bucket_by_length(scored, boundaries), boundaries,
+        hits, bucket_by_length(scored, boundaries), boundaries,
         lambda members: {"accuracy": accuracy(members)},
     )
     return {
         "format_version": REPORT_FORMAT_VERSION,
         "count": len(scored),
-        "overall_accuracy": accuracy(scored),
+        "overall_accuracy": accuracy(hits),
         "per_bucket": list(per_bucket),
     }

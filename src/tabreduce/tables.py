@@ -8,22 +8,18 @@ or ``"`` is double-quoted, with each ``"`` doubled, so the pairs parse back.
 Token counts are whitespace word counts: cheap, deterministic, and
 sufficient for relative length comparisons.
 
-Everything derived from a table's rows comes from one walk over the cells
-of a column subset (``_walk``): the rendered text (``linearize_tables``),
-each row's token count (``row_token_counts``) and each column's header and
-cell tokens (``column_tokens``), from which ``tasks`` builds both the row
-policy's vocabulary and its encodings.  The first two walk all of a
-table's columns, and only the first renders rows; the last works from each
-header and distinct cell alone.  The policy's tokenizer (``_tokenize``)
-lives here, beside the walk that applies it: taken from ``policy``, it
-would load numpy with ``tables``.  A walk fills a memo of its per-cell
-function that outlives it, so that a call judges each distinct cell once,
-not once per table: one memo per batch call, which the calls that walk
-many tables (``linearize_tables``, ``row_token_counts``,
-``llm.mock_complete_many``, ``tasks.encode`` and ``tasks.build_vocab``)
-keep over them and drop when they return.  ``row_token_counts`` is the one
-count behind QA contexts and length buckets (``metrics.bucket_by_length``).
-The mock reader of ``llm`` reads its visible rows back from the same walk.
+Everything rendered or tokenized from a table's rows comes from one walk
+over the cells of a column subset (``_walk``): the rendered text
+(``linearize_tables``), the rows the mock reader of ``llm`` reads back, and
+each column's header and cell tokens (``column_tokens``), from which
+``tasks`` builds the row policy's vocabulary and encodings.  The policy's
+tokenizer (``_tokenize``) lives here, beside the walk: taken from
+``policy``, it would load numpy with ``tables``.  Each row's token count
+(``row_token_counts``), the one count behind QA contexts and length buckets
+(``metrics.bucket_by_length``), takes no walk: it adds up the whitespace
+runs of a table's headers and distinct cells, found in one pass.  The calls
+that take many tables keep one memo of their per-cell function over them,
+under one rule (``_settle``), so a call judges each distinct cell once.
 """
 
 from __future__ import annotations
@@ -32,13 +28,13 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .errors import EmptySelectionError
 
 Cell = str | int | float | bool | None
-
 
 
 @dataclass(frozen=True)
@@ -211,32 +207,25 @@ def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int
     return sorted(column_subset)
 
 
-# In a memo of ``_walk`` once a walk has found a key in it; never a cell key.
-_SAVED = object()
+_SAVED = object()  # in a memo once a table has found one of its cells there
 
 
 def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Callable[[Cell], object],
           values: dict) -> Iterator[tuple[str, list, set]]:
-    """The one walk over a column subset's cells, columns in table order.
+    """The one walk over a column subset's cells, columns in table order,
+    behind ``_render``, ``column_tokens`` and ``llm._read_visible``.
 
     Yields per column its header, each row's cell key and the column's
     distinct keys, after putting ``value_of(key)`` into ``values`` for each
-    of those that was not yet in it.  ``values`` is the caller's memo of
-    ``value_of``, one per batch call, which it keeps over all the call's
-    tables, so each distinct key is judged once per call.  It pays only
-    where cells recur across tables, so until a walk finds one of its keys
-    in the memo (``_SAVED``), a walk that finds none empties it once done:
-    over tables that share no cell it holds no more than two tables' keys,
-    and costs what a memo per table would.
+    of those that was not yet in it: the caller's memo of ``value_of``, one
+    per batch call, kept over all the call's tables (see ``_settle``).
 
     A key formats (``format_cell``) as its cells do, and equal keys format
-    alike.  A cell is its own key: equal ints and floats format alike (``1``
-    and ``1.0`` as ``1``, ``0`` and ``-0.0`` as ``0``).  A bool is not,
-    because ``True == 1`` and ``False == 0`` are equal dict keys but format
-    as ``true`` and ``1``; its key is its formatted text, equal to the string
-    cell ``"true"``.  Every ``value_of`` depends on its key only through the
-    formatted text, so whichever of several equal keys, in whichever table,
-    filled a memo entry, the entry is right for them all.
+    alike.  A cell is its own key (``1`` and ``1.0`` format as ``1``, ``0``
+    and ``-0.0`` as ``0``), except a bool: ``True == 1``, but they format as
+    ``true`` and ``1``, so its key is its text, equal to the cell ``"true"``.
+    Every ``value_of`` depends on its key only through the formatted text,
+    so a memo entry is right for every key equal to the one that filled it.
     """
     held, found = bool(values), False
     for c in _columns(table, column_subset):
@@ -249,9 +238,17 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
         for key in new:
             values[key] = value_of(key)
         yield table.columns[c], keys, distinct
+    _settle(values, held and bool(table.rows), found)
+
+
+def _settle(values: dict, held: bool, found: bool) -> None:
+    """The one memo rule, once a table's results are formed from ``values``.
+    Until a table has ``found`` one of its cells in the memo (``_SAVED``), a
+    table with cells that finds none empties it if it ``held`` keys: where
+    tables share no cell, it holds at most two tables' keys."""
     if found:
         values[_SAVED] = True
-    elif held and table.rows and _SAVED not in values:
+    elif held and _SAVED not in values:
         values.clear()
 
 
@@ -281,9 +278,8 @@ def linearize_tables(tables: Sequence[Table]) -> list[str]:
 
 
 def _quoted_runs(cell: Cell) -> int:
-    """Maximal whitespace runs, as ``str.split`` sees them, in the cell's
-    quoted text; none outside a ``str`` (numbers, bools and null format
-    without whitespace or quotes)."""
+    """Whitespace runs, as ``str.split`` sees them, in a cell's quoted text;
+    none in a non-``str``, which formats without whitespace or quotes."""
     if type(cell) is not str:
         return 0
     return len(("x" + quote_if_needed(cell) + "x").split()) - 1
@@ -294,31 +290,35 @@ def _row_counts(table: Table, runs: dict) -> list[int]:
     (``linearize_tables``) of a table with columns, without rendering.
 
     A pair ``(qh,qv)`` begins and ends with a non-space character, so it is
-    one word plus one for each whitespace run inside its quoted header
-    ``qh`` or value ``qv``; each row adds one for its ``Row{i}:`` anchor.
-    Quoting can split a run (``"see Row3:" "x"``), so the runs counted are
-    those of the quoted texts.  ``runs`` is the memo of ``_quoted_runs`` per
-    cell key and header (see ``_walk``).
+    one word plus one per whitespace run inside its quoted header ``qh`` or
+    value ``qv``, and each row adds one for its anchor.  Quoting can split a
+    run (``"see Row3:" "x"``), so the runs are those of the quoted texts.
+    ``runs`` memoizes ``_quoted_runs`` per header and distinct cell, taken
+    in one pass.  A cell is its own key, a bool too: equal keys are all
+    strings or all non-strings, and no non-string has a run, so it is no
+    matter that ``True``, ``1`` and ``1.0`` share an entry.
     """
-    fixed = 1
-    per_column = []
-    for header, keys, distinct in _walk(table, frozenset(range(table.n_columns)), _quoted_runs, runs):
-        head = runs.get(header)
-        if head is None:  # a header is text, and as a cell key it formats as itself
-            head = runs[header] = _quoted_runs(header)
-        fixed += 1 + head
-        if any(map(runs.__getitem__, distinct)):  # most columns hold no whitespace
-            per_column.append(list(map(runs.__getitem__, keys)))
-    if not per_column:
-        return [fixed] * len(table.rows)
-    return [fixed + sum(row) for row in zip(*per_column)]
+    held = bool(runs)
+    distinct = set(chain.from_iterable(table.rows))
+    new = distinct.difference(runs)
+    for cell in new:
+        runs[cell] = _quoted_runs(cell)
+    for header in table.columns:
+        if header not in runs:  # a header is text, and as a cell key it formats as itself
+            runs[header] = _quoted_runs(header)
+    fixed = 1 + len(table.columns) + sum(map(runs.__getitem__, table.columns))
+    if any(map(runs.__getitem__, distinct)):  # most tables hold no whitespace
+        counts = [fixed + sum(map(runs.__getitem__, row)) for row in table.rows]
+    else:
+        counts = [fixed] * len(table.rows)
+    _settle(runs, held and bool(table.rows), len(new) < len(distinct))
+    return counts
 
 
 def row_token_counts(tables: Sequence[Table]) -> list[list[int]]:
     """Each table's per-row word counts in its linearization over all of
     its columns (``[]`` for a table without columns, whose linearization is
-    the empty text), judging each distinct cell and header once per call
-    (see ``_walk``).  The one count behind QA contexts and length buckets."""
+    the empty text), with one memo over the call (see ``_row_counts``)."""
     runs: dict = {}
     return [_row_counts(table, runs) if table.n_columns else [] for table in tables]
 
@@ -348,7 +348,7 @@ def column_tokens(
     columns = []
     for header, keys, distinct in _walk(table, column_subset, _cell_tokens, tokens):
         head = tokens.get(header)
-        if head is None:  # as in _row_counts
+        if head is None:  # a header is text, and as a cell key it formats as itself
             head = tokens[header] = _tokenize(header)
         distinct = list(distinct)
         index = dict(zip(distinct, range(len(distinct))))

@@ -16,7 +16,7 @@ def run(args):
 
 
 def replace_token_counter(monkeypatch, counter):
-    """``counter`` in place of ``tables._row_counts``, the per-table walk
+    """``counter`` in place of ``tables._row_counts``, the per-table count
     behind every token count (``tables.row_token_counts``)."""
     monkeypatch.setattr(tables, "_row_counts", counter)
 
@@ -53,6 +53,23 @@ def pipeline(tmp_path_factory):
         "--config", str(sft_cfg), "--seed", "0", "--dim", "16",
     ]) == 0
     return root, data, sft_dir
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys):
+    """Calls of ``main`` in one process share one parser; a usage error
+    (exit 2) leaves it parsing as before, and no call's flags leak into the
+    next call's defaults."""
+    cli.build_parser.cache_clear()
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert run([*synth_config_args(6, first, seed=3), "--value-vocab", "12"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--n", "six", "--out", str(second)])
+    assert exc.value.code == 2 and "invalid int value: 'six'" in capsys.readouterr().err
+    assert run(synth_config_args(6, second)) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    args = cli.build_parser().parse_args(["synth", "--n", "6", "--out", str(second)])
+    assert (args.n, args.seed, args.value_vocab, args.func) == (6, 0, 30, cli.cmd_synth)
+    assert cli.build_parser.cache_info().misses == 1
 
 
 class TestSynthAndAnnotate:
@@ -625,11 +642,8 @@ class TestQaAndReport:
         # unlimited budget + full context: the mock reader always answers
         instances, _ = dataio.load_dataset(data)
         by_id = {i.id: i for i in instances}
-        hits = sum(
-            metrics.downstream_accuracy([r["answer"]], [list(by_id[r["id"]].answers)])
-            for r in records
-        )
-        assert hits == len(records)
+        hits = metrics.answer_hits([r["answer"] for r in records], [by_id[r["id"]].answers for r in records])
+        assert hits == [True] * len(records)
 
         report_path = tmp_path / "qa_report.json"
         assert run([
@@ -708,11 +722,8 @@ class TestQaAndReport:
         records = [json.loads(l) for l in answers.read_text().strip().split("\n")]
         instances, _ = dataio.load_dataset(data)
         by_id = {i.id: i for i in instances}
-        correct = [
-            metrics.downstream_accuracy([r["answer"]], [list(by_id[r["id"]].answers)])
-            for r in records
-        ]
-        assert sum(correct) == len(records)  # gold reduction always fits 60 tokens here
+        correct = metrics.answer_hits([r["answer"] for r in records], [by_id[r["id"]].answers for r in records])
+        assert correct == [True] * len(records)  # gold reduction always fits 60 tokens here
 
     def test_question_holding_row_anchor_is_answered(self, tmp_path):
         data = tmp_path / "anchor.jsonl"

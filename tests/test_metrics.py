@@ -4,11 +4,11 @@ from tabreduce import metrics
 from tabreduce.errors import ConfigError
 from tabreduce.metrics import (
     EvalEntry,
+    answer_hits,
     assign_buckets,
     bucket_by_length,
     build_accuracy_report,
     build_recall_report,
-    downstream_accuracy,
     item_recall,
     parse_answer_text,
 )
@@ -147,17 +147,17 @@ class TestBuckets:
 
 class TestDownstreamAccuracy:
     def test_all_correct(self):
-        assert downstream_accuracy(["Beijing"], [["beijing"]]) == 1.0
+        assert answer_hits(["Beijing"], [["beijing"]]) == [True]
 
     def test_none_correct(self):
-        assert downstream_accuracy(["unknown"], [["beijing"]]) == 0.0
+        assert answer_hits(["unknown"], [["beijing"]]) == [False]
 
     def test_mixed_hand_counted(self):
-        acc = downstream_accuracy(
+        hits = answer_hits(
             ["2", "a, b", "nope"],
             [["2.0"], ["b", "a"], ["yes"]],
         )
-        assert acc == pytest.approx(2 / 3)
+        assert hits == [True, True, False]
 
     def test_parse_answer_text(self):
         assert parse_answer_text("") == []
@@ -166,7 +166,7 @@ class TestDownstreamAccuracy:
 
     def test_misaligned_rejected(self):
         with pytest.raises(ConfigError):
-            downstream_accuracy(["a"], [])
+            answer_hits(["a"], [])
 
 
 class TestAccuracyReport:

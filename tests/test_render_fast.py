@@ -15,6 +15,7 @@ cutting the prompt at anchors never cuts inside a cell.
 import math
 import random
 import re
+from itertools import chain
 
 import pytest
 
@@ -463,6 +464,27 @@ def test_memo_of_tables_sharing_no_cell_stays_small():
     for table in tables[1:]:
         _row_counts(table, runs)
     assert all(cell in runs for table in tables for row in table.rows for cell in row)
+
+
+def test_row_counts_with_whitespace_and_equal_keys_share_a_memo():
+    """Per-table counts over one memo, in either order of the tables, equal
+    the counts of the oracle's rendered rows and those of a fresh memo.
+    Cells and headers hold whitespace that ``str.split`` sees and a space
+    check would miss, outside the first column too; ``True``, ``1``,
+    ``1.0`` and ``"true"`` share a column; and every whitespace cell of the
+    second table is in the first, so there its new cells hold none."""
+    first = Table(("a\tb", "\u2003n"), (("x\xa0y", True), ("p\nq", 1), ("plain", 1.0), ("r\u2003s", "true"),
+                                        ("plain", "u\tv")))
+    second = Table(("m", "a\tb"), ((1, "x\xa0y"), ("true", "p\nq"), ("new", "u\tv"), (True, "plain")))
+    texts = [t for table in (first, second) for t in (*table.columns, *chain(*table.rows)) if type(t) is str]
+    assert not any(" " in t for t in texts)
+    for tables in ((first, second), (second, first)):
+        runs = {}
+        for table in tables:
+            expected = [count_tokens(f"Row{i}: {oracle_row_pairs(table, row, range(2))}")
+                        for i, row in enumerate(table.rows)]
+            assert _row_counts(table, runs) == expected == _row_counts(table, {})
+    assert _row_counts(first, {}) == [6, 6, 5, 6, 6]
 
 
 def test_vocabularies_never_share_cell_ids():
