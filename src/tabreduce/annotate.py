@@ -134,7 +134,12 @@ def annotate_dataset(
 ) -> tuple[list[Instance], SkipStats]:
     """Annotate every instance, in input order, and count the skips."""
     annotated = [annotate_instance(inst, target) for inst in instances]
+    return annotated, skip_stats(annotated)
+
+
+def skip_stats(instances: Iterable[Instance]) -> SkipStats:
+    """The skips among annotated instances, counted by status."""
     stats = SkipStats()
-    for inst in annotated:
+    for inst in instances:
         stats.record(inst.annotation_status or STATUS_OK)
-    return annotated, stats
+    return stats

@@ -9,14 +9,22 @@ flags and seeds.  A stage that fails after writing its manifest rewrites it
 with its elapsed time and its error line (``Manifest.fail``).
 
 Each command imports what it runs and no more: ``import tabreduce.cli``
-loads neither numpy nor the HTTP stack.  The model commands (``sft``,
-``train-rl``, ``eval-reduce``, ``reduce``) import ``policy`` and ``tasks``,
-and the training ones ``training``, inside their command functions; numpy
-comes with them, or with ``dataio``'s generator for ``synth``.  ``qa
+loads ``dataio``, ``tables`` and ``atomicio``, which every command uses,
+and none of numpy, the HTTP stack, ``annotate``, ``llm``, ``metrics``,
+``sql`` or ``hashlib``.  ``annotate`` imports ``annotate`` (and ``sql``
+with it), ``qa`` imports ``llm`` (and ``sql``), ``report`` and
+``eval-reduce`` import ``metrics``, all inside their command functions;
+``synth`` runs ``sql`` and ``annotate`` inside ``dataio``'s generator, and
+``hashlib`` loads with ``dataio.split``'s table fingerprints.  The model
+commands (``sft``, ``train-rl``, ``eval-reduce``, ``reduce``) import
+``policy`` and ``tasks``, and the training ones ``training``; numpy comes
+with them, or with ``dataio``'s generator for ``synth``.  ``qa
 --endpoint`` loads the HTTP stack inside ``llm``.  So ``annotate``, ``qa
---mock`` and ``report`` never load numpy.  The model commands run with
-numpy's overflow and invalid-value warnings off (``_quiet_numpy``), so a
-diverging run prints its one ``error:`` line alone.
+--mock`` and ``report`` never load numpy.  An endpoint failure is an
+``errors.LlmError``, so ``main`` maps it to exit 3 without ``llm``.  The
+model commands run with numpy's overflow and invalid-value warnings off
+(``_quiet_numpy``), so a diverging run prints its one ``error:`` line
+alone.
 
 Exit codes: 0 success, 1 validation/config error or a non-finite number in
 training or decoding (``NumericalError``), 2 I/O failure, 3 remote
@@ -35,9 +43,9 @@ import time
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
-from . import __version__, annotate as annotate_mod, dataio, llm, metrics
+from . import __version__, dataio
 from .atomicio import atomic_write
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, LlmError, NumericalError
 from .tables import Reduction, Table, linearize_tables, project, row_token_counts
 
 if TYPE_CHECKING:
@@ -207,15 +215,23 @@ def cmd_synth(args) -> int:
     manifest = Manifest("synth", vars(args), args.out)
     instances = dataio.generate_synthetic(cfg)
     dataio.save_dataset(instances, args.out)
+    manifest.doc["summary"] = {"instances": len(instances)}
+    if cfg.annotate:
+        from . import annotate
+
+        stats = annotate.skip_stats(instances)
+        manifest.doc["summary"].update(ok=len(instances) - stats.total, skipped=dict(stats.counts))
     manifest.finish()
     print(f"wrote {len(instances)} instances to {args.out}")
     return EXIT_OK
 
 
 def cmd_annotate(args) -> int:
+    from . import annotate
+
     manifest = Manifest("annotate", vars(args), args.out)
     instances = _load_instances(args.inp)
-    annotated, stats = annotate_mod.annotate_dataset(instances, target=args.target)
+    annotated, stats = annotate.annotate_dataset(instances, target=args.target)
     dataio.save_dataset(annotated, args.out)
     ok = len(annotated) - stats.total
     manifest.doc["summary"] = {"instances": len(annotated), "ok": ok, "skipped": dict(stats.counts)}
@@ -278,7 +294,7 @@ def cmd_train_rl(args) -> int:
 
 @_quiet_numpy
 def cmd_eval_reduce(args) -> int:
-    from . import policy, tasks
+    from . import metrics, policy, tasks
 
     boundaries = metrics.check_boundaries(_parse_int_list(args.buckets)) if args.buckets else None
     params, target = policy.load_params(args.model)
@@ -393,6 +409,8 @@ def _context_for(inst, source: str) -> Table:
 
 
 def cmd_qa(args) -> int:
+    from . import llm
+
     if args.mock == (args.endpoint is not None):
         raise ConfigError("pass exactly one of --mock or --endpoint")
     if args.mock:
@@ -427,12 +445,19 @@ def cmd_qa(args) -> int:
     with atomic_write(args.out) as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    manifest.doc["summary"] = {
+        "answers": len(records),
+        "unknown": answers.count("unknown"),
+        "context_tokens": sum(record["context_tokens"] for record in records),
+    }
     manifest.finish()
     print(f"answered {len(records)} questions ({args.context} context) -> {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
+    from . import metrics
+
     boundaries = metrics.check_boundaries(_parse_int_list(args.buckets))
     manifest = Manifest("report", vars(args), args.out)
     instances = _load_instances(args.reductions)
@@ -447,6 +472,7 @@ def cmd_report(args) -> int:
             fh.write("bucket,min_tokens,count,accuracy\n")
             for b in buckets:
                 fh.write(f"{b['bucket']},{b['min_tokens']},{b['count']},{b['accuracy']}\n")
+    manifest.doc["summary"] = {"instances": len(instances), "scored": doc["count"]}
     manifest.finish()
     print(f"report over {doc['count']} instances -> {args.out}")
     for b in buckets:
@@ -542,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, NumericalError) as exc:
         code, line = EXIT_CONFIG, f"error: {exc}"
-    except llm.LlmError as exc:
+    except LlmError as exc:
         code, line = EXIT_REMOTE, f"endpoint error: {exc}"
     except OSError as exc:
         code, line = EXIT_IO, f"i/o error: {exc}"

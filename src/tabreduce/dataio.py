@@ -12,7 +12,8 @@ element as a scalar ``integers`` call would, so the stream, and the
 generator's state after it, are those of one call per cell.
 
 numpy is imported inside the generator and ``split`` only, so loading and
-saving a dataset never loads it.
+saving a dataset never loads it; ``sql`` and ``annotate`` inside the
+generator only, ``annotate`` only when it annotates.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from . import annotate as annotate_mod
-from . import sql as sql_mod
 from .atomicio import atomic_write
 from .errors import ConfigError
 from .tables import Instance, Table, format_cell, make_table, table_fingerprint
@@ -44,11 +43,15 @@ class LoadError:
 
 
 def index_set(record: dict, key: str, size: int) -> frozenset[int] | None:
-    """The record's ``key`` list as a set, None when absent; ValueError for
-    an entry that is not an integer (a bool is not) in ``range(size)``."""
+    """The record's ``key`` list as a set, None when absent; TypeError for
+    a value that is not a list, as JSON decodes an array (a string would
+    otherwise be taken apart into its characters), and ValueError for an
+    entry that is not an integer (a bool is not) in ``range(size)``."""
     indices = record.get(key)
     if indices is None:
         return None
+    if type(indices) is not list:
+        raise TypeError(f"{key} are a {type(indices).__name__}, not a list")
     for index in indices:
         if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < size:
             raise ValueError(f"{key} entry {index!r} is not an index below {size}")
@@ -117,8 +120,9 @@ def record_to_instance(record: dict) -> Instance:
     """The instance a record describes; KeyError, TypeError or ValueError
     when it is malformed: headers that are not a list of strings, rows that
     are not a list of lists, a table cell that is a list or an object, an
-    ``sql`` that is not a string or null and ``answers`` that are not a list
-    of strings and numbers included.  A record of ``instance_to_record``
+    ``sql`` that is not a string or null, ``answers`` that are not a list
+    of strings and numbers and relevance indices that are not a list of
+    indices into the table included.  A record of ``instance_to_record``
     holds row tuples and reads back through ``json``, as ``load_dataset``
     reads it."""
     table_doc = record["table"]
@@ -296,6 +300,8 @@ def _synth_table(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Table, np.
 def _generate_one(cfg: SynthConfig, index: int) -> Instance:
     import numpy as np
 
+    from . import sql
+
     rng = np.random.default_rng([cfg.seed, index])
     table, numeric = _synth_table(cfg, rng)
     headers, n_cols = table.columns, table.n_columns
@@ -323,7 +329,7 @@ def _generate_one(cfg: SynthConfig, index: int) -> Instance:
     question = _QUESTION_TEMPLATES[template].format(
         val=headers[val_col], key=headers[key_col], lit=format_cell(key_value)
     )
-    result = sql_mod.execute(sql_mod.parse_sql(query), table)
+    result = sql.execute(sql.parse_sql(query), table)
     answers = tuple(map(format_cell, result))
 
     instance = Instance(
@@ -334,7 +340,9 @@ def _generate_one(cfg: SynthConfig, index: int) -> Instance:
         answers=answers,
     )
     if cfg.annotate:
-        instance = annotate_mod.annotate_instance(instance, target="both")
+        from . import annotate
+
+        instance = annotate.annotate_instance(instance, target="both")
     return instance
 
 

@@ -1,4 +1,9 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package.
+
+``LlmError`` is the base of the endpoint client's failures (``llm`` defines
+its four kinds); it lives here so that ``cli.main`` maps any of them to exit
+3 without importing ``llm``, which a command loads only when it runs ``qa``.
+"""
 
 
 class ConfigError(ValueError):
@@ -11,3 +16,7 @@ class NumericalError(ArithmeticError):
 
 class EmptySelectionError(ValueError):
     """An operation that needs at least one selected column got none."""
+
+
+class LlmError(Exception):
+    """The QA endpoint failed: refused, rate limited, unreachable or garbled."""

@@ -6,7 +6,10 @@ Wire protocol: ``POST {endpoint}/v1/chat/completions`` with a JSON body of
 ``choices[0].message.content``.  429 and 5xx responses, network failures
 and truncated or garbled responses retry with exponential backoff; other
 4xx never retry.  The transport and the sleep function are injectable so
-tests can replay recorded fixtures byte for byte.
+tests can replay recorded fixtures byte for byte.  Each failure is one of
+four subclasses of ``LlmError``, which ``errors`` defines (``llm.LlmError``
+names the same class), so ``cli`` maps any of them to exit 3 without
+importing this module.
 
 The mock reader takes the context table itself, never its rendered text,
 with the per-row word counts of that text that the caller already holds
@@ -38,7 +41,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 from . import sql as sql_mod
-from .errors import ConfigError
+from .errors import ConfigError, LlmError
 from .tables import Table, _walk, count_tokens, format_cell
 
 QA_PROMPT_TEMPLATE = (
@@ -48,10 +51,6 @@ QA_PROMPT_TEMPLATE = (
 )
 
 Transport = Callable[[str, dict, bytes], tuple[int, bytes]]
-
-
-class LlmError(Exception):
-    pass
 
 
 class AuthError(LlmError):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError
-from .sql import answers_match
 from .tables import Instance, row_token_counts
 
 REPORT_FORMAT_VERSION = 1
@@ -147,7 +146,10 @@ def parse_answer_text(text: str) -> list[str]:
 
 def answer_hits(model_answers: Sequence[str], gold_answers: Sequence[Sequence[str]]) -> list[bool]:
     """Whether each model answer matches its gold answers exactly, under
-    answer normalization."""
+    answer normalization (``sql.answers_match``, imported here: the model
+    commands load ``metrics`` through ``tasks`` and never run ``sql``)."""
+    from .sql import answers_match
+
     if len(model_answers) != len(gold_answers):
         raise ConfigError("answer lists must align")
     return [answers_match(parse_answer_text(text), list(gold)) for text, gold in zip(model_answers, gold_answers)]

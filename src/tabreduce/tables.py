@@ -24,7 +24,6 @@ under one rule (``_settle``), so a call judges each distinct cell once.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -66,15 +65,17 @@ class Table:
         return len(self.rows)
 
     def _fold(self) -> dict[str, int]:
-        """Each header's index under its lowercased, trimmed text, folded on
-        the first ``column_index`` call only; the first of several headers
-        that fold alike (``validate_table`` refuses those)."""
-        if self._folded is None:
-            folded: dict[str, int] = {}
+        """Each header's index under its lowercased, trimmed text, folded
+        once, by ``validate_table`` for a loaded table and otherwise on the
+        first ``column_index`` call; the first of several headers that fold
+        alike (``validate_table`` refuses those)."""
+        folded = self._folded
+        if folded is None:
+            folded = {}
             for i, header in enumerate(self.columns):
                 folded.setdefault(header.strip().lower(), i)
             object.__setattr__(self, "_folded", folded)
-        return self._folded
+        return folded
 
     def column_index(self, name: str) -> int | None:
         """Resolve a header case-insensitively; None when absent."""
@@ -89,19 +90,24 @@ def make_table(columns: list[str] | tuple[str, ...], rows) -> Table:
 
 
 def validate_table(table: Table) -> None:
-    """Enforce the ingestion invariants: >= 1 column, unique headers."""
-    if table.n_columns < 1:
+    """Enforce the ingestion invariants: >= 1 column, unique headers.  The
+    headers are folded once (``Table._fold``), and the table keeps the fold
+    for ``column_index``: two headers that fold alike leave it an entry
+    short, and the first header that folds as an earlier one is named."""
+    columns = table.columns
+    if not columns:
         raise ValueError("table needs at least one column")
-    seen: set[str] = set()
-    for header in table.columns:
-        key = header.strip().lower()
-        if key in seen:
-            raise ValueError(f"duplicate header (case-insensitive): {header!r}")
-        seen.add(key)
+    folded = table._fold()
+    if len(folded) < len(columns):
+        header = next(h for i, h in enumerate(columns) if folded[h.strip().lower()] != i)
+        raise ValueError(f"duplicate header (case-insensitive): {header!r}")
 
 
 def table_fingerprint(table: Table) -> str:
-    """Content hash used to group instances that share a table."""
+    """Content hash used to group instances that share a table.  Only
+    ``dataio.split`` takes one, so ``hashlib`` is imported here."""
+    import hashlib
+
     # json writes tuples as arrays; cells are scalars, so there is no cycle to check
     doc = {"columns": table.columns, "rows": table.rows}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False)

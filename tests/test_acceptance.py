@@ -20,6 +20,7 @@ from tabreduce import annotate, cli, dataio, llm, metrics, policy, sql, tasks, t
 from tabreduce.tables import Reduction, project, row_token_counts
 
 from encoded_instances import encoded
+from gradcheck import finite_difference_error, grad_check
 from test_sql import naive_execute, random_query, random_table
 
 
@@ -158,7 +159,7 @@ def _fixture_instance(rng):
 
 def test_04_gradient_fidelity():
     rng = np.random.default_rng(123)
-    worst = max(policy.grad_check(*_fixture_instance(rng), epsilon=1e-5) for _ in range(20))
+    worst = max(grad_check(*_fixture_instance(rng), epsilon=1e-5) for _ in range(20))
 
     params, enc, gold = _fixture_instance(rng)
 
@@ -167,7 +168,7 @@ def test_04_gradient_fidelity():
         grads.score_q[...] = grads.score_q * 1.5 + 0.01
         return loss, grads
 
-    negative = policy.finite_difference_error(params, corrupted, epsilon=1e-5)
+    negative = finite_difference_error(params, corrupted, epsilon=1e-5)
     report(4, f"max rel error {worst:.2e} over 20 fixtures; corrupted gradient flagged at {negative:.2e}")
     assert worst < 1e-4
     assert negative > 1e-2

@@ -18,9 +18,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabreduce"
 
 # Entry points kept for tests and library users without a pipeline caller.
-ALLOWED = {
-    "policy.grad_check",  # finite-difference check of the hand-written gradients
-}
+ALLOWED: set[str] = set()
 
 
 def parse_package():

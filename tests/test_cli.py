@@ -81,6 +81,15 @@ class TestSynthAndAnnotate:
         manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["elapsed_seconds"] is not None
+        statuses = [inst.annotation_status for inst in instances]
+        skipped = {s: statuses.count(s) for s in set(statuses) - {"ok"}}
+        assert manifest["summary"] == {"instances": 5, "ok": statuses.count("ok"), "skipped": skipped}
+
+    def test_unannotated_synth_manifest_counts_instances_only(self, tmp_path):
+        out = tmp_path / "raw.jsonl"
+        assert run(synth_config_args(4, out) + ["--no-annotate"]) == 0
+        manifest = json.loads((tmp_path / "raw.jsonl.manifest.json").read_text())
+        assert manifest["summary"] == {"instances": 4}
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -639,6 +648,10 @@ class TestQaAndReport:
         ]) == 0
         records = [json.loads(l) for l in answers.read_text().strip().split("\n")]
         assert len(records) == 80
+        summary = json.loads((tmp_path / "answers.jsonl.manifest.json").read_text())["summary"]
+        assert summary == {
+            "answers": 80, "unknown": 0, "context_tokens": sum(r["context_tokens"] for r in records),
+        }
         # unlimited budget + full context: the mock reader always answers
         instances, _ = dataio.load_dataset(data)
         by_id = {i.id: i for i in instances}
@@ -654,6 +667,8 @@ class TestQaAndReport:
         doc = json.loads(report_path.read_text())
         assert doc["overall_accuracy"] == 1.0
         assert sum(b["count"] for b in doc["per_bucket"]) == 80
+        summary = json.loads((tmp_path / "qa_report.json.manifest.json").read_text())["summary"]
+        assert summary == {"instances": 80, "scored": 80}
         assert (tmp_path / "qa.csv").read_text().startswith("bucket,min_tokens,count,accuracy")
 
     def test_qa_context_tokens_are_report_lengths(self, pipeline, tmp_path):
@@ -665,8 +680,13 @@ class TestQaAndReport:
         answers = tmp_path / "answers.jsonl"
         argv = ["qa", "--data", str(data), "--out", str(answers), "--mock", "--budget", "60", "--context", "full"]
         assert run(argv) == 0
-        written = [json.loads(line)["context_tokens"] for line in answers.read_text().splitlines()]
+        records = [json.loads(line) for line in answers.read_text().splitlines()]
+        written = [record["context_tokens"] for record in records]
         assert written == lengths
+        unknown = [record["answer"] for record in records].count("unknown")
+        assert 0 < unknown < len(records)
+        summary = json.loads((tmp_path / "answers.jsonl.manifest.json").read_text())["summary"]
+        assert summary == {"answers": len(records), "unknown": unknown, "context_tokens": sum(lengths)}
 
         boundaries = list(range(min(written), max(written) + 1))  # one bucket per length
         report_path = tmp_path / "report.json"
@@ -858,9 +878,11 @@ class TestQaAndReport:
             ("predicted_rows", [True], "predicted_rows entry True is not an index below"),
             ("predicted_columns", [0, 99], "predicted_columns entry 99 is not an index below"),
             ("predicted_columns", ["0"], "predicted_columns entry '0' is not an index below"),
-            ("predicted_columns", 5, "'int' object is not iterable"),
+            ("predicted_columns", 5, "predicted_columns are a int, not a list"),
+            ("predicted_rows", "01", "predicted_rows are a str, not a list"),
         ],
-        ids=["row-past-end", "negative-row", "bool-row", "col-past-end", "str-col", "not-a-list"],
+        ids=["row-past-end", "negative-row", "bool-row", "col-past-end", "str-col", "not-a-list",
+             "string-rows"],
     )
     def test_bad_prediction_is_one_error_line(self, pipeline, tmp_path, capsys, key, value, message):
         root, data, sft_dir = pipeline

@@ -180,14 +180,19 @@ class TestRoundTrip:
             ("answers", ["u", ["v"]], "answer 1 is a list, not a string or number"),
             ("answers", [None], "answer 0 is a NoneType, not a string or number"),
             ("answers", [True], "answer 0 is a bool, not a string or number"),
+            ("relevant_rows", 5, "relevant_rows are a int, not a list"),
+            ("relevant_rows", "01", "relevant_rows are a str, not a list"),
+            ("relevant_columns", {"0": 1}, "relevant_columns are a dict, not a list"),
         ],
         ids=["int-sql", "list-sql", "string-answers", "null-answers", "object-answers",
-             "list-answer", "null-answer", "bool-answer"],
+             "list-answer", "null-answer", "bool-answer", "int-relevant-rows", "string-relevant-rows",
+             "object-relevant-columns"],
     )
     def test_malformed_sql_or_answers_reported(self, tmp_path, key, value, message):
-        """An ``sql`` that is not a string or null and ``answers`` that are
-        not a list of strings and numbers are refused at load, not read as
-        characters or left for ``annotate`` and ``qa`` to crash on."""
+        """An ``sql`` that is not a string or null, ``answers`` that are not
+        a list of strings and numbers, and relevance indices that are not a
+        list are refused at load, not read as characters or left for
+        ``annotate`` and ``qa`` to crash on."""
         record = loaded_record(sample_instance())
         bad = {**record, key: value}
         with pytest.raises(TypeError, match=f"^{message}$"):

@@ -19,9 +19,7 @@ from tabreduce.policy import (
     Vocabulary,
     apply_top_p_mask,
     count_matrices,
-    finite_difference_error,
     forward,
-    grad_check,
     greedy_decode,
     init_params,
     load_params,
@@ -34,6 +32,7 @@ from tabreduce.policy import (
 from tabreduce import tasks
 from tabreduce.tables import Instance, _tokenize, make_table
 from encoded_instances import build_vocabulary, encode_texts, encoded
+from gradcheck import finite_difference_error, grad_check
 from test_policy_batched import params_equal, traces
 
 

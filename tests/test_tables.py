@@ -62,6 +62,19 @@ class TestTableInvariants:
     def test_duplicate_headers_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_table(["Year", " year "], [[1, 2]])
+        # the first header that folds as an earlier one is named
+        with pytest.raises(ValueError, match=r"^duplicate header \(case-insensitive\): 'Year '$"):
+            make_table(["year", "city", "Year ", "CITY"], [[1, 2, 3, 4]])
+        with pytest.raises(ValueError, match=r"^duplicate header \(case-insensitive\): 'b'$"):
+            make_table(["a", "b", "c", "b", "a"], [])
+
+    def test_loaded_table_holds_its_fold(self):
+        """``make_table`` folds the headers once, in ``validate_table``, and
+        the table keeps the fold that ``column_index`` reads."""
+        table = make_table([" Year", "CITY"], [[2008, "Beijing"]])
+        assert table._folded == {"year": 0, "city": 1}
+        folded = table._folded
+        assert table.column_index("city ") == 1 and table._folded is folded
 
     def test_zero_columns_rejected_at_ingestion(self):
         with pytest.raises(ValueError, match="at least one column"):
