@@ -135,7 +135,7 @@ def _load_answers(path: str, ids: set[str]) -> dict[str, str]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not (isinstance(record, dict) and "id" in record and "answer" in record):
                 raise ConfigError(f'{path}:{lineno}: an answer record needs "id" and "answer"')
@@ -169,7 +169,7 @@ def _load_config(path: str | None, config_cls, seed: int | None):
         with open(path, encoding="utf-8") as fh:
             try:
                 overrides = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
         if not isinstance(overrides, dict):
             raise ConfigError(f"{path}: config must be a JSON object")

@@ -183,7 +183,7 @@ def load_dataset(path) -> tuple[list[Instance], list[LoadError]]:
             try:
                 record = json.loads(line)
                 instances.append(record_to_instance(record))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 errors.append(LoadError(line=lineno, message=str(exc)))
     return instances, errors
 

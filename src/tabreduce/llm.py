@@ -142,7 +142,7 @@ def extract_completion_text(body: bytes) -> str:
     try:
         doc = json.loads(body.decode("utf-8"))
         content = doc["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
         raise MalformedResponse(f"cannot parse completion response: {exc}") from exc
     if not isinstance(content, str):
         raise MalformedResponse("completion content is not text")
@@ -218,10 +218,7 @@ def _parse_cell(text: str):
 
 
 def _read_back(cell):
-    """The cell as the reader gets it back from its rendered text; an int
-    comes back as itself."""
-    if type(cell) is int:
-        return cell
+    """The cell as the reader gets it back from its rendered text."""
     return _parse_cell(format_cell(cell))
 
 

@@ -229,8 +229,9 @@ def save_params(params: PolicyParams, path, target: str) -> None:
 
 def load_params(path) -> tuple[PolicyParams, str]:
     """The parameters and target of a model file written by
-    ``save_params``.  Each parameter is decoded from base64 into its view
-    of the new parameters' ``flat`` buffer.
+    ``save_params``.  Each parameter is decoded from base64 and its byte
+    count checked against ``_layout`` before the parameters' ``flat`` buffer
+    is built from them, so no size the file states is allocated unchecked.
     ``ConfigError``, naming ``path``, when the file is not a complete model
     of the current format: among others a ``format_version`` other than the
     integer ``MODEL_FORMAT_VERSION`` (not ``2.0``), a parameter that
@@ -239,7 +240,7 @@ def load_params(path) -> tuple[PolicyParams, str]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not a JSON model file: {exc}") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -257,10 +258,11 @@ def load_params(path) -> tuple[PolicyParams, str]:
     target = doc["target"]
     if target not in TARGETS:
         raise ConfigError(f"{path}: target must be one of {TARGETS}, got {target!r}")
-    params = PolicyParams(vocab, check_dim(doc["dim"], f"{path}: "))
+    dim = check_dim(doc["dim"], f"{path}: ")
     if not isinstance(doc["params"], dict):
         raise ConfigError(f"{path}: params is not an object")
-    for name, arr in params.arrays().items():
+    raws = []
+    for name, shape in _layout(vocab.size, dim).items():
         if name not in doc["params"]:
             raise ConfigError(f"{path}: model file lacks parameter {name!r}")
         text = doc["params"][name]
@@ -270,10 +272,11 @@ def load_params(path) -> tuple[PolicyParams, str]:
             raw = base64.b64decode(text, validate=True)
         except ValueError:  # binascii.Error, or a non-ASCII string
             raise ConfigError(f"{path}: parameter {name!r} is not valid base64") from None
-        if len(raw) != 8 * arr.size:
-            raise ConfigError(f"{path}: parameter {name!r} holds {len(raw)} bytes, not 8 x {arr.size}")
-        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-    return params, target
+        size = math.prod(shape)
+        if len(raw) != 8 * size:
+            raise ConfigError(f"{path}: parameter {name!r} holds {len(raw)} bytes, not 8 x {size}")
+        raws.append(raw)
+    return PolicyParams(vocab, dim, np.frombuffer(b"".join(raws), dtype="<f8").astype(float)), target
 
 
 # ---------------------------------------------------------------------------

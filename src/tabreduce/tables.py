@@ -19,7 +19,8 @@ tokenizer (``_tokenize``) lives here, beside the walk: taken from
 (``metrics.bucket_by_length``), takes no walk: it adds up the whitespace
 runs of a table's headers and distinct cells, found in one pass.  The calls
 that take many tables keep one memo of their per-cell function over them,
-under one rule (``_settle``), so a call judges each distinct cell once.
+which only grows and lives as long as the call, so a call judges each
+distinct cell once.
 """
 
 from __future__ import annotations
@@ -213,9 +214,6 @@ def _columns(table: Table, column_subset: set[int] | frozenset[int]) -> list[int
     return sorted(column_subset)
 
 
-_SAVED = object()  # in a memo once a table has found one of its cells there
-
-
 def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Callable[[Cell], object],
           values: dict) -> Iterator[tuple[str, list, set]]:
     """The one walk over a column subset's cells, columns in table order,
@@ -224,7 +222,9 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
     Yields per column its header, each row's cell key and the column's
     distinct keys, after putting ``value_of(key)`` into ``values`` for each
     of those that was not yet in it: the caller's memo of ``value_of``, one
-    per batch call, kept over all the call's tables (see ``_settle``).
+    per batch call, kept over all the call's tables.  A memo only grows, and
+    a column is yielded once its keys are in it, so a caller that stops
+    early leaves a memo that is right for every key it holds.
 
     A key formats (``format_cell``) as its cells do, and equal keys format
     alike.  A cell is its own key (``1`` and ``1.0`` format as ``1``, ``0``
@@ -233,29 +233,14 @@ def _walk(table: Table, column_subset: set[int] | frozenset[int], value_of: Call
     Every ``value_of`` depends on its key only through the formatted text,
     so a memo entry is right for every key equal to the one that filled it.
     """
-    held, found = bool(values), False
     for c in _columns(table, column_subset):
         keys = list(map(itemgetter(c), table.rows))
         if bool in set(map(type, keys)):
             keys = [format_cell(k) if type(k) is bool else k for k in keys]
         distinct = set(keys)
-        new = distinct.difference(values)
-        found = found or len(new) < len(distinct)
-        for key in new:
+        for key in distinct.difference(values):
             values[key] = value_of(key)
         yield table.columns[c], keys, distinct
-    _settle(values, held and bool(table.rows), found)
-
-
-def _settle(values: dict, held: bool, found: bool) -> None:
-    """The one memo rule, once a table's results are formed from ``values``.
-    Until a table has ``found`` one of its cells in the memo (``_SAVED``), a
-    table with cells that finds none empties it if it ``held`` keys: where
-    tables share no cell, it holds at most two tables' keys."""
-    if found:
-        values[_SAVED] = True
-    elif held and _SAVED not in values:
-        values.clear()
 
 
 def _pair_tail(cell: Cell) -> str:
@@ -285,7 +270,9 @@ def linearize_tables(tables: Sequence[Table]) -> list[str]:
 
 def _quoted_runs(cell: Cell) -> int:
     """Whitespace runs, as ``str.split`` sees them, in a cell's quoted text;
-    none in a non-``str``, which formats without whitespace or quotes."""
+    none in a non-``str``, which formats without whitespace or quotes.  The
+    memo runs this once per distinct cell, but numbers often do not repeat,
+    and formatting and splitting one takes several times as long as the check."""
     if type(cell) is not str:
         return 0
     return len(("x" + quote_if_needed(cell) + "x").split()) - 1
@@ -300,25 +287,21 @@ def _row_counts(table: Table, runs: dict) -> list[int]:
     value ``qv``, and each row adds one for its anchor.  Quoting can split a
     run (``"see Row3:" "x"``), so the runs are those of the quoted texts.
     ``runs`` memoizes ``_quoted_runs`` per header and distinct cell, taken
-    in one pass.  A cell is its own key, a bool too: equal keys are all
+    in one pass; it is the caller's, one per batch call, and gains only the
+    keys new to it.  A cell is its own key, a bool too: equal keys are all
     strings or all non-strings, and no non-string has a run, so it is no
     matter that ``True``, ``1`` and ``1.0`` share an entry.
     """
-    held = bool(runs)
     distinct = set(chain.from_iterable(table.rows))
-    new = distinct.difference(runs)
-    for cell in new:
+    for cell in distinct.difference(runs):
         runs[cell] = _quoted_runs(cell)
     for header in table.columns:
         if header not in runs:  # a header is text, and as a cell key it formats as itself
             runs[header] = _quoted_runs(header)
     fixed = 1 + len(table.columns) + sum(map(runs.__getitem__, table.columns))
-    if any(map(runs.__getitem__, distinct)):  # most tables hold no whitespace
-        counts = [fixed + sum(map(runs.__getitem__, row)) for row in table.rows]
-    else:
-        counts = [fixed] * len(table.rows)
-    _settle(runs, held and bool(table.rows), len(new) < len(distinct))
-    return counts
+    if not any(map(runs.__getitem__, distinct)):  # most tables hold no whitespace
+        return [fixed] * len(table.rows)
+    return [fixed + sum(map(runs.__getitem__, row)) for row in table.rows]
 
 
 def row_token_counts(tables: Sequence[Table]) -> list[list[int]]:

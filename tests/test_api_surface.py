@@ -199,10 +199,37 @@ def resolves(reference):
     return True
 
 
+def private_references(trees):
+    """(module, class, name) for each bare ``_name`` in a package docstring,
+    with the class whose body holds the docstring (None outside a class)."""
+    pattern = re.compile(r"``(_\w+)``")
+
+    def walk(module, node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for match in pattern.finditer(ast.get_docstring(node) or ""):
+                yield module, cls, match.group(1)
+        for child in ast.iter_child_nodes(node):
+            yield from walk(module, child, cls)
+
+    for module, tree in trees.items():
+        yield from walk(module, tree, None)
+
+
 def test_docstring_references_resolve():
-    references = sorted(set(docstring_references(parse_package())))
+    """Dotted references name a package attribute, and a bare ``_name``
+    names one of its own module or of the class it is written in."""
+    trees = parse_package()
+    references = sorted(set(docstring_references(trees)))
     assert len(references) > 20
     unresolved = [f"{module}: {reference}" for module, reference in references if not resolves(reference)]
+    private = set(private_references(trees))
+    assert len(private) > 20
+    unresolved += sorted(
+        f"{module}: {name}" for module, cls, name in private
+        if not (resolves(f"{module}.{name}") or cls is not None and resolves(f"{module}.{cls}.{name}"))
+    )
     assert unresolved == [], "docstring references to no package attribute: " + ", ".join(unresolved)
 
 

@@ -167,6 +167,21 @@ class TestSynthAndAnnotate:
         }
         assert manifest["elapsed_seconds"] is not None
 
+    def test_deeply_nested_line_is_one_load_warning(self, tmp_path, capsys):
+        """A line nested deeper than ``json`` decodes is skipped with one
+        warning, and the run completes its manifest."""
+        raw = tmp_path / "raw.jsonl"
+        assert run(synth_config_args(5, raw) + ["--no-annotate"]) == 0
+        raw.write_text("[" * 10**5 + "\n" + raw.read_text())
+        out = tmp_path / "ann.jsonl"
+        capsys.readouterr()
+        assert run(["annotate", "--in", str(raw), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith(f"warning: {raw}:1: maximum recursion depth exceeded"), err
+        assert len(out.read_text().splitlines()) == 5
+        manifest = json.loads((tmp_path / "ann.jsonl.manifest.json").read_text())
+        assert manifest["elapsed_seconds"] is not None and "error" not in manifest
+
     @pytest.mark.parametrize("cell", [[1, 2], {"z": 1}], ids=["list", "object"])
     def test_non_scalar_cell_is_one_load_warning(self, tmp_path, capsys, cell):
         """A line whose table holds a list or an object is skipped with one
@@ -374,10 +389,11 @@ class TestTraining:
             ('{"epoch": 2}', "unknown config key 'epoch'"),
             ('{"epochs": 2', "invalid JSON config"),
             ("[2]", "config must be a JSON object"),
+            ("[" * 10**5, "invalid JSON config"),
             ('{"learning_rate": null}', "learning_rate must be a finite number, got None"),
             ('{"seed": "0"}', "seed must be an integer, got '0'"),
         ],
-        ids=["unknown-key", "invalid-json", "not-an-object", "null-value", "string-seed"],
+        ids=["unknown-key", "invalid-json", "not-an-object", "deeply-nested", "null-value", "string-seed"],
     )
     def test_bad_config_is_one_error_line(self, pipeline, tmp_path, capsys, stage, text, message):
         root, data, sft_dir = pipeline
@@ -706,6 +722,7 @@ class TestQaAndReport:
             ("0,40", '{"id": "synth-00000"}', ':1: an answer record needs "id" and "answer"'),
             ("0,40", '["synth-00000", "1"]', ':1: an answer record needs "id" and "answer"'),
             ("0,40", '{"id": "synth-00000", "answer": ', ":1: invalid JSON"),
+            ("0,40", "[" * 10**5, ":1: invalid JSON"),
             ("0,40", '{"id": "synth-00000", "answer": null}', ":1: 'answer' must be a string, got None"),
             ("0,40", '{"id": "synth-00000", "answer": 5}', ":1: 'answer' must be a string, got 5"),
             ("0,40", '{"id": "synth-00000", "answer": ["x"]}', ":1: 'answer' must be a string, got ['x']"),
@@ -715,7 +732,7 @@ class TestQaAndReport:
              ":2: id 'synth-00000' was already answered on line 1"),
             ("0,40", '{"id": "nosuch", "answer": "1"}', ":1: id 'nosuch' names no instance of the reductions file"),
         ],
-        ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json", "answer-null", "answer-int",
+        ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json", "deeply-nested", "answer-null", "answer-int",
              "answer-list", "id-list", "id-int", "dup-id", "unknown-id"],
     )
     def test_bad_report_input_is_one_error_line(self, pipeline, tmp_path, capsys, buckets,

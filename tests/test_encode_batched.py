@@ -6,8 +6,8 @@ batched encoding, must equal byte for byte the matrix built by tokenizing
 each row of ``linearize_tables`` over the column subset, and counting each
 segment's tokens by hand.  An instance must encode the same alone, inside
 any batch and under any grouping of ``reduce``, and each distinct cell and
-header must be tokenized once per call, with the call's memo kept small
-over tables that share no cell.
+header must be tokenized once per call, with one memo that lasts the
+call, also over tables that share no cell.
 """
 
 import random
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from encoded_instances import assert_same_matrices, build_vocabulary, encode, encoded
-from tabreduce import cli, dataio, policy, tables, tasks
+from tabreduce import cli, dataio, policy, tasks
 from tabreduce.tables import Instance, Reduction, Table, format_cell, linearize_tables, project
 from test_render_fast import disjoint_tables
 from test_tasks import count_tokenizer_calls
@@ -171,8 +171,8 @@ def test_row_candidates_tokenize_each_cell_and_header_once(monkeypatch):
     instances = []
     for k in range(30):
         headers = tuple(rng.sample(["alpha", "h1", "h2", "h3", "true"], 3))
-        # every table but the last holds the cell 2 in each column, so each
-        # walk after the first finds a cell in the memo and nothing empties it
+        # every table but the last holds the cell 2 in each column, and the
+        # last holds no row
         rows = tuple(tuple(rng.choice(pool) for _ in headers) for _ in range(rng.randint(0, 8)))
         rows = rows + ((2, 2, 2),) if k < 29 else ()
         instances.append(Instance(id=str(k), question=f"which alpha {k}?", table=Table(headers, rows),
@@ -192,18 +192,22 @@ def test_row_candidates_tokenize_each_cell_and_header_once(monkeypatch):
         assert_same_matrices(tasks.encode(vocab, instances, "rows"), fresh)
         assert calls == Counter(inst.question for inst in instances) + Counter(map(format_cell, keys))
         (memo,) = {id(memo): memo for memo, _ in memos}.values()
-        assert len(memos) == len(instances) and set(memo) - {tables._SAVED} == keys
+        assert len(memos) == len(instances) and set(memo) == keys
 
 
-def test_memo_of_tables_sharing_no_cell_stays_small(monkeypatch):
-    """Over tables that share no cell, the memo of a batched encode never
-    holds more than two tables' cells and headers, and the encodings are
-    still those of fresh memos."""
+def test_memo_of_tables_sharing_no_cell_holds_every_key(monkeypatch):
+    """Over tables that share no cell, the one memo of a batched encode
+    only grows, to every table's distinct cells and headers, and the
+    encodings are still those of fresh memos."""
+    tables = disjoint_tables(40, 3, 5)
     instances = [Instance(id=str(k), question="q?", table=table, relevant_columns=frozenset(range(3)))
-                 for k, table in enumerate(disjoint_tables(40, 3, 5))]
+                 for k, table in enumerate(tables)]
     vocab = build_vocabulary(["h0 h1 h2 x q"])
     memos = watch_memos(monkeypatch)
     encs = tasks.encode(vocab, instances, "rows")
-    assert len(memos) == len(instances) and max(size for _, size in memos) <= 2 * (15 + 3)
+    (memo,) = {id(memo): memo for memo, _ in memos}.values()
+    sizes = [size for _, size in memos]
+    assert len(memos) == len(instances) and sizes == sorted(sizes)
+    assert set(memo) == {cell for table in tables for row in table.rows for cell in row} | {"h0", "h1", "h2"}
     fresh = [tasks.encode(vocab, [inst], "rows")[0] for inst in instances]
     assert_same_matrices(encs, fresh)

@@ -146,6 +146,10 @@ class TestRetries:
         with pytest.raises(MalformedResponse):
             complete([("user", "x")], config(), transport=transport, sleep=lambda s: None)
 
+    def test_deeply_nested_response_is_malformed(self):
+        with pytest.raises(MalformedResponse, match="cannot parse completion response"):
+            extract_completion_text(b"[" * 10**5)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             config(max_attempts=0)

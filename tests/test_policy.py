@@ -620,6 +620,7 @@ class TestSerialization:
             ({"stop_b": "AAAAAAAAAAA"}, "parameter 'stop_b' is not valid base64"),
             ({"stop_b": "AAAAAAAAAA=="}, "parameter 'stop_b' holds 7 bytes, not 8 x 1"),
             ({"stop_q": base64.b64encode(bytes(24)).decode()}, "parameter 'stop_q' holds 24 bytes, not 8 x 2"),
+            ({"dim": 10**9}, f"parameter 'emb' holds 112 bytes, not 8 x {7 * 10**9}"),
             ({"format_version": 2.0}, "unsupported model format: 2.0"),
             ({"format_version": True}, "unsupported model format: True"),
             ({"format_version": "2"}, "unsupported model format: '2'"),
@@ -627,7 +628,7 @@ class TestSerialization:
         ids=["vocab-int", "vocab-mixed", "vocab-str", "vocab-dup", "target-int", "target-str",
              "target-null", "params-list", "param-str", "param-null", "param-number", "param-v1-list",
              "param-bool", "param-numeric-str", "param-nested", "param-ragged", "param-bad-char",
-             "param-non-ascii", "param-no-padding", "param-7-bytes", "param-wrong-size",
+             "param-non-ascii", "param-no-padding", "param-7-bytes", "param-wrong-size", "dim-huge",
              "version-float", "version-bool", "version-str"],
     )
     def test_malformed_model_is_one_error_line(self, tmp_path, capsys, edit, message):
@@ -650,7 +651,8 @@ class TestSerialization:
         assert err == [f"error: {path}: {message}"]
         assert not report.exists()
 
-    @pytest.mark.parametrize("text", ['{"format_version": 1, "dim"', "[1]"])
+    @pytest.mark.parametrize("text", ['{"format_version": 1, "dim"', "[1]",
+                                      pytest.param("[" * 10**5, id="deeply-nested")])
     def test_non_model_json_rejected(self, tmp_path, text):
         path = tmp_path / "m.model.json"
         path.write_text(text)

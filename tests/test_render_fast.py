@@ -26,6 +26,7 @@ from tabreduce.tables import (
     Reduction,
     Table,
     _row_counts,
+    _walk,
     column_tokens,
     count_tokens,
     format_cell,
@@ -385,7 +386,7 @@ COLLIDING = [1, 1.0, True, "true", 0, -0.0, 0.0, False, "false", None, "", "1", 
 def colliding_table(rng):
     n_cols = rng.randint(1, 4)
     headers = tuple(rng.choice(["v", "true", "a b", "x, y", "Row2: h"]) + str(c) for c in range(n_cols))
-    if rng.random() < 0.15:  # a table sharing no cell with the others, which empties the memos
+    if rng.random() < 0.15:  # a table sharing no cell with the others, whose keys are all new to the memos
         cells = iter(rng.sample(range(10**6), 24))
         rows = tuple(tuple(rng.choice([n, f"u{n} {n}", float(n) + 0.5])
                            for n in (next(cells) for _ in range(n_cols))) for _ in range(rng.randint(1, 6)))
@@ -443,27 +444,26 @@ def disjoint_tables(n_tables, n_cols, n_rows):
             for _ in range(n_tables)]
 
 
-def test_memo_of_tables_sharing_no_cell_stays_small():
-    """Until a walk finds one of its cells in a memo, a walk that finds
-    none empties the memo once done, so over tables that share no cell a
-    memo never holds more than two tables' cells and headers, and every
-    result is still a fresh walk's.  Once a walk has found a cell in it,
-    the memo lasts."""
+def test_memo_of_tables_sharing_no_cell_holds_every_key():
+    """A memo only grows: over tables that share no cell, it ends up
+    holding every table's distinct cell keys (and headers, where the
+    per-cell function takes them), and every result is a fresh memo's.  A
+    walk stopped after its first column leaves that column's keys, each
+    with its value."""
     tables = disjoint_tables(40, 3, 5)
     cols = frozenset(range(3))
-    runs, tokens, read, largest = {}, {}, {}, 0
+    runs, tokens, read = {}, {}, {}
     for table in tables:
         assert _row_counts(table, runs) == _row_counts(table, {})
         assert row_tokens(table, cols, tokens) == row_tokens(table, cols, {})
         assert same_table(visible_table("q?", table, 10**6, read), visible_table("q?", table, 10**6))
-        largest = max(largest, len(runs), len(tokens), len(read))
-    assert largest <= 2 * (15 + 3)
-    runs = {}
-    _row_counts(tables[0], runs)
-    _row_counts(Table(("h0",), (("w0 x",),)), runs)  # finds tables[0]'s first cell
-    for table in tables[1:]:
-        _row_counts(table, runs)
-    assert all(cell in runs for table in tables for row in table.rows for cell in row)
+    cells = {cell for table in tables for row in table.rows for cell in row}
+    assert set(runs) == set(tokens) == cells | set(tables[0].columns) and set(read) == cells
+    values = {}
+    walk = _walk(tables[0], cols, llm._read_back, values)
+    next(walk)
+    walk.close()
+    assert values == {row[0]: llm._read_back(row[0]) for row in tables[0].rows}
 
 
 def test_row_counts_with_whitespace_and_equal_keys_share_a_memo():
