@@ -33,7 +33,8 @@ trying every removal, given that the gold check has passed on the full table
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import replace
 from typing import Iterable
 
 from . import sql
@@ -44,19 +45,6 @@ STATUS_OK = "ok"
 SKIP_UNSUPPORTED = "skipped:unsupported_sql"
 SKIP_GOLD_MISMATCH = "skipped:gold_mismatch"
 SKIP_NO_SQL = "skipped:no_sql"
-
-
-@dataclass
-class SkipStats:
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def record(self, status: str) -> None:
-        if status != STATUS_OK:
-            self.counts[status] = self.counts.get(status, 0) + 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _finishes_gold(ast: sql.SqlAst, table: Table, rows: list[int], gold: list[str]) -> bool:
@@ -131,15 +119,15 @@ def annotate_instance(instance: Instance, target: str = "both") -> Instance:
 
 def annotate_dataset(
     instances: Iterable[Instance], target: str = "both"
-) -> tuple[list[Instance], SkipStats]:
+) -> tuple[list[Instance], Counter[str]]:
     """Annotate every instance, in input order, and count the skips."""
     annotated = [annotate_instance(inst, target) for inst in instances]
     return annotated, skip_stats(annotated)
 
 
-def skip_stats(instances: Iterable[Instance]) -> SkipStats:
+def skip_stats(instances: Iterable[Instance]) -> Counter[str]:
     """The skips among annotated instances, counted by status."""
-    stats = SkipStats()
-    for inst in instances:
-        stats.record(inst.annotation_status or STATUS_OK)
-    return stats
+    return Counter(
+        inst.annotation_status for inst in instances
+        if inst.annotation_status not in (None, STATUS_OK)
+    )

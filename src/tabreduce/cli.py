@@ -3,10 +3,12 @@
 Stages mirror the data flow: ``synth`` or your own JSONL -> ``annotate`` ->
 ``sft`` -> ``train-rl`` -> ``reduce`` / ``eval-reduce`` -> ``qa`` ->
 ``report``.  Every stage checks its flags and loads its models, then
-writes a manifest next to its output before any other file, so a refused
-flag or model leaves no file and a run can be reproduced from the recorded
-flags and seeds.  A stage that fails after writing its manifest rewrites it
-with its elapsed time and its error line (``Manifest.fail``).
+writes a manifest before any other file (``Manifest``: in the run
+directory of ``sft`` and ``train-rl``, beside the output of every other
+stage), so a refused flag or model leaves no file and a run can be
+reproduced from the recorded flags and seeds.  A stage that fails after
+writing its manifest rewrites it with its elapsed time and its error line
+(``Manifest.fail``).
 
 Each command imports what it runs and no more: ``import tabreduce.cli``
 loads ``dataio``, ``tables`` and ``atomicio``, which every command uses,
@@ -57,22 +59,18 @@ EXIT_IO = 2
 EXIT_REMOTE = 3
 
 
-def _manifest_path(out_path: str) -> str:
-    if os.path.isdir(out_path) or not os.path.splitext(out_path)[1]:
-        return os.path.join(out_path, "manifest.json")
-    return out_path + ".manifest.json"
-
-
 class Manifest:
-    """Run record written before stage output, finalized with timing.
+    """Run record written before stage output, finalized with timing:
+    ``<out>/manifest.json`` in a training stage's run directory
+    (``run_dir``), ``<out>.manifest.json`` beside any other output.
     ``pending`` is the running stage's manifest until it is finished, which
     ``main`` finishes with the error line when the stage fails."""
 
     pending: Manifest | None = None
 
-    def __init__(self, command: str, args: dict, out_path: str):
+    def __init__(self, command: str, args: dict, out_path: str, run_dir: bool = False):
         Manifest.pending = self
-        self.path = _manifest_path(out_path)
+        self.path = os.path.join(out_path, "manifest.json") if run_dir else out_path + ".manifest.json"
         self.started = time.time()
         self.doc = {
             "version": __version__,
@@ -129,12 +127,12 @@ def _load_answers(path: str, ids: set[str]) -> dict[str, str]:
     distinct and among ``ids``."""
     answers: dict[str, str] = {}
     lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(dataio.check_utf8(line))
             except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not (isinstance(record, dict) and "id" in record and "answer" in record):
@@ -220,7 +218,7 @@ def cmd_synth(args) -> int:
         from . import annotate
 
         stats = annotate.skip_stats(instances)
-        manifest.doc["summary"].update(ok=len(instances) - stats.total, skipped=dict(stats.counts))
+        manifest.doc["summary"].update(ok=len(instances) - stats.total(), skipped=dict(stats))
     manifest.finish()
     print(f"wrote {len(instances)} instances to {args.out}")
     return EXIT_OK
@@ -233,12 +231,12 @@ def cmd_annotate(args) -> int:
     instances = _load_instances(args.inp)
     annotated, stats = annotate.annotate_dataset(instances, target=args.target)
     dataio.save_dataset(annotated, args.out)
-    ok = len(annotated) - stats.total
-    manifest.doc["summary"] = {"instances": len(annotated), "ok": ok, "skipped": dict(stats.counts)}
+    ok = len(annotated) - stats.total()
+    manifest.doc["summary"] = {"instances": len(annotated), "ok": ok, "skipped": dict(stats)}
     manifest.finish()
     print(f"annotated {ok}/{len(annotated)} instances ({args.target})")
-    for reason in sorted(stats.counts):
-        print(f"  {reason}: {stats.counts[reason]}")
+    for reason in sorted(stats):
+        print(f"  {reason}: {stats[reason]}")
     return EXIT_OK
 
 
@@ -249,13 +247,10 @@ def cmd_sft(args) -> int:
     cfg = _load_config(args.config, training.SftConfig, args.seed)
     ratios = _parse_ratios(args.split)
     policy.check_dim(args.dim)
-    manifest = Manifest("sft", vars(args), args.out)
+    manifest = Manifest("sft", vars(args), args.out, run_dir=True)
     instances = _load_instances(args.data)
     train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
-    usable = tasks.trainable(train, args.target)
-    if not usable:
-        raise ConfigError("no annotated training instances; run annotate first")
-    vocab = tasks.build_vocab(usable, args.target)
+    vocab = tasks.build_vocab(tasks.trainable(train, args.target), args.target)
     params = policy.init_params(vocab, dim=args.dim, seed=cfg.seed)
     summary: dict = {}
     _, history = training.train_sft(
@@ -278,7 +273,7 @@ def cmd_train_rl(args) -> int:
     cfg = _load_config(args.config, training.PpoConfig, args.seed)
     ratios = _parse_ratios(args.split)
     params = _load_model(args.init, args.target)
-    manifest = Manifest("train-rl", vars(args), args.out)
+    manifest = Manifest("train-rl", vars(args), args.out, run_dir=True)
     instances = _load_instances(args.data)
     train, valid, _ = dataio.split(instances, ratios, seed=args.split_seed)
     summary: dict = {}

@@ -2,9 +2,11 @@
 
 One record per line with canonical key order (id, question, table, sql,
 answers, relevant_columns, relevant_rows, annotation_status, then any extra
-keys sorted), so load -> save is a byte-level fixed point.  Splits group by
-table content fingerprint: questions over the same table never straddle a
-split boundary.
+keys sorted).  load -> save is a byte-level fixed point for the records
+the package writes, not for every record it reads: numeric ``answers``
+load as strings and are saved as strings.  Splits group by table content
+fingerprint: questions over the same table never straddle a split
+boundary.
 
 A synthetic table's cells come from one ``Generator.integers`` call with
 per-element bounds, one element per cell, row-major.  numpy draws each such
@@ -172,17 +174,33 @@ def instance_to_record(instance: Instance) -> dict:
     return record
 
 
+def check_utf8(line: str) -> str:
+    """``line`` if the bytes it was read from are UTF-8, else their
+    UnicodeDecodeError.  The JSON Lines readers open their files with
+    ``errors="surrogateescape"``, so that a byte that is not UTF-8 spoils
+    only the line holding it, and check each line here before parsing it."""
+    if not line.isascii():
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    return line
+
+
 def load_dataset(path) -> tuple[list[Instance], list[LoadError]]:
-    """Parse a JSONL dataset; malformed lines are reported, not fatal."""
+    """Parse a JSONL dataset; malformed lines are reported, not fatal.  A
+    line that is not UTF-8 is malformed, and so is a record whose id an
+    earlier record holds."""
     instances: list[Instance] = []
     errors: list[LoadError] = []
-    with open(path, encoding="utf-8") as fh:
+    first_lines: dict[str, int] = {}
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                instances.append(record_to_instance(record))
+                instance = record_to_instance(json.loads(check_utf8(line)))
+                first = first_lines.setdefault(instance.id, lineno)
+                if first != lineno:
+                    raise ValueError(f"id {instance.id!r} was already used on line {first}")
+                instances.append(instance)
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 errors.append(LoadError(line=lineno, message=str(exc)))
     return instances, errors

@@ -240,11 +240,15 @@ _NUMERIC_RE = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
 
 def coerce_number(value: Cell) -> float | None:
     """Numeric view of a cell: numbers pass through, strings like '2,008'
-    parse after comma removal, everything else is None."""
+    parse after comma removal, everything else is None.  An integer beyond
+    float range is ±inf, as its digits are as a string."""
     if isinstance(value, bool):
         return None
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
     if isinstance(value, str):
         text = value.strip()
         if _NUMERIC_RE.fullmatch(text):

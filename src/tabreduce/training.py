@@ -32,6 +32,11 @@ Parameters and gradients are named views of one flat buffer each
 (``policy.PolicyParams``), and Adam's moments are flat buffers of the same
 layout, so an Adam step is one elementwise pass that writes the parameters
 in place.
+
+SFT and PPO share one run (``_Run``) around their updates: it filters and
+encodes the splits, writes the run directory and the metrics lines, and
+picks the model of best validation recall, ties to the later epoch or
+iteration (the last one without validation).
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numbers
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,28 +171,63 @@ class Adam:
         self.v[:] = v
 
 
-def _write_metrics_line(run_dir: str | None, record: dict) -> None:
-    if run_dir is None:
-        return
-    with open(os.path.join(run_dir, "metrics.jsonl"), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+class _Run:
+    """What ``train_sft`` and ``train_rl`` share apart from the update.
 
+    The run filters both splits to their trainable instances, refuses an
+    empty training set and encodes both under ``vocab``.  With a
+    ``run_dir``, it writes the config there and drops the metrics of an
+    earlier run and the ``checkpoints/`` directory that older versions
+    wrote.  ``log`` appends a record to ``history`` and to
+    metrics.jsonl; ``evaluate`` measures validation recall and keeps a
+    copy of the best parameters, ties to the later step; ``finish`` picks
+    them (the last step's without validation) and writes ``model.json``.
+    """
 
-def _prepare_run_dir(run_dir: str | None, config) -> None:
-    """Write the config; drop the metrics of an earlier run and the
-    ``checkpoints/`` directory that older versions wrote."""
-    if run_dir is None:
-        return
-    os.makedirs(run_dir, exist_ok=True)
-    checkpoints = os.path.join(run_dir, "checkpoints")
-    if os.path.isdir(checkpoints):
-        shutil.rmtree(checkpoints)
-    with atomic_write(os.path.join(run_dir, "config.json")) as fh:
-        json.dump(asdict(config), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    metrics_path = os.path.join(run_dir, "metrics.jsonl")
-    if os.path.exists(metrics_path):
-        os.remove(metrics_path)
+    def __init__(self, vocab, train, valid, cfg, target: str, run_dir: str | None, stage: str):
+        train = tasks.trainable(train, target)
+        self.valid = tasks.trainable(valid, target)
+        if not train:
+            raise ConfigError(f"no annotated training instances for {stage}; run annotate first")
+        self.target, self.run_dir = target, run_dir
+        self.history: list[dict] = []
+        self.best: policy.PolicyParams | None = None
+        self.best_recall, self.best_step = -1.0, 0
+        if run_dir is not None:
+            os.makedirs(run_dir, exist_ok=True)
+            checkpoints = os.path.join(run_dir, "checkpoints")
+            if os.path.isdir(checkpoints):
+                shutil.rmtree(checkpoints)
+            with atomic_write(os.path.join(run_dir, "config.json")) as fh:
+                json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
+                fh.write("\n")
+            metrics_path = os.path.join(run_dir, "metrics.jsonl")
+            if os.path.exists(metrics_path):
+                os.remove(metrics_path)
+        self.encs, self.golds = tasks.labeled_encodings(vocab, train, target)
+        self.valid_encs, self.valid_golds = tasks.labeled_encodings(vocab, self.valid, target)
+
+    def log(self, record: dict) -> None:
+        self.history.append(record)
+        if self.run_dir is not None:
+            with open(os.path.join(self.run_dir, "metrics.jsonl"), "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def evaluate(self, params: policy.PolicyParams, step: int) -> float:
+        """Validation recall of ``params`` after ``step``, keeping a copy of
+        them when no earlier step did better."""
+        recall = tasks.greedy_recall(params, self.valid_encs, self.valid_golds)
+        if recall >= self.best_recall:
+            self.best_recall, self.best, self.best_step = recall, params.copy(), step
+        return recall
+
+    def finish(self, params: policy.PolicyParams, step: int) -> tuple[policy.PolicyParams, int]:
+        """The chosen parameters and step: the best evaluated, else ``params``
+        after the last ``step``; written as ``model.json`` with a run_dir."""
+        chosen = (params, step) if self.best is None else (self.best, self.best_step)
+        if self.run_dir is not None:
+            policy.save_params(chosen[0], os.path.join(self.run_dir, "model.json"), target=self.target)
+        return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -207,53 +247,31 @@ def train_sft(
     validation is empty).  With a ``run_dir``, writes its config, one
     metrics line per epoch, and the returned params as ``model.json``.
     ``summary``, when given, receives the chosen epoch."""
-    train = tasks.trainable(train, target)
-    valid = tasks.trainable(valid, target)
-    if not train:
-        raise ConfigError("no trainable instances for SFT")
-    _prepare_run_dir(run_dir, cfg)
-
-    encs, golds = tasks.labeled_encodings(params.vocab, train, target)
-    actions = policy.pad_actions([tasks.gold_actions(gold) for gold in golds])
-    valid_encs, valid_golds = tasks.labeled_encodings(params.vocab, valid, target)
+    run = _Run(params.vocab, train, valid, cfg, target, run_dir, "SFT")
+    actions = policy.pad_actions([tasks.gold_actions(gold) for gold in run.golds])
 
     rng = np.random.default_rng(cfg.seed)
     adam = Adam(params, cfg.learning_rate)
     params = params.copy()
-    best = params.copy()
-    best_recall = -1.0
-    best_epoch = 0
-    history: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(encs))
+        order = rng.permutation(len(run.encs))
         losses = []
         for start in range(0, len(order), cfg.minibatch):
             batch = order[start : start + cfg.minibatch]
-            loss, grads = policy.sft_loss_and_grad(params, [encs[i] for i in batch], actions[batch])
+            loss, grads = policy.sft_loss_and_grad(params, [run.encs[i] for i in batch], actions[batch])
             adam.step(params, grads)
             losses.append(loss)
-        recall = tasks.greedy_recall(params, valid_encs, valid_golds) if valid else float("nan")
-        record = {
+        run.log({
             "epoch": epoch,
             "loss": float(np.mean(losses)),
-            "valid_recall": None if math.isnan(recall) else recall,
-        }
-        history.append(record)
-        _write_metrics_line(run_dir, record)
-        # ties prefer the later epoch: equal validation recall, lower train loss
-        if not math.isnan(recall) and recall >= best_recall:
-            best_recall = recall
-            best = params.copy()
-            best_epoch = epoch
+            "valid_recall": run.evaluate(params, epoch) if run.valid else None,
+        })
 
-    if best_recall < 0:
-        best, best_epoch = params, cfg.epochs
+    best, best_epoch = run.finish(params, cfg.epochs)
     if summary is not None:
         summary["chosen_epoch"] = best_epoch
-    if run_dir is not None:
-        policy.save_params(best, os.path.join(run_dir, "model.json"), target=target)
-    return best, history
+    return best, run.history
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +316,6 @@ class TrainState:
     reference: policy.PolicyParams
     beta: float
     rng: np.random.Generator
-    history: list[dict] = field(default_factory=list)
     episodes: int = 0
     steps: int = 0
 
@@ -468,19 +485,11 @@ def train_rl(
     number of numerical rollbacks, the wall seconds spent in the value-head
     warm start, in rollouts and in updates, and the chosen iteration.
     """
-    train = tasks.trainable(train, target)
-    valid = tasks.trainable(valid, target)
-    if not train:
-        raise ConfigError("no trainable instances for RL")
-    _prepare_run_dir(run_dir, cfg)
-
+    run = _Run(initial.vocab, train, valid, cfg, target, run_dir, "RL")
     if reward_fn is None:
         rcfg = RewardConfig()
         reward_fn = lambda selected, gold: task_reward(selected, gold, rcfg).task_reward
-
-    encs, golds = tasks.labeled_encodings(initial.vocab, train, target)
-    matrices = policy.count_matrices(encs)  # kept for the run: every rollout draws from them
-    valid_encs, valid_golds = tasks.labeled_encodings(initial.vocab, valid, target)
+    matrices = policy.count_matrices(run.encs)  # kept for the run: every rollout draws from them
 
     state = TrainState(
         current=initial.copy(),
@@ -489,12 +498,9 @@ def train_rl(
         rng=np.random.default_rng(cfg.seed),
     )
     started = time.perf_counter()
-    warm_start_value_head(state, matrices, golds, cfg, reward_fn)
+    warm_start_value_head(state, matrices, run.golds, cfg, reward_fn)
     warm_start_s = time.perf_counter() - started
     adam = Adam(state.current, cfg.learning_rate)
-    best = state.current.copy()
-    best_recall = -1.0
-    best_iteration = 0
     rollout_s = update_s = 0.0
 
     for iteration in range(1, cfg.iterations + 1):
@@ -503,7 +509,7 @@ def train_rl(
         record: dict = {"iteration": iteration, "beta": state.beta}
         try:
             started = time.perf_counter()
-            rollout = collect_rollouts(state, matrices, golds, cfg.rollout_episodes_per_iter, cfg, reward_fn)
+            rollout = collect_rollouts(state, matrices, run.golds, cfg.rollout_episodes_per_iter, cfg, reward_fn)
             rollout_s += time.perf_counter() - started
             started = time.perf_counter()
             examples = compute_advantages(rollout, cfg.discount)
@@ -519,29 +525,19 @@ def train_rl(
             adam.restore(adam_backup)
             record["error"] = "numerical_rollback"
 
-        if valid and (iteration % cfg.eval_every == 0 or iteration == cfg.iterations):
-            recall = tasks.greedy_recall(state.current, valid_encs, valid_golds)
-            record["valid_recall"] = recall
-            if recall >= best_recall:
-                best_recall = recall
-                best = state.current.copy()
-                best_iteration = iteration
+        if run.valid and (iteration % cfg.eval_every == 0 or iteration == cfg.iterations):
+            record["valid_recall"] = run.evaluate(state.current, iteration)
+        run.log(record)
 
-        state.history.append(record)
-        _write_metrics_line(run_dir, record)
-
-    if best_recall < 0:
-        best, best_iteration = state.current, cfg.iterations
+    best, best_iteration = run.finish(state.current, cfg.iterations)
     if summary is not None:
         summary.update(
             episodes=state.episodes,
             steps=state.steps,
-            numerical_rollbacks=sum("error" in record for record in state.history),
+            numerical_rollbacks=sum("error" in record for record in run.history),
             warm_start_seconds=round(warm_start_s, 3),
             rollout_seconds=round(rollout_s, 3),
             update_seconds=round(update_s, 3),
             chosen_iteration=best_iteration,
         )
-    if run_dir is not None:
-        policy.save_params(best, os.path.join(run_dir, "model.json"), target=target)
-    return best, state.history
+    return best, run.history

@@ -220,14 +220,14 @@ def test_annotate_dataset_counts_and_order():
     assert [a.annotation_status for a in annotated] == [
         annotate.STATUS_OK, annotate.SKIP_UNSUPPORTED, annotate.STATUS_OK,
     ]
-    assert stats.counts == {annotate.SKIP_UNSUPPORTED: 1}
-    assert stats.total == 1
+    assert dict(stats) == {annotate.SKIP_UNSUPPORTED: 1}
+    assert stats.total() == 1
 
 
 def test_annotate_dataset_empty():
     annotated, stats = annotate.annotate_dataset([], target="both")
     assert annotated == []
-    assert stats.total == 0
+    assert stats.total() == 0
 
 
 def test_target_columns_leaves_rows_unset():

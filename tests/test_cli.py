@@ -263,6 +263,67 @@ class TestSynthAndAnnotate:
                     "--out", str(tmp_path / "o.jsonl")])
         assert code == cli.EXIT_IO
 
+    def test_non_utf8_line_is_one_load_warning(self, tmp_path, capsys):
+        """A dataset line holding a byte that is not UTF-8 is skipped with one
+        warning, and the run completes its manifest."""
+        raw = tmp_path / "raw.jsonl"
+        assert run(synth_config_args(5, raw) + ["--no-annotate"]) == 0
+        raw.write_bytes(raw.read_bytes() + b'{"id": "\xff"}\n')
+        out = tmp_path / "ann.jsonl"
+        capsys.readouterr()
+        assert run(["annotate", "--in", str(raw), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.strip().split("\n") == [
+            f"warning: {raw}:6: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+        ]
+        assert len(out.read_text().splitlines()) == 5
+        manifest = json.loads((tmp_path / "ann.jsonl.manifest.json").read_text())
+        assert manifest["elapsed_seconds"] is not None and "error" not in manifest
+
+    def test_integer_cell_beyond_float_range(self, tmp_path):
+        """A table holding an integer of 401 digits is annotated, answered
+        over its gold context and reported."""
+        raw = tmp_path / "raw.jsonl"
+        assert run(synth_config_args(5, raw) + ["--no-annotate"]) == 0
+        lines = raw.read_text().splitlines()
+        huge = json.loads(lines[0])
+        huge["table"]["rows"][0] = [10**400] * len(huge["table"]["columns"])
+        raw.write_text("\n".join([json.dumps(huge), *lines[1:]]) + "\n")
+        data, answers = tmp_path / "data.jsonl", tmp_path / "answers.jsonl"
+        assert run(["annotate", "--in", str(raw), "--out", str(data)]) == 0
+        assert run(["qa", "--data", str(data), "--out", str(answers), "--mock", "--context", "gold"]) == 0
+        assert run([
+            "report", "--answers", str(answers), "--reductions", str(data),
+            "--buckets", "0,40", "--out", str(tmp_path / "report.json"),
+        ]) == 0
+        assert len(answers.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "stage, out_name, manifest_name",
+    [("synth", "dataset", "dataset.manifest.json"), ("qa", "answers", "answers.manifest.json"),
+     ("sft", "run.v1", "run.v1/manifest.json")],
+    ids=["synth", "qa", "sft"],
+)
+def test_manifest_place_is_the_stages_not_the_names(pipeline, tmp_path, stage, out_name, manifest_name):
+    """A training stage writes its manifest into its run directory and any
+    other stage beside its output, whether or not the output's name has an
+    extension, on a first run and on a rerun alike."""
+    _, data, _ = pipeline
+    out = tmp_path / out_name
+    cfg = tmp_path / "sft.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    argv = {
+        "synth": synth_config_args(4, out),
+        "qa": ["qa", "--data", str(data), "--out", str(out), "--mock"],
+        "sft": ["sft", "--data", str(data), "--target", "columns", "--out", str(out),
+                "--config", str(cfg), "--dim", "8"],
+    }[stage]
+    for _ in range(2):
+        assert run(argv) == 0
+        manifests = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*manifest.json"))
+        assert manifests == [Path(manifest_name)]
+        assert json.loads((tmp_path / manifest_name).read_text())["elapsed_seconds"] is not None
+
 
 class TestTraining:
     def test_sft_outputs(self, pipeline):
@@ -731,15 +792,17 @@ class TestQaAndReport:
             ("0,40", '{"id": "synth-00000", "answer": "1"}\n{"id": "synth-00000", "answer": "2"}',
              ":2: id 'synth-00000' was already answered on line 1"),
             ("0,40", '{"id": "nosuch", "answer": "1"}', ":1: id 'nosuch' names no instance of the reductions file"),
+            ("0,40", '{"id": "synth-00000", "answer": "1"}\n{"id": "synth-00001", "answer": "\udcff"}',
+             ":2: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 33: invalid start byte"),
         ],
         ids=["bad-buckets", "no-answer", "not-an-object", "invalid-json", "deeply-nested", "answer-null", "answer-int",
-             "answer-list", "id-list", "id-int", "dup-id", "unknown-id"],
+             "answer-list", "id-list", "id-int", "dup-id", "unknown-id", "not-utf8"],
     )
     def test_bad_report_input_is_one_error_line(self, pipeline, tmp_path, capsys, buckets,
                                                 answer_line, message):
         root, data, _ = pipeline
         answers = tmp_path / "answers.jsonl"
-        answers.write_text(answer_line + "\n")
+        answers.write_bytes((answer_line + "\n").encode("utf-8", "surrogateescape"))  # \udcff: byte 0xff
         out = tmp_path / "report.json"
         code = run([
             "report", "--answers", str(answers), "--reductions", str(data),
@@ -748,6 +811,26 @@ class TestQaAndReport:
         assert code == cli.EXIT_CONFIG
         assert_one_error_line(capsys, message)
         assert not out.exists()
+
+    def test_repeated_dataset_id_is_one_load_warning(self, pipeline, tmp_path, capsys):
+        """A record whose id an earlier record holds is skipped with one
+        warning, so ``qa`` answers each id once and ``report`` reads it."""
+        root, data, _ = pipeline
+        lines = data.read_text().splitlines()
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join([*lines, lines[0]]) + "\n")
+        answers = tmp_path / "answers.jsonl"
+        capsys.readouterr()
+        assert run(["qa", "--data", str(repeated), "--out", str(answers), "--mock"]) == 0
+        first_id = json.loads(lines[0])["id"]
+        assert capsys.readouterr().err.strip().split("\n") == [
+            f"warning: {repeated}:{len(lines) + 1}: id {first_id!r} was already used on line 1"
+        ]
+        assert len(answers.read_text().splitlines()) == len(lines)
+        assert run([
+            "report", "--answers", str(answers), "--reductions", str(repeated),
+            "--buckets", "0,40", "--out", str(tmp_path / "report.json"),
+        ]) == 0
 
     def test_gold_context_qa(self, pipeline, tmp_path):
         root, data, sft_dir = pipeline

@@ -38,6 +38,12 @@ def loaded_record(instance):
     return json.loads(json.dumps(instance_to_record(instance)))
 
 
+def with_id(line, new_id="a2"):
+    """The JSON record ``line`` under another id, as a dataset's next
+    record must be."""
+    return json.dumps({**json.loads(line), "id": new_id})
+
+
 class TestRoundTrip:
     def test_load_save_identity(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -93,11 +99,34 @@ class TestRoundTrip:
     def test_bad_lines_reported_not_fatal(self, tmp_path):
         path = tmp_path / "d.jsonl"
         good = json.dumps(instance_to_record(sample_instance()))
-        path.write_text(good + "\n{broken\n" + good + "\n")
+        path.write_text(good + "\n{broken\n" + with_id(good) + "\n")
         loaded, errors = load_dataset(path)
         assert len(loaded) == 2
         assert len(errors) == 1
         assert errors[0].line == 2
+
+    def test_non_utf8_line_reported_and_lines_split_as_text_mode(self, tmp_path):
+        """A line holding a byte that is not UTF-8 is that line's error, and
+        lines end, and are numbered, where text mode ends them: at ``\\n``,
+        ``\\r\\n`` and a lone ``\\r``."""
+        good = json.dumps(instance_to_record(sample_instance()))
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(good.encode() + b"\r\n" + b'{"id": "\xff"}\n' + b"\r"
+                         + with_id(good).encode() + b"\n{broken\r")
+        loaded, errors = load_dataset(path)
+        assert [inst.id for inst in loaded] == ["a1", "a2"] and loaded[0] == sample_instance()
+        assert [e.line for e in errors] == [2, 5]
+        assert errors[0].message == "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            assert len(fh.readlines()) == 5
+
+    def test_repeated_id_reported(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        good = json.dumps(instance_to_record(sample_instance()))
+        path.write_text("\n".join([good, with_id(good), good]) + "\n")
+        loaded, errors = load_dataset(path)
+        assert [inst.id for inst in loaded] == ["a1", "a2"]
+        assert errors == [dataio.LoadError(line=3, message="id 'a1' was already used on line 1")]
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -117,7 +146,7 @@ class TestRoundTrip:
             record_to_instance({**record, key: value})
         path = tmp_path / "d.jsonl"
         good = json.dumps(record)
-        path.write_text(good + "\n" + json.dumps({**record, key: value}) + "\n" + good + "\n")
+        path.write_text(good + "\n" + json.dumps({**record, key: value}) + "\n" + with_id(good) + "\n")
         loaded, errors = load_dataset(path)
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]
@@ -135,7 +164,7 @@ class TestRoundTrip:
             record_to_instance(bad)
         path = tmp_path / "d.jsonl"
         good = json.dumps(record)
-        path.write_text(good + "\n" + json.dumps(bad) + "\n" + good + "\n")
+        path.write_text(good + "\n" + json.dumps(bad) + "\n" + with_id(good) + "\n")
         loaded, errors = load_dataset(path)
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]
@@ -164,7 +193,7 @@ class TestRoundTrip:
             record_to_instance(bad)
         path = tmp_path / "d.jsonl"
         good = json.dumps(record)
-        path.write_text(good + "\n" + json.dumps(bad) + "\n" + good + "\n")
+        path.write_text(good + "\n" + json.dumps(bad) + "\n" + with_id(good) + "\n")
         loaded, errors = load_dataset(path)
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]
@@ -199,7 +228,7 @@ class TestRoundTrip:
             record_to_instance(bad)
         path = tmp_path / "d.jsonl"
         good = json.dumps(record)
-        path.write_text(good + "\n" + json.dumps(bad) + "\n" + good + "\n")
+        path.write_text(good + "\n" + json.dumps(bad) + "\n" + with_id(good) + "\n")
         loaded, errors = load_dataset(path)
         assert len(loaded) == 2
         assert [(e.line, e.message) for e in errors] == [(2, message)]

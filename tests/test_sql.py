@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -139,6 +140,14 @@ class TestParse:
     )
     def test_accepted_edge_cases(self, query, expected):
         assert sql.parse_sql(query) == expected
+
+
+def test_coerce_number_of_an_integer_beyond_float_range():
+    """Such an integer is the infinity of its sign, as its digits are as a string."""
+    big = 10**400
+    assert sql.coerce_number(big) == sql.coerce_number(str(big)) == math.inf
+    assert sql.coerce_number(-big) == sql.coerce_number(str(-big)) == -math.inf
+    assert sql.coerce_number(2**53 + 1) == float(2**53 + 1)
 
 
 class TestExecute:
