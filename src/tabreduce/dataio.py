@@ -8,10 +8,14 @@ load as strings and are saved as strings.  Splits group by table content
 fingerprint: questions over the same table never straddle a split
 boundary.
 
-A synthetic table's cells come from one ``Generator.integers`` call with
-per-element bounds, one element per cell, row-major.  numpy draws each such
-element as a scalar ``integers`` call would, so the stream, and the
-generator's state after it, are those of one call per cell.
+A synthetic table's cells come from one ``Generator.integers`` call of
+shape (rows, columns), each column's bounds broadcast over the rows, one
+element per cell, row-major.  numpy draws each such element as a scalar
+``integers`` call would, so the stream, and the generator's state after it,
+are those of one call per cell.  An instance's query template is picked by
+one uniform compared against the mix's cumulative weights, built once per
+``generate_synthetic`` call: ``Generator.choice``'s arithmetic and its one
+draw, so the pick is the one ``choice(p=...)`` would make.
 
 numpy is imported inside the generator and ``split`` only, so loading and
 saving a dataset never loads it; ``sql`` and ``annotate`` inside the
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -280,6 +285,10 @@ class SynthConfig:
         names = [name for name, _ in self.template_mix]
         if any(name not in QUERY_TEMPLATES for name in names):
             raise ConfigError(f"unknown template in mix: {names}")
+        for name, weight in self.template_mix:
+            if not (math.isfinite(weight) and weight >= 0):  # abs(NaN - 1.0) > 1e-9 is False
+                raise ConfigError(f"template {name!r} has weight {weight!r}; "
+                                  "weights must be finite and non-negative")
         if abs(sum(w for _, w in self.template_mix) - 1.0) > 1e-9:
             raise ConfigError("template mix weights must sum to 1")
 
@@ -290,32 +299,34 @@ def _sql_literal(value) -> str:
     return "'" + str(value).replace("'", "''") + "'"
 
 
-def _synth_table(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Table, np.ndarray]:
-    """A table drawn from ``rng``, and which of its columns are numeric."""
-    import numpy as np
-
+def _synth_table(cfg: SynthConfig, rng: np.random.Generator) -> tuple[Table, list[bool]]:
+    """A table drawn from ``rng``, and ``numeric``: a list holding, for each
+    of its columns, whether it is numeric."""
     n_cols = int(rng.integers(cfg.columns_range[0], cfg.columns_range[1] + 1))
     n_rows = int(rng.integers(cfg.rows_range[0], cfg.rows_range[1] + 1))
-    headers = [HEADER_WORDS[i] for i in rng.choice(len(HEADER_WORDS), size=n_cols, replace=False)]
+    picks = rng.choice(len(HEADER_WORDS), size=n_cols, replace=False).tolist()
+    headers = [HEADER_WORDS[i] for i in picks]
 
     # at least one numeric and one string column; the rest are coin flips
-    numeric = rng.integers(0, 2, size=n_cols).astype(bool)
+    numeric = rng.integers(0, 2, size=n_cols).astype(bool).tolist()
     numeric[0] = True
     numeric[1] = False
     value_pool = VALUE_WORDS[: cfg.value_vocab_size]
-    lo = np.where(numeric, cfg.numeric_range[0], 0)
-    hi = np.where(numeric, cfg.numeric_range[1], len(value_pool) - 1)
+    nlo, nhi = cfg.numeric_range
+    lo = [nlo if flag else 0 for flag in numeric]
+    hi = [nhi if flag else len(value_pool) - 1 for flag in numeric]
     # the stream of one scalar call per cell, row-major (module docstring)
-    cells = rng.integers(np.tile(lo, n_rows), np.tile(hi, n_rows), endpoint=True)
-    cells = cells.reshape(n_rows, n_cols)
-    columns = [
-        cells[:, c].tolist() if numeric[c] else [value_pool[i] for i in cells[:, c].tolist()]
-        for c in range(n_cols)
-    ]
-    return make_table(headers, zip(*columns)), numeric
+    rows = rng.integers(lo, hi, size=(n_rows, n_cols), endpoint=True).tolist()
+    string_cols = [c for c, flag in enumerate(numeric) if not flag]
+    for row in rows:
+        for c in string_cols:
+            row[c] = value_pool[row[c]]
+    return make_table(headers, rows), numeric
 
 
-def _generate_one(cfg: SynthConfig, index: int) -> Instance:
+def _generate_one(cfg: SynthConfig, index: int, names: list[str], cdf: list[float]) -> Instance:
+    """Instance ``index`` of ``cfg``, its template picked from ``names`` by
+    one uniform against their cumulative weights ``cdf``."""
     import numpy as np
 
     from . import sql
@@ -323,23 +334,20 @@ def _generate_one(cfg: SynthConfig, index: int) -> Instance:
     rng = np.random.default_rng([cfg.seed, index])
     table, numeric = _synth_table(cfg, rng)
     headers, n_cols = table.columns, table.n_columns
-
-    names = [name for name, _ in cfg.template_mix]
-    weights = np.array([w for _, w in cfg.template_mix])
-    template = names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    template = names[bisect_right(cdf, rng.random())]
 
     # value and key columns get opposite types: the filter literal then never
     # collides with the projected column's cell domain
     numeric_cols = [c for c in range(n_cols) if numeric[c]]
     string_cols = [c for c in range(n_cols) if not numeric[c]]
     if template in ("sum", "min", "max"):
-        val_col = int(numeric_cols[int(rng.integers(0, len(numeric_cols)))])
+        val_col = numeric_cols[int(rng.integers(0, len(numeric_cols)))]
     elif rng.integers(0, 2):
-        val_col = int(numeric_cols[int(rng.integers(0, len(numeric_cols)))])
+        val_col = numeric_cols[int(rng.integers(0, len(numeric_cols)))]
     else:
-        val_col = int(string_cols[int(rng.integers(0, len(string_cols)))])
+        val_col = string_cols[int(rng.integers(0, len(string_cols)))]
     key_pool = string_cols if numeric[val_col] else numeric_cols
-    key_col = int(key_pool[int(rng.integers(0, len(key_pool)))])
+    key_col = key_pool[int(rng.integers(0, len(key_pool)))]
     key_value = table.rows[int(rng.integers(0, table.n_rows))][key_col]
 
     projection = headers[val_col] if template == "lookup" else f"{template}({headers[val_col]})"
@@ -366,7 +374,16 @@ def _generate_one(cfg: SynthConfig, index: int) -> Instance:
 
 def generate_synthetic(cfg: SynthConfig) -> list[Instance]:
     """Seed-stable synthetic instances; gold SQL always matches the answers."""
-    return [_generate_one(cfg, i) for i in range(cfg.n_instances)]
+    import numpy as np
+
+    # Generator.choice's arithmetic for a pick with probabilities p
+    names = [name for name, _ in cfg.template_mix]
+    weights = np.array([w for _, w in cfg.template_mix])
+    p = weights / weights.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    return [_generate_one(cfg, i, names, cdf) for i in range(cfg.n_instances)]
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,8 @@ class _Run:
     """What ``train_sft`` and ``train_rl`` share apart from the update.
 
     The run filters both splits to their trainable instances, refuses an
-    empty training set and encodes both under ``vocab``.  With a
+    empty training set, telling an empty training share of the split from
+    one with nothing annotated, and encodes both under ``vocab``.  With a
     ``run_dir``, it writes the config there and drops the metrics of an
     earlier run and the ``checkpoints/`` directory that older versions
     wrote.  ``log`` appends a record to ``history`` and to
@@ -185,9 +186,12 @@ class _Run:
     """
 
     def __init__(self, vocab, train, valid, cfg, target: str, run_dir: str | None, stage: str):
-        train = tasks.trainable(train, target)
+        kept = tasks.trainable(train, target)
         self.valid = tasks.trainable(valid, target)
         if not train:
+            raise ConfigError(f"the split leaves no training instances for {stage}; "
+                              "give training a larger share")
+        if not kept:
             raise ConfigError(f"no annotated training instances for {stage}; run annotate first")
         self.target, self.run_dir = target, run_dir
         self.history: list[dict] = []
@@ -204,7 +208,7 @@ class _Run:
             metrics_path = os.path.join(run_dir, "metrics.jsonl")
             if os.path.exists(metrics_path):
                 os.remove(metrics_path)
-        self.encs, self.golds = tasks.labeled_encodings(vocab, train, target)
+        self.encs, self.golds = tasks.labeled_encodings(vocab, kept, target)
         self.valid_encs, self.valid_golds = tasks.labeled_encodings(vocab, self.valid, target)
 
     def log(self, record: dict) -> None:

@@ -516,6 +516,35 @@ class TestTraining:
         assert_one_error_line(capsys, f"--split needs three comma-separated ratios, got {split!r}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage, name", [("sft", "SFT"), ("train-rl", "RL")])
+    def test_empty_training_share_blames_the_split(self, pipeline, tmp_path, capsys, stage, name):
+        """Annotated data whose split gives training nothing is refused for
+        the split, not for a missing annotation."""
+        root, data, sft_dir = pipeline
+        extra = ["--init", str(sft_dir / "model.json")] if stage == "train-rl" else []
+        code = run([
+            stage, "--data", str(data), "--target", "columns", "--out", str(tmp_path / "out"),
+            "--split", "0,1,0", *extra,
+        ])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: the split leaves no training instances for {name}; give training a larger share\n"
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("stage, name", [("sft", "SFT"), ("train-rl", "RL")])
+    def test_unannotated_training_share_asks_for_annotate(self, pipeline, tmp_path, capsys, stage, name):
+        root, data, sft_dir = pipeline
+        raw = tmp_path / "raw.jsonl"
+        assert run([*synth_config_args(30, raw), "--no-annotate"]) == 0
+        capsys.readouterr()
+        extra = ["--init", str(sft_dir / "model.json")] if stage == "train-rl" else []
+        code = run([
+            stage, "--data", str(raw), "--target", "columns", "--out", str(tmp_path / "out"),
+            *extra,
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert_one_error_line(capsys, f"no annotated training instances for {name}; run annotate first")
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_bad_dim_is_one_error_line(self, pipeline, tmp_path, capsys, dim):
         root, data, sft_dir = pipeline

@@ -319,6 +319,21 @@ class TestSynth:
         with pytest.raises(ConfigError):
             SynthConfig(template_mix=(("median", 1.0),))
 
+    @pytest.mark.parametrize(
+        "mix, name",
+        [
+            ((("lookup", 1.5), ("count", -0.5)), "count"),
+            ((("lookup", float("nan")), ("count", 1.0)), "lookup"),
+            ((("lookup", 1.0), ("sum", float("inf")), ("max", float("-inf"))), "sum"),
+        ],
+        ids=["negative", "nan", "infinite"],
+    )
+    def test_unsamplable_weight_rejected(self, mix, name):
+        """A weight the template pick cannot sample is refused by name, even
+        when the weights sum to 1 or the sum check cannot see it."""
+        with pytest.raises(ConfigError, match=f"template '{name}' has weight"):
+            SynthConfig(template_mix=mix)
+
     def test_no_annotate_flag(self):
         instances = generate_synthetic(SynthConfig(n_instances=3, annotate=False, seed=0))
         assert all(i.annotation_status is None for i in instances)
@@ -326,7 +341,9 @@ class TestSynth:
 
 def per_cell_oracle(cfg, index):
     """The synthetic instance ``index`` of ``cfg`` drawn with one scalar
-    ``integers`` call per cell, and the generator's state after the cells."""
+    ``integers`` call per cell and its template picked by ``Generator.choice``,
+    and the generator's state after the cells and after the instance's last
+    draw."""
     rng = np.random.default_rng([cfg.seed, index])
     n_cols = int(rng.integers(cfg.columns_range[0], cfg.columns_range[1] + 1))
     n_rows = int(rng.integers(cfg.rows_range[0], cfg.rows_range[1] + 1))
@@ -365,6 +382,7 @@ def per_cell_oracle(cfg, index):
     key_pool = string_cols if numeric[val_col] else numeric_cols
     key_col = int(key_pool[int(rng.integers(0, len(key_pool)))])
     key_value = rows[int(rng.integers(0, n_rows))][key_col]
+    state_after_draws = rng.bit_generator.state
 
     projection = headers[val_col] if template == "lookup" else f"{template}({headers[val_col]})"
     literal = dataio._sql_literal(key_value)
@@ -379,7 +397,7 @@ def per_cell_oracle(cfg, index):
     )
     if cfg.annotate:
         instance = annotate.annotate_instance(instance, target="both")
-    return instance, state_after_cells
+    return instance, state_after_cells, state_after_draws
 
 
 # Recorded with the per-cell generator; see test_synthetic_stream_pinned.
@@ -405,20 +423,36 @@ class TestSynthStream:
             {"rows_range": (1, 1), "columns_range": (2, 2)},
             {"rows_range": (1, 3), "columns_range": (2, 48)},
             {"rows_range": (140, 160), "columns_range": (8, 10)},
+            {"template_mix": (("lookup", 0.4), ("count", 0.0), ("sum", 0.6))},
+            {"template_mix": (("min", 0.5), ("max", 0.5))},
         ],
         ids=[
             "default", "width-1", "one-word", "one-number", "lemire-rejects",
             "wide-numbers", "one-row-two-cols", "every-header", "long",
+            "zero-weight", "min-max",
         ],
     )
     @pytest.mark.parametrize("annotate_flag", [True, False], ids=["annotated", "raw"])
-    def test_equals_per_cell_oracle(self, overrides, annotate_flag):
+    def test_equals_per_cell_oracle(self, monkeypatch, overrides, annotate_flag):
+        default_rng = np.random.default_rng
+        generators = []
+
+        def recording_rng(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
         for seed in (0, 1, 17):
             cfg = SynthConfig(n_instances=6, seed=seed, annotate=annotate_flag, **overrides)
-            instances = generate_synthetic(cfg)
-            for index, inst in enumerate(instances):
-                expected, state_after_cells = per_cell_oracle(cfg, index)
+            generators.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", recording_rng)
+                instances = generate_synthetic(cfg)
+            assert len(generators) == len(instances) == 6
+            for index, (inst, used) in enumerate(zip(instances, generators)):
+                expected, state_after_cells, state_after_draws = per_cell_oracle(cfg, index)
                 assert inst == expected
+                # a pick that draws more or fewer variates than choice moves it
+                assert used.bit_generator.state == state_after_draws
                 rng = np.random.default_rng([seed, index])
                 table, _ = dataio._synth_table(cfg, rng)
                 assert table == expected.table
